@@ -10,6 +10,7 @@
 #   make docs        # regenerate docs/SCENARIOS.md + docs/METRICS.md + docs/TRACING.md from the registries
 #   make docs-check  # fail when generated docs are stale or links are dead
 #   make metrics-lint # enforce Prometheus naming conventions on every family
+#   make bench-check # vet and test the reference benchmark module under bench/
 
 GO ?= go
 
@@ -17,11 +18,13 @@ GO ?= go
 # bench-baseline and the CI bench-regression job (which runs `make
 # bench-json`) all share this one definition, so the gate, the baseline and
 # CI can never record different benchmark sets.
-BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients' -benchtime=1x -benchmem -run='^$$' .
+# VMSample and ShardDispatch are per-layer benchmarks: one op is a fixed batch
+# of units, and each also reports ns and allocs per unit.
+BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch' -benchtime=1x -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline docs docs-check metrics-lint
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint
 
-check: fmt vet lint build race test-repeat bench-json metrics-lint docs-check
+check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -78,6 +81,12 @@ bench-baseline:
 	$(BENCH_GATE) > BENCH_raw.txt || (cat BENCH_raw.txt; exit 1)
 	cat BENCH_raw.txt
 	$(GO) run ./cmd/benchjson parse -in BENCH_raw.txt -out BENCH_baseline.json
+
+# bench/ is its own Go module (replace repro => ../), so the root `go vet
+# ./...` and `go test ./...` never build it; this target is how a change to a
+# package it imports is checked against it.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # docs/SCENARIOS.md, docs/METRICS.md and docs/TRACING.md are generated from
 # the scenario registry, the instrument registry and the span catalogue; the

@@ -331,9 +331,15 @@ func TestSampleProducesFullFeatureVector(t *testing.T) {
 	if v.VM != "vm1" {
 		t.Fatalf("sample VM = %q", v.VM)
 	}
-	for _, name := range features.AllNames() {
-		if _, ok := v.Values[name]; !ok {
-			t.Errorf("feature %s missing from sample", name)
+	// Every feature has a slot: a Set/Get round trip over the full set
+	// returns each value, on a copy so the sample itself stays intact.
+	w := v
+	for i, name := range features.AllNames() {
+		w.Set(name, float64(i)+0.5)
+	}
+	for i, name := range features.AllNames() {
+		if got := w.Get(name); got != float64(i)+0.5 {
+			t.Errorf("feature %s round trip = %v, want %v", name, got, float64(i)+0.5)
 		}
 	}
 	if v.Get(features.RequestRate) <= 0 {

@@ -101,7 +101,7 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	for i := 0; i < cfg.InitialActive+cfg.InitialStandby; i++ {
 		vm := r.newVM()
 		if i < cfg.InitialActive {
-			vm.state = StateActive
+			vm.setState(StateActive)
 		}
 	}
 	return r
@@ -121,6 +121,7 @@ func (r *Region) newVM() *VM {
 		Rejuvenation: r.cfg.Rejuvenation,
 	}, sh.rng.Fork())
 	vm.shardIndex = sh.index
+	vm.ix, vm.slot = &sh.ix, sh.ix.add()
 	sh.vms = append(sh.vms, vm)
 	r.vms = append(r.vms, vm)
 	r.byID[id] = vm

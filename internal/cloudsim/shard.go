@@ -7,11 +7,12 @@ import (
 )
 
 // A shard owns a disjoint subset of a region's VM pool together with its own
-// derived RNG stream.  Sharding is what lets one region scale past ~10^3 VMs:
-// the per-request work of the region's load balancer and the periodic
-// controller scans operate on one shard (O(pool/N)) instead of the whole pool
-// (O(pool)), and the region facade merges the per-shard aggregates so the
-// layers above (pcam, acm, core) keep seeing a single logical region.
+// derived RNG stream and dispatch index (dispatch.go).  Sharding is what lets
+// one region scale past ~10^3 VMs: the region's load balancer reads one
+// shard's index and the periodic controller scans operate on one shard
+// (O(pool/N)) instead of the whole pool (O(pool)), and the region facade
+// merges the per-shard aggregates so the layers above (pcam, acm, core) keep
+// seeing a single logical region.
 //
 // VMs are assigned to shards round-robin at provisioning time, so shard
 // populations stay balanced as the region grows through ADDVMS.  Each shard's
@@ -23,6 +24,7 @@ type shard struct {
 	rng    *simclock.RNG
 	vms    []*VM            // this shard's VMs, in provisioning order
 	engine *simclock.Engine // sub-engine owning this shard's events (nil = serial engine)
+	ix     dispatchIndex    // queue lengths and ACTIVE slots, kept current by the VMs
 }
 
 // Concurrency: a shard's accessors (byState, appendByState, countState,
@@ -45,6 +47,12 @@ func (sh *shard) byState(s VMState) []*VM {
 // dst[:0] keeps repeated scans allocation-free, which is what the
 // controller's per-tick hot path relies on.
 func (sh *shard) appendByState(dst []*VM, s VMState) []*VM {
+	if s == StateActive {
+		for _, slot := range sh.ix.active {
+			dst = append(dst, sh.vms[slot])
+		}
+		return dst
+	}
 	for _, vm := range sh.vms {
 		if vm.State() == s {
 			dst = append(dst, vm)
@@ -55,6 +63,9 @@ func (sh *shard) appendByState(dst []*VM, s VMState) []*VM {
 
 // countState returns how many of the shard's VMs are in the given state.
 func (sh *shard) countState(s VMState) int {
+	if s == StateActive {
+		return len(sh.ix.active)
+	}
 	n := 0
 	for _, vm := range sh.vms {
 		if vm.State() == s {
@@ -151,16 +162,15 @@ func (r *Region) ShardVMs(i int) []*VM { return r.shards[i].vms }
 func (r *Region) ShardOf(vm *VM) int { return vm.shardIndex }
 
 // ActiveVMsInShard returns the ACTIVE VMs of one shard, in provisioning
-// order.  This is the O(pool/N) scan the region's load balancer uses in place
-// of the whole-pool ActiveVMs scan.
+// order.
 func (r *Region) ActiveVMsInShard(i int) []*VM { return r.shards[i].byState(StateActive) }
 
 // AppendByStateInShard appends one shard's VMs currently in the given state
 // to dst, in provisioning order, and returns the extended slice.  It is the
 // allocation-free variant of ActiveVMsInShard / StandbyVMsInShard: callers on
-// per-tick or per-request hot paths pass a reused buffer's dst[:0].  Safe to
-// call concurrently for distinct shard indices (see the shard concurrency
-// note above).
+// per-tick hot paths pass a reused buffer's dst[:0].  ACTIVE VMs come from the
+// shard's dispatch index rather than a state scan.  Safe to call concurrently
+// for distinct shard indices (see the shard concurrency note above).
 func (r *Region) AppendByStateInShard(dst []*VM, i int, s VMState) []*VM {
 	return r.shards[i].appendByState(dst, s)
 }
@@ -168,10 +178,8 @@ func (r *Region) AppendByStateInShard(dst []*VM, i int, s VMState) []*VM {
 // StandbyVMsInShard returns the healthy spare VMs of one shard.
 func (r *Region) StandbyVMsInShard(i int) []*VM { return r.shards[i].byState(StateStandby) }
 
-// ActiveCount returns the number of ACTIVE VMs region-wide without
-// materialising a slice — the allocation-free facade equivalent of
-// len(ActiveVMs()), which at 10^3+ VM pools matters on the controller's
-// per-tick paths.
+// ActiveCount returns the number of ACTIVE VMs region-wide, summed from the
+// shards' dispatch indexes: the O(shards) equivalent of len(ActiveVMs()).
 func (r *Region) ActiveCount() int {
 	n := 0
 	for _, sh := range r.shards {
@@ -180,7 +188,8 @@ func (r *Region) ActiveCount() int {
 	return n
 }
 
-// ActiveCountInShard returns the number of ACTIVE VMs in one shard.
+// ActiveCountInShard returns the number of ACTIVE VMs in one shard, read
+// from its dispatch index.
 func (r *Region) ActiveCountInShard(i int) int { return r.shards[i].countState(StateActive) }
 
 // StandbyPromotionCandidate returns one shard's first STANDBY VM in

@@ -69,6 +69,12 @@ type VM struct {
 	// shardIndex is the region shard this VM is owned by (0 in an unsharded
 	// region); assigned at provisioning time, VMs never migrate.
 	shardIndex int
+	// ix and slot locate the VM in its shard's dispatch index (ix is nil for
+	// a VM built outside a region).  Every write to state goes through
+	// setState and every queue-length change through syncLoad, which keeps
+	// the index current.
+	ix   *dispatchIndex
+	slot int32
 
 	state       VMState
 	activatedAt simclock.Time // time the VM last became ACTIVE
@@ -254,7 +260,7 @@ func (vm *VM) Activate(eng *simclock.Engine) bool {
 	if vm.state != StateStandby {
 		return false
 	}
-	vm.state = StateActive
+	vm.setState(StateActive)
 	vm.activatedAt = eng.Now().Add(vm.cfg.Rejuvenation.ActivateDuration)
 	// Restart the feature-sampling interval so the first sample after
 	// activation reports the rate observed since activation, not since the
@@ -274,7 +280,7 @@ func (vm *VM) Deactivate() bool {
 	if vm.state != StateActive {
 		return false
 	}
-	vm.state = StateStandby
+	vm.setState(StateStandby)
 	return true
 }
 
@@ -286,7 +292,7 @@ func (vm *VM) Rejuvenate(eng *simclock.Engine) bool {
 		return false
 	}
 	vm.failQueued(eng, "")
-	vm.state = StateRejuvenating
+	vm.setState(StateRejuvenating)
 	eng.ScheduleFunc(vm.cfg.Rejuvenation.RejuvenateDuration, func(e *simclock.Engine) {
 		vm.completeRejuvenation(e.Now())
 	})
@@ -299,7 +305,7 @@ func (vm *VM) completeRejuvenation(now simclock.Time) {
 	vm.zombieThreads = 0
 	vm.respEWMA = 0
 	vm.respEWMAPrimed = false
-	vm.state = StateStandby
+	vm.setState(StateStandby)
 	vm.bootedAt = now
 	vm.intervalStart = now
 	vm.intervalServed = 0
@@ -325,6 +331,7 @@ func (vm *VM) Dispatch(eng *simclock.Engine, req *Request) bool {
 			fmt.Sprintf("vm=%s depth=%d", vm.cfg.ID, vm.QueueLength()))
 	}
 	vm.queue = append(vm.queue, req)
+	vm.syncLoad()
 	vm.tryStartService(eng)
 	return true
 }
@@ -376,6 +383,7 @@ func (vm *VM) sampleServiceTime(req *Request) simclock.Duration {
 // checks the failure point and pulls the next queued request.
 func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock.Time) {
 	vm.inFlight--
+	vm.syncLoad()
 	now := eng.Now()
 	vm.busySeconds += now.Sub(start).Seconds()
 
@@ -475,7 +483,7 @@ func (vm *VM) fail(eng *simclock.Engine) {
 	if vm.state == StateFailed {
 		return
 	}
-	vm.state = StateFailed
+	vm.setState(StateFailed)
 	vm.crashes++
 	vm.failQueued(eng, vm.cfg.ID)
 	if vm.OnFailure != nil {
@@ -491,6 +499,7 @@ func (vm *VM) failQueued(eng *simclock.Engine, vmID string) {
 		q.finish(eng, Outcome{Request: q, VM: vmID, Start: now, End: now, Dropped: true})
 	}
 	vm.queue = nil
+	vm.syncLoad()
 }
 
 // PreAge loads the VM with an initial amount of accumulated anomalies,

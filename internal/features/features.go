@@ -11,6 +11,7 @@ package features
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -47,45 +48,112 @@ const (
 	AnomalyEventRate Name = "anomaly_event_rate" // injected anomaly events/second (observable only in simulation)
 )
 
+// NumFeatures is the size of the monitored feature set, len(AllNames()).
+const NumFeatures = 20
+
+// allNames is the canonical feature order; Index must agree with it.
+var allNames = [NumFeatures]Name{
+	MemUsedMB, MemFreeMB, SwapUsedMB, HeapMB, ThreadCount, ZombieThreads,
+	CPUUtilization, CPUTimeSec, DiskUsedMB, NetConnections, RequestRate,
+	ResponseTimeMs, QueueLength, PageFaultRate, ContextSwitches, UptimeSec,
+	GCPauseMs, OpenFiles, SocketsTimeWait, AnomalyEventRate,
+}
+
 // AllNames returns the canonical ordered list of feature names.  The order is
 // stable so feature vectors can be flattened into ML design matrices
 // deterministically.
-func AllNames() []Name {
-	return []Name{
-		MemUsedMB, MemFreeMB, SwapUsedMB, HeapMB, ThreadCount, ZombieThreads,
-		CPUUtilization, CPUTimeSec, DiskUsedMB, NetConnections, RequestRate,
-		ResponseTimeMs, QueueLength, PageFaultRate, ContextSwitches, UptimeSec,
-		GCPauseMs, OpenFiles, SocketsTimeWait, AnomalyEventRate,
+func AllNames() []Name { return append([]Name(nil), allNames[:]...) }
+
+// Index returns the slot of the named feature in AllNames order, and false
+// for a name outside the feature set.  It is a compiled string switch, so the
+// per-sample Set/Get path never hashes.
+func Index(n Name) (int, bool) {
+	switch n {
+	case MemUsedMB:
+		return 0, true
+	case MemFreeMB:
+		return 1, true
+	case SwapUsedMB:
+		return 2, true
+	case HeapMB:
+		return 3, true
+	case ThreadCount:
+		return 4, true
+	case ZombieThreads:
+		return 5, true
+	case CPUUtilization:
+		return 6, true
+	case CPUTimeSec:
+		return 7, true
+	case DiskUsedMB:
+		return 8, true
+	case NetConnections:
+		return 9, true
+	case RequestRate:
+		return 10, true
+	case ResponseTimeMs:
+		return 11, true
+	case QueueLength:
+		return 12, true
+	case PageFaultRate:
+		return 13, true
+	case ContextSwitches:
+		return 14, true
+	case UptimeSec:
+		return 15, true
+	case GCPauseMs:
+		return 16, true
+	case OpenFiles:
+		return 17, true
+	case SocketsTimeWait:
+		return 18, true
+	case AnomalyEventRate:
+		return 19, true
 	}
+	return -1, false
 }
 
 // Vector is one sample of all monitored features at a given time on a given
-// VM.
+// VM.  Its values live in a fixed array, so a Vector is a plain value: a copy
+// never shares storage with its original and building one allocates nothing.
 type Vector struct {
 	// TimeS is the simulated timestamp of the sample in seconds.
 	TimeS float64
 	// VM identifies the virtual machine the sample was taken from.
 	VM string
-	// Values maps feature names to measured values.
-	Values map[Name]float64
+	// values holds one measurement per feature, in AllNames order.
+	values [NumFeatures]float64
 }
 
-// NewVector returns an empty vector for the given VM and time.
+// NewVector returns an all-zero vector for the given VM and time.
 func NewVector(vm string, timeS float64) Vector {
-	return Vector{TimeS: timeS, VM: vm, Values: map[Name]float64{}}
+	return Vector{TimeS: timeS, VM: vm}
 }
 
-// Get returns the value of the named feature (0 when absent).
-func (v Vector) Get(n Name) float64 { return v.Values[n] }
+// Get returns the value of the named feature (0 when unset or unknown).
+func (v Vector) Get(n Name) float64 {
+	if i, ok := Index(n); ok {
+		return v.values[i]
+	}
+	return 0
+}
 
-// Set stores the value of the named feature.
-func (v Vector) Set(n Name, val float64) { v.Values[n] = val }
+// Set stores the value of the named feature.  It panics on a name outside the
+// feature set: a fixed-slot vector has nowhere to keep it, and silently
+// dropping a measurement would hide the bug.
+func (v *Vector) Set(n Name, val float64) {
+	i, ok := Index(n)
+	if !ok {
+		panic(fmt.Sprintf("features: unknown feature %q", n))
+	}
+	v.values[i] = val
+}
 
 // Flatten returns the values of the requested features in order.
 func (v Vector) Flatten(names []Name) []float64 {
 	out := make([]float64, len(names))
 	for i, n := range names {
-		out[i] = v.Values[n]
+		out[i] = v.Get(n)
 	}
 	return out
 }
@@ -224,7 +292,17 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset previously written with WriteCSV.
+// Header errors returned (wrapped) by ReadCSV.
+var (
+	// ErrUnknownFeature reports a feature column outside AllNames.
+	ErrUnknownFeature = errors.New("features: unknown feature column")
+	// ErrDuplicateFeature reports a feature column named twice.
+	ErrDuplicateFeature = errors.New("features: duplicate feature column")
+)
+
+// ReadCSV parses a dataset previously written with WriteCSV.  A header naming
+// a feature outside AllNames, or naming one twice, is rejected with
+// ErrUnknownFeature or ErrDuplicateFeature.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -239,7 +317,16 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("features: malformed header %v", header)
 	}
 	feats := make([]Name, 0, len(header)-3)
+	seen := [NumFeatures]bool{}
 	for _, h := range header[2 : len(header)-1] {
+		i, ok := Index(Name(h))
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownFeature, h)
+		}
+		if seen[i] {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateFeature, h)
+		}
+		seen[i] = true
 		feats = append(feats, Name(h))
 	}
 	d := NewDataset(feats)

@@ -2,6 +2,7 @@ package features
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,45 @@ func TestVectorGetSetFlatten(t *testing.T) {
 	if flat[0] != 512 || flat[1] != 32 || flat[2] != 0 {
 		t.Fatalf("flatten wrong: %v", flat)
 	}
+}
+
+func TestVectorCopyDoesNotShareStorage(t *testing.T) {
+	orig := NewVector("vm1", 0)
+	orig.Set(MemUsedMB, 1)
+	cp := orig
+	cp.Set(MemUsedMB, 2)
+	cp.Set(HeapMB, 3)
+	if orig.Get(MemUsedMB) != 1 || orig.Get(HeapMB) != 0 {
+		t.Fatalf("writing a copy changed the original: mem=%v heap=%v", orig.Get(MemUsedMB), orig.Get(HeapMB))
+	}
+	if cp.Get(MemUsedMB) != 2 || cp.Get(HeapMB) != 3 {
+		t.Fatalf("copy lost its own writes: mem=%v heap=%v", cp.Get(MemUsedMB), cp.Get(HeapMB))
+	}
+}
+
+func TestIndexMatchesAllNames(t *testing.T) {
+	names := AllNames()
+	if len(names) != NumFeatures {
+		t.Fatalf("AllNames has %d names, NumFeatures = %d", len(names), NumFeatures)
+	}
+	for want, n := range names {
+		if got, ok := Index(n); !ok || got != want {
+			t.Fatalf("Index(%s) = %d, %v; want %d, true", n, got, ok, want)
+		}
+	}
+	if _, ok := Index("no_such_feature"); ok {
+		t.Fatal("Index accepted an unknown feature")
+	}
+	v := NewVector("vm1", 0)
+	if v.Get("no_such_feature") != 0 {
+		t.Fatal("unknown feature should read as 0")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set of an unknown feature should panic")
+		}
+	}()
+	v.Set("no_such_feature", 1)
 }
 
 func TestAllNamesStableAndUnique(t *testing.T) {
@@ -168,6 +208,14 @@ func TestReadCSVErrors(t *testing.T) {
 	bad = "time_s,vm,mem_used_mb,rttf_s\n1,vm1,1,yy\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("non-numeric label should error")
+	}
+	bad = "time_s,vm,mem_used_mb,cpu_temp_c,rttf_s\n1,vm1,1,2,3\n"
+	if _, err := ReadCSV(strings.NewReader(bad)); !errors.Is(err, ErrUnknownFeature) {
+		t.Fatalf("unknown feature header: err = %v, want ErrUnknownFeature", err)
+	}
+	bad = "time_s,vm,mem_used_mb,mem_used_mb,rttf_s\n1,vm1,1,2,3\n"
+	if _, err := ReadCSV(strings.NewReader(bad)); !errors.Is(err, ErrDuplicateFeature) {
+		t.Fatalf("duplicate feature header: err = %v, want ErrDuplicateFeature", err)
 	}
 }
 

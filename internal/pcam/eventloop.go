@@ -5,9 +5,10 @@
 //
 //   - Request dispatch becomes shard-local (SubmitShard): the client
 //     population attached to a shard submits to that shard's ACTIVE VMs,
-//     scanned with a per-shard shortest-queue balancer.  A shard that is
-//     momentarily empty (e.g. mid-rejuvenation) forwards the request to the
-//     next shard through its mailbox instead of touching it directly.
+//     picked from the shard's dispatch index by a per-shard shortest-queue
+//     balancer.  A shard that is momentarily empty (e.g. mid-rejuvenation)
+//     forwards the request to the next shard through its mailbox instead of
+//     touching it directly.
 //   - Cross-shard reactions move to the epoch barrier: a VM failure posts
 //     its reactive recovery to the control timeline, where the controller
 //     promotes a standby (possibly on another shard) and restarts the failed
@@ -26,14 +27,6 @@ import (
 	"repro/internal/tracing"
 )
 
-// shardLB is the per-shard slice of the load balancer: its own round-robin
-// tie-breaker and a reusable ACTIVE-VM scan buffer, touched only by the
-// shard's goroutine (and by the barrier, which runs exclusively).
-type shardLB struct {
-	rr     int
-	active []*cloudsim.VM
-}
-
 // StartSharded installs the controller on a sharded event loop: engines[i]
 // is the sub-engine owning region shard i, and the control tick is scheduled
 // on the ShardedEngine's control timeline so it fires at its exact interval
@@ -49,7 +42,7 @@ func (v *VMC) StartSharded(se *simclock.ShardedEngine, engines []*simclock.Engin
 	v.started = true
 	v.se = se
 	v.shardEngines = engines
-	v.lbs = make([]shardLB, len(engines))
+	v.shardRRs = make([]int, len(engines))
 	v.region.BindShardEngines(engines)
 	for _, vm := range v.region.VMs() {
 		v.hookVMSharded(vm)
@@ -92,7 +85,8 @@ func (v *VMC) hookVMSharded(vm *cloudsim.VM) {
 
 // SubmitShard is the shard-local half of the load balancer: the request is
 // dispatched to the ACTIVE VM with the shortest queue within the given shard
-// (ties broken by a per-shard round-robin cursor).  When the shard has no
+// (ties broken by a per-shard round-robin cursor, touched only by the shard's
+// goroutine and by the exclusive barrier).  When the shard has no
 // ACTIVE VM the request hops to the next shard through its mailbox — never
 // by touching the foreign shard directly — and is dropped once every shard
 // has been tried.  With one shard this is exactly the serial Submit's
@@ -102,9 +96,7 @@ func (v *VMC) SubmitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 }
 
 func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request, hops int) {
-	lb := &v.lbs[shard]
-	lb.active = v.region.AppendByStateInShard(lb.active[:0], shard, cloudsim.StateActive)
-	if len(lb.active) == 0 {
+	if v.region.ActiveCountInShard(shard) == 0 {
 		if hops+1 >= v.region.NumShards() {
 			req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
 			return
@@ -112,14 +104,8 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 		v.hopToShard(eng, (shard+1)%v.region.NumShards(), req, hops+1)
 		return
 	}
-	lb.rr++
-	best := lb.active[lb.rr%len(lb.active)]
-	for i, vm := range lb.active {
-		if vm.QueueLength() < best.QueueLength() {
-			best = lb.active[i]
-		}
-	}
-	best.Dispatch(eng, req)
+	v.shardRRs[shard]++
+	v.region.PickShortestInShard(shard, v.shardRRs[shard]).Dispatch(eng, req)
 }
 
 // hopToShard forwards a request to another shard's mailbox.  Before the

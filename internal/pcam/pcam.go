@@ -206,20 +206,20 @@ type VMC struct {
 	targetActive int
 	targetForced bool // a scripted outage holds the target; elasticity is suspended
 
-	// Reusable scratch buffers that keep the per-tick and per-request hot
-	// paths allocation-free: one shardScratch per region shard for the
-	// control tick's parallel phase, one ACTIVE-VM buffer for Submit's
-	// dispatch scan and one for the elasticity controller's region-wide scan.
-	scratch      []shardScratch
-	submitActive []*cloudsim.VM
-	elastActive  []*cloudsim.VM
+	// Reusable scratch buffers that keep the per-tick hot path
+	// allocation-free: one shardScratch per region shard for the control
+	// tick's parallel phase and one for the elasticity controller's
+	// region-wide scan.
+	scratch     []shardScratch
+	elastActive []*cloudsim.VM
 
 	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine, the
-	// sub-engine of each region shard, and the per-shard load-balancer
-	// slices.  All nil/empty when the controller runs on the serial engine.
+	// sub-engine of each region shard, and each shard's load-balancer
+	// round-robin cursor.  All nil/empty when the controller runs on the
+	// serial engine.
 	se           *simclock.ShardedEngine
 	shardEngines []*simclock.Engine
-	lbs          []shardLB
+	shardRRs     []int
 
 	// flight, when set, receives the control tick's phase timings (sim-time
 	// instants with deterministic item counts) for the engine flight recorder.
@@ -358,34 +358,25 @@ func (v *VMC) hookVM(eng *simclock.Engine, vm *cloudsim.VM) {
 }
 
 // Submit implements the region's load balancer: a shard is selected by
-// rotating over the region's shards (which spreads arrivals evenly and keeps
-// the scan at O(pool/shards)), and within the shard the request is dispatched
-// to the ACTIVE VM with the shortest queue (ties broken round-robin), which
-// both spreads load and avoids pushing work onto a VM that is already
-// struggling.  Shards with no ACTIVE VM (e.g. mid-rejuvenation) are skipped;
-// when no shard has one the request is dropped.  With one shard this is
-// exactly the classic whole-pool shortest-queue balancer.
+// rotating over the region's shards (which spreads arrivals evenly), and
+// within the shard the request is dispatched to the ACTIVE VM with the
+// shortest queue (ties broken round-robin), which both spreads load and
+// avoids pushing work onto a VM that is already struggling.  The shard's
+// dispatch index answers the pick (cloudsim.Region.PickShortestInShard), so
+// no VM states are scanned per request.  Shards with no ACTIVE VM (e.g.
+// mid-rejuvenation) are skipped; when no shard has one the request is
+// dropped.  With one shard this is exactly the classic whole-pool
+// shortest-queue balancer.
 func (v *VMC) Submit(eng *simclock.Engine, req *cloudsim.Request) {
-	active := v.submitActive[:0]
 	for tries, n := 0, v.region.NumShards(); tries < n; tries++ {
 		v.shardRR++
-		if active = v.region.AppendByStateInShard(active[:0], v.shardRR%n, cloudsim.StateActive); len(active) > 0 {
-			break
+		if s := v.shardRR % n; v.region.ActiveCountInShard(s) > 0 {
+			v.rr++
+			v.region.PickShortestInShard(s, v.rr).Dispatch(eng, req)
+			return
 		}
 	}
-	v.submitActive = active // keep the grown buffer for the next request
-	if len(active) == 0 {
-		req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
-		return
-	}
-	v.rr++
-	best := active[v.rr%len(active)]
-	for i, vm := range active {
-		if vm.QueueLength() < best.QueueLength() {
-			best = active[i]
-		}
-	}
-	best.Dispatch(eng, req)
+	req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
 }
 
 // vmPrediction couples one ACTIVE VM with its freshly predicted RTTF and the
