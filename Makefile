@@ -11,6 +11,7 @@
 #   make docs-check  # fail when generated docs are stale or links are dead
 #   make metrics-lint # enforce Prometheus naming conventions on every family
 #   make bench-check # vet and test the reference benchmark module under bench/
+#   make loc         # net non-test Go LOC over internal/, cmd/ and examples/
 
 GO ?= go
 
@@ -22,7 +23,7 @@ GO ?= go
 # of units, and each also reports ns and allocs per unit.
 BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch' -benchtime=1x -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint loc
 
 check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check
 
@@ -110,3 +111,9 @@ docs-check:
 # _total, HELP and source attribution present).
 metrics-lint:
 	$(GO) test ./internal/experiment/ -run TestMetricNamesLint
+
+# loc prints the net non-test Go line count (every line of every non-test
+# .go file) over internal/, cmd/ and examples/ — the size figure a change
+# quotes when it claims to shrink the code.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l

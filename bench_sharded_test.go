@@ -23,10 +23,9 @@ const (
 )
 
 // runShardedRegionBench simulates one minute of heavy traffic against a
-// 5x10^3-VM region split across the given number of shards, with the control
-// tick's per-shard phase fanned out to tickWorkers goroutines (1 =
-// sequential).
-func runShardedRegionBench(b *testing.B, shards, tickWorkers int) {
+// 5x10^3-VM region split across the given number of shards on the serial
+// engine, whose control tick walks the shards sequentially.
+func runShardedRegionBench(b *testing.B, shards int) {
 	b.Helper()
 	cfg := cloudsim.RegionConfig{
 		Name:           "megaregion",
@@ -44,7 +43,7 @@ func runShardedRegionBench(b *testing.B, shards, tickWorkers int) {
 		b.StopTimer()
 		eng := simclock.NewEngine(42)
 		region := cloudsim.NewRegion(cfg, simclock.NewRNG(42))
-		vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ElasticityEnabled: false, TickWorkers: tickWorkers})
+		vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ElasticityEnabled: false})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,32 +76,22 @@ func runShardedRegionBench(b *testing.B, shards, tickWorkers int) {
 	b.ReportMetric(float64(benchShardedRequests)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-func BenchmarkRegionSharded_1(b *testing.B)  { runShardedRegionBench(b, 1, 1) }
-func BenchmarkRegionSharded_4(b *testing.B)  { runShardedRegionBench(b, 4, 1) }
-func BenchmarkRegionSharded_16(b *testing.B) { runShardedRegionBench(b, 16, 1) }
-
-// The _Parallel variants run the 16-shard configuration with the control
-// tick's per-shard phase fanned out to 1, 4 and 16 goroutines.  The output is
-// byte-identical across the three (the equivalence suite pins that); the
-// ns/op ratio quantifies the wall-clock win on multi-core hosts.  On a
-// single-core host the expectation is neutrality: the fan-out must cost no
-// more than a few percent over the sequential tick.
-func BenchmarkRegionSharded_Parallel_1(b *testing.B)  { runShardedRegionBench(b, 16, 1) }
-func BenchmarkRegionSharded_Parallel_4(b *testing.B)  { runShardedRegionBench(b, 16, 4) }
-func BenchmarkRegionSharded_Parallel_16(b *testing.B) { runShardedRegionBench(b, 16, 16) }
+func BenchmarkRegionSharded_1(b *testing.B)  { runShardedRegionBench(b, 1) }
+func BenchmarkRegionSharded_4(b *testing.B)  { runShardedRegionBench(b, 4) }
+func BenchmarkRegionSharded_16(b *testing.B) { runShardedRegionBench(b, 16) }
 
 // runEventLoopRegionBench is the same heavy-traffic minute against the
 // 16-shard region, but on the parallel event loop: every shard is its own
 // sub-engine servicing its arrivals, service completions and rejuvenation
-// timers, with the shard loops fanned out to eventWorkers goroutines in
-// lockstep epochs (simclock.ShardedEngine).  Arrivals are generated
-// shard-locally (request j enters shard j mod 16), so the serviced path —
-// the bulk of the run — executes fully in parallel, unlike the _Parallel
-// variants above which only parallelise the control tick.  The ns/op ratio
-// of BenchmarkRegionSharded_16 (serial event loop, same shard count) to
-// BenchmarkRegionSharded_EventLoop_16 is the request-service speedup on a
-// multi-core host; on a single core the expectation is rough neutrality
-// (epoch barriers must cost no more than a few percent).
+// timers, with the shard loops — and the control tick's per-shard phase —
+// fanned out to eventWorkers goroutines in lockstep epochs
+// (simclock.ShardedEngine).  Arrivals are generated shard-locally (request j
+// enters shard j mod 16), so the serviced path — the bulk of the run —
+// executes fully in parallel.  The ns/op ratio of BenchmarkRegionSharded_16
+// (serial event loop, same shard count) to BenchmarkRegionSharded_EventLoop_16
+// is the request-service speedup on a multi-core host; on a single core the
+// expectation is rough neutrality (epoch barriers must cost no more than a
+// few percent).
 func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 	b.Helper()
 	cfg := cloudsim.RegionConfig{
@@ -121,7 +110,7 @@ func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 		b.StopTimer()
 		se := simclock.NewShardedEngine(shards, 42, simclock.DefaultEpoch, eventWorkers)
 		region := cloudsim.NewRegion(cfg, simclock.NewRNG(42))
-		vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ElasticityEnabled: false, TickWorkers: eventWorkers})
+		vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ElasticityEnabled: false})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -60,7 +61,6 @@ func main() {
 		beta        = flag.Float64("beta", 0.5, "RMTTF smoothing factor of equation (1)")
 		interval    = flag.Float64("interval", 60, "control loop interval in seconds")
 		shards      = flag.Int("shards", 0, "split every region's VM pool across this many engine shards (0 keeps each scenario's own setting)")
-		tickWork    = flag.Int("tick-workers", 0, "fan the per-shard control-tick phase out to this many goroutines, capped at the shard count (1 = sequential, 0 keeps each scenario's own setting)")
 		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop with this many shard-loop goroutines (0 forces the serial engine, >= 1 selects the parallel event loop; byte-identical across all values >= 1; -1 keeps each scenario's own setting)")
 		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting; GSLB deployments always run on the event loop)")
 		rttSpec     = flag.String("rtt", "", "per-stream round-trip matrix for latency-aware routing, milliseconds per deployed region: \"global=60,120;americas=80,140\" (overrides the scenario's own RTT rows)")
@@ -133,7 +133,7 @@ func main() {
 		// flag alongside -scenarios would be silently ignored, so reject it.
 		for _, f := range []string{"scenario", "config", "dump-config", "regions", "clients", "mix",
 			"cohort-clients", "tracer-fraction",
-			"policy", "predictor", "beta", "interval", "shards", "tick-workers", "event-workers",
+			"policy", "predictor", "beta", "interval", "shards", "event-workers",
 			"gslb-policy", "rtt", "csv", "metrics-addr", "trace-out", "trace-sample"} {
 			if explicit[f] {
 				fmt.Fprintf(os.Stderr, "acmsim: -%s does not apply to sweeps (-scenarios); see -policies/-betas/-sweep-csv\n", f)
@@ -153,7 +153,7 @@ func main() {
 		}
 	}
 
-	if err := run(*regions, *clients, *cohorts, *tracerFr, *policy, *predictor, *mix, *hours, *seed, *beta, *interval, *shards, *tickWork, *eventWork, *gslbPol, *rttSpec, *csvPath, *metricsAddr, *traceOut, *traceSample, *config, *scenario, *dumpPath, explicit); err != nil {
+	if err := run(*regions, *clients, *cohorts, *tracerFr, *policy, *predictor, *mix, *hours, *seed, *beta, *interval, *shards, *eventWork, *gslbPol, *rttSpec, *csvPath, *metricsAddr, *traceOut, *traceSample, *config, *scenario, *dumpPath, explicit); err != nil {
 		fmt.Fprintln(os.Stderr, "acmsim:", err)
 		os.Exit(1)
 	}
@@ -174,7 +174,7 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 	return experiment.RunSweepAndEmit(context.Background(), m, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
-func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, tickWorkers, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
+func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
 	np, err := experiment.PolicyByKey(policyKey)
 	if err != nil {
 		return err
@@ -306,21 +306,10 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			}
 		}
 	}
-	// -tick-workers picks the control tick's goroutine fan-out the same way:
-	// 0 keeps the scenario's own setting, anything >= 1 overrides it (1 forces
-	// the sequential tick).  The output is byte-identical either way; the flag
-	// only trades wall-clock time for cores.
-	if explicit["tick-workers"] {
-		if tickWorkers < 0 {
-			return fmt.Errorf("-tick-workers must be >= 0, got %d", tickWorkers)
-		}
-		if tickWorkers > 0 {
-			scenario.VMC.TickWorkers = tickWorkers
-		}
-	}
 	// -event-workers switches the engine: 0 forces the serial single-queue
 	// engine, >= 1 the sharded event loop (one sub-engine per region shard,
-	// cross-shard mailboxes) with that many shard-loop goroutines.  Results
+	// cross-shard mailboxes) with that many shard-loop goroutines, over which
+	// the control tick's per-shard phase also fans out.  Results
 	// are byte-identical across every value >= 1; the serial engine's bytes
 	// differ because the event loop epoch-quantises cross-shard effects.
 	if explicit["event-workers"] && eventWorkers >= 0 {
@@ -421,7 +410,7 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 		}
 	}
 
-	printReport(b)
+	printReport(os.Stdout, b)
 	if tr, fr := experiment.TraceArtifacts(b); tr != nil {
 		fmt.Printf("request tracing: %d sampled traces (fraction %g)\n", tr.Len(), tr.SampleFraction())
 		fmt.Println("critical-path breakdown over sampled traces:")
@@ -513,43 +502,45 @@ func parseRegions(regionSpec, clientSpec, cohortSpec, mixName string) ([]acm.Reg
 	return out, nil
 }
 
-// printReport prints the end-of-run state: figures, metrics and counters.
-// Everything it reads comes through the backend seam — the recorder, the
-// client metrics and the Results snapshot — so a future live backend gets
-// the same report for free.
-func printReport(b backend.Backend) {
+// printReport writes the end-of-run state to w: figures, metrics and
+// counters, with every per-region line in deployment order.  Everything it
+// reads comes through the backend seam — the recorder, the client metrics
+// and the Results snapshot — so a future live backend gets the same report
+// for free.
+func printReport(w io.Writer, b backend.Backend) {
 	rec := b.Recorder()
 	final := b.Results()
-	fmt.Println()
-	fmt.Print(trace.ASCIIPlot(rec.Set("rmttf"), trace.PlotOptions{Title: "RMTTF per region (s)", Height: 12}))
-	fmt.Print(trace.ASCIIPlot(rec.Set("fraction"), trace.PlotOptions{Title: "workload fraction f_i", Height: 12}))
-	fmt.Print(trace.ASCIIPlot(rec.Set("response_time"), trace.PlotOptions{Title: "client response time (s)", Height: 10}))
-	fmt.Println()
-	fmt.Println("steady-state summary (last 40% of the run):")
-	fmt.Print(trace.SummaryTable(rec.Set("rmttf"), 0.4))
-	fmt.Print(trace.SummaryTable(rec.Set("fraction"), 0.4))
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprint(w, trace.ASCIIPlot(rec.Set("rmttf"), trace.PlotOptions{Title: "RMTTF per region (s)", Height: 12}))
+	fmt.Fprint(w, trace.ASCIIPlot(rec.Set("fraction"), trace.PlotOptions{Title: "workload fraction f_i", Height: 12}))
+	fmt.Fprint(w, trace.ASCIIPlot(rec.Set("response_time"), trace.PlotOptions{Title: "client response time (s)", Height: 10}))
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "steady-state summary (last 40% of the run):")
+	fmt.Fprint(w, trace.SummaryTable(rec.Set("rmttf"), 0.4))
+	fmt.Fprint(w, trace.SummaryTable(rec.Set("fraction"), 0.4))
+	fmt.Fprintln(w)
 
-	fmt.Println("client metrics:", b.Metrics())
-	fmt.Printf("control eras: %d, controller messages: %d, forwarded requests: %d (%.1f%% of total)\n",
+	fmt.Fprintln(w, "client metrics:", b.Metrics())
+	fmt.Fprintf(w, "control eras: %d, controller messages: %d, forwarded requests: %d (%.1f%% of total)\n",
 		final.Eras, final.ControlMessages, final.ForwardedRequests,
 		100*float64(final.ForwardedRequests)/float64(final.ForwardedRequests+final.LocalRequests+1))
-	fmt.Printf("leader VMC: %s (elections run: %d)\n", final.Leader, final.Elections)
-	fmt.Println()
-	fmt.Println("per-region state:")
+	fmt.Fprintf(w, "leader VMC: %s (elections run: %d)\n", final.Leader, final.Elections)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "per-region state:")
 	for _, s := range final.RegionStats {
-		fmt.Println("  ", s)
+		fmt.Fprintln(w, "  ", s)
 	}
-	fmt.Println("per-region controller counters:")
-	for name, s := range final.VMCStats {
-		fmt.Printf("   %s: proactive=%d reactive=%d activations=%d provisioned=%d\n",
+	fmt.Fprintln(w, "per-region controller counters:")
+	for _, name := range final.RegionNames {
+		s := final.VMCStats[name]
+		fmt.Fprintf(w, "   %s: proactive=%d reactive=%d activations=%d provisioned=%d\n",
 			name, s.ProactiveRejuvenations, s.ReactiveRecoveries, s.Activations, s.ProvisionedVMs)
 	}
 	if len(final.ShardStats) > 0 {
-		fmt.Println("per-shard state (sharded regions):")
+		fmt.Fprintln(w, "per-shard state (sharded regions):")
 		for _, name := range final.RegionNames {
 			for _, s := range final.ShardStats[name] {
-				fmt.Println("  ", s)
+				fmt.Fprintln(w, "  ", s)
 			}
 		}
 	}
@@ -558,39 +549,39 @@ func printReport(b backend.Backend) {
 		return
 	}
 	if !g.Replicated {
-		fmt.Printf("global traffic director: policy=%s probes=%d\n", g.Policy, g.Probes)
+		fmt.Fprintf(w, "global traffic director: policy=%s probes=%d\n", g.Policy, g.Probes)
 		for i, name := range final.RegionNames {
-			fmt.Printf("   %s: routed=%d health=%s\n", name, g.Routed[name], g.States[i])
+			fmt.Fprintf(w, "   %s: routed=%d health=%s\n", name, g.Routed[name], g.States[i])
 		}
 		if len(g.Transitions) > 0 {
-			fmt.Println("   health transitions:")
+			fmt.Fprintln(w, "   health transitions:")
 			for _, t := range g.Transitions {
-				fmt.Println("    ", t)
+				fmt.Fprintln(w, "    ", t)
 			}
 		}
 		if g.LatencyEWMA != nil {
-			fmt.Println("   learned round trips (ms, EWMA / p95):")
+			fmt.Fprintln(w, "   learned round trips (ms, EWMA / p95):")
 			for _, sname := range g.Streams {
 				for _, rname := range final.RegionNames {
 					key := sname + ":" + rname
-					fmt.Printf("    %s: %.1f / %.1f\n", key, g.LatencyEWMA[key], g.LatencyP95[key])
+					fmt.Fprintf(w, "    %s: %.1f / %.1f\n", key, g.LatencyEWMA[key], g.LatencyP95[key])
 				}
 			}
 		}
 		return
 	}
 	st := final.Gossip
-	fmt.Printf("gossip health plane: %d replicas, policy=%s, %d rounds (sent=%d delivered=%d dropped=%d)\n",
+	fmt.Fprintf(w, "gossip health plane: %d replicas, policy=%s, %d rounds (sent=%d delivered=%d dropped=%d)\n",
 		st.Replicas, g.Policy, st.Rounds, st.Sent, st.Delivered, st.Dropped)
-	fmt.Printf("   convergence: %d updates settled, mean lag %.1fs, final divergence %d, pending %d\n",
+	fmt.Fprintf(w, "   convergence: %d updates settled, mean lag %.1fs, final divergence %d, pending %d\n",
 		st.Converged, st.MeanLagSeconds, st.MaxDivergence, st.Pending)
 	for i, name := range final.RegionNames {
-		fmt.Printf("   %s: routed=%d owner-health=%s\n", name, g.Routed[name], g.States[i])
+		fmt.Fprintf(w, "   %s: routed=%d owner-health=%s\n", name, g.Routed[name], g.States[i])
 	}
 	if len(g.Transitions) > 0 {
-		fmt.Println("   health transitions (owner views):")
+		fmt.Fprintln(w, "   health transitions (owner views):")
 		for _, t := range g.Transitions {
-			fmt.Println("    ", t)
+			fmt.Fprintln(w, "    ", t)
 		}
 	}
 }

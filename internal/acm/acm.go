@@ -92,9 +92,6 @@ type Config struct {
 	// three-region paper overlay is built and regions beyond the first three
 	// are attached to the transit node.
 	Overlay *overlay.Network
-	// Recorder receives the experiment time series; a fresh recorder is
-	// created when nil.
-	Recorder *trace.Recorder
 	// MLProfile overrides the profiling configuration used when Predictor is
 	// PredictorML (sensible defaults otherwise).
 	MLProfile f2pm.ProfileConfig
@@ -294,12 +291,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		surges:      map[string]*workload.Population{},
 		surgeAt:     map[string]simclock.Duration{},
 		metrics:     workload.NewMetrics(),
-		recorder:    cfg.Recorder,
+		recorder:    trace.NewRecorder(),
 		models:      map[string]*f2pm.Model{},
 		prevIssued:  map[string]uint64{},
-	}
-	if m.recorder == nil {
-		m.recorder = trace.NewRecorder()
 	}
 	// The span layer's seed stream is forked from the deployment seed, so
 	// trace IDs never collide with any engine or workload RNG stream.
@@ -764,8 +758,8 @@ func (m *Manager) Run(horizon simclock.Duration) error {
 // Analyze happen inside the VMCs (they have already refreshed their RMTTF
 // estimates on their own control ticks); here the leader collects the
 // lastRMTTF of every reachable region, runs the policy, rebuilds the forward
-// plan and installs it, and the recorder captures the series the figures
-// plot.
+// plan and installs it, and the era's values are published to the metrics
+// registry, from which the series the figures plot are sampled.
 func (m *Manager) controlEra(eng *simclock.Engine) {
 	now := eng.Now().Seconds()
 	leader, _ := m.cluster.GlobalLeader()
@@ -817,61 +811,11 @@ func (m *Manager) controlEra(eng *simclock.Engine) {
 		}
 	}
 
-	// Record the series of Figures 3 and 4.
-	respMean := m.intervalResponseTime(met)
-	for i, name := range m.regionNames {
-		m.recorder.Record("rmttf", name, now, res.SmoothedRMTTF[i])
-		m.recorder.Record("fraction", name, now, res.Fractions[i])
-		m.recorder.Record("active_vms", name, now, float64(m.vmcs[name].ActiveVMs()))
-	}
-	m.recorder.Record("response_time", "all_clients", now, respMean)
-	m.recorder.Record("lambda", "global", now, lambda)
-	m.recorder.Record("cross_region", "fraction", now, m.plan.CrossRegionFraction())
-
-	// GSLB series: per-region health state and cumulative routed requests,
-	// sampled on the same control-era grid as the paper series.  The routed
-	// counts are what the global-failover golden pins the drain/failback
-	// story on: the faulted region's series flattens during the outage while
-	// the backup's keeps climbing.
-	var states []gslb.HealthState
-	var routed map[string]uint64
-	if m.director != nil || m.plane != nil {
-		if m.plane != nil {
-			states = m.plane.OwnerStates()
-		} else {
-			states = m.director.States()
-		}
-		routed = m.GSLBRouted()
-		for i, name := range m.regionNames {
-			m.recorder.Record("gslb_health", name, now, float64(states[i]))
-			m.recorder.Record("gslb_routed", name, now, float64(routed[name]))
-		}
-		// Gossip deployments additionally record the convergence series: the
-		// maximum number of probe generations any replica's view lags the
-		// region owner's, per era.  Flat at ~0 while connected; during a
-		// partition it climbs by one per probe and collapses at heal — the
-		// series the global-partition golden pins split-brain on.  Absent for
-		// central directors, so pre-existing goldens keep their bytes.
-		if m.plane != nil {
-			m.recorder.Record("gossip_convergence", "max_divergence", now, float64(m.plane.MaxDivergence()))
-		}
-		// Latency-aware deployments additionally record the learned
-		// per-lane round-trip estimates (milliseconds, "stream:region"
-		// labels) — the series the cable-cut golden pins the learning
-		// trajectory on.  Absent otherwise, so pre-existing goldens keep
-		// their bytes.
-		if m.director != nil && m.director.LatencyAware() {
-			for s, sname := range m.director.Streams() {
-				for r, rname := range m.regionNames {
-					m.recorder.Record("gslb_rtt", sname+":"+rname, now, m.director.LatencyEstimateMs(s, r))
-				}
-			}
-		}
-	}
-
-	// Mirror the era's state into the instrument registry — still at the
-	// barrier, from the same merged views the recorder just captured.
-	m.publishMetrics(met, res.SmoothedRMTTF, res.Fractions, lambda, respMean, states, routed)
+	// Publish the era into the instrument registry, then sample the series
+	// of Figures 3 and 4 (and the GSLB/gossip series) from it — still at the
+	// barrier, from the merged views of this era.
+	m.publishMetrics(met, res.SmoothedRMTTF, res.Fractions, lambda, m.intervalResponseTime(met))
+	m.sampleSeries(now)
 }
 
 // intervalArrivals returns the global request rate and per-region entry

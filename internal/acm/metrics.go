@@ -1,21 +1,21 @@
-// The Manager's typed metrics plane: every series the deployment already
-// tracks — the paper's control-loop series, the workload counters and
-// latency distribution, region/controller telemetry, GSLB health and
-// routing, gossip convergence — re-expressed as instruments in a
-// metrics.Registry, the registry an `acmsim -metrics-addr` scrape reads
-// mid-run.
+// The Manager's typed metrics plane: every value the deployment tracks —
+// the paper's control-loop values, the workload counters and latency
+// distribution, region/controller telemetry, GSLB health and routing, gossip
+// convergence — expressed as instruments in a metrics.Registry, the registry
+// an `acmsim -metrics-addr` scrape reads mid-run.  The registry is the only
+// write target for era values: the recorder's time series (the CSV sets the
+// figures and goldens read) are sampled from it by sampleSeries.
 //
-// Determinism: publishMetrics runs only at the end of controlEra, on the
-// control timeline at an epoch barrier, and reads exactly the merged views
-// (currentMetrics, GSLBRouted, plane/director state) the recorder series are
-// computed from.  It is a read path over already-deterministic state; no
-// simulation state ever depends on an instrument, so golden bytes are
-// untouched and the exposition itself is byte-identical for every
-// EventWorkers value.
+// Determinism: publishMetrics and sampleSeries run only at the end of
+// controlEra, on the control timeline at an epoch barrier, and read exactly
+// the merged views (currentMetrics, GSLBRouted, plane/director state) of that
+// era.  No simulation state ever depends on an instrument, so the sampled
+// series and the exposition are byte-identical for every EventWorkers value.
 package acm
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/gslb"
 	"repro/internal/metrics"
@@ -28,7 +28,7 @@ import (
 type managerMetrics struct {
 	reg *metrics.Registry
 
-	// control-loop series (the recorder's figure series, mirrored)
+	// control-loop values (sampled into the figure series)
 	rmttf       *metrics.Gauge
 	fraction    *metrics.Gauge
 	activeVMs   *metrics.Gauge
@@ -122,10 +122,9 @@ func (m *Manager) buildMetrics() {
 // an HTTP /metrics handler scrapes.
 func (m *Manager) MetricsRegistry() *metrics.Registry { return m.mm.reg }
 
-// publishMetrics mirrors the era's already-merged state into the registry.
-// met is the merged workload view controlEra computed; states/routed are the
-// health-plane views it recorded (nil for regional deployments).
-func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []float64, lambda, respMean float64, states []gslb.HealthState, routed map[string]uint64) {
+// publishMetrics writes the era's already-merged state into the registry.
+// met is the merged workload view controlEra computed.
+func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []float64, lambda, respMean float64) {
 	mm := m.mm
 	for i, name := range m.regionNames {
 		mm.rmttf.Set(smoothed[i], name)
@@ -170,7 +169,16 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 		mm.pcamReactive.Set(float64(vs.ReactiveRecoveries), name)
 	}
 
-	if states != nil {
+	if mm.gslbHealth != nil {
+		// The health plane's view: the gossip owners' states when replicated,
+		// the central director's otherwise.
+		var states []gslb.HealthState
+		if m.plane != nil {
+			states = m.plane.OwnerStates()
+		} else {
+			states = m.director.States()
+		}
+		routed := m.GSLBRouted()
 		for i, name := range m.regionNames {
 			mm.gslbHealth.Set(float64(states[i]), name)
 			mm.gslbRouted.Set(float64(routed[name]), name)
@@ -193,5 +201,40 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 		mm.gsSent.Set(float64(gs.Sent))
 		mm.gsDelivered.Set(float64(gs.Delivered))
 		mm.gsDropped.Set(float64(gs.Dropped))
+	}
+}
+
+// seriesSamples maps every recorded series set to the instrument family it is
+// sampled from, in the recorder's set order.  A sample's series is named by
+// its label values joined with ":" ("us-east:eu-west" for a per-lane RTT), or
+// by the row's fixed name when the family has no labels.  Families the
+// deployment does not register (GSLB, gossip, RTT) visit nothing, so their
+// sets are absent exactly where the plane is absent.
+var seriesSamples = []struct{ set, family, series string }{
+	{"rmttf", "acm_rmttf_seconds", ""},
+	{"fraction", "acm_workload_fraction", ""},
+	{"active_vms", "acm_active_vms", ""},
+	{"response_time", "acm_interval_response_time_seconds", "all_clients"},
+	{"lambda", "acm_lambda_requests_per_second", "global"},
+	{"cross_region", "acm_cross_region_fraction", "fraction"},
+	{"gslb_health", "gslb_region_health", ""},
+	{"gslb_routed", "gslb_routed_requests_total", ""},
+	{"gossip_convergence", "gossip_convergence_max_divergence", "max_divergence"},
+	{"gslb_rtt", "gslb_rtt_ewma_milliseconds", ""},
+}
+
+// sampleSeries appends the era's samples to the recorder at time now
+// (seconds).  Samples come out in first-set order, which publishMetrics fixes
+// by setting children region-major (and stream x region for the RTT
+// matrix), so the series order inside every set is deterministic.
+func (m *Manager) sampleSeries(now float64) {
+	for _, row := range seriesSamples {
+		m.mm.reg.Each(row.family, func(labels []string, v float64) {
+			name := row.series
+			if len(labels) > 0 {
+				name = strings.Join(labels, ":")
+			}
+			m.recorder.Record(row.set, name, now, v)
+		})
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/cloudsim"
 	"repro/internal/simclock"
 )
 
@@ -21,8 +23,9 @@ import (
 // epoch-quantised on the event loop), which is why the event loop carries
 // separate goldens instead of replaying the serial ones.
 
-// eventLoopWorkerCounts mirrors tickWorkerCounts: inline (1), a fixed
-// fan-out (4) and whatever the host offers.
+// eventLoopWorkerCounts are the worker counts every event-loop equivalence
+// test runs: inline (1), a fixed fan-out (4) and whatever the host offers
+// (deduplicated — on a 4-core host GOMAXPROCS is already 4).
 func eventLoopWorkerCounts() []int {
 	counts := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
@@ -143,7 +146,12 @@ func TestEventLoopRunTwiceDeterministic(t *testing.T) {
 
 // TestMegaregionEventLoopEquivalence pins the 16-shard megaregion — the
 // scale configuration the event loop exists for — across worker counts on a
-// shortened horizon (the full scenario is benchmark territory).
+// shortened horizon (the full scenario is benchmark territory): the summary,
+// every raw series and the per-shard statistics are identical at
+// EventWorkers 1, 4 and GOMAXPROCS.  The control tick's per-shard phase fans
+// out over the same workers, so this is also the equivalence pin of the
+// parallel tick against the inline one at 16 shards, and under -race with
+// GOMAXPROCS > 1 the mutation audit of its parallel phase.
 func TestMegaregionEventLoopEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 5x10^3-VM region once per worker count")
@@ -152,22 +160,32 @@ func TestMegaregionEventLoopEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) []byte {
+	run := func(workers int) ([]byte, map[string][]cloudsim.Stats) {
 		sc, err := BuildScenario("megaregion-eventloop", 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Horizon = 5 * simclock.Minute
 		sc.EventWorkers = workers
-		res, err := Run(sc, np)
+		res, b, err := RunBackend(sc, np)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eventLoopFingerprint(t, res)
+		stats := b.Results().ShardStats
+		if len(stats["megaregion"]) != MegaregionShards {
+			t.Fatalf("EventWorkers=%d: %d shard stats, want %d", workers, len(stats["megaregion"]), MegaregionShards)
+		}
+		return eventLoopFingerprint(t, res), stats
 	}
-	ref := run(1)
-	if got := run(runtime.GOMAXPROCS(0)); !bytes.Equal(got, ref) {
-		t.Fatalf("megaregion-eventloop EventWorkers=GOMAXPROCS diverged from EventWorkers=1")
+	ref, refStats := run(1)
+	for _, workers := range eventLoopWorkerCounts()[1:] {
+		got, stats := run(workers)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("megaregion-eventloop EventWorkers=%d diverged from EventWorkers=1\n--- got ---\n%s\n--- want ---\n%s", workers, got, ref)
+		}
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Fatalf("megaregion-eventloop EventWorkers=%d produced different ShardStats than EventWorkers=1:\n%+v\n%+v", workers, stats, refStats)
+		}
 	}
 }
 

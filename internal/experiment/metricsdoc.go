@@ -73,9 +73,11 @@ func MetricsMarkdown() (string, error) {
 	b.WriteString("# Metric catalogue\n\n")
 	b.WriteString("<!-- Generated by `make docs` (acmsim -list-metrics). DO NOT EDIT.\n")
 	b.WriteString("     Edit the registrations in internal/acm/metrics.go and rerun `make docs`. -->\n\n")
-	b.WriteString("Every series the simulator records is mirrored into a typed instrument\n")
-	b.WriteString("registry (`internal/metrics`) at each control-era barrier and served live\n")
-	b.WriteString("in Prometheus text exposition format v0.0.4: run `acmsim` with\n")
+	b.WriteString("The simulator writes its state into a typed instrument registry\n")
+	b.WriteString("(`internal/metrics`) at each control-era barrier. The recorded time\n")
+	b.WriteString("series (`acmsim -csv`, the figures, the goldens) are sampled from these\n")
+	b.WriteString("instruments, and the registry is served live in Prometheus text\n")
+	b.WriteString("exposition format v0.0.4: run `acmsim` with\n")
 	b.WriteString("`-metrics-addr :9090` and scrape `http://localhost:9090/metrics` while the\n")
 	b.WriteString("simulation executes. Families below are the union of representative\n")
 	b.WriteString("deployments (" + strings.Join(metricsDocScenarios(), ", ") + "); the\n")

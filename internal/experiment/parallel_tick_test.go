@@ -14,40 +14,26 @@ import (
 	"repro/internal/simclock"
 )
 
-// tickWorkerCounts are the control-tick fan-outs every equivalence test runs:
-// the sequential fast path, a fixed multi-goroutine count, and whatever the
-// host offers (deduplicated — on a 4-core host GOMAXPROCS is already 4).
-// Byte-identical output across all of them — on any GOMAXPROCS — is the
-// determinism contract of the parallel tick engine.
-func tickWorkerCounts() []int {
-	counts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		counts = append(counts, p)
-	}
-	return counts
-}
-
-// TestParallelTickReproducesGoldens pins the parallel control tick to the
-// golden byte-pins recorded before it existed: figure3 and figure4 under
-// every policy must produce the exact golden summary (including the SHA-256
-// of every raw series) for tick-workers 1, 4 and GOMAXPROCS.
-//
-// The figure regions are single-shard, so what this pins is the flag's
-// neutrality: setting TickWorkers on a deployment with nothing to fan out
-// must not move a single byte (ControlTick must treat it as the sequential
-// fast path, not a different code path).  The multi-shard parallel phase
-// itself is exercised against goldens-equivalent sequential runs by
-// TestFigureShardedParallelEquivalence and TestShardedTickWorkersEquivalence
-// below.
+// TestParallelTickReproducesGoldens pins that the serial engine's control
+// tick never fans out: figure3 and figure4 under every policy reproduce their
+// golden byte-pins (including the SHA-256 of every raw series) with
+// GOMAXPROCS raised to 4 and to the host's count.  The tick takes its
+// fan-out only from a sharded event loop's workers (ShardedEngine.Workers);
+// simclock.ForEach and ShardedEngine both default to GOMAXPROCS when handed
+// 0, so this is the guard that no serial-engine path picks the host's core
+// count up as a parallelism knob.  The fanned-out tick itself is pinned by
+// the event-loop equivalence suite (TestEventLoopWorkersEquivalence,
+// TestMegaregionEventLoopEquivalence).  The figure regions are single-shard;
+// the multi-shard half of the guard is TestFigureShardedParallelEquivalence
+// and TestShardedTickWorkersEquivalence below.
 func TestParallelTickReproducesGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("reruns the six golden simulations per worker count")
+		t.Skip("reruns the six golden simulations per GOMAXPROCS value")
 	}
-	for _, workers := range tickWorkerCounts() {
+	for _, workers := range eventLoopWorkerCounts() {
 		if workers == 1 {
-			// TickWorkers <= 1 is the exact code path TestGoldenFigureScenarios
-			// already pins at the default configuration; rerunning it here
-			// would double the suite for no extra coverage.
+			// GOMAXPROCS=1 cannot fan anything out; the default-configuration
+			// replay is TestGoldenFigureScenarios.
 			continue
 		}
 		workers := workers
@@ -55,12 +41,12 @@ func TestParallelTickReproducesGoldens(t *testing.T) {
 			for _, np := range Policies() {
 				np := np
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, np.Key, workers), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 					sc, err := BuildScenario(name, 42)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sc.Horizon = goldenHorizon
-					sc.VMC.TickWorkers = workers
 					res, err := Run(sc, np)
 					if err != nil {
 						t.Fatal(err)
@@ -80,7 +66,7 @@ func TestParallelTickReproducesGoldens(t *testing.T) {
 						t.Fatalf("missing golden file: %v", err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("tick-workers=%d drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", workers, path, got, want)
+						t.Fatalf("GOMAXPROCS=%d drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", workers, path, got, want)
 					}
 				})
 			}
@@ -88,25 +74,27 @@ func TestParallelTickReproducesGoldens(t *testing.T) {
 	}
 }
 
-// TestFigureShardedParallelEquivalence drives the parallel phase through the
-// richest control-tick paths the repo has: the figure4 deployment (three
-// heterogeneous regions, elasticity on, staggered rejuvenation waves, the
-// leader's closed control loop) with every region split across 3 shards.
-// The run must be byte-identical — full summary plus the SHA-256 of every
-// raw series — between tick-workers 1 and the fanned-out counts.  Unlike the
-// golden replay above, the tick-workers > 1 legs here genuinely execute
-// Engine.ParallelPhase: a cross-shard write, a misordered merge or a
-// schedule-during-phase violation in the elasticity/standby-promotion
-// interplay shows up as a byte difference (or a panic).
+// TestFigureShardedParallelEquivalence runs the richest control-tick paths
+// the repo has — the figure4 deployment (three heterogeneous regions,
+// elasticity on, staggered rejuvenation waves, the leader's closed control
+// loop) with every region split across 3 shards — on the serial engine, and
+// demands byte-identical output (full summary plus the SHA-256 of every raw
+// series) at GOMAXPROCS 1, 4 and the host's count.  Unlike the single-shard
+// golden replay above, here the tick has per-shard partials to merge, so any
+// step whose order or partition follows the host's core count (a fold of the
+// partials that is not in shard-index order, a fan-out that shares scratch
+// between shards) shows up as a byte difference or, under -race, a
+// reported race.
 func TestFigureShardedParallelEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the figure4 simulation once per worker count")
+		t.Skip("runs the figure4 simulation once per GOMAXPROCS value")
 	}
 	np, err := PolicyByKey("policy2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int) *Result {
+	run := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sc, err := BuildScenario("figure4", 42)
 		if err != nil {
 			t.Fatal(err)
@@ -115,63 +103,55 @@ func TestFigureShardedParallelEquivalence(t *testing.T) {
 		for i := range sc.Regions {
 			sc.Regions[i].Region.Shards = 3
 		}
-		sc.VMC.TickWorkers = workers
 		res, err := Run(sc, np)
 		if err != nil {
-			t.Fatalf("tick-workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		return res
+		g, err := goldenFromResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	var want []byte
-	for _, workers := range tickWorkerCounts() {
-		g, err := goldenFromResult(build(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("sharded figure4 at tick-workers=%d diverged from tick-workers=%d:\n%s\nvs\n%s",
-				workers, tickWorkerCounts()[0], got, want)
+	ref := run(1)
+	for _, procs := range eventLoopWorkerCounts()[1:] {
+		if got := run(procs); !bytes.Equal(got, ref) {
+			t.Fatalf("sharded figure4 at GOMAXPROCS=%d diverged from GOMAXPROCS=1:\n%s\nvs\n%s", procs, got, ref)
 		}
 	}
 }
 
-// TestShardedTickWorkersEquivalence is the multi-shard half of the contract:
-// the 16-shard megaregion produces byte-identical raw series and identical
-// per-shard statistics whether the control tick runs sequentially or fanned
-// out across goroutines.  Under -race with GOMAXPROCS > 1 this is also the
-// mutation audit of the parallel phase: any cross-shard write would trip the
-// detector.
+// TestShardedTickWorkersEquivalence is the scale half of the serial-engine
+// guard: the 16-shard megaregion-sharded deployment produces byte-identical
+// raw series and identical per-shard statistics at GOMAXPROCS 1, 4 and the
+// host's count, so its control tick walks the shards in order on one
+// goroutine whatever the host offers.  The fanned-out tick at the same scale
+// is TestMegaregionEventLoopEquivalence.
 func TestShardedTickWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a 5x10^3-VM scenario once per worker count")
+		t.Skip("runs a 5x10^3-VM scenario once per GOMAXPROCS value")
 	}
 	np, err := PolicyByKey("policy2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantCSV []byte
-	var wantStats map[string][]cloudsim.Stats
-	for _, workers := range tickWorkerCounts() {
+	run := func(procs int) ([]byte, map[string][]cloudsim.Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sc, err := BuildScenario("megaregion-sharded", 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Horizon = 4 * simclock.Minute
-		sc.VMC.TickWorkers = workers
 		mgr, err := NewManager(sc, np)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := mgr.Run(sc.Horizon); err != nil {
-			t.Fatalf("tick-workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		var csv bytes.Buffer
 		if err := mgr.Recorder().WriteAllCSV(&csv); err != nil {
@@ -179,17 +159,18 @@ func TestShardedTickWorkersEquivalence(t *testing.T) {
 		}
 		stats := mgr.ShardStats()
 		if len(stats["megaregion"]) != MegaregionShards {
-			t.Fatalf("tick-workers=%d: %d shard stats, want %d", workers, len(stats["megaregion"]), MegaregionShards)
+			t.Fatalf("GOMAXPROCS=%d: %d shard stats, want %d", procs, len(stats["megaregion"]), MegaregionShards)
 		}
-		if wantCSV == nil {
-			wantCSV, wantStats = csv.Bytes(), stats
-			continue
+		return csv.Bytes(), stats
+	}
+	refCSV, refStats := run(1)
+	for _, procs := range eventLoopWorkerCounts()[1:] {
+		csv, stats := run(procs)
+		if !bytes.Equal(csv, refCSV) {
+			t.Fatalf("GOMAXPROCS=%d produced different series bytes than GOMAXPROCS=1", procs)
 		}
-		if !bytes.Equal(csv.Bytes(), wantCSV) {
-			t.Fatalf("tick-workers=%d produced different series bytes than tick-workers=1", workers)
-		}
-		if !reflect.DeepEqual(stats, wantStats) {
-			t.Fatalf("tick-workers=%d produced different ShardStats than tick-workers=1:\n%+v\n%+v", workers, stats, wantStats)
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Fatalf("GOMAXPROCS=%d produced different ShardStats than GOMAXPROCS=1:\n%+v\n%+v", procs, stats, refStats)
 		}
 	}
 }

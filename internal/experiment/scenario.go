@@ -345,12 +345,11 @@ const (
 )
 
 // megaregionScenario builds one region with a 5x10^3-VM pool split across the
-// given number of engine shards, with the control tick fanned out to
-// tickWorkers goroutines (<= 1 keeps the sequential tick).  The client
+// given number of engine shards.  The client
 // population is sized to keep the run affordable in tests while still pushing
 // hundreds of requests per second through the load balancer — the O(pool)
 // per-request scan is precisely what sharding removes.
-func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scenario {
+func megaregionScenario(name string, seed uint64, shards int) Scenario {
 	region := cloudsim.RegionConfig{
 		Name:           "megaregion",
 		Provider:       "aws",
@@ -374,7 +373,6 @@ func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scena
 			// stays off so the scenario isolates the dispatch/scan path that
 			// sharding optimises.
 			ElasticityEnabled: false,
-			TickWorkers:       tickWorkers,
 		},
 	}.withDefaults()
 }
@@ -383,39 +381,28 @@ func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scena
 // 5x10^3-VM pool managed as one engine shard, the configuration whose
 // whole-pool scans the sharded engine replaces.
 func MegaregionScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion", seed, 1, 1)
+	return megaregionScenario("megaregion", seed, 1)
 }
 
 // MegaregionShardedScenario is the same 5x10^3-VM region split across
 // MegaregionShards engine shards: per-request dispatch and the controller
-// scans touch pool/16 VMs instead of the whole pool.  The control tick still
-// walks the shards sequentially.
+// scans touch pool/16 VMs instead of the whole pool.  It runs on the serial
+// engine, so the control tick walks the shards sequentially.
 func MegaregionShardedScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion-sharded", seed, MegaregionShards, 1)
-}
-
-// MegaregionParallelScenario is the 16-shard megaregion with the control
-// tick's per-shard phase fanned out to one goroutine per shard — the
-// wall-clock parallel configuration.  Its results are byte-identical to
-// megaregion-sharded's at every GOMAXPROCS: the parallel phase writes only
-// shard-local state and the merge phase folds the partials in shard-index
-// order.
-func MegaregionParallelScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion-parallel", seed, MegaregionShards, MegaregionShards)
+	return megaregionScenario("megaregion-sharded", seed, MegaregionShards)
 }
 
 // MegaregionEventLoopScenario is the 16-shard megaregion with the event loop
 // itself fanned out: every shard runs as its own sub-engine servicing its
 // arrivals, completions and rejuvenation timers in parallel (one goroutine
-// per shard), with the control tick also fanned out at the epoch barriers.
-// Unlike megaregion-parallel — which only parallelised the control tick's
-// monitor/analyze phase — this parallelises request service, the bulk of the
-// run.  Its results are byte-identical for every EventWorkers >= 1 at any
-// GOMAXPROCS (the event-loop equivalence suite pins that); they
-// intentionally differ from the serial megaregion-sharded bytes, because
-// cross-shard effects are epoch-quantised.
+// per shard), with the control tick also fanned out over the same workers at
+// the epoch barriers.  This parallelises request service, the bulk of the
+// run, not only the control tick.  Its results are byte-identical for every
+// EventWorkers >= 1 at any GOMAXPROCS (the event-loop equivalence suite pins
+// that); they intentionally differ from the serial megaregion-sharded bytes,
+// because cross-shard effects are epoch-quantised.
 func MegaregionEventLoopScenario(seed uint64) Scenario {
-	sc := megaregionScenario("megaregion-eventloop", seed, MegaregionShards, MegaregionShards)
+	sc := megaregionScenario("megaregion-eventloop", seed, MegaregionShards)
 	sc.EventWorkers = MegaregionShards
 	return sc
 }
@@ -449,7 +436,7 @@ func Figure4EventLoopScenario(seed uint64) Scenario {
 // (~16.7k interactions/s) within the 4x10^3-VM pool's capacity, mirroring
 // how real mega-populations are mostly idle at any instant.
 func MegaclientsScenario(seed uint64) Scenario {
-	sc := megaregionScenario("megaclients", seed, MegaregionShards, MegaregionShards)
+	sc := megaregionScenario("megaclients", seed, MegaregionShards)
 	sc.EventWorkers = MegaregionShards
 	sc.Regions[0].Clients = 0
 	sc.Regions[0].CohortClients = 1_000_000

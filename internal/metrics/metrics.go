@@ -1,17 +1,18 @@
 // Package metrics is the typed metrics plane of the reproduction: a small
 // Prometheus-style registry of counter/gauge/histogram instruments with
-// labels, through which every experiment series is re-expressed, plus a
-// stdlib-only text-format (v0.0.4) encoder so live runs can be scraped on
-// the same dashboards a real deployment would use.
+// labels, plus a stdlib-only text-format (v0.0.4) encoder so live runs can be
+// scraped on the same dashboards a real deployment would use.  The registry
+// is also the single write target for the control loop's era values: the
+// experiment time series are sampled from it (Registry.Each) rather than
+// recorded separately.
 //
 // Determinism contract: instruments are only ever written on the control
 // timeline at epoch barriers (the Manager's control era), from state that is
 // already merged in the fixed fold order of the engine's determinism
-// contract.  The registry is therefore a read path over deterministic state,
-// never a new write path — and its text exposition is byte-identical for
-// every EventWorkers value, like the series it mirrors.  The registry mutex
-// exists only so a concurrent HTTP scrape observes a consistent snapshot of
-// the last barrier.
+// contract.  No simulation state ever depends on an instrument, and the text
+// exposition — like the series sampled from the registry — is byte-identical
+// for every EventWorkers value.  The registry mutex exists only so a
+// concurrent HTTP scrape observes a consistent snapshot of the last barrier.
 package metrics
 
 import (
@@ -119,6 +120,7 @@ type family struct {
 	kind     Kind
 	buckets  []float64
 	children map[string]*child
+	order    []*child // children in first-set order
 }
 
 // Registry holds metric families in registration order and encodes them as
@@ -225,8 +227,25 @@ func (f *family) get(labelValues []string) *child {
 			c.counts = make([]uint64, len(f.buckets)+1)
 		}
 		f.children[key] = c
+		f.order = append(f.order, c)
 	}
 	return c
+}
+
+// Each calls fn with the label values and value of every sample of the
+// counter or gauge family called name, in the order the samples were first
+// set.  An unregistered name (or a histogram family) visits nothing.  fn
+// runs under the registry mutex and must not call back into the registry.
+func (r *Registry) Each(name string, fn func(labelValues []string, value float64)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.byName[name]
+	if !ok || f.kind == KindHistogram {
+		return
+	}
+	for _, c := range f.order {
+		fn(c.labelValues, c.value)
+	}
 }
 
 // Counter is a monotonically non-decreasing instrument.

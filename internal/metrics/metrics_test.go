@@ -242,3 +242,38 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("histogram desc wrong: %+v", descs[1])
 	}
 }
+
+// TestEach pins the sampler's read path: counter and gauge samples are
+// visited in first-set order (not the sorted exposition order), a later
+// update keeps a sample's place, and an unknown name or a histogram family
+// visits nothing.
+func TestEach(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge(Opts{Name: "lane_rtt", Help: "RTT.", Labels: []string{"stream", "region"}})
+	c := r.Counter(Opts{Name: "eras_total", Help: "Eras."})
+	h := r.Histogram(Opts{Name: "latency_seconds", Help: "Latency."}, []float64{1})
+	g.Set(1, "us", "zz")
+	g.Set(2, "eu", "aa")
+	g.Set(3, "us", "aa")
+	g.Set(4, "us", "zz")
+	c.Set(7)
+	h.Observe(0.5)
+
+	var got []string
+	collect := func(labels []string, v float64) {
+		got = append(got, strings.Join(labels, ":")+"="+strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	r.Each("lane_rtt", collect)
+	r.Each("eras_total", collect)
+	want := []string{"us:zz=4", "eu:aa=2", "us:aa=3", "=7"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("Each visited %q, want %q", got, want)
+	}
+
+	got = nil
+	r.Each("no_such_family", collect)
+	r.Each("latency_seconds", collect)
+	if len(got) != 0 {
+		t.Fatalf("Each visited %q for an unknown name and a histogram, want nothing", got)
+	}
+}

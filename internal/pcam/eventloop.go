@@ -16,7 +16,8 @@
 //     hook performed becomes a mailbox post.
 //   - The periodic control tick runs on the control timeline at its exact
 //     interval, with exclusive access to all shards, exactly as before; its
-//     per-shard monitor/analyze phase still fans out via ParallelPhase.
+//     per-shard monitor/analyze phase fans out over the event loop's workers
+//     (ShardedEngine.Workers) via ParallelPhase.
 package pcam
 
 import (

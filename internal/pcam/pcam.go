@@ -29,10 +29,11 @@ import (
 // quantify how much prediction error costs (an ablation the reproduction
 // adds).
 //
-// When the VMC runs its control tick with Config.TickWorkers > 1, PredictRTTF
-// is called concurrently from the per-shard goroutines and must therefore be
-// safe for concurrent use.  The bundled predictors qualify: OraclePredictor
-// is stateless and ModelPredictor only reads the trained model.
+// When the VMC runs sharded on an event loop with more than one worker, its
+// control tick calls PredictRTTF concurrently from the per-shard goroutines,
+// so it must be safe for concurrent use.  The bundled predictors qualify:
+// OraclePredictor is stateless and ModelPredictor only reads the trained
+// model.
 type RTTFPredictor interface {
 	// PredictRTTF returns the estimated remaining time to failure in seconds.
 	PredictRTTF(vm *cloudsim.VM, sample features.Vector) float64
@@ -130,14 +131,6 @@ type Config struct {
 	// the leader with equation 1; smoothing locally as well keeps the local
 	// elasticity decisions from reacting to single-sample noise).
 	RMTTFBeta float64
-	// TickWorkers is the number of goroutines the control tick fans the
-	// per-shard monitor/analyze phase out to (feature sampling, RTTF
-	// prediction, rejuvenation candidate selection).  The phase is followed by
-	// a barrier and a serial merge that consumes per-shard results in
-	// shard-index order, so the output is byte-identical for every worker
-	// count.  Values <= 1 keep the fully sequential tick (the default); the
-	// effective fan-out is additionally capped at the region's shard count.
-	TickWorkers int
 }
 
 // DefaultConfig returns the VMC configuration used by the reproduction's
@@ -411,10 +404,11 @@ type shardScratch struct {
 //     transitions schedule engine events, so this cannot run concurrently).
 //  2. Per-shard phase: every shard samples its own ACTIVE VMs, predicts
 //     their RTTF and sorts its rejuvenation candidates worst-first, writing
-//     only to its shardScratch.  With Config.TickWorkers > 1 the shards run
-//     on a bounded goroutine fan-out (simclock.Engine.ParallelPhase);
-//     otherwise they run inline in shard-index order — the same code path,
-//     so the sequential configuration is a true fast path, not a fork.
+//     only to its shardScratch.  When the VMC runs sharded (StartSharded) on
+//     an event loop with more than one worker, the shards run on that many
+//     goroutines (simclock.Engine.ParallelPhase); otherwise — the serial
+//     engine included — they run inline in shard-index order, the same code
+//     path, so the sequential configuration is a true fast path, not a fork.
 //  3. Barrier + serial merge: the per-shard partials are folded in
 //     shard-index order into the region RMTTF, the about-to-fail VMs are
 //     rejuvenated (worst first within each shard) and the elasticity actions
@@ -423,7 +417,7 @@ type shardScratch struct {
 // Because each VM owns a forked RNG stream and VMs never migrate between
 // shards, the per-shard phase consumes randomness deterministically no matter
 // how the goroutines interleave; together with the ordered merge this makes
-// the tick byte-identical for every TickWorkers value and any GOMAXPROCS.
+// the tick byte-identical for every worker count and any GOMAXPROCS.
 // With one shard the iteration is exactly the classic whole-pool scan; with N
 // shards each scan and each worst-first sort touches only pool/N VMs.
 func (v *VMC) ControlTick(eng *simclock.Engine) {
@@ -436,14 +430,15 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 		}
 	}
 
-	// Monitor + analyze: the per-shard phase, fanned out when configured.
+	// Monitor + analyze: the per-shard phase, fanned out over the event
+	// loop's workers when running sharded.
 	numShards := v.region.NumShards()
 	if len(v.scratch) < numShards {
 		v.scratch = append(v.scratch, make([]shardScratch, numShards-len(v.scratch))...)
 	}
 	now := eng.Now()
-	if workers := v.cfg.TickWorkers; workers > 1 && numShards > 1 {
-		eng.ParallelPhase(numShards, workers, func(s int) { v.shardTick(now, s) })
+	if v.se != nil && v.se.Workers() > 1 && numShards > 1 {
+		eng.ParallelPhase(numShards, v.se.Workers(), func(s int) { v.shardTick(now, s) })
 	} else {
 		for s := 0; s < numShards; s++ {
 			v.shardTick(now, s)

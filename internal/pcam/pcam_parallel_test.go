@@ -2,6 +2,7 @@ package pcam
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -24,12 +25,14 @@ type tickFingerprint struct {
 }
 
 // runShardedTicks drives a fixed traffic pattern through an 8-shard region
-// for ten control intervals with the given tick fan-out and fingerprints the
-// outcome.
-func runShardedTicks(t *testing.T, tickWorkers int) tickFingerprint {
+// on a sharded event loop with the given worker count — the count the
+// control tick's per-shard phase fans out over — for ten control intervals
+// and fingerprints the outcome.
+func runShardedTicks(t *testing.T, workers int) tickFingerprint {
 	t.Helper()
-	eng := simclock.NewEngine(77)
-	region := shardedRegion(77, 8, 16, 8)
+	const shards = 8
+	se := simclock.NewShardedEngine(shards, 77, 0, workers)
+	region := shardedRegion(77, shards, 16, 8)
 	// Pre-age a quarter of the active pool so the run includes proactive
 	// rejuvenations and standby promotions, not just sampling.  The oracle
 	// caps healthy predictions at OracleMaxRTTF (3600 s), so a threshold of
@@ -44,18 +47,22 @@ func runShardedTicks(t *testing.T, tickWorkers int) tickFingerprint {
 		ElasticityEnabled: false,
 		ControlInterval:   30 * simclock.Second,
 		RTTFThreshold:     3000,
-		TickWorkers:       tickWorkers,
 	})
-	vmc.Start(eng)
+	engines := make([]*simclock.Engine, shards)
+	for s := range engines {
+		engines[s] = se.Shard(s)
+	}
+	vmc.StartSharded(se, engines)
 	const n = 6000
 	for i := 0; i < n; i++ {
 		at := simclock.Duration(float64(i) * 300.0 / n)
 		id := uint64(i)
-		eng.ScheduleFunc(at, func(e *simclock.Engine) {
-			vmc.Submit(e, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now()})
+		shard := i % shards
+		engines[shard].ScheduleFunc(at, func(e *simclock.Engine) {
+			vmc.SubmitShard(e, shard, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now()})
 		})
 	}
-	if err := eng.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := se.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatal(err)
 	}
 	vmc.Stop()
@@ -88,15 +95,19 @@ func runShardedTicks(t *testing.T, tickWorkers int) tickFingerprint {
 // parallel control tick: an identical 8-shard deployment driven by identical
 // traffic ends in exactly the same state — controller counters, smoothed and
 // raw RMTTF, per-shard statistics, per-VM predictions, states and queues —
-// whether the per-shard phase runs sequentially or on 2, 8 or more
-// goroutines.  Run under -race this doubles as the cross-shard mutation
-// audit.
+// whether the event loop, and with it the tick's per-shard phase, runs
+// inline (1 worker) or on 4 or GOMAXPROCS goroutines.  Run under -race this
+// doubles as the cross-shard mutation audit.
 func TestControlTickParallelEquivalence(t *testing.T) {
 	want := runShardedTicks(t, 1)
-	for _, workers := range []int{2, 8, 32} {
+	counts := []int{4}
+	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
+		counts = append(counts, p)
+	}
+	for _, workers := range counts {
 		got := runShardedTicks(t, workers)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("TickWorkers=%d diverged from the sequential tick:\nsequential: %+v\nparallel:   %+v", workers, want, got)
+			t.Fatalf("%d workers diverged from the inline tick:\ninline:   %+v\nparallel: %+v", workers, want, got)
 		}
 	}
 	if want.VMCStats.ProactiveRejuvenations == 0 {
@@ -104,17 +115,20 @@ func TestControlTickParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestControlTickParallelPhaseEngaged verifies the fan-out actually routes
-// through the engine's parallel phase when configured (and not otherwise):
-// the predictor observes Engine.InParallelPhase from inside the per-shard
+// TestControlTickParallelPhaseEngaged verifies the tick routes through the
+// engine's parallel phase exactly when it runs sharded on more than one
+// event-loop worker: never on the serial engine, never inline on one worker.
+// The predictor observes Engine.InParallelPhase from inside the per-shard
 // phase.
 func TestControlTickParallelPhaseEngaged(t *testing.T) {
 	for _, tc := range []struct {
-		workers int
+		name    string
+		workers int // event-loop workers; 0 runs the serial engine
 		want    bool
-	}{{1, false}, {4, true}} {
-		eng := simclock.NewEngine(3)
-		region := shardedRegion(3, 4, 8, 4)
+	}{{"serial", 0, false}, {"sharded/1", 1, false}, {"sharded/4", 4, true}} {
+		const shards = 4
+		region := shardedRegion(3, shards, 8, 4)
+		var eng *simclock.Engine
 		var sawParallel atomic.Bool
 		pred := PredictorFunc(func(vm *cloudsim.VM, sample features.Vector) float64 {
 			if eng.InParallelPhase() {
@@ -122,10 +136,21 @@ func TestControlTickParallelPhaseEngaged(t *testing.T) {
 			}
 			return OraclePredictor{}.PredictRTTF(vm, sample)
 		})
-		vmc := newTestVMC(t, region, pred, Config{ElasticityEnabled: false, TickWorkers: tc.workers})
+		vmc := newTestVMC(t, region, pred, Config{ElasticityEnabled: false})
+		if tc.workers == 0 {
+			eng = simclock.NewEngine(3)
+		} else {
+			se := simclock.NewShardedEngine(shards, 3, 0, tc.workers)
+			engines := make([]*simclock.Engine, shards)
+			for s := range engines {
+				engines[s] = se.Shard(s)
+			}
+			vmc.StartSharded(se, engines)
+			eng = se.Control()
+		}
 		vmc.ControlTick(eng)
 		if sawParallel.Load() != tc.want {
-			t.Fatalf("TickWorkers=%d: predictor ran inside a parallel phase = %v, want %v", tc.workers, sawParallel.Load(), tc.want)
+			t.Fatalf("%s: predictor ran inside a parallel phase = %v, want %v", tc.name, sawParallel.Load(), tc.want)
 		}
 	}
 }

@@ -108,6 +108,17 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 	return se
 }
 
+// Workers returns the number of goroutines the shard phase runs on: the
+// configured count (GOMAXPROCS when <= 0), capped at the shard count.  The
+// control tick fans its per-shard phase out over the same count.
+func (se *ShardedEngine) Workers() int {
+	workers := se.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, len(se.shards))
+}
+
 // NumShards returns the number of sub-engines (the control timeline not
 // included).
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
@@ -279,13 +290,7 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 	if math.IsInf(float64(h), 1) {
 		panic("simclock: ShardedEngine.Run needs a finite horizon")
 	}
-	workers := se.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(se.shards) {
-		workers = len(se.shards)
-	}
+	workers := se.Workers()
 	var pool *shardPool
 	if workers > 1 {
 		pool = newShardPool(se, workers)
