@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -bench='RegionSharded|Figure3' -benchtime=1x -benchmem -run='^$' . | benchjson parse -out BENCH_ci.json
+//	go test -bench='RegionSharded|Figure3' -benchtime=1x -count=3 -benchmem -run='^$' . | benchjson parse -out BENCH_ci.json
 //	benchjson compare -baseline BENCH_baseline.json -current BENCH_ci.json -max-regression 0.20
 //
 // GOMAXPROCS suffixes ("-4") are stripped from benchmark names so a baseline
@@ -66,10 +66,11 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // Parse reads `go test -bench` text output and collects the per-benchmark
 // metrics.  Lines that are not benchmark results (the "goos:" header, PASS,
-// custom test logging) are ignored.  A benchmark appearing twice (e.g. from
-// -count) keeps the last occurrence.
+// custom test logging) are ignored.  A benchmark appearing several times
+// (from -count N) records, per unit, the median over its lines, so one noisy
+// sample cannot trip the gate.
 func Parse(r io.Reader) (*File, error) {
-	out := &File{Benchmarks: map[string]Metrics{}}
+	samples := map[string]map[string][]float64{} // name -> unit -> values
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
@@ -92,15 +93,39 @@ func Parse(r io.Reader) (*File, error) {
 		if _, ok := metrics["ns/op"]; !ok {
 			return nil, fmt.Errorf("benchjson: benchmark %s has no ns/op in %q", name, sc.Text())
 		}
-		out.Benchmarks[name] = metrics
+		if samples[name] == nil {
+			samples[name] = map[string][]float64{}
+		}
+		for unit, v := range metrics {
+			samples[name][unit] = append(samples[name][unit], v)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(out.Benchmarks) == 0 {
+	if len(samples) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark results found in input")
 	}
+	out := &File{Benchmarks: map[string]Metrics{}}
+	for name, units := range samples {
+		metrics := Metrics{}
+		for unit, vs := range units {
+			metrics[unit] = median(vs)
+		}
+		out.Benchmarks[name] = metrics
+	}
 	return out, nil
+}
+
+// median returns the middle value of vs (the mean of the two middle values
+// for an even count).  vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // Load reads a benchjson JSON file.

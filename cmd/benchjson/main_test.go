@@ -48,6 +48,26 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+func TestParseTakesMedianOverCount(t *testing.T) {
+	const counted = `BenchmarkFigure3_Policy2-2   	1	300 ns/op	10 B/op	1 allocs/op
+BenchmarkFigure3_Policy2-2   	1	900 ns/op	30 B/op	3 allocs/op
+BenchmarkFigure3_Policy2-2   	1	100 ns/op	20 B/op	2 allocs/op
+BenchmarkMixPick-2           	1	40 ns/op
+BenchmarkMixPick-2           	1	10 ns/op
+`
+	f, err := Parse(strings.NewReader(counted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := f.Benchmarks["BenchmarkFigure3_Policy2"]
+	if fig.NsPerOp() != 300 || fig["B/op"] != 20 || fig["allocs/op"] != 2 {
+		t.Fatalf("odd count: got %+v, want the per-unit medians 300 ns/op, 20 B/op, 2 allocs/op", fig)
+	}
+	if got := f.Benchmarks["BenchmarkMixPick"].NsPerOp(); got != 25 {
+		t.Fatalf("even count: ns/op = %v, want the mean of the two middle samples, 25", got)
+	}
+}
+
 func TestParseRejectsEmptyInput(t *testing.T) {
 	if _, err := Parse(strings.NewReader("PASS\nok repro 1.0s\n")); err == nil {
 		t.Fatal("empty benchmark output must be an error, not an empty gate")

@@ -531,15 +531,71 @@ func TestTrueRTTFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkVMServeRequest(b *testing.B) {
+// serveLoop returns one Dispatch → service → completion round on an ACTIVE
+// VM with a request recycled through a RequestPool, the way the workload
+// generators drive it.  The VM injects no anomalies, so it never reaches its
+// failure point and every round is a full service.
+func serveLoop() (*VM, func()) {
+	cfg := testVMConfig("serve")
+	cfg.Anomalies = AnomalyProfile{}
 	eng := simclock.NewEngine(1)
-	vm := NewVM(testVMConfig("bench"), eng.RNG().Fork())
+	vm := NewVM(cfg, eng.RNG().Fork())
 	vm.Activate(eng)
+	var pool RequestPool
+	done := func(o Outcome) { pool.Put(o.Request) }
+	id := uint64(0)
+	return vm, func() {
+		id++
+		req := pool.Get()
+		req.ID, req.ServiceFactor, req.Arrival, req.OnDone = id, 1, eng.Now(), done
+		vm.Dispatch(eng, req)
+		eng.Step()
+	}
+}
+
+func BenchmarkVMServeRequest(b *testing.B) {
+	_, serve := serveLoop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.Dispatch(eng, &Request{ID: uint64(i), ServiceFactor: 1, Arrival: eng.Now()})
-		eng.Step()
-		eng.Step()
+		serve()
 	}
+}
+
+func TestVMServeRequestAllocationFree(t *testing.T) {
+	vm, serve := serveLoop()
+	serve() // grow the queue, the heap and the free list once
+	if allocs := testing.AllocsPerRun(1000, serve); allocs != 0 {
+		t.Fatalf("Dispatch → service → completion allocates %.1f times per request, want 0", allocs)
+	}
+	if vm.Served() != 1002 {
+		t.Fatalf("served %d requests, want 1002 (warm-up + AllocsPerRun's 1001 runs)", vm.Served())
+	}
+}
+
+func TestRequestPoolResetsAndGuardsRelease(t *testing.T) {
+	var pool RequestPool
+	req := pool.Get()
+	req.ID, req.Class, req.Batch, req.Forwarded = 7, "home", 3, true
+	req.OnDone = func(Outcome) {}
+	pool.Put(req)
+	again := pool.Get()
+	if again != req {
+		t.Fatal("Get should hand back the released request")
+	}
+	if again.ID != 0 || again.Class != "" || again.Batch != 0 || again.Forwarded || again.OnDone != nil || again.released {
+		t.Fatalf("a reused request must have every field reset, got %+v", *again)
+	}
+	pool.Put(req)
+	mustPanicReleased := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != ErrRequestReleased {
+				t.Fatalf("%s: recovered %v, want ErrRequestReleased", what, r)
+			}
+		}()
+		fn()
+	}
+	mustPanicReleased("Finish", func() { req.Finish(simclock.NewEngine(1), Outcome{Request: req}) })
+	mustPanicReleased("second Put", func() { pool.Put(req) })
 }

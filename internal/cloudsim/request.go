@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/simclock"
@@ -29,6 +30,9 @@ type Request struct {
 	// Forwarded reports whether the request was forwarded to a region other
 	// than its entry region by the global forward plan.
 	Forwarded bool
+	// released marks a request sitting in a RequestPool's free list (placed
+	// beside Forwarded so the two share one word).
+	released bool
 	// Batch is the number of client interactions this request stands for.
 	// Cohort-compressed populations submit one request per counted batch of
 	// statistically identical interactions; a VM serves the batch back to
@@ -51,6 +55,56 @@ type Request struct {
 	// completion can be posted back to the issuing shard's mailbox instead of
 	// touching the issuer's state from a foreign goroutine.
 	OnDoneCtx func(eng *simclock.Engine, o Outcome)
+	// Issuer is the workload generator's back-reference to the client that
+	// issued the request, so one completion callback can serve a whole
+	// population.  cloudsim never reads it.
+	Issuer any
+
+	// vm and serviceStart are set while the request is in service: the
+	// request is then its own completion event (vm.go).
+	vm           *VM
+	serviceStart simclock.Time
+}
+
+// ErrRequestReleased is the panic value of completing a request after its
+// issuer returned it to a RequestPool: a completion path kept a pointer past
+// the request's one completion.
+var ErrRequestReleased = errors.New("cloudsim: completion of a released request")
+
+// RequestPool is a free list of Requests owned by one issuer.  It is not safe
+// for concurrent use and deliberately not a sync.Pool: an issuer lives on one
+// engine lane, so its requests are taken and returned on that lane only and
+// reuse never crosses lanes.
+//
+// Ownership rule: a request taken with Get belongs to the issuer until its
+// completion callback runs; the callback returns it with Put exactly once, as
+// its last action.  A request whose client gave up on it (a timeout) stays
+// out of the free list until its late completion fires.
+type RequestPool struct {
+	free []*Request
+}
+
+// Get returns a zeroed request, reusing a released one when available.
+func (p *RequestPool) Get() *Request {
+	n := len(p.free)
+	if n == 0 {
+		return &Request{}
+	}
+	r := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	r.released = false
+	return r
+}
+
+// Put resets every field of r, marks it released and adds it to the free
+// list.  Releasing a request twice panics with ErrRequestReleased.
+func (p *RequestPool) Put(r *Request) {
+	if r.released {
+		panic(ErrRequestReleased)
+	}
+	*r = Request{released: true}
+	p.free = append(p.free, r)
 }
 
 // Weight returns the number of client interactions the request stands for:
@@ -93,8 +147,12 @@ func (o Outcome) ResponseTime() simclock.Duration {
 func (o Outcome) ServiceTime() simclock.Duration { return o.End.Sub(o.Start) }
 
 // finish invokes the completion callback exactly once, with the engine the
-// completion fired on.
+// completion fired on.  Finishing a released request panics with
+// ErrRequestReleased.
 func (r *Request) finish(eng *simclock.Engine, o Outcome) {
+	if r.released {
+		panic(ErrRequestReleased)
+	}
 	if r.OnDoneCtx != nil {
 		cb := r.OnDoneCtx
 		r.OnDoneCtx = nil

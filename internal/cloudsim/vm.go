@@ -84,8 +84,10 @@ type VM struct {
 	leakedMB      float64
 	zombieThreads int
 
-	// Service model.
+	// Service model.  queue[qhead:] waits in FIFO order; popping advances
+	// qhead, so the backing array is reused instead of resliced away.
 	queue    []*Request
+	qhead    int
 	inFlight int // requests currently in service (<= VCPUs)
 
 	// Lifetime counters.
@@ -162,7 +164,7 @@ func (vm *VM) Crashes() uint64 { return vm.crashes }
 func (vm *VM) Rejuvenations() uint64 { return vm.rejuvenations }
 
 // QueueLength returns the number of requests queued or in service.
-func (vm *VM) QueueLength() int { return len(vm.queue) + vm.inFlight }
+func (vm *VM) QueueLength() int { return len(vm.queue) - vm.qhead + vm.inFlight }
 
 // Uptime returns the time elapsed since the last rejuvenation (or since the
 // beginning of the simulation for a never-rejuvenated VM).
@@ -330,6 +332,12 @@ func (vm *VM) Dispatch(eng *simclock.Engine, req *Request) bool {
 		req.Trace.Event(tracing.EventVMEnqueue, eng.Now(),
 			fmt.Sprintf("vm=%s depth=%d", vm.cfg.ID, vm.QueueLength()))
 	}
+	if len(vm.queue) == cap(vm.queue) && vm.qhead > 0 {
+		// Slide the waiting requests to the front instead of growing.
+		n := copy(vm.queue, vm.queue[vm.qhead:])
+		clear(vm.queue[n:])
+		vm.queue, vm.qhead = vm.queue[:n], 0
+	}
 	vm.queue = append(vm.queue, req)
 	vm.syncLoad()
 	vm.tryStartService(eng)
@@ -338,16 +346,32 @@ func (vm *VM) Dispatch(eng *simclock.Engine, req *Request) bool {
 
 // tryStartService starts service for queued requests while vCPUs are free.
 func (vm *VM) tryStartService(eng *simclock.Engine) {
-	for vm.inFlight < vm.cfg.Type.VCPUs && len(vm.queue) > 0 {
-		req := vm.queue[0]
-		vm.queue = vm.queue[1:]
+	for vm.inFlight < vm.cfg.Type.VCPUs && vm.qhead < len(vm.queue) {
+		req := vm.queue[vm.qhead]
+		vm.queue[vm.qhead] = nil
+		vm.qhead++
+		if vm.qhead == len(vm.queue) {
+			vm.queue, vm.qhead = vm.queue[:0], 0
+		}
 		vm.inFlight++
-		start := eng.Now()
-		st := vm.sampleServiceTime(req)
-		eng.ScheduleFunc(st, func(e *simclock.Engine) {
-			vm.completeService(e, req, start)
-		})
+		req.vm = vm
+		req.serviceStart = eng.Now()
+		eng.Schedule(vm.sampleServiceTime(req), (*serviceCompletion)(req))
 	}
+}
+
+// serviceCompletion is a request in service seen as its own completion
+// event: the VM and the service start travel in the request's unexported
+// fields, so starting a service allocates no closure.  A named type keeps
+// Fire off the exported Request API.
+type serviceCompletion Request
+
+// Fire implements simclock.Event.
+func (c *serviceCompletion) Fire(eng *simclock.Engine) {
+	req := (*Request)(c)
+	vm := req.vm
+	req.vm = nil
+	vm.completeService(eng, req, req.serviceStart)
 }
 
 // sampleServiceTime draws the service time of a request given the VM's
@@ -494,11 +518,12 @@ func (vm *VM) fail(eng *simclock.Engine) {
 // failQueued drops every queued (not yet in-service) request.
 func (vm *VM) failQueued(eng *simclock.Engine, vmID string) {
 	now := eng.Now()
-	for _, q := range vm.queue {
+	for _, q := range vm.queue[vm.qhead:] {
 		vm.dropped += q.Weight()
 		q.finish(eng, Outcome{Request: q, VM: vmID, Start: now, End: now, Dropped: true})
 	}
-	vm.queue = nil
+	clear(vm.queue)
+	vm.queue, vm.qhead = vm.queue[:0], 0
 	vm.syncLoad()
 }
 

@@ -9,7 +9,9 @@
 // (one per cloud region, plus optional relay nodes), edges carry latencies.
 // Routing uses Dijkstra's shortest-path algorithm over the live part of the
 // graph, so failing a link or a node transparently reroutes traffic over the
-// remaining paths.
+// remaining paths.  Routes are memoized: the first read after a mutation
+// builds an immutable all-pairs route table, and every later read until the
+// next mutation is a table lookup.
 package overlay
 
 import (
@@ -18,6 +20,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // ErrUnknownNode is returned when a route endpoint does not exist.
@@ -40,11 +43,118 @@ func linkKey(a, b string) string {
 	return a + "|" + b
 }
 
-// Network is the overlay graph.  It is not safe for concurrent use; the
-// simulation drives it from a single goroutine.
+// Network is the overlay graph.  Mutations (AddNode, AddLink and the
+// Fail/Restore methods) need exclusive access.  Between mutations any number
+// of goroutines may read routes concurrently: the shard lanes of the event
+// loop forward requests over the overlay in parallel.
 type Network struct {
 	nodes map[string]bool // value: node alive?
 	links map[string]*link
+
+	// version counts mutations: every mutator bumps it, which invalidates
+	// routes.  routes is the route table of the version it is tagged with,
+	// built lazily by the first read after a mutation and published
+	// atomically; concurrent first readers build identical tables.
+	version uint64
+	routes  atomic.Pointer[routeTable]
+}
+
+// routeTable is an immutable all-pairs snapshot of the live overlay, over the
+// nodes in name order.
+type routeTable struct {
+	version uint64
+	names   []string
+	index   map[string]int
+	// dist[i*len(names)+j] is the latency of the shortest live route from
+	// node i to node j (+Inf when unreachable); prev holds the predecessor
+	// of j on that route (-1 for none).
+	dist []float64
+	prev []int32
+}
+
+// table returns the route table of the current version, building it on the
+// first read after a mutation.
+func (n *Network) table() *routeTable {
+	if t := n.routes.Load(); t != nil && t.version == n.version {
+		return t
+	}
+	t := n.buildTable()
+	n.routes.Store(t)
+	return t
+}
+
+// buildTable runs Dijkstra's algorithm from every live node.  Ties between
+// equally short routes are broken by node name: the frontier node with the
+// smallest index (name order) is settled first, and a later relaxation only
+// wins when strictly shorter, so the chosen path never depends on map
+// iteration order.
+func (n *Network) buildTable() *routeTable {
+	names := n.Nodes()
+	size := len(names)
+	t := &routeTable{
+		version: n.version,
+		names:   names,
+		index:   make(map[string]int, size),
+		dist:    make([]float64, size*size),
+		prev:    make([]int32, size*size),
+	}
+	for i, name := range names {
+		t.index[name] = i
+	}
+	type edge struct {
+		to int
+		ms float64
+	}
+	adj := make([][]edge, size)
+	for _, l := range n.links {
+		if l.failed || !n.nodes[l.a] || !n.nodes[l.b] {
+			continue
+		}
+		a, b := t.index[l.a], t.index[l.b]
+		adj[a] = append(adj[a], edge{b, l.latencyMs})
+		adj[b] = append(adj[b], edge{a, l.latencyMs})
+	}
+	for i := range t.dist {
+		t.dist[i], t.prev[i] = math.Inf(1), -1
+	}
+	settled := make([]bool, size)
+	for src, name := range names {
+		if !n.nodes[name] {
+			continue
+		}
+		dist, prev := t.dist[src*size:(src+1)*size], t.prev[src*size:(src+1)*size]
+		clear(settled)
+		dist[src] = 0
+		for {
+			cur := -1
+			for v, d := range dist {
+				if !settled[v] && d < math.Inf(1) && (cur < 0 || d < dist[cur]) {
+					cur = v
+				}
+			}
+			if cur < 0 {
+				break
+			}
+			settled[cur] = true
+			for _, e := range adj[cur] {
+				if nd := dist[cur] + e.ms; nd < dist[e.to] {
+					dist[e.to], prev[e.to] = nd, int32(cur)
+				}
+			}
+		}
+	}
+	return t
+}
+
+// latency returns the table latency between two nodes, +Inf when either is
+// unknown or no live route connects them.
+func (t *routeTable) latency(from, to string) float64 {
+	i, okFrom := t.index[from]
+	j, okTo := t.index[to]
+	if !okFrom || !okTo {
+		return math.Inf(1)
+	}
+	return t.dist[i*len(t.names)+j]
 }
 
 // New returns an empty overlay network.
@@ -56,6 +166,7 @@ func New() *Network {
 // (and revives it if it was failed).
 func (n *Network) AddNode(name string) {
 	n.nodes[name] = true
+	n.version++
 }
 
 // HasNode reports whether the node exists (failed or not).
@@ -104,6 +215,7 @@ func (n *Network) AddLink(a, b string, latencyMs float64) error {
 	if !n.HasNode(b) {
 		n.AddNode(b)
 	}
+	n.version++
 	key := linkKey(a, b)
 	if l, ok := n.links[key]; ok {
 		l.latencyMs = latencyMs
@@ -121,6 +233,7 @@ func (n *Network) FailLink(a, b string) bool {
 		return false
 	}
 	l.failed = true
+	n.version++
 	return true
 }
 
@@ -132,6 +245,7 @@ func (n *Network) RestoreLink(a, b string) bool {
 		return false
 	}
 	l.failed = false
+	n.version++
 	return true
 }
 
@@ -149,6 +263,7 @@ func (n *Network) FailNode(name string) bool {
 		return false
 	}
 	n.nodes[name] = false
+	n.version++
 	return true
 }
 
@@ -158,33 +273,8 @@ func (n *Network) RestoreNode(name string) bool {
 		return false
 	}
 	n.nodes[name] = true
+	n.version++
 	return true
-}
-
-// neighbors returns the live neighbours of a node and the latency to each.
-func (n *Network) neighbors(name string) map[string]float64 {
-	out := map[string]float64{}
-	for _, l := range n.links {
-		if l.failed {
-			continue
-		}
-		var other string
-		switch name {
-		case l.a:
-			other = l.b
-		case l.b:
-			other = l.a
-		default:
-			continue
-		}
-		if !n.nodes[other] {
-			continue
-		}
-		if cur, ok := out[other]; !ok || l.latencyMs < cur {
-			out[other] = l.latencyMs
-		}
-	}
-	return out
 }
 
 // Route is a path through the overlay with its end-to-end latency.
@@ -209,10 +299,10 @@ func (r Route) String() string {
 	return fmt.Sprintf("%s (%.1f ms)", strings.Join(r.Path, " -> "), r.LatencyMs)
 }
 
-// ShortestRoute computes the minimum-latency live path between two nodes
-// using Dijkstra's algorithm.  Failed links and failed nodes are excluded, so
-// the returned route is the one the overlay would actually use after
-// rerouting around failures.
+// ShortestRoute returns the minimum-latency live path between two nodes,
+// read from the route table (Dijkstra's algorithm, ties broken by node name).
+// Failed links and failed nodes are excluded, so the returned route is the
+// one the overlay would actually use after rerouting around failures.
 func (n *Network) ShortestRoute(from, to string) (Route, error) {
 	if !n.HasNode(from) || !n.HasNode(to) {
 		return Route{}, fmt.Errorf("%w: %q or %q", ErrUnknownNode, from, to)
@@ -223,68 +313,30 @@ func (n *Network) ShortestRoute(from, to string) (Route, error) {
 	if from == to {
 		return Route{Path: []string{from}}, nil
 	}
-
-	dist := map[string]float64{from: 0}
-	prev := map[string]string{}
-	visited := map[string]bool{}
-
-	for {
-		// Select the unvisited node with the smallest tentative distance.
-		cur := ""
-		best := math.Inf(1)
-		for node, d := range dist {
-			if !visited[node] && d < best {
-				best = d
-				cur = node
-			}
-		}
-		if cur == "" {
-			break
-		}
-		if cur == to {
-			break
-		}
-		visited[cur] = true
-		for nb, lat := range n.neighbors(cur) {
-			if nd := dist[cur] + lat; func() bool {
-				d, ok := dist[nb]
-				return !ok || nd < d
-			}() {
-				dist[nb] = nd
-				prev[nb] = cur
-			}
-		}
-	}
-
-	if _, ok := dist[to]; !ok {
+	t := n.table()
+	size := len(t.names)
+	src, dst := t.index[from], t.index[to]
+	latency := t.dist[src*size+dst]
+	if math.IsInf(latency, 1) {
 		return Route{}, fmt.Errorf("%w: %q -> %q", ErrUnreachable, from, to)
 	}
-	// Rebuild the path.
 	var path []string
-	for at := to; ; {
-		path = append([]string{at}, path...)
-		if at == from {
-			break
-		}
-		at = prev[at]
+	for at := dst; at >= 0; at = int(t.prev[src*size+at]) {
+		path = append(path, t.names[at])
 	}
-	return Route{Path: path, LatencyMs: dist[to]}, nil
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return Route{Path: path, LatencyMs: latency}, nil
 }
 
 // Latency returns the end-to-end latency of the best live route between two
 // nodes, or +Inf when unreachable.
-func (n *Network) Latency(from, to string) float64 {
-	r, err := n.ShortestRoute(from, to)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return r.LatencyMs
-}
+func (n *Network) Latency(from, to string) float64 { return n.table().latency(from, to) }
 
 // Reachable reports whether a live path exists between the two nodes.
 func (n *Network) Reachable(from, to string) bool {
-	_, err := n.ShortestRoute(from, to)
-	return err == nil
+	return !math.IsInf(n.table().latency(from, to), 1)
 }
 
 // Partition returns the set of alive nodes reachable from the given node
@@ -294,23 +346,13 @@ func (n *Network) Partition(from string) []string {
 	if !n.nodes[from] {
 		return nil
 	}
-	seen := map[string]bool{from: true}
-	queue := []string{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for nb := range n.neighbors(cur) {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
+	t := n.table()
+	var out []string
+	for _, name := range t.names {
+		if !math.IsInf(t.latency(from, name), 1) {
+			out = append(out, name)
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -309,6 +311,162 @@ func TestRouteValidityProperty(t *testing.T) {
 	}
 }
 
+// TestShortestRouteTieBreaksByName pins the route between two equally short
+// paths: on the square a-b-d / a-c-d every fresh network picks a->b->d (the
+// path through the smaller node name), never the map iteration order.
+func TestShortestRouteTieBreaksByName(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		n := New()
+		_ = n.AddLink("a", "b", 1)
+		_ = n.AddLink("b", "d", 1)
+		_ = n.AddLink("a", "c", 1)
+		_ = n.AddLink("c", "d", 1)
+		r, err := n.ShortestRoute("a", "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(r.Path, "->"); got != "a->b->d" || r.LatencyMs != 2 {
+			t.Fatalf("network %d: route %s (%v ms), want a->b->d (2 ms)", i, got, r.LatencyMs)
+		}
+	}
+}
+
+// referenceLatency is an independent Bellman-Ford over the live overlay,
+// summing each path's links from the source outward like Dijkstra does.
+func referenceLatency(n *Network, from, to string) float64 {
+	if !n.NodeAlive(from) || !n.NodeAlive(to) {
+		return math.Inf(1)
+	}
+	dist := map[string]float64{from: 0}
+	for range n.Nodes() {
+		for _, l := range n.links {
+			if l.failed || !n.NodeAlive(l.a) || !n.NodeAlive(l.b) {
+				continue
+			}
+			for _, e := range [][2]string{{l.a, l.b}, {l.b, l.a}} {
+				if d, ok := dist[e[0]]; ok {
+					if cur, seen := dist[e[1]]; !seen || d+l.latencyMs < cur {
+						dist[e[1]] = d + l.latencyMs
+					}
+				}
+			}
+		}
+	}
+	if d, ok := dist[to]; ok {
+		return d
+	}
+	return math.Inf(1)
+}
+
+// TestRouteTableMatchesReference checks every pair of the overlays the
+// deployments build — the paper overlay and a uniform mesh — under every
+// combination of failed links and failed nodes against the reference, bit
+// for bit, after each mutation.
+func TestRouteTableMatchesReference(t *testing.T) {
+	mesh := New()
+	names := []string{"east", "north", "south", "west"}
+	for i, a := range names {
+		for _, b := range names[i+1:] {
+			_ = mesh.AddLink(a, b, 20)
+		}
+	}
+	for _, n := range []*Network{PaperOverlay(), mesh} {
+		links := append([]*link(nil), sortedLinks(n)...)
+		nodes := n.Nodes()
+		for mask := 0; mask < 1<<len(links); mask++ {
+			for i, l := range links {
+				if mask&(1<<i) != 0 {
+					n.FailLink(l.a, l.b)
+				} else {
+					n.RestoreLink(l.a, l.b)
+				}
+			}
+			down := nodes[mask%len(nodes)]
+			if mask%3 == 0 {
+				n.FailNode(down)
+			}
+			for _, a := range nodes {
+				for _, b := range nodes {
+					if got, want := n.Latency(a, b), referenceLatency(n, a, b); got != want {
+						t.Fatalf("mask %b: Latency(%s,%s) = %v, reference %v", mask, a, b, got, want)
+					}
+					if got, want := n.Reachable(a, b), !math.IsInf(referenceLatency(n, a, b), 1); got != want {
+						t.Fatalf("mask %b: Reachable(%s,%s) = %v, want %v", mask, a, b, got, want)
+					}
+				}
+			}
+			n.RestoreNode(down)
+		}
+	}
+}
+
+func sortedLinks(n *Network) []*link {
+	keys := make([]string, 0, len(n.links))
+	for k := range n.links {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*link, len(keys))
+	for i, k := range keys {
+		out[i] = n.links[k]
+	}
+	return out
+}
+
+// TestRouteTableIsLazy pins that mutations only invalidate the table: it is
+// rebuilt by the first read after them, not by the mutators.
+func TestRouteTableIsLazy(t *testing.T) {
+	n := PaperOverlay()
+	if n.routes.Load() != nil {
+		t.Fatal("building an overlay must not build its route table")
+	}
+	before := n.Latency("region2", "region3")
+	built := n.routes.Load()
+	if n.Latency("region3", "region2"); n.routes.Load() != built {
+		t.Fatal("a read without a mutation in between must reuse the table")
+	}
+	n.FailLink("region2", "region3")
+	if n.routes.Load() != built {
+		t.Fatal("a mutation must not rebuild the table eagerly")
+	}
+	if after := n.Latency("region2", "region3"); after <= before {
+		t.Fatalf("latency after failing the direct link = %v, want more than %v", after, before)
+	}
+	if n.routes.Load() == built {
+		t.Fatal("the first read after a mutation must rebuild the table")
+	}
+}
+
+// TestConcurrentFirstReads races readers onto a freshly invalidated table;
+// run under -race it checks the lazy build is safe for concurrent readers.
+func TestConcurrentFirstReads(t *testing.T) {
+	n := PaperOverlay()
+	for round := 0; round < 20; round++ {
+		if round%2 == 0 {
+			n.FailLink("region2", "region3")
+		} else {
+			n.RestoreLink("region2", "region3")
+		}
+		want := referenceLatency(n, "region2", "region3")
+		var wg sync.WaitGroup
+		errs := make(chan float64, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := n.Latency("region2", "region3"); got != want {
+					errs <- got
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for got := range errs {
+			t.Fatalf("round %d: concurrent Latency = %v, want %v", round, got, want)
+		}
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -319,6 +477,14 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+func BenchmarkLatencyPaperOverlay(b *testing.B) {
+	n := PaperOverlay()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.Latency("region1", "region3")
+	}
 }
 
 func BenchmarkShortestRoutePaperOverlay(b *testing.B) {

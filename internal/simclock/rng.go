@@ -275,18 +275,26 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Choice returns a uniformly random index weighted by the non-negative
 // weights.  If all weights are zero it falls back to a uniform choice.
 func (r *RNG) Choice(weights []float64) int {
+	return r.ChoiceFunc(len(weights), func(i int) float64 { return weights[i] })
+}
+
+// ChoiceFunc is Choice over n weights read through weight(i), so callers
+// whose weights live in a struct field need not copy them into a slice.  It
+// draws exactly what Choice draws over the same weights.
+func (r *RNG) ChoiceFunc(n int, weight func(i int) float64) int {
 	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
+	for i := 0; i < n; i++ {
+		if w := weight(i); w > 0 {
 			total += w
 		}
 	}
 	if total <= 0 {
-		return r.Intn(len(weights))
+		return r.Intn(n)
 	}
 	target := r.Float64() * total
 	acc := 0.0
-	for i, w := range weights {
+	for i := 0; i < n; i++ {
+		w := weight(i)
 		if w <= 0 {
 			continue
 		}
@@ -295,5 +303,5 @@ func (r *RNG) Choice(weights []float64) int {
 			return i
 		}
 	}
-	return len(weights) - 1
+	return n - 1
 }

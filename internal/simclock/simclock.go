@@ -10,7 +10,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -68,58 +67,69 @@ type EventFunc func(eng *Engine)
 // Fire implements Event.
 func (f EventFunc) Fire(eng *Engine) { f(eng) }
 
-// scheduled is an internal heap entry.
-type scheduled struct {
-	at    Time
-	seq   uint64 // tie-breaker to keep FIFO order for same-time events
-	ev    Event
-	index int
-	dead  bool
+// entry is one value in the event queue's binary heap: the firing key plus
+// the slab slot holding the event.  Entries are plain values, so once the
+// heap and the slab have grown to a run's peak depth, scheduling and firing
+// allocate nothing.
+type entry struct {
+	at   Time
+	seq  uint64 // tie-breaker to keep FIFO order for same-time events
+	slot int32
 }
 
-// Handle identifies a scheduled event so it can be cancelled.
+// before orders entries by (at, seq).  seq is unique per engine, so the order
+// is total and any correct heap pops the same sequence.
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// slot holds one pending event in the engine's slab.  gen counts the slot's
+// tenants: it is bumped every time the slot is freed, so a Handle issued for
+// one tenant can never reach the event of a later one (short of holding a
+// stale handle across 2^32 reuses of the same slot).
+type slot struct {
+	ev   Event
+	gen  uint32
+	dead bool // cancelled; the heap entry is discarded when it surfaces
+}
+
+// Handle identifies a scheduled event so it can be cancelled.  The zero
+// Handle refers to no event.  A Handle stays valid after its event fires or
+// is cancelled: it then reports Cancelled and Cancel is a no-op, even once
+// the slot has been reused by another event.
 type Handle struct {
-	entry *scheduled
+	eng  *Engine
+	slot int32
+	gen  uint32
+}
+
+// pending returns the slab slot of the handle's event while that event is
+// still queued, nil once it has fired or been drained.
+func (h Handle) pending() *slot {
+	if h.eng == nil {
+		return nil
+	}
+	if s := &h.eng.slots[h.slot]; s.gen == h.gen {
+		return s
+	}
+	return nil
 }
 
 // Cancel prevents the event from firing.  Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event, or a zero Handle, is a no-op.
 func (h Handle) Cancel() {
-	if h.entry != nil {
-		h.entry.dead = true
+	if s := h.pending(); s != nil {
+		s.dead = true
 	}
 }
 
 // Cancelled reports whether the handle has been cancelled or already fired.
-func (h Handle) Cancelled() bool { return h.entry == nil || h.entry.dead }
-
-type eventHeap []*scheduled
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*scheduled)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (h Handle) Cancelled() bool {
+	s := h.pending()
+	return s == nil || s.dead
 }
 
 // ErrHorizonReached is returned by Run when the configured horizon is hit
@@ -131,12 +141,17 @@ var ErrHorizonReached = errors.New("simclock: horizon reached")
 // runs are reproducible.
 type Engine struct {
 	now     Time
-	queue   eventHeap
 	seq     uint64
 	rng     *RNG
 	fired   uint64
 	horizon Time
 	stopped bool
+
+	// queue is a binary min-heap of (at, seq) keys; the events themselves
+	// live in the slots slab, whose freed indices are kept in free for reuse.
+	queue []entry
+	slots []slot
+	free  []int32
 
 	// lastFiredAt is the timestamp of the most recently fired event — the
 	// flight recorder reads it at each epoch barrier to split the epoch into
@@ -215,10 +230,84 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	if at < e.now {
 		at = e.now
 	}
-	s := &scheduled{at: at, seq: e.seq, ev: ev}
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
+	}
+	e.slots[i].ev = ev
+	e.push(entry{at: at, seq: e.seq, slot: i})
 	e.seq++
-	heap.Push(&e.queue, s)
-	return Handle{entry: s}
+	return Handle{eng: e, slot: i, gen: e.slots[i].gen}
+}
+
+// push inserts en into the heap, sifting the hole up from the tail.
+func (e *Engine) push(en entry) {
+	e.queue = append(e.queue, en)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !en.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = en
+}
+
+// pop removes the heap root, sifting the former tail down from the top.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
+
+// fireNext pops the heap root, frees its slot and, unless the event was
+// cancelled, fires it.  It reports whether an event fired.  The slot is freed
+// before Fire runs, so handles to the firing event already report Cancelled
+// and the handler's own scheduling can reuse the slot.
+func (e *Engine) fireNext() bool {
+	top := e.pop()
+	s := &e.slots[top.slot]
+	ev, dead := s.ev, s.dead
+	*s = slot{gen: s.gen + 1}
+	e.free = append(e.free, top.slot)
+	if dead {
+		return false
+	}
+	e.now = top.at
+	e.lastFiredAt = top.at
+	ev.Fire(e)
+	e.fired++
+	return true
 }
 
 // Stop makes Run return after the current event completes.
@@ -231,19 +320,11 @@ func (e *Engine) Run(horizon Duration) error {
 	e.horizon = Time(horizon)
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.at > e.horizon {
+		if e.queue[0].at > e.horizon {
 			e.now = e.horizon
 			return ErrHorizonReached
 		}
-		heap.Pop(&e.queue)
-		if next.dead {
-			continue
-		}
-		e.now = next.at
-		next.dead = true
-		next.ev.Fire(e)
-		e.fired++
+		e.fireNext()
 	}
 	if !e.stopped && e.now < e.horizon && !math.IsInf(float64(e.horizon), 1) {
 		// Advance to the horizon even if the queue drained early so metrics
@@ -262,20 +343,8 @@ func (e *Engine) Run(horizon Duration) error {
 func (e *Engine) runEpoch(end Time) {
 	e.executing.Store(true)
 	defer e.executing.Store(false)
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.at > end {
-			break
-		}
-		heap.Pop(&e.queue)
-		if next.dead {
-			continue
-		}
-		e.now = next.at
-		e.lastFiredAt = next.at
-		next.dead = true
-		next.ev.Fire(e)
-		e.fired++
+	for len(e.queue) > 0 && e.queue[0].at <= end {
+		e.fireNext()
 	}
 	if e.now < end {
 		e.now = end
@@ -287,8 +356,8 @@ func (e *Engine) runEpoch(end Time) {
 // way.
 func (e *Engine) NextEventTime() (Time, bool) {
 	for len(e.queue) > 0 {
-		if e.queue[0].dead {
-			heap.Pop(&e.queue)
+		if e.slots[e.queue[0].slot].dead {
+			e.fireNext() // discards the cancelled root without firing it
 			continue
 		}
 		return e.queue[0].at, true
@@ -307,14 +376,7 @@ func (e *Engine) RunUntilEmpty() {
 	e.horizon = Time(math.Inf(1))
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		next := heap.Pop(&e.queue).(*scheduled)
-		if next.dead {
-			continue
-		}
-		e.now = next.at
-		next.dead = true
-		next.ev.Fire(e)
-		e.fired++
+		e.fireNext()
 	}
 }
 
@@ -322,15 +384,9 @@ func (e *Engine) RunUntilEmpty() {
 // event fired.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		next := heap.Pop(&e.queue).(*scheduled)
-		if next.dead {
-			continue
+		if e.fireNext() {
+			return true
 		}
-		e.now = next.at
-		next.dead = true
-		next.ev.Fire(e)
-		e.fired++
-		return true
 	}
 	return false
 }
@@ -339,9 +395,9 @@ func (e *Engine) Step() bool {
 // order.  Intended for tests and debugging.
 func (e *Engine) PendingTimes() []Time {
 	var out []Time
-	for _, s := range e.queue {
-		if !s.dead {
-			out = append(out, s.at)
+	for _, en := range e.queue {
+		if !e.slots[en.slot].dead {
+			out = append(out, en.at)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -405,3 +405,129 @@ func TestTickerPanicsOnNonPositivePeriod(t *testing.T) {
 	}()
 	eng.Ticker(0, func(*Engine) {})
 }
+
+func TestStaleHandleCannotCancelSlotReuse(t *testing.T) {
+	eng := NewEngine(1)
+	first := eng.ScheduleFunc(1, func(*Engine) {})
+	if !eng.Step() {
+		t.Fatal("first event should fire")
+	}
+	if !first.Cancelled() {
+		t.Fatal("a fired event's handle must report Cancelled")
+	}
+	fired := false
+	second := eng.ScheduleFunc(1, func(*Engine) { fired = true })
+	if second.slot != first.slot {
+		t.Fatalf("the second event should reuse the freed slot (slot %d, want %d)", second.slot, first.slot)
+	}
+	first.Cancel() // stale: must not reach the slot's new tenant
+	if second.Cancelled() {
+		t.Fatal("a stale handle cancelled the event that reused its slot")
+	}
+	eng.RunUntilEmpty()
+	if !fired {
+		t.Fatal("the slot's new tenant must still fire")
+	}
+	if !second.Cancelled() || !first.Cancelled() {
+		t.Fatal("handles must stay Cancelled after their events fired")
+	}
+}
+
+func TestZeroHandleIsNoOp(t *testing.T) {
+	var h Handle
+	h.Cancel()
+	if !h.Cancelled() {
+		t.Fatal("the zero handle refers to no pending event and must report Cancelled")
+	}
+}
+
+func TestCancelledStaysTrueAfterDrain(t *testing.T) {
+	eng := NewEngine(1)
+	h := eng.ScheduleFunc(1, func(*Engine) { t.Fatal("cancelled event fired") })
+	h.Cancel()
+	eng.RunUntilEmpty()
+	eng.ScheduleFunc(1, func(*Engine) {}) // reuses the drained slot
+	if !h.Cancelled() {
+		t.Fatal("a cancelled handle must stay Cancelled once its slot is reused")
+	}
+}
+
+// TestQueueMatchesReferenceSort drives random interleavings of schedules
+// (many sharing a timestamp), cancellations of pending and already-fired
+// handles, and steps, and checks the events fire in exactly the (at, seq)
+// order a reference sort of the live set gives.
+func TestQueueMatchesReferenceSort(t *testing.T) {
+	type ref struct {
+		at  Time
+		seq int
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := NewRNG(seed)
+		eng := NewEngine(seed)
+		var handles []Handle
+		var want, got []ref
+		live := map[int]ref{}
+		seq := 0
+		step := func() {
+			if !eng.Step() {
+				return
+			}
+			// The reference pops the smallest live (at, seq).
+			best := -1
+			for s, r := range live {
+				if best < 0 || r.at < live[best].at || (r.at == live[best].at && s < best) {
+					best = s
+				}
+			}
+			want = append(want, live[best])
+			delete(live, best)
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				s := seq
+				seq++
+				at := eng.Now().Add(Duration(rng.Intn(8))) // coarse times force ties
+				r := ref{at: at, seq: s}
+				live[s] = r
+				handles = append(handles, eng.ScheduleAt(at, EventFunc(func(*Engine) { got = append(got, r) })))
+			case k < 7 && len(handles) > 0:
+				i := rng.Intn(len(handles))
+				handles[i].Cancel()
+				delete(live, i) // a no-op when the event already fired
+			default:
+				step()
+			}
+		}
+		for len(live) > 0 {
+			step()
+		}
+		if eng.Step() {
+			t.Fatalf("seed %d: an event fired after the reference drained", seed)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestScheduleStepAllocationFree(t *testing.T) {
+	eng := NewEngine(1)
+	noop := func(*Engine) {}
+	for i := 0; i < 64; i++ { // grow the heap and the slab once
+		eng.ScheduleFunc(Duration(i), noop)
+	}
+	eng.RunUntilEmpty()
+	allocs := testing.AllocsPerRun(1000, func() {
+		eng.ScheduleFunc(1, noop)
+		eng.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ScheduleFunc+Step allocates %.1f times per op, want 0", allocs)
+	}
+}

@@ -67,26 +67,63 @@ func (c BrowserConfig) withDefaults() BrowserConfig {
 }
 
 // Browser is one emulated web browser running a closed-loop TPC-W session.
+//
+// Its requests come from the free list of its browserHome and go back to it
+// at the end of their one completion callback.  The browser has at most one
+// live request, outstanding; a completion for any other request is the late
+// completion of one that timed out, and only releases it.
 type Browser struct {
-	cfg     BrowserConfig
-	rng     *simclock.RNG
-	target  Dispatcher
-	metrics *Metrics
+	cfg  BrowserConfig
+	rng  *simclock.RNG
+	home *browserHome
 
-	running   bool
-	nextReqID uint64
-	sessions  uint64
-	inSession int
+	eng         *simclock.Engine // engine the browser issues on
+	outstanding *cloudsim.Request
+	timeout     simclock.Handle
+	nextReqID   uint64
+	sessions    uint64
+	inSession   int32
+	running     bool
+}
+
+// browserHome is what the browsers of one population share: the dispatcher
+// they submit to, the metrics sink and the free list of their requests.  A
+// population lives on one engine lane, so the free list is lane-local.
+type browserHome struct {
+	target   Dispatcher
+	metrics  *Metrics
+	requests cloudsim.RequestPool
+}
+
+func newBrowserHome(target Dispatcher, metrics *Metrics) *browserHome {
+	if metrics == nil {
+		metrics = NewMetrics()
+	}
+	return &browserHome{target: target, metrics: metrics}
 }
 
 // NewBrowser builds an emulated browser that submits requests to target and
 // records outcomes into metrics (which may be shared across browsers).
 func NewBrowser(cfg BrowserConfig, rng *simclock.RNG, target Dispatcher, metrics *Metrics) *Browser {
-	if metrics == nil {
-		metrics = NewMetrics()
-	}
-	return &Browser{cfg: cfg.withDefaults(), rng: rng, target: target, metrics: metrics}
+	return &Browser{cfg: cfg.withDefaults(), rng: rng, home: newBrowserHome(target, metrics)}
 }
+
+// browserIssue and browserTimeout are a browser seen as its next-issue and
+// its timeout event, so scheduling either allocates nothing.
+type (
+	browserIssue   Browser
+	browserTimeout Browser
+)
+
+// Fire implements simclock.Event.
+func (b *browserIssue) Fire(eng *simclock.Engine) { (*Browser)(b).issue(eng) }
+
+// Fire implements simclock.Event.
+func (b *browserTimeout) Fire(eng *simclock.Engine) { (*Browser)(b).expire(eng) }
+
+// completeBrowserRequest is the completion callback of every browser
+// request: the request names its browser as Issuer.
+func completeBrowserRequest(o cloudsim.Outcome) { o.Request.Issuer.(*Browser).complete(o) }
 
 // ID returns the browser identifier.
 func (b *Browser) ID() string { return b.cfg.ID }
@@ -102,7 +139,7 @@ func (b *Browser) Start(eng *simclock.Engine) {
 	}
 	b.running = true
 	initial := simclock.Duration(b.rng.Uniform(0, b.cfg.ThinkTimeMean.Seconds()))
-	eng.ScheduleFunc(initial, b.issue)
+	eng.Schedule(initial, (*browserIssue)(b))
 }
 
 // Stop ends the closed loop after the in-flight interaction (if any)
@@ -120,44 +157,52 @@ func (b *Browser) issue(eng *simclock.Engine) {
 	it := b.cfg.Mix.Pick(b.rng)
 	b.nextReqID++
 	b.inSession++
-	if b.inSession >= b.cfg.SessionLength {
+	if int(b.inSession) >= b.cfg.SessionLength {
 		b.inSession = 0
 		b.sessions++
 	}
-	req := &cloudsim.Request{
-		ID:            b.nextReqID,
-		Class:         it.Name,
-		ServiceFactor: it.ServiceFactor,
-		EntryRegion:   b.cfg.Region,
-		Arrival:       eng.Now(),
-		Trace:         b.cfg.Tracer.Start(b.cfg.ID, b.nextReqID, 1, eng.Now()),
-	}
-
-	completed := false
-	var timeoutHandle simclock.Handle
-	req.OnDone = func(o cloudsim.Outcome) {
-		if completed {
-			return
-		}
-		completed = true
-		timeoutHandle.Cancel()
-		sealTrace(req.Trace, o)
-		b.metrics.record(b.cfg.Region, o)
-		b.scheduleNext(eng)
-	}
+	req := b.home.requests.Get()
+	req.ID = b.nextReqID
+	req.Class = it.Name
+	req.ServiceFactor = it.ServiceFactor
+	req.EntryRegion = b.cfg.Region
+	req.Arrival = eng.Now()
+	req.Trace = b.cfg.Tracer.Start(b.cfg.ID, b.nextReqID, 1, eng.Now())
+	req.Issuer = b
+	req.OnDone = completeBrowserRequest
+	b.eng = eng
+	b.outstanding = req
 	if b.cfg.Timeout > 0 {
-		timeoutHandle = eng.ScheduleFunc(b.cfg.Timeout, func(e *simclock.Engine) {
-			if completed {
-				return
-			}
-			completed = true
-			req.Trace.Seal(tracing.OutcomeTimeout, e.Now(), e.Now(), "", "")
-			b.metrics.recordTimeout(b.cfg.Region)
-			b.scheduleNext(e)
-		})
+		b.timeout = eng.Schedule(b.cfg.Timeout, (*browserTimeout)(b))
 	}
-	b.metrics.issued(b.cfg.Region)
-	b.target.Submit(eng, req)
+	b.home.metrics.issued(b.cfg.Region)
+	b.home.target.Submit(eng, req)
+}
+
+// complete handles the completion of one of the browser's requests.  It runs
+// on the browser's own lane (the dispatcher rehomes cross-lane completions),
+// and releasing the request is its last action.
+func (b *Browser) complete(o cloudsim.Outcome) {
+	req := o.Request
+	if req == b.outstanding {
+		b.outstanding = nil
+		b.timeout.Cancel()
+		sealTrace(req.Trace, o)
+		b.home.metrics.record(b.cfg.Region, o)
+		b.scheduleNext(b.eng)
+	}
+	b.home.requests.Put(req)
+}
+
+// expire gives up on the outstanding request.  A completion cancels the
+// timer, so the request it was armed for is still outstanding; the request
+// itself stays out of the free list until its late completion fires.
+func (b *Browser) expire(e *simclock.Engine) {
+	req := b.outstanding
+	b.outstanding = nil
+	req.Trace.Seal(tracing.OutcomeTimeout, e.Now(), e.Now(), "", "")
+	b.home.metrics.recordTimeout(b.cfg.Region)
+	b.scheduleNext(e)
 }
 
 // sealTrace closes a sampled request's trace from its outcome.  Safe on a nil
@@ -180,7 +225,7 @@ func (b *Browser) scheduleNext(eng *simclock.Engine) {
 		return
 	}
 	think := simclock.Duration(b.rng.Exp(b.cfg.ThinkTimeMean.Seconds()))
-	eng.ScheduleFunc(think, b.issue)
+	eng.Schedule(think, (*browserIssue)(b))
 }
 
 // PopulationConfig describes the client population connected to one region.
@@ -219,6 +264,7 @@ func NewPopulation(cfg PopulationConfig, rng *simclock.RNG, target Dispatcher, m
 		cfg.Mix = BrowsingMix()
 	}
 	p := &Population{cfg: cfg}
+	home := newBrowserHome(target, metrics)
 	prefix := cfg.IDPrefix
 	if prefix == "" {
 		prefix = cfg.Region
@@ -232,7 +278,7 @@ func NewPopulation(cfg PopulationConfig, rng *simclock.RNG, target Dispatcher, m
 			Timeout:       cfg.Timeout,
 			Tracer:        cfg.Tracer,
 		}
-		p.browsers = append(p.browsers, NewBrowser(bc, rng.Fork(), target, metrics))
+		p.browsers = append(p.browsers, &Browser{cfg: bc.withDefaults(), rng: rng.Fork(), home: home})
 	}
 	return p
 }

@@ -126,6 +126,12 @@ type CohortPopulation struct {
 	weights []float64     // their weights
 	counts  []int         // scratch: per-class transition counts
 
+	// Batches come from pool and go back at the end of onDone, which is
+	// built once; batchStream is the tracer stream identity of the batches.
+	pool        cloudsim.RequestPool
+	onDone      func(cloudsim.Outcome)
+	batchStream string
+
 	running  bool
 	thinking int // cohort clients currently in the think bucket
 	nextID   uint64
@@ -152,7 +158,10 @@ func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) 
 		target:  target,
 		metrics: metrics,
 		cohort:  cfg.Clients - tracerCount,
+
+		batchStream: cfg.IDPrefix + "-batch",
 	}
+	c.onDone = c.complete
 	for _, it := range cfg.Mix.Entries {
 		if it.Weight > 0 {
 			c.classes = append(c.classes, it)
@@ -295,23 +304,29 @@ func (c *CohortPopulation) emit(eng *simclock.Engine, class, count int) {
 		c.thinking -= b
 		c.nextID++
 		n := uint64(b)
-		req := &cloudsim.Request{
-			ID:            c.nextID,
-			Class:         it.Name,
-			ServiceFactor: it.ServiceFactor,
-			EntryRegion:   c.cfg.Region,
-			Arrival:       eng.Now(),
-			Batch:         b,
-			Trace:         c.cfg.Tracer.Start(c.cfg.IDPrefix+"-batch", c.nextID, n, eng.Now()),
-		}
-		req.OnDone = func(o cloudsim.Outcome) {
-			sealTrace(req.Trace, o)
-			c.metrics.recordBatch(c.cfg.Region, o, n)
-			c.thinking += int(n)
-		}
+		req := c.pool.Get()
+		req.ID = c.nextID
+		req.Class = it.Name
+		req.ServiceFactor = it.ServiceFactor
+		req.EntryRegion = c.cfg.Region
+		req.Arrival = eng.Now()
+		req.Batch = b
+		req.Trace = c.cfg.Tracer.Start(c.batchStream, c.nextID, n, eng.Now())
+		req.OnDone = c.onDone
 		c.metrics.issuedN(c.cfg.Region, n)
 		c.target.Submit(eng, req)
 	}
+}
+
+// complete is every batch's completion callback: it returns the batch's
+// clients to the think bucket and, as its last action, releases the request.
+func (c *CohortPopulation) complete(o cloudsim.Outcome) {
+	req := o.Request
+	n := uint64(req.Batch)
+	sealTrace(req.Trace, o)
+	c.metrics.recordBatch(c.cfg.Region, o, n)
+	c.thinking += int(n)
+	c.pool.Put(req)
 }
 
 // String summarises the population for debugging.

@@ -142,11 +142,7 @@ func Interactions() []Interaction {
 
 // Pick draws one interaction from the mix using the provided RNG.
 func (m Mix) Pick(rng *simclock.RNG) Interaction {
-	weights := make([]float64, len(m.Entries))
-	for i, e := range m.Entries {
-		weights[i] = e.Weight
-	}
-	return m.Entries[rng.Choice(weights)]
+	return m.Entries[rng.ChoiceFunc(len(m.Entries), func(i int) float64 { return m.Entries[i].Weight })]
 }
 
 // MeanServiceFactor returns the weighted mean service factor of the mix, used

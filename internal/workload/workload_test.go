@@ -94,6 +94,29 @@ func TestMixPickRespectsWeights(t *testing.T) {
 	}
 }
 
+// TestMixPickDrawsChoiceAllocationFree pins Mix.Pick to exactly the
+// interaction RNG.Choice over the mix weights picks, including the uniform
+// fallback of an all-zero mix, and to zero allocations per pick.
+func TestMixPickDrawsChoiceAllocationFree(t *testing.T) {
+	zero := Mix{Name: "zero", Entries: Interactions()}
+	for _, m := range []Mix{BrowsingMix(), ShoppingMix(), OrderingMix(), zero} {
+		weights := make([]float64, len(m.Entries))
+		for i, e := range m.Entries {
+			weights[i] = e.Weight
+		}
+		a, b := simclock.NewRNG(5), simclock.NewRNG(5)
+		for i := 0; i < 2000; i++ {
+			if got, want := m.Pick(a).Name, m.Entries[b.Choice(weights)].Name; got != want {
+				t.Fatalf("mix %s draw %d: Pick = %s, Choice = %s", m.Name, i, got, want)
+			}
+		}
+	}
+	m, rng := BrowsingMix(), simclock.NewRNG(5)
+	if allocs := testing.AllocsPerRun(1000, func() { m.Pick(rng) }); allocs != 0 {
+		t.Fatalf("Mix.Pick allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestInteractionsCopy(t *testing.T) {
 	a := Interactions()
 	a[0].Name = "mutated"
@@ -155,6 +178,70 @@ func TestBrowserStopEndsLoop(t *testing.T) {
 	// Nothing more can be issued because the queue drained.
 	if after == 0 {
 		t.Fatalf("browser should have issued requests before stopping")
+	}
+}
+
+// holdDispatcher queues every request and completes none by itself.
+type holdDispatcher struct{ held []*cloudsim.Request }
+
+func (d *holdDispatcher) Submit(_ *simclock.Engine, req *cloudsim.Request) {
+	d.held = append(d.held, req)
+}
+
+// TestBrowserRecyclesTimedOutRequestOnce covers the request-ownership rule on
+// the timeout path: a request the user gave up on stays out of the free list
+// while it is still queued, its late completion releases it exactly once
+// without counting as a response, and only then can it be reissued.
+func TestBrowserRecyclesTimedOutRequestOnce(t *testing.T) {
+	eng := simclock.NewEngine(8)
+	disp := &holdDispatcher{}
+	met := NewMetrics()
+	b := NewBrowser(BrowserConfig{
+		ID: "eb1", Region: "r", Mix: BrowsingMix(),
+		ThinkTimeMean: simclock.Second, Timeout: 2 * simclock.Second,
+	}, eng.RNG().Fork(), disp, met)
+	b.Start(eng)
+	for len(disp.held) < 3 && eng.Step() {
+	}
+	if len(disp.held) != 3 || met.Timeouts("r") != 2 {
+		t.Fatalf("held %d requests with %d timeouts, want 3 and 2", len(disp.held), met.Timeouts("r"))
+	}
+	if disp.held[0] == disp.held[1] || disp.held[1] == disp.held[2] || disp.held[0] == disp.held[2] {
+		t.Fatal("a timed-out request still queued was reissued")
+	}
+
+	first, stillQueued, live := disp.held[0], disp.held[1], disp.held[2]
+	first.Finish(eng, cloudsim.Outcome{Request: first, Start: eng.Now(), End: eng.Now()})
+	if met.Completed("r") != 0 {
+		t.Fatal("the late completion of a timed-out request must not count as a response")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != cloudsim.ErrRequestReleased {
+				t.Fatalf("a second completion recovered %v, want ErrRequestReleased", r)
+			}
+		}()
+		first.Finish(eng, cloudsim.Outcome{Request: first, Start: eng.Now(), End: eng.Now()})
+	}()
+
+	live.Finish(eng, cloudsim.Outcome{Request: live, Start: eng.Now(), End: eng.Now()})
+	if met.Completed("r") != 1 {
+		t.Fatalf("completed %d, want the live completion counted", met.Completed("r"))
+	}
+	for len(disp.held) < 6 && eng.Step() {
+	}
+	if len(disp.held) != 6 {
+		t.Fatalf("held %d requests, want 6", len(disp.held))
+	}
+	// The free list is LIFO: the two released requests, each released once,
+	// come back first.
+	if disp.held[3] != live || disp.held[4] != first {
+		t.Fatal("the released requests must be reused before any new one is allocated")
+	}
+	for _, r := range disp.held[3:] {
+		if r == stillQueued {
+			t.Fatal("a request still queued after its timeout was reissued")
+		}
 	}
 }
 
