@@ -1,6 +1,7 @@
 // Per-layer benchmarks of the two per-VM loops of a 5x10^3-VM, 16-shard
-// region (the megaclients shape): the control tick's feature sampling and the
-// load balancer's shortest-queue pick.  One op is a fixed batch of units, so
+// region (the megaclients shape) — the control tick's feature sampling and
+// the load balancer's shortest-queue pick — and of the event loop's
+// cross-lane path (barrier + mailbox drain).  One op is a fixed batch of units, so
 // the gate's single -benchtime=1x sample still times thousands of them; each
 // benchmark reports ns and allocs per unit next to the per-op figures.
 package repro
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cloudsim"
+	"repro/internal/pcam"
 	"repro/internal/simclock"
 )
 
@@ -94,5 +96,89 @@ func BenchmarkShardDispatch(b *testing.B) {
 	})
 	if picked != b.N*benchDispatchPicks {
 		b.Fatalf("%d of %d picks found no ACTIVE VM", b.N*benchDispatchPicks-picked, b.N*benchDispatchPicks)
+	}
+}
+
+// Shape of the cross-lane benchmark: benchLanes issuing lanes each Send one
+// request every benchIssueGap to their own shard of a region living on
+// benchLanes other lanes, over a benchOneWay overlay hop each way.
+const (
+	benchLanes    = 4
+	benchForwards = 5_000
+	benchIssueGap = 20 * simclock.Millisecond
+	benchOneWay   = 30 * simclock.Millisecond
+)
+
+// benchIssuer is one issuing lane of the cross-lane benchmark, its own issue
+// event: it Sends a pooled request and reschedules itself until left runs out.
+type benchIssuer struct {
+	vmc   *pcam.VMC
+	shard int
+	pool  cloudsim.RequestPool
+	left  int
+	done  func(cloudsim.Outcome)
+}
+
+// Fire implements simclock.Event.
+func (is *benchIssuer) Fire(e *simclock.Engine) {
+	req := is.pool.Get()
+	req.ServiceFactor, req.Arrival, req.OnDone, req.ReturnLeg = 1, e.Now(), is.done, benchOneWay
+	is.vmc.Send(e, is.shard, req, e.Now().Add(benchOneWay))
+	if is.left--; is.left > 0 {
+		e.Schedule(benchIssueGap, is)
+	}
+}
+
+// BenchmarkCrossLaneForward is the event loop's cross-lane path: one op
+// forwards benchForwards requests (pcam.VMC.Send), serves them on the remote
+// lanes and brings every completion home — forward post, barrier drain,
+// remote service, home post, drain.  The VMs inject no anomalies, so no VM
+// fails and every unit is a full round trip.
+func BenchmarkCrossLaneForward(b *testing.B) {
+	se := simclock.NewShardedEngine(2*benchLanes, 42, simclock.DefaultEpoch, 1)
+	region := cloudsim.NewRegion(cloudsim.RegionConfig{
+		Name:          "remote",
+		Provider:      "aws",
+		Location:      "bench",
+		Type:          cloudsim.M3Medium,
+		InitialActive: 4 * benchLanes,
+		Shards:        benchLanes,
+		Anomalies:     cloudsim.AnomalyProfile{LeakSizeMB: 1}, // non-zero, so no default injection
+	}, simclock.NewRNG(42))
+	vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ControlInterval: simclock.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	engines := make([]*simclock.Engine, benchLanes)
+	for s := range engines {
+		engines[s] = se.Shard(benchLanes + s)
+	}
+	vmc.StartSharded(se, engines)
+
+	completed := 0
+	issuers := make([]*benchIssuer, benchLanes)
+	for g := range issuers {
+		is := &benchIssuer{vmc: vmc, shard: g}
+		is.done = func(o cloudsim.Outcome) {
+			if !o.Dropped {
+				completed++
+			}
+			is.pool.Put(o.Request)
+		}
+		issuers[g] = is
+	}
+	var horizon simclock.Duration
+	runPerUnit(b, "forward", benchForwards, func() {
+		for g, is := range issuers {
+			is.left = benchForwards / benchLanes
+			se.Shard(g).Schedule(benchIssueGap, is)
+		}
+		horizon += benchIssueGap*benchForwards/benchLanes + simclock.Second
+		if err := se.Run(horizon); err != nil && err != simclock.ErrHorizonReached {
+			b.Fatal(err)
+		}
+	})
+	if completed != b.N*benchForwards {
+		b.Fatalf("%d of %d forwarded requests came home served", completed, b.N*benchForwards)
 	}
 }

@@ -517,37 +517,40 @@ func (m *Manager) predictorFor(region *cloudsim.Region) (pcam.RTTFPredictor, err
 func (m *Manager) entryDispatcher(regionName string) workload.Dispatcher {
 	rng := simclock.NewRNG(m.cfg.Seed ^ hashString(regionName))
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		dest := m.plan.Destination(regionName, rng.Float64())
-		if dest == regionName {
+		dest, ok := m.forwardLeg(eng, req, m.plan, regionName, rng.Float64())
+		if !ok {
 			m.localRequests++
-			m.vmcs[dest].Submit(eng, req)
-			return
-		}
-		m.forwardedRequests++
-		req.Forwarded = true
-		latMs := m.net.Latency(regionName, dest)
-		if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
 			m.vmcs[regionName].Submit(eng, req)
 			return
 		}
-		oneWay := simclock.Duration(latMs / 1000)
-		if req.Trace != nil {
-			// Guarded so the detail string is only built for sampled requests.
-			req.Trace.Span(tracing.SpanForward, eng.Now(), oneWay,
-				fmt.Sprintf("%s->%s", regionName, dest))
-		}
-		// The response travels back over the overlay as well: shift the
-		// client-visible completion by the return latency.
-		if prev := req.OnDone; prev != nil {
-			req.OnDone = func(o cloudsim.Outcome) {
-				o.End = o.End.Add(oneWay)
-				prev(o)
-			}
-		}
-		eng.ScheduleFunc(oneWay, func(e *simclock.Engine) {
-			m.vmcs[dest].Submit(e, req)
-		})
+		m.forwardedRequests++
+		dvmc := m.vmcs[dest]
+		eng.ScheduleFunc(req.ReturnLeg, func(e *simclock.Engine) { dvmc.Submit(e, req) })
 	})
+}
+
+// forwardLeg applies plan to a request entering region from, u being the
+// dispatcher's uniform draw.  A request the plan keeps, or routes to an
+// unreachable region, stays local (ok false).  Otherwise it is marked
+// forwarded to dest, with the overlay latency as its one-way trip and its
+// ReturnLeg: the response travels back over the overlay as well.
+func (m *Manager) forwardLeg(eng *simclock.Engine, req *cloudsim.Request, plan *core.ForwardPlan, from string, u float64) (dest string, ok bool) {
+	dest = plan.Destination(from, u)
+	if dest == from {
+		return "", false
+	}
+	latMs := m.net.Latency(from, dest)
+	if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
+		return "", false
+	}
+	req.Forwarded = true
+	req.ReturnLeg = simclock.Duration(latMs / 1000)
+	if req.Trace != nil {
+		// Guarded so the detail string is only built for sampled requests.
+		req.Trace.Span(tracing.SpanForward, eng.Now(), req.ReturnLeg,
+			fmt.Sprintf("%s->%s", from, dest))
+	}
+	return dest, true
 }
 
 // hashString is a small FNV-style hash used to derive per-region RNG streams.

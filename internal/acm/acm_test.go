@@ -388,3 +388,46 @@ func TestSurgeRequiresBothFields(t *testing.T) {
 		t.Fatalf("a surge without a start time should not create a population")
 	}
 }
+
+// TestCutOverlayStopsForwarding: a request the plan routes to an unreachable
+// region is processed in its entry region, so it counts as local and never
+// as forwarded.  A skewed two-region deployment whose only overlay link is
+// cut halfway must keep ForwardedRequests flat from the cut on, on the serial
+// engine and on the event loop alike.
+func TestCutOverlayStopsForwarding(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		cfg := Config{
+			Seed: 11,
+			Regions: []RegionSetup{
+				{Region: cloudsim.RegionConfig{Name: "east", Type: cloudsim.M3Medium, InitialActive: 2, InitialStandby: 1}, Clients: 200},
+				{Region: cloudsim.RegionConfig{Name: "west", Type: cloudsim.M3Medium, InitialActive: 6, InitialStandby: 2}, Clients: 40},
+			},
+			Policy:          core.AvailableResources{},
+			Beta:            0.5,
+			ControlInterval: 60 * simclock.Second,
+			EventWorkers:    workers,
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: NewManager: %v", workers, err)
+		}
+		const cut = 15 * simclock.Minute
+		m.InjectLinkFailure(cut, "east", "west")
+		var forwardedAtCut, localAtCut uint64
+		m.Engine().ScheduleFunc(cut, func(*simclock.Engine) {
+			forwardedAtCut, localAtCut = m.ForwardedRequests(), m.LocalRequests()
+		})
+		if err := m.Run(30 * simclock.Minute); err != nil {
+			t.Fatalf("workers=%d: Run: %v", workers, err)
+		}
+		if forwardedAtCut == 0 {
+			t.Fatalf("workers=%d: the skewed plan forwarded nothing before the cut", workers)
+		}
+		if got := m.ForwardedRequests(); got != forwardedAtCut {
+			t.Errorf("workers=%d: %d requests counted as forwarded after the only link was cut", workers, got-forwardedAtCut)
+		}
+		if m.LocalRequests() <= localAtCut {
+			t.Errorf("workers=%d: no request counted as local after the cut", workers)
+		}
+	}
+}

@@ -268,10 +268,10 @@ type gslbObs struct {
 
 // gslbDispatcher returns lane g's director-facing entry point: the routing
 // table snapshot picks the destination region, a lane-local RNG stream picks
-// the destination shard, and cross-lane submissions ride the mailbox with
-// the completion re-homed to this lane — exactly the discipline the
-// plan-forwarding dispatcher follows, so byte-identical output for every
-// worker count is preserved.  On a latency-aware deployment the dispatcher
+// the destination shard, and pcam.VMC.Send delivers the request — through
+// the mailbox, homed on this lane, when it crosses lanes, exactly like the
+// plan-forwarding dispatcher, so byte-identical output for every worker
+// count is preserved.  On a latency-aware deployment the dispatcher
 // also simulates the stream→region round trip (half outbound, half on the
 // client-visible completion) and taps every completion into this lane's
 // observation buffer for the director's passive latency learning.
@@ -296,27 +296,15 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 		if n := len(el.engines[ri]); n > 1 {
 			ds = rng.Intn(n)
 		}
-		dg := el.base[ri] + ds
-
 		if !el.latAware {
-			if dg == g {
-				dvmc.SubmitShard(eng, ds, req)
-				return
-			}
-			req.RehomeOnDone(el.se, g, nil)
-			if req.Trace != nil {
-				// Guarded so the detail string is only built for sampled requests.
-				req.Trace.Event(tracing.EventMailbox, eng.Now(),
-					fmt.Sprintf("lane=%d->%d", g, dg))
-			}
-			el.se.Post(eng, dg, func(dst *simclock.Engine) { dvmc.SubmitShard(dst, ds, req) })
+			dvmc.Send(eng, ds, req, eng.Now())
 			return
 		}
 
-		// The tap wraps OnDone before any re-homing, so it always runs on
-		// this lane: the buffer append needs no synchronisation and the
-		// return leg shifts the client-visible completion exactly like the
-		// plan-forwarding dispatcher's transform does.
+		// The tap wraps OnDone on this lane before the request leaves it, and
+		// the completion runs it back home, so the buffer append needs no
+		// synchronisation.  The tap shifts End itself (not through
+		// ReturnLeg): its return-leg span starts at the unshifted End.
 		rttMs := el.laneRTT[g][stream][ri]
 		oneWay := simclock.Duration(rttMs / 2000)
 		if req.Trace != nil {
@@ -339,28 +327,7 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 				prev(o)
 			}
 		}
-		if dg == g {
-			if oneWay > 0 {
-				eng.ScheduleFunc(oneWay, func(e *simclock.Engine) { dvmc.SubmitShard(e, ds, req) })
-			} else {
-				dvmc.SubmitShard(eng, ds, req)
-			}
-			return
-		}
-		req.RehomeOnDone(el.se, g, nil)
-		if req.Trace != nil {
-			// Guarded so the detail string is only built for sampled requests.
-			req.Trace.Event(tracing.EventMailbox, eng.Now(),
-				fmt.Sprintf("lane=%d->%d", g, dg))
-		}
-		sendAt := eng.Now().Add(oneWay)
-		el.se.Post(eng, dg, func(dst *simclock.Engine) {
-			if remaining := sendAt.Sub(dst.Now()); remaining > 0 {
-				dst.ScheduleFunc(remaining, func(e2 *simclock.Engine) { dvmc.SubmitShard(e2, ds, req) })
-			} else {
-				dvmc.SubmitShard(dst, ds, req)
-			}
-		})
+		dvmc.Send(eng, ds, req, eng.Now().Add(oneWay))
 	})
 }
 
@@ -513,54 +480,19 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 	vmc := m.vmcs[regionName]
 	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString(regionName), uint64(s))
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		dest := el.plans[g].Destination(regionName, rng.Float64())
-		if dest == regionName {
+		dest, ok := m.forwardLeg(eng, req, el.plans[g], regionName, rng.Float64())
+		if !ok {
 			el.local[g]++
 			vmc.SubmitShard(eng, s, req)
 			return
 		}
 		el.forwarded[g]++
-		req.Forwarded = true
-		latMs := m.net.Latency(regionName, dest)
-		if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
-			vmc.SubmitShard(eng, s, req)
-			return
-		}
-		oneWay := simclock.Duration(latMs / 1000)
 		dr := m.regionIndex[dest]
-		dstShards := len(el.engines[dr])
 		ds := 0
-		if dstShards > 1 {
-			ds = rng.Intn(dstShards)
+		if n := len(el.engines[dr]); n > 1 {
+			ds = rng.Intn(n)
 		}
-		dg := el.base[dr] + ds
-		dvmc := m.vmcs[dest]
-		if req.Trace != nil {
-			// Guarded so the detail strings are only built for sampled requests.
-			req.Trace.Span(tracing.SpanForward, eng.Now(), oneWay,
-				fmt.Sprintf("%s->%s", regionName, dest))
-			req.Trace.Event(tracing.EventMailbox, eng.Now(),
-				fmt.Sprintf("lane=%d->%d", g, dg))
-		}
-
-		// The request will complete on a foreign shard: re-home the
-		// completion as a mailbox post back to this shard (where the
-		// browser's think timer and this shard's metrics live) and shift the
-		// client-visible completion by the return latency, exactly like the
-		// serial dispatcher does.
-		req.RehomeOnDone(el.se, g, func(o *cloudsim.Outcome) { o.End = o.End.Add(oneWay) })
-
-		// One-way overlay latency: the post is delivered at the next epoch
-		// barrier; any latency still outstanding is scheduled on the
-		// destination shard's own timeline.
-		sendAt := eng.Now().Add(oneWay)
-		el.se.Post(eng, dg, func(dst *simclock.Engine) {
-			if remaining := sendAt.Sub(dst.Now()); remaining > 0 {
-				dst.ScheduleFunc(remaining, func(e2 *simclock.Engine) { dvmc.SubmitShard(e2, ds, req) })
-			} else {
-				dvmc.SubmitShard(dst, ds, req)
-			}
-		})
+		m.vmcs[dest].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
 	})
 }
 

@@ -30,9 +30,10 @@ type Request struct {
 	// Forwarded reports whether the request was forwarded to a region other
 	// than its entry region by the global forward plan.
 	Forwarded bool
-	// released marks a request sitting in a RequestPool's free list (placed
-	// beside Forwarded so the two share one word).
-	released bool
+	// released marks a request in a RequestPool's free list, homeward one
+	// whose outcome is parked on it on the way home (finish); the five bools
+	// share one word.
+	released, homeward, parkedDropped, parkedRegion bool
 	// Batch is the number of client interactions this request stands for.
 	// Cohort-compressed populations submit one request per counted batch of
 	// statistically identical interactions; a VM serves the batch back to
@@ -47,23 +48,28 @@ type Request struct {
 	// set never depends on engine RNG state or worker interleavings.
 	Trace *tracing.RequestTrace
 	// OnDone, if non-nil, is invoked exactly once when the request completes
-	// (successfully or not).
+	// (successfully or not), on the request's Home engine.
 	OnDone func(Outcome)
-	// OnDoneCtx, if non-nil, takes precedence over OnDone and additionally
-	// receives the engine on which the completion fired.  The sharded event
-	// loop uses it to learn which shard sub-engine served the request so the
-	// completion can be posted back to the issuing shard's mailbox instead of
-	// touching the issuer's state from a foreign goroutine.
-	OnDoneCtx func(eng *simclock.Engine, o Outcome)
+	// Home is the engine lane the issuer lives on, recorded when the request
+	// first leaves it for another lane of a ShardedEngine (nil until then).
+	// A completion firing elsewhere rides the mailbox back to Home, so the
+	// issuer's state is never touched from a foreign goroutine.
+	Home *simclock.Engine
+	// ReturnLeg is the latency of the response's trip back to the entry
+	// region.  It is added to the End of every outcome, drops included, on
+	// the lane the completion fires on.
+	ReturnLeg simclock.Duration
 	// Issuer is the workload generator's back-reference to the client that
 	// issued the request, so one completion callback can serve a whole
 	// population.  cloudsim never reads it.
 	Issuer any
 
-	// vm and serviceStart are set while the request is in service: the
-	// request is then its own completion event (vm.go).
-	vm           *VM
-	serviceStart simclock.Time
+	// vm and start are set while the request is in service: the request is
+	// then its own completion event (vm.go).  On the way home start, end and
+	// parkedName hold the parked outcome's Start, End and VM or Region.
+	vm         *VM
+	start, end simclock.Time
+	parkedName string
 }
 
 // ErrRequestReleased is the panic value of completing a request after its
@@ -123,7 +129,9 @@ type Outcome struct {
 	// VM is the identifier of the VM that served (or dropped) the request;
 	// empty if no VM could be found.
 	VM string
-	// Region is the region that processed the request.
+	// Region is the region that processed the request, set when no VM is
+	// named (its load balancer dropped the request).  An outcome names a VM
+	// or a region, never both.
 	Region string
 	// Start is the time service began (queue exit).
 	Start simclock.Time
@@ -146,61 +154,60 @@ func (o Outcome) ResponseTime() simclock.Duration {
 // ServiceTime returns the time the request actually spent in service.
 func (o Outcome) ServiceTime() simclock.Duration { return o.End.Sub(o.Start) }
 
-// finish invokes the completion callback exactly once, with the engine the
-// completion fired on.  Finishing a released request panics with
-// ErrRequestReleased.
-func (r *Request) finish(eng *simclock.Engine, o Outcome) {
+// Finish completes the request exactly once, from a VM or from a load
+// balancer that terminates it itself (e.g. dropping it when no ACTIVE VM
+// exists).  End is shifted by the return leg, and OnDone runs in place when
+// the completion fires on the home engine (or the request never left it).
+// Otherwise the outcome is parked on the request, which is posted home as
+// its own event (homeCompletion), so the trip allocates nothing.
+// Finishing a released request panics with ErrRequestReleased.
+func (r *Request) Finish(eng *simclock.Engine, o Outcome) {
 	if r.released {
 		panic(ErrRequestReleased)
 	}
-	if r.OnDoneCtx != nil {
-		cb := r.OnDoneCtx
-		r.OnDoneCtx = nil
-		r.OnDone = nil
-		cb(eng, o)
+	if r.OnDone == nil || r.homeward {
 		return
 	}
-	if r.OnDone != nil {
-		cb := r.OnDone
-		r.OnDone = nil
-		cb(o)
+	o.End = o.End.Add(r.ReturnLeg)
+	if r.Home == nil || r.Home == eng {
+		r.done(o)
+		return
 	}
+	se := eng.Cluster()
+	home := se.LaneOf(r.Home)
+	if r.Trace != nil {
+		// Guarded so the detail string is only built for sampled requests —
+		// this path runs for every forwarded request.
+		r.Trace.Event(tracing.EventRehome, eng.Now(),
+			fmt.Sprintf("lane=%d home=%d", se.LaneOf(eng), home))
+	}
+	// An outcome names a VM or a region, never both: one string carries it.
+	r.homeward, r.start, r.end, r.parkedDropped = true, o.Start, o.End, o.Dropped
+	r.parkedName, r.parkedRegion = o.VM, o.VM == ""
+	if r.parkedRegion {
+		r.parkedName = o.Region
+	}
+	se.PostEvent(eng, home, (*homeCompletion)(r))
 }
 
-// Finish completes the request exactly once through whichever completion
-// callback is installed.  It is the exported entry point for load balancers
-// and dispatchers that terminate a request themselves (e.g. dropping it when
-// no ACTIVE VM exists) rather than handing it to a VM.
-func (r *Request) Finish(eng *simclock.Engine, o Outcome) { r.finish(eng, o) }
-
-// RehomeOnDone prepares the request to complete on a foreign shard of a
-// sharded event loop: the current OnDone is replaced by an OnDoneCtx that
-// runs it directly when the completion fires on the home lane, and otherwise
-// posts it to the home shard's mailbox — so the issuer's state is never
-// touched from a foreign goroutine.  transform, if non-nil, adjusts the
-// outcome first (e.g. adding the return leg of an overlay latency).  Both
-// the region load balancer's empty-shard hop and the deployment's
-// cross-region dispatcher route completions through this one helper.
-func (r *Request) RehomeOnDone(se *simclock.ShardedEngine, home int, transform func(*Outcome)) {
-	orig := r.OnDone
+// done runs OnDone, clearing it first.
+func (r *Request) done(o Outcome) {
+	cb := r.OnDone
 	r.OnDone = nil
-	r.OnDoneCtx = func(ceng *simclock.Engine, o Outcome) {
-		if transform != nil {
-			transform(&o)
-		}
-		if orig == nil {
-			return
-		}
-		if se.LaneOf(ceng) == home {
-			orig(o)
-			return
-		}
-		if r.Trace != nil {
-			// Guarded so the detail string is only built for sampled
-			// requests — the rehome path runs for every forwarded request.
-			r.Trace.Event(tracing.EventRehome, ceng.Now(),
-				fmt.Sprintf("lane=%d home=%d", se.LaneOf(ceng), home))
-		}
-		se.Post(ceng, home, func(*simclock.Engine) { orig(o) })
+	cb(o)
+}
+
+// homeCompletion is a request carrying its parked outcome home, seen as the
+// mailbox event that runs OnDone there.
+type homeCompletion Request
+
+// Fire implements simclock.Event.
+func (h *homeCompletion) Fire(*simclock.Engine) {
+	r := (*Request)(h)
+	r.homeward = false
+	o := Outcome{Request: r, VM: r.parkedName, Start: r.start, End: r.end, Dropped: r.parkedDropped}
+	if r.parkedRegion {
+		o.VM, o.Region = "", r.parkedName
 	}
+	r.done(o)
 }

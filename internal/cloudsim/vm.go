@@ -324,7 +324,7 @@ func (vm *VM) completeRejuvenation(now simclock.Time) {
 func (vm *VM) Dispatch(eng *simclock.Engine, req *Request) bool {
 	if vm.state != StateActive {
 		vm.dropped += req.Weight()
-		req.finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: eng.Now(), End: eng.Now(), Dropped: true})
+		req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: eng.Now(), End: eng.Now(), Dropped: true})
 		return false
 	}
 	if req.Trace != nil {
@@ -355,7 +355,7 @@ func (vm *VM) tryStartService(eng *simclock.Engine) {
 		}
 		vm.inFlight++
 		req.vm = vm
-		req.serviceStart = eng.Now()
+		req.start = eng.Now()
 		eng.Schedule(vm.sampleServiceTime(req), (*serviceCompletion)(req))
 	}
 }
@@ -371,7 +371,7 @@ func (c *serviceCompletion) Fire(eng *simclock.Engine) {
 	req := (*Request)(c)
 	vm := req.vm
 	req.vm = nil
-	vm.completeService(eng, req, req.serviceStart)
+	vm.completeService(eng, req, req.start)
 }
 
 // sampleServiceTime draws the service time of a request given the VM's
@@ -414,7 +414,7 @@ func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock
 	if vm.state == StateRejuvenating || vm.state == StateFailed {
 		// The VM went down while this request was in service.
 		vm.dropped += req.Weight()
-		req.finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now, Dropped: true})
+		req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now, Dropped: true})
 		return
 	}
 
@@ -442,7 +442,7 @@ func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock
 	}
 
 	vm.injectAnomalies(req.Batch)
-	req.finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now})
+	req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now})
 
 	if vm.failurePointReached() {
 		vm.fail(eng)
@@ -520,7 +520,7 @@ func (vm *VM) failQueued(eng *simclock.Engine, vmID string) {
 	now := eng.Now()
 	for _, q := range vm.queue[vm.qhead:] {
 		vm.dropped += q.Weight()
-		q.finish(eng, Outcome{Request: q, VM: vmID, Start: now, End: now, Dropped: true})
+		q.Finish(eng, Outcome{Request: q, VM: vmID, Start: now, End: now, Dropped: true})
 	}
 	clear(vm.queue)
 	vm.queue, vm.qhead = vm.queue[:0], 0

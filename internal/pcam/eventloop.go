@@ -102,32 +102,74 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 			req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
 			return
 		}
-		v.hopToShard(eng, (shard+1)%v.region.NumShards(), req, hops+1)
+		// Hop to the next shard through its mailbox.
+		next := (shard + 1) % v.region.NumShards()
+		if req.Trace != nil {
+			// Guarded so the detail string is only built for sampled requests.
+			req.Trace.Event(tracing.EventShardHop, eng.Now(),
+				fmt.Sprintf("region=%s shard=%d hops=%d", v.region.Name(), next, hops+1))
+		}
+		v.post(eng, &forward{vmc: v, shard: next, req: req, sendAt: eng.Now(), hops: hops + 1})
 		return
 	}
 	v.shardRRs[shard]++
 	v.region.PickShortestInShard(shard, v.shardRRs[shard]).Dispatch(eng, req)
 }
 
-// hopToShard forwards a request to another shard's mailbox.  Before the
-// first hop the completion callback is re-homed: the request will now finish
-// on a foreign sub-engine, so the original OnDone must travel back to the
-// submitting shard as a mailbox post instead of running on the serving
-// shard's goroutine.  A request that already carries a posting OnDoneCtx
-// (one forwarded across regions by the deployment's dispatcher) keeps it —
-// that wrapper already posts to the true home shard.
-func (v *VMC) hopToShard(eng *simclock.Engine, next int, req *cloudsim.Request, hops int) {
-	if req.OnDoneCtx == nil {
-		req.RehomeOnDone(v.se, v.se.LaneOf(eng), nil)
+// Send is the one way a request reaches a shard of the region from any lane
+// of the event loop: req, in hand on engine eng, is submitted to the shard at
+// sendAt (the end of its one-way trip).  On the shard's own lane that is a
+// direct submission or a timer.  From another lane the request rides the
+// mailbox, arriving at sendAt or at the delivering barrier if that is
+// later, and its home becomes eng's lane unless it already has one, so its
+// completion travels back there.
+func (v *VMC) Send(eng *simclock.Engine, shard int, req *cloudsim.Request, sendAt simclock.Time) {
+	if v.shardEngines[shard] == eng {
+		if sendAt > eng.Now() {
+			eng.ScheduleAt(sendAt, &forward{vmc: v, shard: shard, req: req, sendAt: sendAt})
+		} else {
+			v.submitShard(eng, shard, req, 0)
+		}
+		return
 	}
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.
-		req.Trace.Event(tracing.EventShardHop, eng.Now(),
-			fmt.Sprintf("region=%s shard=%d hops=%d", v.region.Name(), next, hops))
+		req.Trace.Event(tracing.EventMailbox, eng.Now(),
+			fmt.Sprintf("lane=%d->%d", v.se.LaneOf(eng), v.se.LaneOf(v.shardEngines[shard])))
 	}
-	// next is a region shard index; the mailbox lane is the global index of
-	// that shard's sub-engine within the ShardedEngine.
-	v.se.Post(eng, v.se.LaneOf(v.shardEngines[next]), func(dst *simclock.Engine) {
-		v.submitShard(dst, next, req, hops)
-	})
+	v.post(eng, &forward{vmc: v, shard: shard, req: req, sendAt: sendAt})
+}
+
+// post hands f to the mailbox lane of its shard's sub-engine.
+func (v *VMC) post(eng *simclock.Engine, f *forward) {
+	if f.req.Home == nil {
+		f.req.Home = eng
+	}
+	v.se.PostEvent(eng, v.se.LaneOf(v.shardEngines[f.shard]), f)
+}
+
+// forward is a request in flight to one shard of a VMC, due there at sendAt
+// after hops failed shard attempts.  It is its own event: delivered from the
+// mailbox at a barrier, it reschedules itself on the destination's timeline
+// for any latency still outstanding, and submits on its second firing
+// unconditionally — now + (sendAt − now) can miss sendAt by one ulp.
+type forward struct {
+	vmc     *VMC
+	shard   int
+	req     *cloudsim.Request
+	sendAt  simclock.Time
+	hops    int
+	delayed bool
+}
+
+// Fire implements simclock.Event.
+func (f *forward) Fire(eng *simclock.Engine) {
+	if !f.delayed {
+		f.delayed = true
+		if remaining := f.sendAt.Sub(eng.Now()); remaining > 0 {
+			eng.Schedule(remaining, f)
+			return
+		}
+	}
+	f.vmc.submitShard(eng, f.shard, f.req, f.hops)
 }

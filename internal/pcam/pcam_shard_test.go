@@ -1,6 +1,7 @@
 package pcam
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -171,5 +172,91 @@ func TestControlTickShardedRejuvenation(t *testing.T) {
 	}
 	if got := vmc.Stats().Activations; got != 1 {
 		t.Fatalf("activations = %d, want 1 standby takeover", got)
+	}
+}
+
+// sendHarness is a two-lane event loop whose lane 1 is the only shard of a
+// small region: lane 0 issues pooled requests and Sends them across, each
+// due oneWay after its issue and completing through done.
+type sendHarness struct {
+	se        *simclock.ShardedEngine
+	vmc       *VMC
+	pool      cloudsim.RequestPool
+	oneWay    simclock.Duration
+	done      func(cloudsim.Outcome)
+	issue     simclock.Event
+	outcomes  []cloudsim.Outcome
+	completed int
+	horizon   simclock.Duration
+}
+
+func newSendHarness(t *testing.T) *sendHarness {
+	t.Helper()
+	h := &sendHarness{se: simclock.NewShardedEngine(2, 3, 100*simclock.Millisecond, 1)}
+	h.vmc = newTestVMC(t, shardedRegion(3, 1, 4, 0), OraclePredictor{},
+		Config{ElasticityEnabled: false, ControlInterval: simclock.Hour})
+	h.vmc.StartSharded(h.se, []*simclock.Engine{h.se.Shard(1)})
+	h.issue = simclock.EventFunc(func(e *simclock.Engine) {
+		req := h.pool.Get()
+		req.ServiceFactor, req.Arrival, req.OnDone = 1, e.Now(), h.done
+		h.vmc.Send(e, 0, req, e.Now().Add(h.oneWay))
+	})
+	return h
+}
+
+// send issues one request on lane 0 at `at`.
+func (h *sendHarness) send(at simclock.Duration) { h.se.Shard(0).Schedule(at, h.issue) }
+
+// run advances the event loop by d.
+func (h *sendHarness) run(d simclock.Duration) {
+	h.horizon += d
+	if err := h.se.Run(h.horizon); err != nil && err != simclock.ErrHorizonReached {
+		panic(err)
+	}
+}
+
+// TestSendArrivesAtSendAt: a forward reaches its shard at the delivering
+// barrier when its one-way trip ended within the epoch, and exactly at
+// sendAt when the trip outlasts the barrier; its completion comes home.
+func TestSendArrivesAtSendAt(t *testing.T) {
+	h := newSendHarness(t)
+	h.done = func(o cloudsim.Outcome) { h.outcomes = append(h.outcomes, o) }
+	h.oneWay = 30 * simclock.Millisecond
+	h.send(10 * simclock.Millisecond)
+	h.run(simclock.Second)
+	h.oneWay = 130 * simclock.Millisecond
+	h.send(20 * simclock.Millisecond)
+	h.run(simclock.Second)
+	if len(h.outcomes) != 2 {
+		t.Fatalf("%d completions came home, want 2", len(h.outcomes))
+	}
+	for i, want := range []simclock.Time{0.1, 1.15} {
+		o := h.outcomes[i]
+		if o.Dropped || o.Request.Home != h.se.Shard(0) || math.Abs(float64(o.Start-want)) > 1e-9 {
+			t.Errorf("request %d: %+v (home %p), want served from %v and homed on lane 0", i, o, o.Request.Home, want)
+		}
+	}
+}
+
+// TestSendRoundTripAllocatesOnlyTheForward bounds the allocation cost of the
+// cross-lane path: a forward post, the remote service and the completion's
+// trip home allocate at most the forward value itself.
+func TestSendRoundTripAllocatesOnlyTheForward(t *testing.T) {
+	h := newSendHarness(t)
+	h.oneWay = 30 * simclock.Millisecond
+	h.done = func(o cloudsim.Outcome) {
+		h.completed++
+		h.pool.Put(o.Request)
+	}
+	roundTrip := func() {
+		h.send(10 * simclock.Millisecond)
+		h.run(simclock.Second)
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 1 {
+		t.Fatalf("a forwarded round trip allocates %.1f times, want at most 1 (the forward)", allocs)
+	}
+	if h.completed != 102 {
+		t.Fatalf("%d round trips completed, want 102", h.completed)
 	}
 }

@@ -46,11 +46,6 @@ const (
 	DefaultEpoch = 100 * Millisecond
 )
 
-// post is one deferred cross-shard effect.
-type post struct {
-	fn func(*Engine)
-}
-
 // ShardedEngine coordinates N sub-engines plus a control timeline.
 type ShardedEngine struct {
 	shards  []*Engine
@@ -63,7 +58,9 @@ type ShardedEngine struct {
 	// dst range over the shards plus the control lane (index len(shards)).
 	// During a shard phase, lane [src][*] is appended only by shard src's
 	// goroutine; at the barrier exactly one goroutine drains and appends.
-	outbox [][][]post
+	// A drained lane keeps its backing array, so steady-state posting
+	// allocates nothing.
+	outbox [][][]Event
 
 	// inShardPhase is set while the shard loops run on goroutines; together
 	// with each sub-engine's executing flag it powers the cross-shard
@@ -101,9 +98,9 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 	se.control.shardIndex = n
 	se.control.cluster = se
 	lanes := n + 1
-	se.outbox = make([][][]post, lanes)
+	se.outbox = make([][][]Event, lanes)
 	for i := range se.outbox {
-		se.outbox[i] = make([][]post, lanes)
+		se.outbox[i] = make([][]Event, lanes)
 	}
 	return se
 }
@@ -137,9 +134,6 @@ func (se *ShardedEngine) Now() Time { return se.now }
 // Epoch returns the configured epoch width.
 func (se *ShardedEngine) Epoch() Duration { return se.epoch }
 
-// DrainedPosts returns the number of mailbox posts delivered so far.
-func (se *ShardedEngine) DrainedPosts() uint64 { return se.drainedPosts }
-
 // SetFlightRecorder attaches a flight recorder; Run then records every
 // epoch's per-shard fired/busy/idle accounting and every barrier's mailbox
 // deliveries into it.  Attach before Run; nil detaches.
@@ -169,22 +163,30 @@ func (se *ShardedEngine) LaneOf(e *Engine) int {
 	return e.shardIndex
 }
 
-// Post defers fn to the next epoch barrier, where it runs with the dst
+// PostEvent defers ev to the next epoch barrier, where it fires with the dst
 // shard's engine (dst == NumShards() addresses the control timeline).  from
 // must be the engine whose event handler (or barrier context) is calling —
 // it identifies the source lane, which is what makes posting lock-free
 // during the shard phase and delivery order deterministic: the barrier
 // visits destinations in shard-index order and drains each destination's
 // lanes in (source shard index, post sequence) order.
-func (se *ShardedEngine) Post(from *Engine, dst int, fn func(*Engine)) {
+func (se *ShardedEngine) PostEvent(from *Engine, dst int, ev Event) {
 	if dst < 0 || dst > len(se.shards) {
 		panic(fmt.Sprintf("simclock: Post to unknown shard %d (have %d shards + control)", dst, len(se.shards)))
 	}
+	if ev == nil {
+		panic("simclock: Post with nil event")
+	}
+	src := se.LaneOf(from)
+	se.outbox[src][dst] = append(se.outbox[src][dst], ev)
+}
+
+// Post is PostEvent for a plain function, the way ScheduleFunc is Schedule's.
+func (se *ShardedEngine) Post(from *Engine, dst int, fn func(*Engine)) {
 	if fn == nil {
 		panic("simclock: Post with nil fn")
 	}
-	src := se.LaneOf(from)
-	se.outbox[src][dst] = append(se.outbox[src][dst], post{fn: fn})
+	se.PostEvent(from, dst, EventFunc(fn))
 }
 
 // PostControl defers fn to the next epoch barrier on the control timeline,
@@ -216,11 +218,12 @@ func (se *ShardedEngine) pendingPosts() bool {
 // drain delivers every mailbox post accumulated up to this barrier.  Lanes
 // are folded destination-major, source-minor, preserving per-lane append
 // order — the (epoch, destination shard, source shard, sequence) delivery
-// order of the determinism contract.  A handler that posts again appends to
-// a fresh lane:
-// posts to a destination not yet folded at this barrier are delivered in the
-// same pass (the fold is serial, so this stays deterministic); posts to an
-// already-folded destination wait for the next barrier.
+// order of the determinism contract.  A lane is detached while it drains, so
+// a handler that posts again appends to a fresh lane: posts to a destination
+// not yet folded at this barrier are delivered in the same pass (the fold is
+// serial, so this stays deterministic); posts to an already-folded
+// destination wait for the next barrier.  A drained lane that received
+// nothing during its own drain gets its cleared backing array back.
 func (se *ShardedEngine) drain() {
 	lanes := len(se.shards) + 1
 	for dst := 0; dst < lanes; dst++ {
@@ -231,9 +234,13 @@ func (se *ShardedEngine) drain() {
 				continue
 			}
 			se.outbox[src][dst] = nil
-			for _, p := range lane {
-				p.fn(target)
+			for _, ev := range lane {
+				ev.Fire(target)
 				se.drainedPosts++
+			}
+			if se.outbox[src][dst] == nil {
+				clear(lane)
+				se.outbox[src][dst] = lane[:0]
 			}
 		}
 	}

@@ -228,3 +228,54 @@ func TestShardedEnginePostFromDrainSameBarrier(t *testing.T) {
 		t.Fatalf("drain-time post log = %v, want %v", log, want)
 	}
 }
+
+// TestShardedEngineSelfPostDuringDrainWaits pins the lane-reuse rule of the
+// drain: a handler that posts to the very lane being drained appends to a
+// fresh lane delivered at the next barrier, and the drained lane's recycled
+// backing array never overwrites posts still waiting to fire.
+func TestShardedEngineSelfPostDuringDrainWaits(t *testing.T) {
+	se := NewShardedEngine(2, 5, 100*Millisecond, 1)
+	var log []string
+	note := func(name string) Event {
+		return EventFunc(func(e *Engine) { log = append(log, fmt.Sprintf("%s@%v", name, e.Now())) })
+	}
+	se.Shard(1).ScheduleFunc(10*Millisecond, func(e *Engine) {
+		se.Post(e, 1, func(dst *Engine) {
+			log = append(log, fmt.Sprintf("a@%v", dst.Now()))
+			se.PostEvent(dst, 1, note("c"))
+			se.PostEvent(dst, 1, note("d"))
+		})
+		se.PostEvent(e, 1, note("b"))
+	})
+	if err := se.Run(500 * Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"a@[s=0.100]", "b@[s=0.100]", "c@[s=0.200]", "d@[s=0.200]"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("self-post log = %v, want %v", log, want)
+	}
+}
+
+// TestShardedEngineSteadyStatePostAllocatesNothing: once every lane has grown
+// to its peak depth, posting and draining reuse the lanes' backing arrays.
+func TestShardedEngineSteadyStatePostAllocatesNothing(t *testing.T) {
+	se := NewShardedEngine(3, 5, 100*Millisecond, 1)
+	fired := 0
+	ev := EventFunc(func(*Engine) { fired++ })
+	round := func() {
+		for src := 0; src < 3; src++ {
+			for dst := 0; dst <= 3; dst++ {
+				se.PostEvent(se.Shard(src), dst, ev)
+				se.Post(se.Shard(src), dst, ev)
+			}
+		}
+		se.drain()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a steady-state post + drain allocates %.1f times, want 0", allocs)
+	}
+	if want := 102 * 3 * 4 * 2; fired != want {
+		t.Fatalf("fired %d posts, want %d", fired, want)
+	}
+}

@@ -184,6 +184,10 @@ func NewEngine(seed uint64) *Engine {
 // -1 for a standalone engine.
 func (e *Engine) ShardIndex() int { return e.shardIndex }
 
+// Cluster returns the ShardedEngine that owns the engine, nil for a
+// standalone engine.
+func (e *Engine) Cluster() *ShardedEngine { return e.cluster }
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -66,10 +66,10 @@ func Catalog() []SpanDesc {
 		{SpanRTTSend, KindSpan, "internal/acm", "Half-RTT geo leg from the client stream to the routed region, from the deployment's ground-truth RTT matrix."},
 		{SpanRTTReturn, KindSpan, "internal/acm", "Half-RTT geo leg home after service; the client observes completion at its end."},
 		{SpanForward, KindSpan, "internal/acm", "Inter-region overlay hop added when the forward plan sends the request away from its entry region."},
-		{EventMailbox, KindInstant, "internal/acm", "Cross-lane mailbox submission; the request is delivered on the destination engine lane at the next epoch barrier."},
+		{EventMailbox, KindInstant, "internal/pcam", "Cross-lane submission (`VMC.Send`); the request is delivered on the destination engine lane at the next epoch barrier."},
 		{EventShardHop, KindInstant, "internal/pcam", "Intra-region hop to the next engine shard because the dispatch shard had no ACTIVE VM."},
 		{EventVMEnqueue, KindInstant, "internal/cloudsim", "Arrival in a VM queue; names the VM."},
-		{EventRehome, KindInstant, "internal/cloudsim", "Completion re-homed to the issuing lane (runs locally when already home, otherwise rides the mailbox)."},
+		{EventRehome, KindInstant, "internal/cloudsim", "Completion fired off the issuing lane: the outcome is parked on the request, which rides the mailbox home to run the completion callback there."},
 		{SpanQueue, KindSpan, "internal/tracing", "Synthesised VM queue wait: vm.enqueue to the outcome's service start."},
 		{SpanService, KindSpan, "internal/tracing", "Synthesised VM service span: the outcome's start to end."},
 	}
