@@ -19,11 +19,12 @@ GO ?= go
 # bench-baseline and the CI bench-regression job (which runs `make
 # bench-json`) all share this one definition, so the gate, the baseline and
 # CI can never record different benchmark sets.
-# VMSample, ShardDispatch and CrossLaneForward are per-layer benchmarks: one
-# op is a fixed batch of units, and each also reports ns and allocs per unit.
+# VMSample, ShardDispatch, CrossLaneForward and EventQueue are per-layer
+# benchmarks: one op is a fixed batch of units, and each also reports ns and
+# allocs per unit.
 # -count=3: benchjson records each unit's median over the three samples, so
 # one noisy sample on a shared box cannot trip the gate.
-BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward' -benchtime=1x -count=3 -benchmem -run='^$$' .
+BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward|EventQueue' -benchtime=1x -count=3 -benchmem -run='^$$' .
 
 .PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint loc
 

@@ -1,7 +1,7 @@
 // Per-layer benchmarks of the two per-VM loops of a 5x10^3-VM, 16-shard
 // region (the megaclients shape) — the control tick's feature sampling and
-// the load balancer's shortest-queue pick — and of the event loop's
-// cross-lane path (barrier + mailbox drain).  One op is a fixed batch of units, so
+// the load balancer's shortest-queue pick — of the event loop's cross-lane
+// path (barrier + mailbox drain) and of the event queue.  One op is a fixed batch of units, so
 // the gate's single -benchtime=1x sample still times thousands of them; each
 // benchmark reports ns and allocs per unit next to the per-op figures.
 package repro
@@ -180,5 +180,52 @@ func BenchmarkCrossLaneForward(b *testing.B) {
 	})
 	if completed != b.N*benchForwards {
 		b.Fatalf("%d of %d forwarded requests came home served", completed, b.N*benchForwards)
+	}
+}
+
+// Shape of the event-queue benchmark: benchQueueDepth events stay pending
+// (the mean queue depth per lane of figure3, figure4 and megaclients lies
+// between 448 and 706), and one op fires benchQueueFires of them, each
+// rescheduling itself after a delay drawn from a fixed exponential table.
+const (
+	benchQueueDepth = 500
+	benchQueueFires = 200_000
+)
+
+// benchRequeue is one pending event of the event-queue benchmark.
+type benchRequeue struct {
+	delays []simclock.Duration
+	next   int
+}
+
+// Fire implements simclock.Event.
+func (ev *benchRequeue) Fire(e *simclock.Engine) {
+	ev.next = (ev.next + 1) % len(ev.delays)
+	e.Schedule(ev.delays[ev.next], ev)
+}
+
+// BenchmarkEventQueue is the simclock heap on its own: one op is
+// benchQueueFires schedule+fire pairs against a queue held at
+// benchQueueDepth pending events.  A 4-ary heap measured about 8% slower
+// end to end on paper-figures than this binary heap, so time any queue
+// change end to end as well as here.
+func BenchmarkEventQueue(b *testing.B) {
+	rng := simclock.NewRNG(42)
+	delays := make([]simclock.Duration, 4096)
+	for i := range delays {
+		delays[i] = simclock.Duration(rng.Exp(1))
+	}
+	eng := simclock.NewEngine(42)
+	for i := 0; i < benchQueueDepth; i++ {
+		ev := &benchRequeue{delays: delays, next: i * 7 % len(delays)}
+		eng.Schedule(delays[ev.next], ev)
+	}
+	runPerUnit(b, "event", benchQueueFires, func() {
+		for i := 0; i < benchQueueFires; i++ {
+			eng.Step()
+		}
+	})
+	if eng.Pending() != benchQueueDepth {
+		b.Fatalf("queue depth %d after the run, want %d", eng.Pending(), benchQueueDepth)
 	}
 }

@@ -524,8 +524,7 @@ func (m *Manager) entryDispatcher(regionName string) workload.Dispatcher {
 			return
 		}
 		m.forwardedRequests++
-		dvmc := m.vmcs[dest]
-		eng.ScheduleFunc(req.ReturnLeg, func(e *simclock.Engine) { dvmc.Submit(e, req) })
+		m.vmcs[dest].SubmitAfter(eng, req, req.ReturnLeg)
 	})
 }
 

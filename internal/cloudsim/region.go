@@ -120,7 +120,7 @@ func (r *Region) newVM() *VM {
 		Failure:      r.cfg.Failure,
 		Rejuvenation: r.cfg.Rejuvenation,
 	}, sh.rng.Fork())
-	vm.shardIndex = sh.index
+	vm.shardIndex, vm.index = sh.index, int32(len(r.vms))
 	vm.ix, vm.slot = &sh.ix, sh.ix.add()
 	sh.vms = append(sh.vms, vm)
 	r.vms = append(r.vms, vm)

@@ -17,6 +17,25 @@ func TestRequestSizeClass(t *testing.T) {
 	}
 }
 
+// TestVMIndexFollowsVMsOrder: VM.Index is the VM's position in its
+// region's VMs(), for the initial pool and for VMs provisioned later, and
+// storing it keeps VM in its 384-byte size class (a region holds thousands).
+func TestVMIndexFollowsVMsOrder(t *testing.T) {
+	region := NewRegion(RegionConfig{
+		Name: "indexed", Provider: "aws", Location: "test", Type: M3Medium,
+		InitialActive: 5, InitialStandby: 2, MaxVMs: 10, Shards: 3,
+	}, simclock.NewRNG(1))
+	region.Provision(3)
+	for i, vm := range region.VMs() {
+		if vm.Index() != i {
+			t.Errorf("%s: Index() = %d, want %d", vm.ID(), vm.Index(), i)
+		}
+	}
+	if size := unsafe.Sizeof(VM{}); size > 384 {
+		t.Fatalf("unsafe.Sizeof(VM{}) = %d, want <= 384", size)
+	}
+}
+
 // rehomes counts the rehome trace events of a request.
 func rehomes(rt *tracing.RequestTrace) (n int, detail string) {
 	for _, ev := range rt.Events {

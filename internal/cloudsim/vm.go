@@ -75,6 +75,9 @@ type VM struct {
 	// the index current.
 	ix   *dispatchIndex
 	slot int32
+	// index is the VM's position in its region's VMs() (0 for a VM built
+	// outside a region); int32 so it packs next to slot.
+	index int32
 
 	state       VMState
 	activatedAt simclock.Time // time the VM last became ACTIVE
@@ -139,6 +142,10 @@ func (vm *VM) State() VMState { return vm.state }
 // ShardIndex returns the index of the region shard owning this VM (0 in an
 // unsharded region).
 func (vm *VM) ShardIndex() int { return vm.shardIndex }
+
+// Index returns the VM's position in its region's VMs(), fixed at
+// provisioning time (0 for a VM built outside a region).
+func (vm *VM) Index() int { return int(vm.index) }
 
 // LeakedMB returns the memory currently pinned by leaks and zombie-thread
 // stacks.

@@ -44,6 +44,8 @@ func (v *VMC) StartSharded(se *simclock.ShardedEngine, engines []*simclock.Engin
 	v.se = se
 	v.shardEngines = engines
 	v.shardRRs = make([]int, len(engines))
+	v.forwards = newForwardPool(se.NumShards() + 1)
+	se.OnBarrier(v.forwards.handBack)
 	v.region.BindShardEngines(engines)
 	for _, vm := range v.region.VMs() {
 		v.hookVMSharded(vm)
@@ -109,7 +111,7 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 			req.Trace.Event(tracing.EventShardHop, eng.Now(),
 				fmt.Sprintf("region=%s shard=%d hops=%d", v.region.Name(), next, hops+1))
 		}
-		v.post(eng, &forward{vmc: v, shard: next, req: req, sendAt: eng.Now(), hops: hops + 1})
+		v.post(eng, next, req, eng.Now(), hops+1)
 		return
 	}
 	v.shardRRs[shard]++
@@ -122,11 +124,12 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 // direct submission or a timer.  From another lane the request rides the
 // mailbox, arriving at sendAt or at the delivering barrier if that is
 // later, and its home becomes eng's lane unless it already has one, so its
-// completion travels back there.
+// completion travels back there.  Timers and posts both carry a pooled
+// forward, so no path allocates per request.
 func (v *VMC) Send(eng *simclock.Engine, shard int, req *cloudsim.Request, sendAt simclock.Time) {
 	if v.shardEngines[shard] == eng {
 		if sendAt > eng.Now() {
-			eng.ScheduleAt(sendAt, &forward{vmc: v, shard: shard, req: req, sendAt: sendAt})
+			eng.ScheduleAt(sendAt, v.forwards.get(v.se.LaneOf(eng), forward{vmc: v, shard: shard, req: req, sendAt: sendAt}))
 		} else {
 			v.submitShard(eng, shard, req, 0)
 		}
@@ -137,22 +140,33 @@ func (v *VMC) Send(eng *simclock.Engine, shard int, req *cloudsim.Request, sendA
 		req.Trace.Event(tracing.EventMailbox, eng.Now(),
 			fmt.Sprintf("lane=%d->%d", v.se.LaneOf(eng), v.se.LaneOf(v.shardEngines[shard])))
 	}
-	v.post(eng, &forward{vmc: v, shard: shard, req: req, sendAt: sendAt})
+	v.post(eng, shard, req, sendAt, 0)
 }
 
-// post hands f to the mailbox lane of its shard's sub-engine.
-func (v *VMC) post(eng *simclock.Engine, f *forward) {
-	if f.req.Home == nil {
-		f.req.Home = eng
+// post hands a forward of req to the mailbox lane of the shard's sub-engine.
+func (v *VMC) post(eng *simclock.Engine, shard int, req *cloudsim.Request, sendAt simclock.Time, hops int) {
+	if req.Home == nil {
+		req.Home = eng
 	}
-	v.se.PostEvent(eng, v.se.LaneOf(v.shardEngines[f.shard]), f)
+	f := v.forwards.get(v.se.LaneOf(eng), forward{vmc: v, shard: shard, req: req, sendAt: sendAt, hops: hops})
+	v.se.PostEvent(eng, v.se.LaneOf(v.shardEngines[shard]), f)
+}
+
+// SubmitAfter is Send for the serial engine: req reaches the region's load
+// balancer (Submit) d from now, carried by a pooled forward.  It always
+// schedules, even at d = 0, so the submission keeps its place in the
+// engine's (time, seq) order.
+func (v *VMC) SubmitAfter(eng *simclock.Engine, req *cloudsim.Request, d simclock.Duration) {
+	eng.Schedule(d, v.forwards.get(0, forward{vmc: v, req: req}))
 }
 
 // forward is a request in flight to one shard of a VMC, due there at sendAt
 // after hops failed shard attempts.  It is its own event: delivered from the
 // mailbox at a barrier, it reschedules itself on the destination's timeline
 // for any latency still outstanding, and submits on its second firing
-// unconditionally — now + (sendAt − now) can miss sendAt by one ulp.
+// unconditionally — now + (sendAt − now) can miss sendAt by one ulp.  On the
+// serial engine (SubmitAfter) it fires once, already due, and submits to the
+// whole region.  Either way it goes back to its pool as it submits.
 type forward struct {
 	vmc     *VMC
 	shard   int
@@ -160,10 +174,18 @@ type forward struct {
 	sendAt  simclock.Time
 	hops    int
 	delayed bool
+	owner   int // lane whose free list the forward belongs to
 }
 
 // Fire implements simclock.Event.
 func (f *forward) Fire(eng *simclock.Engine) {
+	v := f.vmc
+	if v.se == nil {
+		req := f.req
+		v.forwards.put(0, f)
+		v.Submit(eng, req)
+		return
+	}
 	if !f.delayed {
 		f.delayed = true
 		if remaining := f.sendAt.Sub(eng.Now()); remaining > 0 {
@@ -171,5 +193,64 @@ func (f *forward) Fire(eng *simclock.Engine) {
 			return
 		}
 	}
-	f.vmc.submitShard(eng, f.shard, f.req, f.hops)
+	shard, req, hops := f.shard, f.req, f.hops
+	v.forwards.put(v.se.LaneOf(eng), f)
+	v.submitShard(eng, shard, req, hops)
+}
+
+// forwardPool recycles one VMC's forwards under the ownership rule of
+// cloudsim.RequestPool: a lane takes forwards only from its own free list,
+// and a forward is freed on the lane it was consumed on.  One consumed on its
+// owner's lane goes straight back to the owner's free list; one consumed on
+// another lane waits on that lane's return list until the next barrier,
+// where handBack (one goroutine, no shard running) moves it home.  During a
+// shard phase each lane therefore touches only its own two lists, and a
+// lane's pool never holds more forwards than it had in flight at its peak,
+// however lopsided the traffic between lanes.  The serial engine is one
+// lane, and its forwards are freed in place.
+type forwardPool struct {
+	free [][]*forward // free[lane]: forwards owned by lane, ready for reuse
+	back [][]*forward // back[lane]: forwards lane consumed for other owners
+}
+
+func newForwardPool(lanes int) forwardPool {
+	return forwardPool{free: make([][]*forward, lanes), back: make([][]*forward, lanes)}
+}
+
+// get takes a forward from lane's free list, allocating only when it is
+// empty, and fills it with trip, owned by lane, so nothing of its
+// previous trip survives.
+func (p *forwardPool) get(lane int, trip forward) *forward {
+	var f *forward
+	if n := len(p.free[lane]); n > 0 {
+		f = p.free[lane][n-1]
+		p.free[lane] = p.free[lane][:n-1]
+	} else {
+		f = new(forward)
+	}
+	trip.owner = lane
+	*f = trip
+	return f
+}
+
+// put frees f, consumed on lane.
+func (p *forwardPool) put(lane int, f *forward) {
+	f.req = nil
+	if f.owner == lane {
+		p.free[lane] = append(p.free[lane], f)
+	} else {
+		p.back[lane] = append(p.back[lane], f)
+	}
+}
+
+// handBack returns every forward consumed on a foreign lane to its owner, in
+// lane order.  It runs at each epoch barrier (ShardedEngine.OnBarrier).
+func (p *forwardPool) handBack() {
+	for lane, back := range p.back {
+		for i, f := range back {
+			p.free[f.owner] = append(p.free[f.owner], f)
+			back[i] = nil
+		}
+		p.back[lane] = back[:0]
+	}
 }

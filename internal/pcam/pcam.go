@@ -194,8 +194,8 @@ type VMC struct {
 	rr           int // round-robin cursor of the local load balancer
 	shardRR      int // rotation cursor over the region's shards
 	rmttf        *stats.EWMA
-	lastRMTTF    float64 // last raw (un-smoothed) RMTTF computed from predictions
-	predicted    map[string]float64
+	lastRMTTF    float64   // last raw (un-smoothed) RMTTF computed from predictions
+	predicted    []float64 // last predicted RTTF per VM, in Region.VMs() order
 	targetActive int
 	targetForced bool // a scripted outage holds the target; elasticity is suspended
 
@@ -213,6 +213,11 @@ type VMC struct {
 	se           *simclock.ShardedEngine
 	shardEngines []*simclock.Engine
 	shardRRs     []int
+
+	// forwards recycles the events that carry requests to the region across
+	// lanes or over a delay (Send, SubmitAfter): one free list per lane of
+	// the engine the controller runs on (one lane until StartSharded).
+	forwards forwardPool
 
 	// flight, when set, receives the control tick's phase timings (sim-time
 	// instants with deterministic item counts) for the engine flight recorder.
@@ -244,8 +249,8 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 		predictor:    predictor,
 		cfg:          cfg,
 		rmttf:        stats.NewEWMA(cfg.RMTTFBeta),
-		predicted:    map[string]float64{},
 		targetActive: target,
+		forwards:     newForwardPool(1),
 	}, nil
 }
 
@@ -454,6 +459,9 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 	respSum := 0.0
 	respSamples := 0
 	sampled := 0
+	if n := len(v.region.VMs()); len(v.predicted) < n {
+		v.predicted = append(v.predicted, make([]float64, n-len(v.predicted))...)
+	}
 	for s := 0; s < numShards; s++ {
 		sc := &v.scratch[s]
 		sampled += sc.sampled
@@ -462,7 +470,7 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 		respSum += sc.respSum
 		respSamples += sc.respSamples
 		for _, p := range sc.preds {
-			v.predicted[p.vm.ID()] = p.rttf
+			v.predicted[p.vm.Index()] = p.rttf
 		}
 	}
 	if v.flight != nil && sampled > 0 {
@@ -647,8 +655,13 @@ func (v *VMC) RMTTF() float64 { return v.rmttf.Value() }
 func (v *VMC) LastRawRMTTF() float64 { return v.lastRMTTF }
 
 // PredictedRTTF returns the last predicted RTTF for the given VM (0 when the
-// VM has not been evaluated yet).
-func (v *VMC) PredictedRTTF(vmID string) float64 { return v.predicted[vmID] }
+// VM has not been evaluated yet or is not in the region).
+func (v *VMC) PredictedRTTF(vmID string) float64 {
+	if vm := v.region.VM(vmID); vm != nil && vm.Index() < len(v.predicted) {
+		return v.predicted[vm.Index()]
+	}
+	return 0
+}
 
 // ActiveVMs returns the number of currently ACTIVE VMs in the region.
 func (v *VMC) ActiveVMs() int { return v.region.ActiveCount() }

@@ -69,6 +69,10 @@ type ShardedEngine struct {
 
 	drainedPosts uint64
 
+	// barrierHooks run serially at every barrier, after the mailbox drain
+	// and before the control events (OnBarrier).
+	barrierHooks []func()
+
 	// flight, when set, records per-epoch per-shard accounting at each
 	// barrier (flight.go).  Reads and writes happen only in the barrier
 	// context, so the recorder needs no synchronisation.
@@ -162,6 +166,12 @@ func (se *ShardedEngine) LaneOf(e *Engine) int {
 	}
 	return e.shardIndex
 }
+
+// OnBarrier registers fn to run at every epoch barrier of Run, after the
+// mailbox drain and before the due control events, while no shard loop runs.
+// Hooks run in registration order; this is where lane-owned state consumed
+// on other lanes is handed back to its owners.
+func (se *ShardedEngine) OnBarrier(fn func()) { se.barrierHooks = append(se.barrierHooks, fn) }
 
 // PostEvent defers ev to the next epoch barrier, where it fires with the dst
 // shard's engine (dst == NumShards() addresses the control timeline).  from
@@ -287,9 +297,9 @@ func (p *shardPool) close() { close(p.work) }
 // Run executes the lockstep epoch loop until the horizon: each epoch runs
 // every shard's local queue up to the epoch end on up to the configured
 // number of goroutines (a persistent pool, spawned once per Run), then — at
-// the barrier — drains the mailboxes and fires the control events that are
-// due.  The epoch end is clamped to the next control event's timestamp, so
-// control events never fire late.  Like Engine.Run it returns
+// the barrier — drains the mailboxes, runs the OnBarrier hooks and fires the
+// control events that are due.  The epoch end is clamped to the next control
+// event's timestamp, so control events never fire late.  Like Engine.Run it returns
 // ErrHorizonReached when live events remain beyond the horizon, and nil when
 // the system drained.
 func (se *ShardedEngine) Run(horizon Duration) error {
@@ -347,6 +357,9 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		}
 		epochStart := se.now
 		se.drain()
+		for _, fn := range se.barrierHooks {
+			fn()
+		}
 		se.control.runEpoch(tEnd)
 		if se.flight != nil {
 			for i, sh := range se.shards {

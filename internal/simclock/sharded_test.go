@@ -84,6 +84,34 @@ func TestShardedEngineHorizonReached(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnCancelledPastHorizon: a cancelled event is not work
+// left, so with only a cancelled event pending past the horizon both engines
+// report a drained run (nil), not ErrHorizonReached; a live one makes both
+// report the horizon.
+func TestEnginesAgreeOnCancelledPastHorizon(t *testing.T) {
+	for _, cancel := range []bool{true, false} {
+		serial := NewEngine(1)
+		h := serial.ScheduleFunc(10*Second, func(*Engine) {})
+		se := NewShardedEngine(2, 1, 100*Millisecond, 1)
+		hs := se.Shard(1).ScheduleFunc(10*Second, func(*Engine) {})
+		if cancel {
+			h.Cancel()
+			hs.Cancel()
+		}
+		got, gotSharded := serial.Run(5*Second), se.Run(5*Second)
+		want := ErrHorizonReached
+		if cancel {
+			want = nil
+		}
+		if got != want || gotSharded != want {
+			t.Errorf("cancelled=%v: Engine.Run = %v, ShardedEngine.Run = %v, want %v from both", cancel, got, gotSharded, want)
+		}
+		if serial.Now() != 5 {
+			t.Errorf("cancelled=%v: Engine.Now() = %v after Run(5), want 5", cancel, serial.Now())
+		}
+	}
+}
+
 // TestShardedEngineForeignSchedulePanics pins the runtime guard: a shard
 // goroutine scheduling onto another shard's engine during the parallel epoch
 // must panic instead of silently corrupting the foreign queue.  Posting to

@@ -319,12 +319,18 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in timestamp order until the queue is empty, the
 // horizon is exceeded, or Stop is called.  It returns ErrHorizonReached when
-// the horizon cut the run short, and nil otherwise.
+// the horizon cut the run short — a live event is pending past it — and nil
+// otherwise; cancelled events past the horizon are discarded, as
+// ShardedEngine.Run ignores them.
 func (e *Engine) Run(horizon Duration) error {
 	e.horizon = Time(horizon)
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > e.horizon {
+		if top := e.queue[0]; top.at > e.horizon {
+			if e.slots[top.slot].dead {
+				e.fireNext() // a cancelled event past the horizon is not work left
+				continue
+			}
 			e.now = e.horizon
 			return ErrHorizonReached
 		}
