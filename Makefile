@@ -12,6 +12,7 @@
 #   make metrics-lint # enforce Prometheus naming conventions on every family
 #   make bench-check # vet and test the reference benchmark module under bench/
 #   make loc         # net non-test Go LOC over internal/, cmd/ and examples/
+#   make fuzz        # run every Fuzz* target for FUZZTIME each
 
 GO ?= go
 
@@ -26,7 +27,7 @@ GO ?= go
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward|EventQueue' -benchtime=1x -count=3 -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint loc
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint loc fuzz
 
 check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check
 
@@ -120,3 +121,21 @@ metrics-lint:
 # quotes when it claims to shrink the code.
 loc:
 	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+
+# fuzz runs every Fuzz* target under internal/ and cmd/ for FUZZTIME each.
+# `go test -fuzz` accepts one target per run, so the targets go one at a
+# time; a crasher is written to the package's testdata/fuzz directory, where
+# the plain test suite replays it as a seed from then on.  The PR CI job
+# runs the short default budget; raise it for a long local run with
+# `make fuzz FUZZTIME=10m`.  New inputs are minimized for 5 s instead of the
+# default 60 s: the scenario-JSON seeds run to kilobytes, and minimizing one
+# of them would otherwise use up a short budget.
+FUZZTIME ?= 10s
+
+fuzz:
+	@set -e; for file in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "fuzz ./$$(dirname $$file) $$target"; \
+			$(GO) test -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./$$(dirname $$file); \
+		done; \
+	done

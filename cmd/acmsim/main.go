@@ -168,13 +168,31 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 		return err
 	}
 	if explicit["hours"] {
+		if err := requirePositive("hours", hours); err != nil {
+			return err
+		}
 		m.Horizon = simclock.Duration(hours) * simclock.Hour
 	}
 	fmt.Printf("sweep: %d jobs (%d scenarios x policies x betas x %d reps)\n", m.Size(), len(m.Scenarios), max(*sweep.Reps, 1))
 	return experiment.RunSweepAndEmit(context.Background(), m, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
+// requirePositive rejects a zero, negative or NaN value of a duration flag,
+// which would otherwise run no simulated time or fall back to a default.
+func requirePositive(flagName string, v float64) error {
+	if !(v > 0) {
+		return fmt.Errorf("-%s must be > 0, got %v", flagName, v)
+	}
+	return nil
+}
+
 func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
+	if err := requirePositive("hours", hours); err != nil {
+		return err
+	}
+	if err := requirePositive("interval", intervalS); err != nil {
+		return err
+	}
 	np, err := experiment.PolicyByKey(policyKey)
 	if err != nil {
 		return err
@@ -262,13 +280,15 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			return err
 		}
 		scenario = experiment.Scenario{
-			Name:            "acmsim",
-			Seed:            seed,
-			Regions:         setups,
-			Horizon:         simclock.Duration(hours) * simclock.Hour,
-			ControlInterval: simclock.Duration(intervalS),
-			Beta:            beta,
-			Predictor:       mode,
+			Name:    "acmsim",
+			Horizon: simclock.Duration(hours) * simclock.Hour,
+			Config: acm.Config{
+				Seed:            seed,
+				Regions:         setups,
+				ControlInterval: simclock.Duration(intervalS),
+				Beta:            beta,
+				Predictor:       mode,
+			},
 		}
 	}
 	// -trace-sample overrides the span layer's sampling fraction the same way

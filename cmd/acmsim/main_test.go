@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,4 +60,29 @@ func controllerCounterRegions(report string) []string {
 		}
 	}
 	return names
+}
+
+// TestRunRejectsNonPositiveDurations: a zero or negative -hours would run
+// no simulated time, and a zero or negative -interval would silently run
+// the 60 s default, so both fail by flag name.  Every call also passes
+// -dump-config, so a run that wrongly accepts the value writes the scenario
+// and returns instead of simulating.
+func TestRunRejectsNonPositiveDurations(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "scenario.json")
+	for _, tc := range []struct {
+		flag            string
+		hours, interval float64
+	}{
+		{"hours", 0, 60},
+		{"hours", -1, 60},
+		{"interval", 2, 0},
+		{"interval", 2, -5},
+	} {
+		explicit := map[string]bool{"scenario": true, "dump-config": true, tc.flag: true}
+		err := run("1,3", "320,128", "", -1, "policy2", "oracle", "browsing", tc.hours, 1, 0.5, tc.interval,
+			0, -1, "", "", "", "", "", -1, "", "figure3", dump, explicit)
+		if want := "-" + tc.flag + " must be > 0"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-hours %v -interval %v: got error %v, want %q", tc.hours, tc.interval, err, want)
+		}
+	}
 }

@@ -41,6 +41,15 @@ const (
 	PredictorML PredictorMode = "ml"
 )
 
+// The defaults Config applies to an unset β, control interval and
+// predictor.  Experiment scenarios record the same values explicitly, so
+// each is written here once.
+const (
+	DefaultBeta            = 0.5
+	DefaultControlInterval = 60 * simclock.Second
+	DefaultPredictor       = PredictorOracle
+)
+
 // RegionSetup couples a region configuration with the client population
 // connected to it.
 type RegionSetup struct {
@@ -66,14 +75,16 @@ type RegionSetup struct {
 	SurgeAt simclock.Duration
 }
 
-// Config describes a complete ACM deployment.
+// Config describes a complete ACM deployment.  Every field except Policy and
+// Overlay is plain data, so a Config round-trips through JSON (experiment
+// scenario files embed it).
 type Config struct {
 	// Seed drives every random stream of the simulation.
 	Seed uint64
 	// Regions lists the cloud regions and their client populations.
 	Regions []RegionSetup
 	// Policy is the load-balancing policy run by the leader VMC.
-	Policy core.Policy
+	Policy core.Policy `json:"-"`
 	// Beta is the smoothing factor of equation (1).
 	Beta float64
 	// ControlInterval is the period of the global closed control loop (one
@@ -91,7 +102,7 @@ type Config struct {
 	// Overlay is the controller interconnection network; when nil a
 	// three-region paper overlay is built and regions beyond the first three
 	// are attached to the transit node.
-	Overlay *overlay.Network
+	Overlay *overlay.Network `json:"-"`
 	// MLProfile overrides the profiling configuration used when Predictor is
 	// PredictorML (sensible defaults otherwise).
 	MLProfile f2pm.ProfileConfig
@@ -194,16 +205,16 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Beta <= 0 || c.Beta > 1 {
-		c.Beta = 0.5
+		c.Beta = DefaultBeta
 	}
 	if c.ControlInterval <= 0 {
-		c.ControlInterval = 60 * simclock.Second
+		c.ControlInterval = DefaultControlInterval
 	}
 	if c.Policy == nil {
 		c.Policy = core.AvailableResources{}
 	}
 	if c.Predictor == "" {
-		c.Predictor = PredictorOracle
+		c.Predictor = DefaultPredictor
 	}
 	if c.ThinkTime <= 0 {
 		c.ThinkTime = 7 * simclock.Second

@@ -149,3 +149,32 @@ func TestParseRTTEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// FuzzParseRTT: ParseRTT never panics, and every matrix it accepts has a
+// trimmed, non-empty stream name and exactly one entry per region on each
+// row.
+func FuzzParseRTT(f *testing.F) {
+	f.Add("global=60,120;americas=80,140", 2)
+	f.Add(" global = 60 ; ; asia=1e3 ", 1)
+	f.Add("x=1,2,3;x=4,5,6", 3)
+	f.Add("=1", 1)
+	f.Add("a=1,,2", 3)
+	f.Add(";", 0)
+	f.Fuzz(func(t *testing.T, spec string, regions int) {
+		rtt, err := ParseRTT(spec, regions)
+		if err != nil {
+			return
+		}
+		if len(rtt) == 0 {
+			t.Fatalf("ParseRTT(%q, %d) accepted an empty matrix", spec, regions)
+		}
+		for stream, row := range rtt {
+			if stream == "" || stream != strings.TrimSpace(stream) {
+				t.Fatalf("ParseRTT(%q, %d) accepted stream name %q", spec, regions, stream)
+			}
+			if len(row) != regions {
+				t.Fatalf("ParseRTT(%q, %d): stream %q has %d entries", spec, regions, stream, len(row))
+			}
+		}
+	})
+}

@@ -23,7 +23,10 @@ func SaveScenario(w io.Writer, sc Scenario) error {
 }
 
 // LoadScenario reads a scenario from JSON and applies the experiment
-// defaults to any field left unset.
+// defaults to any field left unset.  A scenario file carries one key per
+// acm.Config field except Policy and Overlay, plus Name, Horizon,
+// TailFraction, ConvergenceTolerance and Backend.  A Beta outside (0, 1] is
+// rejected rather than reset; 0 means unset.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)
@@ -40,6 +43,11 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 		}
 		if rs.Region.Type.Name == "" {
 			return Scenario{}, fmt.Errorf("experiment: scenario %q region %q has no instance type", sc.Name, rs.Region.Name)
+		}
+	}
+	if sc.Beta != 0 {
+		if err := ValidateBeta(sc.Beta); err != nil {
+			return Scenario{}, fmt.Errorf("%w in scenario %q", err, sc.Name)
 		}
 	}
 	return sc.withDefaults(), nil

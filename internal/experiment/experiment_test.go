@@ -17,19 +17,21 @@ import (
 // clients and a short horizon, but the same structure as Figure 3.
 func quickScenario(seed uint64) Scenario {
 	return Scenario{
-		Name: "quick",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 150, Mix: workload.BrowsingMix()},
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 64, Mix: workload.BrowsingMix()},
+		Name:    "quick",
+		Horizon: 40 * simclock.Minute,
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 150, Mix: workload.BrowsingMix()},
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 64, Mix: workload.BrowsingMix()},
+			},
+			ControlInterval: 60 * simclock.Second,
 		},
-		Horizon:         40 * simclock.Minute,
-		ControlInterval: 60 * simclock.Second,
 	}.withDefaults()
 }
 
 func TestScenarioDefaults(t *testing.T) {
-	sc := Scenario{Name: "x", Regions: Figure3Scenario(1).Regions}.withDefaults()
+	sc := Scenario{Name: "x", Config: acm.Config{Regions: Figure3Scenario(1).Regions}}.withDefaults()
 	if sc.Horizon != 2*simclock.Hour || sc.ControlInterval != 60*simclock.Second {
 		t.Fatalf("unexpected defaults: %+v", sc)
 	}

@@ -26,93 +26,12 @@ import (
 type Scenario struct {
 	// Name labels the scenario ("figure3", "figure4", ...).
 	Name string
-	// Seed drives all random streams.
-	Seed uint64
-	// Regions lists the cloud regions and their client populations.
-	Regions []acm.RegionSetup
+	// Config is the deployment the scenario realises.  Its Policy is
+	// replaced by the policy under test when the scenario is run, and
+	// neither Policy nor Overlay is part of a scenario file.
+	acm.Config
 	// Horizon is the simulated duration of one run.
 	Horizon simclock.Duration
-	// ControlInterval is the period of the global control loop.
-	ControlInterval simclock.Duration
-	// Beta is the RMTTF smoothing factor of equation (1).
-	Beta float64
-	// Predictor selects oracle or trained-ML RTTF prediction.
-	Predictor acm.PredictorMode
-	// VMC configures the per-region controllers.
-	VMC pcam.Config
-	// EventWorkers selects the sharded event loop: with a value >= 1 every
-	// region shard runs its own sub-engine and the shard loops execute on up
-	// to this many goroutines in lockstep epochs, with cross-shard effects
-	// delivered through mailboxes at epoch barriers.  Zero keeps the serial
-	// single-queue engine (byte-identical to the pre-event-loop behaviour);
-	// results are byte-identical across all values >= 1.
-	EventWorkers int
-	// EventEpoch overrides the lockstep epoch width of the sharded event
-	// loop (simclock.DefaultEpoch when zero).
-	EventEpoch simclock.Duration
-	// GSLB enables the global traffic director with the given routing
-	// policy, health-probe cadence and failover thresholds.  A GSLB scenario
-	// always runs on the sharded event loop (EventWorkers 0 is promoted to
-	// 1), so its output is byte-identical for every EventWorkers value.
-	GSLB gslb.Config
-	// GlobalClients attaches this many emulated browsers to the director
-	// instead of a fixed region.
-	GlobalClients int
-	// CohortClients attaches this many cohort-compressed clients to the
-	// director (requires GSLB).  Per-region cohort populations are configured
-	// on the RegionSetup's own CohortClients field instead.
-	CohortClients int
-	// TracerFraction is the fraction of every cohort population simulated as
-	// individual browsers to feed the response-time series (acm default 1%
-	// when zero).
-	TracerFraction float64
-	// ThinkTime overrides the mean client think time (TPC-W default 7 s when
-	// zero).  Million-client cohort scenarios stretch it so the offered load
-	// stays within the deployed capacity.
-	ThinkTime simclock.Duration
-	// CohortTick is the cohort state-split cadence (1 s when zero).
-	CohortTick simclock.Duration
-	// CohortMaxBatch caps the interactions one batched cohort request stands
-	// for (64 when zero).
-	CohortMaxBatch int
-	// Arrivals lists open-loop (optionally inhomogeneous-Poisson) request
-	// streams, pinned to a region or attached to the director.
-	Arrivals []acm.ArrivalSetup
-	// Faults is the scripted region-outage schedule driving failover
-	// experiments.
-	Faults []acm.RegionFault
-	// LinkFaults is the scripted network-path degradation schedule driving
-	// latency-routing experiments (requires a latency-aware GSLB config).
-	LinkFaults []acm.LinkFault
-	// GossipReplicas replaces the central director with this many replicated
-	// directors exchanging health over the simulated gossip plane; each
-	// request lane routes on its home replica's eventually-consistent view.
-	// Requires GSLB; zero keeps the central director.
-	GossipReplicas int
-	// GossipInterval is the gossip round period (10 s when zero).
-	GossipInterval simclock.Duration
-	// GossipFanout is how many peers each replica pushes to per round
-	// (1 when zero).
-	GossipFanout int
-	// GossipDelay is the per-message link delay of the gossip plane.
-	GossipDelay simclock.Duration
-	// GossipLoss is the per-message Bernoulli loss probability in [0, 1).
-	GossipLoss float64
-	// PartitionFaults scripts replica-set splits of the gossip plane —
-	// the split-brain stimulus of the global-partition scenario.
-	PartitionFaults []acm.PartitionFault
-	// TraceSampleFraction enables the deterministic request-span layer: this
-	// fraction of every client stream's requests is sampled into per-request
-	// traces (issue, routing, mailbox hops, queueing, service, completion)
-	// exportable as Chrome trace-event JSON.  Sampling is a pure function of
-	// (Seed, stream, request ID), so the trace set is byte-identical for
-	// every EventWorkers value and never perturbs the simulation.  Zero
-	// disables tracing.
-	TraceSampleFraction float64
-	// FlightRecorder enables the engine flight recorder: per-epoch per-shard
-	// busy/idle/mailbox-drain accounting plus control-tick phase timings.
-	// Requires the sharded event loop (EventWorkers >= 1 or a GSLB config).
-	FlightRecorder bool
 	// TailFraction is the fraction of the run treated as steady state when
 	// judging convergence and oscillation (0.4 when zero).
 	TailFraction float64
@@ -126,7 +45,8 @@ type Scenario struct {
 }
 
 // ValidateBeta rejects smoothing factors that withDefaults would silently
-// reset to 0.5, so sweeps and CLIs never report a β they did not simulate.
+// reset to acm.DefaultBeta, so sweeps, CLIs and scenario files never report
+// a β they did not simulate.
 func ValidateBeta(beta float64) error {
 	if beta <= 0 || beta > 1 {
 		return fmt.Errorf("experiment: beta %v outside (0, 1]", beta)
@@ -134,18 +54,22 @@ func ValidateBeta(beta float64) error {
 	return nil
 }
 
+// withDefaults fills the experiment fields and records the β, control
+// interval and predictor the deployment runs with.  The remaining
+// acm.Config defaults are left to acm, so the scenario keeps the raw values
+// its description and the benchmark probes read.
 func (s Scenario) withDefaults() Scenario {
 	if s.Horizon <= 0 {
 		s.Horizon = 2 * simclock.Hour
 	}
 	if s.ControlInterval <= 0 {
-		s.ControlInterval = 60 * simclock.Second
+		s.ControlInterval = acm.DefaultControlInterval
 	}
 	if s.Beta <= 0 || s.Beta > 1 {
-		s.Beta = 0.5
+		s.Beta = acm.DefaultBeta
 	}
 	if s.Predictor == "" {
-		s.Predictor = acm.PredictorOracle
+		s.Predictor = acm.DefaultPredictor
 	}
 	if s.TailFraction <= 0 {
 		s.TailFraction = 0.4
@@ -156,51 +80,19 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// ManagerConfig translates the scenario into the acm.Config that realises it
-// under the given policy.  A Scenario is plain data and every Manager built
-// from one owns all of its state, so any number of managers can be constructed
-// from the same scenario and run concurrently.
-func (s Scenario) ManagerConfig(p core.Policy) acm.Config {
-	return acm.Config{
-		Seed:            s.Seed,
-		Regions:         s.Regions,
-		Policy:          p,
-		Beta:            s.Beta,
-		ControlInterval: s.ControlInterval,
-		VMC:             s.VMC,
-		Predictor:       s.Predictor,
-		EventWorkers:    s.EventWorkers,
-		EventEpoch:      s.EventEpoch,
-		GSLB:            s.GSLB,
-		GlobalClients:   s.GlobalClients,
-		CohortClients:   s.CohortClients,
-		TracerFraction:  s.TracerFraction,
-		ThinkTime:       s.ThinkTime,
-		CohortTick:      s.CohortTick,
-		CohortMaxBatch:  s.CohortMaxBatch,
-		Arrivals:        s.Arrivals,
-		Faults:          s.Faults,
-		LinkFaults:      s.LinkFaults,
-		GossipReplicas:  s.GossipReplicas,
-		GossipInterval:  s.GossipInterval,
-		GossipFanout:    s.GossipFanout,
-		GossipDelay:     s.GossipDelay,
-		GossipLoss:      s.GossipLoss,
-		PartitionFaults: s.PartitionFaults,
-
-		TraceSampleFraction: s.TraceSampleFraction,
-		FlightRecorder:      s.FlightRecorder,
-	}
-}
-
 // NewBackend builds a fresh deployment from the scenario and the policy,
 // through the backend seam (the scenario's Backend field picks the
 // implementation; the simulator by default).  The policy is cloned first, so
 // callers may reuse one NamedPolicy across concurrent runs even for stateful
-// policies such as Policy 3.
+// policies such as Policy 3.  A Scenario is plain data and every deployment
+// built from one owns all of its state, so any number of them can be built
+// from the same scenario and run concurrently.  The one exception is an
+// Overlay set in code: it is a pointer, and those deployments share it.
 func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 	sc = sc.withDefaults()
-	b, err := backend.New(sc.Backend, sc.ManagerConfig(core.ClonePolicy(np.Policy)))
+	cfg := sc.Config
+	cfg.Policy = core.ClonePolicy(np.Policy)
+	b, err := backend.New(sc.Backend, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: scenario %s policy %s: %w", sc.Name, np.Key, err)
 	}
@@ -260,10 +152,12 @@ func (s Scenario) EffectiveClients() int {
 func Figure3Scenario(seed uint64) Scenario {
 	return Scenario{
 		Name: "figure3",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 320, Mix: workload.BrowsingMix()},
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 128, Mix: workload.BrowsingMix()},
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 320, Mix: workload.BrowsingMix()},
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 128, Mix: workload.BrowsingMix()},
+			},
 		},
 	}.withDefaults()
 }
@@ -274,11 +168,13 @@ func Figure3Scenario(seed uint64) Scenario {
 func Figure4Scenario(seed uint64) Scenario {
 	return Scenario{
 		Name: "figure4",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 288, Mix: workload.BrowsingMix()},
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion2), Clients: 96, Mix: workload.BrowsingMix()},
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 256, Mix: workload.BrowsingMix()},
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 288, Mix: workload.BrowsingMix()},
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion2), Clients: 96, Mix: workload.BrowsingMix()},
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 256, Mix: workload.BrowsingMix()},
+			},
 		},
 	}.withDefaults()
 }
@@ -294,11 +190,13 @@ func HomogeneousScenario(seed uint64) Scenario {
 	}
 	return Scenario{
 		Name: "homogeneous",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: mkRegion("region1"), Clients: 192, Mix: workload.BrowsingMix()},
-			{Region: mkRegion("region2"), Clients: 192, Mix: workload.BrowsingMix()},
-			{Region: mkRegion("region3"), Clients: 192, Mix: workload.BrowsingMix()},
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: mkRegion("region1"), Clients: 192, Mix: workload.BrowsingMix()},
+				{Region: mkRegion("region2"), Clients: 192, Mix: workload.BrowsingMix()},
+				{Region: mkRegion("region3"), Clients: 192, Mix: workload.BrowsingMix()},
+			},
 		},
 	}.withDefaults()
 }
@@ -314,22 +212,24 @@ func ElasticityScenario(seed uint64) Scenario {
 	region.InitialStandby = 3
 	region.MaxVMs = 18
 	return Scenario{
-		Name: "elasticity",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{
-				Region:       region,
-				Clients:      96,
-				Mix:          workload.BrowsingMix(),
-				SurgeClients: 288,
-				SurgeAt:      30 * simclock.Minute,
-			},
-			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 64, Mix: workload.BrowsingMix()},
-		},
+		Name:    "elasticity",
 		Horizon: 90 * simclock.Minute,
-		VMC: pcam.Config{
-			ElasticityEnabled:     true,
-			ResponseTimeThreshold: 1.0,
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{
+					Region:       region,
+					Clients:      96,
+					Mix:          workload.BrowsingMix(),
+					SurgeClients: 288,
+					SurgeAt:      30 * simclock.Minute,
+				},
+				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 64, Mix: workload.BrowsingMix()},
+			},
+			VMC: pcam.Config{
+				ElasticityEnabled:     true,
+				ResponseTimeThreshold: 1.0,
+			},
 		},
 	}.withDefaults()
 }
@@ -361,18 +261,20 @@ func megaregionScenario(name string, seed uint64, shards int) Scenario {
 		Shards:         shards,
 	}
 	return Scenario{
-		Name: name,
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: region, Clients: 2000, Mix: workload.BrowsingMix()},
-		},
+		Name:    name,
 		Horizon: 30 * simclock.Minute,
-		VMC: pcam.Config{
-			// At 5x10^3 VMs the per-VM request trickle keeps every predicted
-			// RTTF far above the default 600 s threshold anyway; elasticity
-			// stays off so the scenario isolates the dispatch/scan path that
-			// sharding optimises.
-			ElasticityEnabled: false,
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: region, Clients: 2000, Mix: workload.BrowsingMix()},
+			},
+			VMC: pcam.Config{
+				// At 5x10^3 VMs the per-VM request trickle keeps every predicted
+				// RTTF far above the default 600 s threshold anyway; elasticity
+				// stays off so the scenario isolates the dispatch/scan path that
+				// sharding optimises.
+				ElasticityEnabled: false,
+			},
 		},
 	}.withDefaults()
 }
@@ -466,23 +368,25 @@ func GlobalMegaclientsScenario(seed uint64) Scenario {
 		}
 	}
 	return Scenario{
-		Name: "global-megaclients",
-		Seed: seed,
-		Regions: []acm.RegionSetup{
-			{Region: mkRegion("region1"), Clients: 32, Mix: workload.BrowsingMix()},
-			{Region: mkRegion("region2"), Clients: 32, Mix: workload.BrowsingMix()},
-			{Region: mkRegion("region3"), Clients: 32, Mix: workload.BrowsingMix()},
-		},
-		CohortClients:  1_200_000,
-		ThinkTime:      60 * simclock.Second,
-		CohortMaxBatch: 128,
-		EventWorkers:   8,
-		Horizon:        30 * simclock.Minute,
-		GSLB: gslb.Config{
-			Policy: gslb.PolicyLeastLoad,
-		},
-		VMC: pcam.Config{
-			ElasticityEnabled: false,
+		Name:    "global-megaclients",
+		Horizon: 30 * simclock.Minute,
+		Config: acm.Config{
+			Seed: seed,
+			Regions: []acm.RegionSetup{
+				{Region: mkRegion("region1"), Clients: 32, Mix: workload.BrowsingMix()},
+				{Region: mkRegion("region2"), Clients: 32, Mix: workload.BrowsingMix()},
+				{Region: mkRegion("region3"), Clients: 32, Mix: workload.BrowsingMix()},
+			},
+			CohortClients:  1_200_000,
+			ThinkTime:      60 * simclock.Second,
+			CohortMaxBatch: 128,
+			EventWorkers:   8,
+			GSLB: gslb.Config{
+				Policy: gslb.PolicyLeastLoad,
+			},
+			VMC: pcam.Config{
+				ElasticityEnabled: false,
+			},
 		},
 	}.withDefaults()
 }
@@ -508,16 +412,18 @@ func globalRegions() []acm.RegionSetup {
 // routed counts plus the health-transition log).
 func GlobalFailoverScenario(seed uint64) Scenario {
 	return Scenario{
-		Name:          "global-failover",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 256,
-		GSLB: gslb.Config{
-			Policy:     gslb.PolicyFailover,
-			Preference: []string{"region1", "region2", "region3"},
-		},
-		Faults: []acm.RegionFault{
-			{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
+		Name: "global-failover",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 256,
+			GSLB: gslb.Config{
+				Policy:     gslb.PolicyFailover,
+				Preference: []string{"region1", "region2", "region3"},
+			},
+			Faults: []acm.RegionFault{
+				{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
+			},
 		},
 	}.withDefaults()
 }
@@ -528,12 +434,14 @@ func GlobalFailoverScenario(seed uint64) Scenario {
 // capacity, so traffic continuously follows where the resources are.
 func GlobalLeastLoadScenario(seed uint64) Scenario {
 	return Scenario{
-		Name:          "global-leastload",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 192,
-		GSLB: gslb.Config{
-			Policy: gslb.PolicyLeastLoad,
+		Name: "global-leastload",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 192,
+			GSLB: gslb.Config{
+				Policy: gslb.PolicyLeastLoad,
+			},
 		},
 	}.withDefaults()
 }
@@ -556,26 +464,28 @@ func GlobalDiurnalScenario(seed uint64) Scenario {
 		}
 	}
 	return Scenario{
-		Name:          "global-diurnal",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 96,
-		GSLB: gslb.Config{
-			Policy:  gslb.PolicyStatic,
-			Weights: []float64{0.45, 0.30, 0.25},
-		},
-		Arrivals: []acm.ArrivalSetup{
-			{Name: "americas", Region: "region1", Rate: diurnal(0)},
-			{Name: "europe", Region: "region2", Rate: diurnal(20 * simclock.Minute)},
-			{Name: "asia", Region: "region3", Rate: diurnal(40 * simclock.Minute)},
-			{Name: "mobile", Rate: workload.RateSpec{
-				Kind: workload.RatePiecewise,
-				Steps: []workload.RateStep{
-					{Duration: 10 * simclock.Minute, Rate: 4},
-					{Duration: 10 * simclock.Minute, Rate: 12},
-					{Duration: 10 * simclock.Minute, Rate: 2},
-				},
-			}},
+		Name: "global-diurnal",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 96,
+			GSLB: gslb.Config{
+				Policy:  gslb.PolicyStatic,
+				Weights: []float64{0.45, 0.30, 0.25},
+			},
+			Arrivals: []acm.ArrivalSetup{
+				{Name: "americas", Region: "region1", Rate: diurnal(0)},
+				{Name: "europe", Region: "region2", Rate: diurnal(20 * simclock.Minute)},
+				{Name: "asia", Region: "region3", Rate: diurnal(40 * simclock.Minute)},
+				{Name: "mobile", Rate: workload.RateSpec{
+					Kind: workload.RatePiecewise,
+					Steps: []workload.RateStep{
+						{Duration: 10 * simclock.Minute, Rate: 4},
+						{Duration: 10 * simclock.Minute, Rate: 12},
+						{Duration: 10 * simclock.Minute, Rate: 2},
+					},
+				}},
+			},
 		},
 	}.withDefaults()
 }
@@ -592,24 +502,26 @@ func GlobalLatencyScenario(seed uint64) Scenario {
 		return workload.RateSpec{Kind: workload.RateConstant, Rate: rate}
 	}
 	return Scenario{
-		Name:          "global-latency",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 96,
-		GSLB: gslb.Config{
-			Policy:          gslb.PolicyLatency,
-			LatencyExponent: 2,
-			RTT: map[string][]float64{
-				"global":   {60, 60, 60},
-				"americas": {80, 140, 160},
-				"europe":   {120, 30, 40},
-				"asia":     {240, 180, 160},
+		Name: "global-latency",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 96,
+			GSLB: gslb.Config{
+				Policy:          gslb.PolicyLatency,
+				LatencyExponent: 2,
+				RTT: map[string][]float64{
+					"global":   {60, 60, 60},
+					"americas": {80, 140, 160},
+					"europe":   {120, 30, 40},
+					"asia":     {240, 180, 160},
+				},
 			},
-		},
-		Arrivals: []acm.ArrivalSetup{
-			{Name: "americas", Rate: constant(8)},
-			{Name: "europe", Rate: constant(8)},
-			{Name: "asia", Rate: constant(8)},
+			Arrivals: []acm.ArrivalSetup{
+				{Name: "americas", Rate: constant(8)},
+				{Name: "europe", Rate: constant(8)},
+				{Name: "asia", Rate: constant(8)},
+			},
 		},
 	}.withDefaults()
 }
@@ -657,18 +569,20 @@ func GlobalTracedScenario(seed uint64) Scenario {
 // re-convergence the gossip_convergence series pins byte-for-byte.
 func GlobalGossipScenario(seed uint64) Scenario {
 	return Scenario{
-		Name:          "global-gossip",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 192,
-		GSLB: gslb.Config{
-			Policy: gslb.PolicyLeastLoad,
-		},
-		GossipReplicas: 3,
-		GossipInterval: 10 * simclock.Second,
-		Faults: []acm.RegionFault{
-			{Region: "region2", At: 8 * simclock.Minute, Duration: 6 * simclock.Minute, KeepActive: 2},
-			{Region: "region3", At: 18 * simclock.Minute, Duration: 6 * simclock.Minute, KeepActive: 1},
+		Name: "global-gossip",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 192,
+			GSLB: gslb.Config{
+				Policy: gslb.PolicyLeastLoad,
+			},
+			GossipReplicas: 3,
+			GossipInterval: 10 * simclock.Second,
+			Faults: []acm.RegionFault{
+				{Region: "region2", At: 8 * simclock.Minute, Duration: 6 * simclock.Minute, KeepActive: 2},
+				{Region: "region3", At: 18 * simclock.Minute, Duration: 6 * simclock.Minute, KeepActive: 1},
+			},
 		},
 	}.withDefaults()
 }
@@ -685,21 +599,23 @@ func GlobalGossipScenario(seed uint64) Scenario {
 // dead region.
 func GlobalPartitionScenario(seed uint64) Scenario {
 	return Scenario{
-		Name:          "global-partition",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 256,
-		GSLB: gslb.Config{
-			Policy:     gslb.PolicyFailover,
-			Preference: []string{"region1", "region2", "region3"},
-		},
-		GossipReplicas: 3,
-		GossipInterval: 10 * simclock.Second,
-		PartitionFaults: []acm.PartitionFault{
-			{At: 8 * simclock.Minute, Duration: 10 * simclock.Minute, Replicas: []int{2}},
-		},
-		Faults: []acm.RegionFault{
-			{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
+		Name: "global-partition",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 256,
+			GSLB: gslb.Config{
+				Policy:     gslb.PolicyFailover,
+				Preference: []string{"region1", "region2", "region3"},
+			},
+			GossipReplicas: 3,
+			GossipInterval: 10 * simclock.Second,
+			PartitionFaults: []acm.PartitionFault{
+				{At: 8 * simclock.Minute, Duration: 10 * simclock.Minute, Replicas: []int{2}},
+			},
+			Faults: []acm.RegionFault{
+				{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
+			},
 		},
 	}.withDefaults()
 }
@@ -714,19 +630,21 @@ func GlobalPartitionScenario(seed uint64) Scenario {
 // series and the drop counts pin.
 func GlobalStaleViewScenario(seed uint64) Scenario {
 	return Scenario{
-		Name:          "global-staleview",
-		Seed:          seed,
-		Regions:       globalRegions(),
-		GlobalClients: 192,
-		GSLB: gslb.Config{
-			Policy: gslb.PolicyLeastLoad,
-		},
-		GossipReplicas: 3,
-		GossipInterval: 40 * simclock.Second,
-		GossipLoss:     0.25,
-		GossipDelay:    2 * simclock.Second,
-		Faults: []acm.RegionFault{
-			{Region: "region1", At: 6 * simclock.Minute, Duration: 8 * simclock.Minute, KeepActive: 1},
+		Name: "global-staleview",
+		Config: acm.Config{
+			Seed:          seed,
+			Regions:       globalRegions(),
+			GlobalClients: 192,
+			GSLB: gslb.Config{
+				Policy: gslb.PolicyLeastLoad,
+			},
+			GossipReplicas: 3,
+			GossipInterval: 40 * simclock.Second,
+			GossipLoss:     0.25,
+			GossipDelay:    2 * simclock.Second,
+			Faults: []acm.RegionFault{
+				{Region: "region1", At: 6 * simclock.Minute, Duration: 8 * simclock.Minute, KeepActive: 1},
+			},
 		},
 	}.withDefaults()
 }
