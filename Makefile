@@ -6,6 +6,7 @@
 #   make bench       # the complete evaluation as benchmarks
 #   make bench-smoke # one cheap iteration of the Figure 3 benchmarks
 #   make bench-json  # record BENCH_ci.json and gate it against BENCH_baseline.json
+#   make bench-set   # print the gate's benchmark pattern (BENCH_SET)
 #   make lint        # golangci-lint (falls back to go vet when not installed)
 #   make docs        # regenerate docs/SCENARIOS.md + docs/METRICS.md + docs/TRACING.md from the registries
 #   make docs-check  # fail when generated docs are stale or links are dead
@@ -17,17 +18,18 @@
 GO ?= go
 
 # The benchmark set the regression gate records and compares.  bench-json,
-# bench-baseline and the CI bench-regression job (which runs `make
-# bench-json`) all share this one definition, so the gate, the baseline and
-# CI can never record different benchmark sets.
+# bench-baseline, the CI bench-regression job (which runs `make bench-json`)
+# and the nightly record (which reads it with `make -s bench-set`) all share
+# this one definition, so no two of them can record different benchmark sets.
 # VMSample, ShardDispatch, CrossLaneForward and EventQueue are per-layer
 # benchmarks: one op is a fixed batch of units, and each also reports ns and
 # allocs per unit.
+BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward|EventQueue
 # -count=3: benchjson records each unit's median over the three samples, so
 # one noisy sample on a shared box cannot trip the gate.
-BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward|EventQueue' -benchtime=1x -count=3 -benchmem -run='^$$' .
+BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-check docs docs-check metrics-lint loc fuzz
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-set bench-check docs docs-check metrics-lint loc fuzz
 
 check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check
 
@@ -87,6 +89,11 @@ bench-baseline:
 	cat BENCH_raw.txt
 	$(GO) run ./cmd/benchjson parse -in BENCH_raw.txt -out BENCH_baseline.json
 
+# bench-set prints the benchmark pattern, for runs that time the same set with
+# other flags (the nightly's -benchtime=3x with CPU and memory profiles).
+bench-set:
+	@echo '$(BENCH_SET)'
+
 # bench/ is its own Go module (replace repro => ../), so the root `go vet
 # ./...` and `go test ./...` never build it; this target is how a change to a
 # package it imports is checked against it.
@@ -126,8 +133,8 @@ loc:
 # `go test -fuzz` accepts one target per run, so the targets go one at a
 # time; a crasher is written to the package's testdata/fuzz directory, where
 # the plain test suite replays it as a seed from then on.  The PR CI job
-# runs the short default budget; raise it for a long local run with
-# `make fuzz FUZZTIME=10m`.  New inputs are minimized for 5 s instead of the
+# runs the short default budget and the nightly `make fuzz FUZZTIME=2m`;
+# raise it for a long local run with `make fuzz FUZZTIME=10m`.  New inputs are minimized for 5 s instead of the
 # default 60 s: the scenario-JSON seeds run to kilobytes, and minimizing one
 # of them would otherwise use up a short budget.
 FUZZTIME ?= 10s

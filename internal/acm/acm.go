@@ -164,16 +164,18 @@ type Config struct {
 	// LinkFault), the stimulus the director's passive latency learning
 	// responds to.  Requires a latency-aware GSLB configuration.
 	LinkFaults []LinkFault
-	// GossipReplicas replaces the central director with this many replicated
-	// directors exchanging health over the simulated gossip plane
-	// (internal/gossip).  Each request lane routes on its home replica's
-	// eventually-consistent view (lane g reads replica g mod N).  Requires
-	// GSLB to be enabled; incompatible with the latency policy and RTT
-	// matrices (their passive estimators are inherently central).  Zero
-	// keeps the central director.
+	// GossipReplicas is the replica count of the health plane
+	// (internal/gossip).  With N >= 2 replicated directors exchange health
+	// over simulated gossip, and each request lane routes on its home
+	// replica's eventually-consistent view (lane g reads replica g mod N).
+	// 0 and 1 both select one replica: the central director.  N >= 2
+	// requires GSLB to be enabled and is incompatible with the latency
+	// policy and RTT matrices (their passive estimators learn from every
+	// lane).
 	GossipReplicas int
 	// GossipInterval is the gossip round period on the control timeline
-	// (10 s when zero).
+	// (10 s when zero).  Requires GossipReplicas >= 2, like every gossip
+	// tuning field below.
 	GossipInterval simclock.Duration
 	// GossipFanout is how many peers each replica pushes to per round
 	// (1 when zero).
@@ -264,8 +266,7 @@ type Manager struct {
 	plan        *core.ForwardPlan
 	recorder    *trace.Recorder
 	models      map[string]*f2pm.Model   // per instance type, when PredictorML
-	director    *gslb.Director           // non-nil when GSLB is enabled centrally
-	plane       *gossip.Plane            // non-nil when GossipReplicas > 0
+	plane       *gossip.Plane            // health plane; non-nil when GSLB is enabled
 	tracer      *tracing.Tracer          // non-nil when TraceSampleFraction > 0
 	flight      *simclock.FlightRecorder // non-nil when Config.FlightRecorder
 	arrivals    []*workload.VaryingOpenLoop
@@ -392,7 +393,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err := m.buildDirector(); err != nil {
 		return nil, err
 	}
-	// The instrument families depend on the director/plane shape, so the
+	// The instrument families depend on the plane's shape, so the
 	// registry is assembled right after the global wiring.
 	m.buildMetrics()
 	if cfg.EventWorkers == 0 {

@@ -153,13 +153,13 @@ func newEventLoop(m *Manager) *eventLoop {
 // dispatcher).
 func (el *eventLoop) buildGlobalTraffic() {
 	m := el.mgr
-	if m.director != nil || m.plane != nil {
+	if m.plane != nil {
 		el.gslbTables = make([]*gslb.Table, el.total)
 		el.gslbRouted = make([][]uint64, el.total)
 		el.gslbDisp = make([]workload.Dispatcher, el.total)
-		if m.director != nil && m.director.LatencyAware() {
+		if d := m.latencyDirector(); d != nil {
 			el.latAware = true
-			streams := m.director.Streams()
+			streams := d.Streams()
 			el.streamIdx = make(map[string]int, len(streams))
 			matrix := make([][]float64, len(streams))
 			for s, name := range streams {
@@ -174,15 +174,11 @@ func (el *eventLoop) buildGlobalTraffic() {
 				el.laneRTT[g] = matrix
 			}
 		}
+		// Each request lane is homed to one replica and routes on that
+		// replica's table — with several replicas two lanes can disagree
+		// about the same region, which is the point.
+		el.installPlaneTables(m.plane)
 		for g := 0; g < el.total; g++ {
-			if m.plane != nil {
-				// Each request lane is homed to one gossip replica and routes
-				// on that replica's eventually-consistent table — two lanes
-				// can disagree about the same region, which is the point.
-				el.gslbTables[g] = m.plane.Table(m.plane.Home(g))
-			} else {
-				el.gslbTables[g] = m.director.Table()
-			}
 			el.gslbRouted[g] = make([]uint64, len(m.regions))
 			el.gslbDisp[g] = el.gslbDispatcher(g)
 		}
@@ -331,16 +327,17 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 	})
 }
 
-// flushGSLBObs drains every lane's observation buffer into the director in
-// lane-index order — the fixed fold order that keeps the estimator's
-// floating-point state byte-reproducible for every worker count.  Called on
-// the control timeline right before each probe tick, while the shard loops
-// are idle.
-func (el *eventLoop) flushGSLBObs(d *gslb.Director) {
+// flushGSLBObs drains every lane's observation buffer into its home
+// replica's director in lane-index order — the fixed fold order that keeps
+// the estimator's floating-point state byte-reproducible for every worker
+// count.  Called on the control timeline right before each probe tick, while
+// the shard loops are idle.
+func (el *eventLoop) flushGSLBObs(p *gossip.Plane) {
 	if !el.latAware {
 		return
 	}
 	for g := range el.gslbObs {
+		d := p.Director(p.Home(g))
 		for _, o := range el.gslbObs[g] {
 			d.Observe(o.stream, o.region, o.rttMs, o.weight)
 		}
@@ -374,20 +371,11 @@ func (el *eventLoop) setLinkRTT(stream, region int, ms float64) {
 	}
 }
 
-// installGSLBTable republishes a fresh routing-table snapshot to every
-// lane's slot.  Called from the director's probe tick on the control
-// timeline, i.e. at an epoch barrier while every shard loop is idle.
-func (el *eventLoop) installGSLBTable(t *gslb.Table) {
-	for g := range el.gslbTables {
-		el.gslbTables[g] = t
-	}
-}
-
-// installGossipTables republishes every gossip replica's routing-table
-// snapshot to its homed lanes (lane g reads replica g mod N).  Called from
-// the plane's probe and gossip ticks on the control timeline, i.e. at an
-// epoch barrier while every shard loop is idle.
-func (el *eventLoop) installGossipTables(p *gossip.Plane) {
+// installPlaneTables republishes every replica's routing-table snapshot to
+// its homed lanes (lane g reads replica g mod N).  Called from the plane's
+// probe and gossip ticks on the control timeline, i.e. at an epoch barrier
+// while every shard loop is idle.
+func (el *eventLoop) installPlaneTables(p *gossip.Plane) {
 	for g := range el.gslbTables {
 		el.gslbTables[g] = p.Table(p.Home(g))
 	}

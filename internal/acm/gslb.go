@@ -1,16 +1,18 @@
 // Global-traffic-director wiring of a deployment: the Manager seam that
 // attaches client populations and open-loop arrival streams *globally* —
-// to a gslb.Director that picks the serving region per request — instead of
-// pinning them to one region, plus the scripted region-outage schedule that
-// gives the director's health-driven failover something to react to.
+// to the health plane (a gossip.Plane of one or more gslb.Director replicas)
+// that picks the serving region per request — instead of pinning them to
+// one region, plus the scripted region-outage schedule that gives the
+// director's health-driven failover something to react to.
 //
 // Determinism: a GSLB deployment always runs on the sharded event loop
 // (Config.withDefaults promotes EventWorkers 0 -> 1), because global routing
 // crosses region sub-engines and therefore must ride the mailbox machinery.
-// The director's probe runs on the control timeline; each lane's dispatcher
-// reads an immutable routing-table snapshot republished at epoch barriers
-// and owns its RNG/rotation state, so the output is byte-identical for every
-// EventWorkers value — 0 and 1 select the same inline epochal run.
+// The plane's probe and gossip rounds run on the control timeline; each
+// lane's dispatcher reads an immutable routing-table snapshot republished at
+// epoch barriers and owns its RNG/rotation state, so the output is
+// byte-identical for every EventWorkers value — 0 and 1 select the same
+// inline epochal run.
 package acm
 
 import (
@@ -223,16 +225,31 @@ func (m *Manager) validateGlobal() error {
 	return nil
 }
 
-// validateGossip rejects gossip health-plane configurations the wiring
-// cannot realise.
+// validateGossip rejects health-plane configurations the wiring cannot
+// realise.  One replica (GossipReplicas 0 or 1) is the central director and
+// sends no messages, so every gossip tuning field needs at least two.
 func (m *Manager) validateGossip() error {
 	cfg := m.cfg
 	if cfg.GossipReplicas < 0 {
 		return validate.Fieldf("acm", "GossipReplicas", "must be >= 0, got %d", cfg.GossipReplicas)
 	}
-	if cfg.GossipReplicas == 0 {
-		if cfg.GossipInterval != 0 || cfg.GossipFanout != 0 || cfg.GossipDelay != 0 || cfg.GossipLoss != 0 || len(cfg.PartitionFaults) > 0 {
-			return validate.Fieldf("acm", "GossipReplicas", "is 0 but gossip tuning/partition fields are set")
+	if cfg.GossipReplicas < 2 {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"GossipInterval", cfg.GossipInterval != 0},
+			{"GossipFanout", cfg.GossipFanout != 0},
+			{"GossipDelay", cfg.GossipDelay != 0},
+			{"GossipLoss", cfg.GossipLoss != 0},
+			{"PartitionFaults", len(cfg.PartitionFaults) > 0},
+		} {
+			if f.set {
+				return validate.Fieldf("acm", f.name, "requires GossipReplicas >= 2, got %d (one replica sends no gossip)", cfg.GossipReplicas)
+			}
+		}
+		if cfg.GossipReplicas == 1 && !cfg.GSLB.Enabled() {
+			return validate.Fieldf("acm", "GossipReplicas", "= 1 but no GSLB policy configured")
 		}
 		return nil
 	}
@@ -240,18 +257,18 @@ func (m *Manager) validateGossip() error {
 		return validate.Fieldf("acm", "GossipReplicas", "= %d but no GSLB policy configured", cfg.GossipReplicas)
 	}
 	if cfg.GSLB.LatencyAware() {
-		return validate.Fieldf("acm", "GossipReplicas", "> 0 cannot run a latency-aware GSLB config (its passive estimators are central); use the central director")
+		return validate.Fieldf("acm", "GossipReplicas", "= %d cannot run a latency-aware GSLB config (its passive estimators learn from every lane); use one replica", cfg.GossipReplicas)
 	}
 	if cfg.GossipInterval < 0 || cfg.GossipDelay < 0 {
 		return validate.Fieldf("acm", "GossipInterval/GossipDelay", "must be >= 0")
+	}
+	if cfg.GossipFanout < 0 {
+		return validate.Fieldf("acm", "GossipFanout", "= %d; must be >= 0", cfg.GossipFanout)
 	}
 	if l := cfg.GossipLoss; math.IsNaN(l) || l < 0 || l >= 1 {
 		return validate.Fieldf("acm", "GossipLoss", "= %v; must lie in [0, 1)", l)
 	}
 	for i, f := range cfg.PartitionFaults {
-		if cfg.GossipReplicas < 2 {
-			return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d]", i), "needs GossipReplicas >= 2, got %d", cfg.GossipReplicas)
-		}
 		if f.At < 0 || f.Duration < 0 {
 			return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d]", i), "has negative At/Duration")
 		}
@@ -297,79 +314,50 @@ func (m *Manager) globalStreamNames() []string {
 	return streams
 }
 
-// buildDirector assembles the global health plane over the deployment's
-// regions: the central gslb.Director, or — when GossipReplicas is set — the
-// replicated gossip.Plane whose replicas each probe their owned regions'
-// live telemetry.
+// buildDirector assembles the health plane over the deployment's regions:
+// max(1, GossipReplicas) gslb.Director replicas, each probing its owned
+// regions' live telemetry.  One replica is the central director.
 func (m *Manager) buildDirector() error {
 	if !m.cfg.GSLB.Enabled() {
 		return nil
 	}
-	sample := func(i int) cloudsim.Telemetry { return m.regions[i].Telemetry() }
-	if m.cfg.GossipReplicas > 0 {
-		p, err := gossip.New(gossip.Config{
-			Replicas: m.cfg.GossipReplicas,
-			Interval: m.cfg.GossipInterval,
-			Fanout:   m.cfg.GossipFanout,
-			Delay:    m.cfg.GossipDelay,
-			Loss:     m.cfg.GossipLoss,
-		}, m.cfg.GSLB, m.regionNames, m.cfg.Seed^hashString("gossip"), sample)
-		if err != nil {
-			return fmt.Errorf("acm: %w", err)
-		}
-		m.plane = p
-		return nil
-	}
-	d, err := gslb.NewDirector(m.cfg.GSLB, m.regionNames, m.globalStreamNames(), sample)
+	p, err := gossip.New(gossip.Config{
+		Replicas: max(1, m.cfg.GossipReplicas),
+		Interval: m.cfg.GossipInterval,
+		Fanout:   m.cfg.GossipFanout,
+		Delay:    m.cfg.GossipDelay,
+		Loss:     m.cfg.GossipLoss,
+	}, m.cfg.GSLB, m.regionNames, m.globalStreamNames(), m.cfg.Seed^hashString("gossip"),
+		func(i int) cloudsim.Telemetry { return m.regions[i].Telemetry() })
 	if err != nil {
 		return fmt.Errorf("acm: %w", err)
 	}
-	m.director = d
+	m.plane = p
 	return nil
 }
 
-// startDirector installs the health-probe ticker on the control timeline:
-// each tick samples every region, advances the failover state machine and
-// republishes the routing-table snapshot to every lane while the shard
-// loops are idle.
+// startDirector installs the health plane's control-timeline tickers.  The
+// probe tick flushes every lane's buffered latency observations into its
+// home replica (in lane order, so the estimator folds are byte-reproducible),
+// advances each owning replica's health state machines and republishes every
+// replica's table to its homed lanes.  With more than one replica a second
+// ticker runs the push-pull gossip rounds; one replica has nobody to gossip
+// with, so it gets no round timer.
 func (m *Manager) startDirector() {
-	if m.plane != nil {
-		// Gossip plane: two control-timeline cadences.  The probe tick
-		// advances each owning replica's health state machine (bumping the
-		// region versions); the gossip tick delivers and sends the push-pull
-		// rounds.  Both republish every replica's table to its homed lanes —
-		// serial, at exact timestamps, so the plane is byte-deterministic
-		// for any worker count.
-		probe := m.plane.GSLBConfig().ProbeInterval
-		m.stopProbe = m.eng.Ticker(probe, func(eng *simclock.Engine) {
-			m.plane.ProbeTick(eng.Now())
-			if m.el != nil {
-				m.el.installGossipTables(m.plane)
-			}
-		})
+	if m.plane == nil {
+		return
+	}
+	m.stopProbe = m.eng.Ticker(m.plane.Director(0).Config().ProbeInterval, func(eng *simclock.Engine) {
+		m.el.flushGSLBObs(m.plane)
+		m.plane.ProbeTick(eng.Now())
+		m.el.installPlaneTables(m.plane)
+	})
+	if m.plane.NumReplicas() > 1 {
 		m.stopGossip = m.eng.Ticker(m.plane.Interval(), func(eng *simclock.Engine) {
 			m.plane.GossipTick(eng.Now())
-			if m.el != nil {
-				m.el.installGossipTables(m.plane)
-			}
+			m.el.installPlaneTables(m.plane)
 		})
-		return
 	}
-	if m.director == nil {
-		return
-	}
-	m.stopProbe = m.eng.Ticker(m.director.Config().ProbeInterval, func(eng *simclock.Engine) {
-		// Flush the buffered completion observations first, so the tick
-		// folds the freshest interval into the latency estimates before the
-		// routing table is rebuilt.
-		if m.el != nil {
-			m.el.flushGSLBObs(m.director)
-		}
-		table := m.director.Tick(eng.Now())
-		if m.el != nil {
-			m.el.installGSLBTable(table)
-		}
-	})
 }
 
 // scheduleLinkFaults arms the scripted network-path degradations on the
@@ -448,30 +436,25 @@ func (m *Manager) buildSerialArrivals() error {
 	return nil
 }
 
-// Director returns the central global traffic director (nil when GSLB is
-// disabled or the deployment runs the gossip plane instead).
-func (m *Manager) Director() *gslb.Director { return m.director }
+// HealthPlane returns the global health plane (nil when GSLB is disabled).
+// A one-replica plane is the central director.
+func (m *Manager) HealthPlane() *gossip.Plane { return m.plane }
 
-// GossipPlane returns the replicated gossip health plane (nil unless
-// GossipReplicas is set).
-func (m *Manager) GossipPlane() *gossip.Plane { return m.plane }
-
-// GossipStats returns the gossip plane's protocol and convergence counters
-// (nil unless GossipReplicas is set).
+// GossipStats returns the gossip protocol and convergence counters (nil
+// unless the plane runs more than one replica).
 func (m *Manager) GossipStats() *gossip.Stats {
-	if m.plane == nil {
+	if m.plane == nil || m.plane.NumReplicas() < 2 {
 		return nil
 	}
 	s := m.plane.Stats()
 	return &s
 }
 
-// GSLBRouted returns how many requests the global health plane (central
-// director or gossip replicas) routed to each region, keyed by region name
-// (nil when GSLB is disabled).  On the event loop the per-lane counters are
-// folded in lane order.
+// GSLBRouted returns how many requests the global health plane routed to
+// each region, keyed by region name (nil when GSLB is disabled).  The
+// per-lane counters are folded in lane order.
 func (m *Manager) GSLBRouted() map[string]uint64 {
-	if m.director == nil && m.plane == nil {
+	if m.plane == nil {
 		return nil
 	}
 	out := map[string]uint64{}
@@ -483,11 +466,10 @@ func (m *Manager) GSLBRouted() map[string]uint64 {
 }
 
 // GSLBRoutedPerLane returns the per-lane routed counters ([lane][region]),
-// the view that tells split-brain stories apart: with the gossip plane, each
-// lane's row reflects its home replica's view of the world.  Nil when GSLB
-// is disabled.
+// the view that tells split-brain stories apart: each lane's row reflects
+// its home replica's view of the world.  Nil when GSLB is disabled.
 func (m *Manager) GSLBRoutedPerLane() [][]uint64 {
-	if m.director == nil && m.plane == nil {
+	if m.plane == nil {
 		return nil
 	}
 	out := make([][]uint64, len(m.el.gslbRouted))
@@ -499,18 +481,13 @@ func (m *Manager) GSLBRoutedPerLane() [][]uint64 {
 
 // GSLBTransitions returns the health plane's state transitions rendered one
 // per line ("t=630s region1 degraded->drained"), in probe order — the
-// drain/failover/failback record the scenario goldens pin.  With the gossip
-// plane these are the authoritative transitions as seen by region owners.
+// drain/failover/failback record the scenario goldens pin.  These are the
+// authoritative transitions as seen by region owners.
 func (m *Manager) GSLBTransitions() []string {
-	var trans []gslb.Transition
-	switch {
-	case m.plane != nil:
-		trans = m.plane.Transitions()
-	case m.director != nil:
-		trans = m.director.Transitions()
-	default:
+	if m.plane == nil {
 		return nil
 	}
+	trans := m.plane.Transitions()
 	out := make([]string, len(trans))
 	for i, t := range trans {
 		out[i] = t.String()
@@ -518,21 +495,31 @@ func (m *Manager) GSLBTransitions() []string {
 	return out
 }
 
+// latencyDirector returns the director that keeps latency estimates: the
+// single replica of a latency-aware plane (nil otherwise).
+func (m *Manager) latencyDirector() *gslb.Director {
+	if m.plane == nil || !m.plane.Director(0).LatencyAware() {
+		return nil
+	}
+	return m.plane.Director(0)
+}
+
 // GSLBLatencyEstimates returns the director's learned round-trip estimates
 // in milliseconds, keyed "stream:region": the EWMA the routing weights use
 // and the P² p95 of the raw observations.  Both maps are nil unless the
 // deployment is latency-aware.
 func (m *Manager) GSLBLatencyEstimates() (ewma, p95 map[string]float64) {
-	if m.director == nil || !m.director.LatencyAware() {
+	d := m.latencyDirector()
+	if d == nil {
 		return nil, nil
 	}
 	ewma = map[string]float64{}
 	p95 = map[string]float64{}
-	for s, sname := range m.director.Streams() {
+	for s, sname := range d.Streams() {
 		for r, rname := range m.regionNames {
 			key := sname + ":" + rname
-			ewma[key] = m.director.LatencyEstimateMs(s, r)
-			p95[key] = m.director.LatencyP95Ms(s, r)
+			ewma[key] = d.LatencyEstimateMs(s, r)
+			p95[key] = d.LatencyP95Ms(s, r)
 		}
 	}
 	return ewma, p95

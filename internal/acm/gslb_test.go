@@ -109,6 +109,41 @@ func TestGSLBConfigValidation(t *testing.T) {
 				{Stream: "global", Region: "region1", At: 2 * simclock.Minute, Duration: simclock.Minute, Factor: 3},
 			}
 		}, "overlap"},
+		// One replica is the central director and sends no gossip, so every
+		// gossip tuning field needs GossipReplicas >= 2, named by field.
+		{"gossip interval on the central director", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipInterval = 5 * simclock.Second
+		}, "acm: GossipInterval requires GossipReplicas >= 2"},
+		{"gossip fanout on one replica", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 1
+			c.GossipFanout = 2
+		}, "acm: GossipFanout requires GossipReplicas >= 2"},
+		{"gossip delay on one replica", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 1
+			c.GossipDelay = simclock.Second
+		}, "acm: GossipDelay requires GossipReplicas >= 2"},
+		{"gossip loss on one replica", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 1
+			c.GossipLoss = 0.5
+		}, "acm: GossipLoss requires GossipReplicas >= 2"},
+		{"partition on one replica", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 1
+			c.PartitionFaults = []PartitionFault{{At: simclock.Minute, Replicas: []int{0}}}
+		}, "acm: PartitionFaults requires GossipReplicas >= 2"},
+		{"negative gossip fanout", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 3
+			c.GossipFanout = -1
+		}, "acm: GossipFanout = -1"},
+		{"latency-aware gossip", func(c *Config) {
+			c.GSLB = latencyGSLB()
+			c.GossipReplicas = 2
+		}, "cannot run a latency-aware GSLB config"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,7 +176,7 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	if m.el == nil {
 		t.Fatal("GSLB deployment did not select the sharded event loop")
 	}
-	if m.Director() == nil {
+	if m.HealthPlane() == nil {
 		t.Fatal("no director built")
 	}
 	if err := m.Run(5 * simclock.Minute); err != nil {

@@ -8,7 +8,7 @@
 //
 // Determinism: publishMetrics and sampleSeries run only at the end of
 // controlEra, on the control timeline at an epoch barrier, and read exactly
-// the merged views (currentMetrics, GSLBRouted, plane/director state) of that
+// the merged views (currentMetrics, GSLBRouted, health-plane state) of that
 // era.  No simulation state ever depends on an instrument, so the sampled
 // series and the exposition are byte-identical for every EventWorkers value.
 package acm
@@ -17,14 +17,14 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/gslb"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
-// managerMetrics holds the Manager's registered instruments.  GSLB, RTT and
-// gossip families are nil unless the deployment wires the corresponding
-// plane, so a scrape only ever shows families the run can populate.
+// managerMetrics holds the Manager's registered instruments.  GSLB families
+// are nil without a health plane, RTT families without latency estimates and
+// gossip families with fewer than two replicas, so a scrape only ever shows
+// families the run can populate.
 type managerMetrics struct {
 	reg *metrics.Registry
 
@@ -68,7 +68,7 @@ type managerMetrics struct {
 }
 
 // buildMetrics registers the deployment's instrument families.  Runs in
-// NewManager after the director/plane wiring, so the conditional families
+// NewManager after the health-plane wiring, so the conditional families
 // match the deployment's shape.
 func (m *Manager) buildMetrics() {
 	reg := metrics.NewRegistry()
@@ -98,17 +98,15 @@ func (m *Manager) buildMetrics() {
 	mm.pcamProactive = reg.Counter(metrics.Opts{Name: "pcam_proactive_rejuvenations_total", Help: "Rejuvenations the controller scheduled before predicted failure.", Source: "internal/pcam", Labels: []string{"region"}})
 	mm.pcamReactive = reg.Counter(metrics.Opts{Name: "pcam_reactive_recoveries_total", Help: "Recoveries after unpredicted VM crashes.", Source: "internal/pcam", Labels: []string{"region"}})
 
-	if m.director != nil || m.plane != nil {
+	if m.plane != nil {
 		mm.gslbHealth = reg.Gauge(metrics.Opts{Name: "gslb_region_health", Help: "Region health state as seen by the health plane (0 healthy, 1 degraded, 2 drained, 3 recovering).", Source: "internal/gslb", Labels: []string{"region"}})
 		mm.gslbRouted = reg.Counter(metrics.Opts{Name: "gslb_routed_requests_total", Help: "Requests the global traffic director routed to each region.", Source: "internal/gslb", Labels: []string{"region"}})
+		mm.gslbProbes = reg.Counter(metrics.Opts{Name: "gslb_probes_total", Help: "Health probe ticks the health plane has run (each region probed once per tick by its owning replica).", Source: "internal/gslb"})
 	}
-	if m.director != nil {
-		mm.gslbProbes = reg.Counter(metrics.Opts{Name: "gslb_probes_total", Help: "Health probes the central director has run.", Source: "internal/gslb"})
-		if m.director.LatencyAware() {
-			mm.rttEwma = reg.Gauge(metrics.Opts{Name: "gslb_rtt_ewma_milliseconds", Help: "Passively learned round-trip estimate per (population stream, region).", Source: "internal/gslb", Labels: []string{"stream", "region"}})
-		}
+	if m.latencyDirector() != nil {
+		mm.rttEwma = reg.Gauge(metrics.Opts{Name: "gslb_rtt_ewma_milliseconds", Help: "Passively learned round-trip estimate per (population stream, region).", Source: "internal/gslb", Labels: []string{"stream", "region"}})
 	}
-	if m.plane != nil {
+	if m.plane != nil && m.plane.NumReplicas() > 1 {
 		mm.gsDivergence = reg.Gauge(metrics.Opts{Name: "gossip_convergence_max_divergence", Help: "Maximum probe generations any replica's view lags the region owner's.", Source: "internal/gossip"})
 		mm.gsRounds = reg.Counter(metrics.Opts{Name: "gossip_rounds_total", Help: "Completed gossip rounds.", Source: "internal/gossip"})
 		mm.gsSent = reg.Counter(metrics.Opts{Name: "gossip_messages_sent_total", Help: "Gossip messages sent between replicas.", Source: "internal/gossip"})
@@ -170,27 +168,20 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 	}
 
 	if mm.gslbHealth != nil {
-		// The health plane's view: the gossip owners' states when replicated,
-		// the central director's otherwise.
-		var states []gslb.HealthState
-		if m.plane != nil {
-			states = m.plane.OwnerStates()
-		} else {
-			states = m.director.States()
-		}
+		// The health plane's view: each region's state as its owner sees it.
+		states := m.plane.OwnerStates()
 		routed := m.GSLBRouted()
 		for i, name := range m.regionNames {
 			mm.gslbHealth.Set(float64(states[i]), name)
 			mm.gslbRouted.Set(float64(routed[name]), name)
 		}
-	}
-	if mm.gslbProbes != nil {
-		mm.gslbProbes.Set(float64(m.director.Probes()))
+		mm.gslbProbes.Set(float64(m.plane.Probes()))
 	}
 	if mm.rttEwma != nil {
-		for s, sname := range m.director.Streams() {
+		d := m.latencyDirector()
+		for s, sname := range d.Streams() {
 			for r, rname := range m.regionNames {
-				mm.rttEwma.Set(m.director.LatencyEstimateMs(s, r), sname, rname)
+				mm.rttEwma.Set(d.LatencyEstimateMs(s, r), sname, rname)
 			}
 		}
 	}

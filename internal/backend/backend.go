@@ -64,22 +64,22 @@ type Results struct {
 	RegionStats []cloudsim.Stats
 	ShardStats  map[string][]cloudsim.Stats
 	VMCStats    map[string]pcam.Stats
-	// Gossip carries the replicated health plane's protocol counters (nil
-	// for central or GSLB-less deployments).
+	// Gossip carries the health plane's gossip protocol counters (nil with
+	// fewer than two replicas).
 	Gossip *gossip.Stats
 	// GSLB carries the global traffic plane's view (nil when disabled).
 	GSLB *GSLBReport
 }
 
-// GSLBReport is the global traffic plane's end-of-run view: the central
-// director's, or — when Replicated — the gossip plane's owner views.
+// GSLBReport is the global traffic plane's end-of-run view, as the region
+// owners see it.
 type GSLBReport struct {
 	// Policy is the routing policy kind.
 	Policy string
-	// Replicated marks a gossip-plane deployment (States are owner views,
-	// Probes is zero).
+	// Replicated marks a plane of more than one replica (a gossip
+	// deployment); one replica is the central director.
 	Replicated bool
-	// Probes counts health probes run (central director only).
+	// Probes counts the health probe ticks run.
 	Probes uint64
 	// Routed counts requests routed to each region, keyed by region name.
 	Routed map[string]uint64

@@ -67,30 +67,24 @@ func (s *Simulated) Results() Results {
 		Gossip:            m.GossipStats(),
 	}
 
-	d, p := m.Director(), m.GossipPlane()
-	if d == nil && p == nil {
+	p := m.HealthPlane()
+	if p == nil {
 		return res
 	}
+	d := p.Director(0)
 	g := &GSLBReport{
+		Policy:      string(d.Config().Policy),
+		Replicated:  p.NumReplicas() > 1,
+		Probes:      p.Probes(),
 		Routed:      m.GSLBRouted(),
 		Transitions: m.GSLBTransitions(),
 	}
-	if p != nil {
-		g.Replicated = true
-		g.Policy = string(p.GSLBConfig().Policy)
-		for _, st := range p.OwnerStates() {
-			g.States = append(g.States, st.String())
-		}
-	} else {
-		g.Policy = string(d.Config().Policy)
-		g.Probes = d.Probes()
-		for _, st := range d.States() {
-			g.States = append(g.States, st.String())
-		}
-		if d.LatencyAware() {
-			g.Streams = d.Streams()
-			g.LatencyEWMA, g.LatencyP95 = m.GSLBLatencyEstimates()
-		}
+	for _, st := range p.OwnerStates() {
+		g.States = append(g.States, st.String())
+	}
+	if d.LatencyAware() {
+		g.Streams = d.Streams()
+		g.LatencyEWMA, g.LatencyP95 = m.GSLBLatencyEstimates()
 	}
 	res.GSLB = g
 	return res

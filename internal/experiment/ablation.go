@@ -143,8 +143,8 @@ type GossipPoint struct {
 // lag but doubles the gossip traffic.  Every point uses the scenario's own
 // seed, so the sweep isolates the interval.
 func GossipIntervalSweep(sc Scenario, np NamedPolicy, intervals []simclock.Duration, opt ...Options) ([]GossipPoint, error) {
-	if sc.GossipReplicas <= 0 {
-		return nil, fmt.Errorf("experiment: gossip sweep needs a gossip scenario (GossipReplicas >= 1), got %q", sc.Name)
+	if sc.GossipReplicas < 2 {
+		return nil, fmt.Errorf("experiment: gossip sweep needs a gossip scenario (GossipReplicas >= 2), got %q with %d", sc.Name, sc.GossipReplicas)
 	}
 	jobs := make([]Job, len(intervals))
 	for i, interval := range intervals {

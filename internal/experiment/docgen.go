@@ -124,7 +124,7 @@ func scenarioHighlights(sc Scenario) []string {
 		}
 		hl = append(hl, g)
 	}
-	if sc.GossipReplicas > 0 {
+	if sc.GossipReplicas > 1 { // one replica is the central director
 		interval := sc.GossipInterval
 		if interval <= 0 {
 			interval = 10 * simclock.Second // the gossip plane's own default

@@ -271,3 +271,63 @@ func TestGossipScenarioJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestOneReplicaIsCentralDirector: a health plane of one replica is the
+// central director.  Setting GossipReplicas = 1 on central-director
+// scenarios must reproduce their committed goldens byte for byte — no
+// gossip block, no gossip_convergence set inside the series hash, and the
+// same routing and summary floats.  global-latency covers the passive
+// latency learner, whose observations flush into the single replica.
+func TestOneReplicaIsCentralDirector(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three 30-minute global simulations")
+	}
+	np, err := PolicyByKey("policy2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"global-failover", "global-latency", "global-megaclients"} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := BuildScenario(name, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.GossipReplicas != 0 {
+				t.Fatalf("%s already sets GossipReplicas = %d", name, sc.GossipReplicas)
+			}
+			sc.GossipReplicas = 1
+			sc.Horizon = goldenHorizon
+			res, err := Run(sc, np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := eventLoopFingerprint(t, res)
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+"-policy2.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("one replica diverged from the central-director golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestGossipIntervalSweepNeedsReplicas: the sweep varies the gossip round
+// period, which one replica never uses, so it rejects such a scenario.
+func TestGossipIntervalSweepNeedsReplicas(t *testing.T) {
+	np, err := PolicyByKey("policy2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := BuildScenario("global-gossip", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.GossipReplicas = 1
+	sc.Horizon = simclock.Minute
+	_, err = GossipIntervalSweep(sc, np, []simclock.Duration{5 * simclock.Second})
+	if err == nil || !strings.Contains(err.Error(), "GossipReplicas >= 2") {
+		t.Fatalf("sweep over a one-replica scenario: got error %v, want one asking for GossipReplicas >= 2", err)
+	}
+}

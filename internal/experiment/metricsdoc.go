@@ -13,9 +13,9 @@ import (
 // and TestMetricsDocCurrent fails the build when the committed copy is stale.
 
 // metricsDocScenarios are the representative deployments whose registries,
-// unioned, cover every family the simulator can register.  A latency-aware
-// central director and a replicated gossip plane are mutually exclusive in
-// one deployment, so both shapes are built; figure3 contributes the plain
+// unioned, cover every family the simulator can register.  Latency
+// estimates need a one-replica health plane and the gossip families need two
+// or more replicas, so both shapes are built; figure3 contributes the plain
 // regional families.
 func metricsDocScenarios() []string {
 	return []string{"figure3", "global-latency", "global-gossip"}
@@ -81,8 +81,9 @@ func MetricsMarkdown() (string, error) {
 	b.WriteString("`-metrics-addr :9090` and scrape `http://localhost:9090/metrics` while the\n")
 	b.WriteString("simulation executes. Families below are the union of representative\n")
 	b.WriteString("deployments (" + strings.Join(metricsDocScenarios(), ", ") + "); the\n")
-	b.WriteString("director, latency and gossip families exist only when the deployment runs\n")
-	b.WriteString("that plane. Instruments are written only at control-era barriers from\n")
+	b.WriteString("gslb families exist only when the deployment runs a health plane, the RTT\n")
+	b.WriteString("family only with latency estimates, and the gossip families only with two\n")
+	b.WriteString("or more replicas. Instruments are written only at control-era barriers from\n")
 	b.WriteString("already-merged state, so registry snapshots are deterministic for any\n")
 	b.WriteString("worker count.\n")
 

@@ -1,12 +1,12 @@
-// Package gossip replicates the gslb health plane: instead of one central
-// Director probing every region, N director replicas each own a private copy
-// of the per-region health state machine and exchange versioned health
-// summaries over a simulated SWIM-style push-pull protocol, so every replica
-// routes on its own eventually-consistent view of the world.  Request lanes
-// are assigned to a home replica (lane g reads replica g mod N's table), which
-// is what lets two lanes route on conflicting views of the same region — the
-// split-brain, partition and stale-view failure modes the central model
-// cannot express.
+// Package gossip is the gslb health plane: N replicas, each owning a
+// gslb.Director, exchange versioned health summaries over a simulated
+// SWIM-style push-pull protocol, so every replica routes on its own
+// eventually-consistent view of the world.  Request lanes are assigned to a
+// home replica (lane g reads replica g mod N's table), which is what lets two
+// lanes route on conflicting views of the same region — the split-brain,
+// partition and stale-view failure modes.  With one replica the plane is the
+// central director: the replica probes every region and no gossip round is
+// needed.
 //
 // Region ownership is static: region i is probed by replica i mod N, and the
 // owner bumps the region's version with every probe.  A gossip round delivers
@@ -36,6 +36,7 @@ package gossip
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/cloudsim"
 	"repro/internal/gslb"
@@ -80,7 +81,8 @@ func (c Config) withDefaults() Config {
 type Summary struct {
 	// Version counts the owner's probes of this region; higher wins.
 	Version uint64
-	// State and Capacity mirror the owner's gslb.Health at that version.
+	// State and Capacity are the owner director's probe result at that
+	// version.
 	State    gslb.HealthState
 	Capacity float64
 }
@@ -93,13 +95,12 @@ type message struct {
 	view      []Summary
 }
 
-// replica is one director replica: its private health state machines (live
-// for owned regions, mirrored from gossip for the rest), its versioned view,
-// and the routing table built from that view.
+// replica is one director replica: its gslb.Director (health machines live
+// for owned regions, adopted from gossip for the rest, plus the routing
+// table built from them) and its versioned view.
 type replica struct {
-	health []gslb.Health
-	view   []Summary
-	table  *gslb.Table
+	dir  *gslb.Director
+	view []Summary
 }
 
 // update tracks one owner version bump until every replica has seen it.
@@ -133,13 +134,9 @@ type Stats struct {
 // control-timeline-only; the request path reads the immutable per-replica
 // Table snapshots.
 type Plane struct {
-	cfg     Config
-	gcfg    gslb.Config // defaults applied
-	regions []string
-	pref    []int
-	sample  func(i int) cloudsim.Telemetry
-	reps    []*replica
-	rng     *simclock.RNG
+	cfg  Config
+	reps []*replica
+	rng  *simclock.RNG
 	// lanes[src][dst] is the in-flight message queue from replica src to
 	// replica dst, in send order (delivery times are non-decreasing within a
 	// lane, so draining a due prefix preserves order).
@@ -147,8 +144,6 @@ type Plane struct {
 	// group[i] is replica i's partition side; all zero when connected.
 	group    []int
 	split    bool
-	splits   int
-	trans    []gslb.Transition
 	probes   uint64
 	rounds   uint64
 	sent     uint64
@@ -159,14 +154,13 @@ type Plane struct {
 	lagCount int
 }
 
-// New builds a replicated health plane over the named regions (deployment
-// order).  gcfg is the shared director policy configuration every replica
-// builds its table from; the latency policy is rejected (its per-lane
-// passive estimators are inherently central — see gslb.Director).  seed
-// derives the plane's private RNG stream (peer selection and loss draws).
-// sample returns the current telemetry of region i; it is only called from
-// ProbeTick, by the owning replica.
-func New(cfg Config, gcfg gslb.Config, regions []string, seed uint64, sample func(i int) cloudsim.Telemetry) (*Plane, error) {
+// New builds a health plane over the named regions (deployment order).
+// gcfg, regions, streams and sample are what every replica's
+// gslb.NewDirector gets; only a region's owner ever probes it.  A
+// latency-aware gcfg needs a single replica: its passive estimators learn
+// from every lane's completions.  seed derives the plane's private RNG
+// stream (peer selection and loss draws).
+func New(cfg Config, gcfg gslb.Config, regions, streams []string, seed uint64, sample func(i int) cloudsim.Telemetry) (*Plane, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("gossip: Replicas = %d; need at least 1", cfg.Replicas)
 	}
@@ -179,54 +173,29 @@ func New(cfg Config, gcfg gslb.Config, regions []string, seed uint64, sample fun
 	if cfg.Fanout < 0 {
 		return nil, fmt.Errorf("gossip: Fanout = %d; must be >= 0", cfg.Fanout)
 	}
-	if !gcfg.Enabled() {
-		return nil, fmt.Errorf("gossip: gslb config has no policy")
-	}
-	if _, err := gslb.ParsePolicy(string(gcfg.Policy)); err != nil {
-		return nil, err
-	}
-	if gcfg.LatencyAware() {
-		return nil, fmt.Errorf("gossip: the latency policy (and RTT matrices) need central passive estimators; use the central director")
-	}
-	if len(regions) == 0 {
-		return nil, fmt.Errorf("gossip: no regions")
-	}
-	if sample == nil {
-		return nil, fmt.Errorf("gossip: nil telemetry sampler")
-	}
-	if err := gcfg.Validate(regions, nil); err != nil {
-		return nil, err
+	if cfg.Replicas > 1 && gcfg.LatencyAware() {
+		return nil, fmt.Errorf("gossip: the latency policy (and RTT matrices) need a single replica")
 	}
 	cfg = cfg.withDefaults()
-	gcfg = gcfg.WithDefaults()
-	pref, err := gslb.PreferenceOrder(gcfg.Preference, regions)
-	if err != nil {
-		return nil, err
-	}
 	p := &Plane{
-		cfg:     cfg,
-		gcfg:    gcfg,
-		regions: append([]string(nil), regions...),
-		pref:    pref,
-		sample:  sample,
-		reps:    make([]*replica, cfg.Replicas),
-		rng:     simclock.NewRNG(seed),
-		group:   make([]int, cfg.Replicas),
-		lanes:   make([][][]message, cfg.Replicas),
+		cfg:   cfg,
+		reps:  make([]*replica, cfg.Replicas),
+		rng:   simclock.NewRNG(seed),
+		group: make([]int, cfg.Replicas),
+		lanes: make([][][]message, cfg.Replicas),
 	}
 	for i := range p.lanes {
 		p.lanes[i] = make([][]message, cfg.Replicas)
 	}
 	for i := range p.reps {
-		r := &replica{
-			health: make([]gslb.Health, len(regions)),
-			view:   make([]Summary, len(regions)),
+		d, err := gslb.NewDirector(gcfg, regions, streams, sample)
+		if err != nil {
+			return nil, err
 		}
-		for j := range r.health {
-			r.health[j] = gslb.NewHealth()
+		r := &replica{dir: d, view: make([]Summary, len(regions))}
+		for j := range r.view {
 			r.view[j] = Summary{State: gslb.Healthy, Capacity: 1}
 		}
-		r.table = gslb.BuildTable(gcfg, pref, r.health)
 		p.reps[i] = r
 	}
 	return p, nil
@@ -238,11 +207,9 @@ func (p *Plane) owner(r int) int { return r % len(p.reps) }
 // NumReplicas returns the replica count.
 func (p *Plane) NumReplicas() int { return len(p.reps) }
 
-// Regions returns the region names in deployment order.
-func (p *Plane) Regions() []string { return append([]string(nil), p.regions...) }
-
-// GSLBConfig returns the shared director configuration with defaults applied.
-func (p *Plane) GSLBConfig() gslb.Config { return p.gcfg }
+// Director returns replica i's director: its routing policy, health states,
+// transition log and (single-replica planes only) latency estimates.
+func (p *Plane) Director(i int) *gslb.Director { return p.reps[i].dir }
 
 // Interval returns the gossip round period with defaults applied.
 func (p *Plane) Interval() simclock.Duration { return p.cfg.Interval }
@@ -258,13 +225,13 @@ func (p *Plane) Home(lane int) int {
 }
 
 // Table returns replica i's current routing-table snapshot.
-func (p *Plane) Table(i int) *gslb.Table { return p.reps[i].table }
+func (p *Plane) Table(i int) *gslb.Table { return p.reps[i].dir.Table() }
 
 // OwnerStates returns each region's health state as seen by its owning
 // replica — the authoritative view, in deployment order.
 func (p *Plane) OwnerStates() []gslb.HealthState {
-	out := make([]gslb.HealthState, len(p.regions))
-	for r := range p.regions {
+	out := make([]gslb.HealthState, len(p.reps[0].view))
+	for r := range out {
 		out[r] = p.reps[p.owner(r)].view[r].State
 	}
 	return out
@@ -273,17 +240,31 @@ func (p *Plane) OwnerStates() []gslb.HealthState {
 // ReplicaStates returns replica i's (possibly stale) view of every region's
 // health state, in deployment order.
 func (p *Plane) ReplicaStates(i int) []gslb.HealthState {
-	out := make([]gslb.HealthState, len(p.regions))
-	for r := range p.regions {
+	out := make([]gslb.HealthState, len(p.reps[i].view))
+	for r := range out {
 		out[r] = p.reps[i].view[r].State
 	}
 	return out
 }
 
 // Transitions returns every authoritative health-state change (as seen by
-// region owners) so far, in probe order.
+// region owners) so far, ordered by probe time, then region index.
 func (p *Plane) Transitions() []gslb.Transition {
-	return append([]gslb.Transition(nil), p.trans...)
+	index := map[string]int{}
+	for r, name := range p.reps[0].dir.Regions() {
+		index[name] = r
+	}
+	var out []gslb.Transition
+	for _, rep := range p.reps {
+		out = append(out, rep.dir.Transitions()...)
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].At != out[b].At {
+			return out[a].At < out[b].At
+		}
+		return index[out[a].Region] < index[out[b].Region]
+	})
+	return out
 }
 
 // Probes returns the number of completed probe ticks.
@@ -307,7 +288,6 @@ func (p *Plane) Isolate(replicas []int) {
 		}
 	}
 	p.split = true
-	p.splits++
 }
 
 // Heal reconnects all replicas; in-flight messages resume delivery and the
@@ -320,22 +300,16 @@ func (p *Plane) Heal() {
 }
 
 // ProbeTick advances the owned health state machines: each region's owner
-// samples its telemetry, steps the debounced gslb state machine, bumps the
-// region's version and rebuilds its table.  Must run on the control timeline.
+// probes it on its director and bumps the region's version.  Must run on the
+// control timeline.
 func (p *Plane) ProbeTick(now simclock.Time) {
 	p.probes++
-	for r := range p.regions {
+	for r := range p.reps[0].view {
 		rep := p.reps[p.owner(r)]
-		from, to := rep.health[r].Probe(p.gcfg, p.sample(r))
+		state, capacity := rep.dir.Probe(r, now)
 		v := rep.view[r].Version + 1
-		rep.view[r] = Summary{Version: v, State: to, Capacity: rep.health[r].Capacity}
-		if from != to {
-			p.trans = append(p.trans, gslb.Transition{At: now, Region: p.regions[r], From: from, To: to})
-		}
+		rep.view[r] = Summary{Version: v, State: state, Capacity: capacity}
 		p.pending = append(p.pending, update{region: r, version: v, at: now})
-	}
-	for _, rep := range p.reps {
-		rep.table = gslb.BuildTable(p.gcfg, p.pref, rep.health)
 	}
 	p.settleUpdates(now)
 }
@@ -352,9 +326,6 @@ func (p *Plane) GossipTick(now simclock.Time) {
 				p.send(now, i, peer, false)
 			}
 		}
-	}
-	for _, rep := range p.reps {
-		rep.table = gslb.BuildTable(p.gcfg, p.pref, rep.health)
 	}
 	p.settleUpdates(now)
 }
@@ -391,7 +362,7 @@ func (p *Plane) deliver(now simclock.Time) {
 }
 
 // adopt merges an incoming view into replica dst: any region whose incoming
-// version is newer replaces the local summary and health mirror.  Owned
+// version is newer replaces the local summary and the director's state.  Owned
 // regions are naturally immune — only the owner bumps their version, so an
 // incoming version can never exceed the owner's own.
 func (p *Plane) adopt(dst int, view []Summary) {
@@ -401,8 +372,7 @@ func (p *Plane) adopt(dst int, view []Summary) {
 			continue
 		}
 		rep.view[r] = view[r]
-		rep.health[r].State = view[r].State
-		rep.health[r].Capacity = view[r].Capacity
+		rep.dir.Adopt(r, view[r].State, view[r].Capacity)
 	}
 }
 
@@ -477,7 +447,7 @@ func (p *Plane) settleUpdates(now simclock.Time) {
 // owner is cut off from some replica.
 func (p *Plane) MaxDivergence() uint64 {
 	var max uint64
-	for r := range p.regions {
+	for r := range p.reps[0].view {
 		d := p.reps[p.owner(r)].view[r].Version - p.minVersion(r)
 		if d > max {
 			max = d

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -32,7 +33,7 @@ func (ts *telSource) sample(i int) cloudsim.Telemetry {
 
 func newTestPlane(t *testing.T, cfg Config, gcfg gslb.Config, ts *telSource) *Plane {
 	t.Helper()
-	p, err := New(cfg, gcfg, ts.regions, 42, ts.sample)
+	p, err := New(cfg, gcfg, ts.regions, nil, 42, ts.sample)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -246,7 +247,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"bad weights", Config{Replicas: 3}, gslb.Config{Policy: gslb.PolicyStatic, Weights: []float64{1}}},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg, tc.gcfg, ts.regions, 1, ts.sample); err == nil {
+		if _, err := New(tc.cfg, tc.gcfg, ts.regions, nil, 1, ts.sample); err == nil {
 			t.Errorf("%s: New accepted an invalid config", tc.name)
 		}
 	}
@@ -273,5 +274,174 @@ func TestGossipDelayPostponesDelivery(t *testing.T) {
 	p.GossipTick(now) // 30 >= 25: delivered
 	if got := p.Stats().Delivered; got == 0 {
 		t.Fatalf("nothing delivered after the delay elapsed")
+	}
+}
+
+// FuzzPlaneRounds drives a plane through a byte-encoded schedule and checks
+// the plane's invariants after every operation.  The header picks the
+// replica count (1–5), the region count (1–4), the routing policy and the
+// gossip tuning; each following (op, arg) pair is a probe tick whose arg
+// sets every region's telemetry, a gossip tick, an Isolate of the replicas
+// in arg's bitmask, or a Heal.  A one-replica plane is also run against a
+// standalone gslb.Director fed the same telemetry: their tables, states and
+// transition logs must agree.
+func FuzzPlaneRounds(f *testing.F) {
+	f.Add([]byte{2, 10, 0, 0, 1, 1, 0, 0, 3, 1, 0, 0, 1, 0})
+	f.Add([]byte{0, 14, 0, 0, 0, 0, 3, 0, 3, 0, 3, 0, 3, 4, 0, 4, 0, 0, 0})
+	f.Add([]byte{4, 7, 29, 0, 5, 1, 0, 2, 3, 0, 255, 1, 0, 1, 0, 3, 0, 1, 0, 0, 0})
+	f.Add([]byte{1, 13, 5, 0, 1, 2, 1, 0, 1, 1, 0, 0, 3, 1, 0, 3, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 3 {
+			return
+		}
+		if len(ops) > 515 {
+			ops = ops[:515] // longer schedules add run time, not coverage
+		}
+		replicas := 1 + int(ops[0])%5
+		policies := []gslb.PolicyKind{gslb.PolicyStatic, gslb.PolicyRoundRobin, gslb.PolicyLeastLoad, gslb.PolicyFailover}
+		gcfg := gslb.Config{Policy: policies[ops[1]%4]}
+		regions := []string{"r0", "r1", "r2", "r3"}[:1+int(ops[1]/4)%4]
+		cfg := Config{
+			Replicas: replicas,
+			Loss:     0.2 * float64(ops[2]%4),
+			Delay:    simclock.Duration(ops[2]/4%3) * 5 * simclock.Second,
+			Fanout:   int(ops[2] / 12 % 3),
+		}
+		tel := make([]cloudsim.Telemetry, len(regions))
+		for r := range tel {
+			tel[r] = cloudsim.Telemetry{Region: regions[r], ActiveVMs: 4, BaselineActive: 4, Capacity: 100}
+		}
+		sample := func(i int) cloudsim.Telemetry { return tel[i] }
+		p, err := New(cfg, gcfg, regions, nil, 7, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var central *gslb.Director
+		if replicas == 1 {
+			if central, err = gslb.NewDirector(gcfg, regions, nil, sample); err != nil {
+				t.Fatal(err)
+			}
+		}
+		versions := make([][]uint64, replicas)
+		for i := range versions {
+			versions[i] = make([]uint64, len(regions))
+		}
+		now := simclock.Time(0)
+		for k := 3; k+1 < len(ops); k += 2 {
+			op, arg := ops[k]%4, ops[k+1]
+			now = now.Add(5 * simclock.Second)
+			switch op {
+			case 0:
+				// Bit r takes region r down; bit r+4 makes it drop requests.
+				for r := range tel {
+					tel[r].ActiveVMs, tel[r].Capacity = 4, 100
+					if arg>>r&1 == 1 {
+						tel[r].ActiveVMs, tel[r].Capacity = 0, 0
+					}
+					tel[r].Served += 10
+					if arg>>(r+4)&1 == 1 {
+						tel[r].Dropped += 20
+					}
+				}
+				p.ProbeTick(now)
+				if central != nil {
+					central.Tick(now)
+				}
+			case 1:
+				due := dueDeliveries(p, now)
+				p.GossipTick(now)
+				// Re-adopting a view already delivered changes nothing: the
+				// receiver holds versions at least as new.
+				for _, d := range due {
+					view, table := append([]Summary(nil), p.reps[d.dst].view...), p.Table(d.dst)
+					p.adopt(d.dst, d.view)
+					if !reflect.DeepEqual(p.reps[d.dst].view, view) || p.Table(d.dst) != table {
+						t.Fatalf("op %d: re-adopting a delivered view changed replica %d", k, d.dst)
+					}
+				}
+			case 2:
+				var side []int
+				for i := 0; i < replicas; i++ {
+					if arg>>i&1 == 1 {
+						side = append(side, i)
+					}
+				}
+				p.Isolate(side)
+			case 3:
+				p.Heal()
+			}
+			checkPlane(t, p, versions)
+			if central != nil {
+				if !reflect.DeepEqual(p.Table(0), central.Table()) {
+					t.Fatalf("op %d: one-replica table %+v, standalone director %+v", k, *p.Table(0), *central.Table())
+				}
+				if !reflect.DeepEqual(p.OwnerStates(), central.States()) || !reflect.DeepEqual(p.Transitions(), central.Transitions()) {
+					t.Fatalf("op %d: one-replica states/transitions diverged from the standalone director", k)
+				}
+			}
+		}
+	})
+}
+
+// delivery is one message a gossip round is about to deliver.
+type delivery struct {
+	dst  int
+	view []Summary
+}
+
+// dueDeliveries lists the messages the next round at now will deliver (due
+// and not cut by the partition).
+func dueDeliveries(p *Plane, now simclock.Time) []delivery {
+	var out []delivery
+	for src := range p.lanes {
+		for dst, lane := range p.lanes[src] {
+			for _, msg := range lane {
+				if msg.deliverAt <= now && p.group[src] == p.group[dst] {
+					out = append(out, delivery{dst: dst, view: msg.view})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkPlane asserts the plane's invariants: per-replica versions never
+// decrease and never pass the owner's, each director mirrors its replica's
+// view, every table routes exactly the regions its view holds serving (all
+// of them when none is), and every sent message is delivered, dropped or in
+// flight.  versions holds the previous check's versions and is updated.
+func checkPlane(t *testing.T, p *Plane, versions [][]uint64) {
+	t.Helper()
+	for i, rep := range p.reps {
+		states := p.ReplicaStates(i)
+		if got := rep.dir.States(); !reflect.DeepEqual(got, states) {
+			t.Fatalf("replica %d director states %v, view %v", i, got, states)
+		}
+		var serving []int
+		for r, s := range rep.view {
+			if s.Version < versions[i][r] {
+				t.Fatalf("replica %d region %d version fell %d -> %d", i, r, versions[i][r], s.Version)
+			}
+			versions[i][r] = s.Version
+			if own := p.reps[p.owner(r)].view[r].Version; s.Version > own {
+				t.Fatalf("replica %d region %d version %d passes the owner's %d", i, r, s.Version, own)
+			}
+			if states[r].Serving() {
+				serving = append(serving, r)
+			}
+		}
+		if len(serving) == 0 {
+			for r := range rep.view {
+				serving = append(serving, r)
+			}
+		}
+		eligible := p.Table(i).Eligible()
+		slices.Sort(eligible)
+		if !slices.Equal(eligible, serving) {
+			t.Fatalf("replica %d routes to %v, its view serves %v (states %v)", i, eligible, serving, states)
+		}
+	}
+	if st := p.Stats(); st.Sent != st.Delivered+st.Dropped+inFlight(p) {
+		t.Fatalf("message conservation violated: %+v (in flight %d)", st, inFlight(p))
 	}
 }

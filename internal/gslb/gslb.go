@@ -151,11 +151,9 @@ func (c Config) LatencyAware() bool {
 	return c.Policy == PolicyLatency || len(c.RTT) > 0
 }
 
-// WithDefaults returns the configuration with every unset field replaced by
-// its documented default.  Health-plane consumers outside this package (the
-// gossip replicas) apply it once and then drive the probe state machine with
-// the resolved values.
-func (c Config) WithDefaults() Config {
+// withDefaults returns the configuration with every unset field replaced by
+// its documented default.
+func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 15 * simclock.Second
 	}
@@ -239,34 +237,28 @@ func (t Transition) String() string {
 	return fmt.Sprintf("t=%.0fs %s %s->%s", t.At.Seconds(), t.Region, t.From, t.To)
 }
 
-// Health is the per-region probe state: the debounced state machine one
-// prober (the central Director, or the owning gossip replica) advances with
-// each telemetry sample.  The zero value is a Healthy region with zero
-// capacity; NewHealth starts the capacity at 1 (uniform until the first
-// probe), which is what both the Director and the gossip plane use.
-type Health struct {
+// regionHealth is one region's probe state: the debounced state machine its
+// Director advances with each telemetry sample.  A new region starts Healthy
+// with capacity 1 (uniform until the first probe).
+type regionHealth struct {
 	// State is the region's position in the failover state machine.
 	State HealthState
 	// Capacity is the last probed service capacity (the least-load weight).
 	Capacity float64
-	// Streak counters and counter-delta baselines; only the prober that owns
-	// this Health mutates them, via Probe.
+	// Streak counters and counter-delta baselines.
 	badStreak   int
 	goodStreak  int
 	prevServed  uint64
 	prevDropped uint64
 }
 
-// NewHealth returns the pre-first-probe state: Healthy with capacity 1.
-func NewHealth() Health { return Health{Capacity: 1} }
-
-// Probe advances the state machine with one telemetry sample and returns the
+// probe advances the state machine with one telemetry sample and returns the
 // states before and after (equal when nothing changed).  cfg must have
-// defaults applied (WithDefaults).  The capacity fraction is measured against
+// defaults applied (withDefaults).  The capacity fraction is measured against
 // the region's initial active pool, served/dropped are cumulative counters
 // diffed against the previous probe, and negative deltas (a counter
 // regression through a fault path) clamp to zero rather than underflowing.
-func (h *Health) Probe(cfg Config, tel cloudsim.Telemetry) (from, to HealthState) {
+func (h *regionHealth) probe(cfg Config, tel cloudsim.Telemetry) (from, to HealthState) {
 	from = h.State
 	h.Capacity = tel.Capacity
 
@@ -337,17 +329,18 @@ const defaultSeedMs = 50
 // near-zero estimate cannot blow a weight up to infinity.
 const latFloorMs = 1
 
-// Director is the global traffic director.  Tick (probe + table rebuild) is
+// Director is the global traffic director.  Tick, Probe and Adopt are
 // control-timeline-only; the request path reads immutable Table snapshots.
 type Director struct {
 	cfg     Config
 	regions []string
 	streams []string
 	sample  func(i int) cloudsim.Telemetry
-	health  []Health
+	health  []regionHealth
 	lanes   [][]laneEstimate // [stream][region], nil unless latency-aware
 	pref    []int            // preference order as region indices
 	table   *Table
+	stale   bool // health moved since table was built
 	trans   []Transition
 	probes  uint64
 }
@@ -375,11 +368,11 @@ func NewDirector(cfg Config, regions, streams []string, sample func(i int) cloud
 	if err := validateConfig(cfg, regions, streams); err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if len(streams) == 0 {
 		streams = []string{"default"}
 	}
-	pref, err := PreferenceOrder(cfg.Preference, regions)
+	pref, err := preferenceOrder(cfg.Preference, regions)
 	if err != nil {
 		return nil, err
 	}
@@ -388,11 +381,11 @@ func NewDirector(cfg Config, regions, streams []string, sample func(i int) cloud
 		regions: append([]string(nil), regions...),
 		streams: append([]string(nil), streams...),
 		sample:  sample,
-		health:  make([]Health, len(regions)),
+		health:  make([]regionHealth, len(regions)),
 		pref:    pref,
 	}
 	for i := range d.health {
-		d.health[i] = NewHealth()
+		d.health[i].Capacity = 1
 	}
 	if cfg.LatencyAware() {
 		d.lanes = make([][]laneEstimate, len(streams))
@@ -413,11 +406,11 @@ func NewDirector(cfg Config, regions, streams []string, sample func(i int) cloud
 	return d, nil
 }
 
-// PreferenceOrder resolves a Config.Preference list into region indices:
+// preferenceOrder resolves a Config.Preference list into region indices:
 // named regions first, then every unlisted region as a last-resort backup in
 // deployment order.  An empty preference yields plain deployment order.
 // Unknown and duplicated names are rejected.
-func PreferenceOrder(preference, regions []string) ([]int, error) {
+func preferenceOrder(preference, regions []string) ([]int, error) {
 	index := make(map[string]int, len(regions))
 	for i, r := range regions {
 		index[r] = i
@@ -450,14 +443,10 @@ func PreferenceOrder(preference, regions []string) ([]int, error) {
 	return pref, nil
 }
 
-// Validate rejects configurations a director (central or replicated) cannot
-// honour, with errors that name the offending field.  It runs on the raw
-// config, before defaults are applied, so the threshold sentinels are still
+// validateConfig rejects configurations a director cannot honour, with
+// errors that name the offending field.  It runs on the raw config, before
+// defaults are applied, so the threshold sentinels are still
 // distinguishable.
-func (c Config) Validate(regions, streams []string) error {
-	return validateConfig(c, regions, streams)
-}
-
 func validateConfig(cfg Config, regions, streams []string) error {
 	if len(cfg.Weights) > 0 {
 		if len(cfg.Weights) != len(regions) {
@@ -530,8 +519,17 @@ func (d *Director) Streams() []string { return append([]string(nil), d.streams..
 // (and therefore expects Observe calls).
 func (d *Director) LatencyAware() bool { return d.lanes != nil }
 
-// Table returns the current routing-table snapshot.
-func (d *Director) Table() *Table { return d.table }
+// Table returns the current routing-table snapshot.  When a Probe or Adopt
+// moved the health state since the last build, it first folds the buffered
+// latency observations and rebuilds the snapshot.  Control timeline only.
+func (d *Director) Table() *Table {
+	if d.stale {
+		d.foldLatency()
+		d.table = d.buildTable()
+		d.stale = false
+	}
+	return d.table
+}
 
 // States returns the current health state of every region, in deployment
 // order.
@@ -601,22 +599,38 @@ func (d *Director) LatencyObservations(stream, region int) uint64 {
 	return d.lanes[stream][region].quant.Count()
 }
 
-// Tick runs one health probe: it samples every region's telemetry, folds the
-// buffered latency observations into the per-lane estimates, advances the
-// per-region state machines and rebuilds the routing table.  It must run on
-// the control timeline (exclusive access to the regions); the returned
-// snapshot is what callers republish to their request-path readers.
+// Tick runs one health probe: it probes every region, folds the buffered
+// latency observations into the per-lane estimates and rebuilds the routing
+// table.  It must run on the control timeline (exclusive access to the
+// regions); the returned snapshot is what callers republish to their
+// request-path readers.
 func (d *Director) Tick(now simclock.Time) *Table {
 	d.probes++
 	for i := range d.health {
-		from, to := d.health[i].Probe(d.cfg, d.sample(i))
-		if from != to {
-			d.trans = append(d.trans, Transition{At: now, Region: d.regions[i], From: from, To: to})
-		}
+		d.Probe(i, now)
 	}
-	d.foldLatency()
-	d.table = d.buildTable()
-	return d.table
+	return d.Table()
+}
+
+// Probe samples region i's telemetry, advances its health state machine
+// (logging a transition when the state moves) and returns the region's new
+// state and capacity.  The routing table is rebuilt by the next Table call.
+func (d *Director) Probe(i int, now simclock.Time) (HealthState, float64) {
+	h := &d.health[i]
+	from, to := h.probe(d.cfg, d.sample(i))
+	if from != to {
+		d.trans = append(d.trans, Transition{At: now, Region: d.regions[i], From: from, To: to})
+	}
+	d.stale = true
+	return to, h.Capacity
+}
+
+// Adopt installs region i's state and capacity as another prober measured
+// them, without touching the local streak counters.  The routing table is
+// rebuilt by the next Table call.
+func (d *Director) Adopt(i int, state HealthState, capacity float64) {
+	d.health[i].State, d.health[i].Capacity = state, capacity
+	d.stale = true
 }
 
 // foldLatency folds each lane's buffered observation interval into its EWMA
@@ -641,7 +655,7 @@ func (d *Director) foldLatency() {
 // every region is drained, routing somewhere beats routing nowhere, so it
 // falls back to the full preference order (the requests surface as
 // drops/errors at the regions, which is the honest outcome).
-func servingList(pref []int, health []Health) []int {
+func servingList(pref []int, health []regionHealth) []int {
 	serving := make([]int, 0, len(pref))
 	for _, i := range pref {
 		if health[i].State.Serving() {
@@ -654,24 +668,17 @@ func servingList(pref []int, health []Health) []int {
 	return serving
 }
 
-// BuildTable derives an immutable routing snapshot from a preference order
-// (PreferenceOrder) and per-region health, for the static, round-robin,
-// least-load and failover policies.  cfg must have defaults applied.  The
-// latency policy additionally needs per-lane estimates and is built by the
-// Director only; BuildTable panics on it so a replicated caller cannot
-// silently route without estimates.
-func BuildTable(cfg Config, pref []int, health []Health) *Table {
-	if cfg.Policy == PolicyLatency {
-		panic("gslb: BuildTable cannot build the latency policy (Director-only)")
-	}
-	serving := servingList(pref, health)
-	t := &Table{mode: cfg.Policy, eligible: serving}
-	switch cfg.Policy {
+// buildTable derives the immutable routing snapshot from the current health
+// states, probe capacities and latency estimates.
+func (d *Director) buildTable() *Table {
+	serving := servingList(d.pref, d.health)
+	t := &Table{mode: d.cfg.Policy, eligible: serving}
+	switch d.cfg.Policy {
 	case PolicyStatic:
 		t.weights = make([]float64, len(serving))
 		for j, i := range serving {
-			if len(cfg.Weights) == len(health) {
-				t.weights[j] = cfg.Weights[i]
+			if len(d.cfg.Weights) == len(d.health) {
+				t.weights[j] = d.cfg.Weights[i]
 			} else {
 				t.weights[j] = 1
 			}
@@ -680,33 +687,23 @@ func BuildTable(cfg Config, pref []int, health []Health) *Table {
 	case PolicyLeastLoad:
 		t.weights = make([]float64, len(serving))
 		for j, i := range serving {
-			t.weights[j] = health[i].Capacity
+			t.weights[j] = d.health[i].Capacity
 		}
 		normalizeWeights(t.weights)
-	}
-	return t
-}
-
-// buildTable derives the immutable routing snapshot from the current health
-// states, probe capacities and latency estimates.
-func (d *Director) buildTable() *Table {
-	if d.cfg.Policy != PolicyLatency {
-		return BuildTable(d.cfg, d.pref, d.health)
-	}
-	serving := servingList(d.pref, d.health)
-	t := &Table{mode: d.cfg.Policy, eligible: serving}
-	t.rows = make([][]float64, len(d.lanes))
-	for s := range d.lanes {
-		row := make([]float64, len(serving))
-		for j, i := range serving {
-			est := d.lanes[s][i].estMs
-			if est < latFloorMs {
-				est = latFloorMs
+	case PolicyLatency:
+		t.rows = make([][]float64, len(d.lanes))
+		for s := range d.lanes {
+			row := make([]float64, len(serving))
+			for j, i := range serving {
+				est := d.lanes[s][i].estMs
+				if est < latFloorMs {
+					est = latFloorMs
+				}
+				row[j] = d.health[i].Capacity / math.Pow(est, d.cfg.LatencyExponent)
 			}
-			row[j] = d.health[i].Capacity / math.Pow(est, d.cfg.LatencyExponent)
+			normalizeWeights(row)
+			t.rows[s] = row
 		}
-		normalizeWeights(row)
-		t.rows[s] = row
 	}
 	return t
 }

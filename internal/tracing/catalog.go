@@ -62,7 +62,7 @@ type SpanDesc struct {
 func Catalog() []SpanDesc {
 	return []SpanDesc{
 		{SpanRequest, KindRoot, "internal/workload", "Client issue to sealed completion; args carry stream, request ID, weight, outcome, serving VM and region."},
-		{EventGSLBRoute, KindInstant, "internal/acm", "Global traffic director routing decision: routed region, engine lane and health plane (central director or gossip replica) that produced the table snapshot."},
+		{EventGSLBRoute, KindInstant, "internal/acm", "Global traffic director routing decision: the routed region and the engine lane whose table snapshot picked it (lane g routes on health-plane replica g mod N)."},
 		{SpanRTTSend, KindSpan, "internal/acm", "Half-RTT geo leg from the client stream to the routed region, from the deployment's ground-truth RTT matrix."},
 		{SpanRTTReturn, KindSpan, "internal/acm", "Half-RTT geo leg home after service; the client observes completion at its end."},
 		{SpanForward, KindSpan, "internal/acm", "Inter-region overlay hop added when the forward plan sends the request away from its entry region."},
