@@ -24,7 +24,7 @@ GO ?= go
 # VMSample, ShardDispatch, CrossLaneForward and EventQueue are per-layer
 # benchmarks: one op is a fixed batch of units, and each also reports ns and
 # allocs per unit.
-BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ShardDispatch|CrossLaneForward|EventQueue
+BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ControlTick|ShardDispatch|CrossLaneForward|EventQueue
 # -count=3: benchjson records each unit's median over the three samples, so
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .

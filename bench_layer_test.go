@@ -1,5 +1,5 @@
-// Per-layer benchmarks of the two per-VM loops of a 5x10^3-VM, 16-shard
-// region (the megaclients shape) — the control tick's feature sampling and
+// Per-layer benchmarks of the per-VM loops of a 5x10^3-VM, 16-shard region
+// (the megaclients shape) — the full feature sample, the control tick and
 // the load balancer's shortest-queue pick — of the event loop's cross-lane
 // path (barrier + mailbox drain) and of the event queue.  One op is a fixed batch of units, so
 // the gate's single -benchtime=1x sample still times thousands of them; each
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cloudsim"
+	"repro/internal/features"
 	"repro/internal/pcam"
 	"repro/internal/simclock"
 )
@@ -61,12 +62,35 @@ func BenchmarkVMSample(b *testing.B) {
 		for tick := 1; tick <= benchSampleTicks; tick++ {
 			now := simclock.Time(30 * tick)
 			for _, vm := range active {
-				sum += vm.Sample(now).TimeS
+				sum += vm.Sample(now, features.All).TimeS
 			}
 		}
 	})
 	if sum == 0 {
 		b.Fatal("no samples taken")
+	}
+}
+
+// BenchmarkControlTick is the VMC's control tick with the oracle predictor:
+// one op runs benchSampleTicks ticks, each sampling the features the tick
+// reads on every ACTIVE VM, predicting, and folding and sorting every
+// shard's candidates.  No VM carries load, so no tick rejuvenates and every
+// tick does the same work.
+func BenchmarkControlTick(b *testing.B) {
+	region := benchLayerRegion()
+	vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := simclock.NewEngine(42)
+	vmc.ControlTick(eng) // sizes the per-shard scratch buffers
+	runPerUnit(b, "vm", benchSampleTicks*region.ActiveCount(), func() {
+		for tick := 0; tick < benchSampleTicks; tick++ {
+			vmc.ControlTick(eng)
+		}
+	})
+	if st := vmc.Stats(); st.ProactiveRejuvenations != 0 || st.Activations != 0 {
+		b.Fatalf("idle ticks changed the pool: %+v", st)
 	}
 }
 

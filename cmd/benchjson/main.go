@@ -9,7 +9,9 @@
 //	benchjson compare -baseline BENCH_baseline.json -current BENCH_ci.json -max-regression 0.20
 //
 // GOMAXPROCS suffixes ("-4") are stripped from benchmark names so a baseline
-// recorded on one core count compares against runs on another.
+// recorded on one core count compares against runs on another.  The core
+// count is recorded beside the results instead, and compare warns (without
+// failing) when the two files were recorded on different core counts.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,6 +34,13 @@ type Metrics map[string]float64
 
 // File is the JSON document benchjson reads and writes.
 type File struct {
+	// NProc is the logical CPU count of the host that parsed the run
+	// (runtime.NumCPU; parse runs on the benchmark host, as `make
+	// bench-json` does), and GOMAXPROCS is the benchmarks' GOMAXPROCS, read
+	// from the "-N" name suffix (1 when absent).  Both are 0 in files
+	// recorded before they were added.
+	NProc      int `json:"nproc,omitempty"`
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped) to its
 	// metrics.
 	Benchmarks map[string]Metrics `json:"benchmarks"`
@@ -68,14 +78,21 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 // metrics.  Lines that are not benchmark results (the "goos:" header, PASS,
 // custom test logging) are ignored.  A benchmark appearing several times
 // (from -count N) records, per unit, the median over its lines, so one noisy
-// sample cannot trip the gate.
+// sample cannot trip the gate.  It records the core count beside the
+// results: the parsing host's NumCPU and the largest GOMAXPROCS suffix.
 func Parse(r io.Reader) (*File, error) {
 	samples := map[string]map[string][]float64{} // name -> unit -> values
+	procs := 1
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
 		if m == nil {
 			continue
+		}
+		if suffix := gomaxprocsSuffix.FindString(m[1]); suffix != "" {
+			if n, err := strconv.Atoi(suffix[1:]); err == nil && n > procs {
+				procs = n
+			}
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
 		fields := strings.Fields(m[3])
@@ -106,7 +123,7 @@ func Parse(r io.Reader) (*File, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark results found in input")
 	}
-	out := &File{Benchmarks: map[string]Metrics{}}
+	out := &File{NProc: runtime.NumCPU(), GOMAXPROCS: procs, Benchmarks: map[string]Metrics{}}
 	for name, units := range samples {
 		metrics := Metrics{}
 		for unit, vs := range units {
@@ -208,6 +225,20 @@ func Compare(baseline, current *File, maxRegression, maxMemRegression float64) (
 	return regressions, missing
 }
 
+// coreCountWarning describes why baseline and current may not be comparable
+// core for core: the baseline records no core count, or the two differ.  It
+// returns "" when both record the same counts.
+func coreCountWarning(baseline, current *File) string {
+	if baseline.NProc == 0 {
+		return "baseline records no core count; absolute ns/op may not be comparable"
+	}
+	if baseline.NProc != current.NProc || baseline.GOMAXPROCS != current.GOMAXPROCS {
+		return fmt.Sprintf("core counts differ (baseline nproc=%d gomaxprocs=%d, current nproc=%d gomaxprocs=%d); absolute ns/op may not be comparable",
+			baseline.NProc, baseline.GOMAXPROCS, current.NProc, current.GOMAXPROCS)
+	}
+	return ""
+}
+
 // comparisonTable renders every shared benchmark's movement across the gated
 // metrics, so the CI log shows the whole perf trajectory, not only the
 // failures.
@@ -289,6 +320,9 @@ func runCompare(args []string) error {
 	current, err := Load(*curPath)
 	if err != nil {
 		return err
+	}
+	if w := coreCountWarning(baseline, current); w != "" {
+		fmt.Fprintln(os.Stderr, "benchjson: warning:", w)
 	}
 	comparisonTable(os.Stdout, baseline, current)
 	regressions, missing := Compare(baseline, current, *maxReg, *maxMemReg)

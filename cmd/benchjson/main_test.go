@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,58 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if got := f.Benchmarks["BenchmarkFigure3_Policy2"].NsPerOp(); got != 3210987654 {
 		t.Fatalf("plain-line ns/op = %v, want 3210987654", got)
+	}
+}
+
+// TestParseRecordsCoreCount checks that parse stores the host's CPU count
+// and the benchmarks' GOMAXPROCS, read from the name suffix (1 without one).
+func TestParseRecordsCoreCount(t *testing.T) {
+	f, err := Parse(strings.NewReader(sampleBenchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NProc != runtime.NumCPU() || f.GOMAXPROCS != 4 {
+		t.Fatalf("nproc=%d gomaxprocs=%d, want %d and 4", f.NProc, f.GOMAXPROCS, runtime.NumCPU())
+	}
+	var buf bytes.Buffer
+	if err := f.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"nproc"`) || !strings.Contains(buf.String(), `"gomaxprocs": 4`) {
+		t.Fatalf("core count missing from the JSON:\n%s", buf.String())
+	}
+	single, err := Parse(strings.NewReader("BenchmarkMixPick   \t1\t40 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.GOMAXPROCS != 1 {
+		t.Fatalf("suffix-free names: gomaxprocs=%d, want 1", single.GOMAXPROCS)
+	}
+}
+
+// TestCompareWarnsOnCoreCount checks that compare only warns about core
+// counts: when the baseline has none or the counts differ, never when they
+// match, and that the warning leaves the gate's verdict alone.
+func TestCompareWarnsOnCoreCount(t *testing.T) {
+	bench := map[string]Metrics{"BenchmarkA": {"ns/op": 100}}
+	current := &File{NProc: 2, GOMAXPROCS: 2, Benchmarks: bench}
+	for _, tc := range []struct {
+		name         string
+		nproc, procs int
+		wantWarning  bool
+	}{
+		{"no core count", 0, 0, true},
+		{"nproc differs", 4, 2, true},
+		{"gomaxprocs differs", 2, 1, true},
+		{"same", 2, 2, false},
+	} {
+		baseline := &File{NProc: tc.nproc, GOMAXPROCS: tc.procs, Benchmarks: bench}
+		if got := coreCountWarning(baseline, current); (got != "") != tc.wantWarning {
+			t.Errorf("%s: warning %q, want one: %v", tc.name, got, tc.wantWarning)
+		}
+		if regs, missing := Compare(baseline, current, 0.2, 0.25); len(regs) != 0 || len(missing) != 0 {
+			t.Errorf("%s: the core count moved the verdict: %v %v", tc.name, regs, missing)
+		}
 	}
 }
 

@@ -327,7 +327,7 @@ func TestSampleProducesFullFeatureVector(t *testing.T) {
 	}
 	eng.RunUntilEmpty()
 
-	v := vm.Sample(eng.Now())
+	v := vm.Sample(eng.Now(), features.All)
 	if v.VM != "vm1" {
 		t.Fatalf("sample VM = %q", v.VM)
 	}
@@ -353,9 +353,95 @@ func TestSampleProducesFullFeatureVector(t *testing.T) {
 	}
 
 	// A second sample immediately after reset sees an empty interval.
-	v2 := vm.Sample(eng.Now())
+	v2 := vm.Sample(eng.Now(), features.All)
 	if v2.Get(features.RequestRate) != 0 {
 		t.Errorf("request rate should reset between samples, got %v", v2.Get(features.RequestRate))
+	}
+}
+
+// TestSampleMaskKeepsRNGStream checks that the mask changes which features a
+// sample measures, never the VM's random stream: two identically built and
+// driven VMs, one sampled with every feature and one with the oracle
+// controller's mask, agree bit for bit on every masked slot, leave the other
+// slots 0, and draw the same next 1,000 values.  It covers a fresh VM, whose
+// zero swap draws no noise, and one past the swap threshold, whose swap
+// noise is drawn (or skipped) like any other feature.  Each VM is sampled
+// right after serving traffic and again over an empty interval, where the
+// rate-driven features are 0 and draw nothing.  Independently of masks, each
+// sample must draw exactly one Normal per non-zero noisy feature, the rule
+// every golden was recorded under.
+func TestSampleMaskKeepsRNGStream(t *testing.T) {
+	oracle := features.MaskOf(features.RequestRate, features.ResponseTimeMs)
+	noisy := features.All &^ features.MaskOf(features.ZombieThreads, features.CPUTimeSec,
+		features.QueueLength, features.UptimeSec, features.AnomalyEventRate)
+	for _, tc := range []struct {
+		name     string
+		leakedMB float64
+	}{
+		{"no-swap", 0},
+		{"swapping", 0.6 * M3Medium.MemoryMB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// run returns the two samples, the VM's generator and its state
+			// before, between and after them.
+			run := func(mask features.Mask) ([2]features.Vector, *simclock.RNG, [3]simclock.RNG) {
+				eng := simclock.NewEngine(42)
+				rng := simclock.NewRNG(9)
+				vm := NewVM(testVMConfig("vm1"), rng)
+				vm.leakedMB = tc.leakedMB
+				vm.Activate(eng)
+				for i := 0; i < 50; i++ {
+					eng.ScheduleFunc(simclock.Duration(float64(i)*0.2), func(e *simclock.Engine) {
+						vm.Dispatch(e, &Request{ID: uint64(i), ServiceFactor: 1, Arrival: e.Now()})
+					})
+				}
+				eng.RunUntilEmpty()
+				var samples [2]features.Vector
+				var states [3]simclock.RNG
+				for k := range samples {
+					states[k] = *rng
+					samples[k] = vm.Sample(eng.Now(), mask)
+				}
+				states[2] = *rng
+				return samples, rng, states
+			}
+			full, fullRNG, fullStates := run(features.All)
+			masked, maskedRNG, _ := run(oracle)
+			if swap := full[0].Get(features.SwapUsedMB); (tc.leakedMB > 0) != (swap > 0) {
+				t.Fatalf("swap_used_mb = %v with %v MB leaked", swap, tc.leakedMB)
+			}
+			if full[0].Get(features.RequestRate) <= 0 || full[1].Get(features.RequestRate) != 0 {
+				t.Fatalf("request rate %v then %v, want positive then 0",
+					full[0].Get(features.RequestRate), full[1].Get(features.RequestRate))
+			}
+			for k := range full {
+				for _, n := range features.AllNames() {
+					want := 0.0
+					if oracle&features.MaskOf(n) != 0 {
+						want = full[k].Get(n)
+					}
+					if got := masked[k].Get(n); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("sample %d %s = %v, want %v", k, n, got, want)
+					}
+				}
+			}
+			for k := range full {
+				ref := fullStates[k]
+				for _, n := range features.AllNames() {
+					if noisy&features.MaskOf(n) != 0 && full[k].Get(n) != 0 {
+						ref.Normal(0, 1)
+					}
+				}
+				if ref != fullStates[k+1] {
+					t.Errorf("sample %d did not draw exactly one Normal per non-zero noisy feature", k)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				if a, b := fullRNG.Uint64(), maskedRNG.Uint64(); a != b {
+					t.Fatalf("draw %d after sampling: full mask %x, oracle mask %x", i, a, b)
+				}
+			}
+		})
 	}
 }
 

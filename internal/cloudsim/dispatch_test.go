@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/simclock"
 )
 
@@ -152,7 +153,7 @@ func TestDispatchIndexAllocatesNothing(t *testing.T) {
 	}
 	vm := r.ActiveVMs()[0]
 	if n := testing.AllocsPerRun(100, func() {
-		if vm.Sample(eng.Now()).VM != vm.ID() {
+		if vm.Sample(eng.Now(), features.All).VM != vm.ID() {
 			t.Fatal("sample of the wrong VM")
 		}
 	}); n != 0 {

@@ -560,10 +560,14 @@ func (vm *VM) RecoverFromFailure(eng *simclock.Engine) bool {
 }
 
 // Sample produces the feature vector observable on this VM at the given time
-// and resets the per-interval counters.  The vector contains the full F2PM
-// feature set; measurement noise is added so the ML models face realistic
-// inputs rather than exact simulator state.
-func (vm *VM) Sample(now simclock.Time) features.Vector {
+// and resets the per-interval counters.  Only the features in mask are
+// measured; the other slots stay 0.  Measurement noise is added so the ML
+// models face realistic inputs rather than exact simulator state.  An
+// unmeasured noisy feature still consumes its noise draws
+// (simclock.RNG.SkipNormal), because the VM's generator also drives its
+// service times and anomaly injection: the mask changes which values are
+// computed, never the VM's random stream.
+func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
 	v := features.NewVector(vm.cfg.ID, now.Seconds())
 	intervalS := now.Sub(vm.intervalStart).Seconds()
 	if intervalS <= 0 {
@@ -576,11 +580,24 @@ func (vm *VM) Sample(now simclock.Time) features.Vector {
 	}
 	anomalyRate := float64(vm.intervalAnomaly) / intervalS
 
-	noise := func(x, rel float64) float64 {
+	// measure records feature n as x with relative Gaussian noise rel (exact
+	// when rel is 0).  A zero value draws no noise, measured or not, and its
+	// slot already holds 0.
+	measure := func(n features.Name, x, rel float64) {
 		if x == 0 {
-			return 0
+			return
 		}
-		return x * (1 + vm.rng.Normal(0, rel))
+		i, _ := features.Index(n)
+		if mask&(1<<i) == 0 {
+			if rel > 0 {
+				vm.rng.SkipNormal()
+			}
+			return
+		}
+		if rel > 0 {
+			x *= 1 + vm.rng.Normal(0, rel)
+		}
+		v.SetSlot(i, x)
 	}
 
 	baseMem := 0.18 * vm.cfg.Type.MemoryMB // OS + idle server footprint
@@ -597,26 +614,30 @@ func (vm *VM) Sample(now simclock.Time) features.Vector {
 		util = 1
 	}
 
-	v.Set(features.MemUsedMB, noise(used, 0.02))
-	v.Set(features.MemFreeMB, noise(math.Max(vm.cfg.Type.MemoryMB-used, 0), 0.02))
-	v.Set(features.SwapUsedMB, noise(swap, 0.05))
-	v.Set(features.HeapMB, noise(0.6*baseMem+vm.leakedMB, 0.03))
-	v.Set(features.ThreadCount, noise(32+float64(vm.zombieThreads)+4*float64(vm.inFlight), 0.02))
-	v.Set(features.ZombieThreads, float64(vm.zombieThreads))
-	v.Set(features.CPUUtilization, math.Min(noise(0.1+0.8*util, 0.05), 1))
-	v.Set(features.CPUTimeSec, vm.busySeconds)
-	v.Set(features.DiskUsedMB, noise(0.3*vm.cfg.Type.DiskGB*1024+0.05*vm.LeakedMB(), 0.01))
-	v.Set(features.NetConnections, noise(8+2*rate, 0.05))
-	v.Set(features.RequestRate, noise(rate, 0.03))
-	v.Set(features.ResponseTimeMs, noise(meanResp*1000, 0.03))
-	v.Set(features.QueueLength, float64(vm.QueueLength()))
-	v.Set(features.PageFaultRate, noise(5+30*swap/math.Max(vm.cfg.Type.MemoryMB, 1), 0.10))
-	v.Set(features.ContextSwitches, noise(200+80*rate, 0.10))
-	v.Set(features.UptimeSec, vm.Uptime(now).Seconds())
-	v.Set(features.GCPauseMs, noise(2+40*vm.LeakedMB()/math.Max(vm.memoryBudgetMB(), 1), 0.15))
-	v.Set(features.OpenFiles, noise(64+3*rate, 0.05))
-	v.Set(features.SocketsTimeWait, noise(4*rate, 0.15))
-	v.Set(features.AnomalyEventRate, anomalyRate)
+	// The calls run in feature-slot order, which is also the VM's draw order.
+	measure(features.MemUsedMB, used, 0.02)
+	measure(features.MemFreeMB, math.Max(vm.cfg.Type.MemoryMB-used, 0), 0.02)
+	measure(features.SwapUsedMB, swap, 0.05)
+	measure(features.HeapMB, 0.6*baseMem+vm.leakedMB, 0.03)
+	measure(features.ThreadCount, 32+float64(vm.zombieThreads)+4*float64(vm.inFlight), 0.02)
+	measure(features.ZombieThreads, float64(vm.zombieThreads), 0)
+	measure(features.CPUUtilization, 0.1+0.8*util, 0.05)
+	if v.Get(features.CPUUtilization) > 1 {
+		v.Set(features.CPUUtilization, 1) // noise cannot push utilisation past saturation
+	}
+	measure(features.CPUTimeSec, vm.busySeconds, 0)
+	measure(features.DiskUsedMB, 0.3*vm.cfg.Type.DiskGB*1024+0.05*vm.LeakedMB(), 0.01)
+	measure(features.NetConnections, 8+2*rate, 0.05)
+	measure(features.RequestRate, rate, 0.03)
+	measure(features.ResponseTimeMs, meanResp*1000, 0.03)
+	measure(features.QueueLength, float64(vm.QueueLength()), 0)
+	measure(features.PageFaultRate, 5+30*swap/math.Max(vm.cfg.Type.MemoryMB, 1), 0.10)
+	measure(features.ContextSwitches, 200+80*rate, 0.10)
+	measure(features.UptimeSec, vm.Uptime(now).Seconds(), 0)
+	measure(features.GCPauseMs, 2+40*vm.LeakedMB()/math.Max(vm.memoryBudgetMB(), 1), 0.15)
+	measure(features.OpenFiles, 64+3*rate, 0.05)
+	measure(features.SocketsTimeWait, 4*rate, 0.15)
+	measure(features.AnomalyEventRate, anomalyRate, 0)
 
 	vm.intervalServed = 0
 	vm.intervalRespSum = 0

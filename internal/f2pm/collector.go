@@ -60,7 +60,7 @@ func (c *Collector) Start(eng *simclock.Engine) {
 	c.stop = eng.Ticker(c.interval, func(e *simclock.Engine) {
 		for _, vm := range c.vms {
 			if vm.State() == cloudsim.StateActive {
-				c.vectors = append(c.vectors, vm.Sample(e.Now()))
+				c.vectors = append(c.vectors, vm.Sample(e.Now(), features.All))
 			}
 		}
 	})

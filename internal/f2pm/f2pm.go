@@ -145,6 +145,10 @@ func (m *Model) PredictRTTF(v features.Vector) float64 {
 	return p
 }
 
+// ReadsFeatures returns the mask of the feature subset PredictRTTF reads, so
+// a controller sampling for this model measures only those features.
+func (m *Model) ReadsFeatures() features.Mask { return features.MaskOf(m.Features...) }
+
 // Train runs the full F2PM toolchain on a labelled dataset and returns the
 // runtime model together with the report.
 func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {

@@ -113,6 +113,26 @@ func Index(n Name) (int, bool) {
 	return -1, false
 }
 
+// Mask is a set of feature slots: bit i stands for AllNames()[i].  A
+// consumer that reads only some features declares them as a Mask, so the
+// sampler can skip measuring the rest.
+type Mask uint32
+
+// All is the mask of every feature.
+const All Mask = 1<<NumFeatures - 1
+
+// MaskOf returns the mask of the named features.  A name outside the
+// feature set adds nothing: no slot holds it, and Get reads it as 0.
+func MaskOf(names ...Name) Mask {
+	var m Mask
+	for _, n := range names {
+		if i, ok := Index(n); ok {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
 // Vector is one sample of all monitored features at a given time on a given
 // VM.  Its values live in a fixed array, so a Vector is a plain value: a copy
 // never shares storage with its original and building one allocates nothing.
@@ -148,6 +168,10 @@ func (v *Vector) Set(n Name, val float64) {
 	}
 	v.values[i] = val
 }
+
+// SetSlot stores val in slot i, the feature AllNames()[i].  A sampler that
+// has already looked up the slot with Index uses it to skip a second lookup.
+func (v *Vector) SetSlot(i int, val float64) { v.values[i] = val }
 
 // Flatten returns the values of the requested features in order.
 func (v Vector) Flatten(names []Name) []float64 {

@@ -70,6 +70,29 @@ func TestIndexMatchesAllNames(t *testing.T) {
 	v.Set("no_such_feature", 1)
 }
 
+func TestMaskOf(t *testing.T) {
+	if got := MaskOf(AllNames()...); got != All {
+		t.Fatalf("MaskOf(AllNames()) = %b, want All = %b", got, All)
+	}
+	if got := MaskOf(MemUsedMB, RequestRate, "no_such_feature", RequestRate); got != 1<<0|1<<10 {
+		t.Fatalf("MaskOf(mem_used_mb, request_rate, unknown, request_rate) = %b, want slots 0 and 10", got)
+	}
+	if MaskOf() != 0 {
+		t.Fatal("the mask of no features should be empty")
+	}
+}
+
+func TestSetSlotMatchesSet(t *testing.T) {
+	bySlot, byName := NewVector("vm1", 0), NewVector("vm1", 0)
+	for i, n := range AllNames() {
+		bySlot.SetSlot(i, float64(i)+0.25)
+		byName.Set(n, float64(i)+0.25)
+	}
+	if bySlot != byName {
+		t.Fatalf("SetSlot %+v, Set %+v", bySlot, byName)
+	}
+}
+
 func TestAllNamesStableAndUnique(t *testing.T) {
 	names := AllNames()
 	if len(names) < 15 {

@@ -15,7 +15,7 @@ package pcam
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cloudsim"
 	"repro/internal/features"
@@ -39,7 +39,28 @@ type RTTFPredictor interface {
 	PredictRTTF(vm *cloudsim.VM, sample features.Vector) float64
 }
 
-// PredictorFunc adapts a function to the RTTFPredictor interface.
+// FeatureReader is implemented by a predictor, or by the model a
+// ModelPredictor wraps, that reads only some slots of the feature vector.
+// The VMC's monitor measures only those slots and the two it reads itself
+// (request_rate and response_time_ms); every other slot of the sample it
+// hands the predictor is 0.  A predictor or model that does not implement
+// FeatureReader is handed every feature.
+type FeatureReader interface {
+	// ReadsFeatures returns the mask of the features PredictRTTF reads.
+	ReadsFeatures() features.Mask
+}
+
+// readsFeatures returns the features x declares it reads: every feature
+// unless x is a FeatureReader.
+func readsFeatures(x any) features.Mask {
+	if r, ok := x.(FeatureReader); ok {
+		return r.ReadsFeatures()
+	}
+	return features.All
+}
+
+// PredictorFunc adapts a function to the RTTFPredictor interface.  It
+// declares no feature subset, so it is handed every feature.
 type PredictorFunc func(vm *cloudsim.VM, sample features.Vector) float64
 
 // PredictRTTF implements RTTFPredictor.
@@ -60,6 +81,11 @@ type ModelPredictor struct {
 func (p ModelPredictor) PredictRTTF(_ *cloudsim.VM, sample features.Vector) float64 {
 	return p.Model.PredictRTTF(sample)
 }
+
+// ReadsFeatures implements FeatureReader: the wrapped model's features when
+// it declares them (an *f2pm.Model declares its Lasso-selected subset),
+// every feature otherwise.
+func (p ModelPredictor) ReadsFeatures() features.Mask { return readsFeatures(p.Model) }
 
 // OraclePredictor returns the simulator's ground-truth RTTF given the VM's
 // currently observed request rate.  It represents a perfect ML model.
@@ -97,6 +123,12 @@ func (OraclePredictor) PredictRTTF(vm *cloudsim.VM, sample features.Vector) floa
 		return OracleMaxRTTF
 	}
 	return rttf
+}
+
+// ReadsFeatures implements FeatureReader: the oracle reads only the request
+// rate.
+func (OraclePredictor) ReadsFeatures() features.Mask {
+	return features.MaskOf(features.RequestRate)
 }
 
 // Config tunes a VMC.
@@ -190,6 +222,9 @@ type VMC struct {
 	region    *cloudsim.Region
 	predictor RTTFPredictor
 	cfg       Config
+	// measure is the set of features the monitor samples: what the
+	// predictor reads plus what shardTick reads itself.
+	measure features.Mask
 
 	rr           int // round-robin cursor of the local load balancer
 	shardRR      int // rotation cursor over the region's shards
@@ -248,6 +283,7 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 		region:       region,
 		predictor:    predictor,
 		cfg:          cfg,
+		measure:      readsFeatures(predictor) | features.MaskOf(features.RequestRate, features.ResponseTimeMs),
 		rmttf:        stats.NewEWMA(cfg.RMTTFBeta),
 		targetActive: target,
 		forwards:     newForwardPool(1),
@@ -385,6 +421,19 @@ type vmPrediction struct {
 	resp float64
 }
 
+// byRTTF orders predictions worst-first with plain < semantics, the order
+// sort.Slice gives under the same less function (cmp.Compare would place NaN
+// differently).
+func byRTTF(a, b vmPrediction) int {
+	switch {
+	case a.rttf < b.rttf:
+		return -1
+	case b.rttf < a.rttf:
+		return 1
+	}
+	return 0
+}
+
 // shardScratch is one shard's slice of the control tick: the reusable buffers
 // the shard's monitor/analyze phase fills and the partial aggregates the
 // serial merge phase consumes.  One instance exists per region shard and is
@@ -520,12 +569,12 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 }
 
 // shardTick is the per-shard monitor/analyze phase of one control tick: it
-// samples every ACTIVE VM of shard s, predicts its RTTF, accumulates the
-// shard's partial aggregates and sorts the shard's rejuvenation candidates
-// worst-first.  It writes only to v.scratch[s] and the shard's own VMs, reads
-// no engine state beyond the prefetched timestamp, and schedules nothing —
-// the contract that makes it safe to run concurrently with the other shards'
-// phases.
+// samples the measured features (v.measure) of every ACTIVE VM of shard s,
+// predicts its RTTF, accumulates the shard's partial aggregates and sorts the
+// shard's rejuvenation candidates worst-first.  It writes only to
+// v.scratch[s] and the shard's own VMs, reads no engine state beyond the
+// prefetched timestamp, and schedules nothing — the contract that makes it
+// safe to run concurrently with the other shards' phases.
 func (v *VMC) shardTick(now simclock.Time, s int) {
 	sc := &v.scratch[s]
 	sc.sum, sc.reportable, sc.respSum, sc.respSamples, sc.sampled = 0, 0, 0, 0, 0
@@ -536,7 +585,7 @@ func (v *VMC) shardTick(now simclock.Time, s int) {
 	}
 	sc.sampled = len(sc.active)
 	for _, vm := range sc.active {
-		sample := vm.Sample(now)
+		sample := vm.Sample(now, v.measure)
 		rttf := v.predictor.PredictRTTF(vm, sample)
 		resp := sample.Get(features.ResponseTimeMs) / 1000
 		sc.preds = append(sc.preds, vmPrediction{vm: vm, rttf: rttf, resp: resp})
@@ -568,7 +617,7 @@ func (v *VMC) shardTick(now simclock.Time, s int) {
 		sc.respSum += resp
 		sc.respSamples++
 	}
-	sort.Slice(sc.preds, func(i, j int) bool { return sc.preds[i].rttf < sc.preds[j].rttf })
+	slices.SortFunc(sc.preds, byRTTF)
 }
 
 // applyElasticity implements the ADDVMS action and the scale-down branch.

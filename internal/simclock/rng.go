@@ -132,6 +132,15 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
+// SkipNormal advances the generator exactly as one Normal call does, without
+// the Box–Muller arithmetic.  A caller that must keep its stream aligned but
+// does not need the value (an unread measurement) calls it instead.
+func (r *RNG) SkipNormal() {
+	for r.Float64() == 0 {
+	}
+	r.Uint64()
+}
+
 // LogNormal returns a log-normally distributed value parameterised by the
 // mean and standard deviation of the underlying normal.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {

@@ -127,3 +127,17 @@ func TestDeriveSeedDistinctProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSkipNormalAdvancesLikeNormal pins SkipNormal to Normal's draw count:
+// after 10^5 calls of either, two generators from the same seed hold the same
+// state, so skipping an unread measurement cannot shift any later draw.
+func TestSkipNormalAdvancesLikeNormal(t *testing.T) {
+	drawn, skipped := NewRNG(42), NewRNG(42)
+	for i := 0; i < 100_000; i++ {
+		drawn.Normal(0, 1)
+		skipped.SkipNormal()
+	}
+	if drawn.s != skipped.s {
+		t.Fatalf("state after 10^5 calls: Normal %x, SkipNormal %x", drawn.s, skipped.s)
+	}
+}
