@@ -61,7 +61,7 @@ func main() {
 		beta        = flag.Float64("beta", 0.5, "RMTTF smoothing factor of equation (1)")
 		interval    = flag.Float64("interval", 60, "control loop interval in seconds")
 		shards      = flag.Int("shards", 0, "split every region's VM pool across this many engine shards (0 keeps each scenario's own setting)")
-		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop with this many shard-loop goroutines (0 forces the serial engine, >= 1 selects the parallel event loop; byte-identical across all values >= 1; -1 keeps each scenario's own setting)")
+		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop with this many shard-loop goroutines (0 is the inline one-worker run, like 1; byte-identical across all values; -1 keeps each scenario's own setting)")
 		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting; GSLB deployments always run on the event loop)")
 		rttSpec     = flag.String("rtt", "", "per-stream round-trip matrix for latency-aware routing, milliseconds per deployed region: \"global=60,120;americas=80,140\" (overrides the scenario's own RTT rows)")
 		mix         = flag.String("mix", "browsing", "TPC-W mix: browsing, shopping or ordering")
@@ -326,12 +326,10 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			}
 		}
 	}
-	// -event-workers switches the engine: 0 forces the serial single-queue
-	// engine, >= 1 the sharded event loop (one sub-engine per region shard,
-	// cross-shard mailboxes) with that many shard-loop goroutines, over which
-	// the control tick's per-shard phase also fans out.  Results
-	// are byte-identical across every value >= 1; the serial engine's bytes
-	// differ because the event loop epoch-quantises cross-shard effects.
+	// -event-workers sets how many goroutines run the event loop's shard
+	// loops (one sub-engine per region shard, cross-shard mailboxes), over
+	// which the control tick's per-shard phase also fans out; 0 is the
+	// inline one-worker run.  Results are byte-identical across every value.
 	if explicit["event-workers"] && eventWorkers >= 0 {
 		scenario.EventWorkers = eventWorkers
 	}

@@ -337,7 +337,7 @@ func BenchmarkManagerControlEra(b *testing.B) {
 	}
 	m.Start()
 	// Warm the deployment so RMTTFs are primed.
-	_ = m.Engine().Run(5 * simclock.Minute)
+	_ = m.el.se.Run(5 * simclock.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -358,13 +358,16 @@ func TestWorkloadSurgeStartsLater(t *testing.T) {
 	m.Start()
 
 	// Before the surge: throughput corresponds to the base populations only.
-	if err := m.Engine().Run(9 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(9 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
 	preSurge := m.Metrics().Issued("region1")
+	if preSurge == 0 {
+		t.Fatal("region1 issued nothing before the surge")
+	}
 
 	// Run well past the surge and compare per-minute arrival rates.
-	if err := m.Engine().Run(25 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(25 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
 	m.Stop()
@@ -384,7 +387,7 @@ func TestSurgeRequiresBothFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	if len(m.surges) != 0 {
+	if len(m.el.surge[0]) != 0 {
 		t.Fatalf("a surge without a start time should not create a population")
 	}
 }
@@ -392,8 +395,8 @@ func TestSurgeRequiresBothFields(t *testing.T) {
 // TestCutOverlayStopsForwarding: a request the plan routes to an unreachable
 // region is processed in its entry region, so it counts as local and never
 // as forwarded.  A skewed two-region deployment whose only overlay link is
-// cut halfway must keep ForwardedRequests flat from the cut on, on the serial
-// engine and on the event loop alike.
+// cut halfway must keep ForwardedRequests flat from the cut on, at
+// EventWorkers 0 (promoted to 1) and 1 alike.
 func TestCutOverlayStopsForwarding(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		cfg := Config{

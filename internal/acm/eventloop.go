@@ -1,16 +1,14 @@
-// The sharded event loop of a deployment: with Config.EventWorkers >= 1 the
-// Manager promotes every region shard to its own simclock sub-engine and
-// runs the whole request-service path — client think timers, arrivals,
-// dispatch, service, completion, rejuvenation timers — on N shard loops in
-// lockstep epochs (simclock.ShardedEngine).  The serial engine only ever
-// fired one event at a time; here a 16-shard megaregion services sixteen
-// arrival/completion streams concurrently.
+// The event loop of a deployment: the Manager runs every region shard as its
+// own simclock sub-engine and the whole request-service path — client think
+// timers, arrivals, dispatch, service, completion, rejuvenation timers — on
+// the shard loops in lockstep epochs (simclock.ShardedEngine), fanned out
+// over Config.EventWorkers goroutines.  A 16-shard megaregion services
+// sixteen arrival/completion streams concurrently.
 //
 // Partitioning: each region's client population is split across its shards,
-// and a client's requests are dispatched inside its own shard (the serial
-// engine's per-request shard rotation becomes a static client→shard
-// binding, which spreads load identically in expectation and keeps the
-// arrival→dispatch→service→completion loop entirely shard-local).  Each
+// and a client's requests are dispatched inside its own shard (a static
+// client→shard binding, which spreads load evenly in expectation and keeps
+// the arrival→dispatch→service→completion loop entirely shard-local).  Each
 // shard also owns a private workload.Metrics sink; reads merge the sinks in
 // shard-index order, so the merged floating-point moments are
 // bit-reproducible for every worker count.
@@ -63,6 +61,9 @@ type eventLoop struct {
 	metrics   []*workload.Metrics
 	local     []uint64
 	forwarded []uint64
+	// era is the sink the control era merges the per-shard metrics into,
+	// reset and reused every era.
+	era *workload.Metrics
 
 	// plans[g] is shard g's snapshot of the installed forward plan.  It is
 	// republished at the control era (an epoch barrier, while every shard
@@ -106,7 +107,7 @@ type eventLoop struct {
 // newEventLoop assembles the sharded event loop for a fully built Manager
 // (regions, VMCs, overlay, control loop and the initial plan all exist).
 func newEventLoop(m *Manager) *eventLoop {
-	el := &eventLoop{mgr: m}
+	el := &eventLoop{mgr: m, era: workload.NewMetrics()}
 	el.base = make([]int, len(m.regions))
 	for i, r := range m.regions {
 		el.base[i] = el.total
@@ -538,14 +539,20 @@ func (el *eventLoop) stop() {
 	}
 }
 
-// mergedMetrics folds the per-shard sinks in shard-index order — the fixed
-// fold order that makes the merged moments bit-reproducible.
-func (el *eventLoop) mergedMetrics() *workload.Metrics {
-	out := workload.NewMetrics()
+// mergeMetrics folds the per-shard sinks into out in shard-index order — the
+// fixed fold order that makes the merged moments bit-reproducible.
+func (el *eventLoop) mergeMetrics(out *workload.Metrics) {
 	for _, shardMetrics := range el.metrics {
 		out.Merge(shardMetrics)
 	}
-	return out
+}
+
+// eraMetrics returns the era sink, reset and refilled with this era's merge.
+// It is valid until the next call; only the control era reads it.
+func (el *eventLoop) eraMetrics() *workload.Metrics {
+	el.era.Reset()
+	el.mergeMetrics(el.era)
+	return el.era
 }
 
 // counters returns the merged local/forwarded request counts.

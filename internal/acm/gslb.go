@@ -5,14 +5,12 @@
 // one region, plus the scripted region-outage schedule that gives the
 // director's health-driven failover something to react to.
 //
-// Determinism: a GSLB deployment always runs on the sharded event loop
-// (Config.withDefaults promotes EventWorkers 0 -> 1), because global routing
-// crosses region sub-engines and therefore must ride the mailbox machinery.
-// The plane's probe and gossip rounds run on the control timeline; each
-// lane's dispatcher reads an immutable routing-table snapshot republished at
-// epoch barriers and owns its RNG/rotation state, so the output is
-// byte-identical for every EventWorkers value — 0 and 1 select the same
-// inline epochal run.
+// Determinism: global routing crosses region sub-engines, so it rides the
+// event loop's mailbox machinery.  The plane's probe and gossip rounds run
+// on the control timeline; each lane's dispatcher reads an immutable
+// routing-table snapshot republished at epoch barriers and owns its
+// RNG/rotation state, so the output is byte-identical for every
+// EventWorkers value.
 package acm
 
 import (
@@ -120,9 +118,6 @@ func (m *Manager) validateGlobal() error {
 	}
 	if f := cfg.TraceSampleFraction; math.IsNaN(f) || f < 0 || f > 1 {
 		return validate.Fieldf("acm", "TraceSampleFraction", "must be in [0, 1], got %v", f)
-	}
-	if cfg.FlightRecorder && cfg.EventWorkers == 0 {
-		return validate.Fieldf("acm", "FlightRecorder", "requires the sharded event loop (set EventWorkers >= 1)")
 	}
 	for i, rs := range cfg.Regions {
 		if rs.CohortClients < 0 {
@@ -361,8 +356,7 @@ func (m *Manager) startDirector() {
 }
 
 // scheduleLinkFaults arms the scripted network-path degradations on the
-// control timeline.  Validation guaranteed a latency-aware GSLB deployment,
-// which always runs on the event loop.
+// control timeline.  Validation guaranteed a latency-aware GSLB deployment.
 func (m *Manager) scheduleLinkFaults() {
 	if len(m.cfg.LinkFaults) == 0 {
 		return
@@ -415,25 +409,6 @@ func (m *Manager) scheduleFaults() {
 			}
 		})
 	}
-}
-
-// buildSerialArrivals constructs the region-pinned arrival streams of a
-// serial-engine deployment (global streams require the event loop, which
-// GSLB deployments always use).
-func (m *Manager) buildSerialArrivals() error {
-	for i, a := range m.cfg.Arrivals {
-		gen, err := workload.NewVaryingOpenLoop(workload.VaryingOpenLoopConfig{
-			Region: a.Name,
-			Rate:   a.Rate,
-			Mix:    a.Mix,
-			Tracer: m.tracer,
-		}, simclock.NewStreamRNG(m.cfg.Seed^hashString("arrivals"), uint64(i)), m.entryDispatcher(a.Region), m.metrics)
-		if err != nil {
-			return fmt.Errorf("acm: arrival stream %q: %w", a.Name, err)
-		}
-		m.arrivals = append(m.arrivals, gen)
-	}
-	return nil
 }
 
 // HealthPlane returns the global health plane (nil when GSLB is disabled).

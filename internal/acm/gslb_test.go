@@ -160,8 +160,8 @@ func TestGSLBConfigValidation(t *testing.T) {
 	}
 }
 
-// TestGSLBForcesEventLoop: enabling the director promotes EventWorkers 0 to
-// the inline epochal engine.
+// TestGSLBForcesEventLoop: a director deployment left at EventWorkers 0 runs
+// on the inline one-worker event loop and routes its global clients.
 func TestGSLBForcesEventLoop(t *testing.T) {
 	cfg := Config{
 		Seed:          1,
@@ -173,8 +173,8 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.el == nil {
-		t.Fatal("GSLB deployment did not select the sharded event loop")
+	if m.cfg.EventWorkers != 1 {
+		t.Fatalf("EventWorkers 0 promoted to %d, want 1", m.cfg.EventWorkers)
 	}
 	if m.HealthPlane() == nil {
 		t.Fatal("no director built")
@@ -191,9 +191,9 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	}
 }
 
-// TestSerialPinnedArrivals: region-pinned time-varying streams work on the
-// serial engine (no GSLB involved) and are deterministic.
-func TestSerialPinnedArrivals(t *testing.T) {
+// TestPinnedArrivals: region-pinned time-varying streams work without a
+// director (no GSLB involved) and are deterministic.
+func TestPinnedArrivals(t *testing.T) {
 	run := func() (uint64, float64) {
 		cfg := Config{
 			Seed:    7,
@@ -207,9 +207,6 @@ func TestSerialPinnedArrivals(t *testing.T) {
 		m, err := NewManager(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if m.el != nil {
-			t.Fatal("pinned arrivals alone must not select the event loop")
 		}
 		if err := m.Run(10 * simclock.Minute); err != nil {
 			t.Fatal(err)
@@ -227,7 +224,7 @@ func TestSerialPinnedArrivals(t *testing.T) {
 	}
 	issued2, mean2 := run()
 	if issued != issued2 || mean != mean2 {
-		t.Fatalf("serial arrival runs diverged: %d/%v vs %d/%v", issued, mean, issued2, mean2)
+		t.Fatalf("pinned arrival runs diverged: %d/%v vs %d/%v", issued, mean, issued2, mean2)
 	}
 }
 
@@ -261,7 +258,7 @@ func TestRegionFaultOutageAndRecovery(t *testing.T) {
 	eng.ScheduleFunc(9*simclock.Minute, func(*simclock.Engine) {
 		afterRecovery = m.VMC("region1").ActiveVMs()
 	})
-	if err := eng.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatal(err)
 	}
 	m.Stop()

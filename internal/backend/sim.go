@@ -9,7 +9,7 @@ import (
 )
 
 // Simulated is the simulator backend: an acm.Manager over the simclock
-// engines (serial or sharded event loop, per the config).
+// sharded event loop.
 type Simulated struct {
 	mgr *acm.Manager
 }

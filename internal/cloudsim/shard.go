@@ -23,7 +23,7 @@ type shard struct {
 	index  int
 	rng    *simclock.RNG
 	vms    []*VM            // this shard's VMs, in provisioning order
-	engine *simclock.Engine // sub-engine owning this shard's events (nil = serial engine)
+	engine *simclock.Engine // sub-engine owning this shard's events (nil = standalone engine)
 	ix     dispatchIndex    // queue lengths and ACTIVE slots, kept current by the VMs
 }
 
@@ -137,9 +137,9 @@ func (r *Region) NumShards() int { return len(r.shards) }
 // BindShardEngines attaches one sub-engine per shard, enabling the parallel
 // event loop: controllers use the binding to route a VM's timed transitions
 // (rejuvenation completion, activation) to the engine that owns the VM's
-// shard.  The slice length must match NumShards.  Unbound regions (the
-// serial engine) report nil from ShardEngine and callers fall back to the
-// engine in hand.
+// shard.  The slice length must match NumShards.  Unbound regions (one
+// standalone engine) report nil from ShardEngine and callers fall back to
+// the engine in hand.
 func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 	if len(engs) != len(r.shards) {
 		panic(fmt.Sprintf("cloudsim: BindShardEngines got %d engines for %d shards", len(engs), len(r.shards)))
@@ -150,7 +150,7 @@ func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 }
 
 // ShardEngine returns the sub-engine bound to shard i, or nil when the
-// region runs on the serial engine.
+// region runs on one standalone engine.
 func (r *Region) ShardEngine(i int) *simclock.Engine { return r.shards[i].engine }
 
 // ShardVMs returns the VMs owned by the given shard, in provisioning order.

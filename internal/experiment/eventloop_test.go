@@ -16,12 +16,8 @@ import (
 
 // The parallel-event-loop suite: the sharded event loop (one sub-engine per
 // region shard, cross-shard mailboxes, lockstep epochs) must be
-// byte-identical across every EventWorkers >= 1 and every GOMAXPROCS, and
-// its behaviour is pinned by goldens of its own.  EventWorkers = 0 is the
-// serial engine, pinned by the pre-existing golden suite — the two engines
-// produce intentionally different bytes (cross-shard effects are
-// epoch-quantised on the event loop), which is why the event loop carries
-// separate goldens instead of replaying the serial ones.
+// byte-identical across every EventWorkers and every GOMAXPROCS, and its
+// multi-shard behaviour is pinned by goldens of its own.
 
 // eventLoopWorkerCounts are the worker counts every event-loop equivalence
 // test runs: inline (1), a fixed fan-out (4) and whatever the host offers
@@ -190,7 +186,7 @@ func TestMegaregionEventLoopEquivalence(t *testing.T) {
 }
 
 // TestGoldenEventLoopScenarios byte-pins the parallel event loop the same
-// way the serial engine is pinned: figure4-eventloop under each policy,
+// way the figure scenarios are pinned: figure4-eventloop under each policy,
 // recorded at the scenario's default EventWorkers and compared down to the
 // SHA-256 of every raw series.  Regenerate with:
 //

@@ -15,7 +15,7 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := BuildScenario("megaregion-sharded", 42)
+	sharded, err := BuildScenario("megaregion-eventloop", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 		t.Fatalf("megaregion is the single-shard baseline, got Shards=%d", mega.Regions[0].Region.Shards)
 	}
 	if sharded.Regions[0].Region.Shards != MegaregionShards {
-		t.Fatalf("megaregion-sharded Shards = %d, want %d", sharded.Regions[0].Region.Shards, MegaregionShards)
+		t.Fatalf("megaregion-eventloop Shards = %d, want %d", sharded.Regions[0].Region.Shards, MegaregionShards)
 	}
 	// Apart from the shard split the two scenarios must describe the same
 	// deployment, so their results are comparable.
@@ -53,7 +53,7 @@ func TestMegaregionDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("runs a 5x10^3-VM scenario three times")
 	}
 	jobs, err := Matrix{
-		Scenarios: []string{"megaregion", "megaregion-sharded"},
+		Scenarios: []string{"megaregion", "megaregion-eventloop"},
 		Policies:  []string{"policy2"},
 		BaseSeed:  42,
 		Horizon:   4 * simclock.Minute,

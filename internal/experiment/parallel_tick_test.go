@@ -14,14 +14,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestParallelTickReproducesGoldens pins that the serial engine's control
-// tick never fans out: figure3 and figure4 under every policy reproduce their
+// TestParallelTickReproducesGoldens pins that the inline one-worker run
+// never fans out: figure3 and figure4 under every policy reproduce their
 // golden byte-pins (including the SHA-256 of every raw series) with
 // GOMAXPROCS raised to 4 and to the host's count.  The tick takes its
-// fan-out only from a sharded event loop's workers (ShardedEngine.Workers);
+// fan-out only from the event loop's workers (ShardedEngine.Workers);
 // simclock.ForEach and ShardedEngine both default to GOMAXPROCS when handed
-// 0, so this is the guard that no serial-engine path picks the host's core
-// count up as a parallelism knob.  The fanned-out tick itself is pinned by
+// 0, so this is the guard that no path at EventWorkers 0 picks the host's
+// core count up as a parallelism knob.  The fanned-out tick itself is pinned by
 // the event-loop equivalence suite (TestEventLoopWorkersEquivalence,
 // TestMegaregionEventLoopEquivalence).  The figure regions are single-shard;
 // the multi-shard half of the guard is TestFigureShardedParallelEquivalence
@@ -77,8 +77,8 @@ func TestParallelTickReproducesGoldens(t *testing.T) {
 // TestFigureShardedParallelEquivalence runs the richest control-tick paths
 // the repo has — the figure4 deployment (three heterogeneous regions,
 // elasticity on, staggered rejuvenation waves, the leader's closed control
-// loop) with every region split across 3 shards — on the serial engine, and
-// demands byte-identical output (full summary plus the SHA-256 of every raw
+// loop) with every region split across 3 shards — at EventWorkers 0 (the
+// inline run), and demands byte-identical output (full summary plus the SHA-256 of every raw
 // series) at GOMAXPROCS 1, 4 and the host's count.  Unlike the single-shard
 // golden replay above, here the tick has per-shard partials to merge, so any
 // step whose order or partition follows the host's core count (a fold of the
@@ -125,12 +125,12 @@ func TestFigureShardedParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedTickWorkersEquivalence is the scale half of the serial-engine
-// guard: the 16-shard megaregion-sharded deployment produces byte-identical
-// raw series and identical per-shard statistics at GOMAXPROCS 1, 4 and the
-// host's count, so its control tick walks the shards in order on one
-// goroutine whatever the host offers.  The fanned-out tick at the same scale
-// is TestMegaregionEventLoopEquivalence.
+// TestShardedTickWorkersEquivalence is the scale half of the inline-run
+// guard: the 16-shard megaregion-eventloop deployment at one event worker
+// produces byte-identical raw series and identical per-shard statistics at
+// GOMAXPROCS 1, 4 and the host's count, so its control tick walks the shards
+// in order on one goroutine whatever the host offers.  The fanned-out tick
+// at the same scale is TestMegaregionEventLoopEquivalence.
 func TestShardedTickWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 5x10^3-VM scenario once per GOMAXPROCS value")
@@ -141,11 +141,12 @@ func TestShardedTickWorkersEquivalence(t *testing.T) {
 	}
 	run := func(procs int) ([]byte, map[string][]cloudsim.Stats) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		sc, err := BuildScenario("megaregion-sharded", 42)
+		sc, err := BuildScenario("megaregion-eventloop", 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Horizon = 4 * simclock.Minute
+		sc.EventWorkers = 1
 		mgr, err := NewManager(sc, np)
 		if err != nil {
 			t.Fatal(err)

@@ -115,7 +115,6 @@ func init() {
 	RegisterScenario("homogeneous", "three identical regions and populations, the environment suited to Policy 1", HomogeneousScenario)
 	RegisterScenario("elasticity", "under-provisioned region absorbing a 3x client surge via ADDVMS", ElasticityScenario)
 	RegisterScenario("megaregion", "one region with a 5x10^3-VM pool on a single engine shard (baseline)", MegaregionScenario)
-	RegisterScenario("megaregion-sharded", "the 5x10^3-VM region split across 16 engine shards", MegaregionShardedScenario)
 	RegisterScenario("megaregion-eventloop", "the 16-shard megaregion with the event loop itself fanned out: one sub-engine per shard, cross-shard mailboxes", MegaregionEventLoopScenario)
 	RegisterScenario("figure4-eventloop", "figure4 with 3-shard regions on the parallel event loop (cross-region forwarding through mailboxes)", Figure4EventLoopScenario)
 	RegisterScenario("global-failover", "global clients on the director's failover policy; a scripted outage drains region1, traffic fails over and back", GlobalFailoverScenario)

@@ -239,8 +239,8 @@ func ElasticityScenario(seed uint64) Scenario {
 const (
 	megaregionActive  = 4000
 	megaregionStandby = 1000
-	// MegaregionShards is the shard count of the "megaregion-sharded"
-	// scenario (exported so CLIs and benchmarks quote the same number).
+	// MegaregionShards is the shard count of the 16-shard megaregion
+	// scenarios (exported so CLIs and benchmarks quote the same number).
 	MegaregionShards = 16
 )
 
@@ -286,23 +286,14 @@ func MegaregionScenario(seed uint64) Scenario {
 	return megaregionScenario("megaregion", seed, 1)
 }
 
-// MegaregionShardedScenario is the same 5x10^3-VM region split across
-// MegaregionShards engine shards: per-request dispatch and the controller
-// scans touch pool/16 VMs instead of the whole pool.  It runs on the serial
-// engine, so the control tick walks the shards sequentially.
-func MegaregionShardedScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion-sharded", seed, MegaregionShards)
-}
-
-// MegaregionEventLoopScenario is the 16-shard megaregion with the event loop
-// itself fanned out: every shard runs as its own sub-engine servicing its
-// arrivals, completions and rejuvenation timers in parallel (one goroutine
-// per shard), with the control tick also fanned out over the same workers at
-// the epoch barriers.  This parallelises request service, the bulk of the
-// run, not only the control tick.  Its results are byte-identical for every
-// EventWorkers >= 1 at any GOMAXPROCS (the event-loop equivalence suite pins
-// that); they intentionally differ from the serial megaregion-sharded bytes,
-// because cross-shard effects are epoch-quantised.
+// MegaregionEventLoopScenario is the same 5x10^3-VM region split across
+// MegaregionShards engine shards, so per-request dispatch and the controller
+// scans touch pool/16 VMs instead of the whole pool, with the event loop
+// fanned out: every shard runs as its own sub-engine servicing its arrivals,
+// completions and rejuvenation timers in parallel (one goroutine per shard),
+// with the control tick also fanned out over the same workers at the epoch
+// barriers.  Its results are byte-identical for every EventWorkers at any
+// GOMAXPROCS (the event-loop equivalence suite pins that).
 func MegaregionEventLoopScenario(seed uint64) Scenario {
 	sc := megaregionScenario("megaregion-eventloop", seed, MegaregionShards)
 	sc.EventWorkers = MegaregionShards

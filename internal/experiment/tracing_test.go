@@ -240,3 +240,37 @@ func TestTracingOffIsByteInvisible(t *testing.T) {
 		t.Fatalf("tracing changed the simulation bytes\n--- traced ---\n%s\n--- untraced ---\n%s", traced, untraced)
 	}
 }
+
+// TestFlightRecorderOnFigure3: the paper's own scenario at its default
+// EventWorkers 0 runs on the event loop, so the flight recorder accepts it,
+// records its epochs and control-tick phases, and leaves its bytes alone.
+func TestFlightRecorderOnFigure3(t *testing.T) {
+	np, err := PolicyByKey("policy2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(flight bool) ([]byte, *simclock.FlightRecorder) {
+		sc, err := BuildScenario("figure3", 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Horizon = 5 * simclock.Minute
+		sc.FlightRecorder = flight
+		res, b, err := RunBackend(sc, np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fr := TraceArtifacts(b)
+		return eventLoopFingerprint(t, res), fr
+	}
+	recorded, fr := run(true)
+	if fr == nil || fr.EpochCount() == 0 || len(fr.Phases()) == 0 {
+		t.Fatalf("figure3 flight recorder recorded nothing: %+v", fr)
+	}
+	if lanes := len(fr.Utilization()); lanes != 3 {
+		t.Fatalf("figure3 flight recorder covers %d lanes, want one per region plus the control timeline (3)", lanes)
+	}
+	if plain, _ := run(false); !bytes.Equal(recorded, plain) {
+		t.Fatalf("the flight recorder changed figure3's bytes\n--- recorded ---\n%s\n--- plain ---\n%s", recorded, plain)
+	}
+}

@@ -32,8 +32,7 @@ func TracingMarkdown() string {
 	b.WriteString("## Enabling\n\n")
 	b.WriteString("Set `TraceSampleFraction` on a scenario (or run a scenario that sets it,\n")
 	b.WriteString("e.g. `global-traced`), or pass `-trace-sample 0.02` to `acmsim`. Add\n")
-	b.WriteString("`FlightRecorder: true` (or run with `EventWorkers >= 1`, which the flight\n")
-	b.WriteString("recorder requires) to record engine utilization. Export with\n")
+	b.WriteString("`FlightRecorder: true` to record engine utilization. Export with\n")
 	b.WriteString("`acmsim -scenario global-traced -trace-out run.json`.\n\n")
 
 	b.WriteString("## Sampling and determinism contract\n\n")

@@ -53,12 +53,9 @@ func (v *VMC) StartSharded(se *simclock.ShardedEngine, engines []*simclock.Engin
 	v.stop = se.Control().Ticker(v.cfg.ControlInterval, func(e *simclock.Engine) { v.ControlTick(e) })
 }
 
-// Sharded reports whether the controller runs on a sharded event loop.
-func (v *VMC) Sharded() bool { return v.se != nil }
-
 // engineForVM returns the engine a timed transition of vm must be scheduled
 // on: the VM's shard sub-engine when the controller runs sharded, otherwise
-// the engine in hand (the serial engine).
+// the engine in hand (a standalone engine).
 func (v *VMC) engineForVM(eng *simclock.Engine, vm *cloudsim.VM) *simclock.Engine {
 	if v.shardEngines != nil {
 		return v.shardEngines[vm.ShardIndex()]
@@ -152,21 +149,12 @@ func (v *VMC) post(eng *simclock.Engine, shard int, req *cloudsim.Request, sendA
 	v.se.PostEvent(eng, v.se.LaneOf(v.shardEngines[shard]), f)
 }
 
-// SubmitAfter is Send for the serial engine: req reaches the region's load
-// balancer (Submit) d from now, carried by a pooled forward.  It always
-// schedules, even at d = 0, so the submission keeps its place in the
-// engine's (time, seq) order.
-func (v *VMC) SubmitAfter(eng *simclock.Engine, req *cloudsim.Request, d simclock.Duration) {
-	eng.Schedule(d, v.forwards.get(0, forward{vmc: v, req: req}))
-}
-
 // forward is a request in flight to one shard of a VMC, due there at sendAt
 // after hops failed shard attempts.  It is its own event: delivered from the
 // mailbox at a barrier, it reschedules itself on the destination's timeline
 // for any latency still outstanding, and submits on its second firing
-// unconditionally — now + (sendAt − now) can miss sendAt by one ulp.  On the
-// serial engine (SubmitAfter) it fires once, already due, and submits to the
-// whole region.  Either way it goes back to its pool as it submits.
+// unconditionally — now + (sendAt − now) can miss sendAt by one ulp.  It goes
+// back to its pool as it submits.
 type forward struct {
 	vmc     *VMC
 	shard   int
@@ -180,12 +168,6 @@ type forward struct {
 // Fire implements simclock.Event.
 func (f *forward) Fire(eng *simclock.Engine) {
 	v := f.vmc
-	if v.se == nil {
-		req := f.req
-		v.forwards.put(0, f)
-		v.Submit(eng, req)
-		return
-	}
 	if !f.delayed {
 		f.delayed = true
 		if remaining := f.sendAt.Sub(eng.Now()); remaining > 0 {
@@ -206,8 +188,7 @@ func (f *forward) Fire(eng *simclock.Engine) {
 // where handBack (one goroutine, no shard running) moves it home.  During a
 // shard phase each lane therefore touches only its own two lists, and a
 // lane's pool never holds more forwards than it had in flight at its peak,
-// however lopsided the traffic between lanes.  The serial engine is one
-// lane, and its forwards are freed in place.
+// however lopsided the traffic between lanes.
 type forwardPool struct {
 	free [][]*forward // free[lane]: forwards owned by lane, ready for reuse
 	back [][]*forward // back[lane]: forwards lane consumed for other owners

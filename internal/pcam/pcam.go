@@ -243,15 +243,15 @@ type VMC struct {
 
 	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine, the
 	// sub-engine of each region shard, and each shard's load-balancer
-	// round-robin cursor.  All nil/empty when the controller runs on the
-	// serial engine.
+	// round-robin cursor.  All nil/empty when the controller runs on a
+	// standalone engine (Start).
 	se           *simclock.ShardedEngine
 	shardEngines []*simclock.Engine
 	shardRRs     []int
 
 	// forwards recycles the events that carry requests to the region across
-	// lanes or over a delay (Send, SubmitAfter): one free list per lane of
-	// the engine the controller runs on (one lane until StartSharded).
+	// lanes or over a delay (Send): one free list per lane of the sharded
+	// engine.
 	forwards forwardPool
 
 	// flight, when set, receives the control tick's phase timings (sim-time
@@ -286,7 +286,6 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 		measure:      readsFeatures(predictor) | features.MaskOf(features.RequestRate, features.ResponseTimeMs),
 		rmttf:        stats.NewEWMA(cfg.RMTTFBeta),
 		targetActive: target,
-		forwards:     newForwardPool(1),
 	}, nil
 }
 

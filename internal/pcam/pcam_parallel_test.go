@@ -117,15 +117,15 @@ func TestControlTickParallelEquivalence(t *testing.T) {
 
 // TestControlTickParallelPhaseEngaged verifies the tick routes through the
 // engine's parallel phase exactly when it runs sharded on more than one
-// event-loop worker: never on the serial engine, never inline on one worker.
+// event-loop worker: never on a standalone engine, never inline on one worker.
 // The predictor observes Engine.InParallelPhase from inside the per-shard
 // phase.
 func TestControlTickParallelPhaseEngaged(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		workers int // event-loop workers; 0 runs the serial engine
+		workers int // event-loop workers; 0 runs a standalone engine
 		want    bool
-	}{{"serial", 0, false}, {"sharded/1", 1, false}, {"sharded/4", 4, true}} {
+	}{{"standalone", 0, false}, {"sharded/1", 1, false}, {"sharded/4", 4, true}} {
 		const shards = 4
 		region := shardedRegion(3, shards, 8, 4)
 		var eng *simclock.Engine

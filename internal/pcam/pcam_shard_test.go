@@ -262,42 +262,6 @@ func TestSendRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterRoundTripAllocatesNothing is the serial engine's forwarded
-// round trip: SubmitAfter's pooled forward is freed in place when it fires,
-// so after warm-up a delayed submission, its service and its completion
-// allocate nothing.
-func TestSubmitAfterRoundTripAllocatesNothing(t *testing.T) {
-	eng := simclock.NewEngine(5)
-	vmc := newTestVMC(t, shardedRegion(5, 2, 4, 0), OraclePredictor{},
-		Config{ElasticityEnabled: false, ControlInterval: simclock.Hour})
-	vmc.Start(eng)
-	var pool cloudsim.RequestPool
-	completed := 0
-	done := func(o cloudsim.Outcome) {
-		if !o.Dropped {
-			completed++
-		}
-		pool.Put(o.Request)
-	}
-	var horizon simclock.Duration
-	roundTrip := func() {
-		req := pool.Get()
-		req.ServiceFactor, req.Arrival, req.OnDone = 1, eng.Now(), done
-		vmc.SubmitAfter(eng, req, 30*simclock.Millisecond)
-		horizon += simclock.Second
-		if err := eng.Run(horizon); err != nil && err != simclock.ErrHorizonReached {
-			t.Fatal(err)
-		}
-	}
-	roundTrip()
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
-		t.Fatalf("a serial forwarded round trip allocates %.2f times, want 0", allocs)
-	}
-	if completed != 102 {
-		t.Fatalf("%d round trips completed served, want 102", completed)
-	}
-}
-
 // TestForwardPoolAsymmetricTraffic sends from lane 0 to lane 1 only, for
 // 150 epochs after 300 epochs of warm-up.  Every forward is consumed on lane
 // 1, so the pool stays bounded only if each one goes back to lane 0 at a

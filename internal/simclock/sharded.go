@@ -15,7 +15,7 @@ import (
 // Events that stay shard-local (an arrival dispatched to a VM of the shard,
 // its service start, its completion, a rejuvenation timer of a shard-owned
 // VM) execute fully in parallel: each shard's loop pops its own queue in
-// (time, seq) order exactly like the serial engine, and because shards own
+// (time, seq) order exactly like a standalone engine, and because shards own
 // disjoint state and disjoint RNG streams, the result of an epoch is
 // independent of how the shard goroutines interleave.
 //

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -248,6 +249,13 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	return Handle{eng: e, slot: i, gen: e.slots[i].gen}
 }
 
+// Reserve grows the event queue so that n more events can be scheduled
+// without reallocating it.
+func (e *Engine) Reserve(n int) {
+	e.queue = slices.Grow(e.queue, n)
+	e.slots = slices.Grow(e.slots, n)
+}
+
 // push inserts en into the heap, sifting the hole up from the tail.
 func (e *Engine) push(en entry) {
 	e.queue = append(e.queue, en)
@@ -346,7 +354,7 @@ func (e *Engine) Run(horizon Duration) error {
 
 // runEpoch executes every live event with a timestamp <= end in (time, seq)
 // order and advances the clock to end.  It is the per-shard slice of one
-// lockstep epoch (sharded.go): exactly the serial engine's loop, bounded by
+// lockstep epoch (sharded.go): exactly a standalone engine's Run loop, bounded by
 // the epoch barrier instead of a horizon, with the executing flag raised so
 // the cross-shard scheduling guard can tell this engine's own loop apart
 // from a foreign goroutine.

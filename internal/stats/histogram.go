@@ -44,6 +44,13 @@ func (h *Histogram) Merge(src *Histogram) {
 	h.count += src.count
 }
 
+// Reset zeroes every bin, the sum and the count in place, keeping the
+// bucket layout.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.sum, h.count = 0, 0
+}
+
 // Bounds returns the upper bounds (without +Inf).
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 

@@ -297,6 +297,7 @@ func (p *Population) Browsers() []*Browser {
 
 // Start launches every browser, spreading starts over the ramp-up window.
 func (p *Population) Start(eng *simclock.Engine) {
+	eng.Reserve(len(p.browsers))
 	for i, b := range p.browsers {
 		b := b
 		if p.cfg.RampUp > 0 && len(p.browsers) > 1 {
@@ -575,6 +576,18 @@ func (m *Metrics) Merge(src *Metrics) {
 		}
 		*dst = ex
 	}
+}
+
+// Reset zeroes every counter, moment, histogram bin and exemplar in place.
+// The region entries stay (zeroed), so a sink reset and refilled with the
+// same streams allocates nothing and reports the same Regions.
+func (m *Metrics) Reset() {
+	for _, rm := range m.perRegion {
+		*rm = regionMetrics{}
+	}
+	m.global = regionMetrics{}
+	m.respHist.Reset()
+	clear(m.exemplars)
 }
 
 // ResponseExemplars returns a copy of the per-bucket exemplars: one slot per

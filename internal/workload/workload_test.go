@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -396,6 +397,37 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Fatalf("metrics string should not be empty")
+	}
+}
+
+// TestMetricsResetRefillsLikeFresh: a sink reset and refilled by Merge equals
+// a fresh sink merged from the same source, and once its region entries
+// exist the reset-and-merge cycle allocates nothing.
+func TestMetricsResetRefillsLikeFresh(t *testing.T) {
+	src := NewMetrics()
+	req := &cloudsim.Request{ID: 1}
+	src.issued("a")
+	src.record("a", cloudsim.Outcome{Request: req, End: 0.3})
+	src.issued("b")
+	src.record("b", cloudsim.Outcome{Request: req, End: 2})
+	src.observeExemplar(0.3, 7, 0.3)
+
+	sink := NewMetrics()
+	sink.Merge(src)
+	sink.Merge(src)
+	sink.recordTimeout("a")
+	sink.Reset()
+	sink.Merge(src)
+	fresh := NewMetrics()
+	fresh.Merge(src)
+	if !reflect.DeepEqual(sink, fresh) {
+		t.Fatalf("reset sink refilled to %s, fresh merge is %s", sink, fresh)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink.Reset()
+		sink.Merge(src)
+	}); allocs != 0 {
+		t.Fatalf("Reset+Merge allocates %.1f times, want 0", allocs)
 	}
 }
 
