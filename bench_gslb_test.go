@@ -6,13 +6,16 @@
 // real cores — the nightly GOMAXPROCS=4 CI job records that); what the
 // bench-regression gate buys here is a lid on the director's own overhead:
 // the probe, the routing-table rebuilds and the per-request Route calls all
-// sit on the request path of every global scenario.
+// sit on the request path of every global scenario.  BenchmarkGSLBRoute
+// times the per-request Route call on its own.
 package repro
 
 import (
 	"testing"
 
+	"repro/internal/cloudsim"
 	"repro/internal/experiment"
+	"repro/internal/gslb"
 	"repro/internal/simclock"
 )
 
@@ -78,3 +81,29 @@ func runGlobalLatencyBench(b *testing.B, eventWorkers int) {
 
 func BenchmarkGlobalLatency_1(b *testing.B) { runGlobalLatencyBench(b, 1) }
 func BenchmarkGlobalLatency_4(b *testing.B) { runGlobalLatencyBench(b, 4) }
+
+// benchRoutes is the number of director routes in one op.
+const benchRoutes = 200_000
+
+// BenchmarkGSLBRoute is the director's per-request decision: one op routes
+// benchRoutes requests on a static 5:3:2 routing table over three regions.
+func BenchmarkGSLBRoute(b *testing.B) {
+	regions := []string{"us-east", "eu-west", "ap-south"}
+	d, err := gslb.NewDirector(gslb.Config{Policy: gslb.PolicyStatic, Weights: []float64{5, 3, 2}}, regions, nil,
+		func(i int) cloudsim.Telemetry { return cloudsim.Telemetry{Region: regions[i]} })
+	if err != nil {
+		b.Fatal(err)
+	}
+	table := d.Table()
+	rng := simclock.NewRNG(42)
+	var rr uint64
+	routed := make([]int, len(regions))
+	runPerUnit(b, "route", benchRoutes, func() {
+		for i := 0; i < benchRoutes; i++ {
+			routed[table.Route(rng, &rr)]++
+		}
+	})
+	if routed[0] == 0 || routed[1] == 0 || routed[2] == 0 {
+		b.Fatalf("a region got no route: %v", routed)
+	}
+}

@@ -1,7 +1,8 @@
 // Per-layer benchmarks of the per-VM loops of a 5x10^3-VM, 16-shard region
 // (the megaclients shape) — the full feature sample, the control tick and
 // the load balancer's shortest-queue pick — of the event loop's cross-lane
-// path (barrier + mailbox drain) and of the event queue.  One op is a fixed batch of units, so
+// path (barrier + mailbox drain), of the event queue and of the client's
+// interaction-mix draw.  One op is a fixed batch of units, so
 // the gate's single -benchtime=1x sample still times thousands of them; each
 // benchmark reports ns and allocs per unit next to the per-op figures.
 package repro
@@ -14,6 +15,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/pcam"
 	"repro/internal/simclock"
+	"repro/internal/workload"
 )
 
 // benchLayerRegion builds the megaclients-shaped region the per-layer
@@ -251,5 +253,25 @@ func BenchmarkEventQueue(b *testing.B) {
 	})
 	if eng.Pending() != benchQueueDepth {
 		b.Fatalf("queue depth %d after the run, want %d", eng.Pending(), benchQueueDepth)
+	}
+}
+
+// benchMixPicks is the number of interaction draws in one op.
+const benchMixPicks = 200_000
+
+// BenchmarkMixPick is the draw every browser interaction starts with: one op
+// draws benchMixPicks interactions from the TPC-W browsing mix through its
+// prepared picker.
+func BenchmarkMixPick(b *testing.B) {
+	p := workload.BrowsingMix().Picker()
+	rng := simclock.NewRNG(42)
+	demand := 0.0
+	runPerUnit(b, "pick", benchMixPicks, func() {
+		for i := 0; i < benchMixPicks; i++ {
+			demand += p.Pick(rng).ServiceFactor
+		}
+	})
+	if demand == 0 {
+		b.Fatal("no interaction drawn")
 	}
 }

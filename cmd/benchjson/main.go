@@ -11,7 +11,9 @@
 // GOMAXPROCS suffixes ("-4") are stripped from benchmark names so a baseline
 // recorded on one core count compares against runs on another.  The core
 // count is recorded beside the results instead, and compare warns (without
-// failing) when the two files were recorded on different core counts.
+// failing) when the two files were recorded on different core counts.  It
+// also warns, naming each, about current benchmarks that have no baseline
+// entry: they run but are not gated.
 package main
 
 import (
@@ -239,6 +241,21 @@ func coreCountWarning(baseline, current *File) string {
 	return ""
 }
 
+// ungated returns, sorted, the benchmarks of current that have no baseline
+// entry.  Compare cannot gate them, so compare names each in a warning
+// rather than skipping them silently; recording their baseline is a
+// deliberate step, like deleting one.
+func ungated(baseline, current *File) []string {
+	var out []string
+	for name := range current.Benchmarks {
+		if _, ok := baseline.Benchmarks[name]; !ok {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // comparisonTable renders every shared benchmark's movement across the gated
 // metrics, so the CI log shows the whole perf trajectory, not only the
 // failures.
@@ -323,6 +340,9 @@ func runCompare(args []string) error {
 	}
 	if w := coreCountWarning(baseline, current); w != "" {
 		fmt.Fprintln(os.Stderr, "benchjson: warning:", w)
+	}
+	for _, name := range ungated(baseline, current) {
+		fmt.Fprintf(os.Stderr, "benchjson: warning: %s has no baseline entry and is not gated\n", name)
 	}
 	comparisonTable(os.Stdout, baseline, current)
 	regressions, missing := Compare(baseline, current, *maxReg, *maxMemReg)

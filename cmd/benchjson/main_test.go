@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -98,6 +99,27 @@ func TestCompareWarnsOnCoreCount(t *testing.T) {
 		if regs, missing := Compare(baseline, current, 0.2, 0.25); len(regs) != 0 || len(missing) != 0 {
 			t.Errorf("%s: the core count moved the verdict: %v %v", tc.name, regs, missing)
 		}
+	}
+}
+
+// TestCompareWarnsOnUngatedBenchmarks checks that compare names every
+// current benchmark without a baseline entry, sorted, and only those, and
+// that they leave the gate's verdict alone.
+func TestCompareWarnsOnUngatedBenchmarks(t *testing.T) {
+	baseline := &File{Benchmarks: map[string]Metrics{"BenchmarkA": {"ns/op": 100}}}
+	current := &File{Benchmarks: map[string]Metrics{
+		"BenchmarkA":       {"ns/op": 100},
+		"BenchmarkZNew":    {"ns/op": 5},
+		"BenchmarkMixPick": {"ns/op": 30},
+	}}
+	if got := ungated(baseline, current); !reflect.DeepEqual(got, []string{"BenchmarkMixPick", "BenchmarkZNew"}) {
+		t.Fatalf("ungated = %v, want [BenchmarkMixPick BenchmarkZNew]", got)
+	}
+	if got := ungated(baseline, baseline); len(got) != 0 {
+		t.Fatalf("a fully baselined run warned about %v", got)
+	}
+	if regs, missing := Compare(baseline, current, 0.2, 0.25); len(regs) != 0 || len(missing) != 0 {
+		t.Fatalf("ungated benchmarks moved the verdict: %v %v", regs, missing)
 	}
 }
 

@@ -240,7 +240,7 @@ type Manager struct {
 	regions     []*cloudsim.Region
 	regionNames []string
 	regionIndex map[string]int
-	vmcs        map[string]*pcam.VMC
+	vmcs        []*pcam.VMC // indexed like regionNames
 	el          *eventLoop
 	net         *overlay.Network
 	cluster     *election.Cluster
@@ -276,7 +276,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:        cfg,
-		vmcs:       map[string]*pcam.VMC{},
 		recorder:   trace.NewRecorder(),
 		models:     map[string]*f2pm.Model{},
 		prevIssued: map[string]uint64{},
@@ -320,7 +319,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("acm: region %s: %w", region.Name(), err)
 		}
-		m.vmcs[region.Name()] = vmc
+		m.vmcs = append(m.vmcs, vmc)
 	}
 	m.regionNames = names
 	m.regionIndex = map[string]int{}
@@ -459,26 +458,28 @@ func (m *Manager) predictorFor(region *cloudsim.Region) (pcam.RTTFPredictor, err
 	}
 }
 
-// forwardLeg applies plan to a request entering region from, u being the
-// dispatcher's uniform draw.  A request the plan keeps, or routes to an
+// forwardLeg applies plan to a request entering region index from, u being
+// the dispatcher's uniform draw.  A request the plan keeps, or routes to an
 // unreachable region, stays local (ok false).  Otherwise it is marked
-// forwarded to dest, with the overlay latency as its one-way trip and its
-// ReturnLeg: the response travels back over the overlay as well.
-func (m *Manager) forwardLeg(eng *simclock.Engine, req *cloudsim.Request, plan *core.ForwardPlan, from string, u float64) (dest string, ok bool) {
-	dest = plan.Destination(from, u)
+// forwarded to region index dest, with the overlay latency read through net
+// (a view over regionNames) as its one-way trip and its ReturnLeg: the
+// response travels back over the overlay as well.  The plan's rows are
+// indexed like regionNames (installPlan checks).
+func (m *Manager) forwardLeg(eng *simclock.Engine, req *cloudsim.Request, plan *core.ForwardPlan, net *overlay.LatencyView, from int, u float64) (dest int, ok bool) {
+	dest = plan.DestinationIndex(from, u)
 	if dest == from {
-		return "", false
+		return 0, false
 	}
-	latMs := m.net.Latency(from, dest)
+	latMs := net.Latency(from, dest)
 	if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
-		return "", false
+		return 0, false
 	}
 	req.Forwarded = true
 	req.ReturnLeg = simclock.Duration(latMs / 1000)
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.
 		req.Trace.Span(tracing.SpanForward, eng.Now(), req.ReturnLeg,
-			fmt.Sprintf("%s->%s", from, dest))
+			fmt.Sprintf("%s->%s", m.regionNames[from], m.regionNames[dest]))
 	}
 	return dest, true
 }
@@ -541,7 +542,13 @@ func (m *Manager) Loop() *core.Loop { return m.loop }
 func (m *Manager) Plan() *core.ForwardPlan { return m.plan }
 
 // VMC returns the controller of the named region (nil when unknown).
-func (m *Manager) VMC(region string) *pcam.VMC { return m.vmcs[region] }
+func (m *Manager) VMC(region string) *pcam.VMC {
+	i, ok := m.regionIndex[region]
+	if !ok {
+		return nil
+	}
+	return m.vmcs[i]
+}
 
 // Regions returns the simulated regions.
 func (m *Manager) Regions() []*cloudsim.Region { return m.regions }
@@ -630,7 +637,7 @@ func (m *Manager) controlEra(eng *simclock.Engine) {
 	// their previous smoothed value (the leader simply has no fresher data).
 	last := make([]float64, len(m.regionNames))
 	for i, name := range m.regionNames {
-		vmc := m.vmcs[name]
+		vmc := m.vmcs[i]
 		if name == leader || m.net.Reachable(name, leader) {
 			last[i] = vmc.RMTTF()
 			if name != leader {
@@ -800,8 +807,8 @@ func (m *Manager) ShardStats() map[string][]cloudsim.Stats {
 // VMCStats returns the per-region controller statistics keyed by region name.
 func (m *Manager) VMCStats() map[string]pcam.Stats {
 	out := map[string]pcam.Stats{}
-	for name, vmc := range m.vmcs {
-		out[name] = vmc.Stats()
+	for i, vmc := range m.vmcs {
+		out[m.regionNames[i]] = vmc.Stats()
 	}
 	return out
 }

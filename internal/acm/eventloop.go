@@ -24,6 +24,7 @@ package acm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cloudsim"
 	"repro/internal/core"
@@ -75,24 +76,28 @@ type eventLoop struct {
 	// gslbTables[g] is lane g's snapshot of the director's routing table,
 	// republished at probe ticks (control timeline, epoch barriers) exactly
 	// like the forward-plan snapshots; gslbRouted[g][r] counts the requests
-	// lane g's dispatcher routed to region r; gslbDisp[g] is lane g's
-	// director-facing dispatcher, shared by the lane's global browsers and
-	// arrival streams so their routing draws interleave on one lane-local
-	// RNG stream.
+	// lane g's dispatcher routed to region r; gslbDisp[g] builds lane g's
+	// director-facing dispatcher for one population stream, every one of
+	// them sharing the lane's routing state so the draws of the lane's
+	// global browsers and arrival streams interleave on one lane-local RNG
+	// stream.
 	gslbTables []*gslb.Table
 	gslbRouted [][]uint64
-	gslbDisp   []workload.Dispatcher
+	gslbDisp   []func(stream int) workload.Dispatcher
 	globalPops []*workload.Population
 
 	// Latency-aware GSLB state (zero-valued unless the director keeps
-	// latency estimates).  streamIdx maps a request's EntryRegion label to
-	// its population-stream index; laneRTT[g] is lane g's snapshot of the
-	// immutable ground-truth RTT matrix (milliseconds, [stream][region]),
-	// republished whenever a scripted link fault rewrites the matrix on the
-	// control timeline; gslbObs[g] buffers lane g's completion observations
-	// — appended in lane event order, drained into the director in
-	// lane-index order right before each probe tick, which keeps the
-	// estimator folds byte-reproducible for every worker count.
+	// latency estimates).  streamIdx maps a traffic source's label (the
+	// EntryRegion of its requests) to its population-stream index, read
+	// once per source when its dispatcher is built; unknown labels, and
+	// every label while the map is nil, fold into stream 0.  laneRTT[g] is
+	// lane g's snapshot of the immutable ground-truth RTT matrix
+	// (milliseconds, [stream][region]), republished whenever a scripted link
+	// fault rewrites the matrix on the control timeline; gslbObs[g] buffers
+	// lane g's completion observations — appended in lane event order,
+	// drained into the director in lane-index order right before each probe
+	// tick, which keeps the estimator folds byte-reproducible for every
+	// worker count.
 	latAware  bool
 	streamIdx map[string]int
 	laneRTT   [][][]float64
@@ -122,8 +127,8 @@ func newEventLoop(m *Manager) *eventLoop {
 	el.plans = make([]*core.ForwardPlan, el.total)
 	for g := range el.metrics {
 		el.metrics[g] = workload.NewMetrics()
-		el.plans[g] = m.plan
 	}
+	el.installPlan(m.plan)
 	el.pops = make([][]*workload.Population, len(m.regions))
 	el.surge = make([][]*workload.Population, len(m.regions))
 	el.cohorts = make([][]*workload.CohortPopulation, len(m.regions))
@@ -157,7 +162,7 @@ func (el *eventLoop) buildGlobalTraffic() {
 	if m.plane != nil {
 		el.gslbTables = make([]*gslb.Table, el.total)
 		el.gslbRouted = make([][]uint64, el.total)
-		el.gslbDisp = make([]workload.Dispatcher, el.total)
+		el.gslbDisp = make([]func(stream int) workload.Dispatcher, el.total)
 		if d := m.latencyDirector(); d != nil {
 			el.latAware = true
 			streams := d.Streams()
@@ -196,7 +201,7 @@ func (el *eventLoop) buildGlobalTraffic() {
 					Timeout:       m.cfg.RequestTimeout,
 					RampUp:        m.cfg.ControlInterval / 2,
 					Tracer:        m.tracer,
-				}, simclock.NewStreamRNG(seedBase, uint64(g)), el.gslbDisp[g], el.metrics[g])
+				}, simclock.NewStreamRNG(seedBase, uint64(g)), el.gslbDisp[g](el.streamIdx["global"]), el.metrics[g])
 			}
 		}
 		if m.cfg.CohortClients > 0 {
@@ -216,7 +221,7 @@ func (el *eventLoop) buildGlobalTraffic() {
 					RampUp:         m.cfg.ControlInterval / 2,
 					Seed:           simclock.DeriveSeed(seedBase, uint64(g)),
 					Tracer:         m.tracer,
-				}, el.gslbDisp[g], el.metrics[g])
+				}, el.gslbDisp[g](el.streamIdx["global"]), el.metrics[g])
 			}
 		}
 	}
@@ -227,7 +232,7 @@ func (el *eventLoop) buildGlobalTraffic() {
 			// Global stream: spread streams across lanes round-robin and
 			// route through the lane's director dispatcher.
 			lane = i % el.total
-			target = el.gslbDisp[lane]
+			target = el.gslbDisp[lane](el.streamIdx[a.Name])
 		} else {
 			// Region-pinned stream: one of the region's own lanes, entering
 			// through its plan dispatcher like the region's browsers.
@@ -263,69 +268,76 @@ type gslbObs struct {
 	weight         uint64
 }
 
-// gslbDispatcher returns lane g's director-facing entry point: the routing
-// table snapshot picks the destination region, a lane-local RNG stream picks
-// the destination shard, and pcam.VMC.Send delivers the request — through
-// the mailbox, homed on this lane, when it crosses lanes, exactly like the
-// plan-forwarding dispatcher, so byte-identical output for every worker
-// count is preserved.  On a latency-aware deployment the dispatcher
-// also simulates the stream→region round trip (half outbound, half on the
-// client-visible completion) and taps every completion into this lane's
-// observation buffer for the director's passive latency learning.
-func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
+// gslbDispatcher returns lane g's director-facing entry point, built per
+// population stream: the routing table snapshot picks the destination
+// region, a lane-local RNG stream picks the destination shard, and
+// pcam.VMC.Send delivers the request — through the mailbox, homed on this
+// lane, when it crosses lanes, exactly like the plan-forwarding dispatcher,
+// so byte-identical output for every worker count is preserved.  Every
+// stream's dispatcher shares the lane's RNG and round-robin cursor.  On a
+// latency-aware deployment the dispatcher also simulates the stream→region
+// round trip (half outbound, half on the client-visible completion) and taps
+// every completion into this lane's observation buffer for the director's
+// passive latency learning.
+func (el *eventLoop) gslbDispatcher(g int) func(stream int) workload.Dispatcher {
 	m := el.mgr
 	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString("gslb-route"), uint64(g))
 	rr := uint64(g) // stagger each lane's round-robin start
-	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		stream := 0
-		if el.latAware {
-			stream = el.streamIdx[req.EntryRegion] // unknown labels fold into stream 0
-		}
-		ri := el.gslbTables[g].RouteStream(stream, rng, &rr)
-		el.gslbRouted[g][ri]++
-		if req.Trace != nil {
-			// Guarded so the detail string is only built for sampled requests.
-			req.Trace.Event(tracing.EventGSLBRoute, eng.Now(),
-				fmt.Sprintf("region=%s lane=%d", m.regionNames[ri], g))
-		}
-		dvmc := m.vmcs[m.regionNames[ri]]
-		ds := 0
-		if n := len(el.engines[ri]); n > 1 {
-			ds = rng.Intn(n)
-		}
-		if !el.latAware {
-			dvmc.Send(eng, ds, req, eng.Now())
-			return
-		}
+	return func(stream int) workload.Dispatcher {
+		return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
+			el.gslbRoute(g, stream, rng, &rr, eng, req)
+		})
+	}
+}
 
-		// The tap wraps OnDone on this lane before the request leaves it, and
-		// the completion runs it back home, so the buffer append needs no
-		// synchronisation.  The tap shifts End itself (not through
-		// ReturnLeg): its return-leg span starts at the unshifted End.
-		rttMs := el.laneRTT[g][stream][ri]
-		oneWay := simclock.Duration(rttMs / 2000)
+// gslbRoute routes one request of the given population stream from lane g,
+// drawing from the lane's rng and round-robin cursor rr.
+func (el *eventLoop) gslbRoute(g, stream int, rng *simclock.RNG, rr *uint64, eng *simclock.Engine, req *cloudsim.Request) {
+	m := el.mgr
+	ri := el.gslbTables[g].RouteStream(stream, rng, rr)
+	el.gslbRouted[g][ri]++
+	if req.Trace != nil {
+		// Guarded so the detail string is only built for sampled requests.
+		req.Trace.Event(tracing.EventGSLBRoute, eng.Now(),
+			fmt.Sprintf("region=%s lane=%d", m.regionNames[ri], g))
+	}
+	dvmc := m.vmcs[ri]
+	ds := 0
+	if n := len(el.engines[ri]); n > 1 {
+		ds = rng.Intn(n)
+	}
+	if !el.latAware {
+		dvmc.Send(eng, ds, req, eng.Now())
+		return
+	}
+
+	// The tap wraps OnDone on this lane before the request leaves it, and
+	// the completion runs it back home, so the buffer append needs no
+	// synchronisation.  The tap shifts End itself (not through
+	// ReturnLeg): its return-leg span starts at the unshifted End.
+	rttMs := el.laneRTT[g][stream][ri]
+	oneWay := simclock.Duration(rttMs / 2000)
+	if req.Trace != nil {
+		// Guarded so the detail string is only built for sampled requests.
+		req.Trace.Span(tracing.SpanRTTSend, eng.Now(), oneWay,
+			fmt.Sprintf("region=%s rtt=%gms", m.regionNames[ri], rttMs))
+	}
+	weight := req.Weight()
+	prev := req.OnDone
+	req.OnDone = func(o cloudsim.Outcome) {
+		// The return-leg span starts at the server-side completion; the
+		// shifted End below is what the client sees.  The wrap runs before
+		// the client's seal, so the span still lands inside the trace.
 		if req.Trace != nil {
-			// Guarded so the detail string is only built for sampled requests.
-			req.Trace.Span(tracing.SpanRTTSend, eng.Now(), oneWay,
-				fmt.Sprintf("region=%s rtt=%gms", m.regionNames[ri], rttMs))
+			req.Trace.Span(tracing.SpanRTTReturn, o.End, oneWay, "")
 		}
-		weight := req.Weight()
-		prev := req.OnDone
-		req.OnDone = func(o cloudsim.Outcome) {
-			// The return-leg span starts at the server-side completion; the
-			// shifted End below is what the client sees.  The wrap runs before
-			// the client's seal, so the span still lands inside the trace.
-			if req.Trace != nil {
-				req.Trace.Span(tracing.SpanRTTReturn, o.End, oneWay, "")
-			}
-			o.End = o.End.Add(oneWay)
-			el.gslbObs[g] = append(el.gslbObs[g], gslbObs{stream: stream, region: ri, rttMs: rttMs, weight: weight})
-			if prev != nil {
-				prev(o)
-			}
+		o.End = o.End.Add(oneWay)
+		el.gslbObs[g] = append(el.gslbObs[g], gslbObs{stream: stream, region: ri, rttMs: rttMs, weight: weight})
+		if prev != nil {
+			prev(o)
 		}
-		dvmc.Send(eng, ds, req, eng.Now().Add(oneWay))
-	})
+	}
+	dvmc.Send(eng, ds, req, eng.Now().Add(oneWay))
 }
 
 // flushGSLBObs drains every lane's observation buffer into its home
@@ -461,27 +473,26 @@ func shardPrefix(region string, s int) string {
 // requests dispatch inside the shard; the forward plan can route a request
 // to another region, which crosses shards and therefore goes through the
 // destination shard's mailbox, with the completion posted back to this
-// shard.
+// shard.  Each dispatcher owns its overlay view, read only on its lane.
 func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 	m := el.mgr
 	g := el.base[r] + s
-	regionName := m.regionNames[r]
-	vmc := m.vmcs[regionName]
-	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString(regionName), uint64(s))
+	vmc := m.vmcs[r]
+	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString(m.regionNames[r]), uint64(s))
+	net := m.net.View(m.regionNames)
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		dest, ok := m.forwardLeg(eng, req, el.plans[g], regionName, rng.Float64())
+		dr, ok := m.forwardLeg(eng, req, el.plans[g], net, r, rng.Float64())
 		if !ok {
 			el.local[g]++
 			vmc.SubmitShard(eng, s, req)
 			return
 		}
 		el.forwarded[g]++
-		dr := m.regionIndex[dest]
 		ds := 0
 		if n := len(el.engines[dr]); n > 1 {
 			ds = rng.Intn(n)
 		}
-		m.vmcs[dest].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
+		m.vmcs[dr].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
 	})
 }
 
@@ -489,8 +500,8 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 // timers on the sharded engine.
 func (el *eventLoop) start() {
 	m := el.mgr
-	for r, name := range m.regionNames {
-		m.vmcs[name].StartSharded(el.se, el.engines[r])
+	for r, vmc := range m.vmcs {
+		vmc.StartSharded(el.se, el.engines[r])
 		for s, pop := range el.pops[r] {
 			pop.Start(el.engines[r][s])
 		}
@@ -516,7 +527,7 @@ func (el *eventLoop) start() {
 // stop halts every population and controller.
 func (el *eventLoop) stop() {
 	m := el.mgr
-	for r, name := range m.regionNames {
+	for r, vmc := range m.vmcs {
 		for _, pop := range el.pops[r] {
 			pop.Stop()
 		}
@@ -526,7 +537,7 @@ func (el *eventLoop) stop() {
 		for _, c := range el.cohorts[r] {
 			c.Stop()
 		}
-		m.vmcs[name].Stop()
+		vmc.Stop()
 	}
 	for _, pop := range el.globalPops {
 		pop.Stop()
@@ -566,8 +577,14 @@ func (el *eventLoop) counters() (local, forwarded uint64) {
 
 // installPlan republishes the freshly installed forward plan to every
 // shard's snapshot slot.  Called from the control era, i.e. at an epoch
-// barrier while every shard loop is idle.
+// barrier while every shard loop is idle.  The dispatchers index the plan's
+// rows by region index, so a plan whose regions are not the deployment's, in
+// its order, is a programming error and panics here instead of forwarding
+// to the wrong region.
 func (el *eventLoop) installPlan(p *core.ForwardPlan) {
+	if !slices.Equal(p.Regions, el.mgr.regionNames) {
+		panic(fmt.Sprintf("acm: forward plan regions %v differ from the deployment's %v", p.Regions, el.mgr.regionNames))
+	}
 	for g := range el.plans {
 		el.plans[g] = p
 	}

@@ -151,7 +151,7 @@ func (m *Manager) validateGlobal() error {
 		}
 	}
 	for i, f := range cfg.Faults {
-		if _, ok := m.vmcs[f.Region]; !ok {
+		if _, ok := m.regionIndex[f.Region]; !ok {
 			return validate.Fieldf("acm", fmt.Sprintf("Faults[%d].Region", i), "names unknown region %q", f.Region)
 		}
 		if f.At < 0 || f.Duration < 0 || f.KeepActive < 0 {
@@ -399,7 +399,7 @@ func (m *Manager) schedulePartitionFaults() {
 func (m *Manager) scheduleFaults() {
 	for _, f := range m.cfg.Faults {
 		f := f
-		vmc := m.vmcs[f.Region]
+		vmc := m.VMC(f.Region)
 		m.eng.ScheduleFunc(f.At, func(e *simclock.Engine) {
 			restore := vmc.ForceTargetActive(f.KeepActive)
 			if f.Duration > 0 {

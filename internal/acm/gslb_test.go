@@ -191,6 +191,51 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	}
 }
 
+// TestGSLBStaticRouteSharesChiSquare routes a deployment's global clients
+// through a static 5:3:2 director over the three paper regions and tests the
+// routed counts against those shares with a multinomial χ² at the 0.999
+// quantile (13.816, 2 degrees of freedom).  It guards the whole routing
+// chain: the prepared table and the index-keyed lane dispatchers.
+func TestGSLBStaticRouteSharesChiSquare(t *testing.T) {
+	cfg := Config{
+		Seed: 3,
+		Regions: []RegionSetup{
+			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion1), Clients: 8},
+			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion2), Clients: 8},
+			{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 8},
+		},
+		GSLB:          gslb.Config{Policy: gslb.PolicyStatic, Weights: []float64{5, 3, 2}},
+		GlobalClients: 96,
+	}
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(20 * simclock.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if tr := m.GSLBTransitions(); len(tr) != 0 {
+		t.Fatalf("the plane moved, so the shares are not static: %v", tr)
+	}
+	routed := m.GSLBRouted()
+	shares := []float64{0.5, 0.3, 0.2}
+	total := 0.0
+	for _, name := range m.RegionNames() {
+		total += float64(routed[name])
+	}
+	if total < 5000 {
+		t.Fatalf("director routed only %.0f requests", total)
+	}
+	stat := 0.0
+	for i, name := range m.RegionNames() {
+		want := total * shares[i]
+		stat += (float64(routed[name]) - want) * (float64(routed[name]) - want) / want
+	}
+	if stat > 13.816 {
+		t.Fatalf("χ² = %.2f > 13.816: routed %v against shares %v", stat, routed, shares)
+	}
+}
+
 // TestPinnedArrivals: region-pinned time-varying streams work without a
 // director (no GSLB involved) and are deterministic.
 func TestPinnedArrivals(t *testing.T) {

@@ -127,7 +127,7 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 	for i, name := range m.regionNames {
 		mm.rmttf.Set(smoothed[i], name)
 		mm.fraction.Set(fractions[i], name)
-		mm.activeVMs.Set(float64(m.vmcs[name].ActiveVMs()), name)
+		mm.activeVMs.Set(float64(m.vmcs[i].ActiveVMs()), name)
 	}
 	mm.respTime.Set(respMean)
 	mm.lambda.Set(lambda)
@@ -162,7 +162,7 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 		mm.csServed.Set(float64(rs.Served), name)
 		mm.csDropped.Set(float64(rs.Dropped), name)
 		mm.csCrashes.Set(float64(rs.Crashes), name)
-		vs := m.vmcs[name].Stats()
+		vs := m.vmcs[i].Stats()
 		mm.pcamProactive.Set(float64(vs.ProactiveRejuvenations), name)
 		mm.pcamReactive.Set(float64(vs.ReactiveRecoveries), name)
 	}

@@ -135,21 +135,21 @@ func TestForwardPlanRowAndDestination(t *testing.T) {
 	if p.Row("zzz") != nil {
 		t.Fatalf("unknown region row should be nil")
 	}
-	if got := p.Destination("a", 0.1); got != "a" {
-		t.Fatalf("Destination(0.1) = %q, want a", got)
+	if got := p.DestinationIndex(0, 0.1); got != 0 {
+		t.Fatalf("DestinationIndex(0.1) = %d, want 0 (a)", got)
 	}
-	if got := p.Destination("a", 0.9); got != "b" {
-		t.Fatalf("Destination(0.9) = %q, want b", got)
+	if got := p.DestinationIndex(0, 0.9); got != 1 {
+		t.Fatalf("DestinationIndex(0.9) = %d, want 1 (b)", got)
 	}
-	if got := p.Destination("zzz", 0.5); got != "zzz" {
-		t.Fatalf("unknown entry region should be returned unchanged, got %q", got)
+	if got := p.DestinationIndex(0, math.Nextafter(1, 0)); got != 1 {
+		t.Fatalf("DestinationIndex(1-ε) = %d, want the last region", got)
 	}
 	// Sampling the row many times approximates the distribution.
 	countB := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
 		u := (float64(i) + 0.5) / n
-		if p.Destination("a", u) == "b" {
+		if p.DestinationIndex(0, u) == 1 {
 			countB++
 		}
 	}

@@ -117,23 +117,20 @@ func (p *ForwardPlan) Row(region string) []float64 {
 	return append([]float64(nil), p.Forward[i]...)
 }
 
-// Destination picks the target region for one request entering at the given
-// region, using u — a uniform random value in [0,1) supplied by the caller —
-// to sample the row's distribution.  It returns the entry region itself when
-// the region is unknown.
-func (p *ForwardPlan) Destination(entryRegion string, u float64) string {
-	i := p.indexOf(entryRegion)
-	if i < 0 {
-		return entryRegion
-	}
+// DestinationIndex picks the target region for one request entering at
+// region index row, using u — a uniform random value in [0,1) supplied by the
+// caller — to sample the row's distribution.  It returns the target's index
+// into Regions.  Load balancers know their own region's index, so the
+// per-request path compares no names.
+func (p *ForwardPlan) DestinationIndex(row int, u float64) int {
 	acc := 0.0
-	for j, frac := range p.Forward[i] {
+	for j, frac := range p.Forward[row] {
 		acc += frac
 		if u < acc {
-			return p.Regions[j]
+			return j
 		}
 	}
-	return p.Regions[len(p.Regions)-1]
+	return len(p.Regions) - 1
 }
 
 // EffectiveFractions returns the fraction of the global load each region

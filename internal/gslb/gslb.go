@@ -675,23 +675,25 @@ func (d *Director) buildTable() *Table {
 	t := &Table{mode: d.cfg.Policy, eligible: serving}
 	switch d.cfg.Policy {
 	case PolicyStatic:
-		t.weights = make([]float64, len(serving))
+		w := make([]float64, len(serving))
 		for j, i := range serving {
 			if len(d.cfg.Weights) == len(d.health) {
-				t.weights[j] = d.cfg.Weights[i]
+				w[j] = d.cfg.Weights[i]
 			} else {
-				t.weights[j] = 1
+				w[j] = 1
 			}
 		}
-		normalizeWeights(t.weights)
+		normalizeWeights(w)
+		t.weights = simclock.NewWeights(w)
 	case PolicyLeastLoad:
-		t.weights = make([]float64, len(serving))
+		w := make([]float64, len(serving))
 		for j, i := range serving {
-			t.weights[j] = d.health[i].Capacity
+			w[j] = d.health[i].Capacity
 		}
-		normalizeWeights(t.weights)
+		normalizeWeights(w)
+		t.weights = simclock.NewWeights(w)
 	case PolicyLatency:
-		t.rows = make([][]float64, len(d.lanes))
+		t.rows = make([]simclock.Weights, len(d.lanes))
 		for s := range d.lanes {
 			row := make([]float64, len(serving))
 			for j, i := range serving {
@@ -702,7 +704,7 @@ func (d *Director) buildTable() *Table {
 				row[j] = d.health[i].Capacity / math.Pow(est, d.cfg.LatencyExponent)
 			}
 			normalizeWeights(row)
-			t.rows[s] = row
+			t.rows[s] = simclock.NewWeights(row)
 		}
 	}
 	return t
@@ -711,7 +713,7 @@ func (d *Director) buildTable() *Table {
 // normalizeWeights repairs a degenerate weight row in place: when every
 // entry is zero (the only statically weighted region drained, every
 // survivor probed at capacity 0) or any entry is non-finite, the row
-// degrades to uniform so rng.Choice always sees a well-defined distribution.
+// degrades to uniform so every pick sees a well-defined distribution.
 func normalizeWeights(w []float64) {
 	total := 0.0
 	for _, x := range w {
@@ -733,12 +735,14 @@ func normalizeWeights(w []float64) {
 // concurrent readers; all mutable routing state (the RNG for weighted picks,
 // the rotation cursor for round-robin) is owned by the caller, so two
 // request streams never contend and every stream's routing sequence is a
-// deterministic function of its own request sequence.
+// deterministic function of its own request sequence.  Its weights are
+// prepared cumulative tables, built with the snapshot, so a route is one
+// uniform draw and a scan.
 type Table struct {
 	mode     PolicyKind
-	eligible []int       // serving region indices, preference-ordered
-	weights  []float64   // aligned with eligible (static / least-load)
-	rows     [][]float64 // latency policy: per-stream weights over eligible
+	eligible []int              // serving region indices, preference-ordered
+	weights  simclock.Weights   // aligned with eligible (static / least-load)
+	rows     []simclock.Weights // latency policy: per-stream weights over eligible
 }
 
 // Mode returns the policy kind of the snapshot.
@@ -770,8 +774,8 @@ func (t *Table) RouteStream(stream int, rng *simclock.RNG, rr *uint64) int {
 		if stream < 0 || stream >= len(t.rows) {
 			stream = 0
 		}
-		return t.eligible[rng.Choice(t.rows[stream])]
+		return t.eligible[t.rows[stream].Pick(rng)]
 	default: // static, leastload
-		return t.eligible[rng.Choice(t.weights)]
+		return t.eligible[t.weights.Pick(rng)]
 	}
 }

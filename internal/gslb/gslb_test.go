@@ -224,6 +224,65 @@ func TestGSLBLeastLoadFollowsCapacity(t *testing.T) {
 	}
 }
 
+// chiSquare returns Pearson's statistic of the observed counts against the
+// expected shares (which sum to 1).
+func chiSquare(counts []int, shares []float64) float64 {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	stat := 0.0
+	for i, c := range counts {
+		want := float64(n) * shares[i]
+		stat += (float64(c) - want) * (float64(c) - want) / want
+	}
+	return stat
+}
+
+// chi2Crit3 is the 0.999 quantile of the χ² distribution with 2 degrees of
+// freedom, the multinomial over three regions: a correct router exceeds it
+// on one seed in a thousand.
+const chi2Crit3 = 13.816
+
+// TestGSLBRouteSharesChiSquare is a multinomial χ² test of the routed
+// counts against the configured shares, over several seeds: a static plane
+// with 5:3:2 weights, and a least-load plane held steady at capacities
+// 40:30:20 over several probes (every region stays healthy).
+func TestGSLBRouteSharesChiSquare(t *testing.T) {
+	static := newStub(3)
+	leastLoad := newStub(3)
+	leastLoad.active[0], leastLoad.active[1], leastLoad.active[2] = 4, 3, 2
+	ll := newTestDirector(t, Config{Policy: PolicyLeastLoad}, leastLoad)
+	for tick := 1; tick <= 5; tick++ {
+		ll.Tick(simclock.Time(15 * tick))
+	}
+	if st := ll.States(); st[0] != Healthy || st[1] != Healthy || st[2] != Healthy {
+		t.Fatalf("steady least-load plane left healthy: %v", st)
+	}
+	for _, tc := range []struct {
+		name   string
+		d      *Director
+		shares []float64
+	}{
+		{"static", newTestDirector(t, Config{Policy: PolicyStatic, Weights: []float64{5, 3, 2}}, static), []float64{0.5, 0.3, 0.2}},
+		{"leastload", ll, []float64{4.0 / 9, 3.0 / 9, 2.0 / 9}},
+	} {
+		const routes = 100_000
+		for seed := uint64(1); seed <= 5; seed++ {
+			rng := simclock.NewRNG(seed)
+			var rr uint64
+			counts := make([]int, 3)
+			table := tc.d.Table()
+			for i := 0; i < routes; i++ {
+				counts[table.Route(rng, &rr)]++
+			}
+			if stat := chiSquare(counts, tc.shares); stat > chi2Crit3 {
+				t.Errorf("%s seed %d: χ² = %.2f > %.2f (counts %v, shares %v)", tc.name, seed, stat, chi2Crit3, counts, tc.shares)
+			}
+		}
+	}
+}
+
 // TestAllDrainedFallsBack: with every region drained the table routes to the
 // full preference order rather than nowhere.
 func TestGSLBAllDrainedFallsBack(t *testing.T) {

@@ -334,6 +334,44 @@ func (n *Network) ShortestRoute(from, to string) (Route, error) {
 // nodes, or +Inf when unreachable.
 func (n *Network) Latency(from, to string) float64 { return n.table().latency(from, to) }
 
+// LatencyView reads Latency between a fixed list of nodes by position, so a
+// caller on a per-request path resolves the names once instead of on every
+// read.  It re-resolves the positions whenever the route table changes, so
+// it always agrees with Latency.  A view caches state: give each goroutine
+// its own.
+type LatencyView struct {
+	n     *Network
+	nodes []string
+	table *routeTable
+	pos   []int // pos[i] is the table index of nodes[i], -1 when unknown
+}
+
+// View returns a latency view over nodes (copied).
+func (n *Network) View(nodes []string) *LatencyView {
+	return &LatencyView{n: n, nodes: append([]string(nil), nodes...), pos: make([]int, len(nodes))}
+}
+
+// Latency returns the latency of the best live route from nodes[i] to
+// nodes[j], +Inf when unreachable: exactly Network.Latency of the two names.
+func (v *LatencyView) Latency(i, j int) float64 {
+	t := v.n.table()
+	if t != v.table {
+		v.table = t
+		for k, name := range v.nodes {
+			if x, ok := t.index[name]; ok {
+				v.pos[k] = x
+			} else {
+				v.pos[k] = -1
+			}
+		}
+	}
+	a, b := v.pos[i], v.pos[j]
+	if a < 0 || b < 0 {
+		return math.Inf(1)
+	}
+	return t.dist[a*len(t.names)+b]
+}
+
 // Reachable reports whether a live path exists between the two nodes.
 func (n *Network) Reachable(from, to string) bool {
 	return !math.IsInf(n.table().latency(from, to), 1)

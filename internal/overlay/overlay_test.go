@@ -441,6 +441,12 @@ func TestRouteTableIsLazy(t *testing.T) {
 // run under -race it checks the lazy build is safe for concurrent readers.
 func TestConcurrentFirstReads(t *testing.T) {
 	n := PaperOverlay()
+	// Each goroutine also owns a view, kept across rounds, as each lane's
+	// dispatcher does.
+	views := make([]*LatencyView, 8)
+	for g := range views {
+		views[g] = n.View([]string{"region2", "region3"})
+	}
 	for round := 0; round < 20; round++ {
 		if round%2 == 0 {
 			n.FailLink("region2", "region3")
@@ -449,12 +455,15 @@ func TestConcurrentFirstReads(t *testing.T) {
 		}
 		want := referenceLatency(n, "region2", "region3")
 		var wg sync.WaitGroup
-		errs := make(chan float64, 8)
-		for g := 0; g < 8; g++ {
+		errs := make(chan float64, 2*len(views))
+		for g := range views {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				if got := n.Latency("region2", "region3"); got != want {
+					errs <- got
+				}
+				if got := views[g].Latency(0, 1); got != want {
 					errs <- got
 				}
 			}()
@@ -495,4 +504,36 @@ func BenchmarkShortestRoutePaperOverlay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestLatencyViewMatchesLatency checks that a view reads exactly what
+// Latency reads for every ordered pair, including an unknown node, and keeps
+// agreeing across a link failure, a node failure and a node added after the
+// view was built.
+func TestLatencyViewMatchesLatency(t *testing.T) {
+	n := PaperOverlay()
+	nodes := append(n.Nodes(), "late", "unknown")
+	v := n.View(nodes)
+	check := func(stage string) {
+		t.Helper()
+		for i, a := range nodes {
+			for j, b := range nodes {
+				got, want := v.Latency(i, j), n.Latency(a, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: view %s->%s = %v, Latency = %v", stage, a, b, got, want)
+				}
+			}
+		}
+	}
+	check("initial")
+	if !n.FailLink("region1", "region2") {
+		t.Fatal("paper overlay has no region1-region2 link")
+	}
+	check("link failed")
+	n.FailNode("transit-ams")
+	check("node failed")
+	if err := n.AddLink("late", "region3", 7); err != nil {
+		t.Fatal(err)
+	}
+	check("node added")
 }

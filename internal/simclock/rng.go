@@ -281,34 +281,46 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Choice returns a uniformly random index weighted by the non-negative
-// weights.  If all weights are zero it falls back to a uniform choice.
-func (r *RNG) Choice(weights []float64) int {
-	return r.ChoiceFunc(len(weights), func(i int) float64 { return weights[i] })
+// Weights is a weighted choice over fixed weights, prepared once: it keeps the
+// prefix sums of the positive weights, so a pick is one uniform draw and a
+// scan instead of two passes over the weights.  Non-positive weights are
+// never picked; when every weight is non-positive a pick is uniform.  A
+// Weights is immutable after NewWeights, so any number of goroutines may pick
+// from it, each with its own RNG.
+type Weights struct {
+	// cum[i] is the sum of the positive weights among w[0..i], accumulated
+	// left to right.
+	cum []float64
 }
 
-// ChoiceFunc is Choice over n weights read through weight(i), so callers
-// whose weights live in a struct field need not copy them into a slice.  It
-// draws exactly what Choice draws over the same weights.
-func (r *RNG) ChoiceFunc(n int, weight func(i int) float64) int {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		if w := weight(i); w > 0 {
-			total += w
+// NewWeights prepares the weighted choice over w.  It takes w over: the
+// table overwrites w with its prefix sums and keeps it, so the caller must
+// not use w afterwards.
+func NewWeights(w []float64) Weights {
+	acc := 0.0
+	for i, x := range w {
+		if x > 0 {
+			acc += x
 		}
+		w[i] = acc
 	}
-	if total <= 0 {
+	return Weights{cum: w}
+}
+
+// Pick returns an index with probability proportional to its weight.  It
+// draws exactly one Float64, or one Intn over every index when no weight is
+// positive (Intn panics on an empty table).  The first prefix sum above the target
+// always belongs to a positive weight, since a non-positive weight repeats
+// the sum before it, and a target rounded up to the total falls back to the
+// last index.
+func (w Weights) Pick(r *RNG) int {
+	n := len(w.cum)
+	if n == 0 || w.cum[n-1] <= 0 {
 		return r.Intn(n)
 	}
-	target := r.Float64() * total
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		w := weight(i)
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if target < acc {
+	target := r.Float64() * w.cum[n-1]
+	for i, c := range w.cum {
+		if target < c {
 			return i
 		}
 	}

@@ -294,20 +294,20 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
-func TestRNGChoice(t *testing.T) {
+func TestWeightsPick(t *testing.T) {
 	r := NewRNG(29)
 	counts := make([]int, 3)
-	weights := []float64{1, 2, 1}
+	w := NewWeights([]float64{1, 2, 1})
 	n := 100000
 	for i := 0; i < n; i++ {
-		counts[r.Choice(weights)]++
+		counts[w.Pick(r)]++
 	}
 	frac1 := float64(counts[1]) / float64(n)
 	if math.Abs(frac1-0.5) > 0.01 {
 		t.Fatalf("weighted choice wrong: middle weight fraction %f", frac1)
 	}
 	// All-zero weights fall back to uniform.
-	idx := r.Choice([]float64{0, 0, 0})
+	idx := NewWeights([]float64{0, 0, 0}).Pick(r)
 	if idx < 0 || idx > 2 {
 		t.Fatalf("fallback choice out of range: %d", idx)
 	}

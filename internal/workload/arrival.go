@@ -213,7 +213,8 @@ type VaryingOpenLoop struct {
 	cfg     VaryingOpenLoopConfig
 	rng     *simclock.RNG
 	target  Dispatcher
-	metrics *Metrics
+	sink    regionSink
+	mix     Picker
 	running bool
 	nextID  uint64
 	issued  uint64
@@ -231,7 +232,7 @@ func NewVaryingOpenLoop(cfg VaryingOpenLoopConfig, rng *simclock.RNG, target Dis
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	return &VaryingOpenLoop{cfg: cfg, rng: rng, target: target, metrics: metrics}, nil
+	return &VaryingOpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}, nil
 }
 
 // Region returns the stream's label.
@@ -271,7 +272,7 @@ func (v *VaryingOpenLoop) scheduleNext(eng *simclock.Engine) {
 		// of candidates, never on float comparisons against the envelope.
 		accept := v.rng.Float64() < v.cfg.Rate.At(e.Now())/max
 		if accept {
-			it := v.cfg.Mix.Pick(v.rng)
+			it := v.mix.Pick(v.rng)
 			v.nextID++
 			v.issued++
 			req := &cloudsim.Request{
@@ -284,9 +285,9 @@ func (v *VaryingOpenLoop) scheduleNext(eng *simclock.Engine) {
 			}
 			req.OnDone = func(out cloudsim.Outcome) {
 				sealTrace(req.Trace, out)
-				v.metrics.record(v.cfg.Region, out)
+				v.sink.record(out)
 			}
-			v.metrics.issued(v.cfg.Region)
+			v.sink.issued()
 			v.target.Submit(e, req)
 		}
 		v.scheduleNext(e)

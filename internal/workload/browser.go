@@ -87,25 +87,27 @@ type Browser struct {
 }
 
 // browserHome is what the browsers of one population share: the dispatcher
-// they submit to, the metrics sink and the free list of their requests.  A
-// population lives on one engine lane, so the free list is lane-local.
+// they submit to, their region's metrics sink, the prepared interaction mix
+// and the free list of their requests.  A population lives on one engine
+// lane, so the free list is lane-local.
 type browserHome struct {
 	target   Dispatcher
-	metrics  *Metrics
+	sink     regionSink
+	mix      Picker
 	requests cloudsim.RequestPool
 }
 
-func newBrowserHome(target Dispatcher, metrics *Metrics) *browserHome {
+func newBrowserHome(target Dispatcher, metrics *Metrics, region string, mix Mix) *browserHome {
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	return &browserHome{target: target, metrics: metrics}
+	return &browserHome{target: target, sink: metrics.sink(region), mix: mix.Picker()}
 }
 
 // NewBrowser builds an emulated browser that submits requests to target and
 // records outcomes into metrics (which may be shared across browsers).
 func NewBrowser(cfg BrowserConfig, rng *simclock.RNG, target Dispatcher, metrics *Metrics) *Browser {
-	return &Browser{cfg: cfg.withDefaults(), rng: rng, home: newBrowserHome(target, metrics)}
+	return &Browser{cfg: cfg.withDefaults(), rng: rng, home: newBrowserHome(target, metrics, cfg.Region, cfg.Mix)}
 }
 
 // browserIssue and browserTimeout are a browser seen as its next-issue and
@@ -154,7 +156,7 @@ func (b *Browser) issue(eng *simclock.Engine) {
 	if !b.running {
 		return
 	}
-	it := b.cfg.Mix.Pick(b.rng)
+	it := b.home.mix.Pick(b.rng)
 	b.nextReqID++
 	b.inSession++
 	if int(b.inSession) >= b.cfg.SessionLength {
@@ -175,7 +177,7 @@ func (b *Browser) issue(eng *simclock.Engine) {
 	if b.cfg.Timeout > 0 {
 		b.timeout = eng.Schedule(b.cfg.Timeout, (*browserTimeout)(b))
 	}
-	b.home.metrics.issued(b.cfg.Region)
+	b.home.sink.issued()
 	b.home.target.Submit(eng, req)
 }
 
@@ -188,7 +190,7 @@ func (b *Browser) complete(o cloudsim.Outcome) {
 		b.outstanding = nil
 		b.timeout.Cancel()
 		sealTrace(req.Trace, o)
-		b.home.metrics.record(b.cfg.Region, o)
+		b.home.sink.record(o)
 		b.scheduleNext(b.eng)
 	}
 	b.home.requests.Put(req)
@@ -201,7 +203,7 @@ func (b *Browser) expire(e *simclock.Engine) {
 	req := b.outstanding
 	b.outstanding = nil
 	req.Trace.Seal(tracing.OutcomeTimeout, e.Now(), e.Now(), "", "")
-	b.home.metrics.recordTimeout(b.cfg.Region)
+	b.home.sink.recordTimeout()
 	b.scheduleNext(e)
 }
 
@@ -264,7 +266,7 @@ func NewPopulation(cfg PopulationConfig, rng *simclock.RNG, target Dispatcher, m
 		cfg.Mix = BrowsingMix()
 	}
 	p := &Population{cfg: cfg}
-	home := newBrowserHome(target, metrics)
+	home := newBrowserHome(target, metrics, cfg.Region, cfg.Mix)
 	prefix := cfg.IDPrefix
 	if prefix == "" {
 		prefix = cfg.Region
@@ -347,7 +349,8 @@ type OpenLoop struct {
 	cfg     OpenLoopConfig
 	rng     *simclock.RNG
 	target  Dispatcher
-	metrics *Metrics
+	sink    regionSink
+	mix     Picker
 	running bool
 	nextID  uint64
 }
@@ -360,7 +363,7 @@ func NewOpenLoop(cfg OpenLoopConfig, rng *simclock.RNG, target Dispatcher, metri
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	return &OpenLoop{cfg: cfg, rng: rng, target: target, metrics: metrics}
+	return &OpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
 }
 
 // Start begins generating arrivals.
@@ -384,7 +387,7 @@ func (o *OpenLoop) scheduleNext(eng *simclock.Engine) {
 		if !o.running {
 			return
 		}
-		it := o.cfg.Mix.Pick(o.rng)
+		it := o.mix.Pick(o.rng)
 		o.nextID++
 		req := &cloudsim.Request{
 			ID:            o.nextID,
@@ -396,9 +399,9 @@ func (o *OpenLoop) scheduleNext(eng *simclock.Engine) {
 		}
 		req.OnDone = func(out cloudsim.Outcome) {
 			sealTrace(req.Trace, out)
-			o.metrics.record(o.cfg.Region, out)
+			o.sink.record(out)
 		}
-		o.metrics.issued(o.cfg.Region)
+		o.sink.issued()
 		o.target.Submit(e, req)
 		o.scheduleNext(e)
 	})
@@ -460,6 +463,8 @@ func NewMetrics() *Metrics {
 // client-side behaviour: 1 second.
 const SLAThresholdSeconds = 1.0
 
+// region returns the named region's entry, creating it on first use.  Only
+// the recording paths create entries: reads go through read.
 func (m *Metrics) region(name string) *regionMetrics {
 	rm, ok := m.perRegion[name]
 	if !ok {
@@ -469,19 +474,55 @@ func (m *Metrics) region(name string) *regionMetrics {
 	return rm
 }
 
-func (m *Metrics) issued(region string) {
-	m.region(region).issued++
-	m.global.issued++
+// read returns the entry the accessors report for region: the global entry
+// for "", the region's entry when it has recorded anything, otherwise an
+// empty one.  A read never creates an entry, so it cannot change Regions.
+func (m *Metrics) read(region string) *regionMetrics {
+	if region == "" {
+		return &m.global
+	}
+	if rm, ok := m.perRegion[region]; ok {
+		return rm
+	}
+	return &regionMetrics{}
+}
+
+// regionSink is one client stream's recording handle on a Metrics: the sink
+// and the region label the stream records under.  The region's entry is
+// resolved on the first record and kept, so recording never looks the name
+// up again.  The entry still appears exactly when the first interaction is
+// counted, and Reset keeps entries, so the handle stays valid for the life
+// of the sink.
+type regionSink struct {
+	m      *Metrics
+	region string
+	rm     *regionMetrics
+}
+
+// sink returns a recording handle for the region.
+func (m *Metrics) sink(region string) regionSink { return regionSink{m: m, region: region} }
+
+// entry returns the region's entry, resolving it on first use.
+func (s *regionSink) entry() *regionMetrics {
+	if s.rm == nil {
+		s.rm = s.m.region(s.region)
+	}
+	return s.rm
+}
+
+func (s *regionSink) issued() {
+	s.entry().issued++
+	s.m.global.issued++
 }
 
 // issuedN counts n interactions issued at once (a cohort batch).
-func (m *Metrics) issuedN(region string, n uint64) {
-	m.region(region).issued += n
-	m.global.issued += n
+func (s *regionSink) issuedN(n uint64) {
+	s.entry().issued += n
+	s.m.global.issued += n
 }
 
-func (m *Metrics) record(region string, o cloudsim.Outcome) {
-	rm := m.region(region)
+func (s *regionSink) record(o cloudsim.Outcome) {
+	rm, m := s.entry(), s.m
 	if o.Dropped {
 		rm.dropped++
 		m.global.dropped++
@@ -523,20 +564,20 @@ func (m *Metrics) observeExemplar(rt float64, traceID uint64, at simclock.Time) 
 // dropped counters by their weight but add no response-time sample — the
 // latency distribution (and with it slaMiss) is fed exclusively by
 // individually simulated clients, i.e. browsers and cohort tracers.
-func (m *Metrics) recordBatch(region string, o cloudsim.Outcome, n uint64) {
-	rm := m.region(region)
+func (s *regionSink) recordBatch(o cloudsim.Outcome, n uint64) {
+	rm := s.entry()
 	if o.Dropped {
 		rm.dropped += n
-		m.global.dropped += n
+		s.m.global.dropped += n
 		return
 	}
 	rm.completed += n
-	m.global.completed += n
+	s.m.global.completed += n
 }
 
-func (m *Metrics) recordTimeout(region string) {
-	m.region(region).timeouts++
-	m.global.timeouts++
+func (s *regionSink) recordTimeout() {
+	s.entry().timeouts++
+	s.m.global.timeouts++
 }
 
 // Merge folds another metrics sink into m: counters add, response-time
@@ -604,45 +645,20 @@ func (m *Metrics) ResponseHistogram() *stats.Histogram { return m.respHist }
 
 // Issued returns the number of requests issued by clients of the region ("" =
 // global).
-func (m *Metrics) Issued(region string) uint64 {
-	if region == "" {
-		return m.global.issued
-	}
-	return m.region(region).issued
-}
+func (m *Metrics) Issued(region string) uint64 { return m.read(region).issued }
 
 // Completed returns the number of successfully completed requests.
-func (m *Metrics) Completed(region string) uint64 {
-	if region == "" {
-		return m.global.completed
-	}
-	return m.region(region).completed
-}
+func (m *Metrics) Completed(region string) uint64 { return m.read(region).completed }
 
 // Dropped returns the number of dropped requests.
-func (m *Metrics) Dropped(region string) uint64 {
-	if region == "" {
-		return m.global.dropped
-	}
-	return m.region(region).dropped
-}
+func (m *Metrics) Dropped(region string) uint64 { return m.read(region).dropped }
 
 // Timeouts returns the number of requests abandoned by the emulated users.
-func (m *Metrics) Timeouts(region string) uint64 {
-	if region == "" {
-		return m.global.timeouts
-	}
-	return m.region(region).timeouts
-}
+func (m *Metrics) Timeouts(region string) uint64 { return m.read(region).timeouts }
 
 // SLAViolations returns the number of completed requests whose response time
 // exceeded the 1-second SLA.
-func (m *Metrics) SLAViolations(region string) uint64 {
-	if region == "" {
-		return m.global.slaMiss
-	}
-	return m.region(region).slaMiss
-}
+func (m *Metrics) SLAViolations(region string) uint64 { return m.read(region).slaMiss }
 
 // ResponseSamples returns the number of response-time samples recorded for
 // the region ("" = global).  Without cohorts this equals Completed; with
@@ -650,28 +666,15 @@ func (m *Metrics) SLAViolations(region string) uint64 {
 // latency series, so ratios over the response-time distribution (mean RT, SLA
 // violations) must divide by this count, not by the batch-weighted Completed.
 func (m *Metrics) ResponseSamples(region string) uint64 {
-	if region == "" {
-		return uint64(m.global.resp.Count())
-	}
-	return uint64(m.region(region).resp.Count())
+	return uint64(m.read(region).resp.Count())
 }
 
 // MeanResponseTime returns the mean response time in seconds observed by the
 // clients of the region ("" = all clients).
-func (m *Metrics) MeanResponseTime(region string) float64 {
-	if region == "" {
-		return m.global.resp.Mean()
-	}
-	return m.region(region).resp.Mean()
-}
+func (m *Metrics) MeanResponseTime(region string) float64 { return m.read(region).resp.Mean() }
 
 // ResponseTimeStdDev returns the response-time standard deviation in seconds.
-func (m *Metrics) ResponseTimeStdDev(region string) float64 {
-	if region == "" {
-		return m.global.resp.StdDev()
-	}
-	return m.region(region).resp.StdDev()
-}
+func (m *Metrics) ResponseTimeStdDev(region string) float64 { return m.read(region).resp.StdDev() }
 
 // Regions returns the region names observed so far, sorted.
 func (m *Metrics) Regions() []string {

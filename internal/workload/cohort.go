@@ -114,10 +114,10 @@ func (c CohortConfig) withDefaults() CohortConfig {
 // CohortPopulation is a cohort-compressed closed-loop client population plus
 // its tracer sub-population.
 type CohortPopulation struct {
-	cfg     CohortConfig
-	rng     *simclock.RNG // transition + class-split stream
-	target  Dispatcher
-	metrics *Metrics
+	cfg    CohortConfig
+	rng    *simclock.RNG // transition + class-split stream
+	target Dispatcher
+	sink   regionSink
 
 	tracers *Population
 	cohort  int // cohort-modelled clients (Clients minus tracers)
@@ -153,11 +153,11 @@ func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) 
 		tracerCount = cfg.Clients
 	}
 	c := &CohortPopulation{
-		cfg:     cfg,
-		rng:     simclock.NewStreamRNG(cfg.Seed, 0),
-		target:  target,
-		metrics: metrics,
-		cohort:  cfg.Clients - tracerCount,
+		cfg:    cfg,
+		rng:    simclock.NewStreamRNG(cfg.Seed, 0),
+		target: target,
+		sink:   metrics.sink(cfg.Region),
+		cohort: cfg.Clients - tracerCount,
 
 		batchStream: cfg.IDPrefix + "-batch",
 	}
@@ -313,7 +313,7 @@ func (c *CohortPopulation) emit(eng *simclock.Engine, class, count int) {
 		req.Batch = b
 		req.Trace = c.cfg.Tracer.Start(c.batchStream, c.nextID, n, eng.Now())
 		req.OnDone = c.onDone
-		c.metrics.issuedN(c.cfg.Region, n)
+		c.sink.issuedN(n)
 		c.target.Submit(eng, req)
 	}
 }
@@ -324,7 +324,7 @@ func (c *CohortPopulation) complete(o cloudsim.Outcome) {
 	req := o.Request
 	n := uint64(req.Batch)
 	sealTrace(req.Trace, o)
-	c.metrics.recordBatch(c.cfg.Region, o, n)
+	c.sink.recordBatch(o, n)
 	c.thinking += int(n)
 	c.pool.Put(req)
 }

@@ -140,9 +140,28 @@ func Interactions() []Interaction {
 	return out
 }
 
-// Pick draws one interaction from the mix using the provided RNG.
-func (m Mix) Pick(rng *simclock.RNG) Interaction {
-	return m.Entries[rng.ChoiceFunc(len(m.Entries), func(i int) float64 { return m.Entries[i].Weight })]
+// Picker draws interactions from a Mix through its cumulative weight table,
+// built once, so a draw never re-sums the weights.  Client populations build
+// one each and draw every interaction from it.
+type Picker struct {
+	entries []Interaction
+	weights simclock.Weights
+}
+
+// Picker prepares the mix for drawing.  Later changes to the mix do not
+// affect the picker.
+func (m Mix) Picker() Picker {
+	w := make([]float64, len(m.Entries))
+	for i, e := range m.Entries {
+		w[i] = e.Weight
+	}
+	return Picker{entries: append([]Interaction(nil), m.Entries...), weights: simclock.NewWeights(w)}
+}
+
+// Pick draws one interaction using the provided RNG: exactly one Float64, or
+// one uniform Intn when no weight is positive.
+func (p *Picker) Pick(rng *simclock.RNG) Interaction {
+	return p.entries[p.weights.Pick(rng)]
 }
 
 // MeanServiceFactor returns the weighted mean service factor of the mix, used

@@ -79,11 +79,11 @@ func TestBrowsingMixIsBrowseDominated(t *testing.T) {
 
 func TestMixPickRespectsWeights(t *testing.T) {
 	rng := simclock.NewRNG(17)
-	m := BrowsingMix()
+	p := BrowsingMix().Picker()
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[m.Pick(rng).Name]++
+		counts[p.Pick(rng).Name]++
 	}
 	// "home" has weight 29/100 in the browsing mix.
 	frac := float64(counts["home"]) / n
@@ -95,9 +95,9 @@ func TestMixPickRespectsWeights(t *testing.T) {
 	}
 }
 
-// TestMixPickDrawsChoiceAllocationFree pins Mix.Pick to exactly the
-// interaction RNG.Choice over the mix weights picks, including the uniform
-// fallback of an all-zero mix, and to zero allocations per pick.
+// TestMixPickDrawsChoiceAllocationFree pins a prepared mix to exactly the
+// interaction a weighted choice over the mix weights picks, including the
+// uniform fallback of an all-zero mix, and to zero allocations per pick.
 func TestMixPickDrawsChoiceAllocationFree(t *testing.T) {
 	zero := Mix{Name: "zero", Entries: Interactions()}
 	for _, m := range []Mix{BrowsingMix(), ShoppingMix(), OrderingMix(), zero} {
@@ -105,16 +105,18 @@ func TestMixPickDrawsChoiceAllocationFree(t *testing.T) {
 		for i, e := range m.Entries {
 			weights[i] = e.Weight
 		}
+		choice := simclock.NewWeights(weights)
+		p := m.Picker()
 		a, b := simclock.NewRNG(5), simclock.NewRNG(5)
 		for i := 0; i < 2000; i++ {
-			if got, want := m.Pick(a).Name, m.Entries[b.Choice(weights)].Name; got != want {
-				t.Fatalf("mix %s draw %d: Pick = %s, Choice = %s", m.Name, i, got, want)
+			if got, want := p.Pick(a).Name, m.Entries[choice.Pick(b)].Name; got != want {
+				t.Fatalf("mix %s draw %d: pick = %s, choice = %s", m.Name, i, got, want)
 			}
 		}
 	}
-	m, rng := BrowsingMix(), simclock.NewRNG(5)
-	if allocs := testing.AllocsPerRun(1000, func() { m.Pick(rng) }); allocs != 0 {
-		t.Fatalf("Mix.Pick allocates %.1f times per call, want 0", allocs)
+	p, rng := BrowsingMix().Picker(), simclock.NewRNG(5)
+	if allocs := testing.AllocsPerRun(1000, func() { p.Pick(rng) }); allocs != 0 {
+		t.Fatalf("pick allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -366,13 +368,14 @@ func TestOpenLoopZeroRateDoesNothing(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	m := NewMetrics()
 	req := &cloudsim.Request{ID: 1, Arrival: 0}
-	m.issued("a")
-	m.record("a", cloudsim.Outcome{Request: req, Start: 0, End: 0.5})
-	m.issued("a")
-	m.record("a", cloudsim.Outcome{Request: req, Start: 0, End: 2.0}) // SLA violation
-	m.issued("b")
-	m.record("b", cloudsim.Outcome{Request: req, Dropped: true})
-	m.recordTimeout("b")
+	a, b := m.sink("a"), m.sink("b")
+	a.issued()
+	a.record(cloudsim.Outcome{Request: req, Start: 0, End: 0.5})
+	a.issued()
+	a.record(cloudsim.Outcome{Request: req, Start: 0, End: 2.0}) // SLA violation
+	b.issued()
+	b.record(cloudsim.Outcome{Request: req, Dropped: true})
+	b.recordTimeout()
 
 	if m.Issued("") != 3 || m.Completed("") != 2 || m.Dropped("") != 1 || m.Timeouts("") != 1 {
 		t.Fatalf("global counters wrong: %s", m)
@@ -400,22 +403,65 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
+// TestMetricsReadsCreateNoEntry: every reader reports zeros for a region
+// that never recorded anything and leaves Regions, and with it the label set
+// the deployment exports, unchanged.
+func TestMetricsReadsCreateNoEntry(t *testing.T) {
+	m := NewMetrics()
+	a := m.sink("a")
+	a.issued()
+	a.record(cloudsim.Outcome{Request: &cloudsim.Request{ID: 1}, End: 0.4})
+	counts := []uint64{m.Issued("zzz"), m.Completed("zzz"), m.Dropped("zzz"), m.Timeouts("zzz"),
+		m.SLAViolations("zzz"), m.ResponseSamples("zzz")}
+	for i, c := range counts {
+		if c != 0 {
+			t.Fatalf("counter %d of an unknown region = %d, want 0", i, c)
+		}
+	}
+	if m.MeanResponseTime("zzz") != 0 || m.ResponseTimeStdDev("zzz") != 0 || m.SuccessRatio("zzz") != 0 {
+		t.Fatalf("moments of an unknown region are not zero")
+	}
+	if got := m.Regions(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("reads changed the regions: %v, want [a]", got)
+	}
+}
+
+// TestRegionSinkSurvivesReset: a handle resolved before a Reset keeps
+// recording into the region's entry afterwards, and a handle that never
+// recorded creates no entry.
+func TestRegionSinkSurvivesReset(t *testing.T) {
+	m := NewMetrics()
+	a, idle := m.sink("a"), m.sink("idle")
+	a.issued()
+	m.Reset()
+	a.issued()
+	a.issued()
+	if m.Issued("a") != 2 || m.Issued("") != 2 {
+		t.Fatalf("after Reset: issued a=%d global=%d, want 2 and 2", m.Issued("a"), m.Issued(""))
+	}
+	if got := m.Regions(); len(got) != 1 || got[0] != "a" || idle.rm != nil {
+		t.Fatalf("regions = %v, want only the recording one", got)
+	}
+}
+
 // TestMetricsResetRefillsLikeFresh: a sink reset and refilled by Merge equals
 // a fresh sink merged from the same source, and once its region entries
 // exist the reset-and-merge cycle allocates nothing.
 func TestMetricsResetRefillsLikeFresh(t *testing.T) {
 	src := NewMetrics()
 	req := &cloudsim.Request{ID: 1}
-	src.issued("a")
-	src.record("a", cloudsim.Outcome{Request: req, End: 0.3})
-	src.issued("b")
-	src.record("b", cloudsim.Outcome{Request: req, End: 2})
+	a, b := src.sink("a"), src.sink("b")
+	a.issued()
+	a.record(cloudsim.Outcome{Request: req, End: 0.3})
+	b.issued()
+	b.record(cloudsim.Outcome{Request: req, End: 2})
 	src.observeExemplar(0.3, 7, 0.3)
 
 	sink := NewMetrics()
 	sink.Merge(src)
 	sink.Merge(src)
-	sink.recordTimeout("a")
+	timeouts := sink.sink("a")
+	timeouts.recordTimeout()
 	sink.Reset()
 	sink.Merge(src)
 	fresh := NewMetrics()
@@ -441,10 +487,11 @@ func TestMixPickProperty(t *testing.T) {
 			valid[e.Name] = true
 		}
 	}
+	p := m.Picker()
 	f := func(seed uint64) bool {
 		rng := simclock.NewRNG(seed)
 		for i := 0; i < 20; i++ {
-			if !valid[m.Pick(rng).Name] {
+			if !valid[p.Pick(rng).Name] {
 				return false
 			}
 		}
@@ -464,15 +511,6 @@ func TestServiceFactorsPositive(t *testing.T) {
 				t.Errorf("mix %s interaction %s has non-positive service factor", m.Name, e.Name)
 			}
 		}
-	}
-}
-
-func BenchmarkMixPick(b *testing.B) {
-	m := BrowsingMix()
-	rng := simclock.NewRNG(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Pick(rng)
 	}
 }
 
