@@ -103,7 +103,7 @@ func runMegaclientsScenarioBench(b *testing.B, name string, mutate func(*experim
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Run(sc, np)
+		res, be, err := experiment.RunBackend(sc, np)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,6 +111,7 @@ func runMegaclientsScenarioBench(b *testing.B, name string, mutate func(*experim
 			b.Fatalf("degenerate run: eras=%d success=%.3f", res.Eras, res.SuccessRatio)
 		}
 		b.ReportMetric(res.SuccessRatio, "success-ratio")
+		b.ReportMetric(experiment.EngineFanOut(be).PooledShare(), "pooled-share")
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

@@ -2,8 +2,10 @@
 // global clients routed by the director, three regions, a probe every 15 s
 // and a mid-run region blackout with failover and failback — timed at
 // EventWorkers 1 (inline epochal run) and 4.  On a single core the two are
-// expected to be neutral (the event loop's parallelism only pays off with
-// real cores — the nightly GOMAXPROCS=4 CI job records that); what the
+// expected to be neutral: 4 is an upper bound, and the engine pools an
+// epoch only when that measures cheaper than running it inline (the
+// "pooled-share" metric records the choice; the nightly GOMAXPROCS=4 CI job
+// records it on real cores).  What the
 // bench-regression gate buys here is a lid on the director's own overhead:
 // the probe, the routing-table rebuilds and the per-request Route calls all
 // sit on the request path of every global scenario.  BenchmarkGSLBRoute
@@ -35,7 +37,7 @@ func runGlobalDirectorBench(b *testing.B, eventWorkers int) {
 		}
 		sc.Horizon = 30 * simclock.Minute
 		sc.EventWorkers = eventWorkers
-		res, err := experiment.Run(sc, np)
+		res, be, err := experiment.RunBackend(sc, np)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,6 +45,7 @@ func runGlobalDirectorBench(b *testing.B, eventWorkers int) {
 			b.Fatalf("degenerate run: eras=%d transitions=%d", res.Eras, len(res.GSLBTransitions))
 		}
 		b.ReportMetric(res.SuccessRatio, "success-ratio")
+		b.ReportMetric(experiment.EngineFanOut(be).PooledShare(), "pooled-share")
 	}
 }
 

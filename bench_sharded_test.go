@@ -89,9 +89,12 @@ func BenchmarkRegionSharded_16(b *testing.B) { runShardedRegionBench(b, 16) }
 // enters shard j mod 16), so the serviced path — the bulk of the run —
 // executes fully in parallel.  The ns/op ratio of BenchmarkRegionSharded_16
 // (serial event loop, same shard count) to BenchmarkRegionSharded_EventLoop_16
-// is the request-service speedup on a multi-core host; on a single core the
-// expectation is rough neutrality (epoch barriers must cost no more than a
-// few percent).
+// is the request-service speedup on a multi-core host.  The worker count is
+// an upper bound: the engine runs each epoch on the pool only when that
+// measures cheaper per event than running the shards inline, so on one or
+// two busy cores the pooled variants should stay within a few percent of
+// the inline one (the trials' pooled epochs), and the "pooled-share" metric
+// records which mode the host chose.
 func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 	b.Helper()
 	cfg := cloudsim.RegionConfig{
@@ -139,6 +142,7 @@ func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 		}
 		b.StopTimer()
 		vmc.Stop()
+		b.ReportMetric(se.FanOut().PooledShare(), "pooled-share")
 		total := 0
 		for _, n := range served {
 			total += n

@@ -61,7 +61,7 @@ func main() {
 		beta        = flag.Float64("beta", 0.5, "RMTTF smoothing factor of equation (1)")
 		interval    = flag.Float64("interval", 60, "control loop interval in seconds")
 		shards      = flag.Int("shards", 0, "split every region's VM pool across this many engine shards (0 keeps each scenario's own setting)")
-		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop with this many shard-loop goroutines (0 is the inline one-worker run, like 1; byte-identical across all values; -1 keeps each scenario's own setting)")
+		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop's shard loops on at most this many goroutines; each epoch runs inline or on them, whichever measures cheaper (0 is the inline one-worker run, like 1; byte-identical across all values; -1 keeps each scenario's own setting)")
 		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting; GSLB deployments always run on the event loop)")
 		rttSpec     = flag.String("rtt", "", "per-stream round-trip matrix for latency-aware routing, milliseconds per deployed region: \"global=60,120;americas=80,140\" (overrides the scenario's own RTT rows)")
 		mix         = flag.String("mix", "browsing", "TPC-W mix: browsing, shopping or ordering")
@@ -326,12 +326,19 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			}
 		}
 	}
-	// -event-workers sets how many goroutines run the event loop's shard
+	// -event-workers bounds how many goroutines run the event loop's shard
 	// loops (one sub-engine per region shard, cross-shard mailboxes), over
 	// which the control tick's per-shard phase also fans out; 0 is the
 	// inline one-worker run.  Results are byte-identical across every value.
-	if explicit["event-workers"] && eventWorkers >= 0 {
-		scenario.EventWorkers = eventWorkers
+	// -1 (the default) keeps the scenario's own setting; anything below it
+	// is rejected by name.
+	if explicit["event-workers"] {
+		if eventWorkers < -1 {
+			return fmt.Errorf("-event-workers must be >= -1 (-1 keeps the scenario's setting), got %d", eventWorkers)
+		}
+		if eventWorkers >= 0 {
+			scenario.EventWorkers = eventWorkers
+		}
 	}
 	// -gslb-policy overrides the global traffic director's routing policy.
 	// The name is validated up front so a typo produces the list of valid
@@ -436,6 +443,7 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 		if fr != nil {
 			fmt.Println("engine flight recorder (per-lane epoch utilization, sim-time):")
 			fmt.Print(fr.Table())
+			fmt.Println("event-loop fan-out (host time, varies run to run):", experiment.EngineFanOut(b))
 		}
 		fmt.Println()
 		if traceOut != "" {

@@ -86,3 +86,33 @@ func TestRunRejectsNonPositiveDurations(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsEventWorkersBelowKeep: -1 is the only negative
+// -event-workers value with a meaning (keep the scenario's setting), so any
+// value below it fails by flag name instead of silently running the
+// scenario's own worker count.  -dump-config makes an accepted value write
+// the scenario and return instead of simulating.
+func TestRunRejectsEventWorkersBelowKeep(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "scenario.json")
+	for _, tc := range []struct {
+		workers int
+		wantErr bool
+	}{
+		{-7, true},
+		{-2, true},
+		{-1, false},
+		{0, false},
+		{4, false},
+	} {
+		explicit := map[string]bool{"scenario": true, "dump-config": true, "event-workers": true}
+		err := run("1,3", "320,128", "", -1, "policy2", "oracle", "browsing", 2, 1, 0.5, 60,
+			0, tc.workers, "", "", "", "", "", -1, "", "figure3", dump, explicit)
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "-event-workers must be >= -1") {
+				t.Errorf("-event-workers %d: got error %v, want it rejected by name", tc.workers, err)
+			}
+		} else if err != nil {
+			t.Errorf("-event-workers %d: %v", tc.workers, err)
+		}
+	}
+}

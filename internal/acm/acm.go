@@ -112,11 +112,15 @@ type Config struct {
 	// been running before the measurements started).  Negative disables the
 	// stagger; zero selects the default of 0.5.
 	InitialAgeSpread float64
-	// EventWorkers is the worker count of the sharded event loop (see
-	// eventloop.go): every region shard is its own sub-engine and the shard
-	// loops run on up to EventWorkers goroutines in lockstep epochs.  The
-	// output is byte-identical across all worker counts; zero selects 1, the
-	// inline run.
+	// EventWorkers is the upper bound on the worker count of the sharded
+	// event loop (see eventloop.go): every region shard is its own
+	// sub-engine and the shard loops run in lockstep epochs.  With more than
+	// one worker, the engine runs each epoch's shard loops either on a pool
+	// of EventWorkers goroutines or inline on one, whichever it measures
+	// cheaper per event (simclock's fan-out selector).  The control tick's
+	// per-shard phase fans out over the full count.  The output is
+	// byte-identical across all worker counts; zero selects 1, the inline
+	// run.
 	EventWorkers int
 	// EventEpoch is the lockstep epoch width of the sharded event loop
 	// (simclock.DefaultEpoch when zero).  Cross-shard mailbox traffic is
@@ -516,6 +520,10 @@ func (m *Manager) Tracer() *tracing.Tracer { return m.tracer }
 // FlightRecorder returns the engine flight recorder (nil unless
 // Config.FlightRecorder is set).
 func (m *Manager) FlightRecorder() *simclock.FlightRecorder { return m.flight }
+
+// FanOut returns how the event loop ran its shard phases (inline or on the
+// worker pool); the stats depend on the host, never on the simulation.
+func (m *Manager) FanOut() simclock.FanOutStats { return m.el.se.FanOut() }
 
 // Recorder returns the experiment time-series recorder.
 func (m *Manager) Recorder() *trace.Recorder { return m.recorder }

@@ -110,6 +110,18 @@ func TraceArtifacts(b backend.Backend) (*tracing.Tracer, *simclock.FlightRecorde
 	return sim.Manager().Tracer(), sim.Manager().FlightRecorder()
 }
 
+// EngineFanOut returns how a finished backend's event loop ran its shard
+// phases: inline and pooled epoch counts and each mode's last measured cost
+// (zero unless the backend is the simulator).  The stats depend on the host,
+// so they stay out of Result, the registry and every golden.
+func EngineFanOut(b backend.Backend) simclock.FanOutStats {
+	sim, ok := b.(*backend.Simulated)
+	if !ok {
+		return simclock.FanOutStats{}
+	}
+	return sim.Manager().FanOut()
+}
+
 // RunAllPolicies runs the scenario under the paper's three policies — one
 // worker per available CPU — and returns the results keyed by policy key.
 func RunAllPolicies(sc Scenario) (map[string]*Result, error) {

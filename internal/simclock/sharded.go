@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file is the parallel event loop: a ShardedEngine promotes each engine
@@ -77,6 +78,12 @@ type ShardedEngine struct {
 	// barrier (flight.go).  Reads and writes happen only in the barrier
 	// context, so the recorder needs no synchronisation.
 	flight *FlightRecorder
+
+	// fan picks, per epoch of a run with a pool, whether the shard phase
+	// runs on the pool or inline (fanout.go).  forceFanOut, when set by a
+	// test, overrides the pick; the selector is still fed.
+	fan         fanOutSelector
+	forceFanOut func() fanOutMode
 }
 
 // NewShardedEngine builds n sub-engines with RNG streams derived from seed
@@ -92,6 +99,7 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 		epoch = DefaultEpoch
 	}
 	se := &ShardedEngine{epoch: epoch, workers: workers}
+	se.fan.startTrial()
 	se.shards = make([]*Engine, n)
 	for i := range se.shards {
 		se.shards[i] = NewEngine(DeriveSeed(seed, uint64(i)))
@@ -109,9 +117,11 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 	return se
 }
 
-// Workers returns the number of goroutines the shard phase runs on: the
-// configured count (GOMAXPROCS when <= 0), capped at the shard count.  The
-// control tick fans its per-shard phase out over the same count.
+// Workers returns the number of goroutines the shard phase may run on: the
+// configured count (GOMAXPROCS when <= 0), capped at the shard count.  It is
+// an upper bound: with more than one worker, Run still runs an epoch inline
+// when that measures cheaper (fanout.go).  The control tick fans its
+// per-shard phase out over the same count.
 func (se *ShardedEngine) Workers() int {
 	workers := se.workers
 	if workers <= 0 {
@@ -256,6 +266,16 @@ func (se *ShardedEngine) drain() {
 	}
 }
 
+// shardsFired returns the number of events the shard loops have fired, the
+// control timeline not included.
+func (se *ShardedEngine) shardsFired() uint64 {
+	var total uint64
+	for _, sh := range se.shards {
+		total += sh.Fired()
+	}
+	return total
+}
+
 // shardPool is the persistent worker pool of one Run: a lockstep run crosses
 // thousands of epoch barriers, so spawning fresh goroutines per epoch (as
 // ForEach does) would pay the spawn cost at every barrier.  The pool's
@@ -295,10 +315,11 @@ func (p *shardPool) runEpoch(tEnd Time) {
 func (p *shardPool) close() { close(p.work) }
 
 // Run executes the lockstep epoch loop until the horizon: each epoch runs
-// every shard's local queue up to the epoch end on up to the configured
-// number of goroutines (a persistent pool, spawned once per Run), then — at
-// the barrier — drains the mailboxes, runs the OnBarrier hooks and fires the
-// control events that are due.  The epoch end is clamped to the next control
+// every shard's local queue up to the epoch end — inline, or on up to the
+// configured number of goroutines (a persistent pool, spawned once per Run)
+// when the fan-out selector measures that cheaper — then, at the barrier,
+// drains the mailboxes, runs the OnBarrier hooks and fires the control
+// events that are due.  The epoch end is clamped to the next control
 // event's timestamp, so control events never fire late.  Like Engine.Run it returns
 // ErrHorizonReached when live events remain beyond the horizon, and nil when
 // the system drained.
@@ -336,9 +357,22 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 
 		// Shard phase: every sub-engine runs its own queue up to tEnd.  The
 		// loops never touch each other's state; cross-shard effects go
-		// through Post.
-		se.inShardPhase.Store(true)
+		// through Post.  With a pool, the selector's measurement spans the
+		// shard phase, the drain and the barrier hooks: a pooled epoch's
+		// cache misses land in the drain.
+		mode := fanInline
+		var start time.Time
+		var firedBefore uint64
 		if pool != nil {
+			mode = se.fan.next()
+			if se.forceFanOut != nil {
+				mode = se.forceFanOut()
+			}
+			start = time.Now()
+			firedBefore = se.shardsFired()
+		}
+		se.inShardPhase.Store(true)
+		if mode == fanPool {
 			pool.runEpoch(tEnd)
 		} else {
 			for i := range se.shards {
@@ -359,6 +393,11 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		se.drain()
 		for _, fn := range se.barrierHooks {
 			fn()
+		}
+		if pool != nil {
+			se.fan.observe(mode, time.Since(start).Nanoseconds(), se.shardsFired()-firedBefore)
+		} else {
+			se.fan.epochs[fanInline]++
 		}
 		se.control.runEpoch(tEnd)
 		if se.flight != nil {

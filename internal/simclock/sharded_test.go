@@ -140,15 +140,34 @@ type shardedPostRecord struct {
 	Seq   int
 }
 
+// shardedScheduleRecord tags one shard-local follow-up event for the
+// determinism property tests: when it fired and what it drew from its
+// shard's RNG stream.
+type shardedScheduleRecord struct {
+	At   Time
+	Draw uint64
+}
+
+// mailboxLogs are the delivery and schedule logs of one runMailboxScenario.
+type mailboxLogs struct {
+	lanes   [][]shardedPostRecord
+	control []shardedPostRecord
+	sched   [][]shardedScheduleRecord
+}
+
 // runMailboxScenario drives the property-test workload: every shard, on
 // every epoch, fires one local event that posts a tagged record to every
-// other shard (and to the control lane), with scheduling jitter injected so
-// goroutines interleave differently between runs.  It returns the per-lane
-// delivery logs.
-func runMailboxScenario(t *testing.T, shards, epochs, workers int) ([][]shardedPostRecord, []shardedPostRecord) {
+// other shard (and to the control lane) and schedules a local follow-up at
+// an RNG-drawn delay, with scheduling jitter injected so goroutines
+// interleave differently between runs.  A non-nil force overrides the
+// fan-out selector's pick for every epoch.  It returns the per-lane
+// delivery logs and the per-shard schedule logs.
+func runMailboxScenario(t *testing.T, shards, epochs, workers int, force func() fanOutMode) mailboxLogs {
 	t.Helper()
 	se := NewShardedEngine(shards, 99, 100*Millisecond, workers)
+	se.forceFanOut = force
 	received := make([][]shardedPostRecord, shards)
+	sched := make([][]shardedScheduleRecord, shards)
 	var controlReceived []shardedPostRecord
 	for s := 0; s < shards; s++ {
 		s := s
@@ -157,6 +176,9 @@ func runMailboxScenario(t *testing.T, shards, epochs, workers int) ([][]shardedP
 			ep := ep
 			at := Duration(float64(ep)*0.1 + 0.05)
 			se.Shard(s).ScheduleFunc(at, func(e *Engine) {
+				e.ScheduleFunc(Duration(e.RNG().Float64()*0.04), func(e *Engine) {
+					sched[s] = append(sched[s], shardedScheduleRecord{At: e.Now(), Draw: e.RNG().Uint64()})
+				})
 				// Shake the goroutine interleaving: yield a shard-dependent
 				// number of times before posting.
 				for i := 0; i < (s*7)%5; i++ {
@@ -184,7 +206,59 @@ func runMailboxScenario(t *testing.T, shards, epochs, workers int) ([][]shardedP
 	if err := se.Run(Duration(epochs) * 100 * Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return received, controlReceived
+	return mailboxLogs{lanes: received, control: controlReceived, sched: sched}
+}
+
+// assertPostsOrdered fails unless log is in (epoch, shard, seq) order.
+func assertPostsOrdered(t *testing.T, label string, log []shardedPostRecord) {
+	t.Helper()
+	for i := 1; i < len(log); i++ {
+		a, b := log[i-1], log[i]
+		if a.Epoch > b.Epoch || (a.Epoch == b.Epoch && a.Src > b.Src) ||
+			(a.Epoch == b.Epoch && a.Src == b.Src && a.Seq >= b.Seq) {
+			t.Fatalf("%s: delivery %d..%d out of (epoch, shard, seq) order: %+v then %+v", label, i-1, i, a, b)
+		}
+	}
+}
+
+// assertLogsEqual fails unless got matches the reference run's delivery and
+// schedule logs lane for lane.
+func assertLogsEqual(t *testing.T, label string, got, ref mailboxLogs) {
+	t.Helper()
+	for d := range got.lanes {
+		assertPostsOrdered(t, fmt.Sprintf("%s lane %d", label, d), got.lanes[d])
+		if !reflect.DeepEqual(got.lanes[d], ref.lanes[d]) {
+			t.Fatalf("%s: lane %d delivery log diverged from the inline reference", label, d)
+		}
+	}
+	if !reflect.DeepEqual(got.control, ref.control) {
+		t.Fatalf("%s: control lane delivery log diverged", label)
+	}
+	for s := range got.sched {
+		if !reflect.DeepEqual(got.sched[s], ref.sched[s]) {
+			t.Fatalf("%s: shard %d schedule log diverged from the inline reference", label, s)
+		}
+	}
+}
+
+// runMailboxReference runs the mailbox scenario inline on one worker and
+// checks that every post and follow-up of it arrived, in order.
+func runMailboxReference(t *testing.T, shards, epochs int) mailboxLogs {
+	t.Helper()
+	ref := runMailboxScenario(t, shards, epochs, 1, nil)
+	for d, log := range ref.lanes {
+		if len(log) != (shards-1)*epochs {
+			t.Fatalf("reference lane %d received %d posts, want %d", d, len(log), (shards-1)*epochs)
+		}
+		assertPostsOrdered(t, fmt.Sprintf("reference lane %d", d), log)
+	}
+	assertPostsOrdered(t, "reference control lane", ref.control)
+	for s, log := range ref.sched {
+		if len(log) != epochs {
+			t.Fatalf("reference shard %d fired %d follow-ups, want %d", s, len(log), epochs)
+		}
+	}
+	return ref
 }
 
 // TestShardedMailboxDeterminismProperty is the mailbox determinism property
@@ -195,39 +269,37 @@ func runMailboxScenario(t *testing.T, shards, epochs, workers int) ([][]shardedP
 // reference run.
 func TestShardedMailboxDeterminismProperty(t *testing.T) {
 	const shards, epochs = 8, 50
-	refLanes, refControl := runMailboxScenario(t, shards, epochs, 1)
-
-	assertOrdered := func(label string, log []shardedPostRecord) {
-		for i := 1; i < len(log); i++ {
-			a, b := log[i-1], log[i]
-			if a.Epoch > b.Epoch || (a.Epoch == b.Epoch && a.Src > b.Src) ||
-				(a.Epoch == b.Epoch && a.Src == b.Src && a.Seq >= b.Seq) {
-				t.Fatalf("%s: delivery %d..%d out of (epoch, shard, seq) order: %+v then %+v", label, i-1, i, a, b)
-			}
-		}
-	}
-	for d, log := range refLanes {
-		if len(log) != (shards-1)*epochs {
-			t.Fatalf("reference lane %d received %d posts, want %d", d, len(log), (shards-1)*epochs)
-		}
-		assertOrdered(fmt.Sprintf("reference lane %d", d), log)
-	}
-	assertOrdered("reference control lane", refControl)
-
+	ref := runMailboxReference(t, shards, epochs)
 	workerCounts := []int{4, runtime.GOMAXPROCS(0), shards}
 	for rep := 0; rep < 3; rep++ {
 		for _, workers := range workerCounts {
-			lanes, control := runMailboxScenario(t, shards, epochs, workers)
-			for d := range lanes {
-				assertOrdered(fmt.Sprintf("workers=%d rep=%d lane %d", workers, rep, d), lanes[d])
-				if !reflect.DeepEqual(lanes[d], refLanes[d]) {
-					t.Fatalf("workers=%d rep=%d: lane %d delivery log diverged from the single-worker reference", workers, rep, d)
-				}
-			}
-			if !reflect.DeepEqual(control, refControl) {
-				t.Fatalf("workers=%d rep=%d: control lane delivery log diverged", workers, rep)
-			}
+			got := runMailboxScenario(t, shards, epochs, workers, nil)
+			assertLogsEqual(t, fmt.Sprintf("workers=%d rep=%d", workers, rep), got, ref)
 		}
+	}
+}
+
+// TestShardedFanOutRandomModesProperty extends the mailbox property to the
+// fan-out selector's freedom: whatever mix of pooled and inline epochs a run
+// takes, its delivery and schedule logs equal the inline reference.  The
+// override draws each epoch's mode at random, so pooled epochs follow inline
+// ones (and the reverse) at every position the selector could choose.
+func TestShardedFanOutRandomModesProperty(t *testing.T) {
+	const shards, epochs = 8, 50
+	ref := runMailboxReference(t, shards, epochs)
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRNG(seed)
+		var modes [2]int
+		force := func() fanOutMode {
+			m := fanOutMode(rng.Intn(2))
+			modes[m]++
+			return m
+		}
+		got := runMailboxScenario(t, shards, epochs, 4, force)
+		if modes[fanInline] == 0 || modes[fanPool] == 0 {
+			t.Fatalf("seed %d: forced modes %v never mixed inline and pooled epochs", seed, modes)
+		}
+		assertLogsEqual(t, fmt.Sprintf("forced seed=%d", seed), got, ref)
 	}
 }
 
