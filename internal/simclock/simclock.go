@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -68,23 +69,43 @@ type EventFunc func(eng *Engine)
 // Fire implements Event.
 func (f EventFunc) Fire(eng *Engine) { f(eng) }
 
-// entry is one value in the event queue's binary heap: the firing key plus
+// entry is one value in the event queue's binary heap, 16 bytes: the firing
+// time's bit pattern and a tag packing the schedule sequence number above
 // the slab slot holding the event.  Entries are plain values, so once the
 // heap and the slab have grown to a run's peak depth, scheduling and firing
 // allocate nothing.
 type entry struct {
-	at   Time
-	seq  uint64 // tie-breaker to keep FIFO order for same-time events
-	slot int32
+	key uint64 // math.Float64bits(at); ScheduleAt keeps at >= +0, where the bits order as the times do
+	tag uint64 // seq<<slotBits | slot; seq is unique per engine and breaks ties FIFO
 }
 
-// before orders entries by (at, seq).  seq is unique per engine, so the order
-// is total and any correct heap pops the same sequence.
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// The tag's split: slotBits low bits address the slab, the rest count
+// schedules.  ScheduleAt panics before either field would overflow.
+const (
+	slotBits = 24
+	maxSeq   = 1 << (64 - slotBits)
+	slotMask = 1<<slotBits - 1
+)
+
+// maxSlots bounds the slab at 2^slotBits pending events per engine.  It is a
+// variable only so that a test can lower it instead of filling 16 M slots.
+var maxSlots = 1 << slotBits
+
+// at returns the entry's firing time.
+func (en entry) at() Time { return Time(math.Float64frombits(en.key)) }
+
+// slot returns the slab index of the entry's event.
+func (en entry) slot() int32 { return int32(en.tag & slotMask) }
+
+// less returns 1 when a sorts before b in (at, seq) order and 0 otherwise:
+// the borrow out of the 128-bit subtraction (a.key, a.tag) - (b.key, b.tag),
+// so the compare has no branch for the heap walks to mispredict.  seq is
+// unique per engine, so the order is total and any correct heap pops the
+// same sequence.
+func less(a, b entry) int {
+	_, borrow := bits.Sub64(a.tag, b.tag, 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	return int(borrow)
 }
 
 // slot holds one pending event in the engine's slab.  gen counts the slot's
@@ -154,6 +175,12 @@ type Engine struct {
 	slots []slot
 	free  []int32
 
+	// held is true while a handler runs and the firing event's entry still
+	// sits at the heap root: the handler's first ScheduleAt overwrites it in
+	// place (replaceTop), and fireNext pops it if the handler scheduled
+	// nothing.  settle pops a held root before anything reads the queue.
+	held bool
+
 	// lastFiredAt is the timestamp of the most recently fired event — the
 	// flight recorder reads it at each epoch barrier to split the epoch into
 	// a busy prefix and an idle tail (sharded.go, flight.go).
@@ -203,8 +230,14 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) LastEventAt() Time { return e.lastFiredAt }
 
 // Pending returns the number of events currently scheduled (including
-// cancelled entries not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
+// cancelled entries not yet drained).  The entry of an event that is firing
+// is not counted.
+func (e *Engine) Pending() int {
+	if e.held {
+		return len(e.queue) - 1
+	}
+	return len(e.queue)
+}
 
 // Schedule enqueues ev to fire after delay d (relative to Now).  Negative
 // delays are clamped to zero.
@@ -221,7 +254,7 @@ func (e *Engine) ScheduleFunc(d Duration, fn func(*Engine)) Handle {
 }
 
 // ScheduleAt enqueues ev to fire at the absolute simulated time at.  Times in
-// the past are clamped to Now so causality is preserved.
+// the past are clamped to Now so causality is preserved; a NaN time panics.
 func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	if e.inParallelPhase {
 		panic("simclock: Schedule during a parallel phase (parallel-phase work must be shard-local; schedule from the merge phase instead)")
@@ -235,18 +268,47 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	if at < e.now {
 		at = e.now
 	}
+	if !(at > 0) {
+		at = checkTime(at)
+	}
+	if e.seq >= maxSeq {
+		panic("simclock: more than 2^40 events scheduled on one engine (the event queue's sequence numbers would wrap)")
+	}
 	var i int32
 	if n := len(e.free); n > 0 {
 		i = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
+		if len(e.slots) >= maxSlots {
+			panic("simclock: more than 2^24 events pending on one engine (the event queue's slab is full)")
+		}
 		i = int32(len(e.slots))
 		e.slots = append(e.slots, slot{})
 	}
 	e.slots[i].ev = ev
-	e.push(entry{at: at, seq: e.seq, slot: i})
+	en := entry{key: math.Float64bits(float64(at)), tag: e.seq<<slotBits | uint64(i)}
 	e.seq++
+	if e.held {
+		e.held = false
+		e.replaceTop(en)
+	} else {
+		e.push(en)
+	}
 	return Handle{eng: e, slot: i, gen: e.slots[i].gen}
+}
+
+// checkTime vets an event time that is not positive: it panics on NaN,
+// which has no place in the queue's order, and on a time before zero, which
+// only a clock run to a negative horizon can produce; it maps -0 to +0,
+// whose bits sort first.
+func checkTime(at Time) Time {
+	switch {
+	case at != at:
+		panic("simclock: Schedule at a NaN time")
+	case at < 0:
+		panic("simclock: Schedule at a time before zero")
+	}
+	return 0
 }
 
 // Reserve grows the event queue so that n more events can be scheduled
@@ -263,7 +325,7 @@ func (e *Engine) push(en entry) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !en.before(q[p]) {
+		if less(en, q[p]) == 0 {
 			break
 		}
 		q[i] = q[p]
@@ -272,52 +334,99 @@ func (e *Engine) push(en entry) {
 	q[i] = en
 }
 
-// pop removes the heap root, sifting the former tail down from the top.
-func (e *Engine) pop() entry {
+// replaceTop overwrites the heap root with en and sifts it down, stopping
+// where en belongs.  A firing event's first follow-up lands here, so one
+// walk replaces the pop's walk to a leaf and the push's sift up.
+func (e *Engine) replaceTop(en entry) {
 	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	e.queue = q
-	if n == 0 {
-		return top
-	}
+	n := len(q)
 	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(q[c]) {
-			c = r
+		if c+1 < n {
+			c += less(q[c+1], q[c])
 		}
-		if !q[c].before(last) {
+		if less(q[c], en) == 0 {
 			break
 		}
 		q[i] = q[c]
 		i = c
 	}
-	q[i] = last
-	return top
+	q[i] = en
 }
 
-// fireNext pops the heap root, frees its slot and, unless the event was
-// cancelled, fires it.  It reports whether an event fired.  The slot is freed
-// before Fire runs, so handles to the firing event already report Cancelled
-// and the handler's own scheduling can reuse the slot.
+// pop removes the heap root bottom-up (Floyd): the hole walks from the root
+// to a leaf along the smaller child, chosen without a branch, and the former
+// tail then sifts up from that leaf.  The tail belongs near the bottom, so
+// the sift up is short, and the walk down makes one compare per level where
+// a top-down sift makes two.
+func (e *Engine) pop() {
+	q := e.queue
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return
+	}
+	i := 0
+	c := 1
+	for ; c+1 < n; c = 2*i + 1 {
+		c += less(q[c+1], q[c])
+		q[i] = q[c]
+		i = c
+	}
+	if c < n { // a last node with one child
+		q[i] = q[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if less(last, q[p]) == 0 {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = last
+}
+
+// settle pops the held root of a handler that scheduled nothing on this
+// engine.  Every reader of the queue calls it first, so neither a nested
+// Step or Run inside a handler nor a handler that panicked leaves the fired
+// entry in view.
+func (e *Engine) settle() {
+	if e.held {
+		e.held = false
+		e.pop()
+	}
+}
+
+// fireNext frees the heap root's slot and, unless the event was cancelled,
+// fires it.  It reports whether an event fired.  The slot is freed before
+// Fire runs, so handles to the firing event already report Cancelled and the
+// handler's own scheduling can reuse the slot.  The root entry stays in the
+// heap, held, while the handler runs: its first ScheduleAt replaces it in
+// place, and only a handler that schedules nothing leaves a pop to do.
 func (e *Engine) fireNext() bool {
-	top := e.pop()
-	s := &e.slots[top.slot]
+	top := e.queue[0]
+	i := top.slot()
+	s := &e.slots[i]
 	ev, dead := s.ev, s.dead
 	*s = slot{gen: s.gen + 1}
-	e.free = append(e.free, top.slot)
+	e.free = append(e.free, i)
 	if dead {
+		e.pop()
 		return false
 	}
-	e.now = top.at
-	e.lastFiredAt = top.at
+	e.now = top.at()
+	e.lastFiredAt = e.now
+	e.held = true
 	ev.Fire(e)
+	e.settle()
 	e.fired++
 	return true
 }
@@ -333,9 +442,10 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(horizon Duration) error {
 	e.horizon = Time(horizon)
 	e.stopped = false
+	e.settle()
 	for len(e.queue) > 0 && !e.stopped {
-		if top := e.queue[0]; top.at > e.horizon {
-			if e.slots[top.slot].dead {
+		if top := e.queue[0]; top.at() > e.horizon {
+			if e.slots[top.slot()].dead {
 				e.fireNext() // a cancelled event past the horizon is not work left
 				continue
 			}
@@ -361,7 +471,8 @@ func (e *Engine) Run(horizon Duration) error {
 func (e *Engine) runEpoch(end Time) {
 	e.executing.Store(true)
 	defer e.executing.Store(false)
-	for len(e.queue) > 0 && e.queue[0].at <= end {
+	e.settle()
+	for len(e.queue) > 0 && e.queue[0].at() <= end {
 		e.fireNext()
 	}
 	if e.now < end {
@@ -373,12 +484,13 @@ func (e *Engine) runEpoch(end Time) {
 // whether one exists, discarding cancelled entries at the heap root on the
 // way.
 func (e *Engine) NextEventTime() (Time, bool) {
+	e.settle()
 	for len(e.queue) > 0 {
-		if e.slots[e.queue[0].slot].dead {
+		if e.slots[e.queue[0].slot()].dead {
 			e.fireNext() // discards the cancelled root without firing it
 			continue
 		}
-		return e.queue[0].at, true
+		return e.queue[0].at(), true
 	}
 	return 0, false
 }
@@ -393,6 +505,7 @@ func (e *Engine) hasLiveEvents() bool {
 func (e *Engine) RunUntilEmpty() {
 	e.horizon = Time(math.Inf(1))
 	e.stopped = false
+	e.settle()
 	for len(e.queue) > 0 && !e.stopped {
 		e.fireNext()
 	}
@@ -401,6 +514,7 @@ func (e *Engine) RunUntilEmpty() {
 // Step executes the single next pending event, if any, and reports whether an
 // event fired.
 func (e *Engine) Step() bool {
+	e.settle()
 	for len(e.queue) > 0 {
 		if e.fireNext() {
 			return true
@@ -412,10 +526,11 @@ func (e *Engine) Step() bool {
 // PendingTimes returns the timestamps of all live pending events in ascending
 // order.  Intended for tests and debugging.
 func (e *Engine) PendingTimes() []Time {
+	e.settle()
 	var out []Time
 	for _, en := range e.queue {
-		if !e.slots[en.slot].dead {
-			out = append(out, en.at)
+		if !e.slots[en.slot()].dead {
+			out = append(out, en.at())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -452,70 +452,6 @@ func TestCancelledStaysTrueAfterDrain(t *testing.T) {
 	}
 }
 
-// TestQueueMatchesReferenceSort drives random interleavings of schedules
-// (many sharing a timestamp), cancellations of pending and already-fired
-// handles, and steps, and checks the events fire in exactly the (at, seq)
-// order a reference sort of the live set gives.
-func TestQueueMatchesReferenceSort(t *testing.T) {
-	type ref struct {
-		at  Time
-		seq int
-	}
-	for seed := uint64(1); seed <= 50; seed++ {
-		rng := NewRNG(seed)
-		eng := NewEngine(seed)
-		var handles []Handle
-		var want, got []ref
-		live := map[int]ref{}
-		seq := 0
-		step := func() {
-			if !eng.Step() {
-				return
-			}
-			// The reference pops the smallest live (at, seq).
-			best := -1
-			for s, r := range live {
-				if best < 0 || r.at < live[best].at || (r.at == live[best].at && s < best) {
-					best = s
-				}
-			}
-			want = append(want, live[best])
-			delete(live, best)
-		}
-		for op := 0; op < 400; op++ {
-			switch k := rng.Intn(10); {
-			case k < 5:
-				s := seq
-				seq++
-				at := eng.Now().Add(Duration(rng.Intn(8))) // coarse times force ties
-				r := ref{at: at, seq: s}
-				live[s] = r
-				handles = append(handles, eng.ScheduleAt(at, EventFunc(func(*Engine) { got = append(got, r) })))
-			case k < 7 && len(handles) > 0:
-				i := rng.Intn(len(handles))
-				handles[i].Cancel()
-				delete(live, i) // a no-op when the event already fired
-			default:
-				step()
-			}
-		}
-		for len(live) > 0 {
-			step()
-		}
-		if eng.Step() {
-			t.Fatalf("seed %d: an event fired after the reference drained", seed)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: event %d fired %+v, reference %+v", seed, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestScheduleStepAllocationFree(t *testing.T) {
 	eng := NewEngine(1)
 	noop := func(*Engine) {}
