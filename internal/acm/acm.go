@@ -118,7 +118,7 @@ type Config struct {
 	// one worker, the engine runs each epoch's shard loops either on a pool
 	// of EventWorkers goroutines or inline on one, whichever it measures
 	// cheaper per event (simclock's fan-out selector).  The control tick's
-	// per-shard phase fans out over the full count.  The output is
+	// per-shard phase runs on that pool whenever it exists.  The output is
 	// byte-identical across all worker counts; zero selects 1, the inline
 	// run.
 	EventWorkers int
@@ -671,10 +671,9 @@ func (m *Manager) controlEra(eng *simclock.Engine) {
 	}
 	m.eras++
 
-	// Execute: install the plan (one message per reachable slave).  The
-	// snapshot every shard dispatches from is republished here, at the
-	// barrier, while the shard loops are idle.
-	m.plan = res.Plan
+	// Execute: install the plan (one message per reachable slave).  Every
+	// shard's dispatcher reads the plan installed here, at the barrier,
+	// while the shard loops are idle.
 	m.el.installPlan(res.Plan)
 	for _, name := range m.regionNames {
 		if name != leader && m.net.Reachable(leader, name) {

@@ -40,11 +40,10 @@ type eventLoop struct {
 	mgr *Manager
 	se  *simclock.ShardedEngine
 
-	// engines[r][s] is the sub-engine of region r's shard s; base[r] is the
-	// global lane index of region r's shard 0.
-	engines [][]*simclock.Engine
-	base    []int
-	total   int
+	// base[r] is the global lane index of region r's shard 0: region r's
+	// shard s runs on el.se.Shard(base[r]+s) (engine).
+	base  []int
+	total int
 
 	// Per-(region, shard) client populations and their surge counterparts.
 	pops  [][]*workload.Population
@@ -66,12 +65,6 @@ type eventLoop struct {
 	// reset and reused every era.
 	era *workload.Metrics
 
-	// plans[g] is shard g's snapshot of the installed forward plan.  It is
-	// republished at the control era (an epoch barrier, while every shard
-	// loop is idle), so shard goroutines read their own slot without
-	// synchronisation.
-	plans []*core.ForwardPlan
-
 	// Global-traffic-director state (nil/empty when GSLB is disabled).
 	// gslbTables[g] is lane g's snapshot of the director's routing table,
 	// republished at probe ticks (control timeline, epoch barriers) exactly
@@ -90,17 +83,17 @@ type eventLoop struct {
 	// latency estimates).  streamIdx maps a traffic source's label (the
 	// EntryRegion of its requests) to its population-stream index, read
 	// once per source when its dispatcher is built; unknown labels, and
-	// every label while the map is nil, fold into stream 0.  laneRTT[g] is
-	// lane g's snapshot of the immutable ground-truth RTT matrix
-	// (milliseconds, [stream][region]), republished whenever a scripted link
-	// fault rewrites the matrix on the control timeline; gslbObs[g] buffers
+	// every label while the map is nil, fold into stream 0.  rtt is the
+	// immutable ground-truth RTT matrix (milliseconds, [stream][region]),
+	// swapped for a rewritten copy whenever a scripted link fault changes it
+	// on the control timeline (an epoch barrier); gslbObs[g] buffers
 	// lane g's completion observations — appended in lane event order,
 	// drained into the director in lane-index order right before each probe
 	// tick, which keeps the estimator folds byte-reproducible for every
 	// worker count.
 	latAware  bool
 	streamIdx map[string]int
-	laneRTT   [][][]float64
+	rtt       [][]float64
 	gslbObs   [][]gslbObs
 
 	// Open-loop arrival streams (global or region-pinned) and the lane
@@ -120,11 +113,9 @@ func newEventLoop(m *Manager) *eventLoop {
 	}
 	el.se = simclock.NewShardedEngine(el.total, m.cfg.Seed, m.cfg.EventEpoch, m.cfg.EventWorkers)
 
-	el.engines = make([][]*simclock.Engine, len(m.regions))
 	el.metrics = make([]*workload.Metrics, el.total)
 	el.local = make([]uint64, el.total)
 	el.forwarded = make([]uint64, el.total)
-	el.plans = make([]*core.ForwardPlan, el.total)
 	for g := range el.metrics {
 		el.metrics[g] = workload.NewMetrics()
 	}
@@ -133,12 +124,7 @@ func newEventLoop(m *Manager) *eventLoop {
 	el.surge = make([][]*workload.Population, len(m.regions))
 	el.cohorts = make([][]*workload.CohortPopulation, len(m.regions))
 
-	for r, region := range m.regions {
-		n := region.NumShards()
-		el.engines[r] = make([]*simclock.Engine, n)
-		for s := 0; s < n; s++ {
-			el.engines[r][s] = el.se.Shard(el.base[r] + s)
-		}
+	for r := range m.regions {
 		rs := m.cfg.Regions[r]
 		el.pops[r] = el.buildPopulations(r, rs, rs.Clients, m.cfg.Seed+uint64(r)*7919+101)
 		if rs.SurgeClients > 0 && rs.SurgeAt > 0 {
@@ -174,11 +160,8 @@ func (el *eventLoop) buildGlobalTraffic() {
 				copy(row, m.cfg.GSLB.RTT[name]) // streams without a row keep 0 ms
 				matrix[s] = row
 			}
-			el.laneRTT = make([][][]float64, el.total)
+			el.rtt = matrix
 			el.gslbObs = make([][]gslbObs, el.total)
-			for g := range el.laneRTT {
-				el.laneRTT[g] = matrix
-			}
 		}
 		// Each request lane is homed to one replica and routes on that
 		// replica's table — with several replicas two lanes can disagree
@@ -237,7 +220,7 @@ func (el *eventLoop) buildGlobalTraffic() {
 			// Region-pinned stream: one of the region's own lanes, entering
 			// through its plan dispatcher like the region's browsers.
 			r := m.regionIndex[a.Region]
-			s := i % len(el.engines[r])
+			s := i % m.regions[r].NumShards()
 			lane = el.base[r] + s
 			target = el.dispatcher(r, s)
 		}
@@ -303,7 +286,7 @@ func (el *eventLoop) gslbRoute(g, stream int, rng *simclock.RNG, rr *uint64, eng
 	}
 	dvmc := m.vmcs[ri]
 	ds := 0
-	if n := len(el.engines[ri]); n > 1 {
+	if n := m.regions[ri].NumShards(); n > 1 {
 		ds = rng.Intn(n)
 	}
 	if !el.latAware {
@@ -315,7 +298,7 @@ func (el *eventLoop) gslbRoute(g, stream int, rng *simclock.RNG, rr *uint64, eng
 	// the completion runs it back home, so the buffer append needs no
 	// synchronisation.  The tap shifts End itself (not through
 	// ReturnLeg): its return-leg span starts at the unshifted End.
-	rttMs := el.laneRTT[g][stream][ri]
+	rttMs := el.rtt[stream][ri]
 	oneWay := simclock.Duration(rttMs / 2000)
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.
@@ -359,29 +342,24 @@ func (el *eventLoop) flushGSLBObs(p *gossip.Plane) {
 }
 
 // scaleLinkRTT multiplies the ground-truth round trip of one
-// (stream, region) path by factor and republishes the rewritten matrix to
-// every lane snapshot, returning the previous value so a bounded fault can
-// restore it.  Control timeline only (epoch barrier).
+// (stream, region) path by factor, returning the previous value so a bounded
+// fault can restore it.  Control timeline only (epoch barrier).
 func (el *eventLoop) scaleLinkRTT(stream, region int, factor float64) float64 {
-	prev := el.laneRTT[0][stream][region]
+	prev := el.rtt[stream][region]
 	el.setLinkRTT(stream, region, prev*factor)
 	return prev
 }
 
 // setLinkRTT rewrites one entry of the ground-truth RTT matrix.  The matrix
-// is immutable once published: the rewrite builds a fresh copy and swaps
-// every lane's snapshot pointer, so in-flight dispatches keep reading the
-// matrix they started with.
+// is immutable once published: the rewrite builds a fresh copy and swaps the
+// pointer at the barrier, while no lane dispatches.
 func (el *eventLoop) setLinkRTT(stream, region int, ms float64) {
-	cur := el.laneRTT[0]
-	next := make([][]float64, len(cur))
-	for s := range cur {
-		next[s] = append([]float64(nil), cur[s]...)
+	next := make([][]float64, len(el.rtt))
+	for s := range el.rtt {
+		next[s] = append([]float64(nil), el.rtt[s]...)
 	}
 	next[stream][region] = ms
-	for g := range el.laneRTT {
-		el.laneRTT[g] = next
-	}
+	el.rtt = next
 }
 
 // installPlaneTables republishes every replica's routing-table snapshot to
@@ -420,7 +398,7 @@ func splitClients(count, n, s int) int {
 // to its shard's dispatcher, metrics sink and a derived RNG stream.
 func (el *eventLoop) buildPopulations(r int, rs RegionSetup, clients int, seedBase uint64) []*workload.Population {
 	m := el.mgr
-	n := len(el.engines[r])
+	n := m.regions[r].NumShards()
 	out := make([]*workload.Population, n)
 	for s := 0; s < n; s++ {
 		out[s] = workload.NewPopulation(workload.PopulationConfig{
@@ -442,7 +420,7 @@ func (el *eventLoop) buildPopulations(r int, rs RegionSetup, clients int, seedBa
 // batch submissions and the tracer browsers stay shard-local.
 func (el *eventLoop) buildCohorts(r int, rs RegionSetup) []*workload.CohortPopulation {
 	m := el.mgr
-	n := len(el.engines[r])
+	n := m.regions[r].NumShards()
 	out := make([]*workload.CohortPopulation, n)
 	seedBase := m.cfg.Seed ^ hashString("cohort")
 	for s := 0; s < n; s++ {
@@ -481,7 +459,7 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString(m.regionNames[r]), uint64(s))
 	net := m.net.View(m.regionNames)
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		dr, ok := m.forwardLeg(eng, req, el.plans[g], net, r, rng.Float64())
+		dr, ok := m.forwardLeg(eng, req, m.plan, net, r, rng.Float64())
 		if !ok {
 			el.local[g]++
 			vmc.SubmitShard(eng, s, req)
@@ -489,7 +467,7 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 		}
 		el.forwarded[g]++
 		ds := 0
-		if n := len(el.engines[dr]); n > 1 {
+		if n := m.regions[dr].NumShards(); n > 1 {
 			ds = rng.Intn(n)
 		}
 		m.vmcs[dr].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
@@ -501,16 +479,19 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 func (el *eventLoop) start() {
 	m := el.mgr
 	for r, vmc := range m.vmcs {
-		vmc.StartSharded(el.se, el.engines[r])
+		engines := make([]*simclock.Engine, m.regions[r].NumShards())
+		for s := range engines {
+			engines[s] = el.engine(r, s)
+		}
+		vmc.StartSharded(el.se, engines)
 		for s, pop := range el.pops[r] {
-			pop.Start(el.engines[r][s])
+			pop.Start(el.engine(r, s))
 		}
 		for s, pop := range el.surge[r] {
-			pop, eng := pop, el.engines[r][s]
-			eng.ScheduleFunc(m.cfg.Regions[r].SurgeAt, func(e *simclock.Engine) { pop.Start(e) })
+			el.engine(r, s).ScheduleFunc(m.cfg.Regions[r].SurgeAt, func(e *simclock.Engine) { pop.Start(e) })
 		}
 		for s, c := range el.cohorts[r] {
-			c.Start(el.engines[r][s])
+			c.Start(el.engine(r, s))
 		}
 	}
 	for g, pop := range el.globalPops {
@@ -575,17 +556,19 @@ func (el *eventLoop) counters() (local, forwarded uint64) {
 	return local, forwarded
 }
 
-// installPlan republishes the freshly installed forward plan to every
-// shard's snapshot slot.  Called from the control era, i.e. at an epoch
-// barrier while every shard loop is idle.  The dispatchers index the plan's
-// rows by region index, so a plan whose regions are not the deployment's, in
-// its order, is a programming error and panics here instead of forwarding
-// to the wrong region.
+// installPlan installs p as the forward plan every dispatcher reads.  It is
+// called at construction and from the control era, i.e. at an epoch barrier
+// while every shard loop is idle, so the lanes read the plan without
+// synchronisation.  The dispatchers index the plan's rows by region index,
+// so a plan whose regions are not the deployment's, in its order, is a
+// programming error and panics here instead of forwarding to the wrong
+// region.
 func (el *eventLoop) installPlan(p *core.ForwardPlan) {
 	if !slices.Equal(p.Regions, el.mgr.regionNames) {
 		panic(fmt.Sprintf("acm: forward plan regions %v differ from the deployment's %v", p.Regions, el.mgr.regionNames))
 	}
-	for g := range el.plans {
-		el.plans[g] = p
-	}
+	el.mgr.plan = p
 }
+
+// engine returns the sub-engine of region r's shard s.
+func (el *eventLoop) engine(r, s int) *simclock.Engine { return el.se.Shard(el.base[r] + s) }

@@ -5,17 +5,11 @@
 // metrics (client-side counters), and the typed instrument registry (the
 // /metrics scrape surface), plus a plain-data Results snapshot for reports.
 //
-// The simulator (acm.Manager over the simclock engines) is the first
-// implementation; a live implementation — the same scenarios, policies and
-// Director driving a real deployment's controllers — plugs in by registering
-// another factory kind, without touching experiment, scenarios, or the CLIs.
+// The simulator (acm.Manager over the simclock engines) is the one
+// implementation, built by NewSimulated.
 package backend
 
 import (
-	"fmt"
-	"sort"
-
-	"repro/internal/acm"
 	"repro/internal/cloudsim"
 	"repro/internal/gossip"
 	"repro/internal/metrics"
@@ -93,39 +87,4 @@ type GSLBReport struct {
 	Streams     []string
 	LatencyEWMA map[string]float64
 	LatencyP95  map[string]float64
-}
-
-// Factory constructs a Backend of one kind from an assembled deployment
-// configuration.
-type Factory func(cfg acm.Config) (Backend, error)
-
-// KindSimulated is the simulator backend (acm.Manager over simclock).
-const KindSimulated = "sim"
-
-var factories = map[string]Factory{}
-
-// Register installs a backend factory under a kind name.  Later
-// registrations of the same kind win, mirroring the scenario registry.
-func Register(kind string, f Factory) { factories[kind] = f }
-
-// Kinds returns the registered backend kinds, sorted.
-func Kinds() []string {
-	out := make([]string, 0, len(factories))
-	for k := range factories {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// New constructs a Backend of the given kind ("" selects the simulator).
-func New(kind string, cfg acm.Config) (Backend, error) {
-	if kind == "" {
-		kind = KindSimulated
-	}
-	f, ok := factories[kind]
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown kind %q (registered: %v)", kind, Kinds())
-	}
-	return f(cfg)
 }

@@ -21,33 +21,6 @@ func testConfig() acm.Config {
 	}
 }
 
-func TestFactoryRegistry(t *testing.T) {
-	kinds := Kinds()
-	if len(kinds) == 0 || kinds[0] != KindSimulated {
-		t.Fatalf("kinds %v, want the simulator registered as %q", kinds, KindSimulated)
-	}
-
-	// The empty kind defaults to the simulator — Scenario.Backend is "" in
-	// every pre-existing scenario JSON.
-	for _, kind := range []string{"", KindSimulated} {
-		b, err := New(kind, testConfig())
-		if err != nil {
-			t.Fatalf("New(%q): %v", kind, err)
-		}
-		if _, ok := b.(*Simulated); !ok {
-			t.Fatalf("New(%q) = %T, want *Simulated", kind, b)
-		}
-	}
-
-	_, err := New("live", testConfig())
-	if err == nil || !strings.Contains(err.Error(), `unknown kind "live"`) {
-		t.Fatalf("unknown kind error %v", err)
-	}
-	if !strings.Contains(err.Error(), KindSimulated) {
-		t.Fatalf("error %v does not list the registered kinds", err)
-	}
-}
-
 func TestSimulatedImplementsBackend(t *testing.T) {
 	b, err := NewSimulated(testConfig())
 	if err != nil {

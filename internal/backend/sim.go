@@ -14,12 +14,6 @@ type Simulated struct {
 	mgr *acm.Manager
 }
 
-func init() {
-	Register(KindSimulated, func(cfg acm.Config) (Backend, error) {
-		return NewSimulated(cfg)
-	})
-}
-
 // NewSimulated assembles the simulated deployment.
 func NewSimulated(cfg acm.Config) (*Simulated, error) {
 	mgr, err := acm.NewManager(cfg)

@@ -164,13 +164,6 @@ func (r *Region) ActiveVMs() []*VM { return r.byState(StateActive) }
 // StandbyVMs returns the healthy spare VMs.
 func (r *Region) StandbyVMs() []*VM { return r.byState(StateStandby) }
 
-// FailedVMs returns the VMs that reached their failure point and have not
-// been recovered yet.
-func (r *Region) FailedVMs() []*VM { return r.byState(StateFailed) }
-
-// RejuvenatingVMs returns the VMs currently being rejuvenated.
-func (r *Region) RejuvenatingVMs() []*VM { return r.byState(StateRejuvenating) }
-
 // Provision adds n new STANDBY VMs, respecting the MaxVMs cap, and returns
 // the VMs actually created.  This is the hypervisor-side half of the ADDVMS
 // elasticity action.

@@ -30,7 +30,7 @@ type shard struct {
 // Concurrency: a shard's accessors (byState, appendByState, countState,
 // stats, computeCapacity, trueRTTFSum) only read the states and counters of
 // the shard's own VMs.  During a control-tick parallel phase
-// (simclock.Engine.ParallelPhase) each shard is visited by exactly one
+// (simclock.ShardedEngine.ParallelPhase) each shard is visited by exactly one
 // goroutine, no VM changes state (state transitions schedule events, which
 // the engine rejects during the phase), and VMs never migrate between
 // shards — so these accessors are safe to run concurrently as long as each

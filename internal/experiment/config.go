@@ -26,7 +26,8 @@ func SaveScenario(w io.Writer, sc Scenario) error {
 // defaults to any field left unset.  A scenario file carries one key per
 // acm.Config field except Policy and Overlay, plus Name, Horizon,
 // TailFraction, ConvergenceTolerance and Backend.  A Beta outside (0, 1] is
-// rejected rather than reset; 0 means unset.
+// rejected rather than reset; 0 means unset.  A Backend other than "" or
+// "sim" is rejected with ErrUnknownBackend.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)
@@ -49,6 +50,9 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 		if err := ValidateBeta(sc.Beta); err != nil {
 			return Scenario{}, fmt.Errorf("%w in scenario %q", err, sc.Name)
 		}
+	}
+	if err := sc.checkBackend(); err != nil {
+		return Scenario{}, err
 	}
 	return sc.withDefaults(), nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/acm"
+	"repro/internal/backend"
 	"repro/internal/simclock"
 )
 
@@ -77,6 +79,45 @@ func TestLoadScenarioValidation(t *testing.T) {
 	for _, beta := range []string{"0", "1", "0.25"} {
 		if _, err := LoadScenario(strings.NewReader(`{"Name":"x","Beta":` + beta + `,` + region + `}`)); err != nil {
 			t.Errorf("Beta %s should load: %v", beta, err)
+		}
+	}
+}
+
+// TestUnknownBackendRejected pins the one backend: a scenario's Backend ""
+// or "sim" loads and builds the simulator, and any other value is rejected
+// with ErrUnknownBackend by LoadScenario and by NewBackend, naming the value.
+func TestUnknownBackendRejected(t *testing.T) {
+	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"}},"Clients":10}]`
+	for _, kind := range []string{"", "sim"} {
+		sc, err := LoadScenario(strings.NewReader(`{"Name":"x","Backend":"` + kind + `",` + region + `}`))
+		if err != nil {
+			t.Fatalf("Backend %q should load: %v", kind, err)
+		}
+		if sc.Backend != kind {
+			t.Fatalf("Backend %q loaded as %q", kind, sc.Backend)
+		}
+		q := quickScenario(1)
+		q.Backend = kind
+		b, err := NewBackend(q, Policies()[0])
+		if err != nil {
+			t.Fatalf("NewBackend with Backend %q: %v", kind, err)
+		}
+		if _, ok := b.(*backend.Simulated); !ok {
+			t.Fatalf("NewBackend with Backend %q = %T, want *backend.Simulated", kind, b)
+		}
+	}
+	_, err := LoadScenario(strings.NewReader(`{"Name":"x","Backend":"live",` + region + `}`))
+	if !errors.Is(err, ErrUnknownBackend) || !strings.Contains(err.Error(), `"live"`) {
+		t.Fatalf("LoadScenario with Backend \"live\": got %v, want ErrUnknownBackend naming it", err)
+	}
+	q := quickScenario(1)
+	q.Backend = "live"
+	for name, build := range map[string]func() error{
+		"NewBackend": func() error { _, err := NewBackend(q, Policies()[0]); return err },
+		"NewManager": func() error { _, err := NewManager(q, Policies()[0]); return err },
+	} {
+		if err := build(); !errors.Is(err, ErrUnknownBackend) || !strings.Contains(err.Error(), `"live"`) {
+			t.Fatalf("%s with Backend \"live\": got %v, want ErrUnknownBackend naming it", name, err)
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
-
-	"repro/internal/simclock"
+	"sync/atomic"
 )
 
 // This file is the parallel experiment runner: a bounded worker pool that
@@ -51,25 +51,31 @@ type Options struct {
 	Workers int
 }
 
-// ForEach runs fn(0..n-1) on a pool of bounded workers and blocks until every
-// started call returned.  A cancelled context stops new work from being
-// handed out (calls already in flight complete); ForEach then returns the
-// context's error.  Errors returned by fn are collected and joined, they do
-// not cancel the remaining work.
+// ForEach runs fn(0..n-1) on up to workers goroutines (GOMAXPROCS when
+// workers <= 0, never more than n) and blocks until every started call
+// returned.  With one worker the calls run inline on the caller's goroutine
+// in index order.  Indices are handed out through an atomic counter, so a
+// worker that finishes a cheap job picks up the next one.  A cancelled
+// context stops new work from being handed out (calls already in flight
+// complete); an index claimed after cancellation returns without calling
+// fn, and ForEach then returns the context's error.  Errors returned by fn
+// are collected and joined; they do not cancel the remaining work.
 //
-// The fan-out itself is simclock.ForEach — the same bounded worker pool the
-// engine's control-tick parallel phase uses — with the context and
-// error-collection semantics layered on top: every index is still claimed
-// exactly once, but an index claimed after cancellation returns without
-// calling fn.
+// It is the job-level fan-out (sweeps, policy runs, the trainer); the
+// simulation's own per-shard phases run on the event loop's worker pool
+// (simclock.ShardedEngine).
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 
 	var mu sync.Mutex
 	var errs []error
-	simclock.ForEach(n, workers, func(i int) {
+	call := func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -78,7 +84,25 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 			errs = append(errs, err)
 			mu.Unlock()
 		}
-	})
+	}
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			call(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					call(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 
 	// A cancelled context does not swallow failures that happened before the
 	// cancellation: both are joined into the returned error.

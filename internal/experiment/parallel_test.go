@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -184,6 +186,48 @@ func TestRunParallelContextCancellation(t *testing.T) {
 	}
 	if undispatched == 0 {
 		t.Fatalf("a pre-cancelled context should leave jobs undispatched")
+	}
+}
+
+func TestForEachCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		const n = 100
+		var hits [n]atomic.Int32
+		err := ForEach(context.Background(), n, workers, func(i int) error {
+			hits[i].Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: ForEach: %v", workers, err)
+		}
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times, want 1", workers, i, got)
+			}
+		}
+	}
+}
+
+func TestForEachSequentialRunsInOrder(t *testing.T) {
+	var order []int
+	err := ForEach(context.Background(), 5, 1, func(i int) error {
+		order = append(order, i)
+		return nil
+	})
+	if err != nil || !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("sequential ForEach visited %v (err %v), want [0 1 2 3 4]", order, err)
+	}
+}
+
+func TestForEachZeroAndNegativeN(t *testing.T) {
+	called := false
+	for _, n := range []int{0, -3} {
+		if err := ForEach(context.Background(), n, 4, func(int) error { called = true; return nil }); err != nil {
+			t.Fatalf("ForEach(n=%d): %v", n, err)
+		}
+	}
+	if called {
+		t.Fatal("ForEach must not call fn for n <= 0")
 	}
 }
 

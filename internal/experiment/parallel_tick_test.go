@@ -18,10 +18,10 @@ import (
 // never fans out: figure3 and figure4 under every policy reproduce their
 // golden byte-pins (including the SHA-256 of every raw series) with
 // GOMAXPROCS raised to 4 and to the host's count.  The tick takes its
-// fan-out only from the event loop's workers (ShardedEngine.Workers);
-// simclock.ForEach and ShardedEngine both default to GOMAXPROCS when handed
-// 0, so this is the guard that no path at EventWorkers 0 picks the host's
-// core count up as a parallelism knob.  The fanned-out tick itself is pinned by
+// fan-out only from the event loop's worker pool (ShardedEngine.ParallelPhase);
+// ShardedEngine defaults to GOMAXPROCS workers when handed 0, so this is the
+// guard that no path at EventWorkers 0 picks the host's core count up as a
+// parallelism knob.  The fanned-out tick itself is pinned by
 // the event-loop equivalence suite (TestEventLoopWorkersEquivalence,
 // TestMegaregionEventLoopEquivalence).  The figure regions are single-shard;
 // the multi-shard half of the guard is TestFigureShardedParallelEquivalence

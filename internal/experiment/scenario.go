@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/acm"
@@ -38,9 +39,10 @@ type Scenario struct {
 	// ConvergenceTolerance is the relative RMTTF spread below which the
 	// regions are considered converged (0.3 when zero).
 	ConvergenceTolerance float64
-	// Backend selects which backend.Backend implementation realises the
-	// deployment ("" and "sim" both select the simulator).  Plain string so
-	// scenarios stay JSON round-trippable.
+	// Backend names the implementation that realises the deployment: ""
+	// and "sim" both select the simulator, the only one; any other value
+	// is rejected with ErrUnknownBackend.  Kept so scenario files that
+	// carry the key still load.
 	Backend string
 }
 
@@ -80,39 +82,55 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// NewBackend builds a fresh deployment from the scenario and the policy,
-// through the backend seam (the scenario's Backend field picks the
-// implementation; the simulator by default).  The policy is cloned first, so
-// callers may reuse one NamedPolicy across concurrent runs even for stateful
-// policies such as Policy 3.  A Scenario is plain data and every deployment
-// built from one owns all of its state, so any number of them can be built
-// from the same scenario and run concurrently.  The one exception is an
-// Overlay set in code: it is a pointer, and those deployments share it.
-func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
-	sc = sc.withDefaults()
-	cfg := sc.Config
-	cfg.Policy = core.ClonePolicy(np.Policy)
-	b, err := backend.New(sc.Backend, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: scenario %s policy %s: %w", sc.Name, np.Key, err)
+// ErrUnknownBackend is returned for a scenario whose Backend is neither ""
+// nor "sim", the simulator; no other backend exists.
+var ErrUnknownBackend = errors.New("experiment: unknown backend")
+
+// checkBackend rejects a Backend other than the simulator.
+func (s Scenario) checkBackend() error {
+	if s.Backend != "" && s.Backend != "sim" {
+		return fmt.Errorf("%w %q in scenario %q (only \"sim\" exists)", ErrUnknownBackend, s.Backend, s.Name)
 	}
-	return b, nil
+	return nil
 }
 
-// NewManager builds a fresh simulated deployment from the scenario and the
-// policy.  It goes through the backend seam and unwraps the simulator, so the
-// equivalence and determinism suites can keep scheduling through the engine;
-// scenarios selecting a non-simulator backend must use NewBackend instead.
-func NewManager(sc Scenario, np NamedPolicy) (*acm.Manager, error) {
-	b, err := NewBackend(sc, np)
+// NewBackend builds a fresh deployment from the scenario and the policy.
+// The policy is cloned first, so callers may reuse one NamedPolicy across
+// concurrent runs even for stateful policies such as Policy 3.  A Scenario
+// is plain data and every deployment built from one owns all of its state,
+// so any number of them can be built from the same scenario and run
+// concurrently.  The one exception is an Overlay set in code: it is a
+// pointer, and those deployments share it.
+func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
+	sim, err := newSimulated(sc, np)
 	if err != nil {
 		return nil, err
 	}
-	sim, ok := b.(*backend.Simulated)
-	if !ok {
-		return nil, fmt.Errorf("experiment: scenario %s selects backend %q, which is not the simulator", sc.Name, sc.Backend)
+	return sim, nil
+}
+
+// NewManager is NewBackend unwrapped to the simulator, so the equivalence
+// and determinism suites can keep scheduling through the engine.
+func NewManager(sc Scenario, np NamedPolicy) (*acm.Manager, error) {
+	sim, err := newSimulated(sc, np)
+	if err != nil {
+		return nil, err
 	}
 	return sim.Manager(), nil
+}
+
+func newSimulated(sc Scenario, np NamedPolicy) (*backend.Simulated, error) {
+	if err := sc.checkBackend(); err != nil {
+		return nil, err
+	}
+	sc = sc.withDefaults()
+	cfg := sc.Config
+	cfg.Policy = core.ClonePolicy(np.Policy)
+	sim, err := backend.NewSimulated(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: scenario %s policy %s: %w", sc.Name, np.Key, err)
+	}
+	return sim, nil
 }
 
 // RegionNames returns the region names of the scenario in order.

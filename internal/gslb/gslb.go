@@ -745,9 +745,6 @@ type Table struct {
 	rows     []simclock.Weights // latency policy: per-stream weights over eligible
 }
 
-// Mode returns the policy kind of the snapshot.
-func (t *Table) Mode() PolicyKind { return t.mode }
-
 // Eligible returns the serving region indices, preference-ordered.
 func (t *Table) Eligible() []int { return append([]int(nil), t.eligible...) }
 

@@ -16,8 +16,8 @@
 //     hook performed becomes a mailbox post.
 //   - The periodic control tick runs on the control timeline at its exact
 //     interval, with exclusive access to all shards, exactly as before; its
-//     per-shard monitor/analyze phase fans out over the event loop's workers
-//     (ShardedEngine.Workers) via ParallelPhase.
+//     per-shard monitor/analyze phase runs on the event loop's worker pool
+//     (ShardedEngine.ParallelPhase).
 package pcam
 
 import (
@@ -42,7 +42,7 @@ func (v *VMC) StartSharded(se *simclock.ShardedEngine, engines []*simclock.Engin
 	}
 	v.started = true
 	v.se = se
-	v.shardEngines = engines
+	v.shardPhase = func(s int) { v.shardTick(v.tickNow, s) }
 	v.shardRRs = make([]int, len(engines))
 	v.forwards = newForwardPool(se.NumShards() + 1)
 	se.OnBarrier(v.forwards.handBack)
@@ -57,8 +57,8 @@ func (v *VMC) StartSharded(se *simclock.ShardedEngine, engines []*simclock.Engin
 // on: the VM's shard sub-engine when the controller runs sharded, otherwise
 // the engine in hand (a standalone engine).
 func (v *VMC) engineForVM(eng *simclock.Engine, vm *cloudsim.VM) *simclock.Engine {
-	if v.shardEngines != nil {
-		return v.shardEngines[vm.ShardIndex()]
+	if v.se != nil {
+		return v.region.ShardEngine(vm.ShardIndex())
 	}
 	return eng
 }
@@ -74,11 +74,11 @@ func (v *VMC) hookVMSharded(vm *cloudsim.VM) {
 		if prev != nil {
 			prev(failed, at)
 		}
-		src := v.shardEngines[failed.ShardIndex()]
+		src := v.region.ShardEngine(failed.ShardIndex())
 		v.se.PostControl(src, func(ctrl *simclock.Engine) {
 			v.stats.ReactiveRecoveries++
 			v.activateStandby(ctrl)
-			failed.RecoverFromFailure(v.shardEngines[failed.ShardIndex()])
+			failed.RecoverFromFailure(src)
 		})
 	}
 }
@@ -124,7 +124,8 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 // completion travels back there.  Timers and posts both carry a pooled
 // forward, so no path allocates per request.
 func (v *VMC) Send(eng *simclock.Engine, shard int, req *cloudsim.Request, sendAt simclock.Time) {
-	if v.shardEngines[shard] == eng {
+	dst := v.region.ShardEngine(shard)
+	if dst == eng {
 		if sendAt > eng.Now() {
 			eng.ScheduleAt(sendAt, v.forwards.get(v.se.LaneOf(eng), forward{vmc: v, shard: shard, req: req, sendAt: sendAt}))
 		} else {
@@ -135,7 +136,7 @@ func (v *VMC) Send(eng *simclock.Engine, shard int, req *cloudsim.Request, sendA
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.
 		req.Trace.Event(tracing.EventMailbox, eng.Now(),
-			fmt.Sprintf("lane=%d->%d", v.se.LaneOf(eng), v.se.LaneOf(v.shardEngines[shard])))
+			fmt.Sprintf("lane=%d->%d", v.se.LaneOf(eng), v.se.LaneOf(dst)))
 	}
 	v.post(eng, shard, req, sendAt, 0)
 }
@@ -146,7 +147,7 @@ func (v *VMC) post(eng *simclock.Engine, shard int, req *cloudsim.Request, sendA
 		req.Home = eng
 	}
 	f := v.forwards.get(v.se.LaneOf(eng), forward{vmc: v, shard: shard, req: req, sendAt: sendAt, hops: hops})
-	v.se.PostEvent(eng, v.se.LaneOf(v.shardEngines[shard]), f)
+	v.se.PostEvent(eng, v.se.LaneOf(v.region.ShardEngine(shard)), f)
 }
 
 // forward is a request in flight to one shard of a VMC, due there at sendAt

@@ -241,13 +241,18 @@ type VMC struct {
 	scratch     []shardScratch
 	elastActive []*cloudsim.VM
 
-	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine, the
-	// sub-engine of each region shard, and each shard's load-balancer
-	// round-robin cursor.  All nil/empty when the controller runs on a
-	// standalone engine (Start).
-	se           *simclock.ShardedEngine
-	shardEngines []*simclock.Engine
-	shardRRs     []int
+	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine and
+	// each shard's load-balancer round-robin cursor; the sub-engine of each
+	// region shard is the region's binding (Region.ShardEngine).  All
+	// nil/empty when the controller runs on a standalone engine (Start).
+	se       *simclock.ShardedEngine
+	shardRRs []int
+
+	// shardPhase is the control tick's per-shard phase as handed to
+	// ShardedEngine.ParallelPhase, built once in StartSharded so that a tick
+	// allocates nothing; it reads tickNow, written before the phase.
+	shardPhase func(s int)
+	tickNow    simclock.Time
 
 	// forwards recycles the events that carry requests to the region across
 	// lanes or over a delay (Send): one free list per lane of the sharded
@@ -457,11 +462,11 @@ type shardScratch struct {
 //     transitions schedule engine events, so this cannot run concurrently).
 //  2. Per-shard phase: every shard samples its own ACTIVE VMs, predicts
 //     their RTTF and sorts its rejuvenation candidates worst-first, writing
-//     only to its shardScratch.  When the VMC runs sharded (StartSharded) on
-//     an event loop with more than one worker, the shards run on that many
-//     goroutines (simclock.Engine.ParallelPhase); otherwise — the serial
-//     engine included — they run inline in shard-index order, the same code
-//     path, so the sequential configuration is a true fast path, not a fork.
+//     only to its shardScratch.  When the VMC runs sharded (StartSharded),
+//     the phase is the event loop's simclock.ShardedEngine.ParallelPhase:
+//     on the loop's worker pool when it has more than one worker, otherwise
+//     inline in shard-index order.  On a standalone engine (Start) the same
+//     per-shard code runs in a plain loop in shard-index order.
 //  3. Barrier + serial merge: the per-shard partials are folded in
 //     shard-index order into the region RMTTF, the about-to-fail VMs are
 //     rejuvenated (worst first within each shard) and the elasticity actions
@@ -490,8 +495,9 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 		v.scratch = append(v.scratch, make([]shardScratch, numShards-len(v.scratch))...)
 	}
 	now := eng.Now()
-	if v.se != nil && v.se.Workers() > 1 && numShards > 1 {
-		eng.ParallelPhase(numShards, v.se.Workers(), func(s int) { v.shardTick(now, s) })
+	if v.se != nil {
+		v.tickNow = now
+		v.se.ParallelPhase(numShards, v.shardPhase)
 	} else {
 		for s := 0; s < numShards; s++ {
 			v.shardTick(now, s)

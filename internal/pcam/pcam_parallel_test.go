@@ -3,6 +3,7 @@ package pcam
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -115,11 +116,11 @@ func TestControlTickParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestControlTickParallelPhaseEngaged verifies the tick routes through the
-// engine's parallel phase exactly when it runs sharded on more than one
-// event-loop worker: never on a standalone engine, never inline on one worker.
-// The predictor observes Engine.InParallelPhase from inside the per-shard
-// phase.
+// TestControlTickParallelPhaseEngaged verifies the tick's per-shard phase
+// runs on the event loop's worker pool exactly when it runs sharded on more
+// than one worker: never on a standalone engine, never on one worker.  The
+// pool exists only inside ShardedEngine.Run, so the tick is driven through
+// Run, and the predictor records whether it ran off Run's goroutine.
 func TestControlTickParallelPhaseEngaged(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -128,17 +129,22 @@ func TestControlTickParallelPhaseEngaged(t *testing.T) {
 	}{{"standalone", 0, false}, {"sharded/1", 1, false}, {"sharded/4", 4, true}} {
 		const shards = 4
 		region := shardedRegion(3, shards, 8, 4)
-		var eng *simclock.Engine
-		var sawParallel atomic.Bool
+		runG := goroutineID()
+		var calls, offRun atomic.Int32
 		pred := PredictorFunc(func(vm *cloudsim.VM, sample features.Vector) float64 {
-			if eng.InParallelPhase() {
-				sawParallel.Store(true)
+			calls.Add(1)
+			if goroutineID() != runG {
+				offRun.Add(1)
 			}
 			return OraclePredictor{}.PredictRTTF(vm, sample)
 		})
 		vmc := newTestVMC(t, region, pred, Config{ElasticityEnabled: false})
+		interval := vmc.Config().ControlInterval
+		var err error
 		if tc.workers == 0 {
-			eng = simclock.NewEngine(3)
+			eng := simclock.NewEngine(3)
+			vmc.Start(eng)
+			err = eng.Run(interval)
 		} else {
 			se := simclock.NewShardedEngine(shards, 3, 0, tc.workers)
 			engines := make([]*simclock.Engine, shards)
@@ -146,11 +152,46 @@ func TestControlTickParallelPhaseEngaged(t *testing.T) {
 				engines[s] = se.Shard(s)
 			}
 			vmc.StartSharded(se, engines)
-			eng = se.Control()
+			err = se.Run(interval)
 		}
-		vmc.ControlTick(eng)
-		if sawParallel.Load() != tc.want {
-			t.Fatalf("%s: predictor ran inside a parallel phase = %v, want %v", tc.name, sawParallel.Load(), tc.want)
+		vmc.Stop()
+		if err != nil && err != simclock.ErrHorizonReached {
+			t.Fatalf("%s: Run: %v", tc.name, err)
 		}
+		if vmc.Stats().ControlTicks != 1 || calls.Load() == 0 {
+			t.Fatalf("%s: %d ticks made %d predictions, want one tick that predicts", tc.name, vmc.Stats().ControlTicks, calls.Load())
+		}
+		if got := offRun.Load() > 0; got != tc.want {
+			t.Fatalf("%s: predictor ran on a pool worker = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's number, read from the header
+// line of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestControlTickShardedAllocatesNothing pins that a sharded VMC's tick,
+// with its per-shard phase handed to ShardedEngine.ParallelPhase, reuses
+// its scratch and its phase function instead of allocating per tick.
+func TestControlTickShardedAllocatesNothing(t *testing.T) {
+	const shards = 4
+	se := simclock.NewShardedEngine(shards, 5, 0, 1)
+	vmc := newTestVMC(t, shardedRegion(5, shards, 8, 4), OraclePredictor{}, Config{ElasticityEnabled: false})
+	engines := make([]*simclock.Engine, shards)
+	for s := range engines {
+		engines[s] = se.Shard(s)
+	}
+	vmc.StartSharded(se, engines)
+	vmc.ControlTick(se.Control()) // sizes the per-shard scratch buffers
+	if allocs := testing.AllocsPerRun(20, func() { vmc.ControlTick(se.Control()) }); allocs != 0 {
+		t.Fatalf("a sharded control tick allocates %.1f times, want 0", allocs)
+	}
+	if st := vmc.Stats(); st.ProactiveRejuvenations != 0 || st.Activations != 0 {
+		t.Fatalf("idle ticks changed the pool: %+v", st)
 	}
 }

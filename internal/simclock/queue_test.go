@@ -252,9 +252,10 @@ func TestScheduleAtRejectsNaN(t *testing.T) {
 	}
 }
 
-// TestQueueBitKeyOrder pins the two edges of the bit-pattern key: -0 is
+// TestQueueBitKeyOrder pins the edges of the bit-pattern key: -0 is
 // scheduled as +0 (its sign bit would otherwise sort it after every finite
-// time), and +Inf sorts after every finite time.
+// time), +Inf sorts after every finite time, and a negative time never
+// reaches the queue.
 func TestQueueBitKeyOrder(t *testing.T) {
 	eng := NewEngine(1)
 	var got []int
@@ -278,12 +279,15 @@ func TestQueueBitKeyOrder(t *testing.T) {
 	if math.Signbit(float64(negZeroNow)) {
 		t.Fatal("an event scheduled at -0 fired at -0, want +0")
 	}
-	mustPanic(t, "before zero", func() {
-		neg := NewEngine(1)
-		neg.ScheduleAt(1, EventFunc(func(*Engine) {}))
-		_ = neg.Run(-2) // the clock stops at the negative horizon
-		neg.ScheduleAt(-1, EventFunc(func(*Engine) {}))
-	})
+	// A negative horizon leaves the clock at zero, so a negative time
+	// clamps to +0 like any time in the past.
+	neg := NewEngine(1)
+	neg.ScheduleAt(1, EventFunc(func(*Engine) {}))
+	_ = neg.Run(-2)
+	neg.ScheduleAt(-1, EventFunc(func(*Engine) {}))
+	if pt := neg.PendingTimes(); len(pt) != 2 || pt[0] != 0 || math.Signbit(float64(pt[0])) || pt[1] != 1 {
+		t.Fatalf("pending after a schedule at -1 = %v, want [0 1]", pt)
+	}
 }
 
 // TestQueueCapacityGuards sets the sequence counter next to its 2^40 limit

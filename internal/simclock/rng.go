@@ -141,12 +141,6 @@ func (r *RNG) SkipNormal() {
 	r.Uint64()
 }
 
-// LogNormal returns a log-normally distributed value parameterised by the
-// mean and standard deviation of the underlying normal.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto-distributed value with scale xm and shape alpha,
 // commonly used for heavy-tailed think times and request sizes.
 func (r *RNG) Pareto(xm, alpha float64) float64 {

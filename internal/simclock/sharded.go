@@ -63,9 +63,9 @@ type ShardedEngine struct {
 	// allocates nothing.
 	outbox [][][]Event
 
-	// inShardPhase is set while the shard loops run on goroutines; together
-	// with each sub-engine's executing flag it powers the cross-shard
-	// scheduling guard in Engine.ScheduleAt.
+	// inShardPhase is set while a shard phase runs — an epoch's shard loops
+	// or a ParallelPhase; together with each engine's executing flag it
+	// powers the cross-shard scheduling guard in Engine.ScheduleAt.
 	inShardPhase atomic.Bool
 
 	drainedPosts uint64
@@ -84,6 +84,14 @@ type ShardedEngine struct {
 	// test, overrides the pick; the selector is still fed.
 	fan         fanOutSelector
 	forceFanOut func() fanOutMode
+
+	// pool is Run's worker pool while Run runs with more than one worker
+	// (nil otherwise); the epochs' shard phases and ParallelPhase share it.
+	// runShard, the epoch's work for the pool, is built once, so a pooled
+	// epoch allocates nothing; it reads epochEnd, written before the phase.
+	pool     *shardPool
+	runShard func(i int)
+	epochEnd Time
 }
 
 // NewShardedEngine builds n sub-engines with RNG streams derived from seed
@@ -99,6 +107,7 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 		epoch = DefaultEpoch
 	}
 	se := &ShardedEngine{epoch: epoch, workers: workers}
+	se.runShard = func(i int) { se.shards[i].runEpoch(se.epochEnd) }
 	se.fan.startTrial()
 	se.shards = make([]*Engine, n)
 	for i := range se.shards {
@@ -120,8 +129,8 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 // Workers returns the number of goroutines the shard phase may run on: the
 // configured count (GOMAXPROCS when <= 0), capped at the shard count.  It is
 // an upper bound: with more than one worker, Run still runs an epoch inline
-// when that measures cheaper (fanout.go).  The control tick fans its
-// per-shard phase out over the same count.
+// when that measures cheaper (fanout.go).  ParallelPhase, the control
+// tick's per-shard phase, runs on the same pool.
 func (se *ShardedEngine) Workers() int {
 	workers := se.workers
 	if workers <= 0 {
@@ -276,24 +285,25 @@ func (se *ShardedEngine) shardsFired() uint64 {
 	return total
 }
 
-// shardPool is the persistent worker pool of one Run: a lockstep run crosses
-// thousands of epoch barriers, so spawning fresh goroutines per epoch (as
-// ForEach does) would pay the spawn cost at every barrier.  The pool's
-// workers live for the whole run and pull shard indices off a channel —
-// work-stealing, like ForEach — with a WaitGroup as the per-epoch barrier.
+// shardPool is the persistent worker pool of one Run, and the only code in
+// the package that starts goroutines: a lockstep run crosses thousands of
+// epoch barriers and control ticks, so spawning fresh goroutines per phase
+// would pay the spawn cost at every one.  The pool's workers live for the
+// whole run and pull indices off a channel — work stealing, so an uneven
+// cost across indices does not serialise a phase — with a WaitGroup as the
+// phase barrier.
 type shardPool struct {
-	se   *ShardedEngine
-	work chan int
+	work chan int // buffered to the shard count, so an epoch's sends never wait
 	wg   sync.WaitGroup
-	end  Time // epoch end; written before the sends of an epoch, read by workers after the receive
+	fn   func(i int) // the phase's work; written before the sends of a phase, read by workers after the receive
 }
 
-func newShardPool(se *ShardedEngine, workers int) *shardPool {
-	p := &shardPool{se: se, work: make(chan int, len(se.shards))}
+func newShardPool(workers, depth int) *shardPool {
+	p := &shardPool{work: make(chan int, depth)}
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range p.work {
-				p.se.shards[i].runEpoch(p.end)
+				p.fn(i)
 				p.wg.Done()
 			}
 		}()
@@ -301,18 +311,49 @@ func newShardPool(se *ShardedEngine, workers int) *shardPool {
 	return p
 }
 
-// runEpoch fans one epoch out to the pool and blocks until every shard's
-// loop has reached tEnd.
-func (p *shardPool) runEpoch(tEnd Time) {
-	p.end = tEnd
-	p.wg.Add(len(p.se.shards))
-	for i := range p.se.shards {
+// run calls fn(0), ..., fn(n-1) on the pool's workers and blocks until every
+// call has returned.
+func (p *shardPool) run(n int, fn func(i int)) {
+	p.fn = fn
+	p.wg.Add(n)
+	for i := 0; i < n; i++ {
 		p.work <- i
 	}
 	p.wg.Wait()
 }
 
 func (p *shardPool) close() { close(p.work) }
+
+// ParallelPhase runs fn(0), ..., fn(n-1) from a handler at an epoch barrier
+// (the control tick's per-shard phase) and returns only when every call has
+// completed.  With Run's pool and n > 1 the calls run on the pool's workers;
+// otherwise (one worker, or a call made outside Run) they run inline in
+// index order.  The simulated clock stands still and no other event fires
+// during the phase, so fn may read any engine's Now; the calls must touch
+// disjoint state, and results go to per-index state the caller merges in
+// index order afterwards, so the merged output is independent of goroutine
+// scheduling.  The phase counts as a shard phase with no engine executing,
+// so ScheduleAt's cross-shard guard rejects a schedule onto any engine of
+// the cluster, and a nested phase panics.
+func (se *ShardedEngine) ParallelPhase(n int, fn func(i int)) {
+	if se.inShardPhase.Load() {
+		panic("simclock: ParallelPhase inside a parallel phase")
+	}
+	executing := se.control.executing.Load()
+	se.inShardPhase.Store(true)
+	se.control.executing.Store(false)
+	defer func() {
+		se.control.executing.Store(executing)
+		se.inShardPhase.Store(false)
+	}()
+	if se.pool != nil && n > 1 {
+		se.pool.run(n, fn)
+		return
+	}
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
 
 // Run executes the lockstep epoch loop until the horizon: each epoch runs
 // every shard's local queue up to the epoch end — inline, or on up to the
@@ -331,8 +372,12 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 	workers := se.Workers()
 	var pool *shardPool
 	if workers > 1 {
-		pool = newShardPool(se, workers)
-		defer pool.close()
+		pool = newShardPool(workers, len(se.shards))
+		se.pool = pool
+		defer func() {
+			se.pool = nil
+			pool.close()
+		}()
 	}
 	// Flight-recorder scratch: cumulative counters sampled before each epoch
 	// so the barrier can record per-epoch deltas.
@@ -373,7 +418,8 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		}
 		se.inShardPhase.Store(true)
 		if mode == fanPool {
-			pool.runEpoch(tEnd)
+			se.epochEnd = tEnd
+			pool.run(len(se.shards), se.runShard)
 		} else {
 			for i := range se.shards {
 				se.shards[i].runEpoch(tEnd)

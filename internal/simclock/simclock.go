@@ -186,17 +186,11 @@ type Engine struct {
 	// a busy prefix and an idle tail (sharded.go, flight.go).
 	lastFiredAt Time
 
-	// inParallelPhase is set while ParallelPhase (barrier.go) fans shard-local
-	// work out to goroutines; scheduling is rejected during that window so a
-	// handler that violates the shard-local contract fails loudly instead of
-	// corrupting the event queue.
-	inParallelPhase bool
-
 	// cluster and shardIndex are set when the engine is a sub-engine (or the
 	// control timeline) of a ShardedEngine (sharded.go).  executing is true
 	// while the engine's own loop is running events; together with the
 	// cluster's inShardPhase flag it lets ScheduleAt reject cross-shard
-	// scheduling during a parallel epoch.
+	// scheduling during a shard phase (an epoch's or a ParallelPhase).
 	cluster    *ShardedEngine
 	shardIndex int
 	executing  atomic.Bool
@@ -256,14 +250,12 @@ func (e *Engine) ScheduleFunc(d Duration, fn func(*Engine)) Handle {
 // ScheduleAt enqueues ev to fire at the absolute simulated time at.  Times in
 // the past are clamped to Now so causality is preserved; a NaN time panics.
 func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
-	if e.inParallelPhase {
-		panic("simclock: Schedule during a parallel phase (parallel-phase work must be shard-local; schedule from the merge phase instead)")
-	}
 	if e.cluster != nil && e.cluster.inShardPhase.Load() && !e.executing.Load() {
-		// A goroutine of the parallel epoch is scheduling onto an engine
-		// whose own loop is idle — i.e. onto a foreign shard (or the control
-		// timeline).  Cross-shard effects must go through the mailbox.
-		panic("simclock: Schedule on a foreign sub-engine during a parallel epoch (post to its mailbox instead)")
+		// A shard phase is scheduling onto an engine whose own loop is idle:
+		// a foreign shard or the control timeline during an epoch, any
+		// engine during a ParallelPhase.  Cross-shard effects must go
+		// through the mailbox, a phase's effects through its merge.
+		panic("simclock: Schedule on a foreign sub-engine during a parallel phase (post to its mailbox, or schedule from the merge after the phase)")
 	}
 	if at < e.now {
 		at = e.now
@@ -297,16 +289,12 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	return Handle{eng: e, slot: i, gen: e.slots[i].gen}
 }
 
-// checkTime vets an event time that is not positive: it panics on NaN,
-// which has no place in the queue's order, and on a time before zero, which
-// only a clock run to a negative horizon can produce; it maps -0 to +0,
-// whose bits sort first.
+// checkTime vets an event time that is not positive after clamping to Now,
+// which never runs below zero: it panics on NaN, which has no place in the
+// queue's order, and maps -0 to +0, whose bits sort first.
 func checkTime(at Time) Time {
-	switch {
-	case at != at:
+	if at != at {
 		panic("simclock: Schedule at a NaN time")
-	case at < 0:
-		panic("simclock: Schedule at a time before zero")
 	}
 	return 0
 }
@@ -438,7 +426,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // horizon is exceeded, or Stop is called.  It returns ErrHorizonReached when
 // the horizon cut the run short — a live event is pending past it — and nil
 // otherwise; cancelled events past the horizon are discarded, as
-// ShardedEngine.Run ignores them.
+// ShardedEngine.Run ignores them.  The clock stops at the horizon, or stays
+// where it is when the horizon lies before Now: it never moves backwards.
 func (e *Engine) Run(horizon Duration) error {
 	e.horizon = Time(horizon)
 	e.stopped = false
@@ -449,7 +438,9 @@ func (e *Engine) Run(horizon Duration) error {
 				e.fireNext() // a cancelled event past the horizon is not work left
 				continue
 			}
-			e.now = e.horizon
+			if e.now < e.horizon {
+				e.now = e.horizon
+			}
 			return ErrHorizonReached
 		}
 		e.fireNext()

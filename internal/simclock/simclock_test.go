@@ -57,6 +57,32 @@ func TestEngineHorizon(t *testing.T) {
 	}
 }
 
+// TestEngineRunNeverMovesClockBackwards pins that a horizon before Now
+// leaves the clock where it is: Run still reports ErrHorizonReached for the
+// event pending past it, and a later Schedule lands after Now instead of
+// before zero.
+func TestEngineRunNeverMovesClockBackwards(t *testing.T) {
+	eng := NewEngine(1)
+	eng.ScheduleFunc(10, func(*Engine) {})
+	eng.ScheduleFunc(20, func(*Engine) {})
+	if err := eng.Run(15); err != ErrHorizonReached || eng.Now() != 15 {
+		t.Fatalf("Run(15) = %v at %v, want ErrHorizonReached at 15", err, eng.Now())
+	}
+	if err := eng.Run(5); err != ErrHorizonReached || eng.Now() != 15 {
+		t.Fatalf("Run(5) = %v at %v, want ErrHorizonReached with the clock left at 15", err, eng.Now())
+	}
+
+	fresh := NewEngine(1)
+	fresh.ScheduleFunc(1, func(*Engine) {})
+	if err := fresh.Run(-1); err != ErrHorizonReached || fresh.Now() != 0 {
+		t.Fatalf("Run(-1) on a fresh engine = %v at %v, want ErrHorizonReached at 0", err, fresh.Now())
+	}
+	fresh.ScheduleFunc(0.5, func(*Engine) {}) // panicked "before zero" when Run(-1) set the clock to -1
+	if got := fresh.PendingTimes(); len(got) != 2 || got[0] != 0.5 || got[1] != 1 {
+		t.Fatalf("pending after Run(-1) = %v, want [0.5 1]", got)
+	}
+}
+
 func TestEngineCancel(t *testing.T) {
 	eng := NewEngine(1)
 	fired := false

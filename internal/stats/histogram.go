@@ -51,9 +51,6 @@ func (h *Histogram) Reset() {
 	h.sum, h.count = 0, 0
 }
 
-// Bounds returns the upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // Counts returns a copy of the per-bin counts; the last entry is the +Inf
 // overflow bin.
 func (h *Histogram) Counts() []uint64 {
