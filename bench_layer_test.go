@@ -138,27 +138,27 @@ const (
 // benchIssuer is one issuing lane of the cross-lane benchmark, its own issue
 // event: it Sends a pooled request and reschedules itself until left runs out.
 type benchIssuer struct {
-	vmc   *pcam.VMC
-	shard int
-	pool  cloudsim.RequestPool
-	left  int
-	done  func(cloudsim.Outcome)
+	region *cloudsim.Region
+	shard  int
+	pool   cloudsim.RequestPool
+	left   int
+	done   func(cloudsim.Outcome)
 }
 
 // Fire implements simclock.Event.
 func (is *benchIssuer) Fire(e *simclock.Engine) {
 	req := is.pool.Get()
 	req.ServiceFactor, req.Arrival, req.OnDone, req.ReturnLeg = 1, e.Now(), is.done, benchOneWay
-	is.vmc.Send(e, is.shard, req, e.Now().Add(benchOneWay))
+	is.region.Send(e, is.shard, req, e.Now().Add(benchOneWay))
 	if is.left--; is.left > 0 {
 		e.Schedule(benchIssueGap, is)
 	}
 }
 
 // BenchmarkCrossLaneForward is the event loop's cross-lane path: one op
-// forwards benchForwards requests (pcam.VMC.Send), serves them on the remote
-// lanes and brings every completion home — forward post, barrier drain,
-// remote service, home post, drain.  The VMs inject no anomalies, so no VM
+// forwards benchForwards requests (cloudsim.Region.Send), serves them on the
+// remote lanes and brings every completion home — forward post, barrier
+// drain, remote service, home post, drain.  The VMs inject no anomalies, so no VM
 // fails and every unit is a full round trip.
 func BenchmarkCrossLaneForward(b *testing.B) {
 	se := simclock.NewShardedEngine(2*benchLanes, 42, simclock.DefaultEpoch, 1)
@@ -184,7 +184,7 @@ func BenchmarkCrossLaneForward(b *testing.B) {
 	completed := 0
 	issuers := make([]*benchIssuer, benchLanes)
 	for g := range issuers {
-		is := &benchIssuer{vmc: vmc, shard: g}
+		is := &benchIssuer{region: region, shard: g}
 		is.done = func(o cloudsim.Outcome) {
 			if !o.Dropped {
 				completed++

@@ -128,7 +128,7 @@ func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 			id := uint64(j)
 			shard := j % shards
 			engines[shard].ScheduleFunc(at, func(e *simclock.Engine) {
-				vmc.SubmitShard(e, shard, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now(),
+				region.SubmitShard(e, shard, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now(),
 					OnDone: func(o cloudsim.Outcome) {
 						if !o.Dropped {
 							served[shard]++

@@ -168,7 +168,7 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 		return err
 	}
 	if explicit["hours"] {
-		if err := requirePositive("hours", hours); err != nil {
+		if err := cli.RequirePositive("hours", hours); err != nil {
 			return err
 		}
 		m.Horizon = simclock.Duration(hours) * simclock.Hour
@@ -177,20 +177,11 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 	return experiment.RunSweepAndEmit(context.Background(), m, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
-// requirePositive rejects a zero, negative or NaN value of a duration flag,
-// which would otherwise run no simulated time or fall back to a default.
-func requirePositive(flagName string, v float64) error {
-	if !(v > 0) {
-		return fmt.Errorf("-%s must be > 0, got %v", flagName, v)
-	}
-	return nil
-}
-
 func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
-	if err := requirePositive("hours", hours); err != nil {
+	if err := cli.RequirePositive("hours", hours); err != nil {
 		return err
 	}
-	if err := requirePositive("interval", intervalS); err != nil {
+	if err := cli.RequirePositive("interval", intervalS); err != nil {
 		return err
 	}
 	np, err := experiment.PolicyByKey(policyKey)

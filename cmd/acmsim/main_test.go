@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -63,10 +64,11 @@ func controllerCounterRegions(report string) []string {
 }
 
 // TestRunRejectsNonPositiveDurations: a zero or negative -hours would run
-// no simulated time, and a zero or negative -interval would silently run
-// the 60 s default, so both fail by flag name.  Every call also passes
-// -dump-config, so a run that wrongly accepts the value writes the scenario
-// and returns instead of simulating.
+// no simulated time, a zero or negative -interval would silently run the
+// 60 s default, and an infinite -hours would panic in the event loop, so
+// all of them fail by flag name.  Every call also passes -dump-config, so a
+// run that wrongly accepts the value writes the scenario and returns instead
+// of simulating.
 func TestRunRejectsNonPositiveDurations(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "scenario.json")
 	for _, tc := range []struct {
@@ -75,8 +77,10 @@ func TestRunRejectsNonPositiveDurations(t *testing.T) {
 	}{
 		{"hours", 0, 60},
 		{"hours", -1, 60},
+		{"hours", math.Inf(1), 60},
 		{"interval", 2, 0},
 		{"interval", 2, -5},
+		{"interval", 2, math.Inf(1)},
 	} {
 		explicit := map[string]bool{"scenario": true, "dump-config": true, tc.flag: true}
 		err := run("1,3", "320,128", "", -1, "policy2", "oracle", "browsing", tc.hours, 1, 0.5, tc.interval,

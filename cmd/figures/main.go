@@ -99,6 +99,9 @@ func main() {
 // pipeline (experiment.RunSweep), with checkpointed resume and CSV/JSON row
 // output.
 func runMatrix(sweep *cli.SweepFlags, seed uint64, horizonHours float64) error {
+	if err := cli.RequirePositive("horizon", horizonHours); err != nil {
+		return err
+	}
 	m, err := sweep.Matrix(seed)
 	if err != nil {
 		return err
@@ -111,6 +114,9 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, horizonHours float64) error {
 }
 
 func run(figure int, policy string, summary bool, ablation string, seed uint64, horizonHours float64, csvDir string, cohortClients int, tracerFraction float64, tracerSet bool, workers int) error {
+	if err := cli.RequirePositive("horizon", horizonHours); err != nil {
+		return err
+	}
 	horizon := simclock.Duration(horizonHours) * simclock.Hour
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

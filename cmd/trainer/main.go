@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/cloudsim"
 	"repro/internal/experiment"
 	"repro/internal/f2pm"
@@ -50,6 +51,14 @@ func main() {
 }
 
 func run(instance string, vms int, rate float64, failures int, sampleS float64, model string, seed uint64, datasetPath string) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"vms", float64(vms)}, {"rate", rate}, {"failures", float64(failures)}, {"sample", sampleS}} {
+		if err := cli.RequirePositive(f.name, f.v); err != nil {
+			return err
+		}
+	}
 	if instance == "all" {
 		return runAll(vms, rate, failures, sampleS, model, seed, datasetPath)
 	}

@@ -254,11 +254,11 @@ type gslbObs struct {
 // gslbDispatcher returns lane g's director-facing entry point, built per
 // population stream: the routing table snapshot picks the destination
 // region, a lane-local RNG stream picks the destination shard, and
-// pcam.VMC.Send delivers the request — through the mailbox, homed on this
-// lane, when it crosses lanes, exactly like the plan-forwarding dispatcher,
-// so byte-identical output for every worker count is preserved.  Every
-// stream's dispatcher shares the lane's RNG and round-robin cursor.  On a
-// latency-aware deployment the dispatcher also simulates the stream→region
+// cloudsim.Region.Send delivers the request — through the mailbox, homed on
+// this lane, when it crosses lanes, exactly like the plan-forwarding
+// dispatcher, so byte-identical output for every worker count is preserved.
+// Every stream's dispatcher shares the lane's RNG and round-robin cursor.  On
+// a latency-aware deployment the dispatcher also simulates the stream→region
 // round trip (half outbound, half on the client-visible completion) and taps
 // every completion into this lane's observation buffer for the director's
 // passive latency learning.
@@ -284,13 +284,13 @@ func (el *eventLoop) gslbRoute(g, stream int, rng *simclock.RNG, rr *uint64, eng
 		req.Trace.Event(tracing.EventGSLBRoute, eng.Now(),
 			fmt.Sprintf("region=%s lane=%d", m.regionNames[ri], g))
 	}
-	dvmc := m.vmcs[ri]
+	dst := m.regions[ri]
 	ds := 0
-	if n := m.regions[ri].NumShards(); n > 1 {
+	if n := dst.NumShards(); n > 1 {
 		ds = rng.Intn(n)
 	}
 	if !el.latAware {
-		dvmc.Send(eng, ds, req, eng.Now())
+		dst.Send(eng, ds, req, eng.Now())
 		return
 	}
 
@@ -320,7 +320,7 @@ func (el *eventLoop) gslbRoute(g, stream int, rng *simclock.RNG, rr *uint64, eng
 			prev(o)
 		}
 	}
-	dvmc.Send(eng, ds, req, eng.Now().Add(oneWay))
+	dst.Send(eng, ds, req, eng.Now().Add(oneWay))
 }
 
 // flushGSLBObs drains every lane's observation buffer into its home
@@ -455,14 +455,14 @@ func shardPrefix(region string, s int) string {
 func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 	m := el.mgr
 	g := el.base[r] + s
-	vmc := m.vmcs[r]
+	region := m.regions[r]
 	rng := simclock.NewStreamRNG(m.cfg.Seed^hashString(m.regionNames[r]), uint64(s))
 	net := m.net.View(m.regionNames)
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
 		dr, ok := m.forwardLeg(eng, req, m.plan, net, r, rng.Float64())
 		if !ok {
 			el.local[g]++
-			vmc.SubmitShard(eng, s, req)
+			region.SubmitShard(eng, s, req)
 			return
 		}
 		el.forwarded[g]++
@@ -470,7 +470,7 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 		if n := m.regions[dr].NumShards(); n > 1 {
 			ds = rng.Intn(n)
 		}
-		m.vmcs[dr].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
+		m.regions[dr].Send(eng, ds, req, eng.Now().Add(req.ReturnLeg))
 	})
 }
 

@@ -160,18 +160,9 @@ func (m *Manager) validateGlobal() error {
 		// Overlapping outages on one region would interleave their
 		// force/restore pairs: the earlier fault's restore would end the
 		// later outage early and the later restore would reinstate a stale
-		// target.  Back-to-back faults (one starting the instant the other
-		// restores) are rejected too — the engine's same-timestamp FIFO
-		// order would run the second force before the first restore.
+		// target.
 		for j, g := range cfg.Faults[:i] {
-			if g.Region != f.Region {
-				continue
-			}
-			first, second := g, f
-			if second.At < first.At {
-				first, second = second, first
-			}
-			if first.Duration == 0 || second.At <= first.At+first.Duration {
+			if g.Region == f.Region && windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
 				return validate.Fieldf("acm", "Faults", "%d and %d overlap on region %s (a permanent fault conflicts with any later one)", j, i, f.Region)
 			}
 		}
@@ -205,14 +196,7 @@ func (m *Manager) validateGlobal() error {
 		// Like region faults, overlapping degradations of one path would
 		// interleave their scale/restore pairs and reinstate stale values.
 		for j, g := range cfg.LinkFaults[:i] {
-			if g.Stream != f.Stream || g.Region != f.Region {
-				continue
-			}
-			first, second := g, f
-			if second.At < first.At {
-				first, second = second, first
-			}
-			if first.Duration == 0 || second.At <= first.At+first.Duration {
+			if g.Stream == f.Stream && g.Region == f.Region && windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
 				return validate.Fieldf("acm", "LinkFaults", "%d and %d overlap on %s:%s (a permanent fault conflicts with any later one)", j, i, f.Stream, f.Region)
 			}
 		}
@@ -283,16 +267,37 @@ func (m *Manager) validateGossip() error {
 		// The plane holds one partition state, so concurrent splits would
 		// interleave their Isolate/Heal pairs like overlapping region faults.
 		for j, g := range cfg.PartitionFaults[:i] {
-			first, second := g, f
-			if second.At < first.At {
-				first, second = second, first
-			}
-			if first.Duration == 0 || second.At <= first.At+first.Duration {
+			if windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
 				return validate.Fieldf("acm", "PartitionFaults", "%d and %d overlap (a permanent partition conflicts with any later one)", j, i)
 			}
 		}
 	}
 	return nil
+}
+
+// windowsOverlap reports whether two scripted faults on one target, each
+// starting at At and restored Duration later (never, for a zero Duration),
+// conflict.  A permanent fault conflicts with any later one.  Back-to-back
+// faults (one starting the instant the other restores) conflict too: the
+// engine's same-timestamp FIFO order would run the second start before the
+// first restore.
+func windowsOverlap(aAt, aDur, bAt, bDur simclock.Duration) bool {
+	if bAt < aAt {
+		aAt, aDur, bAt = bAt, bDur, aAt
+	}
+	return aDur == 0 || bAt <= aAt+aDur
+}
+
+// scheduleWindow arms one scripted fault on the control timeline: start runs
+// at `at` and returns the restore, which runs dur later.  A zero dur makes
+// the fault permanent, and its restore never runs.
+func (m *Manager) scheduleWindow(at, dur simclock.Duration, start func() (restore func())) {
+	m.eng.ScheduleFunc(at, func(e *simclock.Engine) {
+		restore := start()
+		if dur > 0 {
+			e.ScheduleFunc(dur, func(*simclock.Engine) { restore() })
+		}
+	})
 }
 
 // globalStreamNames returns the director's population streams in deployment
@@ -366,15 +371,10 @@ func (m *Manager) scheduleLinkFaults() {
 		streamIndex[s] = i
 	}
 	for _, f := range m.cfg.LinkFaults {
-		f := f
 		s, r := streamIndex[f.Stream], m.regionIndex[f.Region]
-		m.eng.ScheduleFunc(f.At, func(e *simclock.Engine) {
+		m.scheduleWindow(f.At, f.Duration, func() func() {
 			prev := m.el.scaleLinkRTT(s, r, f.Factor)
-			if f.Duration > 0 {
-				e.ScheduleFunc(f.Duration, func(*simclock.Engine) {
-					m.el.setLinkRTT(s, r, prev)
-				})
-			}
+			return func() { m.el.setLinkRTT(s, r, prev) }
 		})
 	}
 }
@@ -383,14 +383,9 @@ func (m *Manager) scheduleLinkFaults() {
 // control timeline.
 func (m *Manager) schedulePartitionFaults() {
 	for _, f := range m.cfg.PartitionFaults {
-		f := f
-		m.eng.ScheduleFunc(f.At, func(e *simclock.Engine) {
+		m.scheduleWindow(f.At, f.Duration, func() func() {
 			m.plane.Isolate(f.Replicas)
-			if f.Duration > 0 {
-				e.ScheduleFunc(f.Duration, func(*simclock.Engine) {
-					m.plane.Heal()
-				})
-			}
+			return m.plane.Heal
 		})
 	}
 }
@@ -398,15 +393,10 @@ func (m *Manager) schedulePartitionFaults() {
 // scheduleFaults arms the scripted region outages on the control timeline.
 func (m *Manager) scheduleFaults() {
 	for _, f := range m.cfg.Faults {
-		f := f
 		vmc := m.VMC(f.Region)
-		m.eng.ScheduleFunc(f.At, func(e *simclock.Engine) {
+		m.scheduleWindow(f.At, f.Duration, func() func() {
 			restore := vmc.ForceTargetActive(f.KeepActive)
-			if f.Duration > 0 {
-				e.ScheduleFunc(f.Duration, func(*simclock.Engine) {
-					vmc.RestoreTargetActive(restore)
-				})
-			}
+			return func() { vmc.RestoreTargetActive(restore) }
 		})
 	}
 }

@@ -135,6 +135,22 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GossipReplicas = 1
 			c.PartitionFaults = []PartitionFault{{At: simclock.Minute, Replicas: []int{0}}}
 		}, "acm: PartitionFaults requires GossipReplicas >= 2"},
+		{"overlapping partitions", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 3
+			c.PartitionFaults = []PartitionFault{
+				{At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, Replicas: []int{0}},
+				{At: 5 * simclock.Minute, Duration: 6 * simclock.Minute, Replicas: []int{2}},
+			}
+		}, "acm: PartitionFaults 0 and 1 overlap"},
+		{"back-to-back partitions", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
+			c.GossipReplicas = 3
+			c.PartitionFaults = []PartitionFault{
+				{At: 10 * simclock.Minute, Duration: 5 * simclock.Minute, Replicas: []int{0}},
+				{At: 15 * simclock.Minute, Duration: 5 * simclock.Minute, Replicas: []int{1}},
+			}
+		}, "acm: PartitionFaults 0 and 1 overlap"},
 		{"negative gossip fanout", func(c *Config) {
 			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
 			c.GossipReplicas = 3

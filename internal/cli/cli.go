@@ -1,17 +1,30 @@
-// Package cli holds the flag surface cmd/acmsim and cmd/figures share: the
-// matrix-sweep flag set (-scenarios/-policies/-betas/-reps/-workers and the
-// sweep output flags) and the -rtt round-trip-matrix parser.  One definition
-// means the two CLIs cannot drift apart in names, defaults or error text.
+// Package cli holds the flag surface the commands share: the matrix-sweep
+// flag set of cmd/acmsim and cmd/figures (-scenarios/-policies/-betas/-reps/
+// -workers and the sweep output flags), the -rtt round-trip-matrix parser
+// and the check every numeric flag that must be positive goes through.  One
+// definition means the CLIs cannot drift apart in names, defaults or error
+// text.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiment"
 )
+
+// RequirePositive rejects a zero, negative, infinite or NaN value of a
+// numeric flag by name: zero or NaN would run no simulated time or fall back
+// to a default, and an infinite one would never end.
+func RequirePositive(flagName string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-%s must be > 0 and finite, got %v", flagName, v)
+	}
+	return nil
+}
 
 // SweepFlags is the matrix-sweep flag set after registration; values are
 // live after fs.Parse.

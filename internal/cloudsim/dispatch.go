@@ -1,8 +1,12 @@
 package cloudsim
 
 import (
+	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/simclock"
+	"repro/internal/tracing"
 )
 
 // idleLoad is the load slot of a VM that is not ACTIVE: larger than any queue
@@ -84,6 +88,99 @@ func (r *Region) PickShortestInShard(i, rr int) *VM {
 		return nil
 	}
 	return sh.vms[slot]
+}
+
+// SubmitShard is the shard-local load balancer of a region on a sharded
+// event loop: the request is dispatched to the ACTIVE VM of the given shard
+// with the shortest queue, ties broken by the shard's round-robin cursor.
+// Call it on the shard's own lane.  When the shard has no ACTIVE VM the
+// request hops to the next shard through its mailbox, never by touching the
+// foreign shard directly, and is dropped once every shard has been tried.
+// With one shard this is the whole-pool shortest-queue balancer.
+func (r *Region) SubmitShard(eng *simclock.Engine, shard int, req *Request) {
+	r.submit(eng, r.shards[shard], req, 0)
+}
+
+// submit is SubmitShard for a request that has already found hops shards
+// empty.
+func (r *Region) submit(eng *simclock.Engine, sh *shard, req *Request, hops int) {
+	if len(sh.ix.active) == 0 {
+		if hops+1 >= len(r.shards) {
+			req.Finish(eng, Outcome{Request: req, Region: r.cfg.Name, Start: eng.Now(), End: eng.Now(), Dropped: true})
+			return
+		}
+		next := r.shards[(sh.index+1)%len(r.shards)]
+		if req.Trace != nil {
+			// Guarded so the detail string is only built for sampled requests.
+			req.Trace.Event(tracing.EventShardHop, eng.Now(),
+				fmt.Sprintf("region=%s shard=%d hops=%d", r.cfg.Name, next.index, hops+1))
+		}
+		r.post(eng, next, req, eng.Now(), hops+1)
+		return
+	}
+	sh.rr++
+	sh.vms[sh.ix.pick(sh.rr)].Dispatch(eng, req)
+}
+
+// Send is the one way a request reaches a shard of a region bound to a
+// sharded event loop, from any lane: req, in hand on engine eng, is
+// submitted to the shard at `at`, the end of its one-way trip.  On the
+// shard's own lane that is a direct submission or a timer.  From another
+// lane the request rides the mailbox, arriving at `at` or at the delivering
+// barrier if that is later, and its home becomes eng's lane unless it
+// already has one, so its completion travels back there.  Either way the
+// request is its own event (arrival), so no path allocates.
+func (r *Region) Send(eng *simclock.Engine, shard int, req *Request, at simclock.Time) {
+	sh := r.shards[shard]
+	if sh.engine == eng {
+		if at > eng.Now() {
+			req.startTrip(at, 0)
+			eng.ScheduleAt(at, (*arrival)(req))
+		} else {
+			r.submit(eng, sh, req, 0)
+		}
+		return
+	}
+	if req.Trace != nil {
+		// Guarded so the detail string is only built for sampled requests.
+		se := eng.Cluster()
+		req.Trace.Event(tracing.EventMailbox, eng.Now(),
+			fmt.Sprintf("lane=%d->%d", se.LaneOf(eng), se.LaneOf(sh.engine)))
+	}
+	r.post(eng, sh, req, at, 0)
+}
+
+// post sends req, due at `at` after hops empty shards, to the mailbox lane
+// of sh's engine.
+func (r *Region) post(eng *simclock.Engine, sh *shard, req *Request, at simclock.Time, hops int) {
+	if req.Home == nil {
+		req.Home = eng
+	}
+	req.startTrip(at, hops)
+	se := eng.Cluster()
+	se.PostEvent(eng, se.LaneOf(sh.engine), (*arrival)(req))
+}
+
+// arrival is a request on its way to a shard, seen as its own event.  It
+// fires on the destination shard's engine, delivered from the mailbox at a
+// barrier or from a timer, and finds the shard as the engine's owner
+// (BindShardEngines).  On its first firing it reschedules itself for any
+// latency still outstanding; it submits on its second firing
+// unconditionally, since now + (due - now) can miss the due time by one ulp.
+type arrival Request
+
+// Fire implements simclock.Event.
+func (a *arrival) Fire(eng *simclock.Engine) {
+	req := (*Request)(a)
+	if !req.delayed {
+		req.delayed = true
+		if remaining := req.end.Sub(eng.Now()); remaining > 0 {
+			eng.Schedule(remaining, a)
+			return
+		}
+	}
+	sh := eng.Owner().(*shard)
+	sh.region.submit(eng, sh, req, int(req.hops))
 }
 
 // setState is the one funnel every lifecycle transition goes through, so the

@@ -74,9 +74,13 @@ type Region struct {
 	next   int            // counter for provisioned VM IDs
 }
 
+// MaxShards is the most shards a region may have: a request hopping off
+// empty shards counts its hops in 16 bits (Request.hops).
+const MaxShards = 1 << 16
+
 // NewRegion builds the region's initial VM pool.  Active VMs are activated
 // immediately (activation latency is irrelevant before the simulation
-// starts).
+// starts).  More than MaxShards shards panics.
 //
 // With Shards <= 1 the provided rng drives every VM fork directly, exactly as
 // the unsharded engine did.  With Shards > 1 a base seed is drawn from rng
@@ -85,17 +89,20 @@ type Region struct {
 // each other's consumption.
 func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	cfg = cfg.withDefaults()
+	if cfg.Shards > MaxShards {
+		panic(fmt.Sprintf("cloudsim: region %s: %d shards, more than MaxShards (%d)", cfg.Name, cfg.Shards, MaxShards))
+	}
 	if rng == nil {
 		rng = simclock.NewRNG(7)
 	}
 	r := &Region{cfg: cfg, byID: map[string]*VM{}}
 	r.shards = make([]*shard, cfg.Shards)
 	if cfg.Shards == 1 {
-		r.shards[0] = &shard{index: 0, rng: rng}
+		r.shards[0] = &shard{region: r, index: 0, rng: rng}
 	} else {
 		base := rng.Uint64()
 		for i := range r.shards {
-			r.shards[i] = &shard{index: i, rng: simclock.NewRNG(simclock.DeriveSeed(base, uint64(i)))}
+			r.shards[i] = &shard{region: r, index: i, rng: simclock.NewRNG(simclock.DeriveSeed(base, uint64(i)))}
 		}
 	}
 	for i := 0; i < cfg.InitialActive+cfg.InitialStandby; i++ {

@@ -31,9 +31,12 @@ type Request struct {
 	// than its entry region by the global forward plan.
 	Forwarded bool
 	// released marks a request in a RequestPool's free list, homeward one
-	// whose outcome is parked on it on the way home (finish); the five bools
-	// share one word.
-	released, homeward, parkedDropped, parkedRegion bool
+	// whose outcome is parked on it on the way home (finish), delayed one
+	// on a trip to a shard (arrival) that has waited out its latency.  The
+	// bools and hops fill the word Forwarded starts.
+	released, homeward, parkedDropped, parkedRegion, delayed bool
+	// hops counts the empty shards a trip to a shard has hopped off.
+	hops uint16
 	// Batch is the number of client interactions this request stands for.
 	// Cohort-compressed populations submit one request per counted batch of
 	// statistically identical interactions; a VM serves the batch back to
@@ -66,7 +69,8 @@ type Request struct {
 
 	// vm and start are set while the request is in service: the request is
 	// then its own completion event (vm.go).  On the way home start, end and
-	// parkedName hold the parked outcome's Start, End and VM or Region.
+	// parkedName hold the parked outcome's Start, End and VM or Region.  On
+	// a trip to a shard, before either, end holds the trip's due time.
 	vm         *VM
 	start, end simclock.Time
 	parkedName string
@@ -188,6 +192,12 @@ func (r *Request) Finish(eng *simclock.Engine, o Outcome) {
 		r.parkedName = o.Region
 	}
 	se.PostEvent(eng, home, (*homeCompletion)(r))
+}
+
+// startTrip resets the request's trip state for a trip to a shard due at
+// `at` after hops empty shards, so nothing of an earlier trip survives.
+func (r *Request) startTrip(at simclock.Time, hops int) {
+	r.end, r.delayed, r.hops = at, false, uint16(hops)
 }
 
 // done runs OnDone, clearing it first.

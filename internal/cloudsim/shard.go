@@ -20,11 +20,13 @@ import (
 // streams are independent of each other and of the provisioning order of the
 // other shards, which keeps multi-shard runs deterministic.
 type shard struct {
+	region *Region
 	index  int
 	rng    *simclock.RNG
 	vms    []*VM            // this shard's VMs, in provisioning order
 	engine *simclock.Engine // sub-engine owning this shard's events (nil = standalone engine)
 	ix     dispatchIndex    // queue lengths and ACTIVE slots, kept current by the VMs
+	rr     int              // SubmitShard's round-robin cursor, touched only on the shard's lane
 }
 
 // Concurrency: a shard's accessors (byState, appendByState, countState,
@@ -137,15 +139,22 @@ func (r *Region) NumShards() int { return len(r.shards) }
 // BindShardEngines attaches one sub-engine per shard, enabling the parallel
 // event loop: controllers use the binding to route a VM's timed transitions
 // (rejuvenation completion, activation) to the engine that owns the VM's
-// shard.  The slice length must match NumShards.  Unbound regions (one
-// standalone engine) report nil from ShardEngine and callers fall back to
-// the engine in hand.
+// shard, and Send and SubmitShard reach a shard on its own lane.  Each
+// engine becomes its shard's (simclock.Engine.SetOwner), which is how a
+// request arriving on the lane finds the shard; an engine owned by another
+// shard panics.  The slice length must match NumShards.  Unbound regions
+// (one standalone engine) report nil from ShardEngine and callers fall back
+// to the engine in hand.
 func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 	if len(engs) != len(r.shards) {
 		panic(fmt.Sprintf("cloudsim: BindShardEngines got %d engines for %d shards", len(engs), len(r.shards)))
 	}
 	for i, sh := range r.shards {
+		if o := engs[i].Owner(); o != nil && o != sh {
+			panic(fmt.Sprintf("cloudsim: BindShardEngines: engine of shard %d of region %s already runs another shard", i, r.cfg.Name))
+		}
 		sh.engine = engs[i]
+		engs[i].SetOwner(sh)
 	}
 }
 

@@ -6,10 +6,11 @@
 // VM to predict its Remaining Time To Failure at runtime, and whenever the
 // predicted RTTF of an ACTIVE VM drops below a threshold it sends an ACTIVATE
 // command to a STANDBY VM and a REJUVENATE command to the about-to-fail VM.
-// The VMC also hosts the region's load balancer, which spreads the incoming
-// client requests over the ACTIVE VMs, and implements the ADDVMS elasticity
-// action used by the closed control loop when the predicted response time
-// exceeds its threshold.
+// The VMC also implements the ADDVMS elasticity action used by the closed
+// control loop when the predicted response time exceeds its threshold.  On
+// a sharded event loop the region balances its own requests
+// (cloudsim.Region.SubmitShard and Send); Submit is the balancer of a
+// region on one standalone engine.
 package pcam
 
 import (
@@ -241,23 +242,16 @@ type VMC struct {
 	scratch     []shardScratch
 	elastActive []*cloudsim.VM
 
-	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine and
-	// each shard's load-balancer round-robin cursor; the sub-engine of each
-	// region shard is the region's binding (Region.ShardEngine).  All
-	// nil/empty when the controller runs on a standalone engine (Start).
-	se       *simclock.ShardedEngine
-	shardRRs []int
+	// se is the owning ShardedEngine (eventloop.go), nil when the
+	// controller runs on a standalone engine (Start); the sub-engine of each
+	// region shard is the region's binding (Region.ShardEngine).
+	se *simclock.ShardedEngine
 
 	// shardPhase is the control tick's per-shard phase as handed to
 	// ShardedEngine.ParallelPhase, built once in StartSharded so that a tick
 	// allocates nothing; it reads tickNow, written before the phase.
 	shardPhase func(s int)
 	tickNow    simclock.Time
-
-	// forwards recycles the events that carry requests to the region across
-	// lanes or over a delay (Send): one free list per lane of the sharded
-	// engine.
-	forwards forwardPool
 
 	// flight, when set, receives the control tick's phase timings (sim-time
 	// instants with deterministic item counts) for the engine flight recorder.

@@ -60,7 +60,7 @@ func runShardedTicks(t *testing.T, workers int) tickFingerprint {
 		id := uint64(i)
 		shard := i % shards
 		engines[shard].ScheduleFunc(at, func(e *simclock.Engine) {
-			vmc.SubmitShard(e, shard, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now()})
+			region.SubmitShard(e, shard, &cloudsim.Request{ID: id, ServiceFactor: 1, Arrival: e.Now()})
 		})
 	}
 	if err := se.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {

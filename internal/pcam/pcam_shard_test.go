@@ -2,7 +2,6 @@ package pcam
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -177,8 +176,9 @@ func TestControlTickShardedRejuvenation(t *testing.T) {
 }
 
 // sendHarness is a two-lane event loop whose lane 1 is the only shard of a
-// small region: lane 0 issues pooled requests and Sends them across, each
-// due oneWay after its issue and completing through done.
+// small region, bound by the VMC's StartSharded: lane 0 issues pooled
+// requests and Sends them across (cloudsim.Region.Send), each due oneWay
+// after its issue and completing through done.
 type sendHarness struct {
 	se        *simclock.ShardedEngine
 	vmc       *VMC
@@ -200,7 +200,7 @@ func newSendHarness(t *testing.T) *sendHarness {
 	h.issue = simclock.EventFunc(func(e *simclock.Engine) {
 		req := h.pool.Get()
 		req.ServiceFactor, req.Arrival, req.OnDone = 1, e.Now(), h.done
-		h.vmc.Send(e, 0, req, e.Now().Add(h.oneWay))
+		h.vmc.Region().Send(e, 0, req, e.Now().Add(h.oneWay))
 	})
 	return h
 }
@@ -216,9 +216,10 @@ func (h *sendHarness) run(d simclock.Duration) {
 	}
 }
 
-// TestSendArrivesAtSendAt: a forward reaches its shard at the delivering
-// barrier when its one-way trip ended within the epoch, and exactly at
-// sendAt when the trip outlasts the barrier; its completion comes home.
+// TestSendArrivesAtSendAt: a request sent across lanes reaches its shard at
+// the delivering barrier when its one-way trip ended within the epoch, and
+// exactly at its due time when the trip outlasts the barrier; its completion
+// comes home.
 func TestSendArrivesAtSendAt(t *testing.T) {
 	h := newSendHarness(t)
 	h.done = func(o cloudsim.Outcome) { h.outcomes = append(h.outcomes, o) }
@@ -240,8 +241,9 @@ func TestSendArrivesAtSendAt(t *testing.T) {
 }
 
 // TestSendRoundTripAllocatesNothing bounds the allocation cost of the
-// cross-lane path: once the lanes' forward pools are warm, a forward post,
-// the remote service and the completion's trip home allocate nothing.
+// cross-lane path: once the event queues and mailbox lanes have grown, the
+// request's trip out, its remote service and its completion's trip home
+// allocate nothing.
 func TestSendRoundTripAllocatesNothing(t *testing.T) {
 	h := newSendHarness(t)
 	h.oneWay = 30 * simclock.Millisecond
@@ -259,154 +261,5 @@ func TestSendRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if h.completed != 102 {
 		t.Fatalf("%d round trips completed, want 102", h.completed)
-	}
-}
-
-// TestForwardPoolAsymmetricTraffic sends from lane 0 to lane 1 only, for
-// 150 epochs after 300 epochs of warm-up.  Every forward is consumed on lane
-// 1, so the pool stays bounded only if each one goes back to lane 0 at a
-// barrier: left on lane 1, lane 0 would allocate a new forward per request
-// and lane 1's free list would grow without bound.  No list may hold more forwards than
-// lane 0 had requests in flight at its peak.
-func TestForwardPoolAsymmetricTraffic(t *testing.T) {
-	se := simclock.NewShardedEngine(2, 9, 100*simclock.Millisecond, 1)
-	vmc := newTestVMC(t, shardedRegion(9, 1, 4, 0), OraclePredictor{},
-		Config{ElasticityEnabled: false, ControlInterval: simclock.Hour})
-	p := &vmc.forwards
-	maxBack := 0
-	// Registered before StartSharded, so it runs ahead of the hand-back and
-	// sees the return lists at their fullest.
-	se.OnBarrier(func() {
-		for _, back := range p.back {
-			maxBack = max(maxBack, len(back))
-		}
-	})
-	vmc.StartSharded(se, []*simclock.Engine{se.Shard(1)})
-
-	var pool cloudsim.RequestPool
-	sent, home, peak := 0, 0, 0
-	done := func(o cloudsim.Outcome) {
-		home++
-		pool.Put(o.Request)
-	}
-	// Seven sends per 100 ms epoch, alternating short and long trips, so some
-	// forwards are consumed in the delivering drain and some a timer later.
-	const gap = 14 * simclock.Millisecond
-	var issue simclock.EventFunc
-	left := 0
-	issue = func(e *simclock.Engine) {
-		req := pool.Get()
-		req.ServiceFactor, req.Arrival, req.OnDone = 1, e.Now(), done
-		oneWay := 30 * simclock.Millisecond
-		if sent%2 == 1 {
-			oneWay = 130 * simclock.Millisecond
-		}
-		sent++
-		peak = max(peak, sent-home)
-		vmc.Send(e, 0, req, e.Now().Add(oneWay))
-		if left--; left > 0 {
-			e.Schedule(gap, issue)
-		}
-	}
-	var horizon simclock.Duration
-	epochs := func(n int) {
-		left = int(simclock.Duration(n) * 100 * simclock.Millisecond / gap)
-		se.Shard(0).Schedule(gap, issue)
-		horizon += simclock.Duration(n)*100*simclock.Millisecond + simclock.Second
-		if err := se.Run(horizon); err != nil && err != simclock.ErrHorizonReached {
-			t.Fatal(err)
-		}
-	}
-	epochs(150) // warm-up; AllocsPerRun runs a second warm-up batch itself
-	if allocs := testing.AllocsPerRun(1, func() { epochs(150) }); allocs != 0 {
-		t.Fatalf("150 epochs of one-way traffic allocate %.0f times after warm-up, want 0", allocs)
-	}
-	if home != sent || sent < 1000 {
-		t.Fatalf("%d of %d forwarded requests came home", home, sent)
-	}
-	if maxBack > peak {
-		t.Errorf("a return list held %d forwards, more than the peak %d in flight", maxBack, peak)
-	}
-	for lane, free := range p.free {
-		if lane != 0 && len(free) > 0 {
-			t.Errorf("lane %d sent nothing but holds %d free forwards", lane, len(free))
-		}
-	}
-	if n := len(p.free[0]); n == 0 || n > peak {
-		t.Errorf("lane 0 owns %d forwards, want 1..%d (its peak in flight)", n, peak)
-	}
-}
-
-// TestRecycledForwardStillReschedules: a forward whose previous trip was
-// rescheduled (delayed) and hopped is reused with every field reset, so a
-// long trip on it still waits out its latency on the destination lane.
-func TestRecycledForwardStillReschedules(t *testing.T) {
-	h := newSendHarness(t)
-	h.done = func(o cloudsim.Outcome) {
-		h.outcomes = append(h.outcomes, o)
-		h.pool.Put(o.Request)
-	}
-	h.oneWay = 130 * simclock.Millisecond
-	h.send(20 * simclock.Millisecond)
-	h.run(simclock.Second)
-	free := h.vmc.forwards.free[0]
-	if len(free) != 1 {
-		t.Fatalf("lane 0 owns %d free forwards after one trip, want 1", len(free))
-	}
-	f := free[0]
-	f.delayed, f.hops = true, 2 // as a delayed, hopped trip would leave it
-
-	h.send(20 * simclock.Millisecond)
-	h.run(simclock.Second)
-	if len(h.outcomes) != 2 {
-		t.Fatalf("%d completions came home, want 2", len(h.outcomes))
-	}
-	if got := h.vmc.forwards.free[0]; len(got) != 1 || got[0] != f {
-		t.Fatalf("the second trip did not reuse the first forward")
-	}
-	o := h.outcomes[1]
-	if want := simclock.Time(1.15); o.Dropped || math.Abs(float64(o.Start-want)) > 1e-9 {
-		t.Errorf("recycled trip: %+v, want served from %v, after its full latency", o, want)
-	}
-}
-
-// TestForwardPoolConcurrentLanes runs the cross-lane path on four worker
-// goroutines: lanes 0 and 1 each Send to their own shard of a region living
-// on lanes 2 and 3, so every lane takes or frees forwards during the same
-// shard phase.  Under -race this checks that each lane touches only its own
-// lists; the completions must match a one-worker run's.
-func TestForwardPoolConcurrentLanes(t *testing.T) {
-	run := func(workers int) []simclock.Time {
-		se := simclock.NewShardedEngine(4, 11, 100*simclock.Millisecond, workers)
-		vmc := newTestVMC(t, shardedRegion(11, 2, 8, 0), OraclePredictor{},
-			Config{ElasticityEnabled: false, ControlInterval: simclock.Hour})
-		vmc.StartSharded(se, []*simclock.Engine{se.Shard(2), se.Shard(3)})
-		ends := make([][]simclock.Time, 2) // ends[g] is appended on lane g only
-		for g := range ends {
-			var pool cloudsim.RequestPool
-			left := 500
-			done := func(o cloudsim.Outcome) {
-				ends[g] = append(ends[g], o.End)
-				pool.Put(o.Request)
-			}
-			var issue simclock.EventFunc
-			issue = func(e *simclock.Engine) {
-				req := pool.Get()
-				req.ServiceFactor, req.Arrival, req.OnDone = 1, e.Now(), done
-				vmc.Send(e, g, req, e.Now().Add(30*simclock.Millisecond))
-				if left--; left > 0 {
-					e.Schedule(7*simclock.Millisecond, issue)
-				}
-			}
-			se.Shard(g).Schedule(7*simclock.Millisecond, issue)
-		}
-		if err := se.Run(10 * simclock.Second); err != nil && err != simclock.ErrHorizonReached {
-			t.Fatal(err)
-		}
-		return append(ends[0], ends[1]...)
-	}
-	serial, parallel := run(1), run(4)
-	if len(serial) != 1000 || !slices.Equal(serial, parallel) {
-		t.Fatalf("1 worker: %d completions, 4 workers: %d; want 1000 identical", len(serial), len(parallel))
 	}
 }

@@ -71,7 +71,7 @@ func (s *fanOutSelector) startTrial() {
 func (s *fanOutSelector) next() fanOutMode { return s.mode }
 
 // observe records one epoch that ran in mode, took ns of host time from the
-// start of its shard phase to the end of its barrier hooks and fired events
+// start of its shard phase to the end of its mailbox drain and fired events
 // shard events.
 func (s *fanOutSelector) observe(mode fanOutMode, ns int64, events uint64) {
 	s.epochs[mode]++

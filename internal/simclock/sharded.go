@@ -70,10 +70,6 @@ type ShardedEngine struct {
 
 	drainedPosts uint64
 
-	// barrierHooks run serially at every barrier, after the mailbox drain
-	// and before the control events (OnBarrier).
-	barrierHooks []func()
-
 	// flight, when set, records per-epoch per-shard accounting at each
 	// barrier (flight.go).  Reads and writes happen only in the barrier
 	// context, so the recorder needs no synchronisation.
@@ -185,12 +181,6 @@ func (se *ShardedEngine) LaneOf(e *Engine) int {
 	}
 	return e.shardIndex
 }
-
-// OnBarrier registers fn to run at every epoch barrier of Run, after the
-// mailbox drain and before the due control events, while no shard loop runs.
-// Hooks run in registration order; this is where lane-owned state consumed
-// on other lanes is handed back to its owners.
-func (se *ShardedEngine) OnBarrier(fn func()) { se.barrierHooks = append(se.barrierHooks, fn) }
 
 // PostEvent defers ev to the next epoch barrier, where it fires with the dst
 // shard's engine (dst == NumShards() addresses the control timeline).  from
@@ -359,8 +349,7 @@ func (se *ShardedEngine) ParallelPhase(n int, fn func(i int)) {
 // every shard's local queue up to the epoch end — inline, or on up to the
 // configured number of goroutines (a persistent pool, spawned once per Run)
 // when the fan-out selector measures that cheaper — then, at the barrier,
-// drains the mailboxes, runs the OnBarrier hooks and fires the control
-// events that are due.  The epoch end is clamped to the next control
+// drains the mailboxes and fires the control events that are due.  The epoch end is clamped to the next control
 // event's timestamp, so control events never fire late.  Like Engine.Run it returns
 // ErrHorizonReached when live events remain beyond the horizon, and nil when
 // the system drained.
@@ -403,8 +392,8 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		// Shard phase: every sub-engine runs its own queue up to tEnd.  The
 		// loops never touch each other's state; cross-shard effects go
 		// through Post.  With a pool, the selector's measurement spans the
-		// shard phase, the drain and the barrier hooks: a pooled epoch's
-		// cache misses land in the drain.
+		// shard phase and the drain: a pooled epoch's cache misses land in
+		// the drain.
 		mode := fanInline
 		var start time.Time
 		var firedBefore uint64
@@ -437,9 +426,6 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		}
 		epochStart := se.now
 		se.drain()
-		for _, fn := range se.barrierHooks {
-			fn()
-		}
 		if pool != nil {
 			se.fan.observe(mode, time.Since(start).Nanoseconds(), se.shardsFired()-firedBefore)
 		} else {

@@ -194,6 +194,10 @@ type Engine struct {
 	cluster    *ShardedEngine
 	shardIndex int
 	executing  atomic.Bool
+
+	// owner is the model object the engine runs (SetOwner); simclock never
+	// reads it.
+	owner any
 }
 
 // NewEngine returns an engine starting at time zero with the given RNG seed.
@@ -209,6 +213,14 @@ func (e *Engine) ShardIndex() int { return e.shardIndex }
 // Cluster returns the ShardedEngine that owns the engine, nil for a
 // standalone engine.
 func (e *Engine) Cluster() *ShardedEngine { return e.cluster }
+
+// SetOwner attaches the model object the engine runs, so that an event
+// handler can find what it acts on from the engine firing it (a region shard
+// finds a request arriving on its lane this way).  simclock never reads it.
+func (e *Engine) SetOwner(v any) { e.owner = v }
+
+// Owner returns the value attached with SetOwner, nil when none.
+func (e *Engine) Owner() any { return e.owner }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

@@ -66,8 +66,8 @@ func Catalog() []SpanDesc {
 		{SpanRTTSend, KindSpan, "internal/acm", "Half-RTT geo leg from the client stream to the routed region, from the deployment's ground-truth RTT matrix."},
 		{SpanRTTReturn, KindSpan, "internal/acm", "Half-RTT geo leg home after service; the client observes completion at its end."},
 		{SpanForward, KindSpan, "internal/acm", "Inter-region overlay hop added when the forward plan sends the request away from its entry region."},
-		{EventMailbox, KindInstant, "internal/pcam", "Cross-lane submission (`VMC.Send`); the request is delivered on the destination engine lane at the next epoch barrier."},
-		{EventShardHop, KindInstant, "internal/pcam", "Intra-region hop to the next engine shard because the dispatch shard had no ACTIVE VM."},
+		{EventMailbox, KindInstant, "internal/cloudsim", "Cross-lane submission (`Region.Send`); the request is delivered on the destination engine lane at the next epoch barrier."},
+		{EventShardHop, KindInstant, "internal/cloudsim", "Intra-region hop to the next engine shard because the dispatch shard had no ACTIVE VM."},
 		{EventVMEnqueue, KindInstant, "internal/cloudsim", "Arrival in a VM queue; names the VM."},
 		{EventRehome, KindInstant, "internal/cloudsim", "Completion fired off the issuing lane: the outcome is parked on the request, which rides the mailbox home to run the completion callback there."},
 		{SpanQueue, KindSpan, "internal/tracing", "Synthesised VM queue wait: vm.enqueue to the outcome's service start."},
