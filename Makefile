@@ -10,6 +10,7 @@
 #   make lint        # golangci-lint (falls back to go vet when not installed)
 #   make docs        # regenerate docs/SCENARIOS.md + docs/METRICS.md + docs/TRACING.md from the registries
 #   make docs-check  # fail when generated docs are stale or links are dead
+#   make api-check   # fail when an exported function in internal/ has no non-test caller
 #   make metrics-lint # enforce Prometheus naming conventions on every family
 #   make bench-check # vet and test the reference benchmark module under bench/
 #   make loc         # net non-test Go LOC over internal/, cmd/ and examples/
@@ -29,9 +30,9 @@ BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-set bench-check docs docs-check metrics-lint loc fuzz
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-set bench-check docs docs-check api-check metrics-lint loc fuzz
 
-check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check
+check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check api-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -116,6 +117,15 @@ docs:
 docs-check:
 	$(GO) test ./internal/experiment/ -run 'TestScenariosDoc|TestScenariosMarkdown|TestMetricsDoc|TestMetricsMarkdown|TestTracingDoc|TestTracingMarkdown'
 	$(GO) run ./cmd/mdcheck README.md ROADMAP.md CHANGES.md PAPER.md docs/*.md
+
+# api-check is what the CI docs job runs to keep the exported surface of
+# internal/ to what the program calls: TestEveryExportHasAProgramCaller
+# type-checks internal/, cmd/, examples/ and bench/ and names every exported
+# function or method that only tests use.  Its file is left out of -race
+# builds, where the type checker is about five times slower, so the race
+# suite skips it and this target runs it.
+api-check:
+	$(GO) test -count=1 -run '^TestEveryExportHasAProgramCaller$$' .
 
 # metrics-lint walks every instrument family a deployment can register and
 # enforces the Prometheus naming conventions (valid names, counters ending in

@@ -103,7 +103,7 @@ func BenchmarkGSLBRoute(b *testing.B) {
 	routed := make([]int, len(regions))
 	runPerUnit(b, "route", benchRoutes, func() {
 		for i := 0; i < benchRoutes; i++ {
-			routed[table.Route(rng, &rr)]++
+			routed[table.RouteStream(0, rng, &rr)]++
 		}
 	})
 	if routed[0] == 0 || routed[1] == 0 || routed[2] == 0 {

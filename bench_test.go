@@ -87,7 +87,7 @@ func BenchmarkFigure3_QualitativeClaims(b *testing.B) {
 	sc.Horizon = benchHorizon
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		results, err := experiment.RunAllPolicies(sc)
+		results, err := experiment.RunPolicies(context.Background(), sc, experiment.Policies(), experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

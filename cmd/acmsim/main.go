@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -284,9 +285,10 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 	}
 	// -trace-sample overrides the span layer's sampling fraction the same way
 	// -tracer-fraction overrides cohort tracers: -1 (the default) keeps the
-	// scenario's own setting, anything outside [0, 1] is rejected by name.
+	// scenario's own setting, anything outside [0, 1] (NaN included) is
+	// rejected by name.
 	if explicit["trace-sample"] {
-		if traceSample < 0 || traceSample > 1 {
+		if math.IsNaN(traceSample) || traceSample < 0 || traceSample > 1 {
 			return fmt.Errorf("-trace-sample must be in [0, 1], got %v", traceSample)
 		}
 		scenario.TraceSampleFraction = traceSample
@@ -297,9 +299,10 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 	// -tracer-fraction overrides how much of every cohort population is
 	// simulated individually; it is a tuning knob like -beta, so it applies
 	// to loaded and registered scenarios too.  -1 (the default) keeps the
-	// scenario's own setting; anything outside [0, 1] is rejected by name.
+	// scenario's own setting; anything outside [0, 1] (NaN included) is
+	// rejected by name.
 	if explicit["tracer-fraction"] {
-		if tracerFraction < 0 || tracerFraction > 1 {
+		if math.IsNaN(tracerFraction) || tracerFraction < 0 || tracerFraction > 1 {
 			return fmt.Errorf("-tracer-fraction must be in [0, 1], got %v", tracerFraction)
 		}
 		scenario.TracerFraction = tracerFraction

@@ -91,6 +91,28 @@ func TestRunRejectsNonPositiveDurations(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaNFractions: NaN passes every range comparison, so a NaN
+// -tracer-fraction once simulated a cohort of no clients and a NaN
+// -trace-sample was only caught a layer later; both fail by flag name.
+// -dump-config makes an accepted value write the scenario and return.
+func TestRunRejectsNaNFractions(t *testing.T) {
+	dump := filepath.Join(t.TempDir(), "scenario.json")
+	for _, flag := range []string{"tracer-fraction", "trace-sample"} {
+		tracerFraction, traceSample := -1.0, -1.0
+		if flag == "tracer-fraction" {
+			tracerFraction = math.NaN()
+		} else {
+			traceSample = math.NaN()
+		}
+		explicit := map[string]bool{"scenario": true, "dump-config": true, flag: true}
+		err := run("1,3", "320,128", "", tracerFraction, "policy2", "oracle", "browsing", 0.01, 1, 0.5, 60,
+			0, -1, "", "", "", "", "", traceSample, "", "megaclients", dump, explicit)
+		if want := "-" + flag + " must be in [0, 1], got NaN"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-%s NaN: got error %v, want %q", flag, err, want)
+		}
+	}
+}
+
 // TestRunRejectsEventWorkersBelowKeep: -1 is the only negative
 // -event-workers value with a meaning (keep the scenario's setting), so any
 // value below it fails by flag name instead of silently running the

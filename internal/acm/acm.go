@@ -546,9 +546,6 @@ func (m *Manager) Cluster() *election.Cluster { return m.cluster }
 // Loop returns the leader-side control loop.
 func (m *Manager) Loop() *core.Loop { return m.loop }
 
-// Plan returns the currently installed forward plan.
-func (m *Manager) Plan() *core.ForwardPlan { return m.plan }
-
 // VMC returns the controller of the named region (nil when unknown).
 func (m *Manager) VMC(region string) *pcam.VMC {
 	i, ok := m.regionIndex[region]

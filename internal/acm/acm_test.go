@@ -42,7 +42,7 @@ func TestNewManagerValidation(t *testing.T) {
 	if m.VMC("region1") == nil || m.VMC("nope") != nil {
 		t.Fatalf("VMC lookup broken")
 	}
-	if m.Loop() == nil || m.Plan() == nil || m.Overlay() == nil || m.Cluster() == nil {
+	if m.Loop() == nil || m.plan == nil || m.Overlay() == nil || m.Cluster() == nil {
 		t.Fatalf("accessors should be non-nil after construction")
 	}
 	if m.Engine() == nil || m.Recorder() == nil || m.Metrics() == nil {
@@ -157,8 +157,8 @@ func TestManagerForwardsRequestsAcrossRegions(t *testing.T) {
 		t.Fatalf("some requests should still be processed locally")
 	}
 	// Forwarding shows up in the plan as a positive cross-region fraction.
-	if m.Plan().CrossRegionFraction() <= 0 {
-		t.Fatalf("cross-region fraction should be positive, plan:\n%s", m.Plan())
+	if m.plan.CrossRegionFraction() <= 0 {
+		t.Fatalf("cross-region fraction should be positive, plan:\n%s", m.plan)
 	}
 }
 

@@ -113,15 +113,21 @@ func (m *Manager) validateGlobal() error {
 	if cfg.CohortClients > 0 && !cfg.GSLB.Enabled() {
 		return validate.Fieldf("acm", "CohortClients", "= %d global cohort clients but no GSLB policy configured", cfg.CohortClients)
 	}
-	if cfg.TracerFraction < 0 || cfg.TracerFraction > 1 {
-		return validate.Fieldf("acm", "TracerFraction", "must be in [0, 1], got %v", cfg.TracerFraction)
+	if f := cfg.TracerFraction; math.IsNaN(f) || f < 0 || f > 1 {
+		return validate.Fieldf("acm", "TracerFraction", "must be in [0, 1], got %v", f)
 	}
 	if f := cfg.TraceSampleFraction; math.IsNaN(f) || f < 0 || f > 1 {
 		return validate.Fieldf("acm", "TraceSampleFraction", "must be in [0, 1], got %v", f)
 	}
+	if err := validateMix("GlobalMix", cfg.GlobalMix); err != nil {
+		return err
+	}
 	for i, rs := range cfg.Regions {
 		if rs.CohortClients < 0 {
 			return validate.Fieldf("acm", fmt.Sprintf("Regions[%d].CohortClients", i), "(%s) must be >= 0, got %d", rs.Region.Name, rs.CohortClients)
+		}
+		if err := validateMix(fmt.Sprintf("Regions[%d].Mix", i), rs.Mix); err != nil {
+			return err
 		}
 	}
 	seen := map[string]bool{}
@@ -141,6 +147,9 @@ func (m *Manager) validateGlobal() error {
 		}
 		if err := a.Rate.Validate(); err != nil {
 			return fmt.Errorf("acm: Arrivals[%d] (%s): %w", i, a.Name, err)
+		}
+		if err := validateMix(fmt.Sprintf("Arrivals[%d].Mix", i), a.Mix); err != nil {
+			return err
 		}
 		if a.Region == "" {
 			if !cfg.GSLB.Enabled() {
@@ -200,6 +209,18 @@ func (m *Manager) validateGlobal() error {
 				return validate.Fieldf("acm", "LinkFaults", "%d and %d overlap on %s:%s (a permanent fault conflicts with any later one)", j, i, f.Stream, f.Region)
 			}
 		}
+	}
+	return nil
+}
+
+// validateMix rejects an interaction mix a client population could not draw
+// from.  The zero-valued mix stands for the browsing mix.
+func validateMix(field string, mix workload.Mix) error {
+	if mix.Name == "" && len(mix.Entries) == 0 {
+		return nil
+	}
+	if err := mix.Validate(); err != nil {
+		return validate.Fieldf("acm", field, "is invalid: %v", err)
 	}
 	return nil
 }
@@ -426,20 +447,6 @@ func (m *Manager) GSLBRouted() map[string]uint64 {
 	totals := m.el.mergedGSLBRouted()
 	for i, name := range m.regionNames {
 		out[name] = totals[i]
-	}
-	return out
-}
-
-// GSLBRoutedPerLane returns the per-lane routed counters ([lane][region]),
-// the view that tells split-brain stories apart: each lane's row reflects
-// its home replica's view of the world.  Nil when GSLB is disabled.
-func (m *Manager) GSLBRoutedPerLane() [][]uint64 {
-	if m.plane == nil {
-		return nil
-	}
-	out := make([][]uint64, len(m.el.gslbRouted))
-	for g := range m.el.gslbRouted {
-		out[g] = append([]uint64(nil), m.el.gslbRouted[g]...)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package acm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -160,6 +161,45 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GSLB = latencyGSLB()
 			c.GossipReplicas = 2
 		}, "cannot run a latency-aware GSLB config"},
+		{"NaN tracer fraction", func(c *Config) { c.TracerFraction = math.NaN() }, "acm: TracerFraction must be in [0, 1], got NaN"},
+		// A zero-valued mix means browsing; any other mix must be drawable.
+		{"named region mix without entries", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "empty"}
+		}, `acm: Regions[0].Mix is invalid: workload: Mix.Entries of mix "empty" is empty`},
+		{"region mix without a name", func(c *Config) {
+			c.Regions[1].Mix = workload.Mix{Entries: []workload.Interaction{{Name: "home", Weight: 1, ServiceFactor: 1}}}
+		}, "acm: Regions[1].Mix is invalid: workload: Mix.Name is empty"},
+		{"mix entry without a name", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Weight: 1, ServiceFactor: 1}}}
+		}, "Mix.Entries[0].Name"},
+		{"negative mix weight", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{
+				{Name: "home", Weight: 1, ServiceFactor: 1}, {Name: "buy", Weight: -1, ServiceFactor: 1},
+			}}
+		}, "Mix.Entries[1].Weight (buy in mix \"m\") must be finite and >= 0, got -1"},
+		{"NaN mix weight", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: math.NaN(), ServiceFactor: 1}}}
+		}, "Mix.Entries[0].Weight"},
+		{"mix without a positive weight", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", ServiceFactor: 1}}}
+		}, "has no positive weight"},
+		{"negative mix service factor", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1, ServiceFactor: -3}}}
+		}, "Mix.Entries[0].ServiceFactor (home in mix \"m\") must be positive and finite, got -3"},
+		{"infinite mix service factor", func(c *Config) {
+			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1, ServiceFactor: math.Inf(1)}}}
+		}, "Mix.Entries[0].ServiceFactor"},
+		{"invalid global mix", func(c *Config) {
+			c.GSLB = gslb.Config{Policy: gslb.PolicyRoundRobin}
+			c.GlobalClients = 8
+			c.GlobalMix = workload.Mix{Name: "empty"}
+		}, "acm: GlobalMix is invalid"},
+		{"invalid arrival mix", func(c *Config) {
+			c.Arrivals = []ArrivalSetup{{
+				Name: "s", Region: "region1", Rate: workload.RateSpec{Kind: workload.RateConstant, Rate: 1},
+				Mix: workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1}}},
+			}}
+		}, "acm: Arrivals[0].Mix is invalid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

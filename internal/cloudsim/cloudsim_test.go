@@ -9,9 +9,8 @@ import (
 	"repro/internal/simclock"
 )
 
-func testVMConfig(id string) VMConfig {
-	return VMConfig{
-		ID:           id,
+func testVMConfig() *VMConfig {
+	return &VMConfig{
 		Type:         M3Medium,
 		Anomalies:    DefaultAnomalyProfile(),
 		Failure:      DefaultFailurePoint(),
@@ -22,7 +21,7 @@ func testVMConfig(id string) VMConfig {
 func newTestVM(t *testing.T, id string) (*simclock.Engine, *VM) {
 	t.Helper()
 	eng := simclock.NewEngine(42)
-	vm := NewVM(testVMConfig(id), eng.RNG().Fork())
+	vm := NewVM(id, testVMConfig(), eng.RNG().Fork())
 	return eng, vm
 }
 
@@ -144,8 +143,8 @@ func TestVMServesRequestsAndRecordsResponseTimes(t *testing.T) {
 	if mean <= 0 || mean > 2 {
 		t.Fatalf("mean response time = %v s, want a small positive value", mean)
 	}
-	if vm.MeanResponseTime() <= 0 {
-		t.Fatalf("MeanResponseTime should be positive after serving requests")
+	if vm.respEWMA <= 0 {
+		t.Fatalf("the response-time EWMA should be positive after serving requests")
 	}
 }
 
@@ -168,7 +167,7 @@ func TestAnomalyAccumulationAndDegradation(t *testing.T) {
 	if vm.LeakedMB() <= 0 {
 		t.Fatalf("after 2000 requests the VM should have leaked memory")
 	}
-	if vm.ZombieThreads() <= 0 {
+	if vm.zombieThreads <= 0 {
 		t.Fatalf("after 2000 requests the VM should have unterminated threads")
 	}
 	if vm.DegradationFactor() <= 1 {
@@ -181,10 +180,10 @@ func TestAnomalyAccumulationAndDegradation(t *testing.T) {
 
 func TestVMReachesFailurePointUnderSustainedLoad(t *testing.T) {
 	eng := simclock.NewEngine(7)
-	cfg := testVMConfig("vm1")
+	cfg := testVMConfig()
 	// Use the small private VM so the memory budget is exhausted quickly.
 	cfg.Type = PrivateVM
-	vm := NewVM(cfg, eng.RNG().Fork())
+	vm := NewVM("vm1", cfg, eng.RNG().Fork())
 	vm.Activate(eng)
 
 	var failedAt simclock.Time
@@ -248,8 +247,8 @@ func TestRejuvenationClearsAnomalies(t *testing.T) {
 	if vm.State() != StateStandby {
 		t.Fatalf("state after rejuvenation = %v, want STANDBY", vm.State())
 	}
-	if vm.LeakedMB() != 0 || vm.ZombieThreads() != 0 {
-		t.Fatalf("anomaly state should be cleared, got leaked=%v zombies=%d", vm.LeakedMB(), vm.ZombieThreads())
+	if vm.LeakedMB() != 0 || vm.zombieThreads != 0 {
+		t.Fatalf("anomaly state should be cleared, got leaked=%v zombies=%d", vm.LeakedMB(), vm.zombieThreads)
 	}
 	if vm.Rejuvenations() != 1 {
 		t.Fatalf("rejuvenation counter = %d, want 1", vm.Rejuvenations())
@@ -387,7 +386,7 @@ func TestSampleMaskKeepsRNGStream(t *testing.T) {
 			run := func(mask features.Mask) ([2]features.Vector, *simclock.RNG, [3]simclock.RNG) {
 				eng := simclock.NewEngine(42)
 				rng := simclock.NewRNG(9)
-				vm := NewVM(testVMConfig("vm1"), rng)
+				vm := NewVM("vm1", testVMConfig(), rng)
 				vm.leakedMB = tc.leakedMB
 				vm.Activate(eng)
 				for i := 0; i < 50; i++ {
@@ -451,7 +450,7 @@ func TestRegionInitialPools(t *testing.T) {
 	if got := len(r.ActiveVMs()); got != 6 {
 		t.Fatalf("region1 active VMs = %d, want 6 (paper §VI-A)", got)
 	}
-	if got := len(r.StandbyVMs()); got != 3 {
+	if got := len(r.byState(StateStandby)); got != 3 {
 		t.Fatalf("region1 standby VMs = %d, want 3", got)
 	}
 	r2 := NewRegion(PaperRegionConfig(PaperRegion2), rng)
@@ -555,13 +554,6 @@ func TestRegionStatsAndCost(t *testing.T) {
 	if s.String() == "" {
 		t.Fatalf("stats string should not be empty")
 	}
-	if cost := r.HourlyCost(); math.Abs(cost-9*M3Medium.CostPerHour) > 1e-9 {
-		t.Fatalf("hourly cost = %v, want %v", cost, 9*M3Medium.CostPerHour)
-	}
-	r3 := NewRegion(PaperRegionConfig(PaperRegion3), simclock.NewRNG(1))
-	if r3.HourlyCost() != 0 {
-		t.Fatalf("private region should have zero on-demand cost")
-	}
 }
 
 func TestPaperTestbedConstruction(t *testing.T) {
@@ -589,7 +581,7 @@ func TestPaperRegionConfigPanicsOnUnknown(t *testing.T) {
 // VM.
 func TestHealthAndDegradationBoundsProperty(t *testing.T) {
 	f := func(leak uint16, zombies uint8) bool {
-		vm := NewVM(testVMConfig("p"), simclock.NewRNG(3))
+		vm := NewVM("p", testVMConfig(), simclock.NewRNG(3))
 		vm.leakedMB = float64(leak)
 		vm.zombieThreads = int(zombies)
 		h := vm.HealthFraction()
@@ -605,7 +597,7 @@ func TestHealthAndDegradationBoundsProperty(t *testing.T) {
 // request rate.
 func TestTrueRTTFMonotoneProperty(t *testing.T) {
 	f := func(leak uint16, rate1, rate2 uint8) bool {
-		vm := NewVM(testVMConfig("p"), simclock.NewRNG(3))
+		vm := NewVM("p", testVMConfig(), simclock.NewRNG(3))
 		vm.leakedMB = float64(leak) / 20
 		lo := float64(rate1%50) + 1
 		hi := lo + float64(rate2%50) + 1
@@ -622,10 +614,10 @@ func TestTrueRTTFMonotoneProperty(t *testing.T) {
 // generators drive it.  The VM injects no anomalies, so it never reaches its
 // failure point and every round is a full service.
 func serveLoop() (*VM, func()) {
-	cfg := testVMConfig("serve")
+	cfg := testVMConfig()
 	cfg.Anomalies = AnomalyProfile{}
 	eng := simclock.NewEngine(1)
-	vm := NewVM(cfg, eng.RNG().Fork())
+	vm := NewVM("serve", cfg, eng.RNG().Fork())
 	vm.Activate(eng)
 	var pool RequestPool
 	done := func(o Outcome) { pool.Put(o.Request) }

@@ -12,7 +12,7 @@ import (
 // rr-th one and take the first strictly shorter queue in provisioning order.
 func scanShortest(r *Region, shard, rr int) *VM {
 	var active []*VM
-	for _, vm := range r.ShardVMs(shard) {
+	for _, vm := range r.shards[shard].vms {
 		if vm.State() == StateActive {
 			active = append(active, vm)
 		}
@@ -36,7 +36,7 @@ func checkDispatchIndex(t *testing.T, r *Region, rrs ...int) {
 	total := 0
 	for s := 0; s < r.NumShards(); s++ {
 		count := 0
-		for _, vm := range r.ShardVMs(s) {
+		for _, vm := range r.shards[s].vms {
 			if vm.State() == StateActive {
 				count++
 			}
@@ -112,7 +112,7 @@ func FuzzShardDispatchIndex(f *testing.F) {
 func TestDispatchIndexTieBreak(t *testing.T) {
 	eng := simclock.NewEngine(1)
 	r := NewRegion(RegionConfig{Name: "tie", Type: M3Medium, InitialActive: 4, Shards: 1}, simclock.NewRNG(1))
-	vms := r.ShardVMs(0)
+	vms := r.shards[0].vms
 	load := []int{2, 1, 3, 1}
 	for i, n := range load {
 		for j := 0; j < n; j++ {

@@ -2,7 +2,6 @@ package cloudsim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/simclock"
 )
@@ -69,9 +68,9 @@ func (c RegionConfig) withDefaults() RegionConfig {
 type Region struct {
 	cfg    RegionConfig
 	shards []*shard
-	vms    []*VM          // every VM, in provisioning order (facade views)
-	byID   map[string]*VM // O(1) lookup, required at 10^3+ VM pools
-	next   int            // counter for provisioned VM IDs
+	vms    []*VM     // every VM, in provisioning order (facade views)
+	vmCfg  *VMConfig // the configuration every VM shares (no ID)
+	next   int       // counter for provisioned VM IDs
 }
 
 // MaxShards is the most shards a region may have: a request hopping off
@@ -95,7 +94,13 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	if rng == nil {
 		rng = simclock.NewRNG(7)
 	}
-	r := &Region{cfg: cfg, byID: map[string]*VM{}}
+	vmCfg := VMConfig{
+		Type:         cfg.Type,
+		Anomalies:    cfg.Anomalies,
+		Failure:      cfg.Failure,
+		Rejuvenation: cfg.Rejuvenation,
+	}.withDefaults()
+	r := &Region{cfg: cfg, vmCfg: &vmCfg}
 	r.shards = make([]*shard, cfg.Shards)
 	if cfg.Shards == 1 {
 		r.shards[0] = &shard{region: r, index: 0, rng: rng}
@@ -105,7 +110,13 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 			r.shards[i] = &shard{region: r, index: i, rng: simclock.NewRNG(simclock.DeriveSeed(base, uint64(i)))}
 		}
 	}
-	for i := 0; i < cfg.InitialActive+cfg.InitialStandby; i++ {
+	n := cfg.InitialActive + cfg.InitialStandby
+	r.vms = make([]*VM, 0, n)
+	for _, sh := range r.shards {
+		perShard := (n + len(r.shards) - 1) / len(r.shards)
+		sh.vms, sh.ix.load = make([]*VM, 0, perShard), make([]int32, 0, perShard)
+	}
+	for i := 0; i < n; i++ {
 		vm := r.newVM()
 		if i < cfg.InitialActive {
 			vm.setState(StateActive)
@@ -119,19 +130,11 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 func (r *Region) newVM() *VM {
 	sh := r.shards[r.next%len(r.shards)]
 	r.next++
-	id := fmt.Sprintf("%s-vm%02d", r.cfg.Name, r.next)
-	vm := NewVM(VMConfig{
-		ID:           id,
-		Type:         r.cfg.Type,
-		Anomalies:    r.cfg.Anomalies,
-		Failure:      r.cfg.Failure,
-		Rejuvenation: r.cfg.Rejuvenation,
-	}, sh.rng.Fork())
+	vm := NewVM(fmt.Sprintf("%s-vm%02d", r.cfg.Name, r.next), r.vmCfg, sh.rng.Fork())
 	vm.shardIndex, vm.index = sh.index, int32(len(r.vms))
 	vm.ix, vm.slot = &sh.ix, sh.ix.add()
 	sh.vms = append(sh.vms, vm)
 	r.vms = append(r.vms, vm)
-	r.byID[id] = vm
 	return vm
 }
 
@@ -144,9 +147,6 @@ func (r *Region) Config() RegionConfig { return r.cfg }
 // VMs returns all VMs in the pool, in provisioning order.
 func (r *Region) VMs() []*VM { return r.vms }
 
-// VM returns the VM with the given ID, or nil.
-func (r *Region) VM(id string) *VM { return r.byID[id] }
-
 // byState returns the VMs currently in the given state.
 func (r *Region) byState(s VMState) []*VM {
 	return r.AppendByState(nil, s)
@@ -154,7 +154,7 @@ func (r *Region) byState(s VMState) []*VM {
 
 // AppendByState appends the region's VMs currently in the given state to dst,
 // in provisioning order, and returns the extended slice.  It is the
-// allocation-free variant of ActiveVMs / StandbyVMs for callers that scan on
+// allocation-free variant of ActiveVMs for callers that scan on
 // every control tick and want to reuse one buffer via dst[:0].
 func (r *Region) AppendByState(dst []*VM, s VMState) []*VM {
 	for _, vm := range r.vms {
@@ -167,9 +167,6 @@ func (r *Region) AppendByState(dst []*VM, s VMState) []*VM {
 
 // ActiveVMs returns the VMs currently serving requests.
 func (r *Region) ActiveVMs() []*VM { return r.byState(StateActive) }
-
-// StandbyVMs returns the healthy spare VMs.
-func (r *Region) StandbyVMs() []*VM { return r.byState(StateStandby) }
 
 // Provision adds n new STANDBY VMs, respecting the MaxVMs cap, and returns
 // the VMs actually created.  This is the hypervisor-side half of the ADDVMS
@@ -220,16 +217,6 @@ func (r *Region) TrueRMTTF(regionRatePerSec float64) float64 {
 		sum += s
 	}
 	return sum / float64(activeTotal)
-}
-
-// HourlyCost returns the total on-demand cost per hour of every provisioned
-// VM in the region.
-func (r *Region) HourlyCost() float64 {
-	total := 0.0
-	for _, vm := range r.vms {
-		total += vm.Type().CostPerHour
-	}
-	return total
 }
 
 // Stats aggregates lifetime counters across the region's VMs.
@@ -356,16 +343,4 @@ func PaperRegionConfig(which PaperRegion) RegionConfig {
 	default:
 		panic(fmt.Sprintf("cloudsim: unknown paper region %d", which))
 	}
-}
-
-// PaperTestbed builds the requested paper regions, seeding each region's RNG
-// deterministically from the base seed.
-func PaperTestbed(seed uint64, which ...PaperRegion) []*Region {
-	sort.Slice(which, func(i, j int) bool { return which[i] < which[j] })
-	out := make([]*Region, 0, len(which))
-	for i, w := range which {
-		rng := simclock.NewRNG(seed + uint64(i)*1000003 + uint64(w))
-		out = append(out, NewRegion(PaperRegionConfig(w), rng))
-	}
-	return out
 }

@@ -155,9 +155,6 @@ func (o Outcome) ResponseTime() simclock.Duration {
 	return o.End.Sub(o.Request.Arrival)
 }
 
-// ServiceTime returns the time the request actually spent in service.
-func (o Outcome) ServiceTime() simclock.Duration { return o.End.Sub(o.Start) }
-
 // Finish completes the request exactly once, from a VM or from a load
 // balancer that terminates it itself (e.g. dropping it when no ACTIVE VM
 // exists).  End is shifted by the return leg, and OnDone runs in place when

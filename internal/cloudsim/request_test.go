@@ -61,9 +61,9 @@ func TestCompletionRunsOnHomeLane(t *testing.T) {
 	)
 	se := simclock.NewShardedEngine(2, 7, epoch, 2)
 	home, serving := se.Shard(0), se.Shard(1)
-	cfg := testVMConfig("remote")
+	cfg := testVMConfig()
 	cfg.Anomalies = AnomalyProfile{}
-	vm := NewVM(cfg, serving.RNG().Fork())
+	vm := NewVM("remote", cfg, serving.RNG().Fork())
 	vm.Activate(serving)
 
 	issuerTicks := 0

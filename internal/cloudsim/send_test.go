@@ -127,7 +127,7 @@ func TestSendOneWayTrafficAllocatesNothing(t *testing.T) {
 func TestHopAfterDelayedTripReschedules(t *testing.T) {
 	se := simclock.NewShardedEngine(3, 5, 100*simclock.Millisecond, 1)
 	region := bindRegion(se, sendConfig(2, 2, 0), 1)
-	for _, vm := range region.ActiveVMsInShard(0) {
+	for _, vm := range region.shards[0].appendByState(nil, StateActive) {
 		vm.Deactivate()
 	}
 	const oneWay = 130 * simclock.Millisecond
@@ -263,12 +263,12 @@ func FuzzRegionSend(f *testing.F) {
 				s := b % n
 				se.Control().ScheduleFunc(at, func(ctrl *simclock.Engine) {
 					if region.ActiveCountInShard(s) > 0 {
-						for _, vm := range region.ActiveVMsInShard(s) {
+						for _, vm := range region.shards[s].appendByState(nil, StateActive) {
 							vm.Deactivate()
 						}
 						return
 					}
-					for _, vm := range region.StandbyVMsInShard(s) {
+					for _, vm := range region.shards[s].appendByState(nil, StateStandby) {
 						vm.Activate(ctrl)
 					}
 				})

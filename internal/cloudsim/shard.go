@@ -38,12 +38,6 @@ type shard struct {
 // shards — so these accessors are safe to run concurrently as long as each
 // goroutine touches only its own shard.
 
-// byState returns the shard's VMs currently in the given state, in
-// provisioning order.
-func (sh *shard) byState(s VMState) []*VM {
-	return sh.appendByState(nil, s)
-}
-
 // appendByState appends the shard's VMs currently in the given state to dst,
 // in provisioning order, and returns the extended slice.  Passing a reused
 // dst[:0] keeps repeated scans allocation-free, which is what the
@@ -162,30 +156,14 @@ func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 // region runs on one standalone engine.
 func (r *Region) ShardEngine(i int) *simclock.Engine { return r.shards[i].engine }
 
-// ShardVMs returns the VMs owned by the given shard, in provisioning order.
-// It panics on an out-of-range shard index, mirroring slice indexing.
-func (r *Region) ShardVMs(i int) []*VM { return r.shards[i].vms }
-
-// ShardOf returns the index of the shard owning the given VM (VMs are
-// assigned round-robin at provisioning time and never migrate).
-func (r *Region) ShardOf(vm *VM) int { return vm.shardIndex }
-
-// ActiveVMsInShard returns the ACTIVE VMs of one shard, in provisioning
-// order.
-func (r *Region) ActiveVMsInShard(i int) []*VM { return r.shards[i].byState(StateActive) }
-
 // AppendByStateInShard appends one shard's VMs currently in the given state
-// to dst, in provisioning order, and returns the extended slice.  It is the
-// allocation-free variant of ActiveVMsInShard / StandbyVMsInShard: callers on
+// to dst, in provisioning order, and returns the extended slice.  Callers on
 // per-tick hot paths pass a reused buffer's dst[:0].  ACTIVE VMs come from the
 // shard's dispatch index rather than a state scan.  Safe to call concurrently
 // for distinct shard indices (see the shard concurrency note above).
 func (r *Region) AppendByStateInShard(dst []*VM, i int, s VMState) []*VM {
 	return r.shards[i].appendByState(dst, s)
 }
-
-// StandbyVMsInShard returns the healthy spare VMs of one shard.
-func (r *Region) StandbyVMsInShard(i int) []*VM { return r.shards[i].byState(StateStandby) }
 
 // ActiveCount returns the number of ACTIVE VMs region-wide, summed from the
 // shards' dispatch indexes: the O(shards) equivalent of len(ActiveVMs()).

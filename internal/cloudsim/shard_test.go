@@ -34,7 +34,7 @@ func TestRegionShardsDefaultToOne(t *testing.T) {
 			t.Fatalf("VM %s in shard %d, want 0", vm.ID(), vm.ShardIndex())
 		}
 	}
-	if got := len(r.ShardVMs(0)); got != len(r.VMs()) {
+	if got := len(r.shards[0].vms); got != len(r.VMs()) {
 		t.Fatalf("shard 0 owns %d VMs, want the whole pool (%d)", got, len(r.VMs()))
 	}
 }
@@ -60,8 +60,8 @@ func TestShardedRegionPartition(t *testing.T) {
 	seen := map[string]int{}
 	total := 0
 	for s := 0; s < shards; s++ {
-		for _, vm := range r.ShardVMs(s) {
-			if vm.ShardIndex() != s || r.ShardOf(vm) != s {
+		for _, vm := range r.shards[s].vms {
+			if vm.ShardIndex() != s || vm.shardIndex != s {
 				t.Fatalf("VM %s owned by shard %d but reports shard %d", vm.ID(), s, vm.ShardIndex())
 			}
 			if prev, dup := seen[vm.ID()]; dup {
@@ -100,7 +100,7 @@ func TestShardedRegionDerivedStreams(t *testing.T) {
 	eng.RunUntilEmpty()
 	for i, vm := range a.VMs() {
 		other := b.VMs()[i]
-		if vm.Served() != other.Served() || vm.LeakedMB() != other.LeakedMB() || vm.ZombieThreads() != other.ZombieThreads() {
+		if vm.Served() != other.Served() || vm.LeakedMB() != other.LeakedMB() || vm.zombieThreads != other.zombieThreads {
 			t.Fatalf("same seed diverged on VM %s: served=%d/%d leaked=%v/%v",
 				vm.ID(), vm.Served(), other.Served(), vm.LeakedMB(), other.LeakedMB())
 		}
@@ -118,7 +118,7 @@ func TestShardedRegionFacadeAggregates(t *testing.T) {
 	fromShards := map[string]bool{}
 	active := 0
 	for s := 0; s < shards; s++ {
-		for _, vm := range r.ActiveVMsInShard(s) {
+		for _, vm := range r.shards[s].appendByState(nil, StateActive) {
 			fromShards[vm.ID()] = true
 			active++
 		}
@@ -133,10 +133,10 @@ func TestShardedRegionFacadeAggregates(t *testing.T) {
 	}
 	standby := 0
 	for s := 0; s < shards; s++ {
-		standby += len(r.StandbyVMsInShard(s))
+		standby += len(r.shards[s].appendByState(nil, StateStandby))
 	}
-	if standby != len(r.StandbyVMs()) {
-		t.Fatalf("per-shard standbys = %d, facade standbys = %d", standby, len(r.StandbyVMs()))
+	if standby != len(r.byState(StateStandby)) {
+		t.Fatalf("per-shard standbys = %d, facade standbys = %d", standby, len(r.byState(StateStandby)))
 	}
 
 	// Capacity: the merged per-shard sums must equal the flat whole-pool sum.
@@ -190,7 +190,7 @@ func TestShardedProvisionRoundRobin(t *testing.T) {
 		t.Fatalf("provisioned %d VMs, want 8", len(added))
 	}
 	for s := 0; s < shards; s++ {
-		if got := len(r.ShardVMs(s)); got != 24/shards {
+		if got := len(r.shards[s].vms); got != 24/shards {
 			t.Fatalf("shard %d owns %d VMs after provisioning, want %d", s, got, 24/shards)
 		}
 	}

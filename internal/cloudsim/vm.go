@@ -45,10 +45,8 @@ func (s VMState) String() string {
 	}
 }
 
-// VMConfig bundles the knobs of a single VM.
+// VMConfig bundles the knobs of a VM.  The VMs of a region share one.
 type VMConfig struct {
-	// ID is the unique VM identifier (e.g. "region1-vm03").
-	ID string
 	// Type is the instance type the VM runs on.
 	Type InstanceType
 	// Anomalies controls anomaly injection while serving requests.
@@ -63,7 +61,8 @@ type VMConfig struct {
 // entirely by simclock events and is not safe for concurrent use (the
 // simulation is single-threaded by design).
 type VM struct {
-	cfg VMConfig
+	id  string    // unique identifier (e.g. "region1-vm03")
+	cfg *VMConfig // shared by every VM of the region, never written
 	rng *simclock.RNG
 
 	// shardIndex is the region shard this VM is owned by (0 in an unsharded
@@ -116,25 +115,31 @@ type VM struct {
 	OnRejuvenated func(vm *VM, at simclock.Time)
 }
 
-// NewVM builds a VM in the STANDBY state.
-func NewVM(cfg VMConfig, rng *simclock.RNG) *VM {
+// NewVM builds a VM in the STANDBY state.  It keeps cfg rather than a copy,
+// so the VMs of a region cost one configuration, not one each.
+func NewVM(id string, cfg *VMConfig, rng *simclock.RNG) *VM {
 	if cfg.Type.VCPUs <= 0 {
-		cfg.Type.VCPUs = 1
+		c := cfg.withDefaults()
+		cfg = &c
 	}
 	if rng == nil {
 		rng = simclock.NewRNG(1)
 	}
-	return &VM{cfg: cfg, rng: rng, state: StateStandby}
+	return &VM{id: id, cfg: cfg, rng: rng, state: StateStandby}
+}
+
+func (c VMConfig) withDefaults() VMConfig {
+	if c.Type.VCPUs <= 0 {
+		c.Type.VCPUs = 1
+	}
+	return c
 }
 
 // ID returns the VM identifier.
-func (vm *VM) ID() string { return vm.cfg.ID }
+func (vm *VM) ID() string { return vm.id }
 
 // Type returns the instance type.
 func (vm *VM) Type() InstanceType { return vm.cfg.Type }
-
-// Config returns the VM configuration.
-func (vm *VM) Config() VMConfig { return vm.cfg }
 
 // State returns the current lifecycle state.
 func (vm *VM) State() VMState { return vm.state }
@@ -152,10 +157,6 @@ func (vm *VM) Index() int { return int(vm.index) }
 func (vm *VM) LeakedMB() float64 {
 	return vm.leakedMB + float64(vm.zombieThreads)*vm.cfg.Anomalies.ThreadStackMB
 }
-
-// ZombieThreads returns the number of unterminated threads accumulated since
-// the last rejuvenation.
-func (vm *VM) ZombieThreads() int { return vm.zombieThreads }
 
 // Served returns the number of requests completed over the VM's lifetime.
 func (vm *VM) Served() uint64 { return vm.served }
@@ -331,13 +332,13 @@ func (vm *VM) completeRejuvenation(now simclock.Time) {
 func (vm *VM) Dispatch(eng *simclock.Engine, req *Request) bool {
 	if vm.state != StateActive {
 		vm.dropped += req.Weight()
-		req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: eng.Now(), End: eng.Now(), Dropped: true})
+		req.Finish(eng, Outcome{Request: req, VM: vm.id, Start: eng.Now(), End: eng.Now(), Dropped: true})
 		return false
 	}
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.
 		req.Trace.Event(tracing.EventVMEnqueue, eng.Now(),
-			fmt.Sprintf("vm=%s depth=%d", vm.cfg.ID, vm.QueueLength()))
+			fmt.Sprintf("vm=%s depth=%d", vm.id, vm.QueueLength()))
 	}
 	if len(vm.queue) == cap(vm.queue) && vm.qhead > 0 {
 		// Slide the waiting requests to the front instead of growing.
@@ -421,7 +422,7 @@ func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock
 	if vm.state == StateRejuvenating || vm.state == StateFailed {
 		// The VM went down while this request was in service.
 		vm.dropped += req.Weight()
-		req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now, Dropped: true})
+		req.Finish(eng, Outcome{Request: req, VM: vm.id, Start: start, End: now, Dropped: true})
 		return
 	}
 
@@ -449,7 +450,7 @@ func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock
 	}
 
 	vm.injectAnomalies(req.Batch)
-	req.Finish(eng, Outcome{Request: req, VM: vm.cfg.ID, Start: start, End: now})
+	req.Finish(eng, Outcome{Request: req, VM: vm.id, Start: start, End: now})
 
 	if vm.failurePointReached() {
 		vm.fail(eng)
@@ -516,7 +517,7 @@ func (vm *VM) fail(eng *simclock.Engine) {
 	}
 	vm.setState(StateFailed)
 	vm.crashes++
-	vm.failQueued(eng, vm.cfg.ID)
+	vm.failQueued(eng, vm.id)
 	if vm.OnFailure != nil {
 		vm.OnFailure(vm, eng.Now())
 	}
@@ -568,7 +569,7 @@ func (vm *VM) RecoverFromFailure(eng *simclock.Engine) bool {
 // service times and anomaly injection: the mask changes which values are
 // computed, never the VM's random stream.
 func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
-	v := features.NewVector(vm.cfg.ID, now.Seconds())
+	v := features.NewVector(vm.id, now.Seconds())
 	intervalS := now.Sub(vm.intervalStart).Seconds()
 	if intervalS <= 0 {
 		intervalS = 1
@@ -646,12 +647,8 @@ func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
 	return v
 }
 
-// MeanResponseTime returns the smoothed response time in seconds observed by
-// requests served on this VM (0 before any request completes).
-func (vm *VM) MeanResponseTime() float64 { return vm.respEWMA }
-
 // String summarises the VM for debugging.
 func (vm *VM) String() string {
 	return fmt.Sprintf("%s[%s %s leaked=%.0fMB zt=%d served=%d crashes=%d]",
-		vm.cfg.ID, vm.cfg.Type.Name, vm.state, vm.LeakedMB(), vm.zombieThreads, vm.served, vm.crashes)
+		vm.id, vm.cfg.Type.Name, vm.state, vm.LeakedMB(), vm.zombieThreads, vm.served, vm.crashes)
 }

@@ -30,17 +30,6 @@ func NewAggregator(beta float64, regions []string) *Aggregator {
 	return a
 }
 
-// Beta returns the smoothing factor actually in use.
-func (a *Aggregator) Beta() float64 {
-	if len(a.regions) == 0 {
-		return a.beta
-	}
-	return a.ewma[a.regions[0]].Beta()
-}
-
-// Regions returns the region names in registration order.
-func (a *Aggregator) Regions() []string { return append([]string(nil), a.regions...) }
-
 // Observe folds the lastRMTTF reported by a region into its smoothed value
 // and returns the new current RMTTF.  Observing an unknown region registers
 // it.
@@ -60,39 +49,6 @@ func (a *Aggregator) Current(region string) float64 {
 		return e.Value()
 	}
 	return 0
-}
-
-// Snapshot returns the smoothed RMTTF of every region, in registration order.
-func (a *Aggregator) Snapshot() []float64 {
-	out := make([]float64, len(a.regions))
-	for i, r := range a.regions {
-		out[i] = a.ewma[r].Value()
-	}
-	return out
-}
-
-// SnapshotMap returns the smoothed RMTTFs keyed by region name.
-func (a *Aggregator) SnapshotMap() map[string]float64 {
-	out := make(map[string]float64, len(a.regions))
-	for _, r := range a.regions {
-		out[r] = a.ewma[r].Value()
-	}
-	return out
-}
-
-// Spread returns (max-min)/mean of the current smoothed RMTTFs — the quantity
-// the policies are trying to drive to zero (all regions showing the same
-// MTTF).  It returns 0 when fewer than two regions are registered.
-func (a *Aggregator) Spread() float64 {
-	vals := a.Snapshot()
-	if len(vals) < 2 {
-		return 0
-	}
-	m := stats.Mean(vals)
-	if m == 0 {
-		return 0
-	}
-	return (stats.Max(vals) - stats.Min(vals)) / m
 }
 
 // String renders the aggregator state sorted by region name.

@@ -101,27 +101,11 @@ func NewLoop(regions []string, policy Policy, beta float64) (*Loop, error) {
 // default; long simulations that do their own recording can turn it off).
 func (l *Loop) SetKeepHistory(keep bool) { l.keepHist = keep }
 
-// Regions returns the region names.
-func (l *Loop) Regions() []string { return append([]string(nil), l.regions...) }
-
-// Policy returns the configured policy.
-func (l *Loop) Policy() Policy { return l.policy }
-
-// Era returns the number of completed control eras.
-func (l *Loop) Era() int { return l.era }
-
-// State returns the loop's current state (Monitor between eras).
-func (l *Loop) State() LoopState { return l.state }
-
 // Fractions returns the currently installed workload fractions.
 func (l *Loop) Fractions() []float64 { return append([]float64(nil), l.fractions...) }
 
 // Aggregator exposes the smoothed RMTTF estimates.
 func (l *Loop) Aggregator() *Aggregator { return l.agg }
-
-// History returns a copy of the retained step results, so callers cannot
-// mutate the loop's internal record (matching every other accessor here).
-func (l *Loop) History() []StepResult { return append([]StepResult(nil), l.history...) }
 
 // Step executes one complete control era: lastRMTTF holds the raw RMTTF each
 // region's VMC just reported (Analyze), lambda is the current global request

@@ -9,8 +9,8 @@ import (
 
 func TestAggregatorEquation1(t *testing.T) {
 	a := NewAggregator(0.25, []string{"r1", "r2"})
-	if a.Beta() != 0.25 {
-		t.Fatalf("beta = %v", a.Beta())
+	if a.beta != 0.25 {
+		t.Fatalf("beta = %v", a.beta)
 	}
 	// First observation primes the estimate directly.
 	if got := a.Observe("r1", 1000); got != 1000 {
@@ -35,26 +35,14 @@ func TestAggregatorAutoRegistersAndSnapshots(t *testing.T) {
 	a := NewAggregator(0.5, []string{"r1"})
 	a.Observe("r1", 100)
 	a.Observe("brand-new", 300)
-	if len(a.Regions()) != 2 {
-		t.Fatalf("regions = %v", a.Regions())
+	if len(a.regions) != 2 {
+		t.Fatalf("regions = %v", a.regions)
 	}
-	snap := a.Snapshot()
-	if len(snap) != 2 || snap[0] != 100 || snap[1] != 300 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	m := a.SnapshotMap()
-	if m["r1"] != 100 || m["brand-new"] != 300 {
-		t.Fatalf("snapshot map = %v", m)
-	}
-	if a.Spread() <= 0 {
-		t.Fatalf("spread should be positive for unequal regions")
+	if a.Current("r1") != 100 || a.Current("brand-new") != 300 {
+		t.Fatalf("estimates = %v", a)
 	}
 	if !strings.Contains(a.String(), "r1=") {
 		t.Fatalf("String() = %q", a.String())
-	}
-	single := NewAggregator(0.5, []string{"only"})
-	if single.Spread() != 0 {
-		t.Fatalf("spread with one region should be 0")
 	}
 }
 
@@ -128,12 +116,9 @@ func TestForwardPlanRowAndDestination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildForwardPlan: %v", err)
 	}
-	row := p.Row("a")
-	if row == nil || math.Abs(row[0]-0.25) > 1e-9 || math.Abs(row[1]-0.75) > 1e-9 {
+	row := p.Forward[0]
+	if math.Abs(row[0]-0.25) > 1e-9 || math.Abs(row[1]-0.75) > 1e-9 {
 		t.Fatalf("row(a) = %v, want [0.25 0.75]", row)
-	}
-	if p.Row("zzz") != nil {
-		t.Fatalf("unknown region row should be nil")
 	}
 	if got := p.DestinationIndex(0, 0.1); got != 0 {
 		t.Fatalf("DestinationIndex(0.1) = %d, want 0 (a)", got)
@@ -164,7 +149,7 @@ func TestForwardPlanZeroEntryRegion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildForwardPlan: %v", err)
 	}
-	row := p.Row("a")
+	row := p.Forward[0]
 	s := 0.0
 	for _, v := range row {
 		s += v
@@ -242,7 +227,7 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoop: %v", err)
 	}
-	if loop.Era() != 0 || loop.State() != StateMonitor {
+	if loop.era != 0 || loop.state != StateMonitor {
 		t.Fatalf("fresh loop should be in Monitor at era 0")
 	}
 	// Initial fractions are uniform.
@@ -256,11 +241,11 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	if res.Era != 1 || loop.Era() != 1 {
+	if res.Era != 1 || loop.era != 1 {
 		t.Fatalf("era = %d", res.Era)
 	}
-	if loop.State() != StateMonitor {
-		t.Fatalf("loop should return to Monitor after a full era, got %v", loop.State())
+	if loop.state != StateMonitor {
+		t.Fatalf("loop should return to Monitor after a full era, got %v", loop.state)
 	}
 	validFractions(t, res.Fractions, 2)
 	// Policy 2 with equal previous fractions: region1 (higher RMTTF) gets the
@@ -280,12 +265,6 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	}
 	if len(loop.History()) != 1 {
 		t.Fatalf("history should retain the step result")
-	}
-	if loop.Policy().Name() != (AvailableResources{}).Name() {
-		t.Fatalf("Policy() accessor broken")
-	}
-	if len(loop.Regions()) != 2 {
-		t.Fatalf("Regions() accessor broken")
 	}
 	if loop.Aggregator().Current("region1") != 4000 {
 		t.Fatalf("aggregator should have been primed with the first observation")
@@ -307,10 +286,10 @@ func TestLoopPolicyErrorPropagates(t *testing.T) {
 	if _, err := loop.Step([]float64{1, 2}, 10, []float64{0.5, 0.5}); err == nil {
 		t.Fatalf("policy error should propagate")
 	}
-	if loop.Era() != 0 {
+	if loop.era != 0 {
 		t.Fatalf("a failed step must not advance the era")
 	}
-	if loop.State() != StateMonitor {
+	if loop.state != StateMonitor {
 		t.Fatalf("a failed step must return the loop to Monitor")
 	}
 }
@@ -326,8 +305,8 @@ func TestLoopHistoryToggle(t *testing.T) {
 	if len(loop.History()) != 0 {
 		t.Fatalf("history should be empty when disabled")
 	}
-	if loop.Era() != 5 {
-		t.Fatalf("era = %d, want 5", loop.Era())
+	if loop.era != 5 {
+		t.Fatalf("era = %d, want 5", loop.era)
 	}
 }
 

@@ -96,27 +96,6 @@ func BuildForwardPlan(regions []string, entryShares, targetFractions []float64) 
 	}, nil
 }
 
-// indexOf returns the index of the region, or -1.
-func (p *ForwardPlan) indexOf(region string) int {
-	for i, r := range p.Regions {
-		if r == region {
-			return i
-		}
-	}
-	return -1
-}
-
-// Row returns the forwarding distribution of the region's load balancer: the
-// probability of forwarding an incoming request to each region (including
-// keeping it local).  It returns nil for an unknown region.
-func (p *ForwardPlan) Row(region string) []float64 {
-	i := p.indexOf(region)
-	if i < 0 {
-		return nil
-	}
-	return append([]float64(nil), p.Forward[i]...)
-}
-
 // DestinationIndex picks the target region for one request entering at
 // region index row, using u — a uniform random value in [0,1) supplied by the
 // caller — to sample the row's distribution.  It returns the target's index
@@ -131,21 +110,6 @@ func (p *ForwardPlan) DestinationIndex(row int, u float64) int {
 		}
 	}
 	return len(p.Regions) - 1
-}
-
-// EffectiveFractions returns the fraction of the global load each region
-// processes under this plan (entry shares pushed through the forwarding
-// matrix).  If the plan is consistent it equals TargetFractions up to
-// rounding.
-func (p *ForwardPlan) EffectiveFractions() []float64 {
-	n := len(p.Regions)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out[j] += p.EntryShares[i] * p.Forward[i][j]
-		}
-	}
-	return out
 }
 
 // CrossRegionFraction returns the fraction of the global load that the plan

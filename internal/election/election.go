@@ -52,11 +52,10 @@ type Result struct {
 // Cluster manages leader election among a fixed membership over an overlay
 // network.
 type Cluster struct {
-	net      *overlay.Network
-	members  map[string]Member
-	term     uint64
-	leaders  map[string]string // partition representative -> leader
-	lastSeen map[string]Result // per member: last result it observed
+	net     *overlay.Network
+	members map[string]Member
+	term    uint64
+	leaders map[string]string // partition representative -> leader
 	// counters
 	elections uint64
 }
@@ -70,7 +69,7 @@ func NewCluster(net *overlay.Network, members []Member) (*Cluster, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("election: empty membership")
 	}
-	c := &Cluster{net: net, members: map[string]Member{}, leaders: map[string]string{}, lastSeen: map[string]Result{}}
+	c := &Cluster{net: net, members: map[string]Member{}, leaders: map[string]string{}}
 	for _, m := range members {
 		if m.Name == "" {
 			return nil, fmt.Errorf("election: member with empty name")
@@ -86,19 +85,6 @@ func NewCluster(net *overlay.Network, members []Member) (*Cluster, error) {
 	c.Elect()
 	return c, nil
 }
-
-// Members returns the configured membership, sorted by name.
-func (c *Cluster) Members() []Member {
-	out := make([]Member, 0, len(c.members))
-	for _, m := range c.members {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Term returns the current election term.
-func (c *Cluster) Term() uint64 { return c.term }
 
 // Elections returns how many election rounds have been run.
 func (c *Cluster) Elections() uint64 { return c.elections }
@@ -152,7 +138,6 @@ func (c *Cluster) Elect() []Result {
 		results = append(results, res)
 		for _, p := range partition {
 			c.leaders[p] = leader
-			c.lastSeen[p] = res
 		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Leader < results[j].Leader })
@@ -172,16 +157,6 @@ func (c *Cluster) pickLeader(partition []string) string {
 		}
 	}
 	return best
-}
-
-// Leader returns the current leader as observed by the given member, or ""
-// when the member is down or isolated from every other member (an isolated
-// alive member leads its own singleton partition, so it returns itself).
-func (c *Cluster) Leader(asSeenBy string) string {
-	if !c.net.NodeAlive(asSeenBy) {
-		return ""
-	}
-	return c.leaders[asSeenBy]
 }
 
 // GlobalLeader returns the leader of the partition containing the most
@@ -205,11 +180,6 @@ func (c *Cluster) GlobalLeader() (string, bool) {
 		}
 	}
 	return best, unique && best != ""
-}
-
-// IsLeader reports whether the given member currently leads its partition.
-func (c *Cluster) IsLeader(name string) bool {
-	return c.net.NodeAlive(name) && c.leaders[name] == name
 }
 
 // ReportNodeFailure marks the controller as failed in the overlay and reruns
@@ -236,10 +206,4 @@ func (c *Cluster) ReportLinkFailure(a, b string) []Result {
 func (c *Cluster) ReportLinkRecovery(a, b string) []Result {
 	c.net.RestoreLink(a, b)
 	return c.Elect()
-}
-
-// LastResult returns the most recent election result observed by the member.
-func (c *Cluster) LastResult(member string) (Result, bool) {
-	r, ok := c.lastSeen[member]
-	return r, ok
 }

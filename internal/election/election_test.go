@@ -43,7 +43,7 @@ func TestNewClusterValidation(t *testing.T) {
 	if !net.HasNode("solo") {
 		t.Fatalf("member should have been added to the overlay")
 	}
-	if !c.IsLeader("solo") {
+	if c.Leader("solo") != "solo" {
 		t.Fatalf("a single member should lead itself")
 	}
 }
@@ -62,14 +62,14 @@ func TestInitialElectionPicksHighestPriority(t *testing.T) {
 			t.Fatalf("Leader(%s) = %q, want region2", m, got)
 		}
 	}
-	if !c.IsLeader("region2") || c.IsLeader("region1") {
-		t.Fatalf("IsLeader flags wrong")
+	if c.Leader("region2") != "region2" || c.Leader("region1") == "region1" {
+		t.Fatalf("region2 should lead and region1 should not")
 	}
-	if c.Term() == 0 || c.Elections() == 0 {
+	if c.term == 0 || c.Elections() == 0 {
 		t.Fatalf("constructor should have run one election")
 	}
-	if len(c.Members()) != 3 {
-		t.Fatalf("members = %v", c.Members())
+	if len(c.members) != 3 {
+		t.Fatalf("members = %v", c.members)
 	}
 }
 
@@ -88,9 +88,9 @@ func TestTieBreakBySmallestName(t *testing.T) {
 
 func TestLeaderFailureTriggersReElection(t *testing.T) {
 	_, c := paperCluster(t)
-	prevTerm := c.Term()
+	prevTerm := c.term
 	results := c.ReportNodeFailure("region2")
-	if c.Term() <= prevTerm {
+	if c.term <= prevTerm {
 		t.Fatalf("term should increase on re-election")
 	}
 	if len(results) != 1 {
@@ -179,18 +179,16 @@ func TestMultipleFailuresStillYieldLeaders(t *testing.T) {
 
 func TestLastResultAndMessages(t *testing.T) {
 	_, c := paperCluster(t)
-	res, ok := c.LastResult("region1")
-	if !ok {
-		t.Fatalf("region1 should have observed the election")
+	results := c.Elect()
+	if len(results) != 1 {
+		t.Fatalf("a connected cluster should elect in one partition, got %+v", results)
 	}
+	res := results[0]
 	if res.Leader != "region2" || len(res.Members) != 3 {
 		t.Fatalf("unexpected result %+v", res)
 	}
 	if res.Messages != 2*3*2 {
 		t.Fatalf("flooding message count = %d, want 12", res.Messages)
-	}
-	if _, ok := c.LastResult("unknown"); ok {
-		t.Fatalf("unknown member should have no result")
 	}
 }
 

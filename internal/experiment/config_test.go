@@ -83,6 +83,21 @@ func TestLoadScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestLoadScenarioMixRejectedByRun: a scenario file whose region mix names
+// no interactions loads (mixes are checked where the deployment is built),
+// and Run then rejects it by field instead of panicking on the first
+// request's draw.
+func TestLoadScenarioMixRejectedByRun(t *testing.T) {
+	sc, err := LoadScenario(strings.NewReader(`{"Name":"x","Horizon":60,"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"},"InitialActive":1},"Clients":4,"Mix":{"Name":"empty","Entries":[]}}]}`))
+	if err != nil {
+		t.Fatalf("LoadScenario: %v", err)
+	}
+	_, err = Run(sc, Policies()[0])
+	if err == nil || !strings.Contains(err.Error(), `acm: Regions[0].Mix is invalid: workload: Mix.Entries of mix "empty" is empty`) {
+		t.Fatalf("Run of a scenario with an empty region mix: got %v, want the Regions[0].Mix error", err)
+	}
+}
+
 // TestUnknownBackendRejected pins the one backend: a scenario's Backend ""
 // or "sim" loads and builds the simulator, and any other value is rejected
 // with ErrUnknownBackend by LoadScenario and by NewBackend, naming the value.

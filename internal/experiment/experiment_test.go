@@ -288,9 +288,9 @@ func TestFigure3QualitativeClaims(t *testing.T) {
 	}
 	sc := Figure3Scenario(42)
 	sc.Horizon = 90 * simclock.Minute
-	results, err := RunAllPolicies(sc)
+	results, err := RunPolicies(context.Background(), sc, Policies(), Options{})
 	if err != nil {
-		t.Fatalf("RunAllPolicies: %v", err)
+		t.Fatalf("RunPolicies: %v", err)
 	}
 	claims := EvaluateClaims(results)
 	if !claims.Policy1DoesNotConverge {
@@ -313,9 +313,9 @@ func TestFigure4QualitativeClaims(t *testing.T) {
 	}
 	sc := Figure4Scenario(42)
 	sc.Horizon = 90 * simclock.Minute
-	results, err := RunAllPolicies(sc)
+	results, err := RunPolicies(context.Background(), sc, Policies(), Options{})
 	if err != nil {
-		t.Fatalf("RunAllPolicies: %v", err)
+		t.Fatalf("RunPolicies: %v", err)
 	}
 	claims := EvaluateClaims(results)
 	if !claims.Policy1DoesNotConverge || !claims.Policy2Converges {

@@ -245,7 +245,7 @@ func TestGlobalCableCutShift(t *testing.T) {
 	if pre := rtt.At(fault); pre > 100 {
 		t.Fatalf("pre-fault americas:region1 estimate = %.1f ms, want near the 80 ms seed", pre)
 	}
-	if end := rtt.Last(); end < 130 {
+	if end := rtt.Points[rtt.Len()-1].V; end < 130 {
 		t.Fatalf("final americas:region1 estimate = %.1f ms, want > 130 (learning the 160 ms truth)", end)
 	}
 
@@ -258,7 +258,7 @@ func TestGlobalCableCutShift(t *testing.T) {
 	}
 	win := (6 * simclock.Minute).Seconds()
 	before := routed.At(fault) - routed.At(fault-win)
-	after := routed.Last() - routed.At(rtt.Times()[rtt.Len()-1]-win)
+	after := routed.Points[routed.Len()-1].V - routed.At(rtt.Points[rtt.Len()-1].T-win)
 	if after >= before {
 		t.Fatalf("region1 routed increment after the cut (%.0f) should be strictly below the pre-cut window (%.0f)", after, before)
 	}

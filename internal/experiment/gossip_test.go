@@ -151,17 +151,19 @@ func TestGlobalPartitionSplitBrain(t *testing.T) {
 		t.Fatal("region1 never drained on the owner's view")
 	}
 
-	// Per-lane routed counters: the three lanes are homed to replicas 0, 1
-	// and 2 in order.  During the 8 partition minutes that overlap the
-	// blackout, only lane 2 (isolated replica) keeps sending to region1, so
-	// its region1 total must clearly exceed the majority lanes'.
-	perLane := mgr.GSLBRoutedPerLane()
-	if len(perLane) != 3 {
-		t.Fatalf("expected 3 request lanes, got %d", len(perLane))
+	// Routed counts for the blacked-out region1: the majority side drains it
+	// within two probes of minute 10, so while the partition holds (to
+	// minute 18) only the lanes homed to the isolated replica keep sending
+	// to it, and its cumulative routed count keeps climbing.  Once the heal
+	// pulls the drain across, nothing routes to region1 until it recovers
+	// at minute 20.
+	routed := mgr.Recorder().Series("gslb_routed", "region1")
+	minute := simclock.Minute.Seconds()
+	if split := routed.At(18*minute) - routed.At(12*minute); split <= 0 {
+		t.Fatalf("split-brain not visible: region1 routed %.0f requests between minutes 12 and 18, want > 0", split)
 	}
-	if perLane[2][0] <= perLane[0][0] || perLane[2][0] <= perLane[1][0] {
-		t.Fatalf("split-brain not visible in per-lane routing: region1 counts per lane = %d/%d/%d (lane 2 should lead)",
-			perLane[0][0], perLane[1][0], perLane[2][0])
+	if healed := routed.At(20*minute) - routed.At(19*minute); healed != 0 {
+		t.Fatalf("region1 routed %.0f requests between minutes 19 and 20, after the heal, want 0", healed)
 	}
 
 	// The divergence series ramps while the partition holds region1's drain
@@ -179,7 +181,7 @@ func TestGlobalPartitionSplitBrain(t *testing.T) {
 	if peak < 10 {
 		t.Fatalf("peak view divergence %.0f during a 10-minute partition, want >= 10 probe generations", peak)
 	}
-	if end := div.Last(); end > 2 {
+	if end := div.Points[div.Len()-1].V; end > 2 {
 		t.Fatalf("final view divergence %.0f, want near 0 after the heal", end)
 	}
 

@@ -276,9 +276,9 @@ func TestRunPoliciesMatchesRunAllPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := RunAllPolicies(sc)
+	all, err := RunPolicies(context.Background(), sc, Policies(), Options{})
 	if err != nil {
-		t.Fatalf("RunAllPolicies: %v", err)
+		t.Fatalf("RunPolicies: %v", err)
 	}
 	again, err := RunPolicies(context.Background(), sc, Policies(), Options{Workers: 1})
 	if err != nil {

@@ -44,13 +44,6 @@ func RegisterScenario(name, description string, ctor Constructor) {
 	registerScenario(name, description, ctor, false)
 }
 
-// registerTestScenario is RegisterScenario for test fixtures: the scenario is
-// buildable and sweepable like any other but stays out of the documented
-// catalogue (ScenariosMarkdown).
-func registerTestScenario(name, description string, ctor Constructor) {
-	registerScenario(name, description, ctor, true)
-}
-
 func registerScenario(name, description string, ctor Constructor, test bool) {
 	if name == "" || ctor == nil {
 		panic("experiment: RegisterScenario needs a name and a constructor")

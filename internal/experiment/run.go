@@ -122,12 +122,6 @@ func EngineFanOut(b backend.Backend) simclock.FanOutStats {
 	return sim.Manager().FanOut()
 }
 
-// RunAllPolicies runs the scenario under the paper's three policies — one
-// worker per available CPU — and returns the results keyed by policy key.
-func RunAllPolicies(sc Scenario) (map[string]*Result, error) {
-	return RunPolicies(context.Background(), sc, Policies(), Options{})
-}
-
 // RunPolicies runs the scenario under each of the given policies on the
 // parallel runner and returns the results keyed by policy key.  The first
 // per-job error aborts the whole comparison, matching the sequential

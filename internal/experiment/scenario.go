@@ -109,16 +109,6 @@ func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 	return sim, nil
 }
 
-// NewManager is NewBackend unwrapped to the simulator, so the equivalence
-// and determinism suites can keep scheduling through the engine.
-func NewManager(sc Scenario, np NamedPolicy) (*acm.Manager, error) {
-	sim, err := newSimulated(sc, np)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Manager(), nil
-}
-
 func newSimulated(sc Scenario, np NamedPolicy) (*backend.Simulated, error) {
 	if err := sc.checkBackend(); err != nil {
 		return nil, err

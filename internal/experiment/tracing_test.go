@@ -49,11 +49,11 @@ func runTraced(t *testing.T, workers int, horizon simclock.Duration) ([]byte, *t
 	if fr == nil {
 		t.Fatal("global-traced backend has no flight recorder")
 	}
-	out, err := tracing.ChromeJSON(tr.Traces(), fr)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := tracing.WriteChrome(&buf, tr.Traces(), fr); err != nil {
 		t.Fatal(err)
 	}
-	return out, tr, fr
+	return buf.Bytes(), tr, fr
 }
 
 // TestGlobalTracedExport: always-on canary — the scenario collects sealed

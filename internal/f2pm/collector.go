@@ -74,9 +74,6 @@ func (c *Collector) Stop() {
 	}
 }
 
-// Samples returns the number of feature vectors collected so far.
-func (c *Collector) Samples() int { return len(c.vectors) }
-
 // Failures returns the number of failure episodes recorded so far.
 func (c *Collector) Failures() int {
 	n := 0

@@ -92,15 +92,6 @@ type Report struct {
 	CrossValidation ml.Metrics
 }
 
-// FeatureNames returns just the names of the selected features.
-func (r Report) FeatureNames() []features.Name {
-	out := make([]features.Name, len(r.Selected))
-	for i, s := range r.Selected {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // Table renders the model-comparison table (the E4 experiment of the
 // reproduction): one row per candidate model with its held-out metrics.
 func (r Report) Table() string {

@@ -11,7 +11,6 @@ package features
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -225,14 +224,6 @@ func (d *Dataset) Matrix() (x [][]float64, y []float64) {
 	return x, y
 }
 
-// Project returns a copy of the dataset restricted to the given feature
-// subset (used after Lasso feature selection).
-func (d *Dataset) Project(feats []Name) *Dataset {
-	out := NewDataset(feats)
-	out.Samples = d.Samples
-	return out
-}
-
 // Split partitions the dataset into a training and a test set, putting the
 // first trainFrac of samples (per VM, in time order) into the training set.
 // Splitting by time rather than randomly mirrors how F2PM operates: models
@@ -314,69 +305,6 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Header errors returned (wrapped) by ReadCSV.
-var (
-	// ErrUnknownFeature reports a feature column outside AllNames.
-	ErrUnknownFeature = errors.New("features: unknown feature column")
-	// ErrDuplicateFeature reports a feature column named twice.
-	ErrDuplicateFeature = errors.New("features: duplicate feature column")
-)
-
-// ReadCSV parses a dataset previously written with WriteCSV.  A header naming
-// a feature outside AllNames, or naming one twice, is rejected with
-// ErrUnknownFeature or ErrDuplicateFeature.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < 1 {
-		return nil, fmt.Errorf("features: empty CSV")
-	}
-	header := rows[0]
-	if len(header) < 3 || header[0] != "time_s" || header[1] != "vm" || header[len(header)-1] != "rttf_s" {
-		return nil, fmt.Errorf("features: malformed header %v", header)
-	}
-	feats := make([]Name, 0, len(header)-3)
-	seen := [NumFeatures]bool{}
-	for _, h := range header[2 : len(header)-1] {
-		i, ok := Index(Name(h))
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownFeature, h)
-		}
-		if seen[i] {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateFeature, h)
-		}
-		seen[i] = true
-		feats = append(feats, Name(h))
-	}
-	d := NewDataset(feats)
-	for li, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("features: row %d has %d columns, want %d", li+2, len(row), len(header))
-		}
-		t, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("features: row %d time: %w", li+2, err)
-		}
-		v := NewVector(row[1], t)
-		for fi, f := range feats {
-			val, err := strconv.ParseFloat(row[2+fi], 64)
-			if err != nil {
-				return nil, fmt.Errorf("features: row %d feature %s: %w", li+2, f, err)
-			}
-			v.Set(f, val)
-		}
-		rttf, err := strconv.ParseFloat(row[len(row)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("features: row %d rttf: %w", li+2, err)
-		}
-		d.Add(Sample{Vector: v, RTTFSeconds: rttf})
-	}
-	return d, nil
 }
 
 // LabelRTTF assigns RTTF labels to an ordered sequence of per-VM feature

@@ -237,16 +237,6 @@ func (p *Plane) OwnerStates() []gslb.HealthState {
 	return out
 }
 
-// ReplicaStates returns replica i's (possibly stale) view of every region's
-// health state, in deployment order.
-func (p *Plane) ReplicaStates(i int) []gslb.HealthState {
-	out := make([]gslb.HealthState, len(p.reps[i].view))
-	for r := range out {
-		out[r] = p.reps[i].view[r].State
-	}
-	return out
-}
-
 // Transitions returns every authoritative health-state change (as seen by
 // region owners) so far, ordered by probe time, then region index.
 func (p *Plane) Transitions() []gslb.Transition {
@@ -269,9 +259,6 @@ func (p *Plane) Transitions() []gslb.Transition {
 
 // Probes returns the number of completed probe ticks.
 func (p *Plane) Probes() uint64 { return p.probes }
-
-// Partitioned reports whether the replica set is currently split.
-func (p *Plane) Partitioned() bool { return p.split }
 
 // Isolate splits the replica set in two: the listed replicas form one side,
 // everyone else the other.  Cross-side messages are dropped at delivery time

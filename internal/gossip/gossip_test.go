@@ -149,7 +149,7 @@ func TestGossipPartitionSplitBrainAndHeal(t *testing.T) {
 
 	// Cut replica 2 off, then black out region1 (owned by replica 0).
 	p.Isolate([]int{2})
-	if !p.Partitioned() {
+	if !p.split {
 		t.Fatalf("Isolate did not mark the plane partitioned")
 	}
 	ts.down[0] = true
@@ -165,10 +165,10 @@ func TestGossipPartitionSplitBrainAndHeal(t *testing.T) {
 	}
 	rng := simclock.NewRNG(1)
 	var rr uint64
-	if got := p.Table(2).Route(rng, &rr); got != 0 {
+	if got := p.Table(2).RouteStream(0, rng, &rr); got != 0 {
 		t.Fatalf("isolated replica routes to region %d, want stale region 0", got)
 	}
-	if got := p.Table(0).Route(rng, &rr); got != 1 {
+	if got := p.Table(0).RouteStream(0, rng, &rr); got != 1 {
 		t.Fatalf("majority replica routes to region %d, want failover region 1", got)
 	}
 	if d := p.MaxDivergence(); d < 4 {
@@ -185,7 +185,7 @@ func TestGossipPartitionSplitBrainAndHeal(t *testing.T) {
 	if s := p.ReplicaStates(2)[0]; s != gslb.Drained {
 		t.Fatalf("after heal, replica 2 view of region1 = %v, want drained", s)
 	}
-	if got := p.Table(2).Route(rng, &rr); got != 1 {
+	if got := p.Table(2).RouteStream(0, rng, &rr); got != 1 {
 		t.Fatalf("after heal, replica 2 routes to region %d, want 1", got)
 	}
 	if d := p.MaxDivergence(); d > 2 {
@@ -375,7 +375,7 @@ func FuzzPlaneRounds(f *testing.F) {
 				if !reflect.DeepEqual(p.Table(0), central.Table()) {
 					t.Fatalf("op %d: one-replica table %+v, standalone director %+v", k, *p.Table(0), *central.Table())
 				}
-				if !reflect.DeepEqual(p.OwnerStates(), central.States()) || !reflect.DeepEqual(p.Transitions(), central.Transitions()) {
+				if !reflect.DeepEqual(p.OwnerStates(), replayStates(regions, central.Transitions())) || !reflect.DeepEqual(p.Transitions(), central.Transitions()) {
 					t.Fatalf("op %d: one-replica states/transitions diverged from the standalone director", k)
 				}
 			}
@@ -406,18 +406,12 @@ func dueDeliveries(p *Plane, now simclock.Time) []delivery {
 }
 
 // checkPlane asserts the plane's invariants: per-replica versions never
-// decrease and never pass the owner's, each director mirrors its replica's
-// view, every table routes exactly the regions its view holds serving (all
-// of them when none is), and every sent message is delivered, dropped or in
-// flight.  versions holds the previous check's versions and is updated.
+// decrease and never pass the owner's, each director routes by exactly its
+// replica's view, and every sent message is delivered, dropped or in flight.
+// versions holds the previous check's versions and is updated.
 func checkPlane(t *testing.T, p *Plane, versions [][]uint64) {
 	t.Helper()
 	for i, rep := range p.reps {
-		states := p.ReplicaStates(i)
-		if got := rep.dir.States(); !reflect.DeepEqual(got, states) {
-			t.Fatalf("replica %d director states %v, view %v", i, got, states)
-		}
-		var serving []int
 		for r, s := range rep.view {
 			if s.Version < versions[i][r] {
 				t.Fatalf("replica %d region %d version fell %d -> %d", i, r, versions[i][r], s.Version)
@@ -426,22 +420,132 @@ func checkPlane(t *testing.T, p *Plane, versions [][]uint64) {
 			if own := p.reps[p.owner(r)].view[r].Version; s.Version > own {
 				t.Fatalf("replica %d region %d version %d passes the owner's %d", i, r, s.Version, own)
 			}
-			if states[r].Serving() {
-				serving = append(serving, r)
-			}
 		}
-		if len(serving) == 0 {
-			for r := range rep.view {
-				serving = append(serving, r)
-			}
-		}
-		eligible := p.Table(i).Eligible()
-		slices.Sort(eligible)
-		if !slices.Equal(eligible, serving) {
-			t.Fatalf("replica %d routes to %v, its view serves %v (states %v)", i, eligible, serving, states)
+		if got, want := p.Table(i), viewTable(t, rep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica %d routes by %+v, its view %+v implies %+v", i, *got, rep.view, *want)
 		}
 	}
 	if st := p.Stats(); st.Sent != st.Delivered+st.Dropped+inFlight(p) {
 		t.Fatalf("message conservation violated: %+v (in flight %d)", st, inFlight(p))
 	}
+}
+
+// viewTable is the routing table that rep's view implies: the table of a
+// fresh director with rep's configuration once it has adopted every summary
+// of the view.
+func viewTable(t *testing.T, rep *replica) *gslb.Table {
+	t.Helper()
+	d, err := gslb.NewDirector(rep.dir.Config(), rep.dir.Regions(), rep.dir.Streams(), func(int) cloudsim.Telemetry { return cloudsim.Telemetry{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range rep.view {
+		d.Adopt(r, s.State, s.Capacity)
+	}
+	return d.Table()
+}
+
+// replayStates folds a standalone director's transition log over regions
+// that all start healthy.  Such a director changes a state only by probing
+// it, and logs every probe that does, so the fold is its current states.
+func replayStates(regions []string, trans []gslb.Transition) []gslb.HealthState {
+	out := make([]gslb.HealthState, len(regions))
+	for _, tr := range trans {
+		out[slices.Index(regions, tr.Region)] = tr.To
+	}
+	return out
+}
+
+// FuzzGossipAdopt checks adopt, the merge every gossip delivery runs,
+// against the algebra of a last-writer-wins register per region.  The input
+// bytes encode the replica count (3 or 4), each replica's starting view over
+// four regions and two incoming views A and B, one version per region; the
+// summary at version v is a pure function of (region, v), as the region's
+// owner guarantees.  For every replica:
+//   - adopting A then B leaves its view, and the routing table its director
+//     builds from the adopted states and capacities, equal to adopting B
+//     then A (the transition logs may differ);
+//   - adopting A twice equals adopting it once;
+//   - no version in its view ever decreases.
+func FuzzGossipAdopt(f *testing.F) {
+	f.Add([]byte{0, 5, 5, 5, 5, 9, 0, 2, 7, 1, 1, 1, 1, 0, 0, 0, 0, 3, 6, 2, 8, 4, 6, 1, 9})
+	f.Add([]byte{1, 7, 3, 0, 12, 2, 2, 2, 2, 15, 1, 0, 4, 6, 6, 6, 6, 3, 3, 3, 3, 1, 9, 9, 1, 4, 4, 5, 5})
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 2, 3, 4, 4, 3, 2, 1, 2, 2, 2, 2, 4, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		const regions = 4
+		next := func() uint64 {
+			if len(in) == 0 {
+				return 0
+			}
+			v := uint64(in[0] % 16)
+			in = in[1:]
+			return v
+		}
+		replicas := 3 + int(next()%2)
+		base := make([][]Summary, replicas)
+		for i := range base {
+			base[i] = make([]Summary, regions)
+			for r := range base[i] {
+				base[i][r] = summaryAt(r, next())
+			}
+		}
+		var a, b []Summary
+		for r := 0; r < regions; r++ {
+			a = append(a, summaryAt(r, next()))
+		}
+		for r := 0; r < regions; r++ {
+			b = append(b, summaryAt(r, next()))
+		}
+
+		// merged adopts the views in order into every replica of a plane
+		// that starts from base, checking that no version decreases.
+		merged := func(views ...[]Summary) *Plane {
+			names := []string{"r0", "r1", "r2", "r3"}
+			tel := func(i int) cloudsim.Telemetry {
+				return cloudsim.Telemetry{Region: names[i], ActiveVMs: 4, BaselineActive: 4, Capacity: 100}
+			}
+			p, err := New(Config{Replicas: replicas}, gslb.Config{Policy: gslb.PolicyLeastLoad}, names, nil, 1, tel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rep := range p.reps {
+				copy(rep.view, base[i])
+				for r, s := range rep.view {
+					rep.dir.Adopt(r, s.State, s.Capacity)
+				}
+			}
+			for _, view := range views {
+				for i, rep := range p.reps {
+					before := slices.Clone(rep.view)
+					p.adopt(i, view)
+					for r := range before {
+						if rep.view[r].Version < before[r].Version {
+							t.Fatalf("replica %d region %d version fell %d -> %d adopting %+v", i, r, before[r].Version, rep.view[r].Version, view)
+						}
+					}
+				}
+			}
+			return p
+		}
+		same := func(what string, p, q *Plane) {
+			t.Helper()
+			for i := range p.reps {
+				if !reflect.DeepEqual(p.reps[i].view, q.reps[i].view) {
+					t.Fatalf("%s: replica %d view %+v, want %+v", what, i, p.reps[i].view, q.reps[i].view)
+				}
+				if !reflect.DeepEqual(p.Table(i), q.Table(i)) {
+					t.Fatalf("%s: replica %d table %+v, want %+v", what, i, *p.Table(i), *q.Table(i))
+				}
+			}
+		}
+		same("A then B against B then A", merged(a, b), merged(b, a))
+		same("A twice against A once", merged(a, a), merged(a))
+	})
+}
+
+// summaryAt is region r's summary at version v: a pure function of the two,
+// cycling through every health state and a spread of capacities.
+func summaryAt(r int, v uint64) Summary {
+	k := uint64(r)*5 + v
+	return Summary{Version: v, State: gslb.HealthState(k % 4), Capacity: float64(k%7) / 2}
 }

@@ -531,24 +531,8 @@ func (d *Director) Table() *Table {
 	return d.table
 }
 
-// States returns the current health state of every region, in deployment
-// order.
-func (d *Director) States() []HealthState {
-	out := make([]HealthState, len(d.health))
-	for i := range d.health {
-		out[i] = d.health[i].State
-	}
-	return out
-}
-
-// State returns the health state of region i.
-func (d *Director) State(i int) HealthState { return d.health[i].State }
-
 // Transitions returns every health-state change so far, in probe order.
 func (d *Director) Transitions() []Transition { return append([]Transition(nil), d.trans...) }
-
-// Probes returns the number of completed probe ticks.
-func (d *Director) Probes() uint64 { return d.probes }
 
 // Observe feeds one completed request's observed round trip (milliseconds)
 // into the (stream, region) lane, weighted by the number of client
@@ -588,15 +572,6 @@ func (d *Director) LatencyP95Ms(stream, region int) float64 {
 		return 0
 	}
 	return d.lanes[stream][region].quant.Value()
-}
-
-// LatencyObservations returns how many interaction-weighted observations the
-// lane's quantile sketch has folded in.
-func (d *Director) LatencyObservations(stream, region int) uint64 {
-	if d.lanes == nil {
-		return 0
-	}
-	return d.lanes[stream][region].quant.Count()
 }
 
 // Tick runs one health probe: it probes every region, folds the buffered
@@ -743,17 +718,6 @@ type Table struct {
 	eligible []int              // serving region indices, preference-ordered
 	weights  simclock.Weights   // aligned with eligible (static / least-load)
 	rows     []simclock.Weights // latency policy: per-stream weights over eligible
-}
-
-// Eligible returns the serving region indices, preference-ordered.
-func (t *Table) Eligible() []int { return append([]int(nil), t.eligible...) }
-
-// Route picks the destination region index for one request of the first
-// population stream.  rng supplies the weighted draw of the static,
-// least-load and latency policies; rr is the caller's round-robin cursor
-// (advanced only by the round-robin policy).
-func (t *Table) Route(rng *simclock.RNG, rr *uint64) int {
-	return t.RouteStream(0, rng, rr)
 }
 
 // RouteStream picks the destination region index for one request of the

@@ -87,26 +87,26 @@ func TestGSLBFailoverStateMachine(t *testing.T) {
 
 	rng := simclock.NewRNG(1)
 	var rr uint64
-	if got := d.Table().Route(rng, &rr); got != 0 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 0 {
 		t.Fatalf("initial route = region %d, want 0 (preferred)", got)
 	}
 
 	// One bad probe: degraded but still serving (preferred).
 	stub.active[0] = 0
 	d.Tick(15)
-	if d.State(0) != Degraded {
-		t.Fatalf("after 1 bad probe: %v, want degraded", d.State(0))
+	if d.health[0].State != Degraded {
+		t.Fatalf("after 1 bad probe: %v, want degraded", d.health[0].State)
 	}
-	if got := d.Table().Route(rng, &rr); got != 0 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 0 {
 		t.Fatalf("degraded region should still serve, routed to %d", got)
 	}
 
 	// Second bad probe: drained; traffic fails over to region2.
 	d.Tick(30)
-	if d.State(0) != Drained {
-		t.Fatalf("after 2 bad probes: %v, want drained", d.State(0))
+	if d.health[0].State != Drained {
+		t.Fatalf("after 2 bad probes: %v, want drained", d.health[0].State)
 	}
-	if got := d.Table().Route(rng, &rr); got != 1 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 1 {
 		t.Fatalf("drained region still routed: got %d, want 1", got)
 	}
 
@@ -114,18 +114,18 @@ func TestGSLBFailoverStateMachine(t *testing.T) {
 	// region excluded (recovering), the third fails traffic back.
 	stub.active[0] = 4
 	d.Tick(45)
-	if d.State(0) != Recovering {
-		t.Fatalf("after 1 good probe: %v, want recovering", d.State(0))
+	if d.health[0].State != Recovering {
+		t.Fatalf("after 1 good probe: %v, want recovering", d.health[0].State)
 	}
-	if got := d.Table().Route(rng, &rr); got != 1 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 1 {
 		t.Fatalf("recovering region already serving: got %d", got)
 	}
 	d.Tick(60)
 	d.Tick(75)
-	if d.State(0) != Healthy {
-		t.Fatalf("after 3 good probes: %v, want healthy", d.State(0))
+	if d.health[0].State != Healthy {
+		t.Fatalf("after 3 good probes: %v, want healthy", d.health[0].State)
 	}
-	if got := d.Table().Route(rng, &rr); got != 0 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 0 {
 		t.Fatalf("failback did not happen: routed to %d", got)
 	}
 
@@ -153,14 +153,14 @@ func TestGSLBErrorSignalDrains(t *testing.T) {
 	d := newTestDirector(t, Config{Policy: PolicyFailover, UnhealthyAfter: 1}, stub)
 	stub.served[0], stub.dropped[0] = 100, 0
 	d.Tick(15)
-	if d.State(0) != Healthy {
-		t.Fatalf("healthy traffic drained the region: %v", d.State(0))
+	if d.health[0].State != Healthy {
+		t.Fatalf("healthy traffic drained the region: %v", d.health[0].State)
 	}
 	// Next interval: 10 served, 90 dropped -> 0.9 error rate > 0.5 default.
 	stub.served[0], stub.dropped[0] = 110, 90
 	d.Tick(30)
-	if d.State(0) != Drained {
-		t.Fatalf("error burst did not drain: %v", d.State(0))
+	if d.health[0].State != Drained {
+		t.Fatalf("error burst did not drain: %v", d.health[0].State)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestGSLBRoundRobinRotation(t *testing.T) {
 	var rr uint64
 	got := []int{}
 	for i := 0; i < 6; i++ {
-		got = append(got, d.Table().Route(rng, &rr))
+		got = append(got, d.Table().RouteStream(0, rng, &rr))
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
@@ -185,7 +185,7 @@ func TestGSLBRoundRobinRotation(t *testing.T) {
 	d.Tick(30)
 	seen := map[int]bool{}
 	for i := 0; i < 10; i++ {
-		seen[d.Table().Route(rng, &rr)] = true
+		seen[d.Table().RouteStream(0, rng, &rr)] = true
 	}
 	if seen[1] || !seen[0] || !seen[2] {
 		t.Fatalf("post-drain rotation hit %v, want only regions 0 and 2", seen)
@@ -199,7 +199,7 @@ func TestGSLBStaticWeightsFollowConfig(t *testing.T) {
 	var rr uint64
 	counts := [2]int{}
 	for i := 0; i < 4000; i++ {
-		counts[d.Table().Route(rng, &rr)]++
+		counts[d.Table().RouteStream(0, rng, &rr)]++
 	}
 	frac := float64(counts[0]) / 4000
 	if frac < 0.70 || frac > 0.80 {
@@ -216,7 +216,7 @@ func TestGSLBLeastLoadFollowsCapacity(t *testing.T) {
 	var rr uint64
 	counts := [2]int{}
 	for i := 0; i < 3000; i++ {
-		counts[d.Table().Route(rng, &rr)]++
+		counts[d.Table().RouteStream(0, rng, &rr)]++
 	}
 	frac := float64(counts[0]) / 3000
 	if frac < 0.60 || frac > 0.73 {
@@ -274,7 +274,7 @@ func TestGSLBRouteSharesChiSquare(t *testing.T) {
 			counts := make([]int, 3)
 			table := tc.d.Table()
 			for i := 0; i < routes; i++ {
-				counts[table.Route(rng, &rr)]++
+				counts[table.RouteStream(0, rng, &rr)]++
 			}
 			if stat := chiSquare(counts, tc.shares); stat > chi2Crit3 {
 				t.Errorf("%s seed %d: χ² = %.2f > %.2f (counts %v, shares %v)", tc.name, seed, stat, chi2Crit3, counts, tc.shares)
@@ -292,7 +292,7 @@ func TestGSLBAllDrainedFallsBack(t *testing.T) {
 	d.Tick(15)
 	rng := simclock.NewRNG(1)
 	var rr uint64
-	if got := d.Table().Route(rng, &rr); got != 0 {
+	if got := d.Table().RouteStream(0, rng, &rr); got != 0 {
 		t.Fatalf("all-drained fallback routed to %d, want preferred 0", got)
 	}
 }
@@ -361,7 +361,7 @@ func TestGSLBFailoverConservationProperty(t *testing.T) {
 		stopArrivals := eng.Ticker(0.02, func(e *simclock.Engine) {
 			id := nextID
 			nextID++
-			ri := d.Table().Route(routeRNG, &rr)
+			ri := d.Table().RouteStream(0, routeRNG, &rr)
 			routed++
 			regions[ri].submit(e, id, func(bool) { completions[id]++ })
 		})

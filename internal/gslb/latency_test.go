@@ -89,9 +89,6 @@ func TestGSLBLatencyLearnsFromObservations(t *testing.T) {
 	if p95 := d.LatencyP95Ms(0, 0); p95 < 350 {
 		t.Fatalf("P² p95 = %v ms, want near 400", p95)
 	}
-	if n := d.LatencyObservations(0, 0); n != 60 {
-		t.Fatalf("observation count = %d, want 60", n)
-	}
 }
 
 // TestGSLBObserveBatchWeight: a cohort batch weighs the EWMA by its
@@ -193,23 +190,23 @@ func TestGSLBCounterRegressionClamps(t *testing.T) {
 	d := newTestDirector(t, Config{Policy: PolicyFailover, UnhealthyAfter: 1}, stub)
 	stub.served[0], stub.dropped[0] = 1000, 10
 	d.Tick(15)
-	if d.State(0) != Healthy {
-		t.Fatalf("low drop ratio drained the region: %v", d.State(0))
+	if d.health[0].State != Healthy {
+		t.Fatalf("low drop ratio drained the region: %v", d.health[0].State)
 	}
 	// The region restarts: its counters regress to near zero.  With the
 	// unsigned subtraction this produced dServed ~ 2^64 and dDropped ~ 2^64
 	// (error rate garbage); the clamp resyncs instead.
 	stub.served[0], stub.dropped[0] = 5, 8
 	d.Tick(30)
-	if d.State(0) != Healthy {
-		t.Fatalf("counter regression drained the region: %v", d.State(0))
+	if d.health[0].State != Healthy {
+		t.Fatalf("counter regression drained the region: %v", d.health[0].State)
 	}
 	// And the probe after the regression measures deltas from the regressed
 	// base, so real drops show up again.
 	stub.served[0], stub.dropped[0] = 6, 100
 	d.Tick(45)
-	if d.State(0) != Drained {
-		t.Fatalf("post-regression error burst missed: %v", d.State(0))
+	if d.health[0].State != Drained {
+		t.Fatalf("post-regression error burst missed: %v", d.health[0].State)
 	}
 }
 
@@ -223,8 +220,8 @@ func TestGSLBThresholdSentinels(t *testing.T) {
 	d := newTestDirector(t, Config{Policy: PolicyFailover, CapacityThreshold: DisabledThreshold, UnhealthyAfter: 1}, stub)
 	stub.active[0] = 0
 	d.Tick(15)
-	if d.State(0) != Healthy {
-		t.Fatalf("disabled capacity threshold still drained: %v", d.State(0))
+	if d.health[0].State != Healthy {
+		t.Fatalf("disabled capacity threshold still drained: %v", d.health[0].State)
 	}
 
 	// -1 error threshold: a single drop in an interval is a bad probe.
@@ -232,8 +229,8 @@ func TestGSLBThresholdSentinels(t *testing.T) {
 	d2 := newTestDirector(t, Config{Policy: PolicyFailover, ErrorThreshold: DisabledThreshold, UnhealthyAfter: 1}, stub2)
 	stub2.served[0], stub2.dropped[0] = 10000, 1
 	d2.Tick(15)
-	if d2.State(0) != Drained {
-		t.Fatalf("zero error tolerance missed a drop: %v", d2.State(0))
+	if d2.health[0].State != Drained {
+		t.Fatalf("zero error tolerance missed a drop: %v", d2.health[0].State)
 	}
 
 	// 0 still selects the defaults.
@@ -328,7 +325,7 @@ func TestGSLBFallbackTableEveryPolicy(t *testing.T) {
 			}
 		}
 		tab := d.Table()
-		if got := len(tab.Eligible()); got != 3 {
+		if got := len(tab.eligible); got != 3 {
 			t.Fatalf("%s: fallback table has %d eligible regions, want 3", kind, got)
 		}
 		counts := routeCounts(tab, 0, 3, 300, 9)

@@ -251,17 +251,6 @@ func (r *Registry) Each(name string, fn func(labelValues []string, value float64
 // Counter is a monotonically non-decreasing instrument.
 type Counter struct{ fam *family }
 
-// Add increases the labelled sample by delta (negative deltas are ignored).
-func (c *Counter) Add(delta float64, labelValues ...string) {
-	if delta < 0 {
-		return
-	}
-	r := c.fam.reg
-	r.mu.Lock()
-	c.fam.get(labelValues).value += delta
-	r.mu.Unlock()
-}
-
 // Set mirrors an externally accumulated total into the counter.  The update
 // is clamped monotone: a total below the current value is ignored, so a
 // mirrored counter can never regress even if its source is re-read
@@ -289,18 +278,6 @@ func (g *Gauge) Set(v float64, labelValues ...string) {
 
 // Histogram is a bucketed distribution instrument.
 type Histogram struct{ fam *family }
-
-// Observe adds one observation to the labelled sample.
-func (h *Histogram) Observe(v float64, labelValues ...string) {
-	r := h.fam.reg
-	r.mu.Lock()
-	ch := h.fam.get(labelValues)
-	i := sort.SearchFloat64s(h.fam.buckets, v) // first bound >= v
-	ch.counts[i]++
-	ch.sum += v
-	ch.count++
-	r.mu.Unlock()
-}
 
 // SetCumulative mirrors an externally accumulated distribution into the
 // labelled sample: counts are the per-bin counts (len(buckets)+1, the last

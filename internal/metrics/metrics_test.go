@@ -15,9 +15,8 @@ import (
 func TestCounterText(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter(Opts{Name: "requests_total", Help: "Total requests.", Labels: []string{"region"}})
-	c.Add(3, "eu")
-	c.Add(2, "us")
-	c.Add(1, "eu")
+	c.Set(4, "eu")
+	c.Set(2, "us")
 
 	want := strings.Join([]string{
 		"# HELP requests_total Total requests.",
@@ -59,7 +58,7 @@ func TestCounterSetIsMonotone(t *testing.T) {
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter(Opts{Name: "odd_total", Help: "h", Labels: []string{"name"}})
-	c.Add(1, "a\\b\"c\nd")
+	c.Set(1, "a\\b\"c\nd")
 
 	if got := r.Text(); !strings.Contains(got, `odd_total{name="a\\b\"c\nd"} 1`) {
 		t.Fatalf("label value not escaped per the exposition format:\n%s", got)
@@ -77,9 +76,7 @@ func TestHelpEscaping(t *testing.T) {
 func TestHistogramText(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(Opts{Name: "latency_seconds", Help: "h", Labels: []string{"stream"}}, []float64{0.1, 1})
-	h.Observe(0.05, "web")
-	h.Observe(0.5, "web")
-	h.Observe(5, "web")
+	h.SetCumulative([]uint64{1, 1, 1}, 5.55, 3, "web")
 
 	got := r.Text()
 	for _, line := range []string{
@@ -257,7 +254,7 @@ func TestEach(t *testing.T) {
 	g.Set(3, "us", "aa")
 	g.Set(4, "us", "zz")
 	c.Set(7)
-	h.Observe(0.5)
+	h.SetCumulative([]uint64{1, 0}, 0.5, 1)
 
 	var got []string
 	collect := func(labels []string, v float64) {

@@ -243,15 +243,6 @@ func addIntercept(x [][]float64) [][]float64 {
 	return out
 }
 
-// copyMatrix returns a deep copy of x.
-func copyMatrix(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
 // meanOf returns the arithmetic mean of xs (0 when empty).
 func meanOf(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -412,8 +412,8 @@ func TestLSSVMSubsampling(t *testing.T) {
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if m.SupportVectors() != 100 {
-		t.Fatalf("expected 100 support vectors, got %d", m.SupportVectors())
+	if len(m.support) != 100 {
+		t.Fatalf("expected 100 support vectors, got %d", len(m.support))
 	}
 	met := EvaluateModel(m, x, y)
 	if met.R2 < 0.8 {

@@ -90,18 +90,3 @@ func DefaultCandidates(lassoLambda float64) map[string]func() Regressor {
 		"LS-SVM":           func() Regressor { return NewLSSVM() },
 	}
 }
-
-// NewByName constructs one of the default models by its display name, or
-// returns an error listing the valid names.
-func NewByName(name string) (Regressor, error) {
-	candidates := DefaultCandidates(0.01)
-	if f, ok := candidates[name]; ok {
-		return f(), nil
-	}
-	names := make([]string, 0, len(candidates))
-	for n := range candidates {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return nil, fmt.Errorf("ml: unknown model %q (valid: %v)", name, names)
-}

@@ -273,7 +273,3 @@ func (m *LSSVM) Predict(row []float64) float64 {
 	}
 	return pred
 }
-
-// SupportVectors returns the number of support vectors retained after
-// subsampling.
-func (m *LSSVM) SupportVectors() int { return len(m.support) }

@@ -254,41 +254,6 @@ func (t *REPTree) Predict(row []float64) float64 {
 	return node.value
 }
 
-// Depth returns the depth of the fitted tree (0 for a single leaf, -1 when
-// unfitted).
-func (t *REPTree) Depth() int {
-	if t.root == nil {
-		return -1
-	}
-	return nodeDepth(t.root)
-}
-
-func nodeDepth(n *treeNode) int {
-	if n.isLeaf() {
-		return 0
-	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Leaves returns the number of leaves in the fitted tree.
-func (t *REPTree) Leaves() int {
-	if t.root == nil {
-		return 0
-	}
-	return countLeaves(t.root)
-}
-
-func countLeaves(n *treeNode) int {
-	if n.isLeaf() {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
 // String renders the tree structure for debugging.
 func (t *REPTree) String() string {
 	if t.root == nil {
@@ -466,19 +431,4 @@ func (t *M5P) Predict(row []float64) float64 {
 		pred = node.maxLabel
 	}
 	return pred
-}
-
-// Leaves returns the number of leaves in the fitted model tree.
-func (t *M5P) Leaves() int {
-	if t.root == nil {
-		return 0
-	}
-	var count func(*m5Node) int
-	count = func(n *m5Node) int {
-		if n.isLeaf() {
-			return 1
-		}
-		return count(n.left) + count(n.right)
-	}
-	return count(t.root)
 }

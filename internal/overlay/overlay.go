@@ -188,18 +188,6 @@ func (n *Network) Nodes() []string {
 	return out
 }
 
-// AliveNodes returns the names of nodes currently alive, sorted.
-func (n *Network) AliveNodes() []string {
-	var out []string
-	for name, alive := range n.nodes {
-		if alive {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddLink creates (or updates) the undirected link between a and b with the
 // given latency in milliseconds.  Both endpoints are created if missing.
 func (n *Network) AddLink(a, b string, latencyMs float64) error {
@@ -249,13 +237,6 @@ func (n *Network) RestoreLink(a, b string) bool {
 	return true
 }
 
-// LinkFailed reports whether the link between a and b is currently failed
-// (false if the link does not exist).
-func (n *Network) LinkFailed(a, b string) bool {
-	l, ok := n.links[linkKey(a, b)]
-	return ok && l.failed
-}
-
 // FailNode marks a node as failed: all its links become unusable until the
 // node is restored.  It reports whether the node exists.
 func (n *Network) FailNode(name string) bool {
@@ -284,14 +265,6 @@ type Route struct {
 	Path []string
 	// LatencyMs is the sum of link latencies along the path.
 	LatencyMs float64
-}
-
-// Hops returns the number of links traversed.
-func (r Route) Hops() int {
-	if len(r.Path) == 0 {
-		return 0
-	}
-	return len(r.Path) - 1
 }
 
 // String renders the route as "a -> b -> c (12.3 ms)".
@@ -330,10 +303,6 @@ func (n *Network) ShortestRoute(from, to string) (Route, error) {
 	return Route{Path: path, LatencyMs: latency}, nil
 }
 
-// Latency returns the end-to-end latency of the best live route between two
-// nodes, or +Inf when unreachable.
-func (n *Network) Latency(from, to string) float64 { return n.table().latency(from, to) }
-
 // LatencyView reads Latency between a fixed list of nodes by position, so a
 // caller on a per-request path resolves the names once instead of on every
 // read.  It re-resolves the positions whenever the route table changes, so
@@ -352,7 +321,7 @@ func (n *Network) View(nodes []string) *LatencyView {
 }
 
 // Latency returns the latency of the best live route from nodes[i] to
-// nodes[j], +Inf when unreachable: exactly Network.Latency of the two names.
+// nodes[j], +Inf when unreachable.
 func (v *LatencyView) Latency(i, j int) float64 {
 	t := v.n.table()
 	if t != v.table {
@@ -391,37 +360,6 @@ func (n *Network) Partition(from string) []string {
 			out = append(out, name)
 		}
 	}
-	return out
-}
-
-// LatencyMatrix returns the pairwise latency matrix over the given nodes (in
-// the given order), with +Inf marking unreachable pairs.
-func (n *Network) LatencyMatrix(nodes []string) [][]float64 {
-	m := make([][]float64, len(nodes))
-	for i, a := range nodes {
-		m[i] = make([]float64, len(nodes))
-		for j, b := range nodes {
-			if i == j {
-				continue
-			}
-			m[i][j] = n.Latency(a, b)
-		}
-	}
-	return m
-}
-
-// Links returns a description of every link ("a-b: 12.3ms [failed]"), sorted,
-// for reports and debugging.
-func (n *Network) Links() []string {
-	var out []string
-	for _, l := range n.links {
-		s := fmt.Sprintf("%s-%s: %.1fms", l.a, l.b, l.latencyMs)
-		if l.failed {
-			s += " [failed]"
-		}
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -59,8 +59,10 @@ func TestNodesAndAliveNodes(t *testing.T) {
 		t.Fatalf("Nodes() = %v, want %v", got, want)
 	}
 	n.FailNode("b")
-	if got := n.AliveNodes(); !equalStrings(got, []string{"a", "c", "d"}) {
-		t.Fatalf("AliveNodes() = %v", got)
+	for _, alive := range []string{"a", "c", "d"} {
+		if !n.NodeAlive(alive) {
+			t.Fatalf("%s should be up", alive)
+		}
 	}
 	if n.NodeAlive("b") {
 		t.Fatalf("b should be down")
@@ -89,7 +91,7 @@ func TestShortestRoutePrefersLowLatencyPath(t *testing.T) {
 	if r.LatencyMs != 2 {
 		t.Fatalf("latency = %v, want 2 (via b)", r.LatencyMs)
 	}
-	if r.Hops() != 2 || len(r.Path) != 3 || r.Path[1] != "b" {
+	if len(r.Path) != 3 || r.Path[1] != "b" {
 		t.Fatalf("path = %v, want a->b->c", r.Path)
 	}
 	if r.String() == "" {
@@ -103,11 +105,8 @@ func TestShortestRouteSameNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}
-	if r.Hops() != 0 || r.LatencyMs != 0 {
+	if len(r.Path) != 1 || r.LatencyMs != 0 {
 		t.Fatalf("self route should have zero hops and latency, got %+v", r)
-	}
-	if (Route{}).Hops() != 0 {
-		t.Fatalf("empty route should have zero hops")
 	}
 }
 
@@ -142,7 +141,7 @@ func TestLinkFailureReroutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("route after link failure: %v", err)
 	}
-	if r.LatencyMs != 5 || r.Hops() != 1 {
+	if r.LatencyMs != 5 || len(r.Path) != 2 {
 		t.Fatalf("after failing a-b the route should fall back to the direct a-c link, got %+v", r)
 	}
 	if !n.RestoreLink("a", "b") {
@@ -206,27 +205,24 @@ func TestPartition(t *testing.T) {
 
 func TestLatencyMatrixAndLinks(t *testing.T) {
 	n := testNetwork(t)
-	m := n.LatencyMatrix([]string{"a", "b", "c"})
-	if m[0][0] != 0 || m[0][1] != 1 || m[0][2] != 2 || m[2][0] != 2 {
-		t.Fatalf("unexpected latency matrix: %v", m)
-	}
-	links := n.Links()
-	if len(links) != 4 {
-		t.Fatalf("links = %v, want 4 entries", links)
-	}
-	if !sort.StringsAreSorted(links) {
-		t.Fatalf("links should be sorted")
-	}
-	n.FailLink("a", "b")
-	found := false
-	for _, l := range n.Links() {
-		if l == "a-b: 1.0ms [failed]" {
-			found = true
+	nodes := []string{"a", "b", "c"}
+	v := n.View(nodes)
+	check := func(stage string, want [3][3]float64) {
+		t.Helper()
+		for i := range nodes {
+			for j := range nodes {
+				if got := v.Latency(i, j); got != want[i][j] {
+					t.Fatalf("%s: latency %s->%s = %v, want %v", stage, nodes[i], nodes[j], got, want[i][j])
+				}
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("failed link should be annotated, got %v", n.Links())
+	check("initial", [3][3]float64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}})
+	n.FailLink("a", "b")
+	if !n.LinkFailed("a", "b") || n.LinkFailed("b", "c") {
+		t.Fatalf("only a-b should be marked failed")
 	}
+	check("a-b failed", [3][3]float64{{0, 6, 5}, {6, 0, 1}, {5, 1, 0}})
 }
 
 func TestPaperOverlayTopology(t *testing.T) {
@@ -247,7 +243,7 @@ func TestPaperOverlayTopology(t *testing.T) {
 	if err != nil {
 		t.Fatalf("paper overlay should survive a single link failure: %v", err)
 	}
-	if r.Hops() < 2 {
+	if len(r.Path) < 3 {
 		t.Fatalf("rerouted path should use an intermediate node, got %v", r.Path)
 	}
 	if r.LatencyMs <= 8 {

@@ -166,20 +166,6 @@ type Config struct {
 	RMTTFBeta float64
 }
 
-// DefaultConfig returns the VMC configuration used by the reproduction's
-// experiments: proactive rejuvenation when the predicted RTTF drops below 10
-// minutes, a 30-second control interval and the 1-second response-time SLA.
-func DefaultConfig() Config {
-	return Config{
-		RTTFThreshold:         600,
-		ControlInterval:       30 * simclock.Second,
-		ResponseTimeThreshold: 1.0,
-		MinActive:             2,
-		ElasticityEnabled:     true,
-		RMTTFBeta:             0.5,
-	}
-}
-
 func (c Config) withDefaults() Config {
 	if c.RTTFThreshold <= 0 {
 		c.RTTFThreshold = 600
@@ -288,9 +274,6 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 	}, nil
 }
 
-// TargetActive returns the number of ACTIVE VMs the controller maintains.
-func (v *VMC) TargetActive() int { return v.targetActive }
-
 // ForceTargetActive overrides the controller's active-pool target and
 // immediately deactivates ACTIVE VMs (newest first, letting in-flight
 // requests drain) until at most n remain, returning the previous target.
@@ -337,9 +320,6 @@ func (v *VMC) RestoreTargetActive(n int) {
 // deterministic item counts (never wall-clock measurements, which would break
 // byte-identical output across worker counts).
 func (v *VMC) SetFlightRecorder(fr *simclock.FlightRecorder) { v.flight = fr }
-
-// Region returns the managed region.
-func (v *VMC) Region() *cloudsim.Region { return v.region }
 
 // Config returns the controller configuration (with defaults applied).
 func (v *VMC) Config() Config { return v.cfg }
@@ -697,19 +677,6 @@ func (v *VMC) activateStandby(eng *simclock.Engine) bool {
 // most recent predictions — the lastRMTTF_i value the VMC periodically sends
 // to the leader VMC.
 func (v *VMC) RMTTF() float64 { return v.rmttf.Value() }
-
-// LastRawRMTTF returns the most recent un-smoothed RMTTF (useful for tests
-// and reporting).
-func (v *VMC) LastRawRMTTF() float64 { return v.lastRMTTF }
-
-// PredictedRTTF returns the last predicted RTTF for the given VM (0 when the
-// VM has not been evaluated yet or is not in the region).
-func (v *VMC) PredictedRTTF(vmID string) float64 {
-	if vm := v.region.VM(vmID); vm != nil && vm.Index() < len(v.predicted) {
-		return v.predicted[vm.Index()]
-	}
-	return 0
-}
 
 // ActiveVMs returns the number of currently ACTIVE VMs in the region.
 func (v *VMC) ActiveVMs() int { return v.region.ActiveCount() }

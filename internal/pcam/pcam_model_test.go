@@ -37,7 +37,6 @@ func runModelVMC(t *testing.T, pred RTTFPredictor) (modelRun, *VMC) {
 	if err := eng.Run(2 * simclock.Hour); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 	vmc.Stop()
 	r := modelRun{Stats: vmc.Stats(), RMTTF: vmc.RMTTF(), Predicted: map[string]float64{}}
 	for _, vm := range region.VMs() {

@@ -71,7 +71,7 @@ func runShardedTicks(t *testing.T, workers int) tickFingerprint {
 	fp := tickFingerprint{
 		VMCStats:   vmc.Stats(),
 		RMTTF:      vmc.RMTTF(),
-		LastRaw:    vmc.LastRawRMTTF(),
+		LastRaw:    vmc.lastRMTTF,
 		Region:     region.Stats(),
 		Shards:     region.ShardStats(),
 		Predicted:  map[string]float64{},

@@ -49,11 +49,9 @@ func TestSubmitShardedSpreadsLoad(t *testing.T) {
 	}
 	perShard := make([]uint64, region.NumShards())
 	var total uint64
-	for s := 0; s < region.NumShards(); s++ {
-		for _, vm := range region.ShardVMs(s) {
-			perShard[s] += vm.Served()
-			total += vm.Served()
-		}
+	for _, vm := range region.VMs() {
+		perShard[vm.ShardIndex()] += vm.Served()
+		total += vm.Served()
 	}
 	if total != n {
 		t.Fatalf("served %d requests, want %d", total, n)
@@ -73,7 +71,7 @@ func TestSubmitShardedSkipsInactiveShards(t *testing.T) {
 	vmc := newTestVMC(t, region, OraclePredictor{}, Config{ElasticityEnabled: false})
 
 	const deadShard = 2
-	for _, vm := range region.ActiveVMsInShard(deadShard) {
+	for _, vm := range region.AppendByStateInShard(nil, deadShard, cloudsim.StateActive) {
 		if !vm.Deactivate() {
 			t.Fatalf("could not deactivate %s", vm.ID())
 		}
@@ -97,8 +95,8 @@ func TestSubmitShardedSkipsInactiveShards(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("%d requests dropped even though three shards stayed active", dropped)
 	}
-	for _, vm := range region.ShardVMs(deadShard) {
-		if vm.Served() != 0 {
+	for _, vm := range region.VMs() {
+		if vm.ShardIndex() == deadShard && vm.Served() != 0 {
 			t.Fatalf("deactivated shard %d still served requests via %s", deadShard, vm.ID())
 		}
 	}
@@ -131,7 +129,7 @@ func TestActivateStandbyPrefersDepletedShard(t *testing.T) {
 	vmc := newTestVMC(t, region, OraclePredictor{}, Config{ElasticityEnabled: false})
 
 	const depleted = 2
-	for _, vm := range region.ActiveVMsInShard(depleted) {
+	for _, vm := range region.AppendByStateInShard(nil, depleted, cloudsim.StateActive) {
 		if !vm.Rejuvenate(eng) {
 			t.Fatalf("could not rejuvenate %s", vm.ID())
 		}
@@ -160,7 +158,7 @@ func TestControlTickShardedRejuvenation(t *testing.T) {
 	region := shardedRegion(13, 4, 8, 4)
 	vmc := newTestVMC(t, region, OraclePredictor{}, Config{ElasticityEnabled: false})
 
-	worn := region.ActiveVMsInShard(3)[0]
+	worn := region.AppendByStateInShard(nil, 3, cloudsim.StateActive)[0]
 	worn.PreAge(0.95)
 
 	vmc.ControlTick(eng)
@@ -200,7 +198,7 @@ func newSendHarness(t *testing.T) *sendHarness {
 	h.issue = simclock.EventFunc(func(e *simclock.Engine) {
 		req := h.pool.Get()
 		req.ServiceFactor, req.Arrival, req.OnDone = 1, e.Now(), h.done
-		h.vmc.Region().Send(e, 0, req, e.Now().Add(h.oneWay))
+		h.vmc.region.Send(e, 0, req, e.Now().Add(h.oneWay))
 	})
 	return h
 }

@@ -58,7 +58,7 @@ func TestDefaultConfigMatchesPaperSLA(t *testing.T) {
 }
 
 func TestPredictorAdapters(t *testing.T) {
-	vm := cloudsim.NewVM(cloudsim.VMConfig{ID: "x", Type: cloudsim.M3Medium,
+	vm := cloudsim.NewVM("x", &cloudsim.VMConfig{Type: cloudsim.M3Medium,
 		Anomalies: cloudsim.DefaultAnomalyProfile(), Failure: cloudsim.DefaultFailurePoint()}, simclock.NewRNG(1))
 	sample := features.NewVector("x", 0)
 	sample.Set(features.RequestRate, 5)
@@ -143,7 +143,6 @@ func TestProactiveRejuvenationTriggersBeforeFailure(t *testing.T) {
 	if err := eng.Run(4 * simclock.Hour); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 	vmc.Stop()
 
 	st := vmc.Stats()
@@ -162,7 +161,7 @@ func TestProactiveRejuvenationTriggersBeforeFailure(t *testing.T) {
 	if vmc.RMTTF() <= 0 {
 		t.Fatalf("RMTTF should be positive after control ticks")
 	}
-	if vmc.LastRawRMTTF() <= 0 {
+	if vmc.lastRMTTF <= 0 {
 		t.Fatalf("raw RMTTF should be positive")
 	}
 	if metrics.Completed("") == 0 {
@@ -187,7 +186,6 @@ func TestReactiveRecoveryWhenPredictorIsBlind(t *testing.T) {
 	if err := eng.Run(5 * simclock.Hour); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 	vmc.Stop()
 
 	st := vmc.Stats()
@@ -225,7 +223,6 @@ func TestElasticityAddsVMsUnderOverload(t *testing.T) {
 	if err := eng.Run(30 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 	vmc.Stop()
 
 	st := vmc.Stats()
@@ -260,7 +257,6 @@ func TestScaleDownWhenRMTTFHigh(t *testing.T) {
 	if err := eng.Run(30 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 	vmc.Stop()
 
 	if vmc.ActiveVMs() != cfg.MinActive {
@@ -283,9 +279,6 @@ func TestPredictedRTTFExposed(t *testing.T) {
 	}
 	if got := vmc.PredictedRTTF("unknown"); got != 0 {
 		t.Fatalf("unknown VM should report 0, got %v", got)
-	}
-	if vmc.Region() != region {
-		t.Fatalf("Region() accessor broken")
 	}
 }
 

@@ -1,4 +1,59 @@
 package simclock
 
+import (
+	"math"
+	"sort"
+)
+
 // PrefixSums exposes a prepared table's prefix sums to the external tests.
 func (w Weights) PrefixSums() []float64 { return w.cum }
+
+// Cancelled reports whether the handle has been cancelled or already fired.
+func (h Handle) Cancelled() bool {
+	s := h.pending()
+	return s == nil || s.dead
+}
+
+// PendingTimes returns the timestamps of all live pending events in ascending
+// order.
+func (e *Engine) PendingTimes() []Time {
+	e.settle()
+	var out []Time
+	for _, en := range e.queue {
+		if !e.slots[en.slot()].dead {
+			out = append(out, en.at())
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Pareto returns a Pareto-distributed value with scale xm and shape alpha.
+func (r *RNG) Pareto(xm, alpha float64) float64 {
+	if xm <= 0 || alpha <= 0 {
+		return 0
+	}
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return xm / math.Pow(u, 1/alpha)
+}
+
+// Perm returns a random permutation of [0,n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}
+
+// Shuffle randomises the order of n elements using the provided swap
+// function, mirroring math/rand.Shuffle.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, r.Intn(i+1))
+	}
+}

@@ -27,7 +27,7 @@ import (
 // Records are kept only for slices that did work (Fired > 0 or Drained > 0);
 // idle slices still feed the aggregate utilization totals.
 type EpochRecord struct {
-	// Shard is the engine lane: 0..NumShards()-1, or NumShards() for the
+	// Shard is the engine lane: 0..n-1 over n shards, or n for the
 	// control timeline.
 	Shard int
 	// Start and End bound the epoch.
@@ -60,7 +60,7 @@ type PhaseRecord struct {
 
 // ShardUtilization aggregates one lane's records over the whole run.
 type ShardUtilization struct {
-	// Shard is the engine lane (NumShards() = control timeline).
+	// Shard is the engine lane (the shard count = control timeline).
 	Shard int
 	// Fired is the total events executed.
 	Fired uint64

@@ -13,7 +13,13 @@ type RNG struct {
 
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded returns the generator NewRNG(seed) points to.
+func seeded(seed uint64) RNG {
+	var r RNG
 	// splitmix64 to fill the state; guarantees a non-zero state.
 	x := seed
 	for i := range r.s {
@@ -29,7 +35,14 @@ func NewRNG(seed uint64) *RNG {
 // Fork derives an independent stream from the current one.  The child's
 // sequence does not overlap the parent's for any practical horizon.
 func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a5deadbeef)
+	f := r.ForkValue()
+	return &f
+}
+
+// ForkValue is Fork for a caller that keeps the child by value (say, in a
+// slice of clients): the same stream, without a heap allocation.
+func (r *RNG) ForkValue() RNG {
+	return seeded(r.Uint64() ^ 0xa5a5a5a5deadbeef)
 }
 
 // mix64 is the splitmix64 finaliser, the same mixing function NewRNG uses to
@@ -141,50 +154,12 @@ func (r *RNG) SkipNormal() {
 	r.Uint64()
 }
 
-// Pareto returns a Pareto-distributed value with scale xm and shape alpha,
-// commonly used for heavy-tailed think times and request sizes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Poisson returns a Poisson-distributed count with the given mean (Knuth's
-// algorithm for small means, normal approximation for large ones).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 50 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		k++
-		p *= r.Float64()
-		if p <= l {
-			return k - 1
-		}
-	}
-}
-
 // Binomial returns a binomially distributed count: the number of successes
 // among n independent trials with success probability p.  Cohort-compressed
 // client populations use it to split a counted state bucket across a
 // transition ("how many of the n thinking clients fire this tick").  Small
 // means use inversion (one uniform walked down the CDF); large means use the
-// normal approximation clamped to the support, mirroring Poisson above.
+// normal approximation clamped to the support.
 func (r *RNG) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -251,28 +226,6 @@ func (r *RNG) Erlang(n int, mean float64) float64 {
 		total += r.Exp(mean)
 	}
 	return total
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Weights is a weighted choice over fixed weights, prepared once: it keeps the

@@ -135,20 +135,12 @@ func (se *ShardedEngine) Workers() int {
 	return min(workers, len(se.shards))
 }
 
-// NumShards returns the number of sub-engines (the control timeline not
-// included).
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
 // Shard returns the i-th sub-engine.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
 // Control returns the control timeline: events scheduled here fire at epoch
 // barriers — at their exact timestamps — with exclusive access to all shards.
 func (se *ShardedEngine) Control() *Engine { return se.control }
-
-// Now returns the lockstep simulated time (the end of the last completed
-// epoch).
-func (se *ShardedEngine) Now() Time { return se.now }
 
 // Epoch returns the configured epoch width.
 func (se *ShardedEngine) Epoch() Duration { return se.epoch }
@@ -157,9 +149,6 @@ func (se *ShardedEngine) Epoch() Duration { return se.epoch }
 // epoch's per-shard fired/busy/idle accounting and every barrier's mailbox
 // deliveries into it.  Attach before Run; nil detaches.
 func (se *ShardedEngine) SetFlightRecorder(fr *FlightRecorder) { se.flight = fr }
-
-// FlightRecorder returns the attached flight recorder (nil when none).
-func (se *ShardedEngine) FlightRecorder() *FlightRecorder { return se.flight }
 
 // Fired returns the total number of events executed across the shards and
 // the control timeline.
@@ -172,7 +161,7 @@ func (se *ShardedEngine) Fired() uint64 {
 }
 
 // LaneOf returns the mailbox lane index of an engine owned by this
-// ShardedEngine: the shard index for a sub-engine, NumShards() for the
+// ShardedEngine: the shard index for a sub-engine, the shard count for the
 // control timeline.  It panics for a foreign engine — posting on behalf of
 // an engine outside the cluster would break the single-writer lane contract.
 func (se *ShardedEngine) LaneOf(e *Engine) int {
@@ -183,7 +172,7 @@ func (se *ShardedEngine) LaneOf(e *Engine) int {
 }
 
 // PostEvent defers ev to the next epoch barrier, where it fires with the dst
-// shard's engine (dst == NumShards() addresses the control timeline).  from
+// shard's engine (dst == the shard count addresses the control timeline).  from
 // must be the engine whose event handler (or barrier context) is calling —
 // it identifies the source lane, which is what makes posting lock-free
 // during the shard phase and delivery order deterministic: the barrier

@@ -35,8 +35,8 @@ func TestShardedEngineControlEventsFireAtExactTimes(t *testing.T) {
 			t.Fatalf("tick %d fired at %v, want %v", i, fired[i], want[i])
 		}
 	}
-	if se.Now() != 1 {
-		t.Fatalf("Now() = %v after the run, want 1", se.Now())
+	if se.now != 1 {
+		t.Fatalf("Now() = %v after the run, want 1", se.now)
 	}
 }
 

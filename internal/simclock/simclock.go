@@ -15,9 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a simulated timestamp expressed in seconds since the start of the
@@ -46,9 +44,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Seconds returns the timestamp as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) }
-
-// Std converts a simulated duration to a time.Duration for reporting.
-func (d Duration) Std() time.Duration { return time.Duration(float64(d) * float64(time.Second)) }
 
 // Seconds returns the duration as a float64 number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) }
@@ -120,8 +115,8 @@ type slot struct {
 
 // Handle identifies a scheduled event so it can be cancelled.  The zero
 // Handle refers to no event.  A Handle stays valid after its event fires or
-// is cancelled: it then reports Cancelled and Cancel is a no-op, even once
-// the slot has been reused by another event.
+// is cancelled: Cancel is then a no-op, even once the slot has been reused by
+// another event.
 type Handle struct {
 	eng  *Engine
 	slot int32
@@ -146,12 +141,6 @@ func (h Handle) Cancel() {
 	if s := h.pending(); s != nil {
 		s.dead = true
 	}
-}
-
-// Cancelled reports whether the handle has been cancelled or already fired.
-func (h Handle) Cancelled() bool {
-	s := h.pending()
-	return s == nil || s.dead
 }
 
 // ErrHorizonReached is returned by Run when the configured horizon is hit
@@ -204,11 +193,6 @@ type Engine struct {
 func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRNG(seed), horizon: Time(math.Inf(1)), shardIndex: -1}
 }
-
-// ShardIndex returns the engine's index within its owning ShardedEngine: the
-// shard number for a sub-engine, NumShards() for the control timeline, and
-// -1 for a standalone engine.
-func (e *Engine) ShardIndex() int { return e.shardIndex }
 
 // Cluster returns the ShardedEngine that owns the engine, nil for a
 // standalone engine.
@@ -407,8 +391,8 @@ func (e *Engine) settle() {
 
 // fireNext frees the heap root's slot and, unless the event was cancelled,
 // fires it.  It reports whether an event fired.  The slot is freed before
-// Fire runs, so handles to the firing event already report Cancelled and the
-// handler's own scheduling can reuse the slot.  The root entry stays in the
+// Fire runs, so cancelling the firing event's handle is already a no-op and
+// the handler's own scheduling can reuse the slot.  The root entry stays in the
 // heap, held, while the handler runs: its first ScheduleAt replaces it in
 // place, and only a handler that schedules nothing leaves a pop to do.
 func (e *Engine) fireNext() bool {
@@ -524,20 +508,6 @@ func (e *Engine) Step() bool {
 		}
 	}
 	return false
-}
-
-// PendingTimes returns the timestamps of all live pending events in ascending
-// order.  Intended for tests and debugging.
-func (e *Engine) PendingTimes() []Time {
-	e.settle()
-	var out []Time
-	for _, en := range e.queue {
-		if !e.slots[en.slot()].dead {
-			out = append(out, en.at())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Ticker schedules fn every period until the returned stop function is called

@@ -107,9 +107,9 @@ func FuzzStatsMerge(f *testing.F) {
 			p    statsPart
 		}{{"left-first", left}, {"right-first", right}} {
 			w, h := got.p.w, got.p.h
-			if w.Count() != stream.w.Count() || w.Min() != stream.w.Min() || w.Max() != stream.w.Max() {
+			if w.Count() != stream.w.Count() || w.min != stream.w.min || w.max != stream.w.max {
 				t.Fatalf("%s Welford n/min/max %d/%g/%g, streamed %d/%g/%g", got.name,
-					w.Count(), w.Min(), w.Max(), stream.w.Count(), stream.w.Min(), stream.w.Max())
+					w.Count(), w.min, w.max, stream.w.Count(), stream.w.min, stream.w.max)
 			}
 			if d := math.Abs(w.Mean() - stream.w.Mean()); d > mergeTol*scale {
 				t.Fatalf("%s mean %g, streamed %g (off by %g)", got.name, w.Mean(), stream.w.Mean(), d)

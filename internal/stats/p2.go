@@ -37,12 +37,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return e
 }
 
-// P returns the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// Count returns the number of observations folded in.
-func (e *P2Quantile) Count() uint64 { return e.n }
-
 // Add folds one observation into the estimate.
 func (e *P2Quantile) Add(x float64) {
 	if e.n < 5 {

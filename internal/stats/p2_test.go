@@ -28,8 +28,8 @@ func TestP2QuantileUniform(t *testing.T) {
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("p=%v: P² estimate %v, exact %v", p, got, want)
 		}
-		if e.Count() != 20000 {
-			t.Errorf("count = %d", e.Count())
+		if e.n != 20000 {
+			t.Errorf("count = %d", e.n)
 		}
 	}
 }
@@ -77,10 +77,10 @@ func TestP2QuantileDeterministic(t *testing.T) {
 }
 
 func TestP2QuantileClampsP(t *testing.T) {
-	if got := NewP2Quantile(1.5).P(); got != 0.99 {
+	if got := NewP2Quantile(1.5).p; got != 0.99 {
 		t.Errorf("clamped p = %v, want 0.99", got)
 	}
-	if got := NewP2Quantile(-1).P(); got != 0.01 {
+	if got := NewP2Quantile(-1).p; got != 0.01 {
 		t.Errorf("clamped p = %v, want 0.01", got)
 	}
 }

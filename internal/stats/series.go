@@ -40,23 +40,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns all observation times in order.
-func (s *Series) Times() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.T
-	}
-	return out
-}
-
-// Last returns the final observation value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
 // At returns the value of the most recent observation at or before time t
 // (step interpolation).  Returns 0 before the first observation.
 func (s *Series) At(t float64) float64 {
@@ -97,27 +80,6 @@ func (s *Series) TailMean(frac float64) float64 { return Mean(s.Tail(frac)) }
 
 // TailStdDev returns the standard deviation of the tail window.
 func (s *Series) TailStdDev(frac float64) float64 { return StdDev(s.Tail(frac)) }
-
-// Resample returns the series values sampled at n evenly spaced times across
-// the observed span using step interpolation.  Used for compact reporting.
-func (s *Series) Resample(n int) []float64 {
-	if len(s.Points) == 0 || n <= 0 {
-		return nil
-	}
-	start := s.Points[0].T
-	end := s.Points[len(s.Points)-1].T
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var t float64
-		if n == 1 {
-			t = end
-		} else {
-			t = start + (end-start)*float64(i)/float64(n-1)
-		}
-		out[i] = s.At(t)
-	}
-	return out
-}
 
 // OscillationIndex quantifies how much the series keeps moving in its tail
 // window: the mean absolute difference between consecutive tail observations,

@@ -7,20 +7,17 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("rmttf")
-	if s.Len() != 0 || s.Last() != 0 {
-		t.Fatal("empty series should have no points and Last()==0")
+	if s.Len() != 0 {
+		t.Fatal("empty series should have no points")
 	}
 	s.Add(0, 10)
 	s.Add(10, 20)
 	s.Add(20, 30)
-	if s.Len() != 3 || s.Last() != 30 {
-		t.Fatalf("len=%d last=%f", s.Len(), s.Last())
+	if s.Len() != 3 || s.Points[2] != (Point{T: 20, V: 30}) {
+		t.Fatalf("len=%d points=%v", s.Len(), s.Points)
 	}
 	if got := s.Values(); len(got) != 3 || got[1] != 20 {
 		t.Fatalf("values wrong: %v", got)
-	}
-	if got := s.Times(); len(got) != 3 || got[2] != 20 {
-		t.Fatalf("times wrong: %v", got)
 	}
 }
 
@@ -65,23 +62,6 @@ func TestSeriesTail(t *testing.T) {
 	}
 	if s.TailStdDev(0.3) <= 0 {
 		t.Fatal("tail stddev should be positive")
-	}
-}
-
-func TestSeriesResample(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 1)
-	s.Add(10, 2)
-	s.Add(20, 3)
-	r := s.Resample(5)
-	if len(r) != 5 || r[0] != 1 || r[4] != 3 {
-		t.Fatalf("resample wrong: %v", r)
-	}
-	if s.Resample(0) != nil || NewSeries("e").Resample(3) != nil {
-		t.Fatal("degenerate resample should be nil")
-	}
-	if one := s.Resample(1); len(one) != 1 || one[0] != 3 {
-		t.Fatalf("single-sample resample should return last value, got %v", one)
 	}
 }
 

@@ -63,15 +63,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks.  It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -96,19 +87,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// CoefficientOfVariation returns the standard deviation divided by the mean,
-// a scale-free measure of dispersion.  Returns 0 when the mean is 0.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Abs(m)
-}
-
 // EWMA implements the weighted average of equation (1) in the paper:
 //
 //	RMTTF_i^t = (1-beta) * RMTTF_i^{t-1} + beta * lastRMTTF_i
@@ -116,10 +94,9 @@ func CoefficientOfVariation(xs []float64) float64 {
 // The first observation initialises the average directly so the series does
 // not start biased toward zero.
 type EWMA struct {
-	beta    float64
-	value   float64
-	primed  bool
-	samples int
+	beta   float64
+	value  float64
+	primed bool
 }
 
 // NewEWMA returns an EWMA with smoothing factor beta in [0,1].  Values
@@ -134,9 +111,6 @@ func NewEWMA(beta float64) *EWMA {
 	return &EWMA{beta: beta}
 }
 
-// Beta returns the smoothing factor.
-func (e *EWMA) Beta() float64 { return e.beta }
-
 // Update folds a new observation into the average and returns the new value.
 func (e *EWMA) Update(x float64) float64 {
 	if !e.primed {
@@ -145,25 +119,11 @@ func (e *EWMA) Update(x float64) float64 {
 	} else {
 		e.value = (1-e.beta)*e.value + e.beta*x
 	}
-	e.samples++
 	return e.value
 }
 
 // Value returns the current smoothed value (0 before any update).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }
-
-// Samples returns the number of observations folded in so far.
-func (e *EWMA) Samples() int { return e.samples }
-
-// Reset clears the average.
-func (e *EWMA) Reset() {
-	e.value = 0
-	e.primed = false
-	e.samples = 0
-}
 
 // Welford maintains running mean/variance without storing samples
 // (Welford's online algorithm).  Useful for long simulations where the
@@ -237,12 +197,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample seen (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample seen (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // String summarises the accumulator.
 func (w *Welford) String() string {

@@ -1,7 +1,6 @@
 package tracing
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,13 +155,4 @@ func WriteChrome(w io.Writer, traces []*RequestTrace, fr *simclock.FlightRecorde
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// ChromeJSON renders WriteChrome to a byte slice.
-func ChromeJSON(traces []*RequestTrace, fr *simclock.FlightRecorder) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, traces, fr); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

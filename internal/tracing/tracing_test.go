@@ -1,6 +1,7 @@
 package tracing
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -134,10 +135,11 @@ func TestChromeExport(t *testing.T) {
 	fr := simclock.NewFlightRecorder(2)
 	fr.RecordPhase(0.1, "probe", 3)
 
-	out, err := ChromeJSON(tr.Traces(), fr)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, tr.Traces(), fr); err != nil {
 		t.Fatal(err)
 	}
+	out := buf.Bytes()
 	var parsed struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
@@ -186,10 +188,11 @@ func TestChromeExportUnsealedTrace(t *testing.T) {
 	rt.Span(SpanForward, 0, simclock.Duration(0.01), "")
 	// Never sealed — the exporter must still render it (outcome "unsealed")
 	// without panicking, spanning to its last event.
-	out, err := ChromeJSON([]*RequestTrace{rt}, nil)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, []*RequestTrace{rt}, nil); err != nil {
 		t.Fatal(err)
 	}
+	out := buf.Bytes()
 	if !strings.Contains(string(out), `"outcome":"unsealed"`) {
 		t.Fatal("unsealed trace not marked in export")
 	}

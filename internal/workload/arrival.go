@@ -158,41 +158,6 @@ func (s RateSpec) Max() float64 {
 	}
 }
 
-// Mean returns the time-average of λ(t) over one cycle (the constant rate
-// itself for RateConstant).  Reports use it to quote the expected load of a
-// stream.
-func (s RateSpec) Mean() float64 {
-	switch s.Kind {
-	case RateConstant:
-		return s.Rate
-	case RateSinusoid:
-		// The clamp at zero makes the exact mean awkward; for the amplitudes
-		// used in practice (Amplitude <= Base) the mean is exactly Base.
-		if s.Amplitude <= s.Base {
-			return s.Base
-		}
-		// Numeric fallback for clipped sinusoids.
-		const n = 1024
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += s.At(simclock.Time(float64(s.Period) * float64(i) / n))
-		}
-		return sum / n
-	case RatePiecewise:
-		total, weighted := 0.0, 0.0
-		for _, st := range s.Steps {
-			total += st.Duration.Seconds()
-			weighted += st.Duration.Seconds() * st.Rate
-		}
-		if total == 0 {
-			return 0
-		}
-		return weighted / total
-	default:
-		return 0
-	}
-}
-
 // VaryingOpenLoopConfig describes one inhomogeneous-Poisson request stream.
 type VaryingOpenLoopConfig struct {
 	// Region labels the stream in the metrics sink and becomes the
@@ -234,12 +199,6 @@ func NewVaryingOpenLoop(cfg VaryingOpenLoopConfig, rng *simclock.RNG, target Dis
 	}
 	return &VaryingOpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}, nil
 }
-
-// Region returns the stream's label.
-func (v *VaryingOpenLoop) Region() string { return v.cfg.Region }
-
-// Issued returns how many requests the stream has emitted.
-func (v *VaryingOpenLoop) Issued() uint64 { return v.issued }
 
 // Start begins generating arrivals.
 func (v *VaryingOpenLoop) Start(eng *simclock.Engine) {

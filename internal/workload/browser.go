@@ -27,10 +27,9 @@ type DispatcherFunc func(eng *simclock.Engine, req *cloudsim.Request)
 // Submit implements Dispatcher.
 func (f DispatcherFunc) Submit(eng *simclock.Engine, req *cloudsim.Request) { f(eng, req) }
 
-// BrowserConfig holds the knobs of one emulated browser.
+// BrowserConfig holds the knobs the emulated browsers of one population
+// share; each browser keeps only its random stream and session state.
 type BrowserConfig struct {
-	// ID identifies the browser ("region1-eb007").
-	ID string
 	// Region is the cloud region the browser is connected to; it becomes the
 	// EntryRegion of every request it issues.
 	Region string
@@ -73,41 +72,48 @@ func (c BrowserConfig) withDefaults() BrowserConfig {
 // live request, outstanding; a completion for any other request is the late
 // completion of one that timed out, and only releases it.
 type Browser struct {
-	cfg  BrowserConfig
-	rng  *simclock.RNG
 	home *browserHome
+	rng  simclock.RNG
 
-	eng         *simclock.Engine // engine the browser issues on
 	outstanding *cloudsim.Request
 	timeout     simclock.Handle
 	nextReqID   uint64
 	sessions    uint64
+	index       int32 // position in the population, which names the browser
 	inSession   int32
 	running     bool
 }
 
-// browserHome is what the browsers of one population share: the dispatcher
-// they submit to, their region's metrics sink, the prepared interaction mix
-// and the free list of their requests.  A population lives on one engine
-// lane, so the free list is lane-local.
+// browserHome is what the browsers of one population share: their
+// configuration and names, the engine they issue on, the dispatcher they
+// submit to, their region's metrics sink, the prepared interaction mix and
+// the free list of their requests.  A population lives on one engine lane, so
+// the engine is one and the free list is lane-local.
 type browserHome struct {
+	cfg      BrowserConfig
+	names    []string // browser identifiers by index; nil when the tracer samples nothing
+	eng      *simclock.Engine
 	target   Dispatcher
 	sink     regionSink
 	mix      Picker
 	requests cloudsim.RequestPool
 }
 
-func newBrowserHome(target Dispatcher, metrics *Metrics, region string, mix Mix) *browserHome {
+// name returns the browser's identifier ("region1-eb007"), the tracer's
+// stream identity; "" when the population's tracer samples nothing.
+func (b *Browser) name() string {
+	if b.home.names == nil {
+		return ""
+	}
+	return b.home.names[b.index]
+}
+
+func newBrowserHome(cfg BrowserConfig, target Dispatcher, metrics *Metrics) *browserHome {
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	return &browserHome{target: target, sink: metrics.sink(region), mix: mix.Picker()}
-}
-
-// NewBrowser builds an emulated browser that submits requests to target and
-// records outcomes into metrics (which may be shared across browsers).
-func NewBrowser(cfg BrowserConfig, rng *simclock.RNG, target Dispatcher, metrics *Metrics) *Browser {
-	return &Browser{cfg: cfg.withDefaults(), rng: rng, home: newBrowserHome(target, metrics, cfg.Region, cfg.Mix)}
+	cfg = cfg.withDefaults()
+	return &browserHome{cfg: cfg, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
 }
 
 // browserIssue and browserTimeout are a browser seen as its next-issue and
@@ -127,12 +133,6 @@ func (b *browserTimeout) Fire(eng *simclock.Engine) { (*Browser)(b).expire(eng) 
 // request: the request names its browser as Issuer.
 func completeBrowserRequest(o cloudsim.Outcome) { o.Request.Issuer.(*Browser).complete(o) }
 
-// ID returns the browser identifier.
-func (b *Browser) ID() string { return b.cfg.ID }
-
-// Sessions returns the number of completed user sessions.
-func (b *Browser) Sessions() uint64 { return b.sessions }
-
 // Start begins the closed loop: the first interaction is issued after a
 // random fraction of the think time so that browsers do not fire in lockstep.
 func (b *Browser) Start(eng *simclock.Engine) {
@@ -140,7 +140,7 @@ func (b *Browser) Start(eng *simclock.Engine) {
 		return
 	}
 	b.running = true
-	initial := simclock.Duration(b.rng.Uniform(0, b.cfg.ThinkTimeMean.Seconds()))
+	initial := simclock.Duration(b.rng.Uniform(0, b.home.cfg.ThinkTimeMean.Seconds()))
 	eng.Schedule(initial, (*browserIssue)(b))
 }
 
@@ -148,37 +148,35 @@ func (b *Browser) Start(eng *simclock.Engine) {
 // completes.
 func (b *Browser) Stop() { b.running = false }
 
-// Running reports whether the browser loop is active.
-func (b *Browser) Running() bool { return b.running }
-
 // issue sends the next interaction.
 func (b *Browser) issue(eng *simclock.Engine) {
 	if !b.running {
 		return
 	}
-	it := b.home.mix.Pick(b.rng)
+	home := b.home
+	it := home.mix.Pick(&b.rng)
 	b.nextReqID++
 	b.inSession++
-	if int(b.inSession) >= b.cfg.SessionLength {
+	if int(b.inSession) >= home.cfg.SessionLength {
 		b.inSession = 0
 		b.sessions++
 	}
-	req := b.home.requests.Get()
+	req := home.requests.Get()
 	req.ID = b.nextReqID
 	req.Class = it.Name
 	req.ServiceFactor = it.ServiceFactor
-	req.EntryRegion = b.cfg.Region
+	req.EntryRegion = home.cfg.Region
 	req.Arrival = eng.Now()
-	req.Trace = b.cfg.Tracer.Start(b.cfg.ID, b.nextReqID, 1, eng.Now())
+	req.Trace = home.cfg.Tracer.Start(b.name(), b.nextReqID, 1, eng.Now())
 	req.Issuer = b
 	req.OnDone = completeBrowserRequest
-	b.eng = eng
+	home.eng = eng
 	b.outstanding = req
-	if b.cfg.Timeout > 0 {
-		b.timeout = eng.Schedule(b.cfg.Timeout, (*browserTimeout)(b))
+	if home.cfg.Timeout > 0 {
+		b.timeout = eng.Schedule(home.cfg.Timeout, (*browserTimeout)(b))
 	}
-	b.home.sink.issued()
-	b.home.target.Submit(eng, req)
+	home.sink.issued()
+	home.target.Submit(eng, req)
 }
 
 // complete handles the completion of one of the browser's requests.  It runs
@@ -191,7 +189,7 @@ func (b *Browser) complete(o cloudsim.Outcome) {
 		b.timeout.Cancel()
 		sealTrace(req.Trace, o)
 		b.home.sink.record(o)
-		b.scheduleNext(b.eng)
+		b.scheduleNext(b.home.eng)
 	}
 	b.home.requests.Put(req)
 }
@@ -226,7 +224,7 @@ func (b *Browser) scheduleNext(eng *simclock.Engine) {
 	if !b.running {
 		return
 	}
-	think := simclock.Duration(b.rng.Exp(b.cfg.ThinkTimeMean.Seconds()))
+	think := simclock.Duration(b.rng.Exp(b.home.cfg.ThinkTimeMean.Seconds()))
 	eng.Schedule(think, (*browserIssue)(b))
 }
 
@@ -253,10 +251,12 @@ type PopulationConfig struct {
 	Tracer *tracing.Tracer
 }
 
-// Population is a set of emulated browsers attached to one region.
+// Population is a set of emulated browsers attached to one region.  The
+// browsers live in one slice and share one home, so a population of n
+// browsers is a handful of allocations, not several per browser.
 type Population struct {
 	cfg      PopulationConfig
-	browsers []*Browser
+	browsers []Browser
 }
 
 // NewPopulation builds the browsers of one region.  All browsers share the
@@ -265,43 +265,40 @@ func NewPopulation(cfg PopulationConfig, rng *simclock.RNG, target Dispatcher, m
 	if cfg.Mix.Name == "" {
 		cfg.Mix = BrowsingMix()
 	}
-	p := &Population{cfg: cfg}
-	home := newBrowserHome(target, metrics, cfg.Region, cfg.Mix)
+	p := &Population{cfg: cfg, browsers: make([]Browser, cfg.Clients)}
+	home := newBrowserHome(BrowserConfig{
+		Region:        cfg.Region,
+		Mix:           cfg.Mix,
+		ThinkTimeMean: cfg.ThinkTimeMean,
+		Timeout:       cfg.Timeout,
+		Tracer:        cfg.Tracer,
+	}, target, metrics)
 	prefix := cfg.IDPrefix
 	if prefix == "" {
 		prefix = cfg.Region
 	}
-	for i := 0; i < cfg.Clients; i++ {
-		bc := BrowserConfig{
-			ID:            fmt.Sprintf("%s-eb%03d", prefix, i+1),
-			Region:        cfg.Region,
-			Mix:           cfg.Mix,
-			ThinkTimeMean: cfg.ThinkTimeMean,
-			Timeout:       cfg.Timeout,
-			Tracer:        cfg.Tracer,
+	for i := range p.browsers {
+		p.browsers[i] = Browser{home: home, rng: rng.ForkValue(), index: int32(i)}
+	}
+	// Only a sampled trace reads a browser's name, so a population whose
+	// tracer samples nothing keeps none.
+	if t := cfg.Tracer; t != nil && t.SampleFraction() > 0 {
+		home.names = make([]string, cfg.Clients)
+		for i := range home.names {
+			home.names[i] = fmt.Sprintf("%s-eb%03d", prefix, i+1)
 		}
-		p.browsers = append(p.browsers, &Browser{cfg: bc.withDefaults(), rng: rng.Fork(), home: home})
 	}
 	return p
 }
 
-// Region returns the region the population connects to.
-func (p *Population) Region() string { return p.cfg.Region }
-
 // Size returns the number of browsers.
 func (p *Population) Size() int { return len(p.browsers) }
-
-// Browsers returns the individual browsers.  The returned slice is a copy:
-// mutating it cannot perturb the population's internal start/stop ordering.
-func (p *Population) Browsers() []*Browser {
-	return append([]*Browser(nil), p.browsers...)
-}
 
 // Start launches every browser, spreading starts over the ramp-up window.
 func (p *Population) Start(eng *simclock.Engine) {
 	eng.Reserve(len(p.browsers))
-	for i, b := range p.browsers {
-		b := b
+	for i := range p.browsers {
+		b := &p.browsers[i]
 		if p.cfg.RampUp > 0 && len(p.browsers) > 1 {
 			delay := simclock.Duration(float64(p.cfg.RampUp) * float64(i) / float64(len(p.browsers)))
 			eng.ScheduleFunc(delay, func(e *simclock.Engine) { b.Start(e) })
@@ -313,20 +310,9 @@ func (p *Population) Start(eng *simclock.Engine) {
 
 // Stop halts every browser.
 func (p *Population) Stop() {
-	for _, b := range p.browsers {
-		b.Stop()
+	for i := range p.browsers {
+		p.browsers[i].Stop()
 	}
-}
-
-// ExpectedRate returns the steady-state request rate (requests per second) a
-// closed-loop population of this size generates when the mean response time
-// is small compared to the think time: clients / thinkTime.
-func (p *Population) ExpectedRate() float64 {
-	think := p.cfg.ThinkTimeMean
-	if think <= 0 {
-		think = 7 * simclock.Second
-	}
-	return float64(p.cfg.Clients) / think.Seconds()
 }
 
 // OpenLoopConfig describes a Poisson open-loop request source, used by unit
@@ -366,7 +352,7 @@ func NewOpenLoop(cfg OpenLoopConfig, rng *simclock.RNG, target Dispatcher, metri
 	return &OpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
 }
 
-// Start begins generating arrivals.
+// Start begins generating arrivals; they run until the engine stops.
 func (o *OpenLoop) Start(eng *simclock.Engine) {
 	if o.running || o.cfg.RatePerSec <= 0 {
 		return
@@ -375,18 +361,9 @@ func (o *OpenLoop) Start(eng *simclock.Engine) {
 	o.scheduleNext(eng)
 }
 
-// Stop halts the generator.
-func (o *OpenLoop) Stop() { o.running = false }
-
 func (o *OpenLoop) scheduleNext(eng *simclock.Engine) {
-	if !o.running {
-		return
-	}
 	gap := simclock.Duration(o.rng.Exp(1 / o.cfg.RatePerSec))
 	eng.ScheduleFunc(gap, func(e *simclock.Engine) {
-		if !o.running {
-			return
-		}
 		it := o.mix.Pick(o.rng)
 		o.nextID++
 		req := &cloudsim.Request{
@@ -672,9 +649,6 @@ func (m *Metrics) ResponseSamples(region string) uint64 {
 // MeanResponseTime returns the mean response time in seconds observed by the
 // clients of the region ("" = all clients).
 func (m *Metrics) MeanResponseTime(region string) float64 { return m.read(region).resp.Mean() }
-
-// ResponseTimeStdDev returns the response-time standard deviation in seconds.
-func (m *Metrics) ResponseTimeStdDev(region string) float64 { return m.read(region).resp.StdDev() }
 
 // Regions returns the region names observed so far, sorted.
 func (m *Metrics) Regions() []string {

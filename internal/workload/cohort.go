@@ -184,16 +184,6 @@ func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) 
 	return c
 }
 
-// Region returns the region the population connects to.
-func (c *CohortPopulation) Region() string { return c.cfg.Region }
-
-// EffectiveClients returns the total number of clients represented, tracers
-// included.
-func (c *CohortPopulation) EffectiveClients() int { return c.cfg.Clients }
-
-// CohortClients returns the number of clients modelled by counted buckets.
-func (c *CohortPopulation) CohortClients() int { return c.cohort }
-
 // TracerCount returns the number of individually simulated tracer browsers.
 func (c *CohortPopulation) TracerCount() int {
 	if c.tracers == nil {
@@ -202,21 +192,8 @@ func (c *CohortPopulation) TracerCount() int {
 	return c.tracers.Size()
 }
 
-// Tracers returns the tracer sub-population (nil when TracerFraction is 0).
-func (c *CohortPopulation) Tracers() *Population { return c.tracers }
-
-// Thinking returns how many cohort clients currently sit in the think bucket.
-func (c *CohortPopulation) Thinking() int { return c.thinking }
-
 // InFlight returns how many cohort clients are waiting on a batch in flight.
 func (c *CohortPopulation) InFlight() int { return c.cohort - c.thinking }
-
-// ExpectedRate returns the steady-state request rate (interactions per
-// second) the population generates when response times are small against the
-// think time: clients / thinkTime.
-func (c *CohortPopulation) ExpectedRate() float64 {
-	return float64(c.cfg.Clients) / c.cfg.ThinkTimeMean.Seconds()
-}
 
 // Start begins the cohort tick loop and launches the tracer browsers.  The
 // first tick fires after a deterministic random fraction of the tick period
@@ -244,9 +221,6 @@ func (c *CohortPopulation) Stop() {
 		c.tracers.Stop()
 	}
 }
-
-// Running reports whether the tick loop is active.
-func (c *CohortPopulation) Running() bool { return c.running }
 
 // tick performs one state split: draw how many thinking clients transition,
 // split them across interaction classes, and submit the batches.

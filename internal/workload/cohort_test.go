@@ -54,21 +54,21 @@ func TestCohortPopulationThroughputAndConservation(t *testing.T) {
 	if got := c.TracerCount(); got != 100 {
 		t.Fatalf("TracerCount = %d, want 100", got)
 	}
-	if got := c.CohortClients(); got != clients-100 {
+	if got := c.cohort; got != clients-100 {
 		t.Fatalf("CohortClients = %d, want %d", got, clients-100)
 	}
 	// Closed-loop conservation: every client is either thinking or waiting on
 	// a batch in flight.
-	if c.Thinking()+c.InFlight() != c.CohortClients() {
+	if c.thinking+c.InFlight() != c.cohort {
 		t.Fatalf("conservation violated: thinking %d + inflight %d != cohort %d",
-			c.Thinking(), c.InFlight(), c.CohortClients())
+			c.thinking, c.InFlight(), c.cohort)
 	}
-	if c.InFlight() < 0 || c.Thinking() < 0 {
-		t.Fatalf("negative bucket: thinking %d, inflight %d", c.Thinking(), c.InFlight())
+	if c.InFlight() < 0 || c.thinking < 0 {
+		t.Fatalf("negative bucket: thinking %d, inflight %d", c.thinking, c.InFlight())
 	}
 	// Steady-state throughput of a closed loop with negligible response time:
 	// clients/think interactions per second.
-	want := c.ExpectedRate() * 60
+	want := float64(c.cfg.Clients) / c.cfg.ThinkTimeMean.Seconds() * 60
 	got := float64(met.Issued("r1"))
 	if math.Abs(got-want) > 0.10*want {
 		t.Fatalf("issued %0.f interactions, want %.0f +/- 10%%", got, want)
@@ -98,7 +98,7 @@ func TestCohortPopulationDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64, int, float64, float64) {
 		cfg := CohortConfig{Region: "r1", Clients: 50000, TracerFraction: 0.002, MaxBatch: 32, Seed: 99}
 		c, stub, met := runCohort(t, cfg, 120*simclock.Second)
-		return met.Issued("r1"), stub.requests, c.Thinking(), met.MeanResponseTime("r1"), met.ResponseTimeStdDev("r1")
+		return met.Issued("r1"), stub.requests, c.thinking, met.MeanResponseTime("r1"), met.read("r1").resp.StdDev()
 	}
 	i1, r1, t1, m1, s1 := run()
 	i2, r2, t2, m2, s2 := run()
@@ -156,11 +156,11 @@ func TestCohortSplitChiSquared(t *testing.T) {
 func TestCohortPopulationNoTracers(t *testing.T) {
 	cfg := CohortConfig{Region: "r1", Clients: 1000, Seed: 5}
 	c, _, met := runCohort(t, cfg, 30*simclock.Second)
-	if c.TracerCount() != 0 || c.Tracers() != nil {
+	if c.TracerCount() != 0 || c.tracers != nil {
 		t.Fatalf("expected no tracers, got %d", c.TracerCount())
 	}
-	if c.CohortClients() != 1000 {
-		t.Fatalf("CohortClients = %d, want 1000", c.CohortClients())
+	if c.cohort != 1000 {
+		t.Fatalf("CohortClients = %d, want 1000", c.cohort)
 	}
 	if met.ResponseSamples("r1") != 0 {
 		t.Fatalf("pure-cohort run recorded %d latency samples", met.ResponseSamples("r1"))
@@ -182,11 +182,11 @@ func TestCohortPopulationStop(t *testing.T) {
 	if err := eng.Run(20 * simclock.Second); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatal(err)
 	}
-	if c.Running() {
+	if c.running {
 		t.Fatal("cohort still running after Stop")
 	}
-	if c.Thinking() != c.CohortClients() {
-		t.Fatalf("in-flight batches did not drain: thinking %d of %d", c.Thinking(), c.CohortClients())
+	if c.thinking != c.cohort {
+		t.Fatalf("in-flight batches did not drain: thinking %d of %d", c.thinking, c.cohort)
 	}
 	if met.Issued("r1") != met.Completed("r1")+met.Dropped("r1") {
 		t.Fatalf("issued %d != completed %d + dropped %d", met.Issued("r1"), met.Completed("r1"), met.Dropped("r1"))

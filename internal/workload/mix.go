@@ -15,8 +15,10 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/simclock"
+	"repro/internal/validate"
 )
 
 // Interaction is one TPC-W web interaction class.
@@ -132,14 +134,6 @@ func OrderingMix() Mix {
 	})
 }
 
-// Interactions returns the canonical list of TPC-W interactions (weights
-// zeroed), useful for enumerating classes in reports.
-func Interactions() []Interaction {
-	out := make([]Interaction, len(interactions))
-	copy(out, interactions)
-	return out
-}
-
 // Picker draws interactions from a Mix through its cumulative weight table,
 // built once, so a draw never re-sums the weights.  Client populations build
 // one each and draw every interaction from it.
@@ -164,29 +158,32 @@ func (p *Picker) Pick(rng *simclock.RNG) Interaction {
 	return p.entries[p.weights.Pick(rng)]
 }
 
-// MeanServiceFactor returns the weighted mean service factor of the mix, used
-// to translate a request rate into an equivalent compute demand.
-func (m Mix) MeanServiceFactor() float64 {
-	total, weighted := 0.0, 0.0
-	for _, e := range m.Entries {
-		total += e.Weight
-		weighted += e.Weight * e.ServiceFactor
-	}
-	if total == 0 {
-		return 1
-	}
-	return weighted / total
-}
-
-// Validate checks that the mix has at least one positive weight.
+// Validate checks that a picker can draw from the mix: it is named and has
+// entries, every entry is named with a finite non-negative weight and a
+// positive finite service factor, and at least one weight is positive.
 func (m Mix) Validate() error {
-	for _, e := range m.Entries {
-		if e.Weight < 0 {
-			return fmt.Errorf("workload: mix %q has negative weight for %s", m.Name, e.Name)
-		}
-		if e.Weight > 0 {
-			return nil
-		}
+	if m.Name == "" {
+		return validate.Fieldf("workload", "Mix.Name", "is empty")
 	}
-	return fmt.Errorf("workload: mix %q has no positive weights", m.Name)
+	if len(m.Entries) == 0 {
+		return validate.Fieldf("workload", "Mix.Entries", "of mix %q is empty", m.Name)
+	}
+	positive := false
+	for i, e := range m.Entries {
+		field := fmt.Sprintf("Mix.Entries[%d]", i)
+		if e.Name == "" {
+			return validate.Fieldf("workload", field+".Name", "of mix %q is empty", m.Name)
+		}
+		if math.IsNaN(e.Weight) || e.Weight < 0 || math.IsInf(e.Weight, 1) {
+			return validate.Fieldf("workload", field+".Weight", "(%s in mix %q) must be finite and >= 0, got %v", e.Name, m.Name, e.Weight)
+		}
+		if !(e.ServiceFactor > 0) || math.IsInf(e.ServiceFactor, 1) {
+			return validate.Fieldf("workload", field+".ServiceFactor", "(%s in mix %q) must be positive and finite, got %v", e.Name, m.Name, e.ServiceFactor)
+		}
+		positive = positive || e.Weight > 0
+	}
+	if !positive {
+		return validate.Fieldf("workload", "Mix.Entries", "of mix %q has no positive weight", m.Name)
+	}
+	return nil
 }

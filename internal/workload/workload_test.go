@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/cloudsim"
 	"repro/internal/simclock"
+	"repro/internal/tracing"
 )
 
 // immediateDispatcher completes every request instantly with the given
@@ -43,9 +45,6 @@ func TestMixesValidateAndNormalise(t *testing.T) {
 		}
 		if len(m.Entries) != 14 {
 			t.Errorf("mix %s has %d interactions, want the 14 TPC-W interactions", m.Name, len(m.Entries))
-		}
-		if msf := m.MeanServiceFactor(); msf <= 0 || msf > 4 {
-			t.Errorf("mix %s mean service factor = %v, want a small positive value", m.Name, msf)
 		}
 	}
 	if err := (Mix{Name: "empty"}).Validate(); err == nil {
@@ -132,13 +131,13 @@ func TestBrowserClosedLoop(t *testing.T) {
 	eng := simclock.NewEngine(5)
 	disp := &immediateDispatcher{delay: 100 * simclock.Millisecond}
 	metrics := NewMetrics()
-	b := NewBrowser(BrowserConfig{
-		ID: "eb1", Region: "region1", Mix: BrowsingMix(),
+	b := NewBrowser("eb1", BrowserConfig{
+		Region: "region1", Mix: BrowsingMix(),
 		ThinkTimeMean: 2 * simclock.Second,
 	}, eng.RNG().Fork(), disp, metrics)
 
 	b.Start(eng)
-	if !b.Running() {
+	if !b.running {
 		t.Fatalf("browser should be running after Start")
 	}
 	b.Start(eng) // double start is a no-op
@@ -169,12 +168,12 @@ func TestBrowserStopEndsLoop(t *testing.T) {
 	eng := simclock.NewEngine(6)
 	disp := &immediateDispatcher{}
 	metrics := NewMetrics()
-	b := NewBrowser(BrowserConfig{ID: "eb1", Region: "r", Mix: BrowsingMix(), ThinkTimeMean: simclock.Second},
+	b := NewBrowser("eb1", BrowserConfig{Region: "r", Mix: BrowsingMix(), ThinkTimeMean: simclock.Second},
 		eng.RNG().Fork(), disp, metrics)
 	b.Start(eng)
 	eng.ScheduleFunc(10*simclock.Second, func(*simclock.Engine) { b.Stop() })
 	eng.RunUntilEmpty()
-	if b.Running() {
+	if b.running {
 		t.Fatalf("browser should have stopped")
 	}
 	after := metrics.Issued("r")
@@ -199,8 +198,8 @@ func TestBrowserRecyclesTimedOutRequestOnce(t *testing.T) {
 	eng := simclock.NewEngine(8)
 	disp := &holdDispatcher{}
 	met := NewMetrics()
-	b := NewBrowser(BrowserConfig{
-		ID: "eb1", Region: "r", Mix: BrowsingMix(),
+	b := NewBrowser("eb1", BrowserConfig{
+		Region: "r", Mix: BrowsingMix(),
 		ThinkTimeMean: simclock.Second, Timeout: 2 * simclock.Second,
 	}, eng.RNG().Fork(), disp, met)
 	b.Start(eng)
@@ -253,8 +252,8 @@ func TestBrowserTimeoutCountsAsAbandoned(t *testing.T) {
 	// A dispatcher that never completes requests.
 	blackhole := DispatcherFunc(func(*simclock.Engine, *cloudsim.Request) {})
 	metrics := NewMetrics()
-	b := NewBrowser(BrowserConfig{
-		ID: "eb1", Region: "r", Mix: BrowsingMix(),
+	b := NewBrowser("eb1", BrowserConfig{
+		Region: "r", Mix: BrowsingMix(),
 		ThinkTimeMean: simclock.Second, Timeout: 3 * simclock.Second,
 	}, eng.RNG().Fork(), blackhole, metrics)
 	b.Start(eng)
@@ -273,8 +272,8 @@ func TestBrowserTimeoutCountsAsAbandoned(t *testing.T) {
 func TestBrowserSessionAccounting(t *testing.T) {
 	eng := simclock.NewEngine(8)
 	disp := &immediateDispatcher{}
-	b := NewBrowser(BrowserConfig{
-		ID: "eb1", Region: "r", Mix: BrowsingMix(),
+	b := NewBrowser("eb1", BrowserConfig{
+		Region: "r", Mix: BrowsingMix(),
 		ThinkTimeMean: 500 * simclock.Millisecond, SessionLength: 10,
 	}, eng.RNG().Fork(), disp, NewMetrics())
 	b.Start(eng)
@@ -282,11 +281,11 @@ func TestBrowserSessionAccounting(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	b.Stop()
-	if b.Sessions() == 0 {
+	if b.sessions == 0 {
 		t.Fatalf("browser should have completed at least one 10-interaction session")
 	}
-	if b.ID() != "eb1" {
-		t.Fatalf("ID() = %q", b.ID())
+	if b.name() != "eb1" {
+		t.Fatalf("ID = %q", b.name())
 	}
 }
 
@@ -299,14 +298,8 @@ func TestPopulationStartStopAndExpectedRate(t *testing.T) {
 		RampUp: 10 * simclock.Second,
 	}, simclock.NewRNG(3), disp, metrics)
 
-	if pop.Size() != 32 || len(pop.Browsers()) != 32 {
+	if pop.Size() != 32 || len(pop.browsers) != 32 {
 		t.Fatalf("population size = %d, want 32", pop.Size())
-	}
-	if pop.Region() != "region3" {
-		t.Fatalf("region = %q", pop.Region())
-	}
-	if er := pop.ExpectedRate(); math.Abs(er-16) > 1e-9 {
-		t.Fatalf("expected rate = %v, want 32/2 = 16 req/s", er)
 	}
 
 	pop.Start(eng)
@@ -327,11 +320,34 @@ func TestPopulationStartStopAndExpectedRate(t *testing.T) {
 
 func TestPopulationDefaultsToBrowsingMixAndThinkTime(t *testing.T) {
 	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 4}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
-	if er := pop.ExpectedRate(); math.Abs(er-4.0/7.0) > 1e-9 {
-		t.Fatalf("expected rate with default think time = %v, want 4/7", er)
+	if think := pop.browsers[0].home.cfg.ThinkTimeMean; think != 7*simclock.Second {
+		t.Fatalf("default think time = %v, want 7 s", think)
 	}
-	if pop.Browsers()[0].cfg.Mix.Name != "browsing" {
-		t.Fatalf("default mix should be browsing, got %q", pop.Browsers()[0].cfg.Mix.Name)
+	if pop.browsers[0].home.cfg.Mix.Name != "browsing" {
+		t.Fatalf("default mix should be browsing, got %q", pop.browsers[0].home.cfg.Mix.Name)
+	}
+}
+
+// TestPopulationBrowserNames pins the browser identifiers, the tracer's
+// stream identities, to "<prefix>-eb%03d" across the digit-count boundaries,
+// and checks that a population whose tracer samples nothing keeps none.
+func TestPopulationBrowserNames(t *testing.T) {
+	sampling := tracing.NewTracer(1, 0.5)
+	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 1001, IDPrefix: "r-s3", Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+	for i := range pop.browsers {
+		if got, want := pop.browsers[i].name(), fmt.Sprintf("r-s3-eb%03d", i+1); got != want {
+			t.Fatalf("browser %d: name %q, want %q", i, got, want)
+		}
+	}
+	pop = NewPopulation(PopulationConfig{Region: "region2", Clients: 1, Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+	if name := pop.browsers[0].name(); name != "region2-eb001" {
+		t.Fatalf("name without a prefix = %q, want region2-eb001", name)
+	}
+	for _, tr := range []*tracing.Tracer{nil, tracing.NewTracer(1, 0)} {
+		pop = NewPopulation(PopulationConfig{Region: "r", Clients: 3, Tracer: tr}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+		if pop.browsers[0].home.names != nil {
+			t.Fatalf("tracer %v: names kept although nothing is sampled", tr)
+		}
 	}
 }
 
@@ -345,7 +361,6 @@ func TestOpenLoopGeneratesAtConfiguredRate(t *testing.T) {
 	if err := eng.Run(5 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
-	gen.Stop()
 
 	issued := float64(metrics.Issued("r"))
 	want := 20.0 * 300
@@ -389,7 +404,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if got := m.MeanResponseTime("a"); math.Abs(got-1.25) > 1e-9 {
 		t.Fatalf("mean response time = %v, want 1.25", got)
 	}
-	if m.ResponseTimeStdDev("a") <= 0 {
+	if m.read("a").resp.StdDev() <= 0 {
 		t.Fatalf("stddev should be positive with two distinct samples")
 	}
 	if got := m.Regions(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -418,7 +433,7 @@ func TestMetricsReadsCreateNoEntry(t *testing.T) {
 			t.Fatalf("counter %d of an unknown region = %d, want 0", i, c)
 		}
 	}
-	if m.MeanResponseTime("zzz") != 0 || m.ResponseTimeStdDev("zzz") != 0 || m.SuccessRatio("zzz") != 0 {
+	if m.MeanResponseTime("zzz") != 0 || m.read("zzz").resp.StdDev() != 0 || m.SuccessRatio("zzz") != 0 {
 		t.Fatalf("moments of an unknown region are not zero")
 	}
 	if got := m.Regions(); len(got) != 1 || got[0] != "a" {
