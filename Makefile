@@ -10,7 +10,8 @@
 #   make lint        # golangci-lint (falls back to go vet when not installed)
 #   make docs        # regenerate docs/SCENARIOS.md + docs/METRICS.md + docs/TRACING.md from the registries
 #   make docs-check  # fail when generated docs are stale or links are dead
-#   make api-check   # fail when an exported function in internal/ has no non-test caller
+#   make api-check   # fail when an exported function in internal/ has no non-test caller,
+#                    # or an unexported field in internal/ has no non-test reader
 #   make metrics-lint # enforce Prometheus naming conventions on every family
 #   make bench-check # vet and test the reference benchmark module under bench/
 #   make loc         # net non-test Go LOC over internal/, cmd/ and examples/
@@ -118,14 +119,15 @@ docs-check:
 	$(GO) test ./internal/experiment/ -run 'TestScenariosDoc|TestScenariosMarkdown|TestMetricsDoc|TestMetricsMarkdown|TestTracingDoc|TestTracingMarkdown'
 	$(GO) run ./cmd/mdcheck README.md ROADMAP.md CHANGES.md PAPER.md docs/*.md
 
-# api-check is what the CI docs job runs to keep the exported surface of
-# internal/ to what the program calls: TestEveryExportHasAProgramCaller
-# type-checks internal/, cmd/, examples/ and bench/ and names every exported
-# function or method that only tests use.  Its file is left out of -race
-# builds, where the type checker is about five times slower, so the race
-# suite skips it and this target runs it.
+# api-check is what the CI docs job runs to keep internal/ to what the
+# program uses.  Both guards type-check internal/, cmd/, examples/ and bench/
+# once: TestEveryExportHasAProgramCaller names every exported function or
+# method that only tests use, and TestEveryFieldHasAProgramReader every
+# unexported field that non-test code writes but never reads.  Their file is
+# left out of -race builds, where the type checker is about five times
+# slower, so the race suite skips them and this target runs them.
 api-check:
-	$(GO) test -count=1 -run '^TestEveryExportHasAProgramCaller$$' .
+	$(GO) test -count=1 -run '^(TestEveryExportHasAProgramCaller|TestEveryFieldHasAProgramReader)$$' .
 
 # metrics-lint walks every instrument family a deployment can register and
 # enforces the Prometheus naming conventions (valid names, counters ending in

@@ -92,9 +92,10 @@ func TestRunRejectsNonPositiveDurations(t *testing.T) {
 }
 
 // TestRunRejectsNaNFractions: NaN passes every range comparison, so a NaN
-// -tracer-fraction once simulated a cohort of no clients and a NaN
-// -trace-sample was only caught a layer later; both fail by flag name.
-// -dump-config makes an accepted value write the scenario and return.
+// -tracer-fraction once simulated a cohort of no clients, a NaN
+// -trace-sample was only caught a layer later and a NaN -beta ran to a NaN
+// RMTTF; all three fail by name.  -dump-config makes an accepted value
+// write the scenario and return.
 func TestRunRejectsNaNFractions(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "scenario.json")
 	for _, flag := range []string{"tracer-fraction", "trace-sample"} {
@@ -110,6 +111,12 @@ func TestRunRejectsNaNFractions(t *testing.T) {
 		if want := "-" + flag + " must be in [0, 1], got NaN"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("-%s NaN: got error %v, want %q", flag, err, want)
 		}
+	}
+	explicit := map[string]bool{"scenario": true, "dump-config": true, "beta": true}
+	err := run("1,3", "320,128", "", -1, "policy2", "oracle", "browsing", 0.01, 1, math.NaN(), 60,
+		0, -1, "", "", "", "", "", -1, "", "figure3", dump, explicit)
+	if want := "beta NaN"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-beta NaN: got error %v, want %q", err, want)
 	}
 }
 

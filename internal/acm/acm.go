@@ -11,6 +11,7 @@ package acm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -274,6 +275,9 @@ type Manager struct {
 // NewManager builds the deployment.  It trains the ML predictors up front
 // when PredictorML is selected (the paper's initial profiling phase).
 func NewManager(cfg Config) (*Manager, error) {
+	if math.IsNaN(cfg.Beta) {
+		return nil, fmt.Errorf("acm: beta is NaN")
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Regions) == 0 {
 		return nil, fmt.Errorf("acm: no regions configured")
@@ -364,7 +368,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("acm: control loop: %w", err)
 	}
-	loop.SetKeepHistory(false)
 	m.loop = loop
 
 	// Initial forward plan: process where you arrive.
@@ -478,7 +481,6 @@ func (m *Manager) forwardLeg(eng *simclock.Engine, req *cloudsim.Request, plan *
 	if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
 		return 0, false
 	}
-	req.Forwarded = true
 	req.ReturnLeg = simclock.Duration(latMs / 1000)
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.

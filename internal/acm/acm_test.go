@@ -2,6 +2,7 @@ package acm
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -31,6 +32,11 @@ func smallConfig(seed uint64, policy core.Policy) Config {
 func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(Config{}); err == nil {
 		t.Fatalf("a configuration with no regions should be rejected")
+	}
+	nan := smallConfig(1, core.AvailableResources{})
+	nan.Beta = math.NaN()
+	if _, err := NewManager(nan); err == nil || !strings.Contains(err.Error(), "beta") {
+		t.Fatalf("a NaN beta should be rejected by name, got %v", err)
 	}
 	m, err := NewManager(smallConfig(1, core.AvailableResources{}))
 	if err != nil {

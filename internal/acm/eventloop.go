@@ -81,7 +81,7 @@ type eventLoop struct {
 
 	// Latency-aware GSLB state (zero-valued unless the director keeps
 	// latency estimates).  streamIdx maps a traffic source's label (the
-	// EntryRegion of its requests) to its population-stream index, read
+	// Region of its workload config) to its population-stream index, read
 	// once per source when its dispatcher is built; unknown labels, and
 	// every label while the map is nil, fold into stream 0.  rtt is the
 	// immutable ground-truth RTT matrix (milliseconds, [stream][region]),

@@ -27,8 +27,7 @@ import (
 
 // ArrivalSetup attaches one open-loop request stream to the deployment.
 type ArrivalSetup struct {
-	// Name labels the stream ("americas"); it becomes the metrics label and
-	// the EntryRegion of the stream's requests.
+	// Name labels the stream ("americas") in the metrics and the traces.
 	Name string
 	// Rate is the (possibly time-varying) arrival rate.
 	Rate workload.RateSpec

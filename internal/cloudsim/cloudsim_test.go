@@ -121,7 +121,7 @@ func TestVMServesRequestsAndRecordsResponseTimes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		delay := simclock.Duration(float64(i) * 0.05)
 		eng.ScheduleFunc(delay, func(e *simclock.Engine) {
-			req := &Request{ID: uint64(i), Class: "home", ServiceFactor: 1, Arrival: e.Now(),
+			req := &Request{ID: uint64(i), ServiceFactor: 1, Arrival: e.Now(),
 				OnDone: func(o Outcome) {
 					if !o.Dropped {
 						done++
@@ -654,14 +654,14 @@ func TestVMServeRequestAllocationFree(t *testing.T) {
 func TestRequestPoolResetsAndGuardsRelease(t *testing.T) {
 	var pool RequestPool
 	req := pool.Get()
-	req.ID, req.Class, req.Batch, req.Forwarded = 7, "home", 3, true
+	req.ID, req.ServiceFactor, req.Batch = 7, 2, 3
 	req.OnDone = func(Outcome) {}
 	pool.Put(req)
 	again := pool.Get()
 	if again != req {
 		t.Fatal("Get should hand back the released request")
 	}
-	if again.ID != 0 || again.Class != "" || again.Batch != 0 || again.Forwarded || again.OnDone != nil || again.released {
+	if again.ID != 0 || again.ServiceFactor != 0 || again.Batch != 0 || again.OnDone != nil || again.released {
 		t.Fatalf("a reused request must have every field reset, got %+v", *again)
 	}
 	pool.Put(req)

@@ -131,7 +131,7 @@ func (r *Region) newVM() *VM {
 	sh := r.shards[r.next%len(r.shards)]
 	r.next++
 	vm := NewVM(fmt.Sprintf("%s-vm%02d", r.cfg.Name, r.next), r.vmCfg, sh.rng.Fork())
-	vm.shardIndex, vm.index = sh.index, int32(len(r.vms))
+	vm.shardIndex = sh.index
 	vm.ix, vm.slot = &sh.ix, sh.ix.add()
 	sh.vms = append(sh.vms, vm)
 	r.vms = append(r.vms, vm)

@@ -15,25 +15,16 @@ import (
 type Request struct {
 	// ID is a unique identifier assigned by the workload generator.
 	ID uint64
-	// Class names the TPC-W interaction (e.g. "home", "search_request"),
-	// carried for tracing purposes.
-	Class string
 	// ServiceFactor scales the instance's base service demand: a value of 2
 	// means the interaction costs twice the base demand (e.g. a best-seller
 	// query hitting the database harder than serving the home page).
 	ServiceFactor float64
-	// EntryRegion is the region whose load balancer first received the
-	// request (before any cross-region forwarding decided by the plan).
-	EntryRegion string
 	// Arrival is the simulated time the request entered the system.
 	Arrival simclock.Time
-	// Forwarded reports whether the request was forwarded to a region other
-	// than its entry region by the global forward plan.
-	Forwarded bool
 	// released marks a request in a RequestPool's free list, homeward one
 	// whose outcome is parked on it on the way home (finish), delayed one
 	// on a trip to a shard (arrival) that has waited out its latency.  The
-	// bools and hops fill the word Forwarded starts.
+	// bools and hops share one word.
 	released, homeward, parkedDropped, parkedRegion, delayed bool
 	// hops counts the empty shards a trip to a shard has hopped off.
 	hops uint16

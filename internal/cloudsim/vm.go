@@ -74,13 +74,9 @@ type VM struct {
 	// the index current.
 	ix   *dispatchIndex
 	slot int32
-	// index is the VM's position in its region's VMs() (0 for a VM built
-	// outside a region); int32 so it packs next to slot.
-	index int32
 
-	state       VMState
-	activatedAt simclock.Time // time the VM last became ACTIVE
-	bootedAt    simclock.Time // time the VM last finished rejuvenation (uptime epoch)
+	state    VMState
+	bootedAt simclock.Time // time the VM last finished rejuvenation (uptime epoch)
 
 	// Anomaly accumulation.
 	leakedMB      float64
@@ -95,7 +91,6 @@ type VM struct {
 	// Lifetime counters.
 	served        uint64
 	dropped       uint64
-	anomalyEvents uint64
 	crashes       uint64
 	rejuvenations uint64
 	busySeconds   float64 // accumulated service time, for CPU-time features
@@ -147,10 +142,6 @@ func (vm *VM) State() VMState { return vm.state }
 // ShardIndex returns the index of the region shard owning this VM (0 in an
 // unsharded region).
 func (vm *VM) ShardIndex() int { return vm.shardIndex }
-
-// Index returns the VM's position in its region's VMs(), fixed at
-// provisioning time (0 for a VM built outside a region).
-func (vm *VM) Index() int { return int(vm.index) }
 
 // LeakedMB returns the memory currently pinned by leaks and zombie-thread
 // stacks.
@@ -271,7 +262,6 @@ func (vm *VM) Activate(eng *simclock.Engine) bool {
 		return false
 	}
 	vm.setState(StateActive)
-	vm.activatedAt = eng.Now().Add(vm.cfg.Rejuvenation.ActivateDuration)
 	// Restart the feature-sampling interval so the first sample after
 	// activation reports the rate observed since activation, not since the
 	// beginning of the simulation.
@@ -470,24 +460,20 @@ func (vm *VM) injectAnomalies(batch int) {
 	if batch > 1 {
 		if leaks := vm.rng.Binomial(batch, a.LeakProbability); leaks > 0 {
 			vm.leakedMB += vm.rng.Erlang(leaks, a.LeakSizeMB)
-			vm.anomalyEvents += uint64(leaks)
 			vm.intervalAnomaly += uint64(leaks)
 		}
 		if threads := vm.rng.Binomial(batch, a.ThreadProbability); threads > 0 {
 			vm.zombieThreads += threads
-			vm.anomalyEvents += uint64(threads)
 			vm.intervalAnomaly += uint64(threads)
 		}
 		return
 	}
 	if vm.rng.Bool(a.LeakProbability) {
 		vm.leakedMB += vm.rng.Exp(a.LeakSizeMB)
-		vm.anomalyEvents++
 		vm.intervalAnomaly++
 	}
 	if vm.rng.Bool(a.ThreadProbability) {
 		vm.zombieThreads++
-		vm.anomalyEvents++
 		vm.intervalAnomaly++
 	}
 }

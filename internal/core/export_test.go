@@ -15,5 +15,5 @@ func (p *ForwardPlan) EffectiveFractions() []float64 {
 	return out
 }
 
-// History returns the retained step results (empty after SetKeepHistory(false)).
+// History returns the retained step results (empty unless SetKeepHistory(true)).
 func (l *Loop) History() []StepResult { return append([]StepResult(nil), l.history...) }

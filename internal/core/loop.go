@@ -4,49 +4,8 @@ import (
 	"fmt"
 )
 
-// LoopState is one of the four states of the ACM closed control loop (Figure
-// 2 of the paper).
-type LoopState int
-
-const (
-	// StateMonitor collects system features in every region (Algorithm 1's
-	// prerequisite).
-	StateMonitor LoopState = iota
-	// StateAnalyze predicts the per-region RMTTF and forwards it to the
-	// leader (Algorithm 1).
-	StateAnalyze
-	// StatePlan runs the selected policy at the leader to compute the new
-	// fractions f_i (Algorithm 2).
-	StatePlan
-	// StateExecute installs the new forward plan in every region's load
-	// balancer and applies the elasticity actions (Algorithm 3).
-	StateExecute
-)
-
-// String returns the state name.
-func (s LoopState) String() string {
-	switch s {
-	case StateMonitor:
-		return "Monitor"
-	case StateAnalyze:
-		return "Analyze"
-	case StatePlan:
-		return "Plan"
-	case StateExecute:
-		return "Execute"
-	default:
-		return fmt.Sprintf("LoopState(%d)", int(s))
-	}
-}
-
 // StepResult is the outcome of one complete control era.
 type StepResult struct {
-	// Era is the control era t this result belongs to (1-based).
-	Era int
-	// Regions names the regions, indexing the slices below.
-	Regions []string
-	// LastRMTTF echoes the raw lastRMTTF_i reported by each region's VMC.
-	LastRMTTF []float64
 	// SmoothedRMTTF is RMTTF_i^t after applying equation (1).
 	SmoothedRMTTF []float64
 	// Fractions are the new workload fractions f_i^t decided by the policy.
@@ -56,19 +15,17 @@ type StepResult struct {
 	Plan *ForwardPlan
 }
 
-// Loop is the leader-side closed control loop: a deterministic state machine
-// that, once per control era, folds the reported RMTTFs into the smoothed
-// estimates (Analyze), asks the configured policy for new fractions (Plan),
-// and produces the forward plan to be installed in every region (Execute).
-// It holds no goroutines and no clock: the acm package drives it from the
-// simulation (or a wall-clock ticker in a real deployment).
+// Loop is the leader-side closed control loop (Figure 2 of the paper): once
+// per control era it folds the RMTTFs the regions report (Monitor) into the
+// smoothed estimates (Analyze), asks the configured policy for new fractions
+// (Plan), and produces the forward plan to be installed in every region
+// (Execute).  It holds no goroutines and no clock: the acm package drives it
+// from the simulation (or a wall-clock ticker in a real deployment).
 type Loop struct {
 	regions   []string
 	policy    Policy
 	agg       *Aggregator
 	fractions []float64
-	era       int
-	state     LoopState
 	history   []StepResult
 	keepHist  bool
 }
@@ -92,13 +49,11 @@ func NewLoop(regions []string, policy Policy, beta float64) (*Loop, error) {
 		policy:    policy,
 		agg:       NewAggregator(beta, regions),
 		fractions: fr,
-		state:     StateMonitor,
-		keepHist:  true,
 	}, nil
 }
 
-// SetKeepHistory controls whether every StepResult is retained (on by
-// default; long simulations that do their own recording can turn it off).
+// SetKeepHistory controls whether every StepResult is retained (off by
+// default).
 func (l *Loop) SetKeepHistory(keep bool) { l.keepHist = keep }
 
 // Fractions returns the currently installed workload fractions.
@@ -110,9 +65,8 @@ func (l *Loop) Aggregator() *Aggregator { return l.agg }
 // Step executes one complete control era: lastRMTTF holds the raw RMTTF each
 // region's VMC just reported (Analyze), lambda is the current global request
 // rate, and entryShares is the observed distribution of client arrivals over
-// the regions (Execute needs it to build the forward plan).  The loop
-// transitions Monitor → Analyze → Plan → Execute → Monitor and returns the
-// era's result.
+// the regions (Execute needs it to build the forward plan).  It runs Analyze,
+// Plan and Execute and returns the era's result.
 func (l *Loop) Step(lastRMTTF []float64, lambda float64, entryShares []float64) (StepResult, error) {
 	if len(lastRMTTF) != len(l.regions) {
 		return StepResult{}, fmt.Errorf("core: Step got %d RMTTF values for %d regions", len(lastRMTTF), len(l.regions))
@@ -122,14 +76,12 @@ func (l *Loop) Step(lastRMTTF []float64, lambda float64, entryShares []float64) 
 	}
 
 	// Analyze: equation (1) at the leader for every region.
-	l.state = StateAnalyze
 	smoothed := make([]float64, len(l.regions))
 	for i, r := range l.regions {
 		smoothed[i] = l.agg.Observe(r, lastRMTTF[i])
 	}
 
 	// Plan: Algorithm 2 — ask the policy for the new fractions.
-	l.state = StatePlan
 	next, err := l.policy.Fractions(PolicyInput{
 		Regions:       l.regions,
 		RMTTF:         smoothed,
@@ -137,28 +89,19 @@ func (l *Loop) Step(lastRMTTF []float64, lambda float64, entryShares []float64) 
 		Lambda:        lambda,
 	})
 	if err != nil {
-		l.state = StateMonitor
 		return StepResult{}, fmt.Errorf("core: policy %s: %w", l.policy.Name(), err)
 	}
 	next = Normalize(next)
 
 	// Execute: Algorithm 3 — build the forward plan that realises the
 	// fractions given where clients actually connect.
-	l.state = StateExecute
 	plan, err := BuildForwardPlan(l.regions, entryShares, next)
 	if err != nil {
-		l.state = StateMonitor
 		return StepResult{}, err
 	}
 
 	l.fractions = next
-	l.era++
-	l.state = StateMonitor
-
 	res := StepResult{
-		Era:           l.era,
-		Regions:       append([]string(nil), l.regions...),
-		LastRMTTF:     append([]float64(nil), lastRMTTF...),
 		SmoothedRMTTF: smoothed,
 		Fractions:     append([]float64(nil), next...),
 		Plan:          plan,

@@ -200,18 +200,6 @@ func TestForwardPlanConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestLoopStateStrings(t *testing.T) {
-	cases := map[LoopState]string{
-		StateMonitor: "Monitor", StateAnalyze: "Analyze", StatePlan: "Plan", StateExecute: "Execute",
-		LoopState(9): "LoopState(9)",
-	}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
-	}
-}
-
 func TestNewLoopValidation(t *testing.T) {
 	if _, err := NewLoop(nil, SensibleRouting{}, 0.3); err == nil {
 		t.Errorf("empty region list should be rejected")
@@ -227,9 +215,7 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoop: %v", err)
 	}
-	if loop.era != 0 || loop.state != StateMonitor {
-		t.Fatalf("fresh loop should be in Monitor at era 0")
-	}
+	loop.SetKeepHistory(true)
 	// Initial fractions are uniform.
 	for _, f := range loop.Fractions() {
 		if f != 0.5 {
@@ -240,12 +226,6 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	res, err := loop.Step([]float64{4000, 1000}, 60, []float64{0.5, 0.5})
 	if err != nil {
 		t.Fatalf("Step: %v", err)
-	}
-	if res.Era != 1 || loop.era != 1 {
-		t.Fatalf("era = %d", res.Era)
-	}
-	if loop.state != StateMonitor {
-		t.Fatalf("loop should return to Monitor after a full era, got %v", loop.state)
 	}
 	validFractions(t, res.Fractions, 2)
 	// Policy 2 with equal previous fractions: region1 (higher RMTTF) gets the
@@ -263,7 +243,7 @@ func TestLoopStepRunsAllPhasesAndInstallsFractions(t *testing.T) {
 	if res.Plan == nil || len(res.Plan.Forward) != 2 {
 		t.Fatalf("step result should carry a forward plan")
 	}
-	if len(loop.History()) != 1 {
+	if h := loop.History(); len(h) != 1 || h[0].Plan != res.Plan {
 		t.Fatalf("history should retain the step result")
 	}
 	if loop.Aggregator().Current("region1") != 4000 {
@@ -286,27 +266,30 @@ func TestLoopPolicyErrorPropagates(t *testing.T) {
 	if _, err := loop.Step([]float64{1, 2}, 10, []float64{0.5, 0.5}); err == nil {
 		t.Fatalf("policy error should propagate")
 	}
-	if loop.era != 0 {
-		t.Fatalf("a failed step must not advance the era")
-	}
-	if loop.state != StateMonitor {
-		t.Fatalf("a failed step must return the loop to Monitor")
+	if got := loop.Fractions(); got[0] != 0.5 || got[1] != 0.5 {
+		t.Fatalf("a failed step must keep the installed fractions, got %v", got)
 	}
 }
 
+// TestLoopHistoryToggle: a loop keeps no history by default, and keeps every
+// step result once SetKeepHistory(true) turns it on.
 func TestLoopHistoryToggle(t *testing.T) {
 	loop, _ := NewLoop([]string{"a", "b"}, Uniform{}, 0.5)
-	loop.SetKeepHistory(false)
-	for i := 0; i < 5; i++ {
-		if _, err := loop.Step([]float64{100, 200}, 10, []float64{0.5, 0.5}); err != nil {
-			t.Fatalf("Step: %v", err)
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := loop.Step([]float64{100, 200}, 10, []float64{0.5, 0.5}); err != nil {
+				t.Fatalf("Step: %v", err)
+			}
 		}
 	}
-	if len(loop.History()) != 0 {
-		t.Fatalf("history should be empty when disabled")
+	step(5)
+	if n := len(loop.History()); n != 0 {
+		t.Fatalf("history holds %d results by default, want none", n)
 	}
-	if loop.era != 5 {
-		t.Fatalf("era = %d, want 5", loop.era)
+	loop.SetKeepHistory(true)
+	step(3)
+	if n := len(loop.History()); n != 3 {
+		t.Fatalf("history holds %d results after SetKeepHistory(true) and 3 steps, want 3", n)
 	}
 }
 
@@ -353,7 +336,6 @@ func BenchmarkLoopStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	loop.SetKeepHistory(false)
 	rmttf := []float64{4000, 3500, 900}
 	entry := []float64{0.3, 0.4, 0.3}
 	b.ReportAllocs()

@@ -12,8 +12,7 @@
 // candidacy over the live overlay links, and within each connected partition
 // the node with the highest priority (ties broken by smallest name) becomes
 // the leader.  The election is rerun whenever a membership or connectivity
-// change is observed, and the term number is bumped so stale leaders can be
-// recognised.
+// change is observed.
 package election
 
 import (
@@ -39,14 +38,6 @@ type Member struct {
 type Result struct {
 	// Leader is the elected controller.
 	Leader string
-	// Term is the monotonically increasing election term.
-	Term uint64
-	// Members are the controllers that participated (the partition of the
-	// leader), sorted.
-	Members []string
-	// Messages is the number of point-to-point messages the flooding election
-	// exchanged, an indicator of election cost.
-	Messages int
 }
 
 // Cluster manages leader election among a fixed membership over an overlay
@@ -54,7 +45,6 @@ type Result struct {
 type Cluster struct {
 	net     *overlay.Network
 	members map[string]Member
-	term    uint64
 	leaders map[string]string // partition representative -> leader
 	// counters
 	elections uint64
@@ -107,7 +97,6 @@ func (c *Cluster) alivePartitionMembers(from string) []string {
 // independently elects the reachable member with the highest priority.  The
 // method returns the results, one per partition, ordered by leader name.
 func (c *Cluster) Elect() []Result {
-	c.term++
 	c.elections++
 	c.leaders = map[string]string{}
 
@@ -125,17 +114,7 @@ func (c *Cluster) Elect() []Result {
 			seen[p] = true
 		}
 		leader := c.pickLeader(partition)
-		// Flooding cost: every member of the partition announces its candidacy
-		// to every other member it can reach, then the winner broadcasts the
-		// result — 2 * m * (m-1) point-to-point messages for a partition of m.
-		m := len(partition)
-		res := Result{
-			Leader:   leader,
-			Term:     c.term,
-			Members:  partition,
-			Messages: 2 * m * (m - 1),
-		}
-		results = append(results, res)
+		results = append(results, Result{Leader: leader})
 		for _, p := range partition {
 			c.leaders[p] = leader
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -124,7 +125,9 @@ func TestMatrixExpandDefaultsAndErrors(t *testing.T) {
 	if _, err := (Matrix{Scenarios: []string{"figure3"}, Policies: []string{"bogus"}}).Expand(); err == nil {
 		t.Fatalf("unknown policy should fail")
 	}
-	if _, err := (Matrix{Scenarios: []string{"figure3"}, Betas: []float64{1.5}}).Expand(); err == nil {
-		t.Fatalf("out-of-range beta should fail instead of being silently reset")
+	for _, beta := range []float64{1.5, math.NaN()} {
+		if _, err := (Matrix{Scenarios: []string{"figure3"}, Betas: []float64{beta}}).Expand(); err == nil || !strings.Contains(err.Error(), "beta") {
+			t.Fatalf("beta %v should fail by name instead of being silently reset or simulated, got %v", beta, err)
+		}
 	}
 }

@@ -47,10 +47,10 @@ type Scenario struct {
 }
 
 // ValidateBeta rejects smoothing factors that withDefaults would silently
-// reset to acm.DefaultBeta, so sweeps, CLIs and scenario files never report
-// a β they did not simulate.
+// reset to acm.DefaultBeta, and NaN, which every range comparison passes, so
+// sweeps, CLIs and scenario files never report a β they did not simulate.
 func ValidateBeta(beta float64) error {
-	if beta <= 0 || beta > 1 {
+	if !(beta > 0 && beta <= 1) {
 		return fmt.Errorf("experiment: beta %v outside (0, 1]", beta)
 	}
 	return nil

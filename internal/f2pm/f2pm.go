@@ -18,17 +18,18 @@ import (
 	"repro/internal/ml"
 )
 
+// The toolchain's fixed settings.  trainFraction of each VM's time-ordered
+// samples train the candidates, and the rest is the held-out test split.
+// lassoLambda is the regularisation strength of the feature selection, which
+// keeps at least minFeatures features.
+const (
+	trainFraction = 0.7
+	lassoLambda   = 0.1
+	minFeatures   = 4
+)
+
 // Config tunes the F2PM training toolchain.
 type Config struct {
-	// TrainFraction is the fraction of each VM's (time-ordered) samples used
-	// for training; the rest is the held-out test split.  Defaults to 0.7.
-	TrainFraction float64
-	// LassoLambda is the regularisation strength used for feature selection.
-	// Defaults to 0.1.
-	LassoLambda float64
-	// MinFeatures is the minimum number of features the selection must keep.
-	// Defaults to 4.
-	MinFeatures int
 	// CVFolds is the number of cross-validation folds computed for the chosen
 	// model (informational).  Defaults to 5; set to 1 to skip.
 	CVFolds int
@@ -40,15 +41,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.TrainFraction <= 0 || c.TrainFraction >= 1 {
-		c.TrainFraction = 0.7
-	}
-	if c.LassoLambda <= 0 {
-		c.LassoLambda = 0.1
-	}
-	if c.MinFeatures <= 0 {
-		c.MinFeatures = 4
-	}
 	if c.CVFolds == 0 {
 		c.CVFolds = 5
 	}
@@ -73,9 +65,6 @@ type SelectedFeature struct {
 // Report summarises a toolchain run: what was selected, how each candidate
 // model scored, and which model became the runtime predictor.
 type Report struct {
-	// TrainSamples and TestSamples are the split sizes.
-	TrainSamples int
-	TestSamples  int
 	// Selected lists the retained features, most important first.
 	Selected []SelectedFeature
 	// LassoLambda is the penalty that produced the selection.
@@ -148,7 +137,7 @@ func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {
 		return nil, nil, fmt.Errorf("f2pm: empty dataset")
 	}
 
-	train, test := ds.Split(cfg.TrainFraction)
+	train, test := ds.Split(trainFraction)
 	if train.Len() == 0 || test.Len() == 0 {
 		return nil, nil, fmt.Errorf("f2pm: split produced an empty partition (train=%d test=%d)", train.Len(), test.Len())
 	}
@@ -157,7 +146,7 @@ func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {
 	testX, testY := test.Matrix()
 
 	// 1. Lasso feature selection on the training split.
-	sel, err := ml.SelectFeaturesLasso(trainX, trainY, cfg.LassoLambda, cfg.MinFeatures)
+	sel, err := ml.SelectFeaturesLasso(trainX, trainY, lassoLambda, minFeatures)
 	if err != nil {
 		return nil, nil, fmt.Errorf("f2pm: feature selection: %w", err)
 	}
@@ -172,7 +161,7 @@ func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {
 	projTestX := ml.ProjectColumns(testX, sel.Selected)
 
 	// 2. Train and rank all candidate models on the selected features.
-	candidates := ml.DefaultCandidates(cfg.LassoLambda / 10)
+	candidates := ml.DefaultCandidates(lassoLambda / 10)
 	scores, err := ml.RankModels(candidates, projTrainX, trainY, projTestX, testY)
 	if err != nil {
 		return nil, nil, fmt.Errorf("f2pm: model ranking: %w", err)
@@ -219,8 +208,6 @@ func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {
 
 	model := &Model{Name: chosen, Features: selNames, Regressor: runtimeModel}
 	report := &Report{
-		TrainSamples:    train.Len(),
-		TestSamples:     test.Len(),
 		Selected:        selected,
 		LassoLambda:     sel.Lambda,
 		Scores:          scores,

@@ -143,7 +143,6 @@ type Plane struct {
 	lanes [][][]message
 	// group[i] is replica i's partition side; all zero when connected.
 	group    []int
-	split    bool
 	probes   uint64
 	rounds   uint64
 	sent     uint64
@@ -274,7 +273,6 @@ func (p *Plane) Isolate(replicas []int) {
 			p.group[i] = 1
 		}
 	}
-	p.split = true
 }
 
 // Heal reconnects all replicas; in-flight messages resume delivery and the
@@ -283,7 +281,6 @@ func (p *Plane) Heal() {
 	for i := range p.group {
 		p.group[i] = 0
 	}
-	p.split = false
 }
 
 // ProbeTick advances the owned health state machines: each region's owner

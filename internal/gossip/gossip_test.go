@@ -149,8 +149,8 @@ func TestGossipPartitionSplitBrainAndHeal(t *testing.T) {
 
 	// Cut replica 2 off, then black out region1 (owned by replica 0).
 	p.Isolate([]int{2})
-	if !p.split {
-		t.Fatalf("Isolate did not mark the plane partitioned")
+	if p.group[0] != 0 || p.group[1] != 0 || p.group[2] != 1 {
+		t.Fatalf("Isolate([2]) set partition sides %v, want [0 0 1]", p.group)
 	}
 	ts.down[0] = true
 	now = run(p, now, 6, step)

@@ -342,7 +342,6 @@ type Director struct {
 	table   *Table
 	stale   bool // health moved since table was built
 	trans   []Transition
-	probes  uint64
 }
 
 // NewDirector builds a director over the named regions (deployment order).
@@ -580,7 +579,6 @@ func (d *Director) LatencyP95Ms(stream, region int) float64 {
 // regions); the returned snapshot is what callers republish to their
 // request-path readers.
 func (d *Director) Tick(now simclock.Time) *Table {
-	d.probes++
 	for i := range d.health {
 		d.Probe(i, now)
 	}

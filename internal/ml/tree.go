@@ -298,7 +298,6 @@ type m5Node struct {
 	mean      float64
 	minLabel  float64
 	maxLabel  float64
-	samples   int
 }
 
 func (n *m5Node) isLeaf() bool { return n.left == nil && n.right == nil }
@@ -334,7 +333,7 @@ func (t *M5P) Fit(x [][]float64, y []float64) error {
 }
 
 func growM5(x [][]float64, y []float64, idx []int, depth, minLeaf int) *m5Node {
-	node := &m5Node{mean: meanAt(y, idx), samples: len(idx)}
+	node := &m5Node{mean: meanAt(y, idx)}
 	node.minLabel, node.maxLabel = labelRangeAt(y, idx)
 	fitLeafModel(node, x, y, idx)
 	if depth <= 0 || len(idx) < 2*minLeaf {

@@ -195,9 +195,6 @@ type Stats struct {
 	ReactiveRecoveries uint64
 	// Activations counts STANDBY->ACTIVE transitions commanded by the VMC.
 	Activations uint64
-	// Deactivations counts ACTIVE->STANDBY transitions commanded by the
-	// scale-down logic.
-	Deactivations uint64
 	// ProvisionedVMs counts VMs added through the ADDVMS action.
 	ProvisionedVMs uint64
 	// ControlTicks counts executed control iterations.
@@ -216,8 +213,7 @@ type VMC struct {
 	rr           int // round-robin cursor of the local load balancer
 	shardRR      int // rotation cursor over the region's shards
 	rmttf        *stats.EWMA
-	lastRMTTF    float64   // last raw (un-smoothed) RMTTF computed from predictions
-	predicted    []float64 // last predicted RTTF per VM, in Region.VMs() order
+	lastRMTTF    float64 // last raw (un-smoothed) RMTTF computed from predictions
 	targetActive int
 	targetForced bool // a scripted outage holds the target; elasticity is suspended
 
@@ -296,7 +292,6 @@ func (v *VMC) ForceTargetActive(n int) int {
 		active := v.elastActive
 		for i := len(active) - 1; i >= 0 && excess > 0; i-- {
 			if active[i].Deactivate() {
-				v.stats.Deactivations++
 				excess--
 			}
 		}
@@ -391,12 +386,10 @@ func (v *VMC) Submit(eng *simclock.Engine, req *cloudsim.Request) {
 	req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
 }
 
-// vmPrediction couples one ACTIVE VM with its freshly predicted RTTF and the
-// response time observed over the last interval.
+// vmPrediction couples one ACTIVE VM with its freshly predicted RTTF.
 type vmPrediction struct {
 	vm   *cloudsim.VM
 	rttf float64
-	resp float64
 }
 
 // byRTTF orders predictions worst-first with plain < semantics, the order
@@ -480,16 +473,13 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 
 	// Merge: fold the partials in shard-index order (floating-point addition
 	// is order-sensitive, so the fold order is part of the determinism
-	// contract) and publish the per-VM predictions.
+	// contract).
 	rejBefore := v.stats.ProactiveRejuvenations
 	sum := 0.0
 	reportable := 0
 	respSum := 0.0
 	respSamples := 0
 	sampled := 0
-	if n := len(v.region.VMs()); len(v.predicted) < n {
-		v.predicted = append(v.predicted, make([]float64, n-len(v.predicted))...)
-	}
 	for s := 0; s < numShards; s++ {
 		sc := &v.scratch[s]
 		sampled += sc.sampled
@@ -497,9 +487,6 @@ func (v *VMC) ControlTick(eng *simclock.Engine) {
 		reportable += sc.reportable
 		respSum += sc.respSum
 		respSamples += sc.respSamples
-		for _, p := range sc.preds {
-			v.predicted[p.vm.Index()] = p.rttf
-		}
 	}
 	if v.flight != nil && sampled > 0 {
 		v.flight.RecordPhase(now, v.region.Name()+"/vmc.monitor", uint64(sampled))
@@ -567,7 +554,7 @@ func (v *VMC) shardTick(now simclock.Time, s int) {
 		sample := vm.Sample(now, v.measure)
 		rttf := v.predictor.PredictRTTF(vm, sample)
 		resp := sample.Get(features.ResponseTimeMs) / 1000
-		sc.preds = append(sc.preds, vmPrediction{vm: vm, rttf: rttf, resp: resp})
+		sc.preds = append(sc.preds, vmPrediction{vm: vm, rttf: rttf})
 		if sample.Get(features.RequestRate) <= 0 {
 			// A VM that served nothing in the interval (typically one that
 			// was activated moments ago) carries no information about the
@@ -635,7 +622,6 @@ func (v *VMC) applyElasticity(eng *simclock.Engine, meanResp float64) {
 				}
 			}
 			if best.Deactivate() {
-				v.stats.Deactivations++
 				if v.targetActive > v.cfg.MinActive {
 					v.targetActive--
 				}

@@ -29,7 +29,8 @@ func runModelVMC(t *testing.T, pred RTTFPredictor) (modelRun, *VMC) {
 	cfg := DefaultConfig()
 	cfg.RTTFThreshold = 200
 	cfg.ElasticityEnabled = false
-	vmc := newTestVMC(t, region, pred, cfg)
+	rec := recordPredictions(pred, region)
+	vmc := newTestVMC(t, region, rec, cfg)
 	vmc.Start(eng)
 	gen := workload.NewOpenLoop(workload.OpenLoopConfig{Region: "region3", RatePerSec: 18},
 		simclock.NewRNG(88), DispatcherAdapter(vmc), workload.NewMetrics())
@@ -40,7 +41,7 @@ func runModelVMC(t *testing.T, pred RTTFPredictor) (modelRun, *VMC) {
 	vmc.Stop()
 	r := modelRun{Stats: vmc.Stats(), RMTTF: vmc.RMTTF(), Predicted: map[string]float64{}}
 	for _, vm := range region.VMs() {
-		r.Predicted[vm.ID()] = vmc.PredictedRTTF(vm.ID())
+		r.Predicted[vm.ID()] = rec.PredictedRTTF(vm.ID())
 	}
 	return r, vmc
 }

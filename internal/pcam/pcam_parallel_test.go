@@ -44,7 +44,8 @@ func runShardedTicks(t *testing.T, workers int) tickFingerprint {
 			vm.PreAge(0.9)
 		}
 	}
-	vmc := newTestVMC(t, region, OraclePredictor{}, Config{
+	rec := recordPredictions(OraclePredictor{}, region)
+	vmc := newTestVMC(t, region, rec, Config{
 		ElasticityEnabled: false,
 		ControlInterval:   30 * simclock.Second,
 		RTTFThreshold:     3000,
@@ -79,7 +80,7 @@ func runShardedTicks(t *testing.T, workers int) tickFingerprint {
 		QueueSizes: map[string]int{},
 	}
 	for _, vm := range region.VMs() {
-		fp.Predicted[vm.ID()] = vmc.PredictedRTTF(vm.ID())
+		fp.Predicted[vm.ID()] = rec.PredictedRTTF(vm.ID())
 		fp.VMStates[vm.ID()] = vm.State()
 		fp.QueueSizes[vm.ID()] = vm.QueueLength()
 	}

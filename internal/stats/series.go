@@ -130,19 +130,17 @@ func (s *Series) DirectionChanges(tailFrac float64) int {
 // converged to a common value, how quickly, and how stable they are — the
 // three qualitative axes the paper uses to compare the policies.
 type ConvergenceReport struct {
-	// Converged is true when the tail means of all series lie within
-	// Tolerance (relative) of their common mean.
+	// Converged is true when the tail means of all series lie within the
+	// relative tolerance of their common mean.
 	Converged bool
 	// RelativeSpread is (max tail mean - min tail mean) / mean of tail means.
 	RelativeSpread float64
 	// ConvergenceTime is the earliest simulated time after which all series
-	// stay within Tolerance of their running common mean; math.Inf(1) when
+	// stay within the tolerance of their running common mean; math.Inf(1) when
 	// they never converge.
 	ConvergenceTime float64
 	// MeanOscillation is the average oscillation index across the series.
 	MeanOscillation float64
-	// Tolerance echoes the tolerance used for the judgement.
-	Tolerance float64
 }
 
 // String renders the report in a compact single line.
@@ -163,7 +161,7 @@ func (r ConvergenceReport) String() string {
 // whether they converged to a common value.  tailFrac selects the
 // steady-state window and tol the relative tolerance for "same value".
 func AnalyzeConvergence(series []*Series, tailFrac, tol float64) ConvergenceReport {
-	rep := ConvergenceReport{Tolerance: tol, ConvergenceTime: math.Inf(1)}
+	rep := ConvergenceReport{ConvergenceTime: math.Inf(1)}
 	if len(series) == 0 {
 		return rep
 	}

@@ -160,8 +160,8 @@ func (s RateSpec) Max() float64 {
 
 // VaryingOpenLoopConfig describes one inhomogeneous-Poisson request stream.
 type VaryingOpenLoopConfig struct {
-	// Region labels the stream in the metrics sink and becomes the
-	// EntryRegion of its requests ("americas", "europe", ...).
+	// Region labels the stream in the metrics sink and its traces
+	// ("americas", "europe", ...).
 	Region string
 	// Rate is the time-varying arrival rate λ(t).
 	Rate RateSpec
@@ -182,7 +182,6 @@ type VaryingOpenLoop struct {
 	mix     Picker
 	running bool
 	nextID  uint64
-	issued  uint64
 }
 
 // NewVaryingOpenLoop builds a generator.  The rate spec is validated up
@@ -233,12 +232,9 @@ func (v *VaryingOpenLoop) scheduleNext(eng *simclock.Engine) {
 		if accept {
 			it := v.mix.Pick(v.rng)
 			v.nextID++
-			v.issued++
 			req := &cloudsim.Request{
 				ID:            v.nextID,
-				Class:         it.Name,
 				ServiceFactor: it.ServiceFactor,
-				EntryRegion:   v.cfg.Region,
 				Arrival:       e.Now(),
 				Trace:         v.cfg.Tracer.Start(v.cfg.Region+"-arrivals", v.nextID, 1, e.Now()),
 			}

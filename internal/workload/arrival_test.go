@@ -116,8 +116,8 @@ func TestVaryingOpenLoopThinningRate(t *testing.T) {
 	if sr < 4.0 || sr > 6.0 {
 		t.Fatalf("trough-half rate %.2f/s, want ~4.9", sr)
 	}
-	if gen.issued != uint64(len(sink.times)) {
-		t.Fatalf("issued counter %d != dispatched %d", gen.issued, len(sink.times))
+	if gen.nextID != uint64(len(sink.times)) {
+		t.Fatalf("last request ID %d != dispatched %d", gen.nextID, len(sink.times))
 	}
 }
 

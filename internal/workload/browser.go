@@ -30,8 +30,8 @@ func (f DispatcherFunc) Submit(eng *simclock.Engine, req *cloudsim.Request) { f(
 // BrowserConfig holds the knobs the emulated browsers of one population
 // share; each browser keeps only its random stream and session state.
 type BrowserConfig struct {
-	// Region is the cloud region the browser is connected to; it becomes the
-	// EntryRegion of every request it issues.
+	// Region is the cloud region the browser is connected to; it labels the
+	// population's metrics and traces.
 	Region string
 	// Mix is the interaction mix the browser draws from.
 	Mix Mix
@@ -39,10 +39,6 @@ type BrowserConfig struct {
 	// between receiving a response and issuing the next interaction.  TPC-W
 	// prescribes a mean of 7 seconds for emulated browsers.
 	ThinkTimeMean simclock.Duration
-	// SessionLength is the mean number of interactions per user session; after
-	// a session ends the browser immediately starts a new one (new user).  It
-	// only affects bookkeeping, not load.  Zero means 50.
-	SessionLength int
 	// Timeout aborts an interaction that has not completed after this long and
 	// counts it as an error (the emulated user gives up).  Zero disables the
 	// timeout.
@@ -58,9 +54,6 @@ type BrowserConfig struct {
 func (c BrowserConfig) withDefaults() BrowserConfig {
 	if c.ThinkTimeMean <= 0 {
 		c.ThinkTimeMean = 7 * simclock.Second
-	}
-	if c.SessionLength <= 0 {
-		c.SessionLength = 50
 	}
 	return c
 }
@@ -78,9 +71,7 @@ type Browser struct {
 	outstanding *cloudsim.Request
 	timeout     simclock.Handle
 	nextReqID   uint64
-	sessions    uint64
 	index       int32 // position in the population, which names the browser
-	inSession   int32
 	running     bool
 }
 
@@ -156,16 +147,9 @@ func (b *Browser) issue(eng *simclock.Engine) {
 	home := b.home
 	it := home.mix.Pick(&b.rng)
 	b.nextReqID++
-	b.inSession++
-	if int(b.inSession) >= home.cfg.SessionLength {
-		b.inSession = 0
-		b.sessions++
-	}
 	req := home.requests.Get()
 	req.ID = b.nextReqID
-	req.Class = it.Name
 	req.ServiceFactor = it.ServiceFactor
-	req.EntryRegion = home.cfg.Region
 	req.Arrival = eng.Now()
 	req.Trace = home.cfg.Tracer.Start(b.name(), b.nextReqID, 1, eng.Now())
 	req.Issuer = b
@@ -315,19 +299,14 @@ func (p *Population) Stop() {
 	}
 }
 
-// OpenLoopConfig describes a Poisson open-loop request source, used by unit
-// tests and by the ablation experiments that need a precisely controlled
-// request rate λ (the global incoming request rate of equation 3).
+// OpenLoopConfig describes a Poisson open-loop request source of browsing-mix
+// interactions.  Its one program caller is the F2PM profiling run, which
+// drives each VM at a fixed request rate.
 type OpenLoopConfig struct {
 	// Region is the entry region of the generated requests.
 	Region string
 	// RatePerSec is the Poisson arrival rate.
 	RatePerSec float64
-	// Mix is the interaction mix (BrowsingMix when zero-valued).
-	Mix Mix
-	// Tracer, when non-nil, samples the stream's requests into the span
-	// layer under the "<region>-open" stream identity.
-	Tracer *tracing.Tracer
 }
 
 // OpenLoop is a Poisson request generator.
@@ -343,13 +322,10 @@ type OpenLoop struct {
 
 // NewOpenLoop builds an open-loop generator.
 func NewOpenLoop(cfg OpenLoopConfig, rng *simclock.RNG, target Dispatcher, metrics *Metrics) *OpenLoop {
-	if cfg.Mix.Name == "" {
-		cfg.Mix = BrowsingMix()
-	}
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	return &OpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
+	return &OpenLoop{cfg: cfg, rng: rng, target: target, sink: metrics.sink(cfg.Region), mix: BrowsingMix().Picker()}
 }
 
 // Start begins generating arrivals; they run until the engine stops.
@@ -368,15 +344,9 @@ func (o *OpenLoop) scheduleNext(eng *simclock.Engine) {
 		o.nextID++
 		req := &cloudsim.Request{
 			ID:            o.nextID,
-			Class:         it.Name,
 			ServiceFactor: it.ServiceFactor,
-			EntryRegion:   o.cfg.Region,
 			Arrival:       e.Now(),
-			Trace:         o.cfg.Tracer.Start(o.cfg.Region+"-open", o.nextID, 1, e.Now()),
-		}
-		req.OnDone = func(out cloudsim.Outcome) {
-			sealTrace(req.Trace, out)
-			o.sink.record(out)
+			OnDone:        o.sink.record,
 		}
 		o.sink.issued()
 		o.target.Submit(e, req)

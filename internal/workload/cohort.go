@@ -40,8 +40,8 @@ import (
 
 // CohortConfig describes one cohort-compressed client population.
 type CohortConfig struct {
-	// Region is the region the clients connect to; it becomes the
-	// EntryRegion of every batch and tracer request.
+	// Region is the region the clients connect to; it labels the
+	// population's metrics and traces.
 	Region string
 	// Clients is the number of effective clients, tracers included.
 	Clients int
@@ -280,9 +280,7 @@ func (c *CohortPopulation) emit(eng *simclock.Engine, class, count int) {
 		n := uint64(b)
 		req := c.pool.Get()
 		req.ID = c.nextID
-		req.Class = it.Name
 		req.ServiceFactor = it.ServiceFactor
-		req.EntryRegion = c.cfg.Region
 		req.Arrival = eng.Now()
 		req.Batch = b
 		req.Trace = c.cfg.Tracer.Start(c.batchStream, c.nextID, n, eng.Now())

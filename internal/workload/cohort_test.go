@@ -9,21 +9,22 @@ import (
 )
 
 // cohortStub is a dispatcher that completes every request after a fixed
-// service delay and keeps weighted per-class tallies.
+// service delay and keeps weighted per-class tallies, keyed by service
+// factor (every TPC-W interaction has its own).
 type cohortStub struct {
 	delay    simclock.Duration
-	byClass  map[string]uint64
+	byClass  map[float64]uint64
 	maxBatch int
 	requests uint64
 }
 
 func newCohortStub(delay simclock.Duration) *cohortStub {
-	return &cohortStub{delay: delay, byClass: map[string]uint64{}}
+	return &cohortStub{delay: delay, byClass: map[float64]uint64{}}
 }
 
 func (s *cohortStub) Submit(eng *simclock.Engine, req *cloudsim.Request) {
 	s.requests++
-	s.byClass[req.Class] += req.Weight()
+	s.byClass[req.ServiceFactor] += req.Weight()
 	if req.Batch > s.maxBatch {
 		s.maxBatch = req.Batch
 	}
@@ -119,8 +120,13 @@ func TestCohortSplitChiSquared(t *testing.T) {
 
 	mix := BrowsingMix()
 	totalW := 0.0
+	factors := map[float64]string{}
 	for _, e := range mix.Entries {
 		totalW += e.Weight
+		if other, dup := factors[e.ServiceFactor]; dup {
+			t.Fatalf("%s and %s share service factor %g, so the tallies cannot tell them apart", other, e.Name, e.ServiceFactor)
+		}
+		factors[e.ServiceFactor] = e.Name
 	}
 	var total uint64
 	for _, n := range stub.byClass {
@@ -138,7 +144,7 @@ func TestCohortSplitChiSquared(t *testing.T) {
 		if exp < 5 {
 			continue
 		}
-		d := float64(stub.byClass[e.Name]) - exp
+		d := float64(stub.byClass[e.ServiceFactor]) - exp
 		chi2 += d * d / exp
 		bins++
 	}

@@ -269,26 +269,6 @@ func TestBrowserTimeoutCountsAsAbandoned(t *testing.T) {
 	}
 }
 
-func TestBrowserSessionAccounting(t *testing.T) {
-	eng := simclock.NewEngine(8)
-	disp := &immediateDispatcher{}
-	b := NewBrowser("eb1", BrowserConfig{
-		Region: "r", Mix: BrowsingMix(),
-		ThinkTimeMean: 500 * simclock.Millisecond, SessionLength: 10,
-	}, eng.RNG().Fork(), disp, NewMetrics())
-	b.Start(eng)
-	if err := eng.Run(2 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
-		t.Fatalf("run: %v", err)
-	}
-	b.Stop()
-	if b.sessions == 0 {
-		t.Fatalf("browser should have completed at least one 10-interaction session")
-	}
-	if b.name() != "eb1" {
-		t.Fatalf("ID = %q", b.name())
-	}
-}
-
 func TestPopulationStartStopAndExpectedRate(t *testing.T) {
 	eng := simclock.NewEngine(9)
 	disp := &immediateDispatcher{delay: 50 * simclock.Millisecond}
