@@ -61,7 +61,7 @@ test:
 	$(GO) test ./...
 
 test-repeat:
-	$(GO) test -short -count=2 ./internal/cloudsim/... ./internal/experiment/...
+	$(GO) test -short -count=2 ./internal/cloudsim/... ./internal/experiment/... ./internal/simclock/... ./internal/workload/...
 
 race:
 	$(GO) test -race ./...

@@ -11,7 +11,6 @@ package acm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -76,9 +75,9 @@ type RegionSetup struct {
 	SurgeAt simclock.Duration
 }
 
-// Config describes a complete ACM deployment.  Every field except Policy and
-// Overlay is plain data, so a Config round-trips through JSON (experiment
-// scenario files embed it).
+// Config describes a complete ACM deployment.  Every field except Policy is
+// plain data, so a Config round-trips through JSON (experiment scenario
+// files embed it).
 type Config struct {
 	// Seed drives every random stream of the simulation.
 	Seed uint64
@@ -97,13 +96,6 @@ type Config struct {
 	Predictor PredictorMode
 	// ThinkTime is the emulated browsers' mean think time (7 s when zero).
 	ThinkTime simclock.Duration
-	// RequestTimeout aborts client interactions that take longer than this
-	// (disabled when zero).
-	RequestTimeout simclock.Duration
-	// Overlay is the controller interconnection network; when nil a
-	// three-region paper overlay is built and regions beyond the first three
-	// are attached to the transit node.
-	Overlay *overlay.Network `json:"-"`
 	// MLProfile overrides the profiling configuration used when Predictor is
 	// PredictorML (sensible defaults otherwise).
 	MLProfile f2pm.ProfileConfig
@@ -204,7 +196,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Beta <= 0 || c.Beta > 1 {
+	if c.Beta == 0 {
 		c.Beta = DefaultBeta
 	}
 	if c.ControlInterval <= 0 {
@@ -275,8 +267,8 @@ type Manager struct {
 // NewManager builds the deployment.  It trains the ML predictors up front
 // when PredictorML is selected (the paper's initial profiling phase).
 func NewManager(cfg Config) (*Manager, error) {
-	if math.IsNaN(cfg.Beta) {
-		return nil, fmt.Errorf("acm: beta is NaN")
+	if b := cfg.Beta; b != 0 && !(b > 0 && b <= 1) {
+		return nil, fmt.Errorf("acm: beta %v outside (0, 1]; 0 selects the default %v", b, DefaultBeta)
 	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Regions) == 0 {
@@ -349,10 +341,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.buildMetrics()
 
 	// Overlay + leader election among the controllers.
-	m.net = cfg.Overlay
-	if m.net == nil {
-		m.net = defaultOverlay(names)
-	}
+	m.net = defaultOverlay(names)
 	members := make([]election.Member, 0, len(names))
 	for _, r := range m.regions {
 		members = append(members, election.Member{Name: r.Name(), Priority: len(r.VMs())})

@@ -38,6 +38,18 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(nan); err == nil || !strings.Contains(err.Error(), "beta") {
 		t.Fatalf("a NaN beta should be rejected by name, got %v", err)
 	}
+	for _, beta := range []float64{1.7, -0.5} {
+		out := smallConfig(1, core.AvailableResources{})
+		out.Beta = beta
+		if _, err := NewManager(out); err == nil || !strings.Contains(err.Error(), "beta") {
+			t.Fatalf("beta %v outside (0, 1] should be rejected by name, got %v", beta, err)
+		}
+	}
+	badVMC := smallConfig(1, core.AvailableResources{})
+	badVMC.VMC.RTTFThreshold = -10
+	if _, err := NewManager(badVMC); err == nil || !strings.Contains(err.Error(), "RTTFThreshold") {
+		t.Fatalf("a negative VMC RTTFThreshold should be rejected by name, got %v", err)
+	}
 	m, err := NewManager(smallConfig(1, core.AvailableResources{}))
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
@@ -326,7 +338,7 @@ func TestWorkloadDispatcherIntegration(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	met := m.Metrics()
-	terminated := met.Completed("") + met.Dropped("") + met.Timeouts("")
+	terminated := met.Completed("") + met.Dropped("")
 	issued := met.Issued("")
 	// The last few requests may still be in flight when the horizon cuts the
 	// run; allow a small in-flight difference.

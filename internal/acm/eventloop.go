@@ -181,7 +181,6 @@ func (el *eventLoop) buildGlobalTraffic() {
 					Clients:       splitClients(m.cfg.GlobalClients, el.total, g),
 					Mix:           m.cfg.GlobalMix,
 					ThinkTimeMean: m.cfg.ThinkTime,
-					Timeout:       m.cfg.RequestTimeout,
 					RampUp:        m.cfg.ControlInterval / 2,
 					Tracer:        m.tracer,
 				}, simclock.NewStreamRNG(seedBase, uint64(g)), el.gslbDisp[g](el.streamIdx["global"]), el.metrics[g])
@@ -200,7 +199,6 @@ func (el *eventLoop) buildGlobalTraffic() {
 					Tick:           m.cfg.CohortTick,
 					MaxBatch:       m.cfg.CohortMaxBatch,
 					TracerFraction: m.cfg.TracerFraction,
-					Timeout:        m.cfg.RequestTimeout,
 					RampUp:         m.cfg.ControlInterval / 2,
 					Seed:           simclock.DeriveSeed(seedBase, uint64(g)),
 					Tracer:         m.tracer,
@@ -407,7 +405,6 @@ func (el *eventLoop) buildPopulations(r int, rs RegionSetup, clients int, seedBa
 			Clients:       splitClients(clients, n, s),
 			Mix:           rs.Mix,
 			ThinkTimeMean: m.cfg.ThinkTime,
-			Timeout:       m.cfg.RequestTimeout,
 			RampUp:        m.cfg.ControlInterval / 2,
 			Tracer:        m.tracer,
 		}, simclock.NewStreamRNG(seedBase, uint64(s)), el.dispatcher(r, s), el.metrics[el.base[r]+s])
@@ -433,7 +430,6 @@ func (el *eventLoop) buildCohorts(r int, rs RegionSetup) []*workload.CohortPopul
 			Tick:           m.cfg.CohortTick,
 			MaxBatch:       m.cfg.CohortMaxBatch,
 			TracerFraction: m.cfg.TracerFraction,
-			Timeout:        m.cfg.RequestTimeout,
 			RampUp:         m.cfg.ControlInterval / 2,
 			Seed:           simclock.DeriveSeed(seedBase, uint64(r), uint64(s)),
 			Tracer:         m.tracer,

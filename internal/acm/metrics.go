@@ -44,7 +44,6 @@ type managerMetrics struct {
 	wlIssued    *metrics.Counter
 	wlCompleted *metrics.Counter
 	wlDropped   *metrics.Counter
-	wlTimeouts  *metrics.Counter
 	wlSLAMiss   *metrics.Counter
 	respHist    *metrics.Histogram
 
@@ -88,7 +87,6 @@ func (m *Manager) buildMetrics() {
 	mm.wlIssued = reg.Counter(metrics.Opts{Name: "workload_requests_issued_total", Help: "Requests issued by clients, per population stream label.", Source: "internal/workload", Labels: []string{"stream"}})
 	mm.wlCompleted = reg.Counter(metrics.Opts{Name: "workload_requests_completed_total", Help: "Requests completed successfully, per population stream label.", Source: "internal/workload", Labels: []string{"stream"}})
 	mm.wlDropped = reg.Counter(metrics.Opts{Name: "workload_requests_dropped_total", Help: "Requests dropped, per population stream label.", Source: "internal/workload", Labels: []string{"stream"}})
-	mm.wlTimeouts = reg.Counter(metrics.Opts{Name: "workload_request_timeouts_total", Help: "Requests abandoned client-side after the configured timeout.", Source: "internal/workload", Labels: []string{"stream"}})
 	mm.wlSLAMiss = reg.Counter(metrics.Opts{Name: "workload_sla_violations_total", Help: "Completed requests whose response time exceeded the 1-second SLA.", Source: "internal/workload", Labels: []string{"stream"}})
 	mm.respHist = reg.Histogram(metrics.Opts{Name: "workload_response_time_seconds", Help: "Client-observed response time distribution over all individually simulated clients.", Source: "internal/workload"}, workload.ResponseTimeBuckets)
 
@@ -141,7 +139,6 @@ func (m *Manager) publishMetrics(met *workload.Metrics, smoothed, fractions []fl
 		mm.wlIssued.Set(float64(met.Issued(stream)), stream)
 		mm.wlCompleted.Set(float64(met.Completed(stream)), stream)
 		mm.wlDropped.Set(float64(met.Dropped(stream)), stream)
-		mm.wlTimeouts.Set(float64(met.Timeouts(stream)), stream)
 		mm.wlSLAMiss.Set(float64(met.SLAViolations(stream)), stream)
 	}
 	hist := met.ResponseHistogram()

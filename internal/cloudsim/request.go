@@ -79,8 +79,7 @@ var ErrRequestReleased = errors.New("cloudsim: completion of a released request"
 //
 // Ownership rule: a request taken with Get belongs to the issuer until its
 // completion callback runs; the callback returns it with Put exactly once, as
-// its last action.  A request whose client gave up on it (a timeout) stays
-// out of the free list until its late completion fires.
+// its last action.
 type RequestPool struct {
 	free []*Request
 }

@@ -24,10 +24,10 @@ func SaveScenario(w io.Writer, sc Scenario) error {
 
 // LoadScenario reads a scenario from JSON and applies the experiment
 // defaults to any field left unset.  A scenario file carries one key per
-// acm.Config field except Policy and Overlay, plus Name, Horizon,
-// TailFraction, ConvergenceTolerance and Backend.  A Beta outside (0, 1] is
-// rejected rather than reset; 0 means unset.  A Backend other than "" or
-// "sim" is rejected with ErrUnknownBackend.
+// acm.Config field except Policy, plus Name, Horizon, TailFraction,
+// ConvergenceTolerance and Backend.  A Beta outside (0, 1] is rejected
+// rather than reset; 0 means unset.  A Backend other than "" or "sim" is
+// rejected with ErrUnknownBackend.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)

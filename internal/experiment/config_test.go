@@ -184,7 +184,7 @@ func TestScenarioJSONCarriesEveryConfigField(t *testing.T) {
 	var names []string
 	for i := 0; i < cfgT.NumField(); i++ {
 		name := cfgT.Field(i).Name
-		if name == "Policy" || name == "Overlay" {
+		if name == "Policy" {
 			continue
 		}
 		f := origV.FieldByName(name)
@@ -214,8 +214,10 @@ func TestScenarioJSONCarriesEveryConfigField(t *testing.T) {
 // TestScenarioFileCompatibility loads a file -dump-config wrote for
 // global-gossip (seed 42) before Scenario embedded acm.Config.  Embedding
 // moved keys around but renamed none, so it must load unchanged, and
-// today's dump must carry exactly its keys plus the four fields a file could
-// not set before.
+// today's dump must carry exactly its keys plus the three fields a file
+// could not set before.  RequestTimeout, one of the four such fields once,
+// is gone from acm.Config, so a file that sets it is rejected as an unknown
+// key.
 func TestScenarioFileCompatibility(t *testing.T) {
 	path := filepath.Join("testdata", "global-gossip-scenario.json")
 	got, err := LoadScenarioFile(path)
@@ -250,10 +252,14 @@ func TestScenarioFileCompatibility(t *testing.T) {
 	if err := SaveScenario(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	wantKeys := append(topKeys(old), "GlobalMix", "InitialAgeSpread", "MLProfile", "RequestTimeout")
+	wantKeys := append(topKeys(old), "GlobalMix", "InitialAgeSpread", "MLProfile")
 	slices.Sort(wantKeys)
 	if gotKeys := topKeys(buf.Bytes()); !slices.Equal(gotKeys, wantKeys) {
 		t.Fatalf("dump keys %v\nwant %v", gotKeys, wantKeys)
+	}
+	withTimeout := bytes.Replace(old, []byte("{"), []byte(`{"RequestTimeout": 5,`), 1)
+	if _, err := LoadScenario(bytes.NewReader(withTimeout)); err == nil || !strings.Contains(err.Error(), "RequestTimeout") {
+		t.Fatalf("a file setting RequestTimeout loaded with error %v, want it rejected by name", err)
 	}
 }
 

@@ -28,8 +28,8 @@ type Scenario struct {
 	// Name labels the scenario ("figure3", "figure4", ...).
 	Name string
 	// Config is the deployment the scenario realises.  Its Policy is
-	// replaced by the policy under test when the scenario is run, and
-	// neither Policy nor Overlay is part of a scenario file.
+	// replaced by the policy under test when the scenario is run, and it
+	// is not part of a scenario file.
 	acm.Config
 	// Horizon is the simulated duration of one run.
 	Horizon simclock.Duration
@@ -99,8 +99,7 @@ func (s Scenario) checkBackend() error {
 // concurrent runs even for stateful policies such as Policy 3.  A Scenario
 // is plain data and every deployment built from one owns all of its state,
 // so any number of them can be built from the same scenario and run
-// concurrently.  The one exception is an Overlay set in code: it is a
-// pointer, and those deployments share it.
+// concurrently.
 func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 	sim, err := newSimulated(sc, np)
 	if err != nil {

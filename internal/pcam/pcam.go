@@ -22,6 +22,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/simclock"
 	"repro/internal/stats"
+	"repro/internal/validate"
 )
 
 // RTTFPredictor estimates the remaining time to failure of a VM from its most
@@ -166,20 +167,46 @@ type Config struct {
 	RMTTFBeta float64
 }
 
+// validate rejects, by field name, an RMTTFBeta outside (0, 1] and a
+// negative or NaN value of any other numeric field.  Zero is never an
+// error: it selects the field's default.
+func (c Config) validate() error {
+	if c.RMTTFBeta != 0 && !(c.RMTTFBeta > 0 && c.RMTTFBeta <= 1) {
+		return validate.Fieldf("pcam", "RMTTFBeta", "%v outside (0, 1]", c.RMTTFBeta)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"RTTFThreshold", c.RTTFThreshold},
+		{"ControlInterval", c.ControlInterval.Seconds()},
+		{"ResponseTimeThreshold", c.ResponseTimeThreshold},
+		{"MinActive", float64(c.MinActive)},
+		{"TargetActive", float64(c.TargetActive)},
+		{"ScaleDownRMTTF", c.ScaleDownRMTTF},
+	} {
+		if !(f.v >= 0) {
+			return validate.Fieldf("pcam", f.name, "must be >= 0, got %v", f.v)
+		}
+	}
+	return nil
+}
+
+// withDefaults fills the zero fields of a validated config.
 func (c Config) withDefaults() Config {
-	if c.RTTFThreshold <= 0 {
+	if c.RTTFThreshold == 0 {
 		c.RTTFThreshold = 600
 	}
-	if c.ControlInterval <= 0 {
+	if c.ControlInterval == 0 {
 		c.ControlInterval = 30 * simclock.Second
 	}
-	if c.ResponseTimeThreshold <= 0 {
+	if c.ResponseTimeThreshold == 0 {
 		c.ResponseTimeThreshold = 1.0
 	}
-	if c.MinActive <= 0 {
+	if c.MinActive == 0 {
 		c.MinActive = 1
 	}
-	if c.RMTTFBeta <= 0 || c.RMTTFBeta > 1 {
+	if c.RMTTFBeta == 0 {
 		c.RMTTFBeta = 0.5
 	}
 	return c
@@ -251,6 +278,9 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 	}
 	if predictor == nil {
 		return nil, fmt.Errorf("pcam: nil predictor")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	target := cfg.TargetActive

@@ -1,6 +1,8 @@
 package pcam
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -44,6 +46,30 @@ func TestNewVMCValidation(t *testing.T) {
 	cfg := vmc.Config()
 	if cfg.RTTFThreshold != 600 || cfg.MinActive != 1 || cfg.RMTTFBeta != 0.5 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	// Out-of-range values are rejected by name, not replaced by defaults.
+	for _, tc := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{RMTTFBeta: 1.5}, "RMTTFBeta"},
+		{Config{RMTTFBeta: -0.5}, "RMTTFBeta"},
+		{Config{RMTTFBeta: math.NaN()}, "RMTTFBeta"},
+		{Config{RTTFThreshold: -10}, "RTTFThreshold"},
+		{Config{RTTFThreshold: math.NaN()}, "RTTFThreshold"},
+		{Config{ControlInterval: -simclock.Second}, "ControlInterval"},
+		{Config{ResponseTimeThreshold: -1}, "ResponseTimeThreshold"},
+		{Config{MinActive: -1}, "MinActive"},
+		{Config{TargetActive: -2}, "TargetActive"},
+		{Config{ScaleDownRMTTF: -1}, "ScaleDownRMTTF"},
+	} {
+		if _, err := NewVMC(testRegion(1), OraclePredictor{}, tc.cfg); err == nil || !strings.Contains(err.Error(), "pcam: "+tc.field) {
+			t.Errorf("NewVMC(%+v) error %v, want one naming %s", tc.cfg, err, tc.field)
+		}
+	}
+	vmc, err = NewVMC(testRegion(1), OraclePredictor{}, Config{RMTTFBeta: 1})
+	if err != nil || vmc.Config().RMTTFBeta != 1 {
+		t.Fatalf("RMTTFBeta 1 lies in (0, 1] and must be kept, got err %v", err)
 	}
 }
 

@@ -8,21 +8,13 @@ import (
 // PrefixSums exposes a prepared table's prefix sums to the external tests.
 func (w Weights) PrefixSums() []float64 { return w.cum }
 
-// Cancelled reports whether the handle has been cancelled or already fired.
-func (h Handle) Cancelled() bool {
-	s := h.pending()
-	return s == nil || s.dead
-}
-
-// PendingTimes returns the timestamps of all live pending events in ascending
+// PendingTimes returns the timestamps of all pending events in ascending
 // order.
 func (e *Engine) PendingTimes() []Time {
 	e.settle()
 	var out []Time
 	for _, en := range e.queue {
-		if !e.slots[en.slot()].dead {
-			out = append(out, en.at())
-		}
+		out = append(out, en.at())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -4,15 +4,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // queueModel drives an Engine and a reference model of its queue side by
 // side.  Every event carries its schedule sequence number; the model keeps
-// the events still due to fire (live) and the cancelled ones still in the
-// heap (dead), and each Step must fire exactly the live event that a sort by
-// (at, seq) puts first.  With followUps set, handlers schedule 0, 1 or 3
-// follow-ups themselves, some with a zero delay that ties with the firing
-// time, and cancel their own handle or another one from inside Fire.
+// the events still due to fire, and each Step must fire exactly the one that
+// a sort by (at, seq) puts first.  With followUps set, handlers schedule 0, 1
+// or 3 follow-ups themselves, some with a zero delay that ties with the
+// firing time, so the firing root is replaced in place as well as popped.
 type queueModel struct {
 	tb        testing.TB
 	eng       *Engine
@@ -20,18 +20,16 @@ type queueModel struct {
 	followUps bool
 	budget    int // follow-ups handlers may still schedule
 
-	at      []Time   // by seq
-	handles []Handle // by seq
-	live    map[int]bool
-	dead    map[int]bool
-	firing  int // seq the reference expects to fire next, -1 between steps
-	fired   int
+	at     []Time // by seq
+	live   map[int]bool
+	firing int // seq the reference expects to fire next, -1 between steps
+	fired  int
 }
 
 func newQueueModel(tb testing.TB, draw func(n int) int, followUps bool, budget int) *queueModel {
 	return &queueModel{
 		tb: tb, eng: NewEngine(1), draw: draw, followUps: followUps, budget: budget,
-		live: map[int]bool{}, dead: map[int]bool{}, firing: -1,
+		live: map[int]bool{}, firing: -1,
 	}
 }
 
@@ -46,25 +44,15 @@ func (m *queueModel) schedule(d Duration) {
 	at := m.eng.Now().Add(d)
 	m.at = append(m.at, at)
 	m.live[seq] = true
-	m.handles = append(m.handles, m.eng.ScheduleAt(at, EventFunc(func(*Engine) { m.fire(seq) })))
+	m.eng.ScheduleAt(at, EventFunc(func(*Engine) { m.fire(seq) }))
 	m.checkPending()
 }
 
-// cancel cancels the event with sequence number seq; cancelling one that has
-// fired or was drained changes nothing.
-func (m *queueModel) cancel(seq int) {
-	m.handles[seq].Cancel()
-	if m.live[seq] {
-		delete(m.live, seq)
-		m.dead[seq] = true
-	}
-}
-
-// checkPending compares Pending with the model: the live and cancelled
-// events in the heap, never the one that is firing.
+// checkPending compares Pending with the model: the events in the heap,
+// never the one that is firing.
 func (m *queueModel) checkPending() {
 	m.tb.Helper()
-	if got, want := m.eng.Pending(), len(m.live)+len(m.dead); got != want {
+	if got, want := m.eng.Pending(), len(m.live); got != want {
 		m.tb.Fatalf("Pending() = %d, model %d", got, want)
 	}
 }
@@ -78,17 +66,11 @@ func (m *queueModel) step() {
 			best = s
 		}
 	}
-	// Step discards the cancelled entries that surface ahead of best.
-	for s := range m.dead {
-		if best < 0 || m.before(s, best) {
-			delete(m.dead, s)
-		}
-	}
 	delete(m.live, best)
 	m.firing = best
 	fired := m.fired
 	if got := m.eng.Step(); got != (best >= 0) {
-		m.tb.Fatalf("Step() = %v with %d live events in the model", got, len(m.live))
+		m.tb.Fatalf("Step() = %v with %d events in the model", got, len(m.live))
 	}
 	if best >= 0 && m.fired != fired+1 {
 		m.tb.Fatalf("Step fired %d handlers, want 1", m.fired-fired)
@@ -107,52 +89,24 @@ func (m *queueModel) fire(seq int) {
 	if m.eng.Now() != m.at[seq] {
 		m.tb.Fatalf("event %d fired at %v, scheduled for %v", seq, m.eng.Now(), m.at[seq])
 	}
-	if !m.handles[seq].Cancelled() {
-		m.tb.Fatalf("the handle of firing event %d does not report Cancelled", seq)
-	}
 	m.checkPending()
 	if !m.followUps {
 		return
-	}
-	// Cancel before or after scheduling: after, the first follow-up has
-	// reused this event's slot and its stale handle must not reach it.
-	cancelFirst := m.draw(2) == 0
-	if cancelFirst {
-		m.cancelFromHandler(seq)
 	}
 	for n := [...]int{0, 1, 3}[m.draw(3)]; n > 0 && m.budget > 0; n-- {
 		m.budget--
 		m.schedule(Duration(m.draw(3))) // a zero delay ties with the firing time
 	}
-	if !cancelFirst {
-		m.cancelFromHandler(seq)
-	}
 	m.checkPending()
 }
 
-// cancelFromHandler cancels the firing event's own handle, another event's
-// or nothing.
-func (m *queueModel) cancelFromHandler(seq int) {
-	switch m.draw(3) {
-	case 0:
-		m.cancel(seq)
-	case 1:
-		m.cancel(m.draw(len(m.handles)))
-	}
-}
-
 // run interleaves ops schedules from outside a handler (on coarse times, to
-// force ties), cancellations of pending and already-fired handles, and
-// steps, then drains the queue.
+// force ties) and steps, then drains the queue.
 func (m *queueModel) run(ops int) {
 	for op := 0; op < ops; op++ {
-		switch k := m.draw(10); {
-		case k < 5:
+		if m.draw(10) < 6 {
 			m.schedule(Duration(m.draw(8)))
-		case k < 7 && len(m.handles) > 0:
-			m.cancel(m.draw(len(m.handles)))
-			m.checkPending()
-		default:
+		} else {
 			m.step()
 		}
 	}
@@ -168,11 +122,11 @@ func (m *queueModel) run(ops int) {
 }
 
 // TestQueueMatchesReferenceSort drives random interleavings of schedules
-// (many sharing a timestamp), cancellations of pending and already-fired
-// handles, and steps, and checks the events fire in exactly the (at, seq)
-// order a reference sort of the live set gives.  In the second half of the
-// seeds the handlers schedule follow-ups and cancel handles themselves, so
-// the firing root is replaced in place as well as popped.
+// (many sharing a timestamp) and steps, and checks the events fire in
+// exactly the (at, seq) order a reference sort gives, with Pending matching
+// the model after every operation.  In the second half of the seeds the
+// handlers schedule follow-ups themselves, so the firing root is replaced in
+// place as well as popped.
 func TestQueueMatchesReferenceSort(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {
 		rng := NewRNG(seed)
@@ -181,9 +135,9 @@ func TestQueueMatchesReferenceSort(t *testing.T) {
 }
 
 // FuzzEngineQueue runs the reference model on a byte-encoded sequence of
-// operations: each byte is one choice of the model (schedule, cancel or
-// step, a delay, a handle, a handler's follow-up count and cancellation),
-// and the first byte's low bit turns handler follow-ups on.
+// operations: each byte is one choice of the model (schedule or step, a
+// delay, a handler's follow-up count), and the first byte's low bit turns
+// handler follow-ups on.
 func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 0, 0, 7, 9, 9, 9})
 	f.Add([]byte{1, 2, 0, 2, 0, 2, 0, 9, 1, 2, 1, 9, 0, 2, 5, 6, 9, 9})
@@ -287,6 +241,16 @@ func TestQueueBitKeyOrder(t *testing.T) {
 	neg.ScheduleAt(-1, EventFunc(func(*Engine) {}))
 	if pt := neg.PendingTimes(); len(pt) != 2 || pt[0] != 0 || math.Signbit(float64(pt[0])) || pt[1] != 1 {
 		t.Fatalf("pending after a schedule at -1 = %v, want [0 1]", pt)
+	}
+}
+
+// TestEventSlotSizeClass pins the event slab's element at 16 bytes, the
+// event's interface value alone: every pending event holds one, so a field
+// added beside it must justify the growth.
+func TestEventSlotSizeClass(t *testing.T) {
+	var e Engine
+	if size := unsafe.Sizeof(e.slots[0]); size > 16 {
+		t.Fatalf("unsafe.Sizeof(slab element) = %d, want <= 16", size)
 	}
 }
 

@@ -340,7 +340,7 @@ func (se *ShardedEngine) ParallelPhase(n int, fn func(i int)) {
 // when the fan-out selector measures that cheaper — then, at the barrier,
 // drains the mailboxes and fires the control events that are due.  The epoch end is clamped to the next control
 // event's timestamp, so control events never fire late.  Like Engine.Run it returns
-// ErrHorizonReached when live events remain beyond the horizon, and nil when
+// ErrHorizonReached when events remain beyond the horizon, and nil when
 // the system drained.
 func (se *ShardedEngine) Run(horizon Duration) error {
 	h := Time(horizon)
@@ -371,8 +371,9 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 	}
 	for se.now < h {
 		tEnd := se.now.Add(se.epoch)
-		if next, ok := se.control.NextEventTime(); ok && next < tEnd {
-			tEnd = next
+		se.control.settle()
+		if q := se.control.queue; len(q) > 0 && q[0].at() < tEnd {
+			tEnd = q[0].at()
 		}
 		if tEnd > h {
 			tEnd = h
@@ -436,11 +437,11 @@ func (se *ShardedEngine) Run(horizon Duration) error {
 		se.now = tEnd
 	}
 	for _, sh := range se.shards {
-		if sh.hasLiveEvents() {
+		if sh.Pending() > 0 {
 			return ErrHorizonReached
 		}
 	}
-	if se.control.hasLiveEvents() || se.pendingPosts() {
+	if se.control.Pending() > 0 || se.pendingPosts() {
 		return ErrHorizonReached
 	}
 	return nil

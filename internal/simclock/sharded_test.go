@@ -84,30 +84,27 @@ func TestShardedEngineHorizonReached(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnCancelledPastHorizon: a cancelled event is not work
-// left, so with only a cancelled event pending past the horizon both engines
-// report a drained run (nil), not ErrHorizonReached; a live one makes both
-// report the horizon.
+// TestEnginesAgreeOnCancelledPastHorizon: no event can be cancelled, so an
+// event leaves the queue only by firing.  With one event pending past the
+// horizon both engines report ErrHorizonReached; with the only event firing
+// before it both report a drained run (nil).  Either way the serial clock
+// ends at the horizon.
 func TestEnginesAgreeOnCancelledPastHorizon(t *testing.T) {
-	for _, cancel := range []bool{true, false} {
+	for _, pastHorizon := range []bool{true, false} {
+		at, want := 1*Second, error(nil)
+		if pastHorizon {
+			at, want = 10*Second, ErrHorizonReached
+		}
 		serial := NewEngine(1)
-		h := serial.ScheduleFunc(10*Second, func(*Engine) {})
+		serial.ScheduleFunc(at, func(*Engine) {})
 		se := NewShardedEngine(2, 1, 100*Millisecond, 1)
-		hs := se.Shard(1).ScheduleFunc(10*Second, func(*Engine) {})
-		if cancel {
-			h.Cancel()
-			hs.Cancel()
-		}
+		se.Shard(1).ScheduleFunc(at, func(*Engine) {})
 		got, gotSharded := serial.Run(5*Second), se.Run(5*Second)
-		want := ErrHorizonReached
-		if cancel {
-			want = nil
-		}
 		if got != want || gotSharded != want {
-			t.Errorf("cancelled=%v: Engine.Run = %v, ShardedEngine.Run = %v, want %v from both", cancel, got, gotSharded, want)
+			t.Errorf("pastHorizon=%v: Engine.Run = %v, ShardedEngine.Run = %v, want %v from both", pastHorizon, got, gotSharded, want)
 		}
 		if serial.Now() != 5 {
-			t.Errorf("cancelled=%v: Engine.Now() = %v after Run(5), want 5", cancel, serial.Now())
+			t.Errorf("pastHorizon=%v: Engine.Now() = %v after Run(5), want 5", pastHorizon, serial.Now())
 		}
 	}
 }

@@ -103,46 +103,6 @@ func less(a, b entry) int {
 	return int(borrow)
 }
 
-// slot holds one pending event in the engine's slab.  gen counts the slot's
-// tenants: it is bumped every time the slot is freed, so a Handle issued for
-// one tenant can never reach the event of a later one (short of holding a
-// stale handle across 2^32 reuses of the same slot).
-type slot struct {
-	ev   Event
-	gen  uint32
-	dead bool // cancelled; the heap entry is discarded when it surfaces
-}
-
-// Handle identifies a scheduled event so it can be cancelled.  The zero
-// Handle refers to no event.  A Handle stays valid after its event fires or
-// is cancelled: Cancel is then a no-op, even once the slot has been reused by
-// another event.
-type Handle struct {
-	eng  *Engine
-	slot int32
-	gen  uint32
-}
-
-// pending returns the slab slot of the handle's event while that event is
-// still queued, nil once it has fired or been drained.
-func (h Handle) pending() *slot {
-	if h.eng == nil {
-		return nil
-	}
-	if s := &h.eng.slots[h.slot]; s.gen == h.gen {
-		return s
-	}
-	return nil
-}
-
-// Cancel prevents the event from firing.  Cancelling an already-fired or
-// already-cancelled event, or a zero Handle, is a no-op.
-func (h Handle) Cancel() {
-	if s := h.pending(); s != nil {
-		s.dead = true
-	}
-}
-
 // ErrHorizonReached is returned by Run when the configured horizon is hit
 // before the event queue drains.
 var ErrHorizonReached = errors.New("simclock: horizon reached")
@@ -161,7 +121,7 @@ type Engine struct {
 	// queue is a binary min-heap of (at, seq) keys; the events themselves
 	// live in the slots slab, whose freed indices are kept in free for reuse.
 	queue []entry
-	slots []slot
+	slots []Event
 	free  []int32
 
 	// held is true while a handler runs and the firing event's entry still
@@ -219,9 +179,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // before any event has fired).
 func (e *Engine) LastEventAt() Time { return e.lastFiredAt }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled entries not yet drained).  The entry of an event that is firing
-// is not counted.
+// Pending returns the number of events currently scheduled.  The entry of
+// an event that is firing is not counted.
 func (e *Engine) Pending() int {
 	if e.held {
 		return len(e.queue) - 1
@@ -231,21 +190,21 @@ func (e *Engine) Pending() int {
 
 // Schedule enqueues ev to fire after delay d (relative to Now).  Negative
 // delays are clamped to zero.
-func (e *Engine) Schedule(d Duration, ev Event) Handle {
+func (e *Engine) Schedule(d Duration, ev Event) {
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleAt(e.now.Add(d), ev)
+	e.ScheduleAt(e.now.Add(d), ev)
 }
 
 // ScheduleFunc is a convenience wrapper around Schedule for plain functions.
-func (e *Engine) ScheduleFunc(d Duration, fn func(*Engine)) Handle {
-	return e.Schedule(d, EventFunc(fn))
+func (e *Engine) ScheduleFunc(d Duration, fn func(*Engine)) {
+	e.Schedule(d, EventFunc(fn))
 }
 
 // ScheduleAt enqueues ev to fire at the absolute simulated time at.  Times in
 // the past are clamped to Now so causality is preserved; a NaN time panics.
-func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
+func (e *Engine) ScheduleAt(at Time, ev Event) {
 	if e.cluster != nil && e.cluster.inShardPhase.Load() && !e.executing.Load() {
 		// A shard phase is scheduling onto an engine whose own loop is idle:
 		// a foreign shard or the control timeline during an epoch, any
@@ -271,9 +230,9 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 			panic("simclock: more than 2^24 events pending on one engine (the event queue's slab is full)")
 		}
 		i = int32(len(e.slots))
-		e.slots = append(e.slots, slot{})
+		e.slots = append(e.slots, nil)
 	}
-	e.slots[i].ev = ev
+	e.slots[i] = ev
 	en := entry{key: math.Float64bits(float64(at)), tag: e.seq<<slotBits | uint64(i)}
 	e.seq++
 	if e.held {
@@ -282,7 +241,6 @@ func (e *Engine) ScheduleAt(at Time, ev Event) Handle {
 	} else {
 		e.push(en)
 	}
-	return Handle{eng: e, slot: i, gen: e.slots[i].gen}
 }
 
 // checkTime vets an event time that is not positive after clamping to Now,
@@ -389,30 +347,23 @@ func (e *Engine) settle() {
 	}
 }
 
-// fireNext frees the heap root's slot and, unless the event was cancelled,
-// fires it.  It reports whether an event fired.  The slot is freed before
-// Fire runs, so cancelling the firing event's handle is already a no-op and
-// the handler's own scheduling can reuse the slot.  The root entry stays in the
-// heap, held, while the handler runs: its first ScheduleAt replaces it in
-// place, and only a handler that schedules nothing leaves a pop to do.
-func (e *Engine) fireNext() bool {
+// fireNext frees the heap root's slot and fires its event.  The slot is
+// freed before Fire runs, so the handler's own scheduling can reuse it.  The
+// root entry stays in the heap, held, while the handler runs: its first
+// ScheduleAt replaces it in place, and only a handler that schedules nothing
+// leaves a pop to do.
+func (e *Engine) fireNext() {
 	top := e.queue[0]
 	i := top.slot()
-	s := &e.slots[i]
-	ev, dead := s.ev, s.dead
-	*s = slot{gen: s.gen + 1}
+	ev := e.slots[i]
+	e.slots[i] = nil
 	e.free = append(e.free, i)
-	if dead {
-		e.pop()
-		return false
-	}
 	e.now = top.at()
 	e.lastFiredAt = e.now
 	e.held = true
 	ev.Fire(e)
 	e.settle()
 	e.fired++
-	return true
 }
 
 // Stop makes Run return after the current event completes.
@@ -420,20 +371,15 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in timestamp order until the queue is empty, the
 // horizon is exceeded, or Stop is called.  It returns ErrHorizonReached when
-// the horizon cut the run short — a live event is pending past it — and nil
-// otherwise; cancelled events past the horizon are discarded, as
-// ShardedEngine.Run ignores them.  The clock stops at the horizon, or stays
-// where it is when the horizon lies before Now: it never moves backwards.
+// the horizon cut the run short — an event is pending past it — and nil
+// otherwise.  The clock stops at the horizon, or stays where it is when the
+// horizon lies before Now: it never moves backwards.
 func (e *Engine) Run(horizon Duration) error {
 	e.horizon = Time(horizon)
 	e.stopped = false
 	e.settle()
 	for len(e.queue) > 0 && !e.stopped {
-		if top := e.queue[0]; top.at() > e.horizon {
-			if e.slots[top.slot()].dead {
-				e.fireNext() // a cancelled event past the horizon is not work left
-				continue
-			}
+		if e.queue[0].at() > e.horizon {
 			if e.now < e.horizon {
 				e.now = e.horizon
 			}
@@ -449,7 +395,7 @@ func (e *Engine) Run(horizon Duration) error {
 	return nil
 }
 
-// runEpoch executes every live event with a timestamp <= end in (time, seq)
+// runEpoch executes every event with a timestamp <= end in (time, seq)
 // order and advances the clock to end.  It is the per-shard slice of one
 // lockstep epoch (sharded.go): exactly a standalone engine's Run loop, bounded by
 // the epoch barrier instead of a horizon, with the executing flag raised so
@@ -467,27 +413,6 @@ func (e *Engine) runEpoch(end Time) {
 	}
 }
 
-// NextEventTime returns the timestamp of the earliest live pending event and
-// whether one exists, discarding cancelled entries at the heap root on the
-// way.
-func (e *Engine) NextEventTime() (Time, bool) {
-	e.settle()
-	for len(e.queue) > 0 {
-		if e.slots[e.queue[0].slot()].dead {
-			e.fireNext() // discards the cancelled root without firing it
-			continue
-		}
-		return e.queue[0].at(), true
-	}
-	return 0, false
-}
-
-// hasLiveEvents reports whether any non-cancelled event is pending.
-func (e *Engine) hasLiveEvents() bool {
-	_, ok := e.NextEventTime()
-	return ok
-}
-
 // RunUntilEmpty executes all scheduled events with no horizon.
 func (e *Engine) RunUntilEmpty() {
 	e.horizon = Time(math.Inf(1))
@@ -502,12 +427,11 @@ func (e *Engine) RunUntilEmpty() {
 // event fired.
 func (e *Engine) Step() bool {
 	e.settle()
-	for len(e.queue) > 0 {
-		if e.fireNext() {
-			return true
-		}
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	e.fireNext()
+	return true
 }
 
 // Ticker schedules fn every period until the returned stop function is called

@@ -83,20 +83,6 @@ func TestEngineRunNeverMovesClockBackwards(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	eng := NewEngine(1)
-	fired := false
-	h := eng.ScheduleFunc(1, func(*Engine) { fired = true })
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Fatal("handle should report cancelled")
-	}
-	eng.RunUntilEmpty()
-	if fired {
-		t.Fatal("cancelled event must not fire")
-	}
-}
-
 func TestEngineStop(t *testing.T) {
 	eng := NewEngine(1)
 	count := 0
@@ -162,10 +148,9 @@ func TestEnginePendingTimes(t *testing.T) {
 	eng := NewEngine(1)
 	eng.ScheduleFunc(3, func(*Engine) {})
 	eng.ScheduleFunc(1, func(*Engine) {})
-	h := eng.ScheduleFunc(2, func(*Engine) {})
-	h.Cancel()
+	eng.ScheduleFunc(2, func(*Engine) {})
 	times := eng.PendingTimes()
-	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
+	if len(times) != 3 || times[0] != 1 || times[1] != 2 || times[2] != 3 {
 		t.Fatalf("unexpected pending times %v", times)
 	}
 }
@@ -414,52 +399,6 @@ func TestTickerPanicsOnNonPositivePeriod(t *testing.T) {
 		}
 	}()
 	eng.Ticker(0, func(*Engine) {})
-}
-
-func TestStaleHandleCannotCancelSlotReuse(t *testing.T) {
-	eng := NewEngine(1)
-	first := eng.ScheduleFunc(1, func(*Engine) {})
-	if !eng.Step() {
-		t.Fatal("first event should fire")
-	}
-	if !first.Cancelled() {
-		t.Fatal("a fired event's handle must report Cancelled")
-	}
-	fired := false
-	second := eng.ScheduleFunc(1, func(*Engine) { fired = true })
-	if second.slot != first.slot {
-		t.Fatalf("the second event should reuse the freed slot (slot %d, want %d)", second.slot, first.slot)
-	}
-	first.Cancel() // stale: must not reach the slot's new tenant
-	if second.Cancelled() {
-		t.Fatal("a stale handle cancelled the event that reused its slot")
-	}
-	eng.RunUntilEmpty()
-	if !fired {
-		t.Fatal("the slot's new tenant must still fire")
-	}
-	if !second.Cancelled() || !first.Cancelled() {
-		t.Fatal("handles must stay Cancelled after their events fired")
-	}
-}
-
-func TestZeroHandleIsNoOp(t *testing.T) {
-	var h Handle
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Fatal("the zero handle refers to no pending event and must report Cancelled")
-	}
-}
-
-func TestCancelledStaysTrueAfterDrain(t *testing.T) {
-	eng := NewEngine(1)
-	h := eng.ScheduleFunc(1, func(*Engine) { t.Fatal("cancelled event fired") })
-	h.Cancel()
-	eng.RunUntilEmpty()
-	eng.ScheduleFunc(1, func(*Engine) {}) // reuses the drained slot
-	if !h.Cancelled() {
-		t.Fatal("a cancelled handle must stay Cancelled once its slot is reused")
-	}
 }
 
 func TestScheduleStepAllocationFree(t *testing.T) {

@@ -187,7 +187,7 @@ type RequestTrace struct {
 
 	// Completion summary, valid once Sealed.
 	Sealed  bool
-	Outcome string // "ok", "dropped" or "timeout"
+	Outcome string // "ok" or "dropped"
 	Start   simclock.Time
 	End     simclock.Time
 	VM      string
@@ -214,8 +214,7 @@ func (rt *RequestTrace) Span(name string, at simclock.Time, d simclock.Duration,
 }
 
 // Seal closes the trace with its completion summary and hands it to the
-// tracer.  Exactly-once: later calls (a served completion arriving after a
-// client-side timeout sealed the trace) are ignored.  Safe on a nil trace.
+// tracer.  Exactly-once: later calls are ignored.  Safe on a nil trace.
 func (rt *RequestTrace) Seal(outcome string, start, end simclock.Time, vm, region string) {
 	if rt == nil || rt.Sealed {
 		return
@@ -271,5 +270,4 @@ func (rt *RequestTrace) ResponseTime() simclock.Duration {
 const (
 	OutcomeOK      = "ok"
 	OutcomeDropped = "dropped"
-	OutcomeTimeout = "timeout"
 )

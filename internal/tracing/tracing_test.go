@@ -87,9 +87,8 @@ func TestSealExactlyOnce(t *testing.T) {
 	}
 	rt.Event(EventVMEnqueue, 11, "vm=vm-1")
 	rt.Seal(OutcomeOK, 12, 14, "vm-1", "region1")
-	// A late completion (e.g. served after a client-side timeout sealed the
-	// trace) must not re-seal or re-collect.
-	rt.Seal(OutcomeTimeout, 0, 99, "vm-2", "region2")
+	// A second Seal must not re-seal or re-collect.
+	rt.Seal(OutcomeDropped, 0, 99, "vm-2", "region2")
 	rt.Event(EventRehome, 15, "")
 	if tr.Len() != 1 {
 		t.Fatalf("collected %d traces, want 1", tr.Len())

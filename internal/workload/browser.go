@@ -39,10 +39,6 @@ type BrowserConfig struct {
 	// between receiving a response and issuing the next interaction.  TPC-W
 	// prescribes a mean of 7 seconds for emulated browsers.
 	ThinkTimeMean simclock.Duration
-	// Timeout aborts an interaction that has not completed after this long and
-	// counts it as an error (the emulated user gives up).  Zero disables the
-	// timeout.
-	Timeout simclock.Duration
 	// Tracer, when non-nil, samples this browser's requests into the
 	// deployment's span layer.  The stream identity is the browser ID, so the
 	// sampled set is a pure function of (tracer seed, browser ID, request
@@ -61,18 +57,15 @@ func (c BrowserConfig) withDefaults() BrowserConfig {
 // Browser is one emulated web browser running a closed-loop TPC-W session.
 //
 // Its requests come from the free list of its browserHome and go back to it
-// at the end of their one completion callback.  The browser has at most one
-// live request, outstanding; a completion for any other request is the late
-// completion of one that timed out, and only releases it.
+// at the end of their one completion callback.  The loop is closed, so a
+// browser has at most one request in flight.
 type Browser struct {
 	home *browserHome
 	rng  simclock.RNG
 
-	outstanding *cloudsim.Request
-	timeout     simclock.Handle
-	nextReqID   uint64
-	index       int32 // position in the population, which names the browser
-	running     bool
+	nextReqID uint64
+	index     int32 // position in the population, which names the browser
+	running   bool
 }
 
 // browserHome is what the browsers of one population share: their
@@ -107,18 +100,12 @@ func newBrowserHome(cfg BrowserConfig, target Dispatcher, metrics *Metrics) *bro
 	return &browserHome{cfg: cfg, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
 }
 
-// browserIssue and browserTimeout are a browser seen as its next-issue and
-// its timeout event, so scheduling either allocates nothing.
-type (
-	browserIssue   Browser
-	browserTimeout Browser
-)
+// browserIssue is a browser seen as its next-issue event, so scheduling it
+// allocates nothing.
+type browserIssue Browser
 
 // Fire implements simclock.Event.
 func (b *browserIssue) Fire(eng *simclock.Engine) { (*Browser)(b).issue(eng) }
-
-// Fire implements simclock.Event.
-func (b *browserTimeout) Fire(eng *simclock.Engine) { (*Browser)(b).expire(eng) }
 
 // completeBrowserRequest is the completion callback of every browser
 // request: the request names its browser as Issuer.
@@ -155,10 +142,6 @@ func (b *Browser) issue(eng *simclock.Engine) {
 	req.Issuer = b
 	req.OnDone = completeBrowserRequest
 	home.eng = eng
-	b.outstanding = req
-	if home.cfg.Timeout > 0 {
-		b.timeout = eng.Schedule(home.cfg.Timeout, (*browserTimeout)(b))
-	}
 	home.sink.issued()
 	home.target.Submit(eng, req)
 }
@@ -168,25 +151,10 @@ func (b *Browser) issue(eng *simclock.Engine) {
 // and releasing the request is its last action.
 func (b *Browser) complete(o cloudsim.Outcome) {
 	req := o.Request
-	if req == b.outstanding {
-		b.outstanding = nil
-		b.timeout.Cancel()
-		sealTrace(req.Trace, o)
-		b.home.sink.record(o)
-		b.scheduleNext(b.home.eng)
-	}
+	sealTrace(req.Trace, o)
+	b.home.sink.record(o)
+	b.scheduleNext(b.home.eng)
 	b.home.requests.Put(req)
-}
-
-// expire gives up on the outstanding request.  A completion cancels the
-// timer, so the request it was armed for is still outstanding; the request
-// itself stays out of the free list until its late completion fires.
-func (b *Browser) expire(e *simclock.Engine) {
-	req := b.outstanding
-	b.outstanding = nil
-	req.Trace.Seal(tracing.OutcomeTimeout, e.Now(), e.Now(), "", "")
-	b.home.sink.recordTimeout()
-	b.scheduleNext(e)
 }
 
 // sealTrace closes a sampled request's trace from its outcome.  Safe on a nil
@@ -222,8 +190,6 @@ type PopulationConfig struct {
 	Mix Mix
 	// ThinkTimeMean overrides the browsers' mean think time (7 s when zero).
 	ThinkTimeMean simclock.Duration
-	// Timeout is the per-interaction timeout passed to every browser.
-	Timeout simclock.Duration
 	// RampUp spreads the browser start times over this window instead of
 	// starting all at once.
 	RampUp simclock.Duration
@@ -254,7 +220,6 @@ func NewPopulation(cfg PopulationConfig, rng *simclock.RNG, target Dispatcher, m
 		Region:        cfg.Region,
 		Mix:           cfg.Mix,
 		ThinkTimeMean: cfg.ThinkTimeMean,
-		Timeout:       cfg.Timeout,
 		Tracer:        cfg.Tracer,
 	}, target, metrics)
 	prefix := cfg.IDPrefix
@@ -392,7 +357,6 @@ type regionMetrics struct {
 	issued    uint64
 	completed uint64
 	dropped   uint64
-	timeouts  uint64
 	slaMiss   uint64
 	resp      stats.Welford
 }
@@ -522,11 +486,6 @@ func (s *regionSink) recordBatch(o cloudsim.Outcome, n uint64) {
 	s.m.global.completed += n
 }
 
-func (s *regionSink) recordTimeout() {
-	s.entry().timeouts++
-	s.m.global.timeouts++
-}
-
 // Merge folds another metrics sink into m: counters add, response-time
 // moments combine exactly via Welford's parallel update.  Deployments that
 // keep one sink per engine shard (so recording stays shard-local and
@@ -542,14 +501,12 @@ func (m *Metrics) Merge(src *Metrics) {
 		dst.issued += rm.issued
 		dst.completed += rm.completed
 		dst.dropped += rm.dropped
-		dst.timeouts += rm.timeouts
 		dst.slaMiss += rm.slaMiss
 		dst.resp.Merge(rm.resp)
 	}
 	m.global.issued += src.global.issued
 	m.global.completed += src.global.completed
 	m.global.dropped += src.global.dropped
-	m.global.timeouts += src.global.timeouts
 	m.global.slaMiss += src.global.slaMiss
 	m.global.resp.Merge(src.global.resp)
 	m.respHist.Merge(src.respHist)
@@ -600,8 +557,11 @@ func (m *Metrics) Completed(region string) uint64 { return m.read(region).comple
 // Dropped returns the number of dropped requests.
 func (m *Metrics) Dropped(region string) uint64 { return m.read(region).dropped }
 
-// Timeouts returns the number of requests abandoned by the emulated users.
-func (m *Metrics) Timeouts(region string) uint64 { return m.read(region).timeouts }
+// Timeouts returns 0: no emulated user gives up on a request, so none is
+// ever abandoned.  It stays only because the reference benchmark's run
+// summary reads it; ROADMAP item 8, the change that rewrites the benchmark,
+// deletes it.
+func (m *Metrics) Timeouts(string) uint64 { return 0 }
 
 // SLAViolations returns the number of completed requests whose response time
 // exceeded the 1-second SLA.
@@ -642,7 +602,7 @@ func (m *Metrics) SuccessRatio(region string) float64 {
 
 // String summarises the global metrics.
 func (m *Metrics) String() string {
-	return fmt.Sprintf("issued=%d completed=%d dropped=%d timeouts=%d meanRT=%.3fs slaMiss=%d",
-		m.global.issued, m.global.completed, m.global.dropped, m.global.timeouts,
+	return fmt.Sprintf("issued=%d completed=%d dropped=%d meanRT=%.3fs slaMiss=%d",
+		m.global.issued, m.global.completed, m.global.dropped,
 		m.global.resp.Mean(), m.global.slaMiss)
 }

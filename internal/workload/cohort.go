@@ -61,10 +61,6 @@ type CohortConfig struct {
 	// feed the response-time series.  Zero means no tracers (aggregate
 	// counters only); any positive fraction keeps at least one tracer.
 	TracerFraction float64
-	// Timeout is the per-interaction timeout passed to the tracer browsers.
-	// Cohort batches never time out: a batch's outcome is whatever the VM
-	// reports.
-	Timeout simclock.Duration
 	// RampUp spreads the tracer browser starts over this window.  The cohort
 	// itself needs no ramp: the binomial split starts at the steady-state
 	// transition rate on the first tick.
@@ -175,7 +171,6 @@ func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) 
 			Clients:       tracerCount,
 			Mix:           cfg.Mix,
 			ThinkTimeMean: cfg.ThinkTimeMean,
-			Timeout:       cfg.Timeout,
 			RampUp:        cfg.RampUp,
 			IDPrefix:      cfg.IDPrefix,
 			Tracer:        cfg.Tracer,
