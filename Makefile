@@ -23,10 +23,10 @@ GO ?= go
 # bench-baseline, the CI bench-regression job (which runs `make bench-json`)
 # and the nightly record (which reads it with `make -s bench-set`) all share
 # this one definition, so no two of them can record different benchmark sets.
-# VMSample, ShardDispatch, CrossLaneForward, EventQueue, MixPick and
-# GSLBRoute are per-layer benchmarks: one op is a fixed batch of units, and
-# each also reports ns and allocs per unit.
-BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ControlTick|ShardDispatch|CrossLaneForward|EventQueue|MixPick|GSLBRoute
+# VMSample, ShardDispatch, DispatchPick, AnomalyBatch, CrossLaneForward,
+# EventQueue, MixPick and GSLBRoute are per-layer benchmarks: one op is a
+# fixed batch of units, and each also reports ns and allocs per unit.
+BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ControlTick|ShardDispatch|DispatchPick|AnomalyBatch|CrossLaneForward|EventQueue|MixPick|GSLBRoute
 # -count=3: benchjson records each unit's median over the three samples, so
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .

@@ -1,6 +1,7 @@
 // Per-layer benchmarks of the per-VM loops of a 5x10^3-VM, 16-shard region
 // (the megaclients shape) — the full feature sample, the control tick and
-// the load balancer's shortest-queue pick — of the event loop's cross-lane
+// the load balancer's shortest-queue pick on a fully loaded and on a busy
+// shard — of a cohort batch's anomaly draws, of the event loop's cross-lane
 // path (barrier + mailbox drain), of the event queue and of the client's
 // interaction-mix draw.  One op is a fixed batch of units, so
 // the gate's single -benchtime=1x sample still times thousands of them; each
@@ -122,6 +123,74 @@ func BenchmarkShardDispatch(b *testing.B) {
 	})
 	if picked != b.N*benchDispatchPicks {
 		b.Fatalf("%d of %d picks found no ACTIVE VM", b.N*benchDispatchPicks-picked, b.N*benchDispatchPicks)
+	}
+}
+
+// BenchmarkDispatchPick is the load balancer's pick on a busy shard that
+// still has an idle VM: every ACTIVE VM holds one request except the last
+// ACTIVE VM of each shard, so the rr-th VM is loaded in all but one of every
+// 250 picks and the pick must find the idle VM.  One op makes
+// benchDispatchPicks picks, rotating over the shards.
+func BenchmarkDispatchPick(b *testing.B) {
+	region := benchLayerRegion()
+	eng := simclock.NewEngine(42)
+	var active []*cloudsim.VM
+	for s := 0; s < region.NumShards(); s++ {
+		active = region.AppendByStateInShard(active[:0], s, cloudsim.StateActive)
+		for i, vm := range active[:len(active)-1] {
+			vm.Dispatch(eng, &cloudsim.Request{ID: uint64(i), ServiceFactor: 1, Arrival: eng.Now()})
+		}
+	}
+	shards := region.NumShards()
+	idle := 0
+	runPerUnit(b, "dispatch", benchDispatchPicks, func() {
+		for rr := 0; rr < benchDispatchPicks; rr++ {
+			if region.PickShortestInShard(rr%shards, rr).QueueLength() == 0 {
+				idle++
+			}
+		}
+	})
+	if idle != b.N*benchDispatchPicks {
+		b.Fatalf("%d of %d picks chose a loaded VM over an idle one", b.N*benchDispatchPicks-idle, b.N*benchDispatchPicks)
+	}
+}
+
+// Shape of the anomaly benchmark: benchBatches completions of a batch of
+// benchBatchSize interactions, the mean batch of the megaclients workload.
+const (
+	benchBatches   = 20_000
+	benchBatchSize = 36
+)
+
+// BenchmarkAnomalyBatch is a cohort batch's anomaly injection: one op serves
+// benchBatches batched requests on one VM, and each completion draws how
+// many of its interactions leak memory and threads (two Binomial draws on
+// the region's prepared tables) and the leaked megabytes.  The instance
+// type's base service time is 0, so no service-time draw is made and the
+// anomaly draws are what is timed, and the failure point is out of reach,
+// so the VM never fails.
+func BenchmarkAnomalyBatch(b *testing.B) {
+	typ := cloudsim.M3Medium
+	typ.BaseServiceMs = 0
+	region := cloudsim.NewRegion(cloudsim.RegionConfig{
+		Name:          "batch",
+		Type:          typ,
+		InitialActive: 1,
+		Failure:       cloudsim.FailurePoint{MemoryFraction: 1e9, ThreadFraction: 1e9},
+	}, simclock.NewRNG(42))
+	region.PrepareBatches(benchBatchSize)
+	vm := region.VMs()[0]
+	eng := simclock.NewEngine(42)
+	req := &cloudsim.Request{ServiceFactor: 1, Batch: benchBatchSize}
+	runPerUnit(b, "batch", benchBatches, func() {
+		for i := 0; i < benchBatches; i++ {
+			req.Arrival = eng.Now()
+			vm.Dispatch(eng, req)
+			eng.Step()
+		}
+	})
+	if served := vm.Served(); served != uint64(b.N*benchBatches*benchBatchSize) {
+		b.Fatalf("served %d interactions, want %d", served, b.N*benchBatches*benchBatchSize)
 	}
 }
 

@@ -11,6 +11,7 @@ package acm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/tracing"
+	"repro/internal/validate"
 	"repro/internal/workload"
 )
 
@@ -140,10 +142,11 @@ type Config struct {
 	// tracer browsers feeding the per-request latency series.  Must lie in
 	// [0, 1]; zero selects the default of 0.01 (~1%).
 	TracerFraction float64
-	// CohortTick is the cohorts' state-split cadence (1 s when zero).
+	// CohortTick is the cohorts' state-split cadence (1 s when zero; a
+	// negative or NaN tick is rejected).
 	CohortTick simclock.Duration
 	// CohortMaxBatch caps the interactions one batched request stands for
-	// (64 when zero).
+	// (64 when zero; a negative cap is rejected).
 	CohortMaxBatch int
 	// Arrivals lists open-loop (optionally time-varying, inhomogeneous-
 	// Poisson) request streams: pinned to one region's entry load balancer
@@ -270,6 +273,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	if b := cfg.Beta; b != 0 && !(b > 0 && b <= 1) {
 		return nil, fmt.Errorf("acm: beta %v outside (0, 1]; 0 selects the default %v", b, DefaultBeta)
 	}
+	if err := validateModel(cfg); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Regions) == 0 {
 		return nil, fmt.Errorf("acm: no regions configured")
@@ -384,6 +390,37 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 	}
 	return m, nil
+}
+
+// validateModel rejects, by name, the anomaly and cohort settings no
+// simulation can honour: a probability outside [0, 1] would silently mean
+// "always" or "never", and a negative size, batch cap or tick has no
+// meaning.  Zero CohortMaxBatch and CohortTick select their defaults.
+func validateModel(cfg Config) error {
+	for i, rs := range cfg.Regions {
+		a := rs.Region.Anomalies
+		for _, f := range []struct {
+			name  string
+			v, hi float64
+		}{
+			{"LeakProbability", a.LeakProbability, 1},
+			{"ThreadProbability", a.ThreadProbability, 1},
+			{"LeakSizeMB", a.LeakSizeMB, math.Inf(1)},
+			{"ThreadStackMB", a.ThreadStackMB, math.Inf(1)},
+		} {
+			if !(f.v >= 0 && f.v <= f.hi) {
+				return validate.Fieldf("acm", fmt.Sprintf("Regions[%d].Region.Anomalies.%s", i, f.name),
+					"(%s) must be in [0, %v], got %v", rs.Region.Name, f.hi, f.v)
+			}
+		}
+	}
+	if cfg.CohortMaxBatch < 0 {
+		return validate.Fieldf("acm", "CohortMaxBatch", "must be >= 0 (0 selects the default), got %d", cfg.CohortMaxBatch)
+	}
+	if t := cfg.CohortTick; !(t >= 0) {
+		return validate.Fieldf("acm", "CohortTick", "must be >= 0 (0 selects the default), got %v", t)
+	}
+	return nil
 }
 
 // defaultOverlay returns the paper overlay when the deployment uses (a subset

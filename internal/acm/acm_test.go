@@ -50,6 +50,32 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(badVMC); err == nil || !strings.Contains(err.Error(), "RTTFThreshold") {
 		t.Fatalf("a negative VMC RTTFThreshold should be rejected by name, got %v", err)
 	}
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Regions[0].Region.Anomalies.LeakProbability", func(c *Config) { c.Regions[0].Region.Anomalies.LeakProbability = 1.5 }},
+		{"Regions[1].Region.Anomalies.LeakProbability", func(c *Config) { c.Regions[1].Region.Anomalies.LeakProbability = math.NaN() }},
+		{"Regions[0].Region.Anomalies.ThreadProbability", func(c *Config) { c.Regions[0].Region.Anomalies.ThreadProbability = -0.1 }},
+		{"Regions[1].Region.Anomalies.ThreadProbability", func(c *Config) { c.Regions[1].Region.Anomalies.ThreadProbability = 1.01 }},
+		{"Regions[0].Region.Anomalies.LeakSizeMB", func(c *Config) { c.Regions[0].Region.Anomalies.LeakSizeMB = -2 }},
+		{"Regions[1].Region.Anomalies.ThreadStackMB", func(c *Config) { c.Regions[1].Region.Anomalies.ThreadStackMB = -0.5 }},
+		{"CohortMaxBatch", func(c *Config) { c.CohortMaxBatch = -1 }},
+		{"CohortTick", func(c *Config) { c.CohortTick = -simclock.Second }},
+		{"CohortTick", func(c *Config) { c.CohortTick = simclock.Duration(math.NaN()) }},
+	} {
+		bad := smallConfig(1, core.AvailableResources{})
+		c.set(&bad)
+		if _, err := NewManager(bad); err == nil || !strings.Contains(err.Error(), "acm: "+c.field+" ") {
+			t.Fatalf("%s out of range should be rejected by name, got %v", c.field, err)
+		}
+	}
+	zero := smallConfig(1, core.AvailableResources{})
+	zero.Regions[0].Region.Anomalies = cloudsim.AnomalyProfile{LeakProbability: 1, ThreadProbability: 0}
+	zero.CohortMaxBatch, zero.CohortTick = 0, 0
+	if _, err := NewManager(zero); err != nil {
+		t.Fatalf("boundary anomaly probabilities and zero cohort knobs should be accepted: %v", err)
+	}
 	m, err := NewManager(smallConfig(1, core.AvailableResources{}))
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)

@@ -135,7 +135,31 @@ func newEventLoop(m *Manager) *eventLoop {
 		}
 	}
 	el.buildGlobalTraffic()
+	el.prepareBatches()
 	return el
+}
+
+// prepareBatches sizes every region's anomaly-draw tables to the cohorts'
+// batch cap, at setup so the run never builds one.  Cohorts are the only
+// clients that submit batches, and any region may serve one (the forward
+// plan and the director route across regions), so a deployment without
+// cohorts builds no tables.
+func (el *eventLoop) prepareBatches() {
+	maxBatch := 0
+	for _, cohorts := range el.cohorts {
+		for _, c := range cohorts {
+			maxBatch = max(maxBatch, c.MaxBatch())
+		}
+	}
+	for _, c := range el.globalCohorts {
+		maxBatch = max(maxBatch, c.MaxBatch())
+	}
+	if maxBatch == 0 {
+		return
+	}
+	for _, r := range el.mgr.regions {
+		r.PrepareBatches(maxBatch)
+	}
 }
 
 // buildGlobalTraffic assembles the director-facing lanes: per-lane routing

@@ -178,6 +178,51 @@ func TestAnomalyAccumulationAndDegradation(t *testing.T) {
 	}
 }
 
+// TestPrepareBatchesKeepsDraws pins the prepared anomaly tables to the draws
+// they replace: twin regions serve the same batches, of sizes below, at and
+// past the prepared cap and past the inversion threshold, one region with
+// PrepareBatches and one without, and end with the same anomaly state and
+// the same VM streams.
+func TestPrepareBatchesKeepsDraws(t *testing.T) {
+	run := func(prepare bool) *Region {
+		r := NewRegion(RegionConfig{
+			Name:          "batch",
+			Type:          M3Medium,
+			InitialActive: 2,
+			Failure:       FailurePoint{MemoryFraction: 1e9, ThreadFraction: 1e9},
+		}, simclock.NewRNG(5))
+		if prepare {
+			r.PrepareBatches(64)
+		}
+		eng := simclock.NewEngine(1)
+		for i, batch := range []int{2, 17, 36, 63, 64, 65, 128, 600, 5000} {
+			for _, vm := range r.VMs() {
+				vm.Dispatch(eng, &Request{ID: uint64(i), ServiceFactor: 1, Arrival: eng.Now(), Batch: batch})
+			}
+			eng.RunUntilEmpty()
+		}
+		return r
+	}
+	plain, prepared := run(false), run(true)
+	if len(prepared.vmCfg.leakPow) != 65 || len(prepared.vmCfg.threadPow) != 65 || plain.vmCfg.leakPow != nil {
+		t.Fatalf("tables: prepared %d/%d entries, want 65/65; unprepared %d, want none",
+			len(prepared.vmCfg.leakPow), len(prepared.vmCfg.threadPow), len(plain.vmCfg.leakPow))
+	}
+	for i, vm := range prepared.VMs() {
+		ref := plain.VMs()[i]
+		if ref.leakedMB == 0 || ref.zombieThreads == 0 {
+			t.Fatalf("%s injected no anomalies: leaked %v MB, %d zombie threads", ref.ID(), ref.leakedMB, ref.zombieThreads)
+		}
+		if vm.leakedMB != ref.leakedMB || vm.zombieThreads != ref.zombieThreads || vm.intervalAnomaly != ref.intervalAnomaly {
+			t.Fatalf("%s: prepared leaked %v MB, %d threads, %d events; unprepared %v MB, %d threads, %d events",
+				vm.ID(), vm.leakedMB, vm.zombieThreads, vm.intervalAnomaly, ref.leakedMB, ref.zombieThreads, ref.intervalAnomaly)
+		}
+		if vm.rng.Uint64() != ref.rng.Uint64() {
+			t.Fatalf("%s: the prepared VM's stream diverged", vm.ID())
+		}
+	}
+}
+
 func TestVMReachesFailurePointUnderSustainedLoad(t *testing.T) {
 	eng := simclock.NewEngine(7)
 	cfg := testVMConfig()
@@ -330,11 +375,11 @@ func TestSampleProducesFullFeatureVector(t *testing.T) {
 	if v.VM != "vm1" {
 		t.Fatalf("sample VM = %q", v.VM)
 	}
-	// Every feature has a slot: a Set/Get round trip over the full set
+	// Every feature has a slot: a SetSlot/Get round trip over the full set
 	// returns each value, on a copy so the sample itself stays intact.
 	w := v
-	for i, name := range features.AllNames() {
-		w.Set(name, float64(i)+0.5)
+	for i := range features.NumFeatures {
+		w.SetSlot(i, float64(i)+0.5)
 	}
 	for i, name := range features.AllNames() {
 		if got := w.Get(name); got != float64(i)+0.5 {

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/simclock"
@@ -22,14 +23,28 @@ const idleLoad = math.MaxInt32
 // shard's lane or at the epoch barrier, so it needs no locking and its
 // contents never depend on how lanes interleave.
 type dispatchIndex struct {
-	load   []int32 // per slot: queue length when ACTIVE, idleLoad otherwise
-	active []int32 // ascending slots of the ACTIVE VMs
+	load   []int32  // per slot: queue length when ACTIVE, idleLoad otherwise
+	active []int32  // ascending slots of the ACTIVE VMs
+	zero   []uint64 // bit set (slot s is bit s%64 of word s/64): the ACTIVE slots with load 0
 }
 
 // add appends a slot for a newly provisioned (non-ACTIVE) VM.
 func (ix *dispatchIndex) add() int32 {
 	ix.load = append(ix.load, idleLoad)
+	if len(ix.load) > 64*len(ix.zero) {
+		ix.zero = append(ix.zero, 0)
+	}
 	return int32(len(ix.load) - 1)
+}
+
+// setLoad is the one write of a slot's load: it keeps the idle set in step.
+func (ix *dispatchIndex) setLoad(slot, load int32) {
+	ix.load[slot] = load
+	if load == 0 {
+		ix.zero[slot>>6] |= 1 << (slot & 63)
+	} else {
+		ix.zero[slot>>6] &^= 1 << (slot & 63)
+	}
 }
 
 // setActive moves a slot into or out of the ACTIVE set, keeping the set
@@ -37,11 +52,11 @@ func (ix *dispatchIndex) add() int32 {
 func (ix *dispatchIndex) setActive(slot int32, on bool, queue int) {
 	at, _ := slices.BinarySearch(ix.active, slot)
 	if on {
-		ix.load[slot] = int32(queue)
+		ix.setLoad(slot, int32(queue))
 		ix.active = slices.Insert(ix.active, at, slot)
 		return
 	}
-	ix.load[slot] = idleLoad
+	ix.setLoad(slot, idleLoad)
 	ix.active = slices.Delete(ix.active, at, at+1)
 }
 
@@ -57,6 +72,13 @@ func (ix *dispatchIndex) pick(rr int) int32 {
 	low := ix.load[best]
 	if low == 0 {
 		return best // no load is below zero
+	}
+	// The minimum is 0 whenever an ACTIVE VM is idle, and its first slot
+	// is the idle set's first bit.
+	for w, word := range ix.zero {
+		if word != 0 {
+			return int32(w<<6 + bits.TrailingZeros64(word))
+		}
 	}
 	// Branch-free minimum first; only a strictly lower one costs a second,
 	// early-exiting pass for its first slot.
@@ -198,6 +220,6 @@ func (vm *VM) setState(s VMState) {
 // that could dispatch again runs.
 func (vm *VM) syncLoad() {
 	if vm.ix != nil && vm.state == StateActive {
-		vm.ix.load[vm.slot] = int32(vm.QueueLength())
+		vm.ix.setLoad(vm.slot, int32(vm.QueueLength()))
 	}
 }

@@ -30,16 +30,28 @@ func scanShortest(r *Region, shard, rr int) *VM {
 }
 
 // checkDispatchIndex compares the index-backed views of every shard with a
-// full state scan.
+// full state scan, and each shard's idle set with its ACTIVE VMs of queue
+// length 0.
 func checkDispatchIndex(t *testing.T, r *Region, rrs ...int) {
 	t.Helper()
 	total := 0
 	for s := 0; s < r.NumShards(); s++ {
+		ix := &r.shards[s].ix
+		if words := (len(r.shards[s].vms) + 63) / 64; len(ix.zero) != words {
+			t.Fatalf("shard %d: idle set has %d words for %d VMs, want %d", s, len(ix.zero), len(r.shards[s].vms), words)
+		}
 		count := 0
-		for _, vm := range r.shards[s].vms {
+		for slot, vm := range r.shards[s].vms {
 			if vm.State() == StateActive {
 				count++
 			}
+			want := vm.State() == StateActive && vm.QueueLength() == 0
+			if got := ix.zero[slot/64]&(1<<(slot%64)) != 0; got != want {
+				t.Fatalf("shard %d slot %d (%s, queue %d): idle bit %v, want %v", s, slot, vm.State(), vm.QueueLength(), got, want)
+			}
+		}
+		if n := len(r.shards[s].vms); n%64 != 0 && ix.zero[n/64]>>(n%64) != 0 {
+			t.Fatalf("shard %d: idle set has bits past its %d slots: %#x", s, n, ix.zero[n/64])
 		}
 		total += count
 		if got := r.ActiveCountInShard(s); got != count {
@@ -67,43 +79,77 @@ func dispatchFuzzConfig() RegionConfig {
 	}
 }
 
+// dispatchFuzzWideConfig has more than 64 VMs per shard, so each shard's
+// idle set spans several words.  It holds at most 256 VMs, so an op's byte
+// argument reaches every one of them.
+func dispatchFuzzWideConfig() RegionConfig {
+	return RegionConfig{
+		Name:           "wide",
+		Type:           PrivateVM,
+		InitialActive:  180,
+		InitialStandby: 20,
+		MaxVMs:         256,
+		Shards:         2,
+	}
+}
+
 // FuzzShardDispatchIndex decodes the input as (op, arg) byte pairs driving
-// lifecycle transitions, dispatches, completions and provisioning on a
-// 3-shard region, and checks after every operation that the dispatch index
+// lifecycle transitions, dispatches, completions and provisioning, and runs
+// the schedule on a 3-shard region and on a 2-shard region with more than 64
+// VMs per shard.  After every operation it checks that the dispatch index
 // answers exactly what the state scan answers.
 func FuzzShardDispatchIndex(f *testing.F) {
 	f.Add([]byte{4, 0, 4, 1, 4, 2, 4, 3, 5, 0, 1, 2, 4, 4, 0, 6, 5, 0})
 	f.Add([]byte{2, 0, 5, 0, 5, 0, 0, 0, 4, 0, 4, 0, 3, 1, 4, 1, 6, 0, 0, 9})
 	f.Add([]byte{4, 7, 4, 7, 4, 7, 4, 8, 4, 8, 1, 7, 0, 7, 5, 0, 5, 0, 5, 0})
+	// Load the first 64 slots of the wide region's shard 0 (its even VMs),
+	// so a pick past a loaded rr-th VM finds the first idle bit in the
+	// second word; then complete, deactivate and fail some VMs and provision
+	// two more.
+	wide := []byte{}
+	for vm := 0; vm < 128; vm += 2 {
+		wide = append(wide, 4, byte(vm))
+	}
+	wide = append(wide, 5, 0, 5, 0, 1, 130, 3, 132, 6, 0, 6, 0, 4, 130)
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024] // longer schedules add run time, not coverage
 		}
-		eng := simclock.NewEngine(1)
-		r := NewRegion(dispatchFuzzConfig(), simclock.NewRNG(2))
-		checkDispatchIndex(t, r, 0, 1, 2, 7)
-		for i := 0; i+1 < len(ops); i += 2 {
-			arg := int(ops[i+1])
-			vm := r.VMs()[arg%len(r.VMs())]
-			switch ops[i] % 7 {
-			case 0:
-				vm.Activate(eng)
-			case 1:
-				vm.Deactivate()
-			case 2:
-				vm.Rejuvenate(eng)
-			case 3:
-				vm.fail(eng)
-			case 4:
-				vm.Dispatch(eng, &Request{ID: uint64(i), ServiceFactor: 1, Arrival: eng.Now()})
-			case 5:
-				eng.Step() // the next service or rejuvenation completion
-			case 6:
-				r.Provision(1)
-			}
-			checkDispatchIndex(t, r, 0, 1, 2, arg)
+		for _, cfg := range []RegionConfig{dispatchFuzzConfig(), dispatchFuzzWideConfig()} {
+			runDispatchSchedule(t, cfg, ops)
 		}
 	})
+}
+
+// runDispatchSchedule drives one region through the fuzz schedule ops,
+// checking the dispatch index after every operation.
+func runDispatchSchedule(t *testing.T, cfg RegionConfig, ops []byte) {
+	t.Helper()
+	eng := simclock.NewEngine(1)
+	r := NewRegion(cfg, simclock.NewRNG(2))
+	checkDispatchIndex(t, r, 0, 1, 2, 7)
+	for i := 0; i+1 < len(ops); i += 2 {
+		arg := int(ops[i+1])
+		vm := r.VMs()[arg%len(r.VMs())]
+		switch ops[i] % 7 {
+		case 0:
+			vm.Activate(eng)
+		case 1:
+			vm.Deactivate()
+		case 2:
+			vm.Rejuvenate(eng)
+		case 3:
+			vm.fail(eng)
+		case 4:
+			vm.Dispatch(eng, &Request{ID: uint64(i), ServiceFactor: 1, Arrival: eng.Now()})
+		case 5:
+			eng.Step() // the next service or rejuvenation completion
+		case 6:
+			r.Provision(1)
+		}
+		checkDispatchIndex(t, r, 0, 1, 2, arg)
+	}
 }
 
 // TestDispatchIndexTieBreak pins the tie rule on a hand-built shard: the

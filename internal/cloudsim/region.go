@@ -115,6 +115,7 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	for _, sh := range r.shards {
 		perShard := (n + len(r.shards) - 1) / len(r.shards)
 		sh.vms, sh.ix.load = make([]*VM, 0, perShard), make([]int32, 0, perShard)
+		sh.ix.zero = make([]uint64, 0, (perShard+63)/64)
 	}
 	for i := 0; i < n; i++ {
 		vm := r.newVM()
@@ -136,6 +137,18 @@ func (r *Region) newVM() *VM {
 	sh.vms = append(sh.vms, vm)
 	r.vms = append(r.vms, vm)
 	return vm
+}
+
+// PrepareBatches builds the tables the anomaly draws of batched requests
+// read (simclock.BinomialPow), for batches of up to maxBatch interactions.
+// A deployment whose clients submit batches calls it once at setup, before
+// the run: the tables hang off the configuration every VM of the region
+// shares, which is read-only while the simulation runs.  The draws are the
+// same with or without them.
+func (r *Region) PrepareBatches(maxBatch int) {
+	a := r.vmCfg.Anomalies
+	r.vmCfg.leakPow = simclock.BinomialPow(a.LeakProbability, maxBatch)
+	r.vmCfg.threadPow = simclock.BinomialPow(a.ThreadProbability, maxBatch)
 }
 
 // Name returns the region name.

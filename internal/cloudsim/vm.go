@@ -55,6 +55,11 @@ type VMConfig struct {
 	Failure FailurePoint
 	// Rejuvenation defines rejuvenation and activation latencies.
 	Rejuvenation RejuvenationModel
+
+	// leakPow and threadPow are the simclock.BinomialPow tables of the two
+	// anomaly probabilities, which a batch's anomaly draws read instead of
+	// computing q^batch (nil until Region.PrepareBatches builds them).
+	leakPow, threadPow []float64
 }
 
 // VM is one simulated virtual machine hosting a server replica.  It is driven
@@ -458,11 +463,11 @@ func (vm *VM) completeService(eng *simclock.Engine, req *Request, start simclock
 func (vm *VM) injectAnomalies(batch int) {
 	a := vm.cfg.Anomalies
 	if batch > 1 {
-		if leaks := vm.rng.Binomial(batch, a.LeakProbability); leaks > 0 {
+		if leaks := vm.rng.BinomialWith(batch, a.LeakProbability, vm.cfg.leakPow); leaks > 0 {
 			vm.leakedMB += vm.rng.Erlang(leaks, a.LeakSizeMB)
 			vm.intervalAnomaly += uint64(leaks)
 		}
-		if threads := vm.rng.Binomial(batch, a.ThreadProbability); threads > 0 {
+		if threads := vm.rng.BinomialWith(batch, a.ThreadProbability, vm.cfg.threadPow); threads > 0 {
 			vm.zombieThreads += threads
 			vm.intervalAnomaly += uint64(threads)
 		}
@@ -567,26 +572,6 @@ func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
 	}
 	anomalyRate := float64(vm.intervalAnomaly) / intervalS
 
-	// measure records feature n as x with relative Gaussian noise rel (exact
-	// when rel is 0).  A zero value draws no noise, measured or not, and its
-	// slot already holds 0.
-	measure := func(n features.Name, x, rel float64) {
-		if x == 0 {
-			return
-		}
-		i, _ := features.Index(n)
-		if mask&(1<<i) == 0 {
-			if rel > 0 {
-				vm.rng.SkipNormal()
-			}
-			return
-		}
-		if rel > 0 {
-			x *= 1 + vm.rng.Normal(0, rel)
-		}
-		v.SetSlot(i, x)
-	}
-
 	baseMem := 0.18 * vm.cfg.Type.MemoryMB // OS + idle server footprint
 	used := baseMem + vm.LeakedMB()
 	if used > vm.cfg.Type.MemoryMB {
@@ -602,35 +587,55 @@ func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
 	}
 
 	// The calls run in feature-slot order, which is also the VM's draw order.
-	measure(features.MemUsedMB, used, 0.02)
-	measure(features.MemFreeMB, math.Max(vm.cfg.Type.MemoryMB-used, 0), 0.02)
-	measure(features.SwapUsedMB, swap, 0.05)
-	measure(features.HeapMB, 0.6*baseMem+vm.leakedMB, 0.03)
-	measure(features.ThreadCount, 32+float64(vm.zombieThreads)+4*float64(vm.inFlight), 0.02)
-	measure(features.ZombieThreads, float64(vm.zombieThreads), 0)
-	measure(features.CPUUtilization, 0.1+0.8*util, 0.05)
-	if v.Get(features.CPUUtilization) > 1 {
-		v.Set(features.CPUUtilization, 1) // noise cannot push utilisation past saturation
+	vm.measure(&v, mask, features.SlotMemUsedMB, used, 0.02)
+	vm.measure(&v, mask, features.SlotMemFreeMB, math.Max(vm.cfg.Type.MemoryMB-used, 0), 0.02)
+	vm.measure(&v, mask, features.SlotSwapUsedMB, swap, 0.05)
+	vm.measure(&v, mask, features.SlotHeapMB, 0.6*baseMem+vm.leakedMB, 0.03)
+	vm.measure(&v, mask, features.SlotThreadCount, 32+float64(vm.zombieThreads)+4*float64(vm.inFlight), 0.02)
+	vm.measure(&v, mask, features.SlotZombieThreads, float64(vm.zombieThreads), 0)
+	vm.measure(&v, mask, features.SlotCPUUtilization, 0.1+0.8*util, 0.05)
+	if v.Slot(features.SlotCPUUtilization) > 1 {
+		v.SetSlot(features.SlotCPUUtilization, 1) // noise cannot push utilisation past saturation
 	}
-	measure(features.CPUTimeSec, vm.busySeconds, 0)
-	measure(features.DiskUsedMB, 0.3*vm.cfg.Type.DiskGB*1024+0.05*vm.LeakedMB(), 0.01)
-	measure(features.NetConnections, 8+2*rate, 0.05)
-	measure(features.RequestRate, rate, 0.03)
-	measure(features.ResponseTimeMs, meanResp*1000, 0.03)
-	measure(features.QueueLength, float64(vm.QueueLength()), 0)
-	measure(features.PageFaultRate, 5+30*swap/math.Max(vm.cfg.Type.MemoryMB, 1), 0.10)
-	measure(features.ContextSwitches, 200+80*rate, 0.10)
-	measure(features.UptimeSec, vm.Uptime(now).Seconds(), 0)
-	measure(features.GCPauseMs, 2+40*vm.LeakedMB()/math.Max(vm.memoryBudgetMB(), 1), 0.15)
-	measure(features.OpenFiles, 64+3*rate, 0.05)
-	measure(features.SocketsTimeWait, 4*rate, 0.15)
-	measure(features.AnomalyEventRate, anomalyRate, 0)
+	vm.measure(&v, mask, features.SlotCPUTimeSec, vm.busySeconds, 0)
+	vm.measure(&v, mask, features.SlotDiskUsedMB, 0.3*vm.cfg.Type.DiskGB*1024+0.05*vm.LeakedMB(), 0.01)
+	vm.measure(&v, mask, features.SlotNetConnections, 8+2*rate, 0.05)
+	vm.measure(&v, mask, features.SlotRequestRate, rate, 0.03)
+	vm.measure(&v, mask, features.SlotResponseTimeMs, meanResp*1000, 0.03)
+	vm.measure(&v, mask, features.SlotQueueLength, float64(vm.QueueLength()), 0)
+	vm.measure(&v, mask, features.SlotPageFaultRate, 5+30*swap/math.Max(vm.cfg.Type.MemoryMB, 1), 0.10)
+	vm.measure(&v, mask, features.SlotContextSwitches, 200+80*rate, 0.10)
+	vm.measure(&v, mask, features.SlotUptimeSec, vm.Uptime(now).Seconds(), 0)
+	vm.measure(&v, mask, features.SlotGCPauseMs, 2+40*vm.LeakedMB()/math.Max(vm.memoryBudgetMB(), 1), 0.15)
+	vm.measure(&v, mask, features.SlotOpenFiles, 64+3*rate, 0.05)
+	vm.measure(&v, mask, features.SlotSocketsTimeWait, 4*rate, 0.15)
+	vm.measure(&v, mask, features.SlotAnomalyEventRate, anomalyRate, 0)
 
 	vm.intervalServed = 0
 	vm.intervalRespSum = 0
 	vm.intervalAnomaly = 0
 	vm.intervalStart = now
 	return v
+}
+
+// measure records the feature in slot i of v as x with relative Gaussian
+// noise rel (exact when rel is 0), or only consumes its noise draws when mask
+// leaves slot i out.  A zero value draws no noise, measured or not, and its
+// slot already holds 0.
+func (vm *VM) measure(v *features.Vector, mask features.Mask, i int, x, rel float64) {
+	if x == 0 {
+		return
+	}
+	if mask&(1<<i) == 0 {
+		if rel > 0 {
+			vm.rng.SkipNormal()
+		}
+		return
+	}
+	if rel > 0 {
+		x *= 1 + vm.rng.Normal(0, rel)
+	}
+	v.SetSlot(i, x)
 }
 
 // String summarises the VM for debugging.

@@ -26,12 +26,12 @@ func syntheticDataset(n int, seed uint64) *features.Dataset {
 		mem := rng.Uniform(100, 2500)
 		zombies := rng.Uniform(0, 120)
 		rate := rng.Uniform(1, 12)
-		for _, name := range features.AllNames() {
-			v.Set(name, rng.Uniform(0, 10)) // background noise for unused features
+		for i := range features.NumFeatures {
+			v.SetSlot(i, rng.Uniform(0, 10)) // background noise for unused features
 		}
-		v.Set(features.MemUsedMB, mem)
-		v.Set(features.ZombieThreads, zombies)
-		v.Set(features.RequestRate, rate)
+		v.SetSlot(features.SlotMemUsedMB, mem)
+		v.SetSlot(features.SlotZombieThreads, zombies)
+		v.SetSlot(features.SlotRequestRate, rate)
 		rttf := 4000 - 1.2*mem - 8*zombies + rng.Normal(0, 40)
 		if rttf < 0 {
 			rttf = 0
@@ -108,14 +108,14 @@ func TestTrainProducesUsableModelAndReport(t *testing.T) {
 	// smaller predicted RTTF, and never negative.
 	healthy := features.NewVector("x", 0)
 	worn := features.NewVector("x", 0)
-	for _, n := range features.AllNames() {
-		healthy.Set(n, 5)
-		worn.Set(n, 5)
+	for i := range features.NumFeatures {
+		healthy.SetSlot(i, 5)
+		worn.SetSlot(i, 5)
 	}
-	healthy.Set(features.MemUsedMB, 200)
-	healthy.Set(features.ZombieThreads, 2)
-	worn.Set(features.MemUsedMB, 2400)
-	worn.Set(features.ZombieThreads, 110)
+	healthy.SetSlot(features.SlotMemUsedMB, 200)
+	healthy.SetSlot(features.SlotZombieThreads, 2)
+	worn.SetSlot(features.SlotMemUsedMB, 2400)
+	worn.SetSlot(features.SlotZombieThreads, 110)
 	ph, pw := model.PredictRTTF(healthy), model.PredictRTTF(worn)
 	if ph <= pw {
 		t.Fatalf("healthy VM should have larger predicted RTTF: healthy=%v worn=%v", ph, pw)

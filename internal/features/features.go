@@ -11,7 +11,6 @@ package features
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -50,6 +49,32 @@ const (
 // NumFeatures is the size of the monitored feature set, len(AllNames()).
 const NumFeatures = 20
 
+// The slots of the features in AllNames order.  A sampler or reader that
+// knows its feature at compile time indexes a Vector with these (SetSlot,
+// Slot) instead of looking the name up.
+const (
+	SlotMemUsedMB = iota
+	SlotMemFreeMB
+	SlotSwapUsedMB
+	SlotHeapMB
+	SlotThreadCount
+	SlotZombieThreads
+	SlotCPUUtilization
+	SlotCPUTimeSec
+	SlotDiskUsedMB
+	SlotNetConnections
+	SlotRequestRate
+	SlotResponseTimeMs
+	SlotQueueLength
+	SlotPageFaultRate
+	SlotContextSwitches
+	SlotUptimeSec
+	SlotGCPauseMs
+	SlotOpenFiles
+	SlotSocketsTimeWait
+	SlotAnomalyEventRate
+)
+
 // allNames is the canonical feature order; Index must agree with it.
 var allNames = [NumFeatures]Name{
 	MemUsedMB, MemFreeMB, SwapUsedMB, HeapMB, ThreadCount, ZombieThreads,
@@ -69,45 +94,45 @@ func AllNames() []Name { return append([]Name(nil), allNames[:]...) }
 func Index(n Name) (int, bool) {
 	switch n {
 	case MemUsedMB:
-		return 0, true
+		return SlotMemUsedMB, true
 	case MemFreeMB:
-		return 1, true
+		return SlotMemFreeMB, true
 	case SwapUsedMB:
-		return 2, true
+		return SlotSwapUsedMB, true
 	case HeapMB:
-		return 3, true
+		return SlotHeapMB, true
 	case ThreadCount:
-		return 4, true
+		return SlotThreadCount, true
 	case ZombieThreads:
-		return 5, true
+		return SlotZombieThreads, true
 	case CPUUtilization:
-		return 6, true
+		return SlotCPUUtilization, true
 	case CPUTimeSec:
-		return 7, true
+		return SlotCPUTimeSec, true
 	case DiskUsedMB:
-		return 8, true
+		return SlotDiskUsedMB, true
 	case NetConnections:
-		return 9, true
+		return SlotNetConnections, true
 	case RequestRate:
-		return 10, true
+		return SlotRequestRate, true
 	case ResponseTimeMs:
-		return 11, true
+		return SlotResponseTimeMs, true
 	case QueueLength:
-		return 12, true
+		return SlotQueueLength, true
 	case PageFaultRate:
-		return 13, true
+		return SlotPageFaultRate, true
 	case ContextSwitches:
-		return 14, true
+		return SlotContextSwitches, true
 	case UptimeSec:
-		return 15, true
+		return SlotUptimeSec, true
 	case GCPauseMs:
-		return 16, true
+		return SlotGCPauseMs, true
 	case OpenFiles:
-		return 17, true
+		return SlotOpenFiles, true
 	case SocketsTimeWait:
-		return 18, true
+		return SlotSocketsTimeWait, true
 	case AnomalyEventRate:
-		return 19, true
+		return SlotAnomalyEventRate, true
 	}
 	return -1, false
 }
@@ -157,20 +182,11 @@ func (v Vector) Get(n Name) float64 {
 	return 0
 }
 
-// Set stores the value of the named feature.  It panics on a name outside the
-// feature set: a fixed-slot vector has nowhere to keep it, and silently
-// dropping a measurement would hide the bug.
-func (v *Vector) Set(n Name, val float64) {
-	i, ok := Index(n)
-	if !ok {
-		panic(fmt.Sprintf("features: unknown feature %q", n))
-	}
-	v.values[i] = val
-}
-
-// SetSlot stores val in slot i, the feature AllNames()[i].  A sampler that
-// has already looked up the slot with Index uses it to skip a second lookup.
+// SetSlot stores val in slot i, the feature AllNames()[i].
 func (v *Vector) SetSlot(i int, val float64) { v.values[i] = val }
+
+// Slot returns the value in slot i, the feature AllNames()[i].
+func (v Vector) Slot(i int) float64 { return v.values[i] }
 
 // Flatten returns the values of the requested features in order.
 func (v Vector) Flatten(names []Name) []float64 {

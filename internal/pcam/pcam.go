@@ -583,9 +583,9 @@ func (v *VMC) shardTick(now simclock.Time, s int) {
 	for _, vm := range sc.active {
 		sample := vm.Sample(now, v.measure)
 		rttf := v.predictor.PredictRTTF(vm, sample)
-		resp := sample.Get(features.ResponseTimeMs) / 1000
+		resp := sample.Slot(features.SlotResponseTimeMs) / 1000
 		sc.preds = append(sc.preds, vmPrediction{vm: vm, rttf: rttf})
-		if sample.Get(features.RequestRate) <= 0 {
+		if sample.Slot(features.SlotRequestRate) <= 0 {
 			// A VM that served nothing in the interval (typically one that
 			// was activated moments ago) carries no information about the
 			// region's health; folding its "no data" prediction into the

@@ -87,7 +87,7 @@ func TestPredictorAdapters(t *testing.T) {
 	vm := cloudsim.NewVM("x", &cloudsim.VMConfig{Type: cloudsim.M3Medium,
 		Anomalies: cloudsim.DefaultAnomalyProfile(), Failure: cloudsim.DefaultFailurePoint()}, simclock.NewRNG(1))
 	sample := features.NewVector("x", 0)
-	sample.Set(features.RequestRate, 5)
+	sample.SetSlot(features.SlotRequestRate, 5)
 
 	fn := PredictorFunc(func(*cloudsim.VM, features.Vector) float64 { return 42 })
 	if got := fn.PredictRTTF(vm, sample); got != 42 {

@@ -160,7 +160,36 @@ func (r *RNG) SkipNormal() {
 // transition ("how many of the n thinking clients fire this tick").  Small
 // means use inversion (one uniform walked down the CDF); large means use the
 // normal approximation clamped to the support.
-func (r *RNG) Binomial(n int, p float64) int {
+func (r *RNG) Binomial(n int, p float64) int { return r.BinomialWith(n, p, nil) }
+
+// binomialInversionMax is the largest mean np the inversion walk serves;
+// above it Binomial draws from the normal approximation.
+const binomialInversionMax = 50
+
+// BinomialPow prepares the inversion start points of Binomial draws with a
+// fixed p and at most maxN trials: entry n is q^n = math.Pow(1-p, n), the
+// same bits the draw would compute, for every n <= maxN the inversion walk
+// serves.  It returns nil, and BinomialWith then computes every q^n itself,
+// when p lies outside (0, 0.5] (the walk counts failures for p > 0.5) or
+// maxN < 1.  The table is immutable, so any number of goroutines may draw
+// with it, each with its own RNG.
+func BinomialPow(p float64, maxN int) []float64 {
+	if !(p > 0 && p <= 0.5) || maxN < 1 {
+		return nil
+	}
+	q := 1 - p
+	var pow []float64
+	for n := 0; n <= maxN && float64(n)*p <= binomialInversionMax; n++ {
+		pow = append(pow, math.Pow(q, float64(n)))
+	}
+	return pow
+}
+
+// BinomialWith is Binomial reading q^n from pow, a BinomialPow(p, ...) table
+// for the same p, when the table covers n; any other n, and every n when pow
+// is nil, computes it.  The draw is the same as Binomial's, consuming the
+// same generator values.
+func (r *RNG) BinomialWith(n int, p float64, pow []float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -170,10 +199,10 @@ func (r *RNG) Binomial(n int, p float64) int {
 	if p > 0.5 {
 		// Count failures instead: keeps q^n away from underflow in the
 		// inversion branch and shortens the expected CDF walk.
-		return n - r.Binomial(n, 1-p)
+		return n - r.BinomialWith(n, 1-p, nil)
 	}
 	np := float64(n) * p
-	if np > 50 {
+	if np > binomialInversionMax {
 		v := r.Normal(np, math.Sqrt(np*(1-p)))
 		if v < 0 {
 			return 0
@@ -189,7 +218,12 @@ func (r *RNG) Binomial(n int, p float64) int {
 	// np <= 50, q^n >= e^-51, comfortably inside float range.
 	q := 1 - p
 	s := p / q
-	f := math.Pow(q, float64(n))
+	var f float64
+	if n < len(pow) {
+		f = pow[n]
+	} else {
+		f = math.Pow(q, float64(n))
+	}
 	u := r.Float64()
 	for k := 0; ; k++ {
 		if u < f {

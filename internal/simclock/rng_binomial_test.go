@@ -40,6 +40,55 @@ func TestBinomialDeterministicRunTwice(t *testing.T) {
 	}
 }
 
+// TestBinomialTableMatchesBinomial pins the prepared draw to the plain one:
+// for every n from 0 to past the table's end (and past the inversion
+// threshold), a BinomialWith draw on a BinomialPow table and a Binomial draw
+// on a twin generator return the same count and leave the two streams
+// aligned.  A p the table does not serve (p <= 0, p >= 1, p > 0.5) gets no
+// table, and its draws match too.
+func TestBinomialTableMatchesBinomial(t *testing.T) {
+	const maxN = 128
+	for _, p := range []float64{0.05, 0.1, 0.25, 0.5} {
+		pow := BinomialPow(p, maxN)
+		if want := min(maxN, int(binomialInversionMax/p)) + 1; len(pow) != want {
+			t.Fatalf("p=%g: table has %d entries, want %d", p, len(pow), want)
+		}
+		for n, f := range pow {
+			if f != math.Pow(1-p, float64(n)) {
+				t.Fatalf("p=%g: pow[%d] = %v, want math.Pow bits %v", p, n, f, math.Pow(1-p, float64(n)))
+			}
+		}
+		checkTwinDraws(t, p, pow, int(binomialInversionMax/p)+20)
+	}
+	for _, p := range []float64{-0.2, 0, 1, 1.3, 0.5000001, 0.75, 0.9} {
+		pow := BinomialPow(p, maxN)
+		if pow != nil {
+			t.Fatalf("p=%g: got a %d-entry table, want nil", p, len(pow))
+		}
+		checkTwinDraws(t, p, pow, 2*maxN)
+	}
+	if pow := BinomialPow(0.1, 0); pow != nil {
+		t.Fatalf("maxN=0: got a %d-entry table, want nil", len(pow))
+	}
+}
+
+// checkTwinDraws compares BinomialWith(n, p, pow) against Binomial(n, p) on
+// twin generators for every n in [0, last], a few seeds each.
+func checkTwinDraws(t *testing.T, p float64, pow []float64, last int) {
+	t.Helper()
+	for seed := uint64(0); seed < 8; seed++ {
+		a, b := NewStreamRNG(seed, 11), NewStreamRNG(seed, 11)
+		for n := 0; n <= last; n++ {
+			if got, want := a.BinomialWith(n, p, pow), b.Binomial(n, p); got != want {
+				t.Fatalf("p=%g n=%d seed=%d: table draw %d, Binomial %d", p, n, seed, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("p=%g n=%d seed=%d: streams diverged after the draw", p, n, seed)
+			}
+		}
+	}
+}
+
 // TestErlangDeterministicRunTwice is the same replay pin for Erlang.
 func TestErlangDeterministicRunTwice(t *testing.T) {
 	draw := func() []float64 {

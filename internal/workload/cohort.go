@@ -187,6 +187,10 @@ func (c *CohortPopulation) TracerCount() int {
 	return c.tracers.Size()
 }
 
+// MaxBatch returns the most interactions one of the population's batched
+// requests stands for: CohortConfig.MaxBatch with its default resolved.
+func (c *CohortPopulation) MaxBatch() int { return c.cfg.MaxBatch }
+
 // InFlight returns how many cohort clients are waiting on a batch in flight.
 func (c *CohortPopulation) InFlight() int { return c.cohort - c.thinking }
 
