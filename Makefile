@@ -15,6 +15,7 @@
 #   make metrics-lint # enforce Prometheus naming conventions on every family
 #   make bench-check # vet and test the reference benchmark module under bench/
 #   make loc         # net non-test Go LOC over internal/, cmd/ and examples/
+#   make examples    # build and run every examples/* program
 #   make fuzz        # run every Fuzz* target for FUZZTIME each
 
 GO ?= go
@@ -31,9 +32,9 @@ BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-set bench-check docs docs-check api-check metrics-lint loc fuzz
+.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline bench-set bench-check docs docs-check api-check metrics-lint loc examples fuzz
 
-check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check api-check
+check: fmt vet lint build race test-repeat bench-json bench-check metrics-lint docs-check api-check examples
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -140,6 +141,15 @@ metrics-lint:
 # quotes when it claims to shrink the code.
 loc:
 	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+
+# examples runs every examples/* program (each well under 2 s) and fails on
+# the first that exits non-zero, so an example whose config the validator
+# rejects fails here instead of only compiling.  The CI docs job runs it.
+examples:
+	@set -e; for dir in examples/*/; do \
+		echo "run ./$$dir"; \
+		$(GO) run ./$$dir > /dev/null; \
+	done
 
 # fuzz runs every Fuzz* target under internal/ and cmd/ for FUZZTIME each.
 # `go test -fuzz` accepts one target per run, so the targets go one at a

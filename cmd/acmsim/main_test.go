@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -146,6 +147,34 @@ func TestRunRejectsEventWorkersBelowKeep(t *testing.T) {
 			}
 		} else if err != nil {
 			t.Errorf("-event-workers %d: %v", tc.workers, err)
+		}
+	}
+}
+
+// TestRunRejectsOutOfDomainConfig: a scenario file with Clients -1 once
+// panicked in the population constructor (exit 2), and one with
+// BaseServiceMs -5 ran to a meaningless report; both are rejected by field
+// path when the file loads.  -dump-config makes a wrongly accepted file
+// write the scenario and return instead of simulating.
+func TestRunRejectsOutOfDomainConfig(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		region, want string
+	}{
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","BaseServiceMs":40},"InitialActive":1},"Clients":-1}`,
+			"experiment: Regions[0].Clients must be >= 0, got -1"},
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","BaseServiceMs":-5},"InitialActive":1},"Clients":8}`,
+			"experiment: Regions[0].Region.Type.BaseServiceMs must be >= 0, got -5"},
+	} {
+		path := filepath.Join(dir, "scenario.json")
+		if err := os.WriteFile(path, []byte(`{"Name":"bad","Regions":[`+tc.region+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		explicit := map[string]bool{"config": true, "dump-config": true}
+		err := run("1,3", "320,128", "", -1, "policy2", "oracle", "browsing", 2, 1, 0.5, 60,
+			0, -1, "", "", "", "", "", -1, path, "", filepath.Join(dir, "dump.json"), explicit)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got error %v, want %q", err, tc.want)
 		}
 	}
 }

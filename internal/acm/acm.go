@@ -11,7 +11,6 @@ package acm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -59,22 +58,22 @@ type RegionSetup struct {
 	Region cloudsim.RegionConfig
 	// Clients is the number of emulated browsers connected to this region's
 	// load balancer (the paper varies this in [16, 512] per region).
-	Clients int
+	Clients int `domain:">=0"`
 	// CohortClients attaches this many cohort-compressed clients to the
 	// region in addition to Clients: counted state buckets split by binomial
 	// draws instead of per-client state machines, so populations of 10^6+
 	// effective clients cost events proportional to their batch count.  A
 	// TracerFraction of them is simulated individually to feed the
 	// response-time series (see Config.TracerFraction).
-	CohortClients int
+	CohortClients int `domain:">=0"`
 	// Mix is the TPC-W mix of those clients (browsing mix when zero-valued).
 	Mix workload.Mix
 	// SurgeClients optionally adds this many extra browsers once SurgeAt is
 	// reached, modelling the global workload increase of Section V that the
 	// ADDVMS elasticity action responds to.
-	SurgeClients int
+	SurgeClients int `domain:">=0"`
 	// SurgeAt is the simulated time at which the surge population connects.
-	SurgeAt simclock.Duration
+	SurgeAt simclock.Duration `domain:">=0"`
 }
 
 // Config describes a complete ACM deployment.  Every field except Policy is
@@ -82,31 +81,31 @@ type RegionSetup struct {
 // files embed it).
 type Config struct {
 	// Seed drives every random stream of the simulation.
-	Seed uint64
+	Seed uint64 `domain:">=0"`
 	// Regions lists the cloud regions and their client populations.
 	Regions []RegionSetup
 	// Policy is the load-balancing policy run by the leader VMC.
 	Policy core.Policy `json:"-"`
 	// Beta is the smoothing factor of equation (1).
-	Beta float64
+	Beta float64 `domain:"[0,1]"`
 	// ControlInterval is the period of the global closed control loop (one
 	// era per interval).
-	ControlInterval simclock.Duration
+	ControlInterval simclock.Duration `domain:">=0"`
 	// VMC configures the per-region controllers (zero value = pcam defaults).
 	VMC pcam.Config
 	// Predictor selects oracle or ML-based RTTF prediction.
 	Predictor PredictorMode
 	// ThinkTime is the emulated browsers' mean think time (7 s when zero).
-	ThinkTime simclock.Duration
+	ThinkTime simclock.Duration `domain:">=0"`
 	// MLProfile overrides the profiling configuration used when Predictor is
 	// PredictorML (sensible defaults otherwise).
 	MLProfile f2pm.ProfileConfig
 	// InitialAgeSpread staggers the initial anomaly state of each region's
 	// active VMs across [0, InitialAgeSpread) of their failure budget, so
 	// that rejuvenation points do not all align (the paper's testbed VMs had
-	// been running before the measurements started).  Negative disables the
+	// been running before the measurements started).  -1 disables the
 	// stagger; zero selects the default of 0.5.
-	InitialAgeSpread float64
+	InitialAgeSpread float64 `domain:">=0|-1"`
 	// EventWorkers is the upper bound on the worker count of the sharded
 	// event loop (see eventloop.go): every region shard is its own
 	// sub-engine and the shard loops run in lockstep epochs.  With more than
@@ -116,12 +115,12 @@ type Config struct {
 	// per-shard phase runs on that pool whenever it exists.  The output is
 	// byte-identical across all worker counts; zero selects 1, the inline
 	// run.
-	EventWorkers int
+	EventWorkers int `domain:">=0"`
 	// EventEpoch is the lockstep epoch width of the sharded event loop
 	// (simclock.DefaultEpoch when zero).  Cross-shard mailbox traffic is
 	// delivered at epoch barriers; periodic controllers still fire at their
 	// exact timestamps.
-	EventEpoch simclock.Duration
+	EventEpoch simclock.Duration `domain:">=0"`
 	// GSLB enables the global traffic director: a gslb.Director sits between
 	// globally attached client populations and the regions, routing each
 	// request according to the configured policy and a health probe sampled
@@ -130,24 +129,23 @@ type Config struct {
 	// GlobalClients is the number of emulated browsers attached to the
 	// director instead of a fixed region; their requests enter whichever
 	// region the routing policy picks.  Requires GSLB to be enabled.
-	GlobalClients int
+	GlobalClients int `domain:">=0"`
 	// GlobalMix is the interaction mix of the global clients (browsing when
 	// zero-valued).
 	GlobalMix workload.Mix
 	// CohortClients attaches this many cohort-compressed clients to the
 	// director (the global analogue of RegionSetup.CohortClients).  Requires
 	// GSLB to be enabled.
-	CohortClients int
+	CohortClients int `domain:">=0"`
 	// TracerFraction is the fraction of every cohort simulated as individual
-	// tracer browsers feeding the per-request latency series.  Must lie in
-	// [0, 1]; zero selects the default of 0.01 (~1%).
-	TracerFraction float64
-	// CohortTick is the cohorts' state-split cadence (1 s when zero; a
-	// negative or NaN tick is rejected).
-	CohortTick simclock.Duration
+	// tracer browsers feeding the per-request latency series (0.01 when
+	// zero).
+	TracerFraction float64 `domain:"[0,1]"`
+	// CohortTick is the cohorts' state-split cadence (1 s when zero).
+	CohortTick simclock.Duration `domain:">=0"`
 	// CohortMaxBatch caps the interactions one batched request stands for
-	// (64 when zero; a negative cap is rejected).
-	CohortMaxBatch int
+	// (64 when zero).
+	CohortMaxBatch int `domain:">=0"`
 	// Arrivals lists open-loop (optionally time-varying, inhomogeneous-
 	// Poisson) request streams: pinned to one region's entry load balancer
 	// when Region is set, attached to the director otherwise.
@@ -167,19 +165,19 @@ type Config struct {
 	// requires GSLB to be enabled and is incompatible with the latency
 	// policy and RTT matrices (their passive estimators learn from every
 	// lane).
-	GossipReplicas int
+	GossipReplicas int `domain:">=0"`
 	// GossipInterval is the gossip round period on the control timeline
 	// (10 s when zero).  Requires GossipReplicas >= 2, like every gossip
 	// tuning field below.
-	GossipInterval simclock.Duration
+	GossipInterval simclock.Duration `domain:">=0"`
 	// GossipFanout is how many peers each replica pushes to per round
 	// (1 when zero).
-	GossipFanout int
+	GossipFanout int `domain:">=0"`
 	// GossipDelay is the per-message link delay of the gossip plane; a push
 	// always takes at least one round to arrive.
-	GossipDelay simclock.Duration
+	GossipDelay simclock.Duration `domain:">=0"`
 	// GossipLoss is the per-message Bernoulli loss probability in [0, 1).
-	GossipLoss float64
+	GossipLoss float64 `domain:"[0,1)"`
 	// PartitionFaults scripts replica-set splits of the gossip plane on the
 	// control timeline (see PartitionFault).  Requires GossipReplicas >= 2.
 	PartitionFaults []PartitionFault
@@ -191,7 +189,7 @@ type Config struct {
 	// is byte-identical for every EventWorkers value and tracing never
 	// perturbs the simulation (no engine RNG draws, no extra events).  Must
 	// lie in [0, 1]; zero disables tracing entirely.
-	TraceSampleFraction float64
+	TraceSampleFraction float64 `domain:"[0,1]"`
 	// FlightRecorder enables the engine flight recorder: per-epoch per-shard
 	// busy/idle/mailbox-drain accounting in sim-time plus control-tick phase
 	// timings, recorded at epoch barriers on the control timeline.
@@ -217,7 +215,7 @@ func (c Config) withDefaults() Config {
 	if c.InitialAgeSpread == 0 {
 		c.InitialAgeSpread = 0.5
 	}
-	if c.InitialAgeSpread < 0 {
+	if c.InitialAgeSpread == -1 {
 		c.InitialAgeSpread = 0
 	}
 	if c.TracerFraction == 0 {
@@ -267,13 +265,12 @@ type Manager struct {
 	stopLoop        func()
 }
 
-// NewManager builds the deployment.  It trains the ML predictors up front
-// when PredictorML is selected (the paper's initial profiling phase).
+// NewManager builds the deployment.  It first rejects, by dotted path, any
+// numeric field outside its declared domain.  It trains the ML predictors
+// up front when PredictorML is selected (the paper's initial profiling
+// phase).
 func NewManager(cfg Config) (*Manager, error) {
-	if b := cfg.Beta; b != 0 && !(b > 0 && b <= 1) {
-		return nil, fmt.Errorf("acm: beta %v outside (0, 1]; 0 selects the default %v", b, DefaultBeta)
-	}
-	if err := validateModel(cfg); err != nil {
+	if err := validate.Struct("acm", &cfg); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -390,37 +387,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 	}
 	return m, nil
-}
-
-// validateModel rejects, by name, the anomaly and cohort settings no
-// simulation can honour: a probability outside [0, 1] would silently mean
-// "always" or "never", and a negative size, batch cap or tick has no
-// meaning.  Zero CohortMaxBatch and CohortTick select their defaults.
-func validateModel(cfg Config) error {
-	for i, rs := range cfg.Regions {
-		a := rs.Region.Anomalies
-		for _, f := range []struct {
-			name  string
-			v, hi float64
-		}{
-			{"LeakProbability", a.LeakProbability, 1},
-			{"ThreadProbability", a.ThreadProbability, 1},
-			{"LeakSizeMB", a.LeakSizeMB, math.Inf(1)},
-			{"ThreadStackMB", a.ThreadStackMB, math.Inf(1)},
-		} {
-			if !(f.v >= 0 && f.v <= f.hi) {
-				return validate.Fieldf("acm", fmt.Sprintf("Regions[%d].Region.Anomalies.%s", i, f.name),
-					"(%s) must be in [0, %v], got %v", rs.Region.Name, f.hi, f.v)
-			}
-		}
-	}
-	if cfg.CohortMaxBatch < 0 {
-		return validate.Fieldf("acm", "CohortMaxBatch", "must be >= 0 (0 selects the default), got %d", cfg.CohortMaxBatch)
-	}
-	if t := cfg.CohortTick; !(t >= 0) {
-		return validate.Fieldf("acm", "CohortTick", "must be >= 0 (0 selects the default), got %v", t)
-	}
-	return nil
 }
 
 // defaultOverlay returns the paper overlay when the deployment uses (a subset

@@ -1,6 +1,7 @@
 package acm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/f2pm"
+	"repro/internal/gslb"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -33,16 +35,11 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(Config{}); err == nil {
 		t.Fatalf("a configuration with no regions should be rejected")
 	}
-	nan := smallConfig(1, core.AvailableResources{})
-	nan.Beta = math.NaN()
-	if _, err := NewManager(nan); err == nil || !strings.Contains(err.Error(), "beta") {
-		t.Fatalf("a NaN beta should be rejected by name, got %v", err)
-	}
-	for _, beta := range []float64{1.7, -0.5} {
+	for _, beta := range []float64{math.NaN(), 1.7, -0.5} {
 		out := smallConfig(1, core.AvailableResources{})
 		out.Beta = beta
-		if _, err := NewManager(out); err == nil || !strings.Contains(err.Error(), "beta") {
-			t.Fatalf("beta %v outside (0, 1] should be rejected by name, got %v", beta, err)
+		if _, err := NewManager(out); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("acm: Beta must be in [0, 1], got %v", beta)) {
+			t.Fatalf("beta %v outside [0, 1] should be rejected by name, got %v", beta, err)
 		}
 	}
 	badVMC := smallConfig(1, core.AvailableResources{})
@@ -63,6 +60,24 @@ func TestNewManagerValidation(t *testing.T) {
 		{"CohortMaxBatch", func(c *Config) { c.CohortMaxBatch = -1 }},
 		{"CohortTick", func(c *Config) { c.CohortTick = -simclock.Second }},
 		{"CohortTick", func(c *Config) { c.CohortTick = simclock.Duration(math.NaN()) }},
+		// Each of these once panicked, hung or ran silently past NewManager.
+		{"Regions[0].Clients", func(c *Config) { c.Regions[0].Clients = -1 }},
+		{"Regions[0].Region.Type.BaseServiceMs", func(c *Config) { c.Regions[0].Region.Type.BaseServiceMs = math.NaN() }},
+		{"Regions[1].Region.Type.BaseServiceMs", func(c *Config) { c.Regions[1].Region.Type.BaseServiceMs = -5 }},
+		{"Regions[0].Region.Shards", func(c *Config) { c.Regions[0].Region.Shards = cloudsim.MaxShards + 1 }},
+		{"ThinkTime", func(c *Config) { c.ThinkTime = simclock.Duration(math.NaN()) }},
+		{"ThinkTime", func(c *Config) { c.ThinkTime = -simclock.Second }},
+		{"ControlInterval", func(c *Config) { c.ControlInterval = simclock.Duration(math.NaN()) }},
+		{"GossipInterval", func(c *Config) {
+			c.GSLB, c.GossipReplicas = gslb.Config{Policy: gslb.PolicyLeastLoad}, 3
+			c.GossipInterval = simclock.Duration(math.NaN())
+		}},
+		{"Arrivals[0].Rate.Rate", func(c *Config) {
+			c.Arrivals = []ArrivalSetup{{Name: "s", Region: "region1", Rate: workload.RateSpec{Kind: workload.RateConstant, Rate: math.Inf(1)}}}
+		}},
+		{"Arrivals[0].Rate.Rate", func(c *Config) {
+			c.Arrivals = []ArrivalSetup{{Name: "s", Region: "region1", Rate: workload.RateSpec{Kind: workload.RateConstant, Rate: math.NaN()}}}
+		}},
 	} {
 		bad := smallConfig(1, core.AvailableResources{})
 		c.set(&bad)

@@ -15,7 +15,6 @@ package acm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cloudsim"
 	"repro/internal/gossip"
@@ -49,11 +48,11 @@ type RegionFault struct {
 	// Region names the region to fault.
 	Region string
 	// At is when the outage starts.
-	At simclock.Duration
+	At simclock.Duration `domain:">=0"`
 	// Duration is how long the outage lasts; zero makes it permanent.
-	Duration simclock.Duration
+	Duration simclock.Duration `domain:">=0"`
 	// KeepActive is the number of ACTIVE VMs left during the outage.
-	KeepActive int
+	KeepActive int `domain:">=0"`
 }
 
 // LinkFault scripts one network-path degradation for latency-routing
@@ -71,12 +70,12 @@ type LinkFault struct {
 	// Region names the region at the far end of the path.
 	Region string
 	// At is when the degradation starts.
-	At simclock.Duration
+	At simclock.Duration `domain:">=0"`
 	// Duration is how long it lasts; zero makes it permanent.
-	Duration simclock.Duration
-	// Factor multiplies the path's RTT; must be positive and finite
-	// (2 doubles it, 0.5 would model a better route coming up).
-	Factor float64
+	Duration simclock.Duration `domain:">=0"`
+	// Factor multiplies the path's RTT (2 doubles it, 0.5 would model a
+	// better route coming up).
+	Factor float64 `domain:">0"`
 }
 
 // PartitionFault scripts one network partition of the gossip health plane:
@@ -88,43 +87,28 @@ type LinkFault struct {
 // Zero Duration makes the partition permanent.
 type PartitionFault struct {
 	// At is when the partition starts.
-	At simclock.Duration
+	At simclock.Duration `domain:">=0"`
 	// Duration is how long it lasts; zero makes it permanent.
-	Duration simclock.Duration
+	Duration simclock.Duration `domain:">=0"`
 	// Replicas lists the replica indices forming the isolated side; the
 	// remaining replicas form the other.  Both sides must be non-empty.
-	Replicas []int
+	Replicas []int `domain:">=0"`
 }
 
 // validateGlobal rejects configurations the global-traffic wiring cannot
 // realise, with errors that name the offending field.
 func (m *Manager) validateGlobal() error {
 	cfg := m.cfg
-	if cfg.GlobalClients < 0 {
-		return validate.Fieldf("acm", "GlobalClients", "must be >= 0, got %d", cfg.GlobalClients)
-	}
 	if cfg.GlobalClients > 0 && !cfg.GSLB.Enabled() {
 		return validate.Fieldf("acm", "GlobalClients", "= %d but no GSLB policy configured", cfg.GlobalClients)
 	}
-	if cfg.CohortClients < 0 {
-		return validate.Fieldf("acm", "CohortClients", "must be >= 0, got %d", cfg.CohortClients)
-	}
 	if cfg.CohortClients > 0 && !cfg.GSLB.Enabled() {
 		return validate.Fieldf("acm", "CohortClients", "= %d global cohort clients but no GSLB policy configured", cfg.CohortClients)
-	}
-	if f := cfg.TracerFraction; math.IsNaN(f) || f < 0 || f > 1 {
-		return validate.Fieldf("acm", "TracerFraction", "must be in [0, 1], got %v", f)
-	}
-	if f := cfg.TraceSampleFraction; math.IsNaN(f) || f < 0 || f > 1 {
-		return validate.Fieldf("acm", "TraceSampleFraction", "must be in [0, 1], got %v", f)
 	}
 	if err := validateMix("GlobalMix", cfg.GlobalMix); err != nil {
 		return err
 	}
 	for i, rs := range cfg.Regions {
-		if rs.CohortClients < 0 {
-			return validate.Fieldf("acm", fmt.Sprintf("Regions[%d].CohortClients", i), "(%s) must be >= 0, got %d", rs.Region.Name, rs.CohortClients)
-		}
 		if err := validateMix(fmt.Sprintf("Regions[%d].Mix", i), rs.Mix); err != nil {
 			return err
 		}
@@ -162,9 +146,6 @@ func (m *Manager) validateGlobal() error {
 		if _, ok := m.regionIndex[f.Region]; !ok {
 			return validate.Fieldf("acm", fmt.Sprintf("Faults[%d].Region", i), "names unknown region %q", f.Region)
 		}
-		if f.At < 0 || f.Duration < 0 || f.KeepActive < 0 {
-			return validate.Fieldf("acm", fmt.Sprintf("Faults[%d]", i), "for %s has negative At/Duration/KeepActive", f.Region)
-		}
 		// Overlapping outages on one region would interleave their
 		// force/restore pairs: the earlier fault's restore would end the
 		// later outage early and the later restore would reinstate a stale
@@ -195,12 +176,6 @@ func (m *Manager) validateGlobal() error {
 		if len(cfg.GSLB.RTT[f.Stream]) == 0 {
 			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d]", i), "degrades stream %q, which has no GSLB.RTT row (the ground-truth path would stay at 0 ms)", f.Stream)
 		}
-		if f.At < 0 || f.Duration < 0 {
-			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d]", i), "for %s:%s has negative At/Duration", f.Stream, f.Region)
-		}
-		if !(f.Factor > 0) || math.IsInf(f.Factor, 0) {
-			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d].Factor", i), "= %v for %s:%s; must be positive and finite", f.Factor, f.Stream, f.Region)
-		}
 		// Like region faults, overlapping degradations of one path would
 		// interleave their scale/restore pairs and reinstate stale values.
 		for j, g := range cfg.LinkFaults[:i] {
@@ -229,9 +204,6 @@ func validateMix(field string, mix workload.Mix) error {
 // sends no messages, so every gossip tuning field needs at least two.
 func (m *Manager) validateGossip() error {
 	cfg := m.cfg
-	if cfg.GossipReplicas < 0 {
-		return validate.Fieldf("acm", "GossipReplicas", "must be >= 0, got %d", cfg.GossipReplicas)
-	}
 	if cfg.GossipReplicas < 2 {
 		for _, f := range []struct {
 			name string
@@ -258,25 +230,13 @@ func (m *Manager) validateGossip() error {
 	if cfg.GSLB.LatencyAware() {
 		return validate.Fieldf("acm", "GossipReplicas", "= %d cannot run a latency-aware GSLB config (its passive estimators learn from every lane); use one replica", cfg.GossipReplicas)
 	}
-	if cfg.GossipInterval < 0 || cfg.GossipDelay < 0 {
-		return validate.Fieldf("acm", "GossipInterval/GossipDelay", "must be >= 0")
-	}
-	if cfg.GossipFanout < 0 {
-		return validate.Fieldf("acm", "GossipFanout", "= %d; must be >= 0", cfg.GossipFanout)
-	}
-	if l := cfg.GossipLoss; math.IsNaN(l) || l < 0 || l >= 1 {
-		return validate.Fieldf("acm", "GossipLoss", "= %v; must lie in [0, 1)", l)
-	}
 	for i, f := range cfg.PartitionFaults {
-		if f.At < 0 || f.Duration < 0 {
-			return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d]", i), "has negative At/Duration")
-		}
 		if len(f.Replicas) == 0 || len(f.Replicas) >= cfg.GossipReplicas {
 			return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d].Replicas", i), "must isolate between 1 and %d replicas, got %d", cfg.GossipReplicas-1, len(f.Replicas))
 		}
 		seen := map[int]bool{}
 		for _, r := range f.Replicas {
-			if r < 0 || r >= cfg.GossipReplicas {
+			if r >= cfg.GossipReplicas {
 				return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d].Replicas", i), "names replica %d outside [0, %d)", r, cfg.GossipReplicas)
 			}
 			if seen[r] {

@@ -96,7 +96,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GSLB = latencyGSLB()
 			c.GlobalClients = 8
 			c.LinkFaults = []LinkFault{{Stream: "global", Region: "region1", At: -simclock.Minute, Factor: 2}}
-		}, "negative At/Duration"},
+		}, "acm: LinkFaults[0].At must be >= 0, got -60"},
 		{"link fault with zero factor", func(c *Config) {
 			c.GSLB = latencyGSLB()
 			c.GlobalClients = 8
@@ -156,7 +156,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}
 			c.GossipReplicas = 3
 			c.GossipFanout = -1
-		}, "acm: GossipFanout = -1"},
+		}, "acm: GossipFanout must be >= 0, got -1"},
 		{"latency-aware gossip", func(c *Config) {
 			c.GSLB = latencyGSLB()
 			c.GossipReplicas = 2
@@ -176,7 +176,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{
 				{Name: "home", Weight: 1, ServiceFactor: 1}, {Name: "buy", Weight: -1, ServiceFactor: 1},
 			}}
-		}, "Mix.Entries[1].Weight (buy in mix \"m\") must be finite and >= 0, got -1"},
+		}, "acm: Regions[0].Mix.Entries[1].Weight must be >= 0, got -1"},
 		{"NaN mix weight", func(c *Config) {
 			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: math.NaN(), ServiceFactor: 1}}}
 		}, "Mix.Entries[0].Weight"},
@@ -185,7 +185,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 		}, "has no positive weight"},
 		{"negative mix service factor", func(c *Config) {
 			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1, ServiceFactor: -3}}}
-		}, "Mix.Entries[0].ServiceFactor (home in mix \"m\") must be positive and finite, got -3"},
+		}, "acm: Regions[0].Mix.Entries[0].ServiceFactor must be > 0, got -3"},
 		{"infinite mix service factor", func(c *Config) {
 			c.Regions[0].Mix = workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1, ServiceFactor: math.Inf(1)}}}
 		}, "Mix.Entries[0].ServiceFactor"},
@@ -199,7 +199,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 				Name: "s", Region: "region1", Rate: workload.RateSpec{Kind: workload.RateConstant, Rate: 1},
 				Mix: workload.Mix{Name: "m", Entries: []workload.Interaction{{Name: "home", Weight: 1}}},
 			}}
-		}, "acm: Arrivals[0].Mix is invalid"},
+		}, "acm: Arrivals[0].Mix.Entries[0].ServiceFactor must be > 0, got 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,24 +27,24 @@ type InstanceType struct {
 	// Name is the provider-facing type name, e.g. "m3.medium".
 	Name string
 	// VCPUs is the number of virtual CPU cores.
-	VCPUs int
+	VCPUs int `domain:">=0"`
 	// ClockGHz is the nominal per-core clock, used as a relative speed factor.
-	ClockGHz float64
+	ClockGHz float64 `domain:">=0"`
 	// MemoryMB is the physical memory available to the guest.
-	MemoryMB float64
+	MemoryMB float64 `domain:">=0"`
 	// DiskGB is the virtual disk size.
-	DiskGB float64
+	DiskGB float64 `domain:">=0"`
 	// BaseServiceMs is the mean service demand of one TPC-W request on a
 	// single core of this instance when the VM is anomaly-free.
-	BaseServiceMs float64
+	BaseServiceMs float64 `domain:">=0"`
 	// MaxThreads is the thread budget of the server process; unterminated
 	// threads count against it.
-	MaxThreads int
+	MaxThreads int `domain:">=0"`
 	// CostPerHour is the on-demand price in USD (0 for privately hosted VMs).
 	// It is not used by the policies but reported by the cost accounting
 	// helpers, mirroring the paper's motivation that heterogeneous regions may
 	// be chosen for cost reasons.
-	CostPerHour float64
+	CostPerHour float64 `domain:">=0"`
 }
 
 // The instance types used in the paper's testbed (Section VI-A).  The numbers
@@ -113,15 +113,15 @@ func (it InstanceType) String() string {
 // thread".
 type AnomalyProfile struct {
 	// LeakProbability is the per-request probability of leaking memory.
-	LeakProbability float64
+	LeakProbability float64 `domain:"[0,1]"`
 	// LeakSizeMB is the mean size of one leak; the actual size is drawn from
 	// an exponential distribution with this mean.
-	LeakSizeMB float64
+	LeakSizeMB float64 `domain:">=0"`
 	// ThreadProbability is the per-request probability of leaving an
 	// unterminated thread behind.
-	ThreadProbability float64
+	ThreadProbability float64 `domain:"[0,1]"`
 	// ThreadStackMB is the memory pinned by each unterminated thread.
-	ThreadStackMB float64
+	ThreadStackMB float64 `domain:">=0"`
 }
 
 // IsZero reports whether the profile is entirely unset, in which case
@@ -152,14 +152,14 @@ type FailurePoint struct {
 	// MemoryFraction is the fraction of the instance memory that, once
 	// consumed by leaks and zombie-thread stacks, marks the VM as failed
 	// (out-of-memory crash of the server process).
-	MemoryFraction float64
+	MemoryFraction float64 `domain:"[0,1]"`
 	// ThreadFraction is the fraction of the thread budget that, once consumed
 	// by unterminated threads, marks the VM as failed.
-	ThreadFraction float64
+	ThreadFraction float64 `domain:"[0,1]"`
 	// ResponseTimeSLAMs is the response-time SLA in milliseconds; sustained
 	// violation (tracked by the VM as an EWMA of observed response times)
 	// also marks the VM as failed.  Zero disables the SLA clause.
-	ResponseTimeSLAMs float64
+	ResponseTimeSLAMs float64 `domain:">=0"`
 }
 
 // IsZero reports whether the failure point is entirely unset (see
@@ -188,10 +188,10 @@ func DefaultFailurePoint() FailurePoint {
 type RejuvenationModel struct {
 	// RejuvenateDuration is the time to restart the server replica and clear
 	// the accumulated anomalies.
-	RejuvenateDuration simclock.Duration
+	RejuvenateDuration simclock.Duration `domain:">=0"`
 	// ActivateDuration is the time for a STANDBY VM to become ACTIVE (warm-up
 	// of caches, registration with the local load balancer).
-	ActivateDuration simclock.Duration
+	ActivateDuration simclock.Duration `domain:">=0"`
 }
 
 // IsZero reports whether the model is entirely unset (see

@@ -21,20 +21,20 @@ type RegionConfig struct {
 	// Type is the instance type of every VM in the region.
 	Type InstanceType
 	// InitialActive is the number of VMs started in the ACTIVE state.
-	InitialActive int
+	InitialActive int `domain:">=0"`
 	// InitialStandby is the number of VMs started in the STANDBY state,
 	// available for proactive takeover.
-	InitialStandby int
+	InitialStandby int `domain:">=0"`
 	// MaxVMs caps how many VMs the hypervisor / provider account can host in
 	// this region; ADDVMS requests beyond the cap are rejected.  Zero means
 	// "twice the initial pool".
-	MaxVMs int
+	MaxVMs int `domain:">=0"`
 	// Shards splits the region's VM pool across this many engine shards, each
 	// owning a disjoint VM subset with its own derived RNG stream.  Sharding
 	// keeps the per-request and per-scan cost at O(pool/Shards) so a single
 	// region can grow past ~10^3 VMs.  Zero or one keeps today's single-pool
 	// behaviour (byte-identical event streams).
-	Shards int
+	Shards int `domain:"[0,65536]"`
 	// Anomalies, Failure and Rejuvenation apply to every VM in the region.
 	Anomalies    AnomalyProfile
 	Failure      FailurePoint

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/tracing"
+	"repro/internal/validate"
 )
 
 // sendConfig is a region of M3Medium VMs that inject no anomalies, so no VM
@@ -65,6 +66,19 @@ func TestShardBindingIsExclusive(t *testing.T) {
 	bindRegion(se, sendConfig(2, 2, 0), 0)
 	mustPanic("a second region on lane 1", "already runs another shard", func() { bindRegion(se, sendConfig(1, 1, 0), 1) })
 	mustPanic("MaxShards+1 shards", "more than MaxShards", func() { NewRegion(sendConfig(MaxShards+1, 0, 0), nil) })
+}
+
+// TestShardsDomainIsMaxShards: the Shards domain tag spells MaxShards as a
+// literal, so a config that NewRegion would panic on is rejected by name
+// first.
+func TestShardsDomainIsMaxShards(t *testing.T) {
+	if err := validate.Struct("cloudsim", RegionConfig{Shards: MaxShards}); err != nil {
+		t.Fatalf("MaxShards shards rejected: %v", err)
+	}
+	want := fmt.Sprintf("cloudsim: Shards must be in [0, %d], got %d", MaxShards, MaxShards+1)
+	if err := validate.Struct("cloudsim", RegionConfig{Shards: MaxShards + 1}); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
 }
 
 // TestSendOneWayTrafficAllocatesNothing sends from lane 0 to a shard on lane

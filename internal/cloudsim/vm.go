@@ -532,9 +532,6 @@ func (vm *VM) failQueued(eng *simclock.Engine, vmID string) {
 // the experiment starts, so that their rejuvenation points are naturally
 // staggered instead of all VMs ageing in lockstep.
 func (vm *VM) PreAge(fraction float64) {
-	if fraction < 0 {
-		fraction = 0
-	}
 	if fraction > 0.95 {
 		fraction = 0.95
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/validate"
 )
 
 // Scenario (de)serialisation: scenarios are plain data, so they round-trip
@@ -25,15 +27,22 @@ func SaveScenario(w io.Writer, sc Scenario) error {
 // LoadScenario reads a scenario from JSON and applies the experiment
 // defaults to any field left unset.  A scenario file carries one key per
 // acm.Config field except Policy, plus Name, Horizon, TailFraction,
-// ConvergenceTolerance and Backend.  A Beta outside (0, 1] is rejected
-// rather than reset; 0 means unset.  A Backend other than "" or "sim" is
-// rejected with ErrUnknownBackend.
+// ConvergenceTolerance and Backend.  Every numeric value outside its
+// field's declared domain is rejected by name rather than reset; 0 means
+// unset.  A Backend other than "" or "sim" is rejected with
+// ErrUnknownBackend.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("experiment: decoding scenario: %w", err)
+	}
+	if err := validate.Struct("experiment", &sc.Config); err != nil {
+		return Scenario{}, err
+	}
+	if err := validate.Struct("experiment", &sc); err != nil {
+		return Scenario{}, err
 	}
 	if len(sc.Regions) == 0 {
 		return Scenario{}, fmt.Errorf("experiment: scenario %q has no regions", sc.Name)
@@ -44,11 +53,6 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 		}
 		if rs.Region.Type.Name == "" {
 			return Scenario{}, fmt.Errorf("experiment: scenario %q region %q has no instance type", sc.Name, rs.Region.Name)
-		}
-	}
-	if sc.Beta != 0 {
-		if err := ValidateBeta(sc.Beta); err != nil {
-			return Scenario{}, fmt.Errorf("%w in scenario %q", err, sc.Name)
 		}
 	}
 	if err := sc.checkBackend(); err != nil {

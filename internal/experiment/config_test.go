@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/acm"
 	"repro/internal/backend"
+	"repro/internal/cloudsim"
 	"repro/internal/simclock"
 )
 
@@ -72,8 +75,8 @@ func TestLoadScenarioValidation(t *testing.T) {
 	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"}},"Clients":10}]`
 	for _, beta := range []string{"3", "-1", "1.5"} {
 		_, err := LoadScenario(strings.NewReader(`{"Name":"x","Beta":` + beta + `,` + region + `}`))
-		if err == nil || !strings.Contains(err.Error(), "beta") {
-			t.Errorf("Beta %s: got error %v, want one naming beta", beta, err)
+		if want := "experiment: Beta must be in [0, 1], got " + beta; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Beta %s: got error %v, want %q", beta, err, want)
 		}
 	}
 	for _, beta := range []string{"0", "1", "0.25"} {
@@ -278,10 +281,25 @@ func FuzzLoadScenario(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A valid minimal file, then the values that once panicked or ran
+	// silently past the loader: Clients -1, BaseServiceMs -5, ThinkTime -1
+	// and MaxShards+1 shards.
+	minimal := `{"Name":"x","ThinkTime":%d,"Regions":[{"Region":{"Name":"r",` +
+		`"Type":{"Name":"m3.medium","BaseServiceMs":%d},"InitialActive":1,"Shards":%d},"Clients":%d}]}`
+	for _, v := range [][4]any{{7, 40, 1, 4}, {7, 40, 1, -1}, {7, -5, 1, 4}, {-1, 40, 1, 4}, {7, 40, cloudsim.MaxShards + 1, 4}} {
+		f.Add([]byte(fmt.Sprintf(minimal, v[:]...)))
+	}
+	// A fuzzed scenario is only loaded and saved, never built or run: its
+	// client and VM counts are unbounded.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := LoadScenario(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, l := range numericLeaves(reflect.ValueOf(&sc).Elem(), "", "") {
+			if in, _ := inDomain(l.tag, l.float()); !in {
+				t.Fatalf("LoadScenario accepted %s = %v outside its domain %q", l.path, l.float(), l.tag)
+			}
 		}
 		var buf bytes.Buffer
 		if err := SaveScenario(&buf, sc); err != nil {
@@ -339,5 +357,29 @@ func TestScenarioFileHelpers(t *testing.T) {
 	}
 	if _, err := Run(loaded, np); err != nil {
 		t.Fatalf("running a loaded scenario failed: %v", err)
+	}
+}
+
+// TestRunRejectsOutOfDomainScenario: Run once ran a β of 1.7 or -0.5 as the
+// default 0.5 and judged a NaN tail fraction converged; every value outside
+// its field's domain is now an error naming the field.
+func TestRunRejectsOutOfDomainScenario(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		set  func(*Scenario)
+		want string
+	}{
+		{func(s *Scenario) { s.Beta = 1.7 }, "acm: Beta must be in [0, 1], got 1.7"},
+		{func(s *Scenario) { s.Beta = -0.5 }, "acm: Beta must be in [0, 1], got -0.5"},
+		{func(s *Scenario) { s.TailFraction = nan }, "experiment: TailFraction must be in [0, 1], got NaN"},
+		{func(s *Scenario) { s.ConvergenceTolerance = nan }, "experiment: ConvergenceTolerance must be >= 0, got NaN"},
+		{func(s *Scenario) { s.Horizon = simclock.Duration(nan) }, "experiment: Horizon must be >= 0, got NaN"},
+	} {
+		sc := quickScenario(1)
+		sc.Horizon = 2 * simclock.Minute
+		tc.set(&sc)
+		if _, err := Run(sc, Policies()[0]); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got error %v, want %q", err, tc.want)
+		}
 	}
 }

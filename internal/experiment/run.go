@@ -87,11 +87,11 @@ func Run(sc Scenario, np NamedPolicy) (*Result, error) {
 // flight recorder for trace export, the registry for a final scrape) stay
 // reachable through it.
 func RunBackend(sc Scenario, np NamedPolicy) (*Result, backend.Backend, error) {
-	sc = sc.withDefaults()
 	b, err := NewBackend(sc, np)
 	if err != nil {
 		return nil, nil, err
 	}
+	sc = sc.withDefaults()
 	if err := b.Run(sc.Horizon); err != nil {
 		return nil, nil, fmt.Errorf("experiment: running %s/%s: %w", sc.Name, np.Key, err)
 	}

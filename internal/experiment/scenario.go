@@ -18,6 +18,7 @@ import (
 	"repro/internal/gslb"
 	"repro/internal/pcam"
 	"repro/internal/simclock"
+	"repro/internal/validate"
 	"repro/internal/workload"
 )
 
@@ -29,16 +30,17 @@ type Scenario struct {
 	Name string
 	// Config is the deployment the scenario realises.  Its Policy is
 	// replaced by the policy under test when the scenario is run, and it
-	// is not part of a scenario file.
-	acm.Config
+	// is not part of a scenario file.  acm.NewManager checks its domains,
+	// so a build walks it once; LoadScenario checks a file's too.
+	acm.Config `domain:"-"`
 	// Horizon is the simulated duration of one run.
-	Horizon simclock.Duration
+	Horizon simclock.Duration `domain:">=0"`
 	// TailFraction is the fraction of the run treated as steady state when
 	// judging convergence and oscillation (0.4 when zero).
-	TailFraction float64
+	TailFraction float64 `domain:"[0,1]"`
 	// ConvergenceTolerance is the relative RMTTF spread below which the
 	// regions are considered converged (0.3 when zero).
-	ConvergenceTolerance float64
+	ConvergenceTolerance float64 `domain:">=0"`
 	// Backend names the implementation that realises the deployment: ""
 	// and "sim" both select the simulator, the only one; any other value
 	// is rejected with ErrUnknownBackend.  Kept so scenario files that
@@ -46,9 +48,9 @@ type Scenario struct {
 	Backend string
 }
 
-// ValidateBeta rejects smoothing factors that withDefaults would silently
-// reset to acm.DefaultBeta, and NaN, which every range comparison passes, so
-// sweeps, CLIs and scenario files never report a β they did not simulate.
+// ValidateBeta rejects a β outside (0, 1], NaN included, for the values
+// that are not scenario fields: the -beta/-betas flags and Matrix.Betas.
+// A scenario's own Beta is checked against its declared domain.
 func ValidateBeta(beta float64) error {
 	if !(beta > 0 && beta <= 1) {
 		return fmt.Errorf("experiment: beta %v outside (0, 1]", beta)
@@ -57,26 +59,27 @@ func ValidateBeta(beta float64) error {
 }
 
 // withDefaults fills the experiment fields and records the β, control
-// interval and predictor the deployment runs with.  The remaining
-// acm.Config defaults are left to acm, so the scenario keeps the raw values
-// its description and the benchmark probes read.
+// interval and predictor the deployment runs with; only zero selects a
+// default.  The remaining acm.Config defaults are left to acm, so the
+// scenario keeps the raw values its description and the benchmark probes
+// read.
 func (s Scenario) withDefaults() Scenario {
-	if s.Horizon <= 0 {
+	if s.Horizon == 0 {
 		s.Horizon = 2 * simclock.Hour
 	}
-	if s.ControlInterval <= 0 {
+	if s.ControlInterval == 0 {
 		s.ControlInterval = acm.DefaultControlInterval
 	}
-	if s.Beta <= 0 || s.Beta > 1 {
+	if s.Beta == 0 {
 		s.Beta = acm.DefaultBeta
 	}
 	if s.Predictor == "" {
 		s.Predictor = acm.DefaultPredictor
 	}
-	if s.TailFraction <= 0 {
+	if s.TailFraction == 0 {
 		s.TailFraction = 0.4
 	}
-	if s.ConvergenceTolerance <= 0 {
+	if s.ConvergenceTolerance == 0 {
 		s.ConvergenceTolerance = 0.3
 	}
 	return s
@@ -109,6 +112,9 @@ func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 }
 
 func newSimulated(sc Scenario, np NamedPolicy) (*backend.Simulated, error) {
+	if err := validate.Struct("experiment", &sc); err != nil {
+		return nil, err
+	}
 	if err := sc.checkBackend(); err != nil {
 		return nil, err
 	}

@@ -100,24 +100,24 @@ func (c *Collector) BuildDataset() *features.Dataset {
 // profiling phase on the real testbed.
 type ProfileConfig struct {
 	// Seed is the deterministic RNG seed of the run.
-	Seed uint64
+	Seed uint64 `domain:">=0"`
 	// Instance is the instance type profiled (the paper trains per-VM models;
 	// one model per instance type is sufficient in the simulator because VMs
 	// of a type are statistically identical).
 	Instance cloudsim.InstanceType
 	// VMs is the number of VMs run in parallel (more VMs = more failure
 	// episodes per simulated hour).  Defaults to 4.
-	VMs int
+	VMs int `domain:">=0"`
 	// RatePerVM is the open-loop request rate directed at each VM.  Defaults
 	// to 6 req/s.
-	RatePerVM float64
+	RatePerVM float64 `domain:">=0"`
 	// SampleInterval is the feature sampling period.  Defaults to 30 s.
-	SampleInterval simclock.Duration
+	SampleInterval simclock.Duration `domain:">=0"`
 	// TargetFailures stops the run once this many failure episodes have been
 	// observed.  Defaults to 12.
-	TargetFailures int
+	TargetFailures int `domain:">=0"`
 	// MaxHorizon bounds the run.  Defaults to 24 simulated hours.
-	MaxHorizon simclock.Duration
+	MaxHorizon simclock.Duration `domain:">=0"`
 }
 
 func (c ProfileConfig) withDefaults() ProfileConfig {

@@ -35,12 +35,12 @@ package gossip
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cloudsim"
 	"repro/internal/gslb"
 	"repro/internal/simclock"
+	"repro/internal/validate"
 )
 
 // Config tunes the replicated health plane.  The zero value of every field
@@ -48,19 +48,19 @@ import (
 type Config struct {
 	// Replicas is the number of director replicas (at least 1; a typical
 	// deployment runs 3).
-	Replicas int
+	Replicas int `domain:">0"`
 	// Interval is the gossip round period on the control timeline (10 s when
 	// zero).  Each round first delivers due messages, then sends new pushes.
-	Interval simclock.Duration
+	Interval simclock.Duration `domain:">=0"`
 	// Fanout is how many peers each replica pushes to per round (1 when
 	// zero; capped at Replicas-1).
-	Fanout int
+	Fanout int `domain:">=0"`
 	// Delay is the per-message link delay.  A message sent in one round is
 	// delivered at the first round whose start time is >= send time + Delay,
 	// so even Delay 0 costs one round of latency.
-	Delay simclock.Duration
+	Delay simclock.Duration `domain:">=0"`
 	// Loss is the per-message Bernoulli loss probability in [0, 1).
-	Loss float64
+	Loss float64 `domain:"[0,1)"`
 }
 
 func (c Config) withDefaults() Config {
@@ -160,17 +160,8 @@ type Plane struct {
 // from every lane's completions.  seed derives the plane's private RNG
 // stream (peer selection and loss draws).
 func New(cfg Config, gcfg gslb.Config, regions, streams []string, seed uint64, sample func(i int) cloudsim.Telemetry) (*Plane, error) {
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("gossip: Replicas = %d; need at least 1", cfg.Replicas)
-	}
-	if l := cfg.Loss; math.IsNaN(l) || l < 0 || l >= 1 {
-		return nil, fmt.Errorf("gossip: Loss = %v; must lie in [0, 1)", l)
-	}
-	if cfg.Interval < 0 || cfg.Delay < 0 {
-		return nil, fmt.Errorf("gossip: negative Interval or Delay")
-	}
-	if cfg.Fanout < 0 {
-		return nil, fmt.Errorf("gossip: Fanout = %d; must be >= 0", cfg.Fanout)
+	if err := validate.Struct("gossip", &cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Replicas > 1 && gcfg.LatencyAware() {
 		return nil, fmt.Errorf("gossip: the latency policy (and RTT matrices) need a single replica")

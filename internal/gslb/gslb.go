@@ -100,46 +100,45 @@ type Config struct {
 	// Policy selects the routing policy; empty disables the director.
 	Policy PolicyKind
 	// Weights are the static-weight policy's per-region weights, in
-	// deployment order (uniform when empty).  Each weight must be
-	// non-negative and at least one must be positive.  Ignored by other
-	// policies.
-	Weights []float64
+	// deployment order (uniform when empty); at least one must be
+	// positive.  Ignored by other policies.
+	Weights []float64 `domain:">=0"`
 	// Preference orders region names most-preferred first for the failover
 	// policy (deployment order when empty).  Ignored by other policies.
 	Preference []string
 	// ProbeInterval is the health-probe period on the control timeline
 	// (15 s when zero).
-	ProbeInterval simclock.Duration
+	ProbeInterval simclock.Duration `domain:">=0"`
 	// CapacityThreshold drains a region whose ACTIVE-VM fraction (relative
 	// to its initial active pool) falls below this value.  0 means unset
 	// (0.5 applies); DisabledThreshold (-1) means an effective zero, i.e.
 	// never drain on capacity.
-	CapacityThreshold float64
+	CapacityThreshold float64 `domain:">=0|-1"`
 	// ErrorThreshold drains a region whose per-probe-interval drop ratio
 	// (dropped / (served + dropped)) exceeds this value.  0 means unset
 	// (0.5 applies); DisabledThreshold (-1) means an effective zero, i.e.
 	// any drop in a probe interval counts as a bad probe.
-	ErrorThreshold float64
+	ErrorThreshold float64 `domain:">=0|-1"`
 	// UnhealthyAfter is the number of consecutive bad probes before a
 	// serving region is drained (2 when zero).
-	UnhealthyAfter int
+	UnhealthyAfter int `domain:">=0"`
 	// HealthyAfter is the number of consecutive good probes before a
 	// drained region serves again (4 when zero).
-	HealthyAfter int
+	HealthyAfter int `domain:">=0"`
 	// RTT seeds the latency estimates: milliseconds from a population
 	// stream (key) to each region, columns in deployment order.  Streams
 	// without a row start from a uniform 50 ms prior.  Any non-empty matrix
 	// makes the deployment latency-aware (completions are observed and the
 	// network round trips are simulated) even under a non-latency policy,
 	// so policies can be compared on the same network.
-	RTT map[string][]float64
+	RTT map[string][]float64 `domain:">=0"`
 	// LatencyExponent is the proximity exponent k of the latency policy's
 	// weights (capacity / RTT^k).  0 means unset (1 applies).
-	LatencyExponent float64
+	LatencyExponent float64 `domain:">=0"`
 	// LatencyAlpha is the EWMA smoothing factor folding each probe
 	// interval's observed mean RTT into a lane's estimate.  0 means unset
-	// (0.3 applies); must lie in [0, 1].
-	LatencyAlpha float64
+	// (0.3 applies).
+	LatencyAlpha float64 `domain:"[0,1]"`
 }
 
 // Enabled reports whether the configuration selects a director.
@@ -447,34 +446,20 @@ func preferenceOrder(preference, regions []string) ([]int, error) {
 // defaults are applied, so the threshold sentinels are still
 // distinguishable.
 func validateConfig(cfg Config, regions, streams []string) error {
+	if err := validate.Struct("gslb", &cfg); err != nil {
+		return err
+	}
 	if len(cfg.Weights) > 0 {
 		if len(cfg.Weights) != len(regions) {
 			return validate.Fieldf("gslb", "Weights", "has %d static weights for %d regions", len(cfg.Weights), len(regions))
 		}
 		positive := false
-		for i, w := range cfg.Weights {
-			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-				return validate.Fieldf("gslb", fmt.Sprintf("Weights[%d]", i), "= %v; weights must be finite and non-negative", w)
-			}
-			if w > 0 {
-				positive = true
-			}
+		for _, w := range cfg.Weights {
+			positive = positive || w > 0
 		}
 		if !positive {
 			return validate.Fieldf("gslb", "Weights", "must contain at least one positive entry")
 		}
-	}
-	if t := cfg.CapacityThreshold; t != DisabledThreshold && (math.IsNaN(t) || t < 0) {
-		return validate.Fieldf("gslb", "CapacityThreshold", "= %v; must be >= 0 or DisabledThreshold (-1)", t)
-	}
-	if t := cfg.ErrorThreshold; t != DisabledThreshold && (math.IsNaN(t) || t < 0) {
-		return validate.Fieldf("gslb", "ErrorThreshold", "= %v; must be >= 0 or DisabledThreshold (-1)", t)
-	}
-	if k := cfg.LatencyExponent; math.IsNaN(k) || math.IsInf(k, 0) || k < 0 {
-		return validate.Fieldf("gslb", "LatencyExponent", "= %v; must be finite and >= 0", k)
-	}
-	if a := cfg.LatencyAlpha; math.IsNaN(a) || a < 0 || a > 1 {
-		return validate.Fieldf("gslb", "LatencyAlpha", "= %v; must lie in [0, 1]", a)
 	}
 	if len(cfg.RTT) > 0 {
 		known := make(map[string]bool, len(streams))
@@ -487,11 +472,6 @@ func validateConfig(cfg Config, regions, streams []string) error {
 			}
 			if len(row) != len(regions) {
 				return validate.Fieldf("gslb", fmt.Sprintf("RTT[%q]", name), "has %d entries for %d regions", len(row), len(regions))
-			}
-			for r, ms := range row {
-				if math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 {
-					return validate.Fieldf("gslb", fmt.Sprintf("RTT[%q][%d]", name, r), "= %v; must be finite and >= 0", ms)
-				}
 			}
 		}
 	}

@@ -137,59 +137,34 @@ func (OraclePredictor) ReadsFeatures() features.Mask {
 type Config struct {
 	// RTTFThreshold is the predicted-RTTF threshold (seconds) below which the
 	// VMC proactively rejuvenates an ACTIVE VM and activates a STANDBY one.
-	RTTFThreshold float64
+	RTTFThreshold float64 `domain:">=0"`
 	// ControlInterval is the period of the VMC's local monitor/analyze step.
-	ControlInterval simclock.Duration
+	ControlInterval simclock.Duration `domain:">=0"`
 	// ResponseTimeThreshold is the predicted response-time threshold (seconds)
 	// above which the VMC adds VMs to the active pool (the ADDVMS action of
 	// Algorithm 3).  The paper uses a 1-second SLA.
-	ResponseTimeThreshold float64
+	ResponseTimeThreshold float64 `domain:">=0"`
 	// MinActive is the minimum number of ACTIVE VMs the elasticity controller
 	// keeps.
-	MinActive int
+	MinActive int `domain:">=0"`
 	// TargetActive is the number of ACTIVE VMs the controller maintains: when
 	// failures or rejuvenations shrink the active pool below the target and
 	// healthy standby VMs are available, the control tick promotes standbys
 	// until the target is reached again.  Zero means "the number of VMs that
 	// were active when the controller started".
-	TargetActive int
+	TargetActive int `domain:">=0"`
 	// ScaleDownRMTTF: when the region's RMTTF exceeds this threshold
 	// (seconds) and more than MinActive VMs are active, one VM is deactivated
 	// (the "deactivate some active VMs" branch of Section V).  Zero disables
 	// scale-down.
-	ScaleDownRMTTF float64
+	ScaleDownRMTTF float64 `domain:">=0"`
 	// ElasticityEnabled turns the ADDVMS / scale-down logic on.
 	ElasticityEnabled bool
 	// RMTTFBeta is the smoothing factor applied to the locally computed
 	// region RMTTF before it is reported to the leader (the paper smooths at
 	// the leader with equation 1; smoothing locally as well keeps the local
 	// elasticity decisions from reacting to single-sample noise).
-	RMTTFBeta float64
-}
-
-// validate rejects, by field name, an RMTTFBeta outside (0, 1] and a
-// negative or NaN value of any other numeric field.  Zero is never an
-// error: it selects the field's default.
-func (c Config) validate() error {
-	if c.RMTTFBeta != 0 && !(c.RMTTFBeta > 0 && c.RMTTFBeta <= 1) {
-		return validate.Fieldf("pcam", "RMTTFBeta", "%v outside (0, 1]", c.RMTTFBeta)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"RTTFThreshold", c.RTTFThreshold},
-		{"ControlInterval", c.ControlInterval.Seconds()},
-		{"ResponseTimeThreshold", c.ResponseTimeThreshold},
-		{"MinActive", float64(c.MinActive)},
-		{"TargetActive", float64(c.TargetActive)},
-		{"ScaleDownRMTTF", c.ScaleDownRMTTF},
-	} {
-		if !(f.v >= 0) {
-			return validate.Fieldf("pcam", f.name, "must be >= 0, got %v", f.v)
-		}
-	}
-	return nil
+	RMTTFBeta float64 `domain:"[0,1]"`
 }
 
 // withDefaults fills the zero fields of a validated config.
@@ -279,7 +254,7 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 	if predictor == nil {
 		return nil, fmt.Errorf("pcam: nil predictor")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := validate.Struct("pcam", &cfg); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()

@@ -38,9 +38,9 @@ const (
 // RateStep is one segment of a piecewise-constant rate function.
 type RateStep struct {
 	// Duration is how long the step lasts.
-	Duration simclock.Duration
+	Duration simclock.Duration `domain:">=0"`
 	// Rate is the arrival rate (requests per second) during the step.
-	Rate float64
+	Rate float64 `domain:">=0"`
 }
 
 // RateSpec is a plain-data description of a rate function λ(t), chosen so
@@ -51,22 +51,25 @@ type RateSpec struct {
 	// RatePiecewise.
 	Kind string
 	// Rate is the constant rate (RateConstant).
-	Rate float64
+	Rate float64 `domain:">=0"`
 	// Base and Amplitude parameterise the sinusoid (RateSinusoid); the rate
 	// is clamped at zero, so Amplitude > Base yields quiet troughs.
-	Base      float64
-	Amplitude float64
+	Base      float64 `domain:">=0"`
+	Amplitude float64 `domain:">=0"`
 	// Period and Phase set the sinusoid's cycle length and offset; staggering
 	// Phase across client geographies makes their peaks land at different
 	// times.
-	Period simclock.Duration
-	Phase  simclock.Duration
+	Period simclock.Duration `domain:">=0"`
+	Phase  simclock.Duration `domain:">=0"`
 	// Steps is the piecewise-constant profile (RatePiecewise), cycled.
 	Steps []RateStep
 }
 
 // Validate rejects specs the generator cannot sample from.
 func (s RateSpec) Validate() error {
+	if err := validate.Struct("workload", &s); err != nil {
+		return err
+	}
 	switch s.Kind {
 	case RateConstant:
 		if s.Rate <= 0 {
@@ -75,9 +78,6 @@ func (s RateSpec) Validate() error {
 	case RateSinusoid:
 		if s.Base <= 0 {
 			return validate.Fieldf("workload", "Base", "(sinusoid) must be positive, got %v", s.Base)
-		}
-		if s.Amplitude < 0 {
-			return validate.Fieldf("workload", "Amplitude", "(sinusoid) must be non-negative, got %v", s.Amplitude)
 		}
 		if s.Period <= 0 {
 			return validate.Fieldf("workload", "Period", "(sinusoid) must be positive, got %v", s.Period)
@@ -90,9 +90,6 @@ func (s RateSpec) Validate() error {
 		for i, st := range s.Steps {
 			if st.Duration <= 0 {
 				return validate.Fieldf("workload", fmt.Sprintf("Steps[%d].Duration", i), "must be positive, got %v", st.Duration)
-			}
-			if st.Rate < 0 {
-				return validate.Fieldf("workload", fmt.Sprintf("Steps[%d].Rate", i), "must be non-negative, got %v", st.Rate)
 			}
 			if st.Rate > 0 {
 				positive = true

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -33,6 +34,38 @@ func TestRateSpecValidate(t *testing.T) {
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("case %d: Validate rejected %+v: %v", i, s, err)
+		}
+	}
+}
+
+// TestRateSpecValidateRejectsNonFinite: a NaN rate once passed Validate and
+// panicked the event queue with a NaN timestamp, and a +Inf rate hung the
+// run; every NaN or infinite field is rejected by name, whichever Kind
+// reads it.  The specs are only validated, never run.
+func TestRateSpecValidateRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*RateSpec, float64)
+	}{
+		{"Rate", func(s *RateSpec, x float64) { s.Kind, s.Rate = RateConstant, x }},
+		{"Base", func(s *RateSpec, x float64) { s.Base = x }},
+		{"Amplitude", func(s *RateSpec, x float64) { s.Amplitude = x }},
+		{"Period", func(s *RateSpec, x float64) { s.Period = simclock.Duration(x) }},
+		{"Phase", func(s *RateSpec, x float64) { s.Phase = simclock.Duration(x) }},
+		{"Steps[1].Duration", func(s *RateSpec, x float64) {
+			s.Kind, s.Steps = RatePiecewise, []RateStep{{Duration: 60, Rate: 2}, {Duration: simclock.Duration(x), Rate: 1}}
+		}},
+		{"Steps[0].Rate", func(s *RateSpec, x float64) {
+			s.Kind, s.Steps = RatePiecewise, []RateStep{{Duration: 60, Rate: x}}
+		}},
+	} {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := RateSpec{Kind: RateSinusoid, Base: 6, Amplitude: 4, Period: simclock.Hour}
+			tc.set(&s, x)
+			want := "workload: " + tc.field + " must be >= 0, got "
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v: got error %v, want %q", tc.field, x, err, want)
+			}
 		}
 	}
 }

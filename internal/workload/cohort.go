@@ -43,7 +43,8 @@ type CohortConfig struct {
 	// Region is the region the clients connect to; it labels the
 	// population's metrics and traces.
 	Region string
-	// Clients is the number of effective clients, tracers included.
+	// Clients is the number of effective clients, tracers included; like
+	// TracerFraction, it comes from an acm.Config that NewManager checked.
 	Clients int
 	// Mix is the interaction mix (BrowsingMix when zero-valued).
 	Mix Mix
@@ -57,9 +58,10 @@ type CohortConfig struct {
 	// (64 when zero).  Smaller batches spread load across more VMs at more
 	// events per tick.
 	MaxBatch int
-	// TracerFraction is the fraction of Clients simulated individually to
-	// feed the response-time series.  Zero means no tracers (aggregate
-	// counters only); any positive fraction keeps at least one tracer.
+	// TracerFraction, in [0, 1], is the fraction of Clients simulated
+	// individually to feed the response-time series.  Zero means no tracers
+	// (aggregate counters only); any positive fraction keeps at least one
+	// tracer.
 	TracerFraction float64
 	// RampUp spreads the tracer browser starts over this window.  The cohort
 	// itself needs no ramp: the binomial split starts at the steady-state
@@ -80,9 +82,6 @@ type CohortConfig struct {
 
 // withDefaults fills zero fields.
 func (c CohortConfig) withDefaults() CohortConfig {
-	if c.Clients < 0 {
-		c.Clients = 0
-	}
 	if c.Mix.Name == "" {
 		c.Mix = BrowsingMix()
 	}
@@ -94,12 +93,6 @@ func (c CohortConfig) withDefaults() CohortConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.TracerFraction < 0 {
-		c.TracerFraction = 0
-	}
-	if c.TracerFraction > 1 {
-		c.TracerFraction = 1
 	}
 	if c.IDPrefix == "" {
 		c.IDPrefix = c.Region + "-tracer"
@@ -144,9 +137,6 @@ func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) 
 	tracerCount := int(math.Round(float64(cfg.Clients) * cfg.TracerFraction))
 	if cfg.TracerFraction > 0 && tracerCount == 0 && cfg.Clients > 0 {
 		tracerCount = 1
-	}
-	if tracerCount > cfg.Clients {
-		tracerCount = cfg.Clients
 	}
 	c := &CohortPopulation{
 		cfg:    cfg,

@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/simclock"
 	"repro/internal/validate"
@@ -26,11 +25,11 @@ type Interaction struct {
 	// Name is the TPC-W interaction name, e.g. "home" or "best_sellers".
 	Name string
 	// Weight is the relative frequency of the interaction in a mix.
-	Weight float64
+	Weight float64 `domain:">=0"`
 	// ServiceFactor scales the base service demand of a VM for this
 	// interaction: database-heavy interactions (best sellers, searches,
 	// admin confirm) cost several times a plain home-page hit.
-	ServiceFactor float64
+	ServiceFactor float64 `domain:">0"`
 }
 
 // The 14 TPC-W web interactions with service-demand factors reflecting how
@@ -162,6 +161,9 @@ func (p *Picker) Pick(rng *simclock.RNG) Interaction {
 // entries, every entry is named with a finite non-negative weight and a
 // positive finite service factor, and at least one weight is positive.
 func (m Mix) Validate() error {
+	if err := validate.Struct("workload", &m); err != nil {
+		return err
+	}
 	if m.Name == "" {
 		return validate.Fieldf("workload", "Mix.Name", "is empty")
 	}
@@ -170,15 +172,8 @@ func (m Mix) Validate() error {
 	}
 	positive := false
 	for i, e := range m.Entries {
-		field := fmt.Sprintf("Mix.Entries[%d]", i)
 		if e.Name == "" {
-			return validate.Fieldf("workload", field+".Name", "of mix %q is empty", m.Name)
-		}
-		if math.IsNaN(e.Weight) || e.Weight < 0 || math.IsInf(e.Weight, 1) {
-			return validate.Fieldf("workload", field+".Weight", "(%s in mix %q) must be finite and >= 0, got %v", e.Name, m.Name, e.Weight)
-		}
-		if !(e.ServiceFactor > 0) || math.IsInf(e.ServiceFactor, 1) {
-			return validate.Fieldf("workload", field+".ServiceFactor", "(%s in mix %q) must be positive and finite, got %v", e.Name, m.Name, e.ServiceFactor)
+			return validate.Fieldf("workload", fmt.Sprintf("Mix.Entries[%d].Name", i), "of mix %q is empty", m.Name)
 		}
 		positive = positive || e.Weight > 0
 	}
