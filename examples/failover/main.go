@@ -11,6 +11,9 @@
 //     remaining controllers elect a new leader and the control loop keeps
 //     running; the original leader resumes after recovery.
 //
+// The link and controller failures are schedule data in the config
+// (acm.Config.OverlayFaults and ControllerFaults), like every other fault.
+//
 // Run with:
 //
 //	go run ./examples/failover
@@ -38,28 +41,32 @@ func main() {
 		Policy:          core.AvailableResources{},
 		ControlInterval: 60 * simclock.Second,
 	}
-	// Fault injection and engine scheduling are simulator-specific surfaces,
-	// so this example constructs through the backend seam and unwraps: a live
-	// backend would have no counterpart for InjectLinkFailure.
-	b, err := backend.NewSimulated(cfg)
+	// The controller fault targets the initial leader, which the election
+	// picks when the deployment is built: build it once to learn the
+	// leader, then add the fault schedule to the config.
+	plain, err := acm.NewManager(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr := b.Manager()
-
-	initialLeader, _ := mgr.Cluster().GlobalLeader()
+	initialLeader, _ := plain.Cluster().GlobalLeader()
 	fmt.Println("initial leader VMC:", initialLeader)
 
-	// Inject the fault schedule before starting the run.
 	fmt.Println("fault schedule:")
 	fmt.Println("  t=15min  overlay link region1-region3 fails (reroute via transit/Frankfurt)")
 	fmt.Println("  t=20min  leader controller fails (re-election expected)")
 	fmt.Println("  t=35min  leader controller recovers")
 	fmt.Println("  t=40min  overlay link region1-region3 recovers")
-	mgr.InjectLinkFailure(15*simclock.Minute, "region1", "region3")
-	mgr.InjectControllerFailure(20*simclock.Minute, initialLeader)
-	mgr.InjectControllerRecovery(35*simclock.Minute, initialLeader)
-	mgr.InjectLinkRecovery(40*simclock.Minute, "region1", "region3")
+	cfg.OverlayFaults = []acm.OverlayFault{{A: "region1", B: "region3", At: 15 * simclock.Minute, Duration: 25 * simclock.Minute}}
+	cfg.ControllerFaults = []acm.ControllerFault{{Region: initialLeader, At: 20 * simclock.Minute, Duration: 15 * simclock.Minute}}
+
+	// The probes below schedule on the simulator's control timeline, a
+	// simulator-specific surface, so this example constructs through the
+	// backend seam and unwraps.
+	b, err := backend.NewSimulated(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr := b.Manager()
 
 	// Observe the overlay route before/after the link failure by probing at
 	// specific times.
@@ -91,7 +98,8 @@ func main() {
 	fmt.Println("  control eras executed: ", final.Eras)
 	fmt.Println("  elections run:         ", final.Elections)
 	fmt.Println("  final leader:          ", final.Leader)
-	for name, s := range final.VMCStats {
+	for _, name := range final.RegionNames {
+		s := final.VMCStats[name]
 		fmt.Printf("  %s: proactive rejuvenations=%d reactive recoveries=%d activations=%d\n",
 			name, s.ProactiveRejuvenations, s.ReactiveRecoveries, s.Activations)
 	}

@@ -54,7 +54,8 @@ func main() {
 	fmt.Println("installed fractions:    ", fmtFractions(final.RegionNames, final.FinalFractions))
 	fmt.Println("smoothed RMTTF:         ", b.Manager().Loop().Aggregator().String())
 	fmt.Println("leader controller:      ", final.Leader)
-	for name, s := range final.VMCStats {
+	for _, name := range final.RegionNames {
+		s := final.VMCStats[name]
 		fmt.Printf("%s: proactive rejuvenations=%d reactive recoveries=%d\n",
 			name, s.ProactiveRejuvenations, s.ReactiveRecoveries)
 	}

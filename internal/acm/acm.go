@@ -181,6 +181,12 @@ type Config struct {
 	// PartitionFaults scripts replica-set splits of the gossip plane on the
 	// control timeline (see PartitionFault).  Requires GossipReplicas >= 2.
 	PartitionFaults []PartitionFault
+	// ControllerFaults scripts region-controller failures (see
+	// ControllerFault), the stimulus the leader election responds to.
+	ControllerFaults []ControllerFault
+	// OverlayFaults scripts overlay-link failures (see OverlayFault), the
+	// stimulus the overlay's rerouting responds to.
+	OverlayFaults []OverlayFault
 	// TraceSampleFraction enables the deterministic request-span layer
 	// (internal/tracing): this fraction of every client stream's requests is
 	// sampled into per-request traces spanning issue, routing, mailbox hops,
@@ -330,10 +336,16 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.regionIndex[name] = i
 	}
 
-	// Global-traffic wiring: validate the global/fault configuration and
-	// build the traffic director.  The per-lane global populations and
+	// The controller overlay: the fault schedule names its nodes and links.
+	m.net = defaultOverlay(names)
+
+	// Global-traffic wiring: validate the global and fault configuration
+	// and build the traffic director.  The per-lane global populations and
 	// arrival streams are assembled with the event loop below.
 	if err := m.validateGlobal(); err != nil {
+		return nil, err
+	}
+	if err := m.validateFaults(); err != nil {
 		return nil, err
 	}
 	if err := m.buildDirector(); err != nil {
@@ -343,8 +355,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	// registry is assembled right after the global wiring.
 	m.buildMetrics()
 
-	// Overlay + leader election among the controllers.
-	m.net = defaultOverlay(names)
+	// Leader election among the controllers.
 	members := make([]election.Member, 0, len(names))
 	for _, r := range m.regions {
 		members = append(members, election.Member{Name: r.Name(), Priority: len(r.VMs())})
@@ -372,7 +383,7 @@ func NewManager(cfg Config) (*Manager, error) {
 
 	// Assemble the sharded event loop last: it needs the regions, VMCs,
 	// overlay and initial plan.  The control timeline becomes the Manager's
-	// engine, so fault injection and the control-era ticker land on the
+	// engine, so the fault windows and the control-era ticker land on the
 	// timeline that fires at epoch barriers.
 	m.el = newEventLoop(m)
 	m.eng = m.el.se.Control()
@@ -503,8 +514,8 @@ func (m *Manager) entrySharesFromClients() []float64 {
 	return core.Normalize(out)
 }
 
-// Engine exposes the simulation engine (tests and examples schedule fault
-// injection through it).
+// Engine exposes the control timeline (tests and examples schedule probes
+// on it).
 func (m *Manager) Engine() *simclock.Engine { return m.eng }
 
 // Tracer returns the deployment's request-span tracer (nil unless
@@ -583,8 +594,6 @@ func (m *Manager) Start() {
 	m.el.start()
 	m.startDirector()
 	m.scheduleFaults()
-	m.scheduleLinkFaults()
-	m.schedulePartitionFaults()
 	m.stopLoop = m.eng.Ticker(m.cfg.ControlInterval, func(eng *simclock.Engine) { m.controlEra(eng) })
 }
 
@@ -745,38 +754,6 @@ func (m *Manager) intervalResponseTime(met *workload.Metrics) float64 {
 		return mean
 	}
 	return dTotal / float64(dCount)
-}
-
-// InjectLinkFailure fails the overlay link between two controllers at the
-// given simulated time and triggers a re-election (the overlay reroutes
-// control traffic automatically).
-func (m *Manager) InjectLinkFailure(at simclock.Duration, a, b string) {
-	m.eng.ScheduleFunc(at, func(*simclock.Engine) {
-		m.cluster.ReportLinkFailure(a, b)
-	})
-}
-
-// InjectLinkRecovery restores the overlay link at the given time.
-func (m *Manager) InjectLinkRecovery(at simclock.Duration, a, b string) {
-	m.eng.ScheduleFunc(at, func(*simclock.Engine) {
-		m.cluster.ReportLinkRecovery(a, b)
-	})
-}
-
-// InjectControllerFailure marks a region's controller as failed at the given
-// time: it stops participating in the election (a new leader is elected if it
-// was leading) and becomes unreachable for RMTTF reports until recovered.
-func (m *Manager) InjectControllerFailure(at simclock.Duration, region string) {
-	m.eng.ScheduleFunc(at, func(*simclock.Engine) {
-		m.cluster.ReportNodeFailure(region)
-	})
-}
-
-// InjectControllerRecovery revives a failed controller at the given time.
-func (m *Manager) InjectControllerRecovery(at simclock.Duration, region string) {
-	m.eng.ScheduleFunc(at, func(*simclock.Engine) {
-		m.cluster.ReportNodeRecovery(region)
-	})
 }
 
 // RegionStats returns the per-region simulator statistics.

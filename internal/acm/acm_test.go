@@ -222,7 +222,12 @@ func TestManagerForwardsRequestsAcrossRegions(t *testing.T) {
 }
 
 func TestManagerLeaderElectionAndFailover(t *testing.T) {
-	m, err := NewManager(smallConfig(13, core.SensibleRouting{}))
+	cfg := smallConfig(13, core.SensibleRouting{})
+	// Fail the leader controller mid-run and recover it later.  Also fail
+	// one overlay link; the overlay must reroute without killing the run.
+	cfg.ControllerFaults = []ControllerFault{{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute}}
+	cfg.OverlayFaults = []OverlayFault{{A: "region1", B: "region3", At: 12 * simclock.Minute, Duration: 6 * simclock.Minute}}
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -235,19 +240,12 @@ func TestManagerLeaderElectionAndFailover(t *testing.T) {
 		t.Fatalf("initial leader = %q, want region1", initialLeader)
 	}
 
-	// Fail the leader controller mid-run and recover it later.
-	m.InjectControllerFailure(10*simclock.Minute, initialLeader)
-	m.InjectControllerRecovery(20*simclock.Minute, initialLeader)
-	// Also fail one overlay link; the overlay must reroute without killing
-	// the run.
-	m.InjectLinkFailure(12*simclock.Minute, "region1", "region3")
-	m.InjectLinkRecovery(18*simclock.Minute, "region1", "region3")
-
 	if err := m.Run(30 * simclock.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.Cluster().Elections() < 5 {
-		t.Fatalf("failures should have triggered re-elections, got %d", m.Cluster().Elections())
+	// One election at construction, then one per failure and per recovery.
+	if got := m.Cluster().Elections(); got != 5 {
+		t.Fatalf("elections = %d, want 5 (construction plus four fault edges)", got)
 	}
 	leader, ok := m.Cluster().GlobalLeader()
 	if !ok || leader != initialLeader {
@@ -469,12 +467,16 @@ func TestCutOverlayStopsForwarding(t *testing.T) {
 			ControlInterval: 60 * simclock.Second,
 			EventWorkers:    workers,
 		}
+		const cut = 15 * simclock.Minute
+		cfg.OverlayFaults = []OverlayFault{{A: "east", B: "west", At: cut}}
 		m, err := NewManager(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: NewManager: %v", workers, err)
 		}
-		const cut = 15 * simclock.Minute
-		m.InjectLinkFailure(cut, "east", "west")
+		// The probe is scheduled before Run and the fault window is armed
+		// in Start, so at the instant of the cut the probe fires first.  Both
+		// are control events of one barrier, between which no lane runs, so
+		// the probe reads the counters as they stand at the cut.
 		var forwardedAtCut, localAtCut uint64
 		m.Engine().ScheduleFunc(cut, func(*simclock.Engine) {
 			forwardedAtCut, localAtCut = m.ForwardedRequests(), m.LocalRequests()

@@ -2,8 +2,7 @@
 // attaches client populations and open-loop arrival streams *globally* —
 // to the health plane (a gossip.Plane of one or more gslb.Director replicas)
 // that picks the serving region per request — instead of pinning them to
-// one region, plus the scripted region-outage schedule that gives the
-// director's health-driven failover something to react to.
+// one region.  The scripted faults the director reacts to are in faults.go.
 //
 // Determinism: global routing crosses region sub-engines, so it rides the
 // event loop's mailbox machinery.  The plane's probe and gossip rounds run
@@ -37,62 +36,6 @@ type ArrivalSetup struct {
 	// attaches the stream to the global traffic director, which requires
 	// Config.GSLB to be enabled.
 	Region string
-}
-
-// RegionFault scripts one region outage for failover experiments: at time At
-// the region's controller target is forced down to KeepActive ACTIVE VMs
-// (the excess deactivates immediately, in-flight requests drain), and after
-// Duration the previous target is restored so the next control tick
-// repromotes the pool.  KeepActive = 0 blacks the region out completely.
-type RegionFault struct {
-	// Region names the region to fault.
-	Region string
-	// At is when the outage starts.
-	At simclock.Duration `domain:">=0"`
-	// Duration is how long the outage lasts; zero makes it permanent.
-	Duration simclock.Duration `domain:">=0"`
-	// KeepActive is the number of ACTIVE VMs left during the outage.
-	KeepActive int `domain:">=0"`
-}
-
-// LinkFault scripts one network-path degradation for latency-routing
-// experiments: at time At the ground-truth round trip between one population
-// stream and one region is multiplied by Factor (2 = the classic submarine
-// cable cut forcing traffic the long way round), and after Duration the
-// previous value is restored; zero Duration makes the cut permanent.  The
-// director is never told — it learns the new RTT passively from observed
-// completions, which is exactly the traffic shift the cable-cut scenarios
-// pin.  Requires a latency-aware GSLB config with an RTT row for Stream.
-type LinkFault struct {
-	// Stream names the population stream whose path degrades ("global" for
-	// the director-attached browsers/cohorts, or a global arrival name).
-	Stream string
-	// Region names the region at the far end of the path.
-	Region string
-	// At is when the degradation starts.
-	At simclock.Duration `domain:">=0"`
-	// Duration is how long it lasts; zero makes it permanent.
-	Duration simclock.Duration `domain:">=0"`
-	// Factor multiplies the path's RTT (2 doubles it, 0.5 would model a
-	// better route coming up).
-	Factor float64 `domain:">0"`
-}
-
-// PartitionFault scripts one network partition of the gossip health plane:
-// at time At the listed replicas are cut off from the rest (cross-side
-// gossip messages are dropped), and after Duration the plane heals and the
-// sides reconcile.  During the cut each side keeps converging internally,
-// so lanes homed to the isolated replicas route on views frozen at the
-// split — the split-brain behaviour the global-partition scenario pins.
-// Zero Duration makes the partition permanent.
-type PartitionFault struct {
-	// At is when the partition starts.
-	At simclock.Duration `domain:">=0"`
-	// Duration is how long it lasts; zero makes it permanent.
-	Duration simclock.Duration `domain:">=0"`
-	// Replicas lists the replica indices forming the isolated side; the
-	// remaining replicas form the other.  Both sides must be non-empty.
-	Replicas []int `domain:">=0"`
 }
 
 // validateGlobal rejects configurations the global-traffic wiring cannot
@@ -142,49 +85,7 @@ func (m *Manager) validateGlobal() error {
 			return validate.Fieldf("acm", fmt.Sprintf("Arrivals[%d].Region", i), "pins stream %q to unknown region %q", a.Name, a.Region)
 		}
 	}
-	for i, f := range cfg.Faults {
-		if _, ok := m.regionIndex[f.Region]; !ok {
-			return validate.Fieldf("acm", fmt.Sprintf("Faults[%d].Region", i), "names unknown region %q", f.Region)
-		}
-		// Overlapping outages on one region would interleave their
-		// force/restore pairs: the earlier fault's restore would end the
-		// later outage early and the later restore would reinstate a stale
-		// target.
-		for j, g := range cfg.Faults[:i] {
-			if g.Region == f.Region && windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
-				return validate.Fieldf("acm", "Faults", "%d and %d overlap on region %s (a permanent fault conflicts with any later one)", j, i, f.Region)
-			}
-		}
-	}
-	if len(cfg.LinkFaults) > 0 && !cfg.GSLB.LatencyAware() {
-		return validate.Fieldf("acm", "LinkFaults", "require a latency-aware GSLB config (latency policy or an RTT matrix)")
-	}
-	if err := m.validateGossip(); err != nil {
-		return err
-	}
-	streamKnown := map[string]bool{}
-	for _, s := range m.globalStreamNames() {
-		streamKnown[s] = true
-	}
-	for i, f := range cfg.LinkFaults {
-		if !streamKnown[f.Stream] {
-			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d].Stream", i), "names unknown population stream %q", f.Stream)
-		}
-		if _, ok := m.regionIndex[f.Region]; !ok {
-			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d].Region", i), "names unknown region %q", f.Region)
-		}
-		if len(cfg.GSLB.RTT[f.Stream]) == 0 {
-			return validate.Fieldf("acm", fmt.Sprintf("LinkFaults[%d]", i), "degrades stream %q, which has no GSLB.RTT row (the ground-truth path would stay at 0 ms)", f.Stream)
-		}
-		// Like region faults, overlapping degradations of one path would
-		// interleave their scale/restore pairs and reinstate stale values.
-		for j, g := range cfg.LinkFaults[:i] {
-			if g.Stream == f.Stream && g.Region == f.Region && windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
-				return validate.Fieldf("acm", "LinkFaults", "%d and %d overlap on %s:%s (a permanent fault conflicts with any later one)", j, i, f.Stream, f.Region)
-			}
-		}
-	}
-	return nil
+	return m.validateGossip()
 }
 
 // validateMix rejects an interaction mix a client population could not draw
@@ -230,54 +131,7 @@ func (m *Manager) validateGossip() error {
 	if cfg.GSLB.LatencyAware() {
 		return validate.Fieldf("acm", "GossipReplicas", "= %d cannot run a latency-aware GSLB config (its passive estimators learn from every lane); use one replica", cfg.GossipReplicas)
 	}
-	for i, f := range cfg.PartitionFaults {
-		if len(f.Replicas) == 0 || len(f.Replicas) >= cfg.GossipReplicas {
-			return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d].Replicas", i), "must isolate between 1 and %d replicas, got %d", cfg.GossipReplicas-1, len(f.Replicas))
-		}
-		seen := map[int]bool{}
-		for _, r := range f.Replicas {
-			if r >= cfg.GossipReplicas {
-				return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d].Replicas", i), "names replica %d outside [0, %d)", r, cfg.GossipReplicas)
-			}
-			if seen[r] {
-				return validate.Fieldf("acm", fmt.Sprintf("PartitionFaults[%d].Replicas", i), "lists replica %d twice", r)
-			}
-			seen[r] = true
-		}
-		// The plane holds one partition state, so concurrent splits would
-		// interleave their Isolate/Heal pairs like overlapping region faults.
-		for j, g := range cfg.PartitionFaults[:i] {
-			if windowsOverlap(g.At, g.Duration, f.At, f.Duration) {
-				return validate.Fieldf("acm", "PartitionFaults", "%d and %d overlap (a permanent partition conflicts with any later one)", j, i)
-			}
-		}
-	}
 	return nil
-}
-
-// windowsOverlap reports whether two scripted faults on one target, each
-// starting at At and restored Duration later (never, for a zero Duration),
-// conflict.  A permanent fault conflicts with any later one.  Back-to-back
-// faults (one starting the instant the other restores) conflict too: the
-// engine's same-timestamp FIFO order would run the second start before the
-// first restore.
-func windowsOverlap(aAt, aDur, bAt, bDur simclock.Duration) bool {
-	if bAt < aAt {
-		aAt, aDur, bAt = bAt, bDur, aAt
-	}
-	return aDur == 0 || bAt <= aAt+aDur
-}
-
-// scheduleWindow arms one scripted fault on the control timeline: start runs
-// at `at` and returns the restore, which runs dur later.  A zero dur makes
-// the fault permanent, and its restore never runs.
-func (m *Manager) scheduleWindow(at, dur simclock.Duration, start func() (restore func())) {
-	m.eng.ScheduleFunc(at, func(e *simclock.Engine) {
-		restore := start()
-		if dur > 0 {
-			e.ScheduleFunc(dur, func(*simclock.Engine) { restore() })
-		}
-	})
 }
 
 // globalStreamNames returns the director's population streams in deployment
@@ -336,47 +190,6 @@ func (m *Manager) startDirector() {
 		m.stopGossip = m.eng.Ticker(m.plane.Interval(), func(eng *simclock.Engine) {
 			m.plane.GossipTick(eng.Now())
 			m.el.installPlaneTables(m.plane)
-		})
-	}
-}
-
-// scheduleLinkFaults arms the scripted network-path degradations on the
-// control timeline.  Validation guaranteed a latency-aware GSLB deployment.
-func (m *Manager) scheduleLinkFaults() {
-	if len(m.cfg.LinkFaults) == 0 {
-		return
-	}
-	streamIndex := map[string]int{}
-	for i, s := range m.globalStreamNames() {
-		streamIndex[s] = i
-	}
-	for _, f := range m.cfg.LinkFaults {
-		s, r := streamIndex[f.Stream], m.regionIndex[f.Region]
-		m.scheduleWindow(f.At, f.Duration, func() func() {
-			prev := m.el.scaleLinkRTT(s, r, f.Factor)
-			return func() { m.el.setLinkRTT(s, r, prev) }
-		})
-	}
-}
-
-// schedulePartitionFaults arms the scripted gossip-plane splits on the
-// control timeline.
-func (m *Manager) schedulePartitionFaults() {
-	for _, f := range m.cfg.PartitionFaults {
-		m.scheduleWindow(f.At, f.Duration, func() func() {
-			m.plane.Isolate(f.Replicas)
-			return m.plane.Heal
-		})
-	}
-}
-
-// scheduleFaults arms the scripted region outages on the control timeline.
-func (m *Manager) scheduleFaults() {
-	for _, f := range m.cfg.Faults {
-		vmc := m.VMC(f.Region)
-		m.scheduleWindow(f.At, f.Duration, func() func() {
-			restore := vmc.ForceTargetActive(f.KeepActive)
-			return func() { vmc.RestoreTargetActive(restore) }
 		})
 	}
 }

@@ -71,6 +71,31 @@ func TestGSLBConfigValidation(t *testing.T) {
 				{Region: "region1", At: 30 * simclock.Minute, Duration: simclock.Minute},
 			}
 		}, "overlap"},
+		{"controller fault on unknown region", func(c *Config) {
+			c.ControllerFaults = []ControllerFault{{Region: "nowhere", At: simclock.Minute}}
+		}, `acm: ControllerFaults[0].Region names unknown region "nowhere"`},
+		{"controller fault on an overlay relay", func(c *Config) {
+			c.ControllerFaults = []ControllerFault{{Region: "transit-ams", At: simclock.Minute}}
+		}, `acm: ControllerFaults[0].Region names unknown region "transit-ams"`},
+		{"overlapping controller faults", func(c *Config) {
+			c.ControllerFaults = []ControllerFault{
+				{Region: "region3", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute},
+				{Region: "region1", At: 12 * simclock.Minute, Duration: 10 * simclock.Minute},
+				{Region: "region3", At: 20 * simclock.Minute, Duration: simclock.Minute},
+			}
+		}, "acm: ControllerFaults 0 and 2 overlap on controller region3"},
+		{"overlay fault on unknown node", func(c *Config) {
+			c.OverlayFaults = []OverlayFault{{A: "region1", B: "atlantis", At: simclock.Minute}}
+		}, `acm: OverlayFaults[0].B names unknown overlay node "atlantis"`},
+		{"overlay fault on a pair no link joins", func(c *Config) {
+			c.OverlayFaults = []OverlayFault{{A: "region3", B: "region3", At: simclock.Minute}}
+		}, "acm: OverlayFaults[0] names region3-region3, which no overlay link joins"},
+		{"overlapping overlay faults named both ways", func(c *Config) {
+			c.OverlayFaults = []OverlayFault{
+				{A: "region3", B: "transit-ams", At: 10 * simclock.Minute, Duration: 5 * simclock.Minute},
+				{A: "transit-ams", B: "region3", At: 12 * simclock.Minute, Duration: 5 * simclock.Minute},
+			}
+		}, "acm: OverlayFaults 0 and 1 overlap on link region3-transit-ams"},
 		{"link fault without latency-aware gslb", func(c *Config) {
 			c.GSLB = gslb.Config{Policy: gslb.PolicyRoundRobin}
 			c.GlobalClients = 8

@@ -218,9 +218,9 @@ func TestScenarioJSONCarriesEveryConfigField(t *testing.T) {
 // global-gossip (seed 42) before Scenario embedded acm.Config.  Embedding
 // moved keys around but renamed none, so it must load unchanged, and
 // today's dump must carry exactly its keys plus the three fields a file
-// could not set before.  RequestTimeout, one of the four such fields once,
-// is gone from acm.Config, so a file that sets it is rejected as an unknown
-// key.
+// could not set before and the two fault lists added since.
+// RequestTimeout, one of the four such fields once, is gone from
+// acm.Config, so a file that sets it is rejected as an unknown key.
 func TestScenarioFileCompatibility(t *testing.T) {
 	path := filepath.Join("testdata", "global-gossip-scenario.json")
 	got, err := LoadScenarioFile(path)
@@ -255,7 +255,7 @@ func TestScenarioFileCompatibility(t *testing.T) {
 	if err := SaveScenario(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	wantKeys := append(topKeys(old), "GlobalMix", "InitialAgeSpread", "MLProfile")
+	wantKeys := append(topKeys(old), "GlobalMix", "InitialAgeSpread", "MLProfile", "ControllerFaults", "OverlayFaults")
 	slices.Sort(wantKeys)
 	if gotKeys := topKeys(buf.Bytes()); !slices.Equal(gotKeys, wantKeys) {
 		t.Fatalf("dump keys %v\nwant %v", gotKeys, wantKeys)
@@ -289,6 +289,14 @@ func FuzzLoadScenario(f *testing.F) {
 	for _, v := range [][4]any{{7, 40, 1, 4}, {7, 40, 1, -1}, {7, -5, 1, 4}, {-1, 40, 1, 4}, {7, 40, cloudsim.MaxShards + 1, 4}} {
 		f.Add([]byte(fmt.Sprintf(minimal, v[:]...)))
 	}
+	// The paper's three regions with a controller failure and an overlay
+	// link cut, as the failover example schedules them.
+	f.Add([]byte(`{"Name":"failover","Regions":[` +
+		`{"Region":{"Name":"region1","Type":{"Name":"m3.medium","BaseServiceMs":40},"InitialActive":2},"Clients":8},` +
+		`{"Region":{"Name":"region2","Type":{"Name":"m3.small","BaseServiceMs":60},"InitialActive":2},"Clients":8},` +
+		`{"Region":{"Name":"region3","Type":{"Name":"private","BaseServiceMs":50},"InitialActive":2},"Clients":8}],` +
+		`"ControllerFaults":[{"Region":"region2","At":1200,"Duration":900}],` +
+		`"OverlayFaults":[{"A":"region1","B":"region3","At":900,"Duration":1500}]}`))
 	// A fuzzed scenario is only loaded and saved, never built or run: its
 	// client and VM counts are unbounded.
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -149,6 +149,12 @@ func scenarioHighlights(sc Scenario) []string {
 	if n := len(sc.PartitionFaults); n > 0 {
 		faults = append(faults, fmt.Sprintf("%d gossip partition(s)", n))
 	}
+	if n := len(sc.ControllerFaults); n > 0 {
+		faults = append(faults, fmt.Sprintf("%d controller failure(s)", n))
+	}
+	if n := len(sc.OverlayFaults); n > 0 {
+		faults = append(faults, fmt.Sprintf("%d overlay link failure(s)", n))
+	}
 	if len(faults) > 0 {
 		hl = append(hl, "faults: "+strings.Join(faults, ", "))
 	}

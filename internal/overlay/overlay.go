@@ -213,6 +213,12 @@ func (n *Network) AddLink(a, b string, latencyMs float64) error {
 	return nil
 }
 
+// HasLink reports whether a link joins a and b (failed or not).
+func (n *Network) HasLink(a, b string) bool {
+	_, ok := n.links[linkKey(a, b)]
+	return ok
+}
+
 // FailLink marks the link between a and b as failed; routes are recomputed
 // around it.  It reports whether such a link exists.
 func (n *Network) FailLink(a, b string) bool {

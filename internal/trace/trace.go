@@ -225,7 +225,7 @@ func ASCIIPlot(ss *stats.SeriesSet, opts PlotOptions) string {
 		default:
 			b.WriteString(strings.Repeat(" ", 10) + " |")
 		}
-		b.WriteString(string(row))
+		b.WriteString(strings.TrimRight(string(row), " "))
 		b.WriteByte('\n')
 	}
 	b.WriteString(strings.Repeat(" ", 11) + "+" + strings.Repeat("-", opts.Width) + "\n")
