@@ -382,3 +382,36 @@ func BenchmarkMixPick(b *testing.B) {
 		b.Fatal("no interaction drawn")
 	}
 }
+
+// benchPromotions is the number of standby promotions in one op.
+const benchPromotions = 10_000
+
+// BenchmarkStandbyPromotion is the VMC's standby promotion: one op makes
+// benchPromotions promotions, each reading every shard's first STANDBY VM
+// and ACTIVE count, activating the candidate of the shard with the fewest
+// ACTIVE VMs, and parking it again, so that every promotion sees the same
+// pool.
+func BenchmarkStandbyPromotion(b *testing.B) {
+	region := benchLayerRegion()
+	eng := simclock.NewEngine(42)
+	shards := region.NumShards()
+	promoted := 0
+	runPerUnit(b, "promotion", benchPromotions, func() {
+		for i := 0; i < benchPromotions; i++ {
+			var best *cloudsim.VM
+			bestActive := 0
+			for s := 0; s < shards; s++ {
+				cand, active := region.StandbyPromotionCandidate(s)
+				if cand != nil && (best == nil || active < bestActive) {
+					best, bestActive = cand, active
+				}
+			}
+			if best.Activate(eng) && best.Deactivate() {
+				promoted++
+			}
+		}
+	})
+	if promoted != b.N*benchPromotions {
+		b.Fatalf("%d of %d promotions found no STANDBY VM", b.N*benchPromotions-promoted, b.N*benchPromotions)
+	}
+}

@@ -152,19 +152,26 @@ func TestRunRejectsEventWorkersBelowKeep(t *testing.T) {
 }
 
 // TestRunRejectsOutOfDomainConfig: a scenario file with Clients -1 once
-// panicked in the population constructor (exit 2), and one with
-// BaseServiceMs -5 ran to a meaningless report; both are rejected by field
-// path when the file loads.  -dump-config makes a wrongly accepted file
+// panicked in the population constructor (exit 2), one with BaseServiceMs
+// -5 ran to a meaningless report, and one with an instance type of no
+// memory or no thread budget failed every VM on its first leak; all are
+// rejected by field path when the file loads.  -dump-config makes a wrongly accepted file
 // write the scenario and return instead of simulating.
 func TestRunRejectsOutOfDomainConfig(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		region, want string
 	}{
-		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","BaseServiceMs":40},"InitialActive":1},"Clients":-1}`,
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":40,"MaxThreads":2048},"InitialActive":1},"Clients":-1}`,
 			"experiment: Regions[0].Clients must be >= 0, got -1"},
-		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","BaseServiceMs":-5},"InitialActive":1},"Clients":8}`,
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":-5,"MaxThreads":2048},"InitialActive":1},"Clients":8}`,
 			"experiment: Regions[0].Region.Type.BaseServiceMs must be >= 0, got -5"},
+		// No memory or no thread budget: the VMs would fail on their first
+		// leak, since 0 selects no default.
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","BaseServiceMs":40,"MaxThreads":2048},"InitialActive":1},"Clients":8}`,
+			"experiment: Regions[0].Region.Type.MemoryMB must be > 0, got 0"},
+		{`{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":40},"InitialActive":1},"Clients":8}`,
+			"experiment: Regions[0].Region.Type.MaxThreads must be > 0, got 0"},
 	} {
 		path := filepath.Join(dir, "scenario.json")
 		if err := os.WriteFile(path, []byte(`{"Name":"bad","Regions":[`+tc.region+`]}`), 0o644); err != nil {

@@ -276,6 +276,7 @@ type Manager struct {
 // up front when PredictorML is selected (the paper's initial profiling
 // phase).
 func NewManager(cfg Config) (*Manager, error) {
+	cfg.MLProfile = cfg.MLProfile.WithDefaultInstance()
 	if err := validate.Struct("acm", &cfg); err != nil {
 		return nil, err
 	}

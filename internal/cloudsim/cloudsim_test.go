@@ -21,7 +21,7 @@ func testVMConfig() *VMConfig {
 func newTestVM(t *testing.T, id string) (*simclock.Engine, *VM) {
 	t.Helper()
 	eng := simclock.NewEngine(42)
-	vm := NewVM(id, testVMConfig(), eng.RNG().Fork())
+	vm := NewVM(id, testVMConfig(), eng.RNG().ForkValue())
 	return eng, vm
 }
 
@@ -217,7 +217,7 @@ func TestPrepareBatchesKeepsDraws(t *testing.T) {
 			t.Fatalf("%s: prepared leaked %v MB, %d threads, %d events; unprepared %v MB, %d threads, %d events",
 				vm.ID(), vm.leakedMB, vm.zombieThreads, vm.intervalAnomaly, ref.leakedMB, ref.zombieThreads, ref.intervalAnomaly)
 		}
-		if vm.rng.Uint64() != ref.rng.Uint64() {
+		if vm.Stream().Uint64() != ref.Stream().Uint64() {
 			t.Fatalf("%s: the prepared VM's stream diverged", vm.ID())
 		}
 	}
@@ -228,7 +228,7 @@ func TestVMReachesFailurePointUnderSustainedLoad(t *testing.T) {
 	cfg := testVMConfig()
 	// Use the small private VM so the memory budget is exhausted quickly.
 	cfg.Type = PrivateVM
-	vm := NewVM("vm1", cfg, eng.RNG().Fork())
+	vm := NewVM("vm1", cfg, eng.RNG().ForkValue())
 	vm.Activate(eng)
 
 	var failedAt simclock.Time
@@ -430,8 +430,8 @@ func TestSampleMaskKeepsRNGStream(t *testing.T) {
 			// before, between and after them.
 			run := func(mask features.Mask) ([2]features.Vector, *simclock.RNG, [3]simclock.RNG) {
 				eng := simclock.NewEngine(42)
-				rng := simclock.NewRNG(9)
-				vm := NewVM("vm1", testVMConfig(), rng)
+				vm := NewVM("vm1", testVMConfig(), *simclock.NewRNG(9))
+				rng := vm.Stream()
 				vm.leakedMB = tc.leakedMB
 				vm.Activate(eng)
 				for i := 0; i < 50; i++ {
@@ -626,7 +626,7 @@ func TestPaperRegionConfigPanicsOnUnknown(t *testing.T) {
 // VM.
 func TestHealthAndDegradationBoundsProperty(t *testing.T) {
 	f := func(leak uint16, zombies uint8) bool {
-		vm := NewVM("p", testVMConfig(), simclock.NewRNG(3))
+		vm := NewVM("p", testVMConfig(), *simclock.NewRNG(3))
 		vm.leakedMB = float64(leak)
 		vm.zombieThreads = int(zombies)
 		h := vm.HealthFraction()
@@ -642,7 +642,7 @@ func TestHealthAndDegradationBoundsProperty(t *testing.T) {
 // request rate.
 func TestTrueRTTFMonotoneProperty(t *testing.T) {
 	f := func(leak uint16, rate1, rate2 uint8) bool {
-		vm := NewVM("p", testVMConfig(), simclock.NewRNG(3))
+		vm := NewVM("p", testVMConfig(), *simclock.NewRNG(3))
 		vm.leakedMB = float64(leak) / 20
 		lo := float64(rate1%50) + 1
 		hi := lo + float64(rate2%50) + 1
@@ -662,7 +662,7 @@ func serveLoop() (*VM, func()) {
 	cfg := testVMConfig()
 	cfg.Anomalies = AnomalyProfile{}
 	eng := simclock.NewEngine(1)
-	vm := NewVM("serve", cfg, eng.RNG().Fork())
+	vm := NewVM("serve", cfg, eng.RNG().ForkValue())
 	vm.Activate(eng)
 	var pool RequestPool
 	done := func(o Outcome) { pool.Put(o.Request) }

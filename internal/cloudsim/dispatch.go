@@ -23,18 +23,32 @@ const idleLoad = math.MaxInt32
 // shard's lane or at the epoch barrier, so it needs no locking and its
 // contents never depend on how lanes interleave.
 type dispatchIndex struct {
-	load   []int32  // per slot: queue length when ACTIVE, idleLoad otherwise
-	active []int32  // ascending slots of the ACTIVE VMs
-	zero   []uint64 // bit set (slot s is bit s%64 of word s/64): the ACTIVE slots with load 0
+	load    []int32  // per slot: queue length when ACTIVE, idleLoad otherwise
+	active  []int32  // ascending slots of the ACTIVE VMs
+	zero    []uint64 // bit set (slot s is bit s%64 of word s/64): the ACTIVE slots with load 0
+	standby []uint64 // bit set, laid out as zero: the STANDBY slots
 }
 
-// add appends a slot for a newly provisioned (non-ACTIVE) VM.
+// add appends a slot for a newly provisioned VM, which is STANDBY.
 func (ix *dispatchIndex) add() int32 {
+	slot := int32(len(ix.load))
 	ix.load = append(ix.load, idleLoad)
 	if len(ix.load) > 64*len(ix.zero) {
 		ix.zero = append(ix.zero, 0)
+		ix.standby = append(ix.standby, 0)
 	}
-	return int32(len(ix.load) - 1)
+	ix.standby[slot>>6] |= 1 << (slot & 63)
+	return slot
+}
+
+// firstStandby returns the lowest STANDBY slot, or -1 when there is none.
+func (ix *dispatchIndex) firstStandby() int32 {
+	for w, word := range ix.standby {
+		if word != 0 {
+			return int32(w<<6 + bits.TrailingZeros64(word))
+		}
+	}
+	return -1
 }
 
 // setLoad is the one write of a slot's load: it keeps the idle set in step.
@@ -206,12 +220,19 @@ func (a *arrival) Fire(eng *simclock.Engine) {
 }
 
 // setState is the one funnel every lifecycle transition goes through, so the
-// owning shard's dispatch index always mirrors which VMs are ACTIVE.
+// owning shard's dispatch index always mirrors which VMs are ACTIVE and
+// which are STANDBY.
 func (vm *VM) setState(s VMState) {
 	was := vm.state
 	vm.state = s
-	if vm.ix != nil && (was == StateActive) != (s == StateActive) {
+	if vm.ix == nil {
+		return
+	}
+	if (was == StateActive) != (s == StateActive) {
 		vm.ix.setActive(vm.slot, s == StateActive, vm.QueueLength())
+	}
+	if (was == StateStandby) != (s == StateStandby) {
+		vm.ix.standby[vm.slot>>6] ^= 1 << (vm.slot & 63)
 	}
 }
 

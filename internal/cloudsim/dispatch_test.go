@@ -29,16 +29,38 @@ func scanShortest(r *Region, shard, rr int) *VM {
 	return best
 }
 
+// scanPromotion is the one-pass state scan StandbyPromotionCandidate
+// replaced, kept as the oracle: the shard's first STANDBY VM in provisioning
+// order and its ACTIVE count.
+func scanPromotion(r *Region, shard int) (*VM, int) {
+	var first *VM
+	active := 0
+	for _, vm := range r.shards[shard].vms {
+		switch vm.State() {
+		case StateStandby:
+			if first == nil {
+				first = vm
+			}
+		case StateActive:
+			active++
+		}
+	}
+	return first, active
+}
+
 // checkDispatchIndex compares the index-backed views of every shard with a
-// full state scan, and each shard's idle set with its ACTIVE VMs of queue
-// length 0.
+// full state scan: each shard's idle set with its ACTIVE VMs of queue length
+// 0, its STANDBY set with its STANDBY VMs, and the promotion candidate with
+// scanPromotion's.
 func checkDispatchIndex(t *testing.T, r *Region, rrs ...int) {
 	t.Helper()
 	total := 0
 	for s := 0; s < r.NumShards(); s++ {
 		ix := &r.shards[s].ix
-		if words := (len(r.shards[s].vms) + 63) / 64; len(ix.zero) != words {
-			t.Fatalf("shard %d: idle set has %d words for %d VMs, want %d", s, len(ix.zero), len(r.shards[s].vms), words)
+		words := (len(r.shards[s].vms) + 63) / 64
+		if len(ix.zero) != words || len(ix.standby) != words {
+			t.Fatalf("shard %d: idle set has %d words and STANDBY set %d for %d VMs, want %d",
+				s, len(ix.zero), len(ix.standby), len(r.shards[s].vms), words)
 		}
 		count := 0
 		for slot, vm := range r.shards[s].vms {
@@ -49,13 +71,20 @@ func checkDispatchIndex(t *testing.T, r *Region, rrs ...int) {
 			if got := ix.zero[slot/64]&(1<<(slot%64)) != 0; got != want {
 				t.Fatalf("shard %d slot %d (%s, queue %d): idle bit %v, want %v", s, slot, vm.State(), vm.QueueLength(), got, want)
 			}
+			if got := ix.standby[slot/64]&(1<<(slot%64)) != 0; got != (vm.State() == StateStandby) {
+				t.Fatalf("shard %d slot %d (%s): STANDBY bit %v", s, slot, vm.State(), got)
+			}
 		}
-		if n := len(r.shards[s].vms); n%64 != 0 && ix.zero[n/64]>>(n%64) != 0 {
-			t.Fatalf("shard %d: idle set has bits past its %d slots: %#x", s, n, ix.zero[n/64])
+		if n := len(r.shards[s].vms); n%64 != 0 && (ix.zero[n/64]|ix.standby[n/64])>>(n%64) != 0 {
+			t.Fatalf("shard %d: a bit set has bits past its %d slots: idle %#x, STANDBY %#x", s, n, ix.zero[n/64], ix.standby[n/64])
 		}
 		total += count
 		if got := r.ActiveCountInShard(s); got != count {
 			t.Fatalf("shard %d: ActiveCountInShard = %d, state count = %d", s, got, count)
+		}
+		gotVM, gotActive := r.StandbyPromotionCandidate(s)
+		if wantVM, wantActive := scanPromotion(r, s); gotVM != wantVM || gotActive != wantActive {
+			t.Fatalf("shard %d: StandbyPromotionCandidate = %v, %d; scan = %v, %d", s, gotVM, gotActive, wantVM, wantActive)
 		}
 		for _, rr := range rrs {
 			if got, want := r.PickShortestInShard(s, rr), scanShortest(r, s, rr); got != want {
@@ -97,7 +126,8 @@ func dispatchFuzzWideConfig() RegionConfig {
 // lifecycle transitions, dispatches, completions and provisioning, and runs
 // the schedule on a 3-shard region and on a 2-shard region with more than 64
 // VMs per shard.  After every operation it checks that the dispatch index
-// answers exactly what the state scan answers.
+// answers exactly what the state scan answers, the promotion candidate
+// included.
 func FuzzShardDispatchIndex(f *testing.F) {
 	f.Add([]byte{4, 0, 4, 1, 4, 2, 4, 3, 5, 0, 1, 2, 4, 4, 0, 6, 5, 0})
 	f.Add([]byte{2, 0, 5, 0, 5, 0, 0, 0, 4, 0, 4, 0, 3, 1, 4, 1, 6, 0, 0, 9})

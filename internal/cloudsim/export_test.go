@@ -27,3 +27,6 @@ func (r *Region) VM(id string) *VM {
 	}
 	return nil
 }
+
+// Stream returns the VM's own random stream, which it holds by value.
+func (vm *VM) Stream() *simclock.RNG { return &vm.rng }

@@ -30,16 +30,18 @@ type InstanceType struct {
 	VCPUs int `domain:">=0"`
 	// ClockGHz is the nominal per-core clock, used as a relative speed factor.
 	ClockGHz float64 `domain:">=0"`
-	// MemoryMB is the physical memory available to the guest.
-	MemoryMB float64 `domain:">=0"`
+	// MemoryMB is the physical memory available to the guest.  It has no
+	// default: a VM with no memory fails on its first leak.
+	MemoryMB float64 `domain:">0"`
 	// DiskGB is the virtual disk size.
 	DiskGB float64 `domain:">=0"`
 	// BaseServiceMs is the mean service demand of one TPC-W request on a
 	// single core of this instance when the VM is anomaly-free.
 	BaseServiceMs float64 `domain:">=0"`
 	// MaxThreads is the thread budget of the server process; unterminated
-	// threads count against it.
-	MaxThreads int `domain:">=0"`
+	// threads count against it.  It has no default: a VM with no thread
+	// budget fails on its first thread leak.
+	MaxThreads int `domain:">0"`
 	// CostPerHour is the on-demand price in USD (0 for privately hosted VMs).
 	// It is not used by the policies but reported by the cost accounting
 	// helpers, mirroring the paper's motivation that heterogeneous regions may

@@ -112,13 +112,18 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	}
 	n := cfg.InitialActive + cfg.InitialStandby
 	r.vms = make([]*VM, 0, n)
-	for _, sh := range r.shards {
-		perShard := (n + len(r.shards) - 1) / len(r.shards)
+	// The initial VMs of a shard live side by side in one slab, in the
+	// order its lane and the control tick walk them.
+	slabs := make([][]VM, len(r.shards))
+	for i, sh := range r.shards {
+		perShard := (n - i + len(r.shards) - 1) / len(r.shards)
+		slabs[i] = make([]VM, perShard)
 		sh.vms, sh.ix.load = make([]*VM, 0, perShard), make([]int32, 0, perShard)
-		sh.ix.zero = make([]uint64, 0, (perShard+63)/64)
+		words := (perShard + 63) / 64
+		sh.ix.zero, sh.ix.standby = make([]uint64, 0, words), make([]uint64, 0, words)
 	}
 	for i := 0; i < n; i++ {
-		vm := r.newVM()
+		vm := r.newVM(&slabs[i%len(r.shards)][i/len(r.shards)])
 		if i < cfg.InitialActive {
 			vm.setState(StateActive)
 		}
@@ -126,12 +131,18 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 	return r
 }
 
-// newVM provisions a VM object, assigns it round-robin to a shard and appends
-// it to the pool.
-func (r *Region) newVM() *VM {
+// newVM provisions a VM, in the storage at or, when at is nil, in a fresh
+// allocation, assigns it round-robin to a shard and appends it to the pool.
+func (r *Region) newVM(at *VM) *VM {
 	sh := r.shards[r.next%len(r.shards)]
 	r.next++
-	vm := NewVM(fmt.Sprintf("%s-vm%02d", r.cfg.Name, r.next), r.vmCfg, sh.rng.Fork())
+	id, rng := fmt.Sprintf("%s-vm%02d", r.cfg.Name, r.next), sh.rng.ForkValue()
+	vm := at
+	if vm == nil {
+		vm = NewVM(id, r.vmCfg, rng)
+	} else {
+		vm.init(id, r.vmCfg, rng)
+	}
 	vm.shardIndex = sh.index
 	vm.ix, vm.slot = &sh.ix, sh.ix.add()
 	sh.vms = append(sh.vms, vm)
@@ -190,7 +201,7 @@ func (r *Region) Provision(n int) []*VM {
 		if len(r.vms) >= r.cfg.MaxVMs {
 			break
 		}
-		out = append(out, r.newVM())
+		out = append(out, r.newVM(nil))
 	}
 	return out
 }

@@ -52,7 +52,7 @@ func TestCompletionRunsOnHomeLane(t *testing.T) {
 	home, serving := se.Shard(0), se.Shard(1)
 	cfg := testVMConfig()
 	cfg.Anomalies = AnomalyProfile{}
-	vm := NewVM("remote", cfg, serving.RNG().Fork())
+	vm := NewVM("remote", cfg, serving.RNG().ForkValue())
 	vm.Activate(serving)
 
 	issuerTicks := 0

@@ -72,11 +72,11 @@ func TestShardBindingIsExclusive(t *testing.T) {
 // literal, so a config that NewRegion would panic on is rejected by name
 // first.
 func TestShardsDomainIsMaxShards(t *testing.T) {
-	if err := validate.Struct("cloudsim", RegionConfig{Shards: MaxShards}); err != nil {
+	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards}); err != nil {
 		t.Fatalf("MaxShards shards rejected: %v", err)
 	}
 	want := fmt.Sprintf("cloudsim: Shards must be in [0, %d], got %d", MaxShards, MaxShards+1)
-	if err := validate.Struct("cloudsim", RegionConfig{Shards: MaxShards + 1}); err == nil || err.Error() != want {
+	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards + 1}); err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %q", err, want)
 	}
 }

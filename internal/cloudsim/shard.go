@@ -181,22 +181,15 @@ func (r *Region) ActiveCountInShard(i int) int { return r.shards[i].countState(S
 
 // StandbyPromotionCandidate returns one shard's first STANDBY VM in
 // provisioning order (nil if it has none) together with the shard's ACTIVE
-// count, in a single allocation-free pass — the two facts standby promotion
-// needs per shard.
+// count — the two facts standby promotion needs per shard, both read from
+// the shard's dispatch index.
 func (r *Region) StandbyPromotionCandidate(i int) (*VM, int) {
+	sh := r.shards[i]
 	var first *VM
-	active := 0
-	for _, vm := range r.shards[i].vms {
-		switch vm.State() {
-		case StateStandby:
-			if first == nil {
-				first = vm
-			}
-		case StateActive:
-			active++
-		}
+	if slot := sh.ix.firstStandby(); slot >= 0 {
+		first = sh.vms[slot]
 	}
-	return first, active
+	return first, len(sh.ix.active)
 }
 
 // ShardStats returns one aggregate snapshot per shard, labelled

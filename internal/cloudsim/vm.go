@@ -68,7 +68,9 @@ type VMConfig struct {
 type VM struct {
 	id  string    // unique identifier (e.g. "region1-vm03")
 	cfg *VMConfig // shared by every VM of the region, never written
-	rng *simclock.RNG
+	// rng is the VM's private stream, held by value: every service, anomaly
+	// and noise draw reads and writes the VM's own memory.
+	rng simclock.RNG
 
 	// shardIndex is the region shard this VM is owned by (0 in an unsharded
 	// region); assigned at provisioning time, VMs never migrate.
@@ -115,17 +117,23 @@ type VM struct {
 	OnRejuvenated func(vm *VM, at simclock.Time)
 }
 
-// NewVM builds a VM in the STANDBY state.  It keeps cfg rather than a copy,
-// so the VMs of a region cost one configuration, not one each.
-func NewVM(id string, cfg *VMConfig, rng *simclock.RNG) *VM {
+// NewVM builds a VM in the STANDBY state, drawing from its own copy of rng
+// (a seeded generator, such as one from simclock.RNG.ForkValue).  It keeps
+// cfg rather than a copy, so the VMs of a region cost one configuration, not
+// one each.
+func NewVM(id string, cfg *VMConfig, rng simclock.RNG) *VM {
+	vm := new(VM)
+	vm.init(id, cfg, rng)
+	return vm
+}
+
+// init builds the VM NewVM returns in the storage vm points to.
+func (vm *VM) init(id string, cfg *VMConfig, rng simclock.RNG) {
 	if cfg.Type.VCPUs <= 0 {
 		c := cfg.withDefaults()
 		cfg = &c
 	}
-	if rng == nil {
-		rng = simclock.NewRNG(1)
-	}
-	return &VM{id: id, cfg: cfg, rng: rng, state: StateStandby}
+	*vm = VM{id: id, cfg: cfg, rng: rng, state: StateStandby}
 }
 
 func (c VMConfig) withDefaults() VMConfig {
@@ -548,16 +556,37 @@ func (vm *VM) RecoverFromFailure(eng *simclock.Engine) bool {
 	return vm.Rejuvenate(eng)
 }
 
+// featureNoise is the relative Gaussian measurement noise of each feature
+// slot; a slot without noise is measured exactly.
+var featureNoise = [features.NumFeatures]float64{
+	features.SlotMemUsedMB:       0.02,
+	features.SlotMemFreeMB:       0.02,
+	features.SlotSwapUsedMB:      0.05,
+	features.SlotHeapMB:          0.03,
+	features.SlotThreadCount:     0.02,
+	features.SlotCPUUtilization:  0.05,
+	features.SlotDiskUsedMB:      0.01,
+	features.SlotNetConnections:  0.05,
+	features.SlotRequestRate:     0.03,
+	features.SlotResponseTimeMs:  0.03,
+	features.SlotPageFaultRate:   0.10,
+	features.SlotContextSwitches: 0.10,
+	features.SlotGCPauseMs:       0.15,
+	features.SlotOpenFiles:       0.05,
+	features.SlotSocketsTimeWait: 0.15,
+}
+
 // Sample produces the feature vector observable on this VM at the given time
 // and resets the per-interval counters.  Only the features in mask are
 // measured; the other slots stay 0.  Measurement noise is added so the ML
 // models face realistic inputs rather than exact simulator state.  An
-// unmeasured noisy feature still consumes its noise draws
-// (simclock.RNG.SkipNormal), because the VM's generator also drives its
-// service times and anomaly injection: the mask changes which values are
-// computed, never the VM's random stream.
+// unmeasured noisy feature still consumes its noise draw, because the VM's
+// generator also drives its service times and anomaly injection: the mask
+// changes which values are computed, never the VM's random stream.  The
+// draws run in feature-slot order, and the unread ones are paid in runs
+// (simclock.RNG.SkipNormals) just before the next read draw and at the end.
+// A zero value draws no noise, measured or not, and its slot already holds 0.
 func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
-	v := features.NewVector(vm.id, now.Seconds())
 	intervalS := now.Sub(vm.intervalStart).Seconds()
 	if intervalS <= 0 {
 		intervalS = 1
@@ -567,72 +596,67 @@ func (vm *VM) Sample(now simclock.Time, mask features.Mask) features.Vector {
 	if vm.intervalServed > 0 {
 		meanResp = vm.intervalRespSum / float64(vm.intervalServed)
 	}
-	anomalyRate := float64(vm.intervalAnomaly) / intervalS
-
-	baseMem := 0.18 * vm.cfg.Type.MemoryMB // OS + idle server footprint
-	used := baseMem + vm.LeakedMB()
-	if used > vm.cfg.Type.MemoryMB {
-		used = vm.cfg.Type.MemoryMB
-	}
+	memMB := vm.cfg.Type.MemoryMB
+	leaked := vm.LeakedMB()
+	baseMem := 0.18 * memMB // OS + idle server footprint
+	used := min(baseMem+leaked, memMB)
 	swap := 0.0
-	if over := vm.LeakedMB() - 0.55*vm.cfg.Type.MemoryMB; over > 0 {
+	if over := leaked - 0.55*memMB; over > 0 {
 		swap = over
 	}
-	util := float64(vm.inFlight) / float64(vm.cfg.Type.VCPUs)
-	if util > 1 {
-		util = 1
-	}
+	util := min(float64(vm.inFlight)/float64(vm.cfg.Type.VCPUs), 1)
 
-	// The calls run in feature-slot order, which is also the VM's draw order.
-	vm.measure(&v, mask, features.SlotMemUsedMB, used, 0.02)
-	vm.measure(&v, mask, features.SlotMemFreeMB, math.Max(vm.cfg.Type.MemoryMB-used, 0), 0.02)
-	vm.measure(&v, mask, features.SlotSwapUsedMB, swap, 0.05)
-	vm.measure(&v, mask, features.SlotHeapMB, 0.6*baseMem+vm.leakedMB, 0.03)
-	vm.measure(&v, mask, features.SlotThreadCount, 32+float64(vm.zombieThreads)+4*float64(vm.inFlight), 0.02)
-	vm.measure(&v, mask, features.SlotZombieThreads, float64(vm.zombieThreads), 0)
-	vm.measure(&v, mask, features.SlotCPUUtilization, 0.1+0.8*util, 0.05)
+	x := [features.NumFeatures]float64{
+		features.SlotMemUsedMB:        used,
+		features.SlotMemFreeMB:        math.Max(memMB-used, 0),
+		features.SlotSwapUsedMB:       swap,
+		features.SlotHeapMB:           0.6*baseMem + vm.leakedMB,
+		features.SlotThreadCount:      32 + float64(vm.zombieThreads) + 4*float64(vm.inFlight),
+		features.SlotZombieThreads:    float64(vm.zombieThreads),
+		features.SlotCPUUtilization:   0.1 + 0.8*util,
+		features.SlotCPUTimeSec:       vm.busySeconds,
+		features.SlotDiskUsedMB:       0.3*vm.cfg.Type.DiskGB*1024 + 0.05*leaked,
+		features.SlotNetConnections:   8 + 2*rate,
+		features.SlotRequestRate:      rate,
+		features.SlotResponseTimeMs:   meanResp * 1000,
+		features.SlotQueueLength:      float64(vm.QueueLength()),
+		features.SlotPageFaultRate:    5 + 30*swap/math.Max(memMB, 1),
+		features.SlotContextSwitches:  200 + 80*rate,
+		features.SlotUptimeSec:        vm.Uptime(now).Seconds(),
+		features.SlotGCPauseMs:        2 + 40*leaked/math.Max(vm.memoryBudgetMB(), 1),
+		features.SlotOpenFiles:        64 + 3*rate,
+		features.SlotSocketsTimeWait:  4 * rate,
+		features.SlotAnomalyEventRate: float64(vm.intervalAnomaly) / intervalS,
+	}
+	v := features.NewVector(vm.id, now.Seconds())
+	unread := 0 // noise draws of unread features not yet paid
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		if mask&(1<<i) == 0 {
+			if featureNoise[i] > 0 {
+				unread++
+			}
+			continue
+		}
+		if featureNoise[i] > 0 {
+			vm.rng.SkipNormals(unread)
+			unread = 0
+			xi *= 1 + vm.rng.Normal(0, featureNoise[i])
+		}
+		v.SetSlot(i, xi)
+	}
+	vm.rng.SkipNormals(unread)
 	if v.Slot(features.SlotCPUUtilization) > 1 {
 		v.SetSlot(features.SlotCPUUtilization, 1) // noise cannot push utilisation past saturation
 	}
-	vm.measure(&v, mask, features.SlotCPUTimeSec, vm.busySeconds, 0)
-	vm.measure(&v, mask, features.SlotDiskUsedMB, 0.3*vm.cfg.Type.DiskGB*1024+0.05*vm.LeakedMB(), 0.01)
-	vm.measure(&v, mask, features.SlotNetConnections, 8+2*rate, 0.05)
-	vm.measure(&v, mask, features.SlotRequestRate, rate, 0.03)
-	vm.measure(&v, mask, features.SlotResponseTimeMs, meanResp*1000, 0.03)
-	vm.measure(&v, mask, features.SlotQueueLength, float64(vm.QueueLength()), 0)
-	vm.measure(&v, mask, features.SlotPageFaultRate, 5+30*swap/math.Max(vm.cfg.Type.MemoryMB, 1), 0.10)
-	vm.measure(&v, mask, features.SlotContextSwitches, 200+80*rate, 0.10)
-	vm.measure(&v, mask, features.SlotUptimeSec, vm.Uptime(now).Seconds(), 0)
-	vm.measure(&v, mask, features.SlotGCPauseMs, 2+40*vm.LeakedMB()/math.Max(vm.memoryBudgetMB(), 1), 0.15)
-	vm.measure(&v, mask, features.SlotOpenFiles, 64+3*rate, 0.05)
-	vm.measure(&v, mask, features.SlotSocketsTimeWait, 4*rate, 0.15)
-	vm.measure(&v, mask, features.SlotAnomalyEventRate, anomalyRate, 0)
 
 	vm.intervalServed = 0
 	vm.intervalRespSum = 0
 	vm.intervalAnomaly = 0
 	vm.intervalStart = now
 	return v
-}
-
-// measure records the feature in slot i of v as x with relative Gaussian
-// noise rel (exact when rel is 0), or only consumes its noise draws when mask
-// leaves slot i out.  A zero value draws no noise, measured or not, and its
-// slot already holds 0.
-func (vm *VM) measure(v *features.Vector, mask features.Mask, i int, x, rel float64) {
-	if x == 0 {
-		return
-	}
-	if mask&(1<<i) == 0 {
-		if rel > 0 {
-			vm.rng.SkipNormal()
-		}
-		return
-	}
-	if rel > 0 {
-		x *= 1 + vm.rng.Normal(0, rel)
-	}
-	v.SetSlot(i, x)
 }
 
 // String summarises the VM for debugging.

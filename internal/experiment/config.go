@@ -38,6 +38,9 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("experiment: decoding scenario: %w", err)
 	}
+	// The defaults fill only unset (zero) values, so applying them first
+	// hides no value a file sets outside its domain.
+	sc = sc.withDefaults()
 	if err := validate.Struct("experiment", &sc.Config); err != nil {
 		return Scenario{}, err
 	}
@@ -58,7 +61,7 @@ func LoadScenario(r io.Reader) (Scenario, error) {
 	if err := sc.checkBackend(); err != nil {
 		return Scenario{}, err
 	}
-	return sc.withDefaults(), nil
+	return sc, nil
 }
 
 // SaveScenarioFile writes the scenario to a JSON file.

@@ -72,7 +72,7 @@ func TestLoadScenarioValidation(t *testing.T) {
 	}
 	// A β outside (0, 1] is rejected by name instead of being reset to the
 	// default, as the -beta flag already is; 0 still means unset.
-	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"}},"Clients":10}]`
+	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"MaxThreads":2048}},"Clients":10}]`
 	for _, beta := range []string{"3", "-1", "1.5"} {
 		_, err := LoadScenario(strings.NewReader(`{"Name":"x","Beta":` + beta + `,` + region + `}`))
 		if want := "experiment: Beta must be in [0, 1], got " + beta; err == nil || !strings.Contains(err.Error(), want) {
@@ -91,7 +91,7 @@ func TestLoadScenarioValidation(t *testing.T) {
 // and Run then rejects it by field instead of panicking on the first
 // request's draw.
 func TestLoadScenarioMixRejectedByRun(t *testing.T) {
-	sc, err := LoadScenario(strings.NewReader(`{"Name":"x","Horizon":60,"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"},"InitialActive":1},"Clients":4,"Mix":{"Name":"empty","Entries":[]}}]}`))
+	sc, err := LoadScenario(strings.NewReader(`{"Name":"x","Horizon":60,"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"MaxThreads":2048},"InitialActive":1},"Clients":4,"Mix":{"Name":"empty","Entries":[]}}]}`))
 	if err != nil {
 		t.Fatalf("LoadScenario: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestLoadScenarioMixRejectedByRun(t *testing.T) {
 // or "sim" loads and builds the simulator, and any other value is rejected
 // with ErrUnknownBackend by LoadScenario and by NewBackend, naming the value.
 func TestUnknownBackendRejected(t *testing.T) {
-	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium"}},"Clients":10}]`
+	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"MaxThreads":2048}},"Clients":10}]`
 	for _, kind := range []string{"", "sim"} {
 		sc, err := LoadScenario(strings.NewReader(`{"Name":"x","Backend":"` + kind + `",` + region + `}`))
 		if err != nil {
@@ -285,16 +285,16 @@ func FuzzLoadScenario(f *testing.F) {
 	// silently past the loader: Clients -1, BaseServiceMs -5, ThinkTime -1
 	// and MaxShards+1 shards.
 	minimal := `{"Name":"x","ThinkTime":%d,"Regions":[{"Region":{"Name":"r",` +
-		`"Type":{"Name":"m3.medium","BaseServiceMs":%d},"InitialActive":1,"Shards":%d},"Clients":%d}]}`
+		`"Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":%d,"MaxThreads":2048},"InitialActive":1,"Shards":%d},"Clients":%d}]}`
 	for _, v := range [][4]any{{7, 40, 1, 4}, {7, 40, 1, -1}, {7, -5, 1, 4}, {-1, 40, 1, 4}, {7, 40, cloudsim.MaxShards + 1, 4}} {
 		f.Add([]byte(fmt.Sprintf(minimal, v[:]...)))
 	}
 	// The paper's three regions with a controller failure and an overlay
 	// link cut, as the failover example schedules them.
 	f.Add([]byte(`{"Name":"failover","Regions":[` +
-		`{"Region":{"Name":"region1","Type":{"Name":"m3.medium","BaseServiceMs":40},"InitialActive":2},"Clients":8},` +
-		`{"Region":{"Name":"region2","Type":{"Name":"m3.small","BaseServiceMs":60},"InitialActive":2},"Clients":8},` +
-		`{"Region":{"Name":"region3","Type":{"Name":"private","BaseServiceMs":50},"InitialActive":2},"Clients":8}],` +
+		`{"Region":{"Name":"region1","Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":40,"MaxThreads":2048},"InitialActive":2},"Clients":8},` +
+		`{"Region":{"Name":"region2","Type":{"Name":"m3.small","MemoryMB":1700,"BaseServiceMs":60,"MaxThreads":1024},"InitialActive":2},"Clients":8},` +
+		`{"Region":{"Name":"region3","Type":{"Name":"private","MemoryMB":1024,"BaseServiceMs":50,"MaxThreads":768},"InitialActive":2},"Clients":8}],` +
 		`"ControllerFaults":[{"Region":"region2","At":1200,"Duration":900}],` +
 		`"OverlayFaults":[{"A":"region1","B":"region3","At":900,"Duration":1500}]}`))
 	// A fuzzed scenario is only loaded and saved, never built or run: its

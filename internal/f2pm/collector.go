@@ -120,6 +120,17 @@ type ProfileConfig struct {
 	MaxHorizon simclock.Duration `domain:">=0"`
 }
 
+// WithDefaultInstance returns c with a zero Instance, the unset one, replaced
+// by the default profiled type (M3Medium).  Domain validation runs on its
+// result, so an unset instance type is not read as one without memory or a
+// thread budget, while a set one must have both.
+func (c ProfileConfig) WithDefaultInstance() ProfileConfig {
+	if c.Instance == (cloudsim.InstanceType{}) {
+		c.Instance = cloudsim.M3Medium
+	}
+	return c
+}
+
 func (c ProfileConfig) withDefaults() ProfileConfig {
 	if c.Instance.Name == "" {
 		c.Instance = cloudsim.M3Medium

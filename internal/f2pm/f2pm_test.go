@@ -163,7 +163,7 @@ func TestCollectorSamplesAndLabels(t *testing.T) {
 		Anomalies:    cloudsim.DefaultAnomalyProfile(),
 		Failure:      cloudsim.DefaultFailurePoint(),
 		Rejuvenation: cloudsim.DefaultRejuvenationModel(),
-	}, eng.RNG().Fork())
+	}, eng.RNG().ForkValue())
 	vm.Activate(eng)
 
 	col := NewCollector(10 * simclock.Second)

@@ -20,7 +20,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,18 +56,31 @@ func (k Kind) String() string {
 // format the registry writes.
 const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-var (
-	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-)
-
 // ValidMetricName reports whether name is a valid Prometheus metric name
 // ([a-zA-Z_:][a-zA-Z0-9_:]*).
-func ValidMetricName(name string) bool { return metricNameRe.MatchString(name) }
+func ValidMetricName(name string) bool { return validName(name, true) }
 
 // ValidLabelName reports whether name is a valid Prometheus label name
 // ([a-zA-Z_][a-zA-Z0-9_]*).
-func ValidLabelName(name string) bool { return labelNameRe.MatchString(name) }
+func ValidLabelName(name string) bool { return validName(name, false) }
+
+// validName scans name against the metric-name grammar
+// [a-zA-Z_:][a-zA-Z0-9_:]* when colon is set, and against the label-name
+// grammar [a-zA-Z_][a-zA-Z0-9_]* otherwise.
+func validName(name string, colon bool) bool {
+	if name == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		ok := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || colon && c == ':' ||
+			i > 0 && c >= '0' && c <= '9'
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
 
 // Opts names and documents one metric family at registration time.
 type Opts struct {

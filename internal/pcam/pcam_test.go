@@ -85,7 +85,7 @@ func TestDefaultConfigMatchesPaperSLA(t *testing.T) {
 
 func TestPredictorAdapters(t *testing.T) {
 	vm := cloudsim.NewVM("x", &cloudsim.VMConfig{Type: cloudsim.M3Medium,
-		Anomalies: cloudsim.DefaultAnomalyProfile(), Failure: cloudsim.DefaultFailurePoint()}, simclock.NewRNG(1))
+		Anomalies: cloudsim.DefaultAnomalyProfile(), Failure: cloudsim.DefaultFailurePoint()}, *simclock.NewRNG(1))
 	sample := features.NewVector("x", 0)
 	sample.SetSlot(features.SlotRequestRate, 5)
 

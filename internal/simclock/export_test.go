@@ -8,6 +8,16 @@ import (
 // PrefixSums exposes a prepared table's prefix sums to the external tests.
 func (w Weights) PrefixSums() []float64 { return w.cum }
 
+// GuideLen returns the length of the table's guide (0 without one).
+func (w Weights) GuideLen() int { return len(w.guide) }
+
+// PickAt is Pick for the uniform u, a Float64 output: it starts the scan at
+// u's guide bucket.
+func (w Weights) PickAt(u float64) int { return w.pickAt(u) }
+
+// PickLinear is PickAt without the guide: the scan from index 0.
+func (w Weights) PickLinear(u float64) int { return w.scan(0, u*w.cum[len(w.cum)-1]) }
+
 // PendingTimes returns the timestamps of all pending events in ascending
 // order.
 func (e *Engine) PendingTimes() []Time {

@@ -82,13 +82,7 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 // Uint64 returns the next 64 uniformly distributed random bits.
 func (r *RNG) Uint64() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[0], r.s[1], r.s[2], r.s[3] = xoshiroStep(r.s[0], r.s[1], r.s[2], r.s[3])
 	return result
 }
 
@@ -145,13 +139,39 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// SkipNormal advances the generator exactly as one Normal call does, without
-// the Box–Muller arithmetic.  A caller that must keep its stream aligned but
-// does not need the value (an unread measurement) calls it instead.
-func (r *RNG) SkipNormal() {
-	for r.Float64() == 0 {
+// SkipNormals advances the generator exactly as k Normal calls do, without
+// the Box–Muller arithmetic: per call one uniform, redrawn while it is 0
+// (while its top 53 bits are 0), and one more.  A caller that must keep its
+// stream aligned but does not need the values (unread measurements) calls it
+// instead.  The state stays in registers for the whole skip.
+func (r *RNG) SkipNormals(k int) {
+	if k <= 0 {
+		return
 	}
-	r.Uint64()
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; k > 0; k-- {
+		for {
+			zero := (rotl(s1*5, 7)*9)>>11 == 0 // Uint64's output, Float64's 0
+			s0, s1, s2, s3 = xoshiroStep(s0, s1, s2, s3)
+			if !zero {
+				break
+			}
+		}
+		s0, s1, s2, s3 = xoshiroStep(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// xoshiroStep is the generator's state transition, on a state held in
+// locals.
+func xoshiroStep(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64) {
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return s0, s1, s2, rotl(s3, 45)
 }
 
 // Binomial returns a binomially distributed count: the number of successes
@@ -272,7 +292,19 @@ type Weights struct {
 	// cum[i] is the sum of the positive weights among w[0..i], accumulated
 	// left to right.
 	cum []float64
+	// guide is the Chen–Asau guide table of a table with at least
+	// guideMinLen entries (nil below): len(guide) is the power of two m at
+	// or above 4·len(cum), so most buckets hold a single answer, and
+	// guide[j] is the index a pick returns for the uniform j/m, the least
+	// uniform of bucket j.  A pick is monotone in its uniform, so the scan
+	// for any uniform of bucket j may start at guide[j].
+	guide []int32
 }
+
+// guideMinLen is the shortest table NewWeights builds a guide for: a scan of
+// a few entries costs no more than the guide's lookup, and a small table
+// (a router's per-probe one over its regions) then allocates nothing more.
+const guideMinLen = 8
 
 // NewWeights prepares the weighted choice over w.  It takes w over: the
 // table overwrites w with its prefix sums and keeps it, so the caller must
@@ -285,7 +317,20 @@ func NewWeights(w []float64) Weights {
 		}
 		w[i] = acc
 	}
-	return Weights{cum: w}
+	t := Weights{cum: w}
+	if len(w) >= guideMinLen && acc > 0 {
+		m := 1
+		for m < 4*len(w) {
+			m *= 2
+		}
+		t.guide = make([]int32, m)
+		for j := range t.guide {
+			// j/m is exact, and so is the bucket Pick computes from a
+			// uniform, so this is the least target of bucket j.
+			t.guide[j] = int32(t.scan(0, float64(j)/float64(m)*acc))
+		}
+	}
+	return t
 }
 
 // Pick returns an index with probability proportional to its weight.  It
@@ -299,11 +344,27 @@ func (w Weights) Pick(r *RNG) int {
 	if n == 0 || w.cum[n-1] <= 0 {
 		return r.Intn(n)
 	}
-	target := r.Float64() * w.cum[n-1]
-	for i, c := range w.cum {
-		if target < c {
+	return w.pickAt(r.Float64())
+}
+
+// pickAt is Pick for the uniform u in [0,1).  The guide bucket of u is
+// int(u*m): u is a multiple of 2^-53 and m a power of two, so the product is
+// exact and the bucket's least uniform is j/m.
+func (w Weights) pickAt(u float64) int {
+	target := u * w.cum[len(w.cum)-1]
+	if w.guide == nil {
+		return w.scan(0, target)
+	}
+	return w.scan(int(w.guide[int(u*float64(len(w.guide)))]), target)
+}
+
+// scan returns the first index from i on whose prefix sum exceeds target,
+// or the last index when none does.
+func (w Weights) scan(i int, target float64) int {
+	for ; i < len(w.cum); i++ {
+		if target < w.cum[i] {
 			return i
 		}
 	}
-	return n - 1
+	return len(w.cum) - 1
 }

@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -128,16 +130,51 @@ func TestDeriveSeedDistinctProperty(t *testing.T) {
 	}
 }
 
-// TestSkipNormalAdvancesLikeNormal pins SkipNormal to Normal's draw count:
-// after 10^5 calls of either, two generators from the same seed hold the same
-// state, so skipping an unread measurement cannot shift any later draw.
-func TestSkipNormalAdvancesLikeNormal(t *testing.T) {
-	drawn, skipped := NewRNG(42), NewRNG(42)
-	for i := 0; i < 100_000; i++ {
-		drawn.Normal(0, 1)
-		skipped.SkipNormal()
+// inverse returns the multiplicative inverse of an odd a modulo 2^64
+// (Newton's iteration doubles the correct low bits each step).
+func inverse(a uint64) uint64 {
+	x := a
+	for i := 0; i < 6; i++ {
+		x *= 2 - a*x
 	}
-	if drawn.s != skipped.s {
-		t.Fatalf("state after 10^5 calls: Normal %x, SkipNormal %x", drawn.s, skipped.s)
+	return x
+}
+
+// TestSkipNormalsMatchesNormals pins SkipNormals(k) to k Normal calls: from
+// seeded states and from one whose next output is below 2^11, so that
+// Normal's first uniform is 0 and redrawn, SkipNormals(k) leaves the state k
+// Normal calls leave, for every k from 0 to 40.
+func TestSkipNormalsMatchesNormals(t *testing.T) {
+	// Uint64 outputs rotl(s1*5, 7)*9; this s1 makes it x.
+	const x = 1234
+	s1 := inverse(5) * bits.RotateLeft64(inverse(9)*x, -7)
+	redraw := RNG{s: [4]uint64{0x0123456789abcdef, s1, 0xfedcba9876543210, 0x0f1e2d3c4b5a6978}}
+	if probe := redraw; probe.Uint64() != x {
+		t.Fatalf("built state does not output %d first", x)
+	}
+	starts := map[string]RNG{"redraw": redraw}
+	for _, seed := range []uint64{1, 42, 2016} {
+		starts[fmt.Sprintf("seed-%d", seed)] = *NewRNG(seed)
+	}
+	for name, start := range starts {
+		for k := 0; k <= 40; k++ {
+			drawn, skipped := start, start
+			for i := 0; i < k; i++ {
+				drawn.Normal(0, 1)
+			}
+			skipped.SkipNormals(k)
+			if drawn.s != skipped.s {
+				t.Fatalf("%s, k=%d: state after Normal %x, after SkipNormals %x", name, k, drawn.s, skipped.s)
+			}
+		}
+	}
+	// The redraw is real: one Normal from the built state steps three times.
+	once, three := redraw, redraw
+	once.Normal(0, 1)
+	for i := 0; i < 3; i++ {
+		three.Uint64()
+	}
+	if once.s != three.s {
+		t.Fatalf("Normal from the built state did not redraw its zero uniform")
 	}
 }

@@ -62,6 +62,10 @@ type ShardedEngine struct {
 	// A drained lane keeps its backing array, so steady-state posting
 	// allocates nothing.
 	outbox [][][]Event
+	// posted[src] is set when lane src appends to any of its outbox lanes,
+	// and written only by that lane's goroutine (or the barrier), so drain
+	// skips a quiet barrier without visiting the lanes² outbox slots.
+	posted []bool
 
 	// inShardPhase is set while a shard phase runs — an epoch's shard loops
 	// or a ParallelPhase; together with each engine's executing flag it
@@ -116,6 +120,7 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 	se.control.cluster = se
 	lanes := n + 1
 	se.outbox = make([][][]Event, lanes)
+	se.posted = make([]bool, lanes)
 	for i := range se.outbox {
 		se.outbox[i] = make([][]Event, lanes)
 	}
@@ -187,6 +192,9 @@ func (se *ShardedEngine) PostEvent(from *Engine, dst int, ev Event) {
 	}
 	src := se.LaneOf(from)
 	se.outbox[src][dst] = append(se.outbox[src][dst], ev)
+	if !se.posted[src] { // one write per epoch: every lane's flag shares a cache line
+		se.posted[src] = true
+	}
 }
 
 // Post is PostEvent for a plain function, the way ScheduleFunc is Schedule's.
@@ -231,8 +239,20 @@ func (se *ShardedEngine) pendingPosts() bool {
 // not yet folded at this barrier are delivered in the same pass (the fold is
 // serial, so this stays deterministic); posts to an already-folded
 // destination wait for the next barrier.  A drained lane that received
-// nothing during its own drain gets its cleared backing array back.
+// nothing during its own drain gets its cleared backing array back.  A
+// barrier at which no lane posted returns at once; the flags are cleared
+// before the fold, so a post made while it runs is seen by the next barrier.
 func (se *ShardedEngine) drain() {
+	quiet := true
+	for src, p := range se.posted {
+		if p {
+			quiet = false
+			se.posted[src] = false
+		}
+	}
+	if quiet {
+		return
+	}
 	lanes := len(se.shards) + 1
 	for dst := 0; dst < lanes; dst++ {
 		target := se.engineFor(dst)

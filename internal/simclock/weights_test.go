@@ -114,3 +114,62 @@ func TestWeightsMatchesTwoPassChoice(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWeightsGuideMatchesScan decodes the input as a weight vector (each
+// byte a zero, a negative weight, a near-equal weight 1+k·2^-52, or a
+// magnitude from 10^-3 to 10^3) and checks that the guide-table pick returns
+// the linear walk's index for the least and greatest uniform of every guide
+// bucket and for 10^3 drawn uniforms, and that Pick still matches the
+// two-pass reference draw for draw, the all-non-positive fallback included.
+func FuzzWeightsGuideMatchesScan(f *testing.F) {
+	f.Add([]byte{0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48})       // near-equal
+	f.Add([]byte{0, 0, 0xc0, 0, 0xff, 0, 0, 0x80, 0xc5, 0, 0})                // zeros around a few weights
+	f.Add([]byte{0x81})                                                       // one entry
+	f.Add([]byte{0, 0x01, 0x02, 0, 0x3f, 0x00, 0x10, 0x20, 0x30, 0x3e, 0x05}) // non-positive only
+	f.Add([]byte{0xff, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}) // one weight dominates
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 300 {
+			return
+		}
+		w := make([]float64, len(data))
+		for i, b := range data {
+			switch k := float64(b & 0x3f); b >> 6 {
+			case 0:
+				w[i] = -k // zero or negative
+			case 1:
+				w[i] = 1 + k*0x1p-52
+			default:
+				w[i] = math.Pow(10, k/10.5-3)
+			}
+		}
+		table := simclock.NewWeights(append([]float64(nil), w...))
+		if m := table.GuideLen(); m > 0 {
+			if m < 4*len(w) || m&(m-1) != 0 {
+				t.Fatalf("guide of %d entries for %d weights", m, len(w))
+			}
+			for j := 0; j < m; j++ {
+				lo := float64(j) / float64(m)
+				hi := float64(j+1)/float64(m) - 0x1p-53
+				for _, u := range []float64{lo, hi} {
+					if got, want := table.PickAt(u), table.PickLinear(u); got != want {
+						t.Fatalf("u=%v: guide pick %d, linear walk %d (weights %v)", u, got, want, w)
+					}
+				}
+			}
+			r := simclock.NewRNG(uint64(len(data)))
+			for i := 0; i < 1000; i++ {
+				u := r.Float64()
+				if got, want := table.PickAt(u), table.PickLinear(u); got != want {
+					t.Fatalf("u=%v: guide pick %d, linear walk %d (weights %v)", u, got, want, w)
+				}
+			}
+		}
+		acc := make([]float64, len(w))
+		a, b := simclock.NewRNG(7), simclock.NewRNG(7)
+		for i := 0; i < 200; i++ {
+			if got, want := table.Pick(a), choiceRef(b, w, acc); got != want {
+				t.Fatalf("draw %d: Pick = %d, reference = %d (weights %v)", i, got, want, w)
+			}
+		}
+	})
+}
