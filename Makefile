@@ -23,11 +23,11 @@ GO ?= go
 # bench-baseline, the CI bench-regression job (which runs `make bench-json`)
 # and the nightly record (which reads it with `make -s bench-set`) all share
 # this one definition, so no two of them can record different benchmark sets.
-# VMSample, ShardDispatch, DispatchPick, AnomalyBatch, CrossLaneForward,
-# EventQueue, MixPick, GSLBRoute and StandbyPromotion are per-layer
-# benchmarks: one op is a fixed batch of units, and each also reports ns and
-# allocs per unit.
-BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ControlTick|ShardDispatch|DispatchPick|AnomalyBatch|CrossLaneForward|EventQueue|MixPick|GSLBRoute|StandbyPromotion
+# VMSample, ShardDispatch, DispatchPick, AnomalyBatch, ErlangDraw,
+# CrossLaneForward, EventQueue, MixPick, GSLBRoute and StandbyPromotion are
+# per-layer benchmarks: one op is a fixed batch of units, and each also
+# reports ns and allocs per unit.
+BENCH_SET = RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients|VMSample|ControlTick|ShardDispatch|DispatchPick|AnomalyBatch|ErlangDraw|CrossLaneForward|EventQueue|MixPick|GSLBRoute|StandbyPromotion
 # -count=3: benchjson records each unit's median over the three samples, so
 # one noisy sample on a shared box cannot trip the gate.
 BENCH_GATE = $(GO) test -bench='$(BENCH_SET)' -benchtime=1x -count=3 -benchmem -run='^$$' .

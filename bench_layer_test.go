@@ -1,11 +1,12 @@
 // Per-layer benchmarks of the per-VM loops of a 5x10^3-VM, 16-shard region
 // (the megaclients shape) — the full feature sample, the control tick and
 // the load balancer's shortest-queue pick on a fully loaded and on a busy
-// shard — of a cohort batch's anomaly draws, of the event loop's cross-lane
-// path (barrier + mailbox drain), of the event queue and of the client's
-// interaction-mix draw.  One op is a fixed batch of units, so
-// the gate's single -benchtime=1x sample still times thousands of them; each
-// benchmark reports ns and allocs per unit next to the per-op figures.
+// shard — of a cohort batch's anomaly draws and of its Erlang sampler, of
+// the event loop's cross-lane path (barrier + mailbox drain), of the event
+// queue and of the client's interaction-mix draw.  One op is a fixed batch
+// of units, so the gate's single -benchtime=1x sample still times thousands
+// of them; each benchmark reports ns and allocs per unit next to the per-op
+// figures.
 package repro
 
 import (
@@ -191,6 +192,37 @@ func BenchmarkAnomalyBatch(b *testing.B) {
 	})
 	if served := vm.Served(); served != uint64(b.N*benchBatches*benchBatchSize) {
 		b.Fatalf("served %d interactions, want %d", served, b.N*benchBatches*benchBatchSize)
+	}
+}
+
+// benchErlangShapes is the shape mix of a megaclients op's Erlang draws (the
+// service times of its cohort batches and the leak sizes of their leaks):
+// the 64 quantile midpoints of the shapes drawn in one 15-minute op at seed
+// 42, a mean shape of 39 with 19% of the draws at or below 3 and 30% above
+// 50.
+var benchErlangShapes = [64]int{
+	1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5,
+	5, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11,
+	11, 12, 12, 13, 13, 14, 15, 16, 17, 18, 20, 25, 51, 65, 81, 88,
+	92, 95, 98, 101, 104, 106, 110, 114, 120, 128, 128, 128, 128, 128, 128, 128,
+}
+
+// benchErlangDraws is the number of Erlang draws in one op.
+const benchErlangDraws = 64 * 1_000
+
+// BenchmarkErlangDraw is the sampler behind a cohort batch's service time
+// and leak size: one op makes benchErlangDraws Erlang draws, cycling
+// through benchErlangShapes.
+func BenchmarkErlangDraw(b *testing.B) {
+	rng := simclock.NewRNG(42)
+	total := 0.0
+	runPerUnit(b, "draw", benchErlangDraws, func() {
+		for i := 0; i < benchErlangDraws; i++ {
+			total += rng.Erlang(benchErlangShapes[i%len(benchErlangShapes)], 0.04)
+		}
+	})
+	if !(total > 0) {
+		b.Fatalf("Erlang draws summed to %v", total)
 	}
 }
 

@@ -98,7 +98,8 @@ type Config struct {
 	// ThinkTime is the emulated browsers' mean think time (7 s when zero).
 	ThinkTime simclock.Duration `domain:">=0"`
 	// MLProfile overrides the profiling configuration used when Predictor is
-	// PredictorML (sensible defaults otherwise).
+	// PredictorML (sensible defaults otherwise).  Each region's instance type
+	// is profiled, so its Instance must stay unset.
 	MLProfile f2pm.ProfileConfig
 	// InitialAgeSpread staggers the initial anomaly state of each region's
 	// active VMs across [0, InitialAgeSpread) of their failure budget, so
@@ -276,9 +277,11 @@ type Manager struct {
 // up front when PredictorML is selected (the paper's initial profiling
 // phase).
 func NewManager(cfg Config) (*Manager, error) {
-	cfg.MLProfile = cfg.MLProfile.WithDefaultInstance()
 	if err := validate.Struct("acm", &cfg); err != nil {
 		return nil, err
+	}
+	if cfg.MLProfile.Instance != (cloudsim.InstanceType{}) {
+		return nil, validate.Fieldf("acm", "MLProfile.Instance", "is set to %q, but the predictors profile each region's own instance type; leave it unset", cfg.MLProfile.Instance.Name)
 	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Regions) == 0 {

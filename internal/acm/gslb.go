@@ -89,12 +89,14 @@ func (m *Manager) validateGlobal() error {
 }
 
 // validateMix rejects an interaction mix a client population could not draw
-// from.  The zero-valued mix stands for the browsing mix.
+// from.  The zero-valued mix stands for the browsing mix.  NewManager's
+// validate.Struct has already checked every weight and service factor, so
+// only the mix's shape is left.
 func validateMix(field string, mix workload.Mix) error {
 	if mix.Name == "" && len(mix.Entries) == 0 {
 		return nil
 	}
-	if err := mix.Validate(); err != nil {
+	if err := mix.ValidateShape(); err != nil {
 		return validate.Fieldf("acm", field, "is invalid: %v", err)
 	}
 	return nil

@@ -187,6 +187,9 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GossipReplicas = 2
 		}, "cannot run a latency-aware GSLB config"},
 		{"NaN tracer fraction", func(c *Config) { c.TracerFraction = math.NaN() }, "acm: TracerFraction must be in [0, 1], got NaN"},
+		// The predictors profile each region's own instance type, so a set
+		// MLProfile.Instance would be ignored.
+		{"ML profile instance", func(c *Config) { c.MLProfile.Instance = cloudsim.M3Medium }, `acm: MLProfile.Instance is set to "m3.medium"`},
 		// A zero-valued mix means browsing; any other mix must be drawable.
 		{"named region mix without entries", func(c *Config) {
 			c.Regions[0].Mix = workload.Mix{Name: "empty"}

@@ -39,7 +39,12 @@ type numericLeaf struct {
 }
 
 // numericLeaves returns every numeric leaf under v in declaration order,
-// every slice element and map entry included (map keys in range order).
+// every slice element and map entry included (map keys in range order).  A
+// named field tagged `domain:"-"` is left out: neither NewManager nor
+// LoadScenario checks its leaves, because the package that uses it does
+// (MLProfile.Instance, which acm requires unset and f2pm checks once
+// defaulted).  An embedded config tagged so is walked, since its owner is
+// one of the two.
 func numericLeaves(v reflect.Value, path, tag string) []numericLeaf {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -50,7 +55,7 @@ func numericLeaves(v reflect.Value, path, tag string) []numericLeaf {
 		var out []numericLeaf
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Type().Field(i)
-			if !f.IsExported() {
+			if !f.IsExported() || f.Tag.Get("domain") == "-" && !f.Anonymous {
 				continue
 			}
 			p := path + "." + f.Name

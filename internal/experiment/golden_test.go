@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -31,6 +33,99 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // goldenHorizon keeps the pinned runs short enough for CI while still passing
 // through ramp-up, several control eras, rejuvenations and steady state.
 const goldenHorizon = 30 * simclock.Minute
+
+// checkGolden compares got, a goldenSummary marshalled as indented JSON,
+// with the golden file name under testdata/golden, or records it there
+// under -update.  A drift fails the test listing each summary key whose
+// value moved before the two whole summaries.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to record): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("summary drifted from golden %s\n%s--- got ---\n%s\n--- want ---\n%s", path, goldenFieldDiff(got, want), got, want)
+	}
+}
+
+// goldenFieldDiff lists, a line each in key order, the top-level keys of
+// two JSON summaries whose values differ, with both values in compact JSON
+// ("absent" for a key one side lacks).
+func goldenFieldDiff(got, want []byte) string {
+	var g, w map[string]json.RawMessage
+	if err := json.Unmarshal(got, &g); err != nil {
+		return fmt.Sprintf("got is not a JSON object: %v\n", err)
+	}
+	if err := json.Unmarshal(want, &w); err != nil {
+		return fmt.Sprintf("want is not a JSON object: %v\n", err)
+	}
+	keys := make([]string, 0, len(g)+len(w))
+	for k := range g {
+		keys = append(keys, k)
+	}
+	for k := range w {
+		if _, ok := g[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	show := func(m map[string]json.RawMessage, k string) string {
+		v, ok := m[k]
+		if !ok {
+			return "absent"
+		}
+		var b bytes.Buffer
+		if json.Compact(&b, v) != nil {
+			return string(v)
+		}
+		return b.String()
+	}
+	var out strings.Builder
+	for _, k := range keys {
+		if gv, wv := show(g, k), show(w, k); gv != wv {
+			fmt.Fprintf(&out, "  %s: got %s, want %s\n", k, gv, wv)
+		}
+	}
+	return out.String()
+}
+
+// TestGoldenFieldDiff: the drift report names exactly the keys that moved,
+// nested values compared whole, and a key one side lacks.
+func TestGoldenFieldDiff(t *testing.T) {
+	got := []byte(`{"seed": 42, "meanResponseTime": "0.1", "finalFractions": ["0.5", "0.5"], "crashes": 0}`)
+	want := []byte(`{
+  "seed": 42,
+  "meanResponseTime": "0.2",
+  "finalFractions": [
+    "0.4",
+    "0.6"
+  ],
+  "gslbRouted": {"region1": 3}
+}`)
+	const diff = `  crashes: got 0, want absent
+  finalFractions: got ["0.5","0.5"], want ["0.4","0.6"]
+  gslbRouted: got absent, want {"region1":3}
+  meanResponseTime: got "0.1", want "0.2"
+`
+	if d := goldenFieldDiff(got, want); d != diff {
+		t.Fatalf("diff:\n%s\nwant:\n%s", d, diff)
+	}
+	if d := goldenFieldDiff(want, want); d != "" {
+		t.Fatalf("identical summaries reported drift:\n%s", d)
+	}
+}
 
 // goldenSummary is the byte-pinned view of a Result.  Floats are formatted
 // with strconv 'g' / full precision instead of being stored as JSON numbers:
@@ -172,24 +267,7 @@ func TestGoldenFigureScenarios(t *testing.T) {
 				}
 				got = append(got, '\n')
 
-				path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s.json", name, np.Key))
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("wrote %s", path)
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden file (run with -update to record): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("summary drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-				}
+				checkGolden(t, fmt.Sprintf("%s-%s.json", name, np.Key), got)
 			})
 		}
 	}

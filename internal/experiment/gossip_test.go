@@ -220,24 +220,7 @@ func TestGoldenGlobalGossipScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := eventLoopFingerprint(t, res)
-			path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-policy2.json", name))
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to record): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("summary drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, fmt.Sprintf("%s-policy2.json", name), got)
 		})
 	}
 }

@@ -59,10 +59,10 @@ func ValidateBeta(beta float64) error {
 }
 
 // withDefaults fills the experiment fields and records the β, control
-// interval, predictor and profiled instance type the deployment runs with;
-// only zero selects a default.  The remaining acm.Config defaults are left
-// to acm, so the scenario keeps the raw values its description and the
-// benchmark probes read.
+// interval and predictor the deployment runs with; only zero selects a
+// default.  The remaining acm.Config defaults are left to acm, so the
+// scenario keeps the raw values its description and the benchmark probes
+// read.
 func (s Scenario) withDefaults() Scenario {
 	if s.Horizon == 0 {
 		s.Horizon = 2 * simclock.Hour
@@ -76,7 +76,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Predictor == "" {
 		s.Predictor = acm.DefaultPredictor
 	}
-	s.MLProfile = s.MLProfile.WithDefaultInstance()
 	if s.TailFraction == 0 {
 		s.TailFraction = 0.4
 	}

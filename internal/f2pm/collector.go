@@ -6,6 +6,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/features"
 	"repro/internal/simclock"
+	"repro/internal/validate"
 	"repro/internal/workload"
 )
 
@@ -103,8 +104,9 @@ type ProfileConfig struct {
 	Seed uint64 `domain:">=0"`
 	// Instance is the instance type profiled (the paper trains per-VM models;
 	// one model per instance type is sufficient in the simulator because VMs
-	// of a type are statistically identical).
-	Instance cloudsim.InstanceType
+	// of a type are statistically identical).  Defaults to M3Medium.
+	// CollectSyntheticDataset checks its domains once the default is in.
+	Instance cloudsim.InstanceType `domain:"-"`
 	// VMs is the number of VMs run in parallel (more VMs = more failure
 	// episodes per simulated hour).  Defaults to 4.
 	VMs int `domain:">=0"`
@@ -118,17 +120,6 @@ type ProfileConfig struct {
 	TargetFailures int `domain:">=0"`
 	// MaxHorizon bounds the run.  Defaults to 24 simulated hours.
 	MaxHorizon simclock.Duration `domain:">=0"`
-}
-
-// WithDefaultInstance returns c with a zero Instance, the unset one, replaced
-// by the default profiled type (M3Medium).  Domain validation runs on its
-// result, so an unset instance type is not read as one without memory or a
-// thread budget, while a set one must have both.
-func (c ProfileConfig) WithDefaultInstance() ProfileConfig {
-	if c.Instance == (cloudsim.InstanceType{}) {
-		c.Instance = cloudsim.M3Medium
-	}
-	return c
 }
 
 func (c ProfileConfig) withDefaults() ProfileConfig {
@@ -159,6 +150,10 @@ func (c ProfileConfig) withDefaults() ProfileConfig {
 // dataset coverage of the whole anomaly-accumulation trajectory.
 func CollectSyntheticDataset(cfg ProfileConfig) (*features.Dataset, error) {
 	cfg = cfg.withDefaults()
+	profiled := struct{ Instance cloudsim.InstanceType }{cfg.Instance}
+	if err := validate.Struct("f2pm", &profiled); err != nil {
+		return nil, err
+	}
 	eng := simclock.NewEngine(cfg.Seed)
 	collector := NewCollector(cfg.SampleInterval)
 

@@ -274,6 +274,18 @@ func TestProfileConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestCollectRejectsInvalidInstance: the profiled instance type is checked
+// against its domains once the default is in, by the field's path, before
+// a VM is built from it.
+func TestCollectRejectsInvalidInstance(t *testing.T) {
+	noMemory := cloudsim.M3Medium
+	noMemory.MemoryMB = 0
+	_, err := CollectSyntheticDataset(ProfileConfig{Instance: noMemory})
+	if want := "f2pm: Instance.MemoryMB must be > 0, got 0"; err == nil || err.Error() != want {
+		t.Fatalf("CollectSyntheticDataset error %v, want %q", err, want)
+	}
+}
+
 func BenchmarkTrainToolchain(b *testing.B) {
 	ds := syntheticDataset(400, 9)
 	cfg := DefaultConfig()

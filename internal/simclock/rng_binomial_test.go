@@ -89,26 +89,6 @@ func checkTwinDraws(t *testing.T, p float64, pow []float64, last int) {
 	}
 }
 
-// TestErlangDeterministicRunTwice is the same replay pin for Erlang.
-func TestErlangDeterministicRunTwice(t *testing.T) {
-	draw := func() []float64 {
-		r := NewStreamRNG(42, 8)
-		var out []float64
-		for rep := 0; rep < 50; rep++ {
-			for _, n := range []int{0, 1, 3, 20, 50, 51, 400} {
-				out = append(out, r.Erlang(n, 0.04))
-			}
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Erlang replay diverged at draw %d: %g vs %g", i, a[i], b[i])
-		}
-	}
-}
-
 // TestBinomialSupport: the count always lands in [0, n], every branch.
 func TestBinomialSupport(t *testing.T) {
 	r := NewRNG(99)
@@ -200,38 +180,6 @@ func TestBinomialMoments(t *testing.T) {
 		}
 		if math.Abs(variance-wantVar) > 0.15*wantVar {
 			t.Errorf("Binomial(%d, %g): variance %.3f, want %.3f +/- 15%%", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-// TestErlangMoments: Erlang(n, mean) must have mean n*mean and variance
-// n*mean^2, on both the summed-exponentials and normal-approximation
-// branches.
-func TestErlangMoments(t *testing.T) {
-	for _, n := range []int{4, 30, 120} {
-		const (
-			mean  = 0.04
-			draws = 20000
-		)
-		r := NewStreamRNG(2026, 3, uint64(n))
-		sum, sum2 := 0.0, 0.0
-		for i := 0; i < draws; i++ {
-			v := r.Erlang(n, mean)
-			if v < 0 {
-				t.Fatalf("Erlang(%d, %g) returned negative %g", n, mean, v)
-			}
-			sum += v
-			sum2 += v * v
-		}
-		m := sum / draws
-		variance := sum2/draws - m*m
-		wantMean := float64(n) * mean
-		wantVar := float64(n) * mean * mean
-		if tol := 5 * math.Sqrt(wantVar/draws); math.Abs(m-wantMean) > tol {
-			t.Errorf("Erlang(%d): mean %.4f, want %.4f +/- %.4f", n, m, wantMean, tol)
-		}
-		if math.Abs(variance-wantVar) > 0.15*wantVar {
-			t.Errorf("Erlang(%d): variance %.6f, want %.6f +/- 15%%", n, variance, wantVar)
 		}
 	}
 }

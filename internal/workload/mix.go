@@ -157,13 +157,13 @@ func (p *Picker) Pick(rng *simclock.RNG) Interaction {
 	return p.entries[p.weights.Pick(rng)]
 }
 
-// Validate checks that a picker can draw from the mix: it is named and has
-// entries, every entry is named with a finite non-negative weight and a
-// positive finite service factor, and at least one weight is positive.
-func (m Mix) Validate() error {
-	if err := validate.Struct("workload", &m); err != nil {
-		return err
-	}
+// ValidateShape checks the structure a picker needs to draw from the mix:
+// it is named and has entries, every entry is named, and at least one
+// weight is positive.  The numeric leaves, each weight finite and
+// non-negative and each service factor positive and finite, carry domain
+// tags that validate.Struct checks on the config holding the mix, so this
+// does not walk them again.
+func (m Mix) ValidateShape() error {
 	if m.Name == "" {
 		return validate.Fieldf("workload", "Mix.Name", "is empty")
 	}

@@ -41,18 +41,18 @@ func (d *immediateDispatcher) Submit(eng *simclock.Engine, req *cloudsim.Request
 
 func TestMixesValidateAndNormalise(t *testing.T) {
 	for _, m := range []Mix{BrowsingMix(), ShoppingMix(), OrderingMix()} {
-		if err := m.Validate(); err != nil {
+		if err := m.ValidateShape(); err != nil {
 			t.Errorf("mix %s failed validation: %v", m.Name, err)
 		}
 		if len(m.Entries) != 14 {
 			t.Errorf("mix %s has %d interactions, want the 14 TPC-W interactions", m.Name, len(m.Entries))
 		}
 	}
-	if err := (Mix{Name: "empty"}).Validate(); err == nil {
+	if err := (Mix{Name: "empty"}).ValidateShape(); err == nil {
 		t.Errorf("empty mix should fail validation")
 	}
 	neg := Mix{Name: "neg", Entries: []Interaction{{Name: "home", Weight: -1}}}
-	if err := neg.Validate(); err == nil {
+	if err := neg.ValidateShape(); err == nil {
 		t.Errorf("negative-weight mix should fail validation")
 	}
 }
