@@ -61,8 +61,11 @@ build:
 test:
 	$(GO) test ./...
 
+# test-repeat reruns each test in one process, so a test that leans on
+# package-level state, such as a default it edits, fails the second pass.
+# The CI verify job runs this target.
 test-repeat:
-	$(GO) test -short -count=2 ./internal/cloudsim/... ./internal/experiment/... ./internal/simclock/... ./internal/workload/...
+	$(GO) test -short -count=2 ./internal/acm/... ./internal/cloudsim/... ./internal/experiment/... ./internal/f2pm/... ./internal/gossip/... ./internal/simclock/... ./internal/workload/...
 
 race:
 	$(GO) test -race ./...

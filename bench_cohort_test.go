@@ -55,6 +55,7 @@ func runCohortPopulationBench(b *testing.B, clients int) {
 				Region:         "bench",
 				Clients:        clients,
 				ThinkTimeMean:  60 * simclock.Second,
+				Tick:           simclock.Second,
 				MaxBatch:       128,
 				TracerFraction: 0.01,
 				Seed:           42,

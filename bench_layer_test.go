@@ -32,7 +32,7 @@ func benchLayerRegion() *cloudsim.Region {
 		InitialStandby: benchShardedStandby,
 		MaxVMs:         benchShardedActive + benchShardedStandby,
 		Shards:         16,
-	}, simclock.NewRNG(42))
+	}.WithDefaults(), simclock.NewRNG(42))
 }
 
 // runPerUnit times b.N calls of op, each worth units units of work, and
@@ -178,7 +178,7 @@ func BenchmarkAnomalyBatch(b *testing.B) {
 		Type:          typ,
 		InitialActive: 1,
 		Failure:       cloudsim.FailurePoint{MemoryFraction: 1e9, ThreadFraction: 1e9},
-	}, simclock.NewRNG(42))
+	}.WithDefaults(), simclock.NewRNG(42))
 	region.PrepareBatches(benchBatchSize)
 	vm := region.VMs()[0]
 	eng := simclock.NewEngine(42)
@@ -271,7 +271,7 @@ func BenchmarkCrossLaneForward(b *testing.B) {
 		InitialActive: 4 * benchLanes,
 		Shards:        benchLanes,
 		Anomalies:     cloudsim.AnomalyProfile{LeakSizeMB: 1}, // non-zero, so no default injection
-	}, simclock.NewRNG(42))
+	}.WithDefaults(), simclock.NewRNG(42))
 	vmc, err := pcam.NewVMC(region, pcam.OraclePredictor{}, pcam.Config{ControlInterval: simclock.Hour})
 	if err != nil {
 		b.Fatal(err)

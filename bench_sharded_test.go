@@ -36,7 +36,7 @@ func runShardedRegionBench(b *testing.B, shards int) {
 		InitialStandby: benchShardedStandby,
 		MaxVMs:         benchShardedActive + benchShardedStandby,
 		Shards:         shards,
-	}
+	}.WithDefaults()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,7 +106,7 @@ func runEventLoopRegionBench(b *testing.B, shards, eventWorkers int) {
 		InitialStandby: benchShardedStandby,
 		MaxVMs:         benchShardedActive + benchShardedStandby,
 		Shards:         shards,
-	}
+	}.WithDefaults()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

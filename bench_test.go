@@ -175,7 +175,7 @@ func BenchmarkMLTraining_Toolchain(b *testing.B) {
 		RatePerVM:      8,
 		SampleInterval: 30 * simclock.Second,
 		TargetFailures: 8,
-	}
+	}.WithDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		model, report, err := f2pm.TrainFromProfile(pcfg, f2pm.DefaultConfig())

@@ -81,7 +81,7 @@ func run(instance string, vms int, rate float64, failures int, sampleS float64, 
 		RatePerVM:      rate,
 		SampleInterval: simclock.Duration(sampleS),
 		TargetFailures: failures,
-	}
+	}.WithDefaults()
 	fmt.Printf("profiling %d %s VMs at %.1f req/s each until %d failure episodes...\n",
 		vms, itype.Name, rate, failures)
 	ds, err := f2pm.CollectSyntheticDataset(pcfg)
@@ -138,7 +138,7 @@ func runAll(vms int, rate float64, failures int, sampleS float64, model string, 
 			RatePerVM:      rate,
 			SampleInterval: simclock.Duration(sampleS),
 			TargetFailures: failures,
-		}
+		}.WithDefaults()
 		ds, err := f2pm.CollectSyntheticDataset(pcfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", types[i].Name, err)

@@ -40,7 +40,7 @@ func main() {
 		},
 		Policy:          core.AvailableResources{},
 		ControlInterval: 60 * simclock.Second,
-	}
+	}.WithDefaults()
 	// The controller fault targets the initial leader, which the election
 	// picks when the deployment is built: build it once to learn the
 	// leader, then add the fault schedule to the config.

@@ -32,7 +32,7 @@ func main() {
 		RatePerVM:      8,
 		SampleInterval: 20 * simclock.Second,
 		TargetFailures: 12,
-	}
+	}.WithDefaults()
 	fmt.Println("profiling 4 private VMs until 12 failure episodes are observed ...")
 	dataset, err := f2pm.CollectSyntheticDataset(profile)
 	if err != nil {

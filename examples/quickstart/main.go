@@ -34,7 +34,7 @@ func main() {
 		Policy:          core.AvailableResources{},
 		Beta:            0.5,
 		ControlInterval: 60 * simclock.Second,
-	}
+	}.WithDefaults()
 
 	// 2. Build and run the simulated deployment for one hour, through the
 	// backend seam — the same interface the experiment runners and CLIs use.

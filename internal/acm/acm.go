@@ -10,7 +10,9 @@
 package acm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -42,15 +44,6 @@ const (
 	PredictorML PredictorMode = "ml"
 )
 
-// The defaults Config applies to an unset β, control interval and
-// predictor.  Experiment scenarios record the same values explicitly, so
-// each is written here once.
-const (
-	DefaultBeta            = 0.5
-	DefaultControlInterval = 60 * simclock.Second
-	DefaultPredictor       = PredictorOracle
-)
-
 // RegionSetup couples a region configuration with the client population
 // connected to it.
 type RegionSetup struct {
@@ -66,7 +59,8 @@ type RegionSetup struct {
 	// TracerFraction of them is simulated individually to feed the
 	// response-time series (see Config.TracerFraction).
 	CohortClients int `domain:">=0"`
-	// Mix is the TPC-W mix of those clients (browsing mix when zero-valued).
+	// Mix is the TPC-W mix of those clients (the browsing mix when
+	// zero-valued; workload fills it).
 	Mix workload.Mix
 	// SurgeClients optionally adds this many extra browsers once SurgeAt is
 	// reached, modelling the global workload increase of Section V that the
@@ -78,35 +72,42 @@ type RegionSetup struct {
 
 // Config describes a complete ACM deployment.  Every field except Policy is
 // plain data, so a Config round-trips through JSON (experiment scenario
-// files embed it).
+// files embed it).  NewManager runs a Config as given: WithDefaults fills
+// each 0 (and the nil Policy) that a field's comment says selects a
+// default, and a Config that skipped it is rejected by the field's name.
 type Config struct {
 	// Seed drives every random stream of the simulation.
 	Seed uint64 `domain:">=0"`
 	// Regions lists the cloud regions and their client populations.
 	Regions []RegionSetup
-	// Policy is the load-balancing policy run by the leader VMC.
+	// Policy is the load-balancing policy run by the leader VMC
+	// (WithDefaults fills nil with Policy 2, core.AvailableResources).
 	Policy core.Policy `json:"-"`
-	// Beta is the smoothing factor of equation (1).
-	Beta float64 `domain:"[0,1]"`
+	// Beta is the smoothing factor of equation (1) (WithDefaults fills 0
+	// with 0.5).
+	Beta float64 `domain:"(0,1]"`
 	// ControlInterval is the period of the global closed control loop (one
-	// era per interval).
-	ControlInterval simclock.Duration `domain:">=0"`
-	// VMC configures the per-region controllers (zero value = pcam defaults).
+	// era per interval; WithDefaults fills 0 with 60 s).
+	ControlInterval simclock.Duration `domain:">0"`
+	// VMC configures the per-region controllers (pcam.Config.WithDefaults
+	// fills its zeros).
 	VMC pcam.Config
-	// Predictor selects oracle or ML-based RTTF prediction.
+	// Predictor selects oracle or ML-based RTTF prediction (WithDefaults
+	// fills "" with oracle).
 	Predictor PredictorMode
-	// ThinkTime is the emulated browsers' mean think time (7 s when zero).
-	ThinkTime simclock.Duration `domain:">=0"`
-	// MLProfile overrides the profiling configuration used when Predictor is
-	// PredictorML (sensible defaults otherwise).  Each region's instance type
-	// is profiled, so its Instance must stay unset.
+	// ThinkTime is the emulated browsers' mean think time (WithDefaults
+	// fills 0 with TPC-W's 7 s).
+	ThinkTime simclock.Duration `domain:">0"`
+	// MLProfile is the profiling configuration used when Predictor is
+	// PredictorML (f2pm.ProfileConfig.WithDefaults fills its zeros).  Each
+	// region's instance type is profiled, so its Instance must stay unset.
 	MLProfile f2pm.ProfileConfig
 	// InitialAgeSpread staggers the initial anomaly state of each region's
 	// active VMs across [0, InitialAgeSpread) of their failure budget, so
 	// that rejuvenation points do not all align (the paper's testbed VMs had
 	// been running before the measurements started).  -1 disables the
-	// stagger; zero selects the default of 0.5.
-	InitialAgeSpread float64 `domain:">=0|-1"`
+	// stagger; WithDefaults fills 0 with 0.5.
+	InitialAgeSpread float64 `domain:">0|-1"`
 	// EventWorkers is the upper bound on the worker count of the sharded
 	// event loop (see eventloop.go): every region shard is its own
 	// sub-engine and the shard loops run in lockstep epochs.  With more than
@@ -114,18 +115,19 @@ type Config struct {
 	// of EventWorkers goroutines or inline on one, whichever it measures
 	// cheaper per event (simclock's fan-out selector).  The control tick's
 	// per-shard phase runs on that pool whenever it exists.  The output is
-	// byte-identical across all worker counts; zero selects 1, the inline
-	// run.
-	EventWorkers int `domain:">=0"`
+	// byte-identical across all worker counts; WithDefaults fills 0 with 1,
+	// the inline run.
+	EventWorkers int `domain:">0"`
 	// EventEpoch is the lockstep epoch width of the sharded event loop
-	// (simclock.DefaultEpoch when zero).  Cross-shard mailbox traffic is
-	// delivered at epoch barriers; periodic controllers still fire at their
-	// exact timestamps.
-	EventEpoch simclock.Duration `domain:">=0"`
+	// (WithDefaults fills 0 with simclock.DefaultEpoch).  Cross-shard
+	// mailbox traffic is delivered at epoch barriers; periodic controllers
+	// still fire at their exact timestamps.
+	EventEpoch simclock.Duration `domain:">0"`
 	// GSLB enables the global traffic director: a gslb.Director sits between
 	// globally attached client populations and the regions, routing each
 	// request according to the configured policy and a health probe sampled
-	// on the control timeline.  The zero value disables it.
+	// on the control timeline.  An empty Policy disables it;
+	// gslb.Config.WithDefaults fills its other zeros either way.
 	GSLB gslb.Config
 	// GlobalClients is the number of emulated browsers attached to the
 	// director instead of a fixed region; their requests enter whichever
@@ -139,14 +141,15 @@ type Config struct {
 	// GSLB to be enabled.
 	CohortClients int `domain:">=0"`
 	// TracerFraction is the fraction of every cohort simulated as individual
-	// tracer browsers feeding the per-request latency series (0.01 when
-	// zero).
-	TracerFraction float64 `domain:"[0,1]"`
-	// CohortTick is the cohorts' state-split cadence (1 s when zero).
-	CohortTick simclock.Duration `domain:">=0"`
+	// tracer browsers feeding the per-request latency series (WithDefaults
+	// fills 0 with 0.01).
+	TracerFraction float64 `domain:"(0,1]"`
+	// CohortTick is the cohorts' state-split cadence (WithDefaults fills 0
+	// with 1 s).
+	CohortTick simclock.Duration `domain:">0"`
 	// CohortMaxBatch caps the interactions one batched request stands for
-	// (64 when zero).
-	CohortMaxBatch int `domain:">=0"`
+	// (WithDefaults fills 0 with 64).
+	CohortMaxBatch int `domain:">0"`
 	// Arrivals lists open-loop (optionally time-varying, inhomogeneous-
 	// Poisson) request streams: pinned to one region's entry load balancer
 	// when Region is set, attached to the director otherwise.
@@ -168,11 +171,11 @@ type Config struct {
 	// lane).
 	GossipReplicas int `domain:">=0"`
 	// GossipInterval is the gossip round period on the control timeline
-	// (10 s when zero).  Requires GossipReplicas >= 2, like every gossip
-	// tuning field below.
+	// (WithDefaults fills 0 with 10 s).  Requires GossipReplicas >= 2, like
+	// every gossip tuning field below; with fewer, the fill leaves it 0.
 	GossipInterval simclock.Duration `domain:">=0"`
 	// GossipFanout is how many peers each replica pushes to per round
-	// (1 when zero).
+	// (WithDefaults fills 0 with 1).
 	GossipFanout int `domain:">=0"`
 	// GossipDelay is the per-message link delay of the gossip plane; a push
 	// always takes at least one round to arrive.
@@ -203,36 +206,35 @@ type Config struct {
 	FlightRecorder bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Beta == 0 {
-		c.Beta = DefaultBeta
-	}
-	if c.ControlInterval <= 0 {
-		c.ControlInterval = DefaultControlInterval
-	}
+// WithDefaults returns a copy with each zero (and the nil Policy) that a
+// field's comment says selects a default filled, sub-configs by their own
+// WithDefaults.  Gossip tuning is filled only with GossipReplicas >= 2, and
+// a -1 stays -1, so a second fill changes nothing.  experiment applies it to
+// every scenario; a Config built by hand goes through it before NewManager.
+func (c Config) WithDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = core.AvailableResources{}
 	}
-	if c.Predictor == "" {
-		c.Predictor = DefaultPredictor
+	c.Beta = cmp.Or(c.Beta, 0.5)
+	c.ControlInterval = cmp.Or(c.ControlInterval, 60*simclock.Second)
+	c.Predictor = cmp.Or(c.Predictor, PredictorOracle)
+	c.ThinkTime = cmp.Or(c.ThinkTime, 7*simclock.Second)
+	c.InitialAgeSpread = cmp.Or(c.InitialAgeSpread, 0.5)
+	c.TracerFraction = cmp.Or(c.TracerFraction, 0.01)
+	c.EventWorkers = cmp.Or(c.EventWorkers, 1)
+	c.EventEpoch = cmp.Or(c.EventEpoch, simclock.DefaultEpoch)
+	c.CohortTick = cmp.Or(c.CohortTick, simclock.Second)
+	c.CohortMaxBatch = cmp.Or(c.CohortMaxBatch, 64)
+	if c.GossipReplicas >= 2 {
+		c.GossipInterval = cmp.Or(c.GossipInterval, 10*simclock.Second)
+		c.GossipFanout = cmp.Or(c.GossipFanout, 1)
 	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 7 * simclock.Second
-	}
-	if c.InitialAgeSpread == 0 {
-		c.InitialAgeSpread = 0.5
-	}
-	if c.InitialAgeSpread == -1 {
-		c.InitialAgeSpread = 0
-	}
-	if c.TracerFraction == 0 {
-		c.TracerFraction = 0.01
-	}
-	if c.EventWorkers <= 0 {
-		c.EventWorkers = 1
-	}
-	if c.EventEpoch <= 0 {
-		c.EventEpoch = simclock.DefaultEpoch
+	c.VMC = c.VMC.WithDefaults()
+	c.GSLB = c.GSLB.WithDefaults()
+	c.MLProfile = c.MLProfile.WithDefaults()
+	c.Regions = slices.Clone(c.Regions)
+	for i := range c.Regions {
+		c.Regions[i].Region = c.Regions[i].Region.WithDefaults()
 	}
 	return c
 }
@@ -272,18 +274,21 @@ type Manager struct {
 	stopLoop        func()
 }
 
-// NewManager builds the deployment.  It first rejects, by dotted path, any
-// numeric field outside its declared domain.  It trains the ML predictors
-// up front when PredictorML is selected (the paper's initial profiling
-// phase).
+// NewManager builds the deployment from a complete Config (see
+// WithDefaults).  It first rejects, by dotted path, any numeric field
+// outside its declared domain, so an unfilled Config fails by the name of
+// its first zero.  It trains the ML predictors up front when PredictorML is
+// selected (the paper's initial profiling phase).
 func NewManager(cfg Config) (*Manager, error) {
 	if err := validate.Struct("acm", &cfg); err != nil {
 		return nil, err
 	}
+	if cfg.Policy == nil {
+		return nil, validate.Fieldf("acm", "Policy", "is nil")
+	}
 	if cfg.MLProfile.Instance != (cloudsim.InstanceType{}) {
 		return nil, validate.Fieldf("acm", "MLProfile.Instance", "is set to %q, but the predictors profile each region's own instance type; leave it unset", cfg.MLProfile.Instance.Name)
 	}
-	cfg = cfg.withDefaults()
 	if len(cfg.Regions) == 0 {
 		return nil, fmt.Errorf("acm: no regions configured")
 	}

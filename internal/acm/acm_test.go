@@ -3,6 +3,7 @@ package acm
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func smallConfig(seed uint64, policy core.Policy) Config {
 		Beta:            0.5,
 		ControlInterval: 60 * simclock.Second,
 		Predictor:       PredictorOracle,
-	}
+	}.WithDefaults()
 }
 
 func TestNewManagerValidation(t *testing.T) {
@@ -38,13 +39,13 @@ func TestNewManagerValidation(t *testing.T) {
 	for _, beta := range []float64{math.NaN(), 1.7, -0.5} {
 		out := smallConfig(1, core.AvailableResources{})
 		out.Beta = beta
-		if _, err := NewManager(out); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("acm: Beta must be in [0, 1], got %v", beta)) {
-			t.Fatalf("beta %v outside [0, 1] should be rejected by name, got %v", beta, err)
+		if _, err := NewManager(out.WithDefaults()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("acm: Beta must be in (0, 1], got %v", beta)) {
+			t.Fatalf("beta %v outside (0, 1] should be rejected by name, got %v", beta, err)
 		}
 	}
 	badVMC := smallConfig(1, core.AvailableResources{})
 	badVMC.VMC.RTTFThreshold = -10
-	if _, err := NewManager(badVMC); err == nil || !strings.Contains(err.Error(), "RTTFThreshold") {
+	if _, err := NewManager(badVMC.WithDefaults()); err == nil || !strings.Contains(err.Error(), "RTTFThreshold") {
 		t.Fatalf("a negative VMC RTTFThreshold should be rejected by name, got %v", err)
 	}
 	for _, c := range []struct {
@@ -81,15 +82,14 @@ func TestNewManagerValidation(t *testing.T) {
 	} {
 		bad := smallConfig(1, core.AvailableResources{})
 		c.set(&bad)
-		if _, err := NewManager(bad); err == nil || !strings.Contains(err.Error(), "acm: "+c.field+" ") {
+		if _, err := NewManager(bad.WithDefaults()); err == nil || !strings.Contains(err.Error(), "acm: "+c.field+" ") {
 			t.Fatalf("%s out of range should be rejected by name, got %v", c.field, err)
 		}
 	}
-	zero := smallConfig(1, core.AvailableResources{})
-	zero.Regions[0].Region.Anomalies = cloudsim.AnomalyProfile{LeakProbability: 1, ThreadProbability: 0}
-	zero.CohortMaxBatch, zero.CohortTick = 0, 0
-	if _, err := NewManager(zero); err != nil {
-		t.Fatalf("boundary anomaly probabilities and zero cohort knobs should be accepted: %v", err)
+	edge := smallConfig(1, core.AvailableResources{})
+	edge.Regions[0].Region.Anomalies = cloudsim.AnomalyProfile{LeakProbability: 1, ThreadProbability: 0}
+	if _, err := NewManager(edge); err != nil {
+		t.Fatalf("boundary anomaly probabilities should be accepted: %v", err)
 	}
 	m, err := NewManager(smallConfig(1, core.AvailableResources{}))
 	if err != nil {
@@ -202,7 +202,7 @@ func TestManagerForwardsRequestsAcrossRegions(t *testing.T) {
 		Beta:            0.5,
 		ControlInterval: 60 * simclock.Second,
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestManagerLeaderElectionAndFailover(t *testing.T) {
 	// one overlay link; the overlay must reroute without killing the run.
 	cfg.ControllerFaults = []ControllerFault{{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute}}
 	cfg.OverlayFaults = []OverlayFault{{A: "region1", B: "region3", At: 12 * simclock.Minute, Duration: 6 * simclock.Minute}}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -292,9 +292,9 @@ func TestManagerWithMLPredictor(t *testing.T) {
 		SampleInterval: 30 * simclock.Second,
 		MaxHorizon:     8 * simclock.Hour,
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
-		t.Fatalf("NewManager(ML): %v", err)
+		t.Fatalf("NewManager(ML.WithDefaults()): %v", err)
 	}
 	if err := m.Run(30 * simclock.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -325,7 +325,7 @@ func TestDefaultOverlayForNonPaperRegions(t *testing.T) {
 		},
 		Policy: core.Uniform{},
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestDefaultOverlayForNonPaperRegions(t *testing.T) {
 func TestManagerUnknownPredictorMode(t *testing.T) {
 	cfg := smallConfig(1, core.Uniform{})
 	cfg.Predictor = PredictorMode("quantum")
-	if _, err := NewManager(cfg); err == nil {
+	if _, err := NewManager(cfg.WithDefaults()); err == nil {
 		t.Fatalf("unknown predictor mode should be rejected")
 	}
 }
@@ -408,7 +408,7 @@ func TestWorkloadSurgeStartsLater(t *testing.T) {
 	cfg := smallConfig(31, core.AvailableResources{})
 	cfg.Regions[0].SurgeClients = 200
 	cfg.Regions[0].SurgeAt = 10 * simclock.Minute
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -440,7 +440,7 @@ func TestWorkloadSurgeStartsLater(t *testing.T) {
 func TestSurgeRequiresBothFields(t *testing.T) {
 	cfg := smallConfig(32, core.Uniform{})
 	cfg.Regions[0].SurgeClients = 100 // SurgeAt left at zero: no surge population
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -469,7 +469,7 @@ func TestCutOverlayStopsForwarding(t *testing.T) {
 		}
 		const cut = 15 * simclock.Minute
 		cfg.OverlayFaults = []OverlayFault{{A: "east", B: "west", At: cut}}
-		m, err := NewManager(cfg)
+		m, err := NewManager(cfg.WithDefaults())
 		if err != nil {
 			t.Fatalf("workers=%d: NewManager: %v", workers, err)
 		}
@@ -493,5 +493,77 @@ func TestCutOverlayStopsForwarding(t *testing.T) {
 		if m.LocalRequests() <= localAtCut {
 			t.Errorf("workers=%d: no request counted as local after the cut", workers)
 		}
+	}
+}
+
+// TestUnfilledConfigIsRejected: NewManager runs a Config as given, so every
+// 0 that WithDefaults would fill is rejected by the field's name, not run
+// on a default chosen silently below the edge.
+func TestUnfilledConfigIsRejected(t *testing.T) {
+	raw := Config{Regions: []RegionSetup{{Region: cloudsim.RegionConfig{Name: "r", Type: cloudsim.M3Medium, InitialActive: 2}, Clients: 4}}}
+	raw.Policy = core.AvailableResources{}
+	if _, err := NewManager(raw); err == nil || err.Error() != "acm: Regions[0].Region.Shards must be in [1, 65536], got 0" {
+		t.Fatalf("an unfilled Config: got %v, want its first 0 rejected by name", err)
+	}
+	for _, c := range []struct {
+		field string
+		zero  func(*Config)
+	}{
+		{"Beta", func(c *Config) { c.Beta = 0 }},
+		{"ControlInterval", func(c *Config) { c.ControlInterval = 0 }},
+		{"ThinkTime", func(c *Config) { c.ThinkTime = 0 }},
+		{"InitialAgeSpread", func(c *Config) { c.InitialAgeSpread = 0 }},
+		{"TracerFraction", func(c *Config) { c.TracerFraction = 0 }},
+		{"EventWorkers", func(c *Config) { c.EventWorkers = 0 }},
+		{"EventEpoch", func(c *Config) { c.EventEpoch = 0 }},
+		{"CohortTick", func(c *Config) { c.CohortTick = 0 }},
+		{"CohortMaxBatch", func(c *Config) { c.CohortMaxBatch = 0 }},
+		{"VMC.RTTFThreshold", func(c *Config) { c.VMC.RTTFThreshold = 0 }},
+		{"VMC.ControlInterval", func(c *Config) { c.VMC.ControlInterval = 0 }},
+		{"VMC.MinActive", func(c *Config) { c.VMC.MinActive = 0 }},
+		{"VMC.RMTTFBeta", func(c *Config) { c.VMC.RMTTFBeta = 0 }},
+		{"GSLB.ProbeInterval", func(c *Config) { c.GSLB.ProbeInterval = 0 }},
+		{"GSLB.ErrorThreshold", func(c *Config) { c.GSLB.ErrorThreshold = 0 }},
+		{"MLProfile.VMs", func(c *Config) { c.MLProfile.VMs = 0 }},
+		{"Regions[1].Region.Shards", func(c *Config) { c.Regions[1].Region.Shards = 0 }},
+		{"Regions[0].Region.Type.VCPUs", func(c *Config) { c.Regions[0].Region.Type.VCPUs = 0 }},
+		{"Policy", func(c *Config) { c.Policy = nil }},
+	} {
+		cfg := smallConfig(1, core.AvailableResources{})
+		c.zero(&cfg)
+		if _, err := NewManager(cfg); err == nil || !strings.Contains(err.Error(), "acm: "+c.field+" ") {
+			t.Errorf("%s = 0: got error %v, want one naming it", c.field, err)
+		}
+		if filled := cfg.WithDefaults(); !reflect.DeepEqual(filled, smallConfig(1, core.AvailableResources{})) {
+			t.Errorf("%s = 0: WithDefaults does not restore the default", c.field)
+		}
+	}
+}
+
+// TestWithDefaultsIsAFixedPoint: a second fill changes nothing, keeps the
+// -1 that switches the initial-age stagger off, and leaves the caller's
+// Regions untouched.
+func TestWithDefaultsIsAFixedPoint(t *testing.T) {
+	cfg := Config{
+		Regions:          []RegionSetup{{Region: cloudsim.RegionConfig{Name: "r", Type: cloudsim.M3Medium, InitialActive: 2}, Clients: 4}},
+		InitialAgeSpread: -1,
+		GossipReplicas:   3,
+		GSLB:             gslb.Config{Policy: gslb.PolicyLeastLoad, CapacityThreshold: gslb.DisabledThreshold},
+	}
+	once := cfg.WithDefaults()
+	if !reflect.DeepEqual(once.WithDefaults(), once) {
+		t.Fatalf("a second fill moved the config:\n%+v\n%+v", once.WithDefaults(), once)
+	}
+	if once.InitialAgeSpread != -1 || once.GSLB.CapacityThreshold != gslb.DisabledThreshold {
+		t.Fatalf("the fill rewrote a -1: InitialAgeSpread %v, CapacityThreshold %v", once.InitialAgeSpread, once.GSLB.CapacityThreshold)
+	}
+	if once.GossipInterval == 0 || once.GossipFanout == 0 {
+		t.Fatalf("three replicas left the gossip tuning unfilled: %v, %d", once.GossipInterval, once.GossipFanout)
+	}
+	if cfg.Regions[0].Region.Shards != 0 {
+		t.Fatal("WithDefaults wrote to the caller's Regions")
+	}
+	if one := (Config{}).WithDefaults(); one.GossipInterval != 0 || one.GossipFanout != 0 {
+		t.Fatal("one replica sends no gossip, but the fill gave it gossip tuning")
 	}
 }

@@ -21,7 +21,7 @@ func faultFuzzConfig() Config {
 		},
 		Policy:          core.AvailableResources{},
 		ControlInterval: 60 * simclock.Second,
-	}
+	}.WithDefaults()
 }
 
 // fuzzControllers are the controller targets a fuzzed window draws from:
@@ -84,7 +84,7 @@ func FuzzControlFaults(f *testing.F) {
 				allClosed = false
 			}
 		}
-		m, err := NewManager(cfg)
+		m, err := NewManager(cfg.WithDefaults())
 		if err != nil {
 			if !strings.Contains(err.Error(), "ControllerFaults") && !strings.Contains(err.Error(), "OverlayFaults") {
 				t.Fatalf("rejected schedule %+v %+v with %v, which names neither list", cfg.ControllerFaults, cfg.OverlayFaults, err)

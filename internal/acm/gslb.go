@@ -29,7 +29,8 @@ type ArrivalSetup struct {
 	Name string
 	// Rate is the (possibly time-varying) arrival rate.
 	Rate workload.RateSpec
-	// Mix is the interaction mix (browsing when zero-valued).
+	// Mix is the interaction mix (workload fills a zero-valued one with the
+	// browsing mix).
 	Mix workload.Mix
 	// Region optionally pins the stream to one region's entry load balancer
 	// (riding the global forward plan like that region's browsers).  Empty
@@ -189,7 +190,7 @@ func (m *Manager) startDirector() {
 		m.el.installPlaneTables(m.plane)
 	})
 	if m.plane.NumReplicas() > 1 {
-		m.stopGossip = m.eng.Ticker(m.plane.Interval(), func(eng *simclock.Engine) {
+		m.stopGossip = m.eng.Ticker(m.plane.Config().Interval, func(eng *simclock.Engine) {
 			m.plane.GossipTick(eng.Now())
 			m.el.installPlaneTables(m.plane)
 		})

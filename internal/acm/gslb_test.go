@@ -186,7 +186,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 			c.GSLB = latencyGSLB()
 			c.GossipReplicas = 2
 		}, "cannot run a latency-aware GSLB config"},
-		{"NaN tracer fraction", func(c *Config) { c.TracerFraction = math.NaN() }, "acm: TracerFraction must be in [0, 1], got NaN"},
+		{"NaN tracer fraction", func(c *Config) { c.TracerFraction = math.NaN() }, "acm: TracerFraction must be in (0, 1], got NaN"},
 		// The predictors profile each region's own instance type, so a set
 		// MLProfile.Instance would be ignored.
 		{"ML profile instance", func(c *Config) { c.MLProfile.Instance = cloudsim.M3Medium }, `acm: MLProfile.Instance is set to "m3.medium"`},
@@ -233,7 +233,7 @@ func TestGSLBConfigValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Seed: 1, Regions: twoRegionSetups(8)}
 			tc.mut(&cfg)
-			_, err := NewManager(cfg)
+			_, err := NewManager(cfg.WithDefaults())
 			if err == nil {
 				t.Fatalf("NewManager accepted invalid config")
 			}
@@ -253,7 +253,7 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 		GSLB:          gslb.Config{Policy: gslb.PolicyRoundRobin},
 		GlobalClients: 16,
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestGSLBStaticRouteSharesChiSquare(t *testing.T) {
 		GSLB:          gslb.Config{Policy: gslb.PolicyStatic, Weights: []float64{5, 3, 2}},
 		GlobalClients: 96,
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestPinnedArrivals(t *testing.T) {
 				}},
 			},
 		}
-		m, err := NewManager(cfg)
+		m, err := NewManager(cfg.WithDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestRegionFaultOutageAndRecovery(t *testing.T) {
 			{Region: "region1", At: 2 * simclock.Minute, Duration: 3 * simclock.Minute, KeepActive: 0},
 		},
 	}
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestSampledSetsMatchRegisteredFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := NewManager(tc.cfg)
+			m, err := NewManager(tc.cfg.WithDefaults())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,7 +94,7 @@ var oracleServed = 0.040 * (0.05 + math.Exp(-0.05))
 // measurement window.
 func measureOneVM(t *testing.T, cfg Config, n int) (x, r float64) {
 	t.Helper()
-	m, err := NewManager(cfg)
+	m, err := NewManager(cfg.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

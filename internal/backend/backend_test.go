@@ -18,7 +18,7 @@ func testConfig() acm.Config {
 		},
 		Policy:          core.AvailableResources{},
 		ControlInterval: 60 * simclock.Second,
-	}
+	}.WithDefaults()
 }
 
 func TestSimulatedImplementsBackend(t *testing.T) {

@@ -190,7 +190,7 @@ func TestPrepareBatchesKeepsDraws(t *testing.T) {
 			Type:          M3Medium,
 			InitialActive: 2,
 			Failure:       FailurePoint{MemoryFraction: 1e9, ThreadFraction: 1e9},
-		}, simclock.NewRNG(5))
+		}.WithDefaults(), simclock.NewRNG(5))
 		if prepare {
 			r.PrepareBatches(64)
 		}
@@ -576,7 +576,7 @@ func TestRegionTrueRMTTFHeterogeneity(t *testing.T) {
 	if r1.TrueRMTTF(0) == 0 {
 		t.Fatalf("RMTTF at zero rate should not be zero")
 	}
-	empty := NewRegion(RegionConfig{Name: "empty", Type: M3Medium}, simclock.NewRNG(9))
+	empty := NewRegion(RegionConfig{Name: "empty", Type: M3Medium}.WithDefaults(), simclock.NewRNG(9))
 	if empty.TrueRMTTF(rate) != 0 {
 		t.Fatalf("RMTTF of a region with no active VMs should be 0")
 	}
@@ -721,4 +721,54 @@ func TestRequestPoolResetsAndGuardsRelease(t *testing.T) {
 	}
 	mustPanicReleased("Finish", func() { req.Finish(simclock.NewEngine(1), Outcome{Request: req}) })
 	mustPanicReleased("second Put", func() { pool.Put(req) })
+}
+
+// TestZeroAnomalyProfileLeaksNothing: NewRegion takes its configuration as
+// given, so an all-zero AnomalyProfile is a profile that injects nothing,
+// not a request for the paper's.  Only WithDefaults substitutes that.
+func TestZeroAnomalyProfileLeaksNothing(t *testing.T) {
+	cfg := PaperRegionConfig(PaperRegion1)
+	cfg.Anomalies = AnomalyProfile{}
+	eng := simclock.NewEngine(3)
+	r := NewRegion(cfg, eng.RNG().Fork())
+	if got := r.Config().Anomalies; !got.IsZero() {
+		t.Fatalf("NewRegion replaced the zero profile with %+v", got)
+	}
+	const n = 2000
+	vms := r.ActiveVMs()
+	for i := 0; i < n; i++ {
+		vm, id := vms[i%len(vms)], uint64(i+1)
+		eng.ScheduleFunc(simclock.Duration(i)*50*simclock.Millisecond, func(e *simclock.Engine) {
+			vm.Dispatch(e, &Request{ID: id, ServiceFactor: 1, Arrival: e.Now()})
+		})
+	}
+	eng.RunUntilEmpty()
+	if s := r.Stats(); s.Served != n {
+		t.Fatalf("served %d of %d requests", s.Served, n)
+	}
+	for _, vm := range r.VMs() {
+		if vm.LeakedMB() != 0 {
+			t.Fatalf("%s leaked %.2f MB with an all-zero anomaly profile", vm.ID(), vm.LeakedMB())
+		}
+	}
+	if def := (RegionConfig{}).WithDefaults().Anomalies; def != DefaultAnomalyProfile() {
+		t.Fatalf("WithDefaults filled the zero profile with %+v, want the paper's", def)
+	}
+}
+
+// TestDefaultsAreFresh: every default constructor returns a new value, so a
+// caller that edits one cannot change the next caller's defaults.
+func TestDefaultsAreFresh(t *testing.T) {
+	a := DefaultAnomalyProfile()
+	a.LeakProbability = 0.9
+	f := DefaultFailurePoint()
+	f.MemoryFraction = 0.1
+	rj := DefaultRejuvenationModel()
+	rj.ActivateDuration = 0
+	c := RegionConfig{}.WithDefaults()
+	c.Anomalies.LeakSizeMB = 99
+	if DefaultAnomalyProfile().LeakProbability != 0.10 || DefaultFailurePoint().MemoryFraction != 0.70 ||
+		DefaultRejuvenationModel().ActivateDuration == 0 || (RegionConfig{}).WithDefaults().Anomalies.LeakSizeMB != 1.5 {
+		t.Fatal("editing a returned default changed the next call's result")
+	}
 }

@@ -105,7 +105,7 @@ func dispatchFuzzConfig() RegionConfig {
 		InitialStandby: 4,
 		MaxVMs:         15,
 		Shards:         3,
-	}
+	}.WithDefaults()
 }
 
 // dispatchFuzzWideConfig has more than 64 VMs per shard, so each shard's
@@ -119,7 +119,7 @@ func dispatchFuzzWideConfig() RegionConfig {
 		InitialStandby: 20,
 		MaxVMs:         256,
 		Shards:         2,
-	}
+	}.WithDefaults()
 }
 
 // FuzzShardDispatchIndex decodes the input as (op, arg) byte pairs driving
@@ -187,7 +187,7 @@ func runDispatchSchedule(t *testing.T, cfg RegionConfig, ops []byte) {
 // holding it in provisioning order does.
 func TestDispatchIndexTieBreak(t *testing.T) {
 	eng := simclock.NewEngine(1)
-	r := NewRegion(RegionConfig{Name: "tie", Type: M3Medium, InitialActive: 4, Shards: 1}, simclock.NewRNG(1))
+	r := NewRegion(RegionConfig{Name: "tie", Type: M3Medium, InitialActive: 4, Shards: 1}.WithDefaults(), simclock.NewRNG(1))
 	vms := r.shards[0].vms
 	load := []int{2, 1, 3, 1}
 	for i, n := range load {
@@ -212,7 +212,7 @@ func TestDispatchIndexTieBreak(t *testing.T) {
 // feature sample.
 func TestDispatchIndexAllocatesNothing(t *testing.T) {
 	eng := simclock.NewEngine(1)
-	r := NewRegion(RegionConfig{Name: "pin", Type: M3Medium, InitialActive: 30, InitialStandby: 6, Shards: 3}, simclock.NewRNG(1))
+	r := NewRegion(RegionConfig{Name: "pin", Type: M3Medium, InitialActive: 30, InitialStandby: 6, Shards: 3}.WithDefaults(), simclock.NewRNG(1))
 	for i, vm := range r.ActiveVMs() {
 		for j := 0; j < 1+i%3; j++ {
 			vm.Dispatch(eng, &Request{ServiceFactor: 1, Arrival: eng.Now()})

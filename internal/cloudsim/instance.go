@@ -26,8 +26,9 @@ import (
 type InstanceType struct {
 	// Name is the provider-facing type name, e.g. "m3.medium".
 	Name string
-	// VCPUs is the number of virtual CPU cores.
-	VCPUs int `domain:">=0"`
+	// VCPUs is the number of virtual CPU cores (RegionConfig.WithDefaults
+	// fills 0 with 1).
+	VCPUs int `domain:">0"`
 	// ClockGHz is the nominal per-core clock, used as a relative speed factor.
 	ClockGHz float64 `domain:">=0"`
 	// MemoryMB is the physical memory available to the guest.  It has no
@@ -127,7 +128,7 @@ type AnomalyProfile struct {
 }
 
 // IsZero reports whether the profile is entirely unset, in which case
-// RegionConfig.withDefaults substitutes the paper's defaults.  It compares
+// RegionConfig.WithDefaults substitutes the paper's defaults.  It compares
 // field by field instead of using == so the struct stays free to grow
 // non-comparable fields (e.g. a per-class probability slice) later.
 func (a AnomalyProfile) IsZero() bool {

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/simclock"
@@ -26,23 +27,25 @@ type RegionConfig struct {
 	// available for proactive takeover.
 	InitialStandby int `domain:">=0"`
 	// MaxVMs caps how many VMs the hypervisor / provider account can host in
-	// this region; ADDVMS requests beyond the cap are rejected.  Zero means
-	// "twice the initial pool".
+	// this region; ADDVMS requests beyond the cap are rejected.  WithDefaults
+	// fills 0 with twice the initial pool.
 	MaxVMs int `domain:">=0"`
 	// Shards splits the region's VM pool across this many engine shards, each
 	// owning a disjoint VM subset with its own derived RNG stream.  Sharding
 	// keeps the per-request and per-scan cost at O(pool/Shards) so a single
-	// region can grow past ~10^3 VMs.  Zero or one keeps today's single-pool
-	// behaviour (byte-identical event streams).
-	Shards int `domain:"[0,65536]"`
+	// region can grow past ~10^3 VMs.  One keeps the single-pool behaviour
+	// (byte-identical event streams); WithDefaults fills 0 with 1.
+	Shards int `domain:"[1,65536]"`
 	// Anomalies, Failure and Rejuvenation apply to every VM in the region.
 	Anomalies    AnomalyProfile
 	Failure      FailurePoint
 	Rejuvenation RejuvenationModel
 }
 
-// withDefaults fills zero-valued fields with the paper's defaults.
-func (c RegionConfig) withDefaults() RegionConfig {
+// WithDefaults fills the configuration: an all-zero Anomalies, Failure or
+// Rejuvenation becomes the paper's, MaxVMs 0 twice the initial pool, Shards
+// and Type.VCPUs 0 one.  NewRegion fills nothing.
+func (c RegionConfig) WithDefaults() RegionConfig {
 	if c.Anomalies.IsZero() {
 		c.Anomalies = DefaultAnomalyProfile()
 	}
@@ -52,12 +55,9 @@ func (c RegionConfig) withDefaults() RegionConfig {
 	if c.Rejuvenation.IsZero() {
 		c.Rejuvenation = DefaultRejuvenationModel()
 	}
-	if c.MaxVMs <= 0 {
-		c.MaxVMs = 2 * (c.InitialActive + c.InitialStandby)
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
+	c.MaxVMs = cmp.Or(c.MaxVMs, 2*(c.InitialActive+c.InitialStandby))
+	c.Shards = cmp.Or(c.Shards, 1)
+	c.Type.VCPUs = cmp.Or(c.Type.VCPUs, 1)
 	return c
 }
 
@@ -79,7 +79,9 @@ const MaxShards = 1 << 16
 
 // NewRegion builds the region's initial VM pool.  Active VMs are activated
 // immediately (activation latency is irrelevant before the simulation
-// starts).  More than MaxShards shards panics.
+// starts).  It takes cfg as given (see WithDefaults): an all-zero
+// AnomalyProfile leaks nothing.  Shards outside [1, MaxShards] or a
+// Type.VCPUs below 1 panics, naming the field.
 //
 // With Shards <= 1 the provided rng drives every VM fork directly, exactly as
 // the unsharded engine did.  With Shards > 1 a base seed is drawn from rng
@@ -87,9 +89,11 @@ const MaxShards = 1 << 16
 // simclock.DeriveSeed(base, shardIndex), so shard streams do not depend on
 // each other's consumption.
 func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
-	cfg = cfg.withDefaults()
-	if cfg.Shards > MaxShards {
-		panic(fmt.Sprintf("cloudsim: region %s: %d shards, more than MaxShards (%d)", cfg.Name, cfg.Shards, MaxShards))
+	if cfg.Shards < 1 || cfg.Shards > MaxShards {
+		panic(fmt.Sprintf("cloudsim: region %s: Shards must be in [1, %d], got %d", cfg.Name, MaxShards, cfg.Shards))
+	}
+	if cfg.Type.VCPUs < 1 {
+		panic(fmt.Sprintf("cloudsim: region %s: Type.VCPUs must be >= 1, got %d", cfg.Name, cfg.Type.VCPUs))
 	}
 	if rng == nil {
 		rng = simclock.NewRNG(7)
@@ -99,7 +103,7 @@ func NewRegion(cfg RegionConfig, rng *simclock.RNG) *Region {
 		Anomalies:    cfg.Anomalies,
 		Failure:      cfg.Failure,
 		Rejuvenation: cfg.Rejuvenation,
-	}.withDefaults()
+	}
 	r := &Region{cfg: cfg, vmCfg: &vmCfg}
 	r.shards = make([]*shard, cfg.Shards)
 	if cfg.Shards == 1 {
@@ -165,7 +169,7 @@ func (r *Region) PrepareBatches(maxBatch int) {
 // Name returns the region name.
 func (r *Region) Name() string { return r.cfg.Name }
 
-// Config returns the region configuration (with defaults applied).
+// Config returns the region configuration, as NewRegion was given it.
 func (r *Region) Config() RegionConfig { return r.cfg }
 
 // VMs returns all VMs in the pool, in provisioning order.
@@ -334,11 +338,14 @@ const (
 
 // PaperRegionConfig returns the RegionConfig matching the paper's testbed for
 // the given region.  Each region keeps a small standby pool so PCAM has spare
-// VMs to activate, as required by the proactive-takeover mechanism.
+// VMs to activate, as required by the proactive-takeover mechanism.  The
+// configuration comes with defaults filled (WithDefaults): the paper's
+// anomaly profile, failure point and rejuvenation model.
 func PaperRegionConfig(which PaperRegion) RegionConfig {
+	var c RegionConfig
 	switch which {
 	case PaperRegion1:
-		return RegionConfig{
+		c = RegionConfig{
 			Name:           "region1",
 			Provider:       "aws",
 			Location:       "eu-west-1 (Ireland)",
@@ -347,7 +354,7 @@ func PaperRegionConfig(which PaperRegion) RegionConfig {
 			InitialStandby: 3,
 		}
 	case PaperRegion2:
-		return RegionConfig{
+		c = RegionConfig{
 			Name:           "region2",
 			Provider:       "aws",
 			Location:       "eu-central-1 (Frankfurt)",
@@ -356,7 +363,7 @@ func PaperRegionConfig(which PaperRegion) RegionConfig {
 			InitialStandby: 6,
 		}
 	case PaperRegion3:
-		return RegionConfig{
+		c = RegionConfig{
 			Name:           "region3",
 			Provider:       "private",
 			Location:       "Munich",
@@ -367,4 +374,5 @@ func PaperRegionConfig(which PaperRegion) RegionConfig {
 	default:
 		panic(fmt.Sprintf("cloudsim: unknown paper region %d", which))
 	}
+	return c.WithDefaults()
 }

@@ -24,7 +24,7 @@ func sendConfig(shards, active, standby int) RegionConfig {
 		InitialStandby: standby,
 		Shards:         shards,
 		Anomalies:      AnomalyProfile{LeakSizeMB: 1}, // non-zero, so no default injection
-	}
+	}.WithDefaults()
 }
 
 // bindRegion builds a region of cfg whose shard i runs on lane first+i of se.
@@ -65,18 +65,19 @@ func TestShardBindingIsExclusive(t *testing.T) {
 	se := simclock.NewShardedEngine(2, 1, 0, 1)
 	bindRegion(se, sendConfig(2, 2, 0), 0)
 	mustPanic("a second region on lane 1", "already runs another shard", func() { bindRegion(se, sendConfig(1, 1, 0), 1) })
-	mustPanic("MaxShards+1 shards", "more than MaxShards", func() { NewRegion(sendConfig(MaxShards+1, 0, 0), nil) })
+	mustPanic("MaxShards+1 shards", "Shards must be in [1, 65536], got 65537", func() { NewRegion(sendConfig(MaxShards+1, 0, 0), nil) })
+	mustPanic("zero shards", "Shards must be in [1, 65536], got 0", func() { NewRegion(RegionConfig{Name: "zero", Type: M3Medium}, nil) })
 }
 
 // TestShardsDomainIsMaxShards: the Shards domain tag spells MaxShards as a
 // literal, so a config that NewRegion would panic on is rejected by name
 // first.
 func TestShardsDomainIsMaxShards(t *testing.T) {
-	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards}); err != nil {
+	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards}.WithDefaults()); err != nil {
 		t.Fatalf("MaxShards shards rejected: %v", err)
 	}
-	want := fmt.Sprintf("cloudsim: Shards must be in [0, %d], got %d", MaxShards, MaxShards+1)
-	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards + 1}); err == nil || err.Error() != want {
+	want := fmt.Sprintf("cloudsim: Shards must be in [1, %d], got %d", MaxShards, MaxShards+1)
+	if err := validate.Struct("cloudsim", RegionConfig{Type: M3Medium, Shards: MaxShards + 1}.WithDefaults()); err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %q", err, want)
 	}
 }

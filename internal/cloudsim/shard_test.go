@@ -18,7 +18,7 @@ func shardedConfig(shards int) RegionConfig {
 		InitialStandby: 6,
 		MaxVMs:         24,
 		Shards:         shards,
-	}
+	}.WithDefaults()
 }
 
 func TestRegionShardsDefaultToOne(t *testing.T) {
@@ -215,9 +215,9 @@ func TestConfigIsZeroMethods(t *testing.T) {
 	if partial.IsZero() {
 		t.Fatalf("partially set profile should not report IsZero")
 	}
-	cfg := RegionConfig{Name: "x", Type: M3Medium, InitialActive: 1, Anomalies: partial}.withDefaults()
+	cfg := RegionConfig{Name: "x", Type: M3Medium, InitialActive: 1, Anomalies: partial}.WithDefaults()
 	if cfg.Anomalies != partial {
-		t.Fatalf("withDefaults clobbered an explicit anomaly profile: %+v", cfg.Anomalies)
+		t.Fatalf("WithDefaults clobbered an explicit anomaly profile: %+v", cfg.Anomalies)
 	}
 	if cfg.Failure.IsZero() || cfg.Rejuvenation.IsZero() {
 		t.Fatalf("unset failure point / rejuvenation model should gain defaults")

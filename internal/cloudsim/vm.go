@@ -129,18 +129,7 @@ func NewVM(id string, cfg *VMConfig, rng simclock.RNG) *VM {
 
 // init builds the VM NewVM returns in the storage vm points to.
 func (vm *VM) init(id string, cfg *VMConfig, rng simclock.RNG) {
-	if cfg.Type.VCPUs <= 0 {
-		c := cfg.withDefaults()
-		cfg = &c
-	}
 	*vm = VM{id: id, cfg: cfg, rng: rng, state: StateStandby}
-}
-
-func (c VMConfig) withDefaults() VMConfig {
-	if c.Type.VCPUs <= 0 {
-		c.Type.VCPUs = 1
-	}
-	return c
 }
 
 // ID returns the VM identifier.

@@ -14,8 +14,10 @@ import (
 // lets users keep the exact configuration of an experiment next to its
 // results.
 
-// SaveScenario writes the scenario as indented JSON.
+// SaveScenario writes the scenario as indented JSON, with its defaults
+// filled, so the file holds every value a run of it uses.
 func SaveScenario(w io.Writer, sc Scenario) error {
+	sc = sc.withDefaults()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(sc); err != nil {
@@ -24,13 +26,13 @@ func SaveScenario(w io.Writer, sc Scenario) error {
 	return nil
 }
 
-// LoadScenario reads a scenario from JSON and applies the experiment
-// defaults to any field left unset.  A scenario file carries one key per
-// acm.Config field except Policy, plus Name, Horizon, TailFraction,
-// ConvergenceTolerance and Backend.  Every numeric value outside its
-// field's declared domain is rejected by name rather than reset; 0 means
-// unset.  A Backend other than "" or "sim" is rejected with
-// ErrUnknownBackend.
+// LoadScenario reads a scenario from JSON and fills every default the file
+// leaves at 0 (see Scenario.withDefaults) before it checks any domain.  A
+// scenario file carries one key per acm.Config field except Policy, plus
+// Name, Horizon, TailFraction, ConvergenceTolerance and Backend.  Every
+// numeric value outside its field's declared domain is rejected by name
+// rather than reset; a 0 stays in a domain only where it means 0.  A
+// Backend other than "" or "sim" is rejected with ErrUnknownBackend.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)

@@ -75,7 +75,7 @@ func TestLoadScenarioValidation(t *testing.T) {
 	region := `"Regions":[{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"MaxThreads":2048}},"Clients":10}]`
 	for _, beta := range []string{"3", "-1", "1.5"} {
 		_, err := LoadScenario(strings.NewReader(`{"Name":"x","Beta":` + beta + `,` + region + `}`))
-		if want := "experiment: Beta must be in [0, 1], got " + beta; err == nil || !strings.Contains(err.Error(), want) {
+		if want := "experiment: Beta must be in (0, 1], got " + beta; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Beta %s: got error %v, want %q", beta, err, want)
 		}
 	}
@@ -297,6 +297,12 @@ func FuzzLoadScenario(f *testing.F) {
 		`{"Region":{"Name":"region3","Type":{"Name":"private","MemoryMB":1024,"BaseServiceMs":50,"MaxThreads":768},"InitialActive":2},"Clients":8}],` +
 		`"ControllerFaults":[{"Region":"region2","At":1200,"Duration":900}],` +
 		`"OverlayFaults":[{"A":"region1","B":"region3","At":900,"Duration":1500}]}`))
+	// The -1 that switches the initial-age stagger off, and a failure point
+	// whose 0 switches the SLA clause off: the fill runs on every load and
+	// save, and must keep both, where a 0 would come back as a default.
+	region := `{"Region":{"Name":"r","Type":{"Name":"m3.medium","MemoryMB":3750,"BaseServiceMs":40,"MaxThreads":2048},"InitialActive":1%s},"Clients":4}`
+	f.Add([]byte(`{"Name":"nostagger","InitialAgeSpread":-1,"Regions":[` + fmt.Sprintf(region, "") + `]}`))
+	f.Add([]byte(`{"Name":"nosla","Regions":[` + fmt.Sprintf(region, `,"Failure":{"MemoryFraction":0.7,"ThreadFraction":0.8,"ResponseTimeSLAMs":0}`) + `]}`))
 	// A fuzzed scenario is only loaded and saved, never built or run: its
 	// client and VM counts are unbounded.
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -377,11 +383,11 @@ func TestRunRejectsOutOfDomainScenario(t *testing.T) {
 		set  func(*Scenario)
 		want string
 	}{
-		{func(s *Scenario) { s.Beta = 1.7 }, "acm: Beta must be in [0, 1], got 1.7"},
-		{func(s *Scenario) { s.Beta = -0.5 }, "acm: Beta must be in [0, 1], got -0.5"},
-		{func(s *Scenario) { s.TailFraction = nan }, "experiment: TailFraction must be in [0, 1], got NaN"},
-		{func(s *Scenario) { s.ConvergenceTolerance = nan }, "experiment: ConvergenceTolerance must be >= 0, got NaN"},
-		{func(s *Scenario) { s.Horizon = simclock.Duration(nan) }, "experiment: Horizon must be >= 0, got NaN"},
+		{func(s *Scenario) { s.Beta = 1.7 }, "acm: Beta must be in (0, 1], got 1.7"},
+		{func(s *Scenario) { s.Beta = -0.5 }, "acm: Beta must be in (0, 1], got -0.5"},
+		{func(s *Scenario) { s.TailFraction = nan }, "experiment: TailFraction must be in (0, 1], got NaN"},
+		{func(s *Scenario) { s.ConvergenceTolerance = nan }, "experiment: ConvergenceTolerance must be > 0, got NaN"},
+		{func(s *Scenario) { s.Horizon = simclock.Duration(nan) }, "experiment: Horizon must be > 0, got NaN"},
 	} {
 		sc := quickScenario(1)
 		sc.Horizon = 2 * simclock.Minute

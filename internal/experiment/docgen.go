@@ -111,7 +111,7 @@ func scenarioHighlights(sc Scenario) []string {
 	hl = append(hl, fmt.Sprintf("horizon %s, control interval %s",
 		docDuration(sc.Horizon), docDuration(sc.ControlInterval)))
 
-	if sc.EventWorkers > 0 {
+	if sc.EventWorkers > 1 {
 		hl = append(hl, fmt.Sprintf("sharded event loop, %d workers", sc.EventWorkers))
 	}
 	if sc.GSLB.Enabled() {
@@ -125,11 +125,7 @@ func scenarioHighlights(sc Scenario) []string {
 		hl = append(hl, g)
 	}
 	if sc.GossipReplicas > 1 { // one replica is the central director
-		interval := sc.GossipInterval
-		if interval <= 0 {
-			interval = 10 * simclock.Second // the gossip plane's own default
-		}
-		g := fmt.Sprintf("%d gossip replicas, %s rounds", sc.GossipReplicas, docDuration(interval))
+		g := fmt.Sprintf("%d gossip replicas, %s rounds", sc.GossipReplicas, docDuration(sc.GossipInterval))
 		if sc.GossipLoss > 0 {
 			g += fmt.Sprintf(", %.0f%% message loss", 100*sc.GossipLoss)
 		}

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strconv"
@@ -18,8 +20,9 @@ var testDomains = map[string]func(x float64) bool{
 	">0":        func(x float64) bool { return x > 0 },
 	"[0,1]":     func(x float64) bool { return x >= 0 && x <= 1 },
 	"[0,1)":     func(x float64) bool { return x >= 0 && x < 1 },
-	">=0|-1":    func(x float64) bool { return x >= 0 || x == -1 },
-	"[0,65536]": func(x float64) bool { return x >= 0 && x <= 65536 },
+	">0|-1":     func(x float64) bool { return x > 0 || x == -1 },
+	"(0,1]":     func(x float64) bool { return x > 0 && x <= 1 },
+	"[1,65536]": func(x float64) bool { return x >= 1 && x <= 65536 },
 }
 
 // inDomain reports whether x lies in the domain tag spells (NaN and ±Inf
@@ -104,11 +107,18 @@ func (l numericLeaf) set(x float64) {
 
 // allLeavesScenario returns a scenario with every numeric leaf of the type
 // present and in its domain: fillNonZero gives every slice one element and
-// every map one key, so walking it walks the whole Scenario type.
+// every map one key, so walking it walks the whole Scenario type.  Its
+// Backend is the simulator, so LoadScenario can accept it.
 func allLeavesScenario() (*Scenario, []numericLeaf) {
 	sc := &Scenario{}
 	fillNonZero(reflect.ValueOf(sc).Elem())
+	sc.Backend = "sim"
 	return sc, numericLeaves(reflect.ValueOf(sc).Elem(), "", "")
+}
+
+// leavesOf returns the numeric leaves of a copy of sc.
+func leavesOf(sc Scenario) []numericLeaf {
+	return numericLeaves(reflect.ValueOf(&sc).Elem(), "", "")
 }
 
 // TestEveryConfigLeafHasADomain fails, naming the leaf, on a numeric leaf of
@@ -116,9 +126,11 @@ func allLeavesScenario() (*Scenario, []numericLeaf) {
 // probe outside the domain (NaN, ±Inf, -1, and 0 where 0 is outside) on a
 // scenario whose every other leaf is valid, and asserts the rejection names
 // the leaf: NewManager for the embedded acm.Config's leaves, Run for the
-// scenario's own, and LoadScenario for every probe JSON can encode.  No
-// probe is large, so nothing accepted by mistake can grow a population or a
-// loop.
+// scenario's own, and LoadScenario for every probe JSON can encode.  A 0
+// that the edge fills (Scenario.withDefaults) is the exception on the
+// loading side: NewManager still rejects it by name, and LoadScenario
+// accepts the file with the default in its place.  No probe is large, so
+// nothing accepted by mistake can grow a population or a loop.
 func TestEveryConfigLeafHasADomain(t *testing.T) {
 	_, leaves := allLeavesScenario()
 	if len(leaves) < 90 {
@@ -153,13 +165,23 @@ func TestEveryConfigLeafHasADomain(t *testing.T) {
 			}
 			sc, fresh := allLeavesScenario()
 			fresh[i].set(x)
+			// filled is what the edge puts in place of a 0: non-zero
+			// where 0 selects a default.
+			filled := 0.0
+			if x == 0 {
+				filled = leavesOf(sc.withDefaults())[i].float()
+			}
 			var err error
 			want := "acm: " + l.path + " must be "
-			if ownLeaves[l.path] {
+			switch {
+			case !ownLeaves[l.path]:
+				_, err = acm.NewManager(sc.Config)
+			case filled == 0:
 				want = "experiment: " + l.path + " must be "
 				_, err = Run(*sc, np)
-			} else {
-				_, err = acm.NewManager(sc.Config)
+			default:
+				// Run fills the 0 too, and would run the scenario.
+				err = errors.New(want)
 			}
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s = %v: got error %v, want one containing %q", l.path, x, err, want)
@@ -168,11 +190,20 @@ func TestEveryConfigLeafHasADomain(t *testing.T) {
 				continue
 			}
 			var buf bytes.Buffer
-			if err := SaveScenario(&buf, *sc); err != nil {
+			if err := json.NewEncoder(&buf).Encode(*sc); err != nil {
 				t.Fatal(err)
 			}
+			loaded, err := LoadScenario(&buf)
+			if filled != 0 {
+				if err != nil {
+					t.Errorf("LoadScenario with %s = 0: %v, want the default %v filled", l.path, err, filled)
+				} else if got := leavesOf(loaded)[i].float(); got != filled {
+					t.Errorf("LoadScenario with %s = 0 loaded %v, want the default %v", l.path, got, filled)
+				}
+				continue
+			}
 			want = "experiment: " + l.path + " must be "
-			if _, err := LoadScenario(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("LoadScenario with %s = %v: got error %v, want one containing %q", l.path, x, err, want)
 			}
 		}

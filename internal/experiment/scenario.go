@@ -8,6 +8,7 @@
 package experiment
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -33,14 +34,15 @@ type Scenario struct {
 	// is not part of a scenario file.  acm.NewManager checks its domains,
 	// so a build walks it once; LoadScenario checks a file's too.
 	acm.Config `domain:"-"`
-	// Horizon is the simulated duration of one run.
-	Horizon simclock.Duration `domain:">=0"`
+	// Horizon is the simulated duration of one run (withDefaults fills 0
+	// with 2 h).
+	Horizon simclock.Duration `domain:">0"`
 	// TailFraction is the fraction of the run treated as steady state when
-	// judging convergence and oscillation (0.4 when zero).
-	TailFraction float64 `domain:"[0,1]"`
+	// judging convergence and oscillation (withDefaults fills 0 with 0.4).
+	TailFraction float64 `domain:"(0,1]"`
 	// ConvergenceTolerance is the relative RMTTF spread below which the
-	// regions are considered converged (0.3 when zero).
-	ConvergenceTolerance float64 `domain:">=0"`
+	// regions are considered converged (withDefaults fills 0 with 0.3).
+	ConvergenceTolerance float64 `domain:">0"`
 	// Backend names the implementation that realises the deployment: ""
 	// and "sim" both select the simulator, the only one; any other value
 	// is rejected with ErrUnknownBackend.  Kept so scenario files that
@@ -58,30 +60,15 @@ func ValidateBeta(beta float64) error {
 	return nil
 }
 
-// withDefaults fills the experiment fields and records the β, control
-// interval and predictor the deployment runs with; only zero selects a
-// default.  The remaining acm.Config defaults are left to acm, so the
-// scenario keeps the raw values its description and the benchmark probes
-// read.
+// withDefaults fills every default of the scenario once, at the edge: the
+// deployment's through acm.Config.WithDefaults, then the experiment fields;
+// only zero selects a default.  A built or loaded scenario therefore holds
+// every value it runs with, and applying it twice changes nothing.
 func (s Scenario) withDefaults() Scenario {
-	if s.Horizon == 0 {
-		s.Horizon = 2 * simclock.Hour
-	}
-	if s.ControlInterval == 0 {
-		s.ControlInterval = acm.DefaultControlInterval
-	}
-	if s.Beta == 0 {
-		s.Beta = acm.DefaultBeta
-	}
-	if s.Predictor == "" {
-		s.Predictor = acm.DefaultPredictor
-	}
-	if s.TailFraction == 0 {
-		s.TailFraction = 0.4
-	}
-	if s.ConvergenceTolerance == 0 {
-		s.ConvergenceTolerance = 0.3
-	}
+	s.Config = s.Config.WithDefaults()
+	s.Horizon = cmp.Or(s.Horizon, 2*simclock.Hour)
+	s.TailFraction = cmp.Or(s.TailFraction, 0.4)
+	s.ConvergenceTolerance = cmp.Or(s.ConvergenceTolerance, 0.3)
 	return s
 }
 
@@ -112,13 +99,13 @@ func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 }
 
 func newSimulated(sc Scenario, np NamedPolicy) (*backend.Simulated, error) {
+	sc = sc.withDefaults()
 	if err := validate.Struct("experiment", &sc); err != nil {
 		return nil, err
 	}
 	if err := sc.checkBackend(); err != nil {
 		return nil, err
 	}
-	sc = sc.withDefaults()
 	cfg := sc.Config
 	cfg.Policy = core.ClonePolicy(np.Policy)
 	sim, err := backend.NewSimulated(cfg)

@@ -1,6 +1,7 @@
 package f2pm
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/cloudsim"
@@ -22,12 +23,9 @@ type Collector struct {
 	stop     func()
 }
 
-// NewCollector returns a collector that samples every interval (30 s when
-// non-positive, the granularity used for the profiling phase).
+// NewCollector returns a collector that samples every interval, which must
+// be positive (Start panics otherwise).
 func NewCollector(interval simclock.Duration) *Collector {
-	if interval <= 0 {
-		interval = 30 * simclock.Second
-	}
 	return &Collector{interval: interval, failures: map[string][]float64{}}
 }
 
@@ -98,49 +96,42 @@ func (c *Collector) BuildDataset() *features.Dataset {
 // ProfileConfig configures a synthetic profiling run: a small pool of VMs is
 // driven with an open-loop workload until enough failure episodes have been
 // observed to train the prediction models.  This replaces the paper's initial
-// profiling phase on the real testbed.
+// profiling phase on the real testbed.  CollectSyntheticDataset takes it as
+// given; WithDefaults fills its numeric zeros.
 type ProfileConfig struct {
 	// Seed is the deterministic RNG seed of the run.
 	Seed uint64 `domain:">=0"`
 	// Instance is the instance type profiled (the paper trains per-VM models;
 	// one model per instance type is sufficient in the simulator because VMs
-	// of a type are statistically identical).  Defaults to M3Medium.
-	// CollectSyntheticDataset checks its domains once the default is in.
+	// of a type are statistically identical).  It has no default: acm
+	// profiles each region's own type.  CollectSyntheticDataset checks its
+	// domains.
 	Instance cloudsim.InstanceType `domain:"-"`
 	// VMs is the number of VMs run in parallel (more VMs = more failure
-	// episodes per simulated hour).  Defaults to 4.
-	VMs int `domain:">=0"`
-	// RatePerVM is the open-loop request rate directed at each VM.  Defaults
-	// to 6 req/s.
-	RatePerVM float64 `domain:">=0"`
-	// SampleInterval is the feature sampling period.  Defaults to 30 s.
-	SampleInterval simclock.Duration `domain:">=0"`
+	// episodes per simulated hour; WithDefaults fills 0 with 4).
+	VMs int `domain:">0"`
+	// RatePerVM is the open-loop request rate directed at each VM
+	// (WithDefaults fills 0 with 6 req/s).
+	RatePerVM float64 `domain:">0"`
+	// SampleInterval is the feature sampling period (WithDefaults fills 0
+	// with 30 s).
+	SampleInterval simclock.Duration `domain:">0"`
 	// TargetFailures stops the run once this many failure episodes have been
-	// observed.  Defaults to 12.
-	TargetFailures int `domain:">=0"`
-	// MaxHorizon bounds the run.  Defaults to 24 simulated hours.
-	MaxHorizon simclock.Duration `domain:">=0"`
+	// observed (WithDefaults fills 0 with 12).
+	TargetFailures int `domain:">0"`
+	// MaxHorizon bounds the run (WithDefaults fills 0 with 24 simulated
+	// hours).
+	MaxHorizon simclock.Duration `domain:">0"`
 }
 
-func (c ProfileConfig) withDefaults() ProfileConfig {
-	if c.Instance.Name == "" {
-		c.Instance = cloudsim.M3Medium
-	}
-	if c.VMs <= 0 {
-		c.VMs = 4
-	}
-	if c.RatePerVM <= 0 {
-		c.RatePerVM = 6
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 30 * simclock.Second
-	}
-	if c.TargetFailures <= 0 {
-		c.TargetFailures = 12
-	}
-	if c.MaxHorizon <= 0 {
-		c.MaxHorizon = 24 * simclock.Hour
-	}
+// WithDefaults returns the configuration with every numeric 0 filled.
+// Applying it twice changes nothing.
+func (c ProfileConfig) WithDefaults() ProfileConfig {
+	c.VMs = cmp.Or(c.VMs, 4)
+	c.RatePerVM = cmp.Or(c.RatePerVM, 6)
+	c.SampleInterval = cmp.Or(c.SampleInterval, 30*simclock.Second)
+	c.TargetFailures = cmp.Or(c.TargetFailures, 12)
+	c.MaxHorizon = cmp.Or(c.MaxHorizon, 24*simclock.Hour)
 	return c
 }
 
@@ -149,9 +140,12 @@ func (c ProfileConfig) withDefaults() ProfileConfig {
 // several failure episodes per VM are observed, which is what gives the
 // dataset coverage of the whole anomaly-accumulation trajectory.
 func CollectSyntheticDataset(cfg ProfileConfig) (*features.Dataset, error) {
-	cfg = cfg.withDefaults()
-	profiled := struct{ Instance cloudsim.InstanceType }{cfg.Instance}
-	if err := validate.Struct("f2pm", &profiled); err != nil {
+	// One walk checks the numeric fields and the profiled instance type.
+	checked := struct {
+		ProfileConfig
+		Instance cloudsim.InstanceType
+	}{cfg, cfg.Instance}
+	if err := validate.Struct("f2pm", &checked); err != nil {
 		return nil, err
 	}
 	eng := simclock.NewEngine(cfg.Seed)
@@ -163,7 +157,7 @@ func CollectSyntheticDataset(cfg ProfileConfig) (*features.Dataset, error) {
 		Location:      "lab",
 		Type:          cfg.Instance,
 		InitialActive: cfg.VMs,
-	}, eng.RNG().Fork())
+	}.WithDefaults(), eng.RNG().Fork())
 
 	failures := 0
 	for _, vm := range region.ActiveVMs() {

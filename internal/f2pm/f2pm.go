@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/ml"
+	"repro/internal/validate"
 )
 
 // The toolchain's fixed settings.  trainFraction of each VM's time-ordered
@@ -31,27 +32,19 @@ const (
 // Config tunes the F2PM training toolchain.
 type Config struct {
 	// CVFolds is the number of cross-validation folds computed for the chosen
-	// model (informational).  Defaults to 5; set to 1 to skip.
-	CVFolds int
+	// model (informational; DefaultConfig uses 5).  1 skips it.
+	CVFolds int `domain:">0"`
 	// PreferredModel forces the runtime model by name ("REPTree", "M5P", ...).
 	// When empty the model with the smallest held-out RMSE is chosen.  The
 	// paper selects REP-Tree based on the results in the F2PM paper.
 	PreferredModel string
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.CVFolds == 0 {
-		c.CVFolds = 5
-	}
-	return c
-}
-
 // DefaultConfig returns the configuration used by the paper's evaluation:
 // REP-Tree as the runtime predictor (selected per the authors' previous F2PM
 // results), 70/30 time-ordered split and Lasso-based feature selection.
 func DefaultConfig() Config {
-	return Config{PreferredModel: "REPTree"}.withDefaults()
+	return Config{PreferredModel: "REPTree", CVFolds: 5}
 }
 
 // SelectedFeature reports one feature retained by Lasso selection.
@@ -132,7 +125,9 @@ func (m *Model) ReadsFeatures() features.Mask { return features.MaskOf(m.Feature
 // Train runs the full F2PM toolchain on a labelled dataset and returns the
 // runtime model together with the report.
 func Train(ds *features.Dataset, cfg Config) (*Model, *Report, error) {
-	cfg = cfg.withDefaults()
+	if err := validate.Struct("f2pm", &cfg); err != nil {
+		return nil, nil, err
+	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil, fmt.Errorf("f2pm: empty dataset")
 	}

@@ -42,28 +42,28 @@ func syntheticDataset(n int, seed uint64) *features.Dataset {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.CVFolds != 5 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
 	d := DefaultConfig()
-	if d.PreferredModel != "REPTree" {
-		t.Fatalf("the paper's configuration selects REP-Tree, got %q", d.PreferredModel)
+	if d.PreferredModel != "REPTree" || d.CVFolds != 5 {
+		t.Fatalf("the paper's configuration selects REP-Tree with 5 folds, got %+v", d)
+	}
+	d.CVFolds = 1
+	if DefaultConfig().CVFolds != 5 {
+		t.Fatal("editing a returned default changed the next call's result")
 	}
 }
 
 func TestTrainRejectsEmptyDataset(t *testing.T) {
-	if _, _, err := Train(nil, Config{}); err == nil {
+	if _, _, err := Train(nil, DefaultConfig()); err == nil {
 		t.Fatalf("nil dataset should be rejected")
 	}
-	if _, _, err := Train(features.NewDataset(nil), Config{}); err == nil {
+	if _, _, err := Train(features.NewDataset(nil), DefaultConfig()); err == nil {
 		t.Fatalf("empty dataset should be rejected")
 	}
 }
 
 func TestTrainRejectsUnknownPreferredModel(t *testing.T) {
 	ds := syntheticDataset(200, 1)
-	if _, _, err := Train(ds, Config{PreferredModel: "DeepNet9000"}); err == nil {
+	if _, _, err := Train(ds, Config{PreferredModel: "DeepNet9000", CVFolds: 5}); err == nil {
 		t.Fatalf("unknown preferred model should be rejected")
 	}
 }
@@ -262,9 +262,9 @@ func TestCollectSyntheticDatasetAndTrainFromProfile(t *testing.T) {
 }
 
 func TestProfileConfigDefaults(t *testing.T) {
-	cfg := ProfileConfig{}.withDefaults()
-	if cfg.Instance.Name != cloudsim.M3Medium.Name {
-		t.Fatalf("default instance should be m3.medium")
+	cfg := ProfileConfig{}.WithDefaults()
+	if cfg.Instance != (cloudsim.InstanceType{}) {
+		t.Fatalf("WithDefaults set the instance to %q; it has no default", cfg.Instance.Name)
 	}
 	if cfg.VMs != 4 || cfg.TargetFailures != 12 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
@@ -272,15 +272,32 @@ func TestProfileConfigDefaults(t *testing.T) {
 	if cfg.MaxHorizon != 24*simclock.Hour {
 		t.Fatalf("default horizon = %v", cfg.MaxHorizon)
 	}
+	if again := cfg.WithDefaults(); again != cfg {
+		t.Fatalf("a second fill moved %+v to %+v", cfg, again)
+	}
+}
+
+// TestUnfilledConfigsAreRejected: below WithDefaults a 0 is not a request
+// for the default, so an unfilled profile or training config is rejected
+// by the field's name before any VM runs.
+func TestUnfilledConfigsAreRejected(t *testing.T) {
+	if _, err := CollectSyntheticDataset(ProfileConfig{Instance: cloudsim.M3Medium}); err == nil || err.Error() != "f2pm: VMs must be > 0, got 0" {
+		t.Fatalf("CollectSyntheticDataset of an unfilled profile: %v", err)
+	}
+	if _, _, err := Train(syntheticDataset(50, 1), Config{}); err == nil || err.Error() != "f2pm: CVFolds must be > 0, got 0" {
+		t.Fatalf("Train with CVFolds 0: %v", err)
+	}
+	if _, err := CollectSyntheticDataset(ProfileConfig{}.WithDefaults()); err == nil || !strings.Contains(err.Error(), "f2pm: Instance.") {
+		t.Fatalf("CollectSyntheticDataset with no instance: %v", err)
+	}
 }
 
 // TestCollectRejectsInvalidInstance: the profiled instance type is checked
-// against its domains once the default is in, by the field's path, before
-// a VM is built from it.
+// against its domains, by the field's path, before a VM is built from it.
 func TestCollectRejectsInvalidInstance(t *testing.T) {
 	noMemory := cloudsim.M3Medium
 	noMemory.MemoryMB = 0
-	_, err := CollectSyntheticDataset(ProfileConfig{Instance: noMemory})
+	_, err := CollectSyntheticDataset(ProfileConfig{Instance: noMemory}.WithDefaults())
 	if want := "f2pm: Instance.MemoryMB must be > 0, got 0"; err == nil || err.Error() != want {
 		t.Fatalf("CollectSyntheticDataset error %v, want %q", err, want)
 	}

@@ -43,17 +43,18 @@ import (
 	"repro/internal/validate"
 )
 
-// Config tunes the replicated health plane.  The zero value of every field
-// except Replicas means "default applies"; Replicas must be at least 1.
+// Config tunes the replicated health plane.  New takes it as given: with two
+// or more replicas Interval and Fanout must be positive.  One replica sends
+// no gossip, so it reads neither.
 type Config struct {
 	// Replicas is the number of director replicas (at least 1; a typical
 	// deployment runs 3).
 	Replicas int `domain:">0"`
-	// Interval is the gossip round period on the control timeline (10 s when
-	// zero).  Each round first delivers due messages, then sends new pushes.
+	// Interval is the gossip round period on the control timeline.  Each
+	// round first delivers due messages, then sends new pushes.
 	Interval simclock.Duration `domain:">=0"`
-	// Fanout is how many peers each replica pushes to per round (1 when
-	// zero; capped at Replicas-1).
+	// Fanout is how many peers each replica pushes to per round (capped at
+	// Replicas-1).
 	Fanout int `domain:">=0"`
 	// Delay is the per-message link delay.  A message sent in one round is
 	// delivered at the first round whose start time is >= send time + Delay,
@@ -61,19 +62,6 @@ type Config struct {
 	Delay simclock.Duration `domain:">=0"`
 	// Loss is the per-message Bernoulli loss probability in [0, 1).
 	Loss float64 `domain:"[0,1)"`
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 10 * simclock.Second
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 1
-	}
-	if c.Replicas > 1 && c.Fanout > c.Replicas-1 {
-		c.Fanout = c.Replicas - 1
-	}
-	return c
 }
 
 // Summary is one region's versioned health digest as carried by gossip
@@ -166,7 +154,12 @@ func New(cfg Config, gcfg gslb.Config, regions, streams []string, seed uint64, s
 	if cfg.Replicas > 1 && gcfg.LatencyAware() {
 		return nil, fmt.Errorf("gossip: the latency policy (and RTT matrices) need a single replica")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Replicas > 1 && cfg.Interval == 0 {
+		return nil, validate.Fieldf("gossip", "Interval", "must be > 0 with %d replicas, got 0", cfg.Replicas)
+	}
+	if cfg.Replicas > 1 && cfg.Fanout == 0 {
+		return nil, validate.Fieldf("gossip", "Fanout", "must be > 0 with %d replicas, got 0", cfg.Replicas)
+	}
 	p := &Plane{
 		cfg:   cfg,
 		reps:  make([]*replica, cfg.Replicas),
@@ -201,8 +194,8 @@ func (p *Plane) NumReplicas() int { return len(p.reps) }
 // transition log and (single-replica planes only) latency estimates.
 func (p *Plane) Director(i int) *gslb.Director { return p.reps[i].dir }
 
-// Interval returns the gossip round period with defaults applied.
-func (p *Plane) Interval() simclock.Duration { return p.cfg.Interval }
+// Config returns the plane configuration, as New was given it.
+func (p *Plane) Config() Config { return p.cfg }
 
 // Home returns the replica a request lane is assigned to: lane g routes on
 // replica (g mod N)'s table, so lanes homed to different replicas can act on

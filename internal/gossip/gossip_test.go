@@ -31,9 +31,21 @@ func (ts *telSource) sample(i int) cloudsim.Telemetry {
 	return tel
 }
 
+// full fills the round period and fanout a test leaves at 0 with the
+// values acm.Config.WithDefaults gives a deployment.
+func full(c Config) Config {
+	if c.Interval == 0 {
+		c.Interval = 10 * simclock.Second
+	}
+	if c.Fanout == 0 {
+		c.Fanout = 1
+	}
+	return c
+}
+
 func newTestPlane(t *testing.T, cfg Config, gcfg gslb.Config, ts *telSource) *Plane {
 	t.Helper()
-	p, err := New(cfg, gcfg, ts.regions, nil, 42, ts.sample)
+	p, err := New(full(cfg), gcfg, ts.regions, nil, 42, ts.sample)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -241,6 +253,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"zero replicas", Config{}, ok},
 		{"loss out of range", Config{Replicas: 3, Loss: 1}, ok},
 		{"negative fanout", Config{Replicas: 3, Fanout: -1}, ok},
+		{"zero interval", Config{Replicas: 3, Fanout: 1}, ok},
+		{"zero fanout", Config{Replicas: 3, Interval: simclock.Second}, ok},
 		{"no policy", Config{Replicas: 3}, gslb.Config{}},
 		{"latency policy", Config{Replicas: 3}, gslb.Config{Policy: gslb.PolicyLatency}},
 		{"rtt matrix", Config{Replicas: 3}, gslb.Config{Policy: gslb.PolicyLeastLoad, RTT: map[string][]float64{"global": {1, 2, 3}}}},
@@ -312,7 +326,7 @@ func FuzzPlaneRounds(f *testing.F) {
 			tel[r] = cloudsim.Telemetry{Region: regions[r], ActiveVMs: 4, BaselineActive: 4, Capacity: 100}
 		}
 		sample := func(i int) cloudsim.Telemetry { return tel[i] }
-		p, err := New(cfg, gcfg, regions, nil, 7, sample)
+		p, err := New(full(cfg), gcfg, regions, nil, 7, sample)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,7 +518,7 @@ func FuzzGossipAdopt(f *testing.F) {
 			tel := func(i int) cloudsim.Telemetry {
 				return cloudsim.Telemetry{Region: names[i], ActiveVMs: 4, BaselineActive: 4, Capacity: 100}
 			}
-			p, err := New(Config{Replicas: replicas}, gslb.Config{Policy: gslb.PolicyLeastLoad}, names, nil, 1, tel)
+			p, err := New(full(Config{Replicas: replicas}), gslb.Config{Policy: gslb.PolicyLeastLoad}, names, nil, 1, tel)
 			if err != nil {
 				t.Fatal(err)
 			}

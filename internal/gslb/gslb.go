@@ -30,6 +30,7 @@
 package gslb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -87,10 +88,10 @@ func ParsePolicy(s string) (PolicyKind, error) {
 }
 
 // DisabledThreshold is the sentinel that sets a health threshold to an
-// effective zero.  The zero value of CapacityThreshold/ErrorThreshold means
-// "unset" (the default applies), so an explicit zero — "never drain on
-// capacity" for CapacityThreshold, "zero error tolerance" for ErrorThreshold
-// — is expressed with -1 instead.
+// effective zero.  WithDefaults fills a CapacityThreshold/ErrorThreshold of
+// 0 with the default, so an explicit zero — "never drain on capacity" for
+// CapacityThreshold, "zero error tolerance" for ErrorThreshold — is
+// expressed with -1 instead.
 const DisabledThreshold = -1
 
 // Config tunes the director.  The zero value means "no director"; setting
@@ -107,24 +108,24 @@ type Config struct {
 	// policy (deployment order when empty).  Ignored by other policies.
 	Preference []string
 	// ProbeInterval is the health-probe period on the control timeline
-	// (15 s when zero).
-	ProbeInterval simclock.Duration `domain:">=0"`
+	// (WithDefaults fills 0 with 15 s).
+	ProbeInterval simclock.Duration `domain:">0"`
 	// CapacityThreshold drains a region whose ACTIVE-VM fraction (relative
-	// to its initial active pool) falls below this value.  0 means unset
-	// (0.5 applies); DisabledThreshold (-1) means an effective zero, i.e.
-	// never drain on capacity.
-	CapacityThreshold float64 `domain:">=0|-1"`
+	// to its initial active pool) falls below this value (WithDefaults
+	// fills 0 with 0.5).  DisabledThreshold (-1) means an effective zero,
+	// i.e. never drain on capacity.
+	CapacityThreshold float64 `domain:">0|-1"`
 	// ErrorThreshold drains a region whose per-probe-interval drop ratio
-	// (dropped / (served + dropped)) exceeds this value.  0 means unset
-	// (0.5 applies); DisabledThreshold (-1) means an effective zero, i.e.
-	// any drop in a probe interval counts as a bad probe.
-	ErrorThreshold float64 `domain:">=0|-1"`
+	// (dropped / (served + dropped)) exceeds this value (WithDefaults fills
+	// 0 with 0.5).  DisabledThreshold (-1) means an effective zero, i.e. any
+	// drop in a probe interval counts as a bad probe.
+	ErrorThreshold float64 `domain:">0|-1"`
 	// UnhealthyAfter is the number of consecutive bad probes before a
-	// serving region is drained (2 when zero).
-	UnhealthyAfter int `domain:">=0"`
+	// serving region is drained (WithDefaults fills 0 with 2).
+	UnhealthyAfter int `domain:">0"`
 	// HealthyAfter is the number of consecutive good probes before a
-	// drained region serves again (4 when zero).
-	HealthyAfter int `domain:">=0"`
+	// drained region serves again (WithDefaults fills 0 with 4).
+	HealthyAfter int `domain:">0"`
 	// RTT seeds the latency estimates: milliseconds from a population
 	// stream (key) to each region, columns in deployment order.  Streams
 	// without a row start from a uniform 50 ms prior.  Any non-empty matrix
@@ -133,12 +134,12 @@ type Config struct {
 	// so policies can be compared on the same network.
 	RTT map[string][]float64 `domain:">=0"`
 	// LatencyExponent is the proximity exponent k of the latency policy's
-	// weights (capacity / RTT^k).  0 means unset (1 applies).
-	LatencyExponent float64 `domain:">=0"`
+	// weights (capacity / RTT^k; WithDefaults fills 0 with 1).
+	LatencyExponent float64 `domain:">0"`
 	// LatencyAlpha is the EWMA smoothing factor folding each probe
-	// interval's observed mean RTT into a lane's estimate.  0 means unset
-	// (0.3 applies).
-	LatencyAlpha float64 `domain:"[0,1]"`
+	// interval's observed mean RTT into a lane's estimate (WithDefaults
+	// fills 0 with 0.3).
+	LatencyAlpha float64 `domain:"(0,1]"`
 }
 
 // Enabled reports whether the configuration selects a director.
@@ -150,39 +151,17 @@ func (c Config) LatencyAware() bool {
 	return c.Policy == PolicyLatency || len(c.RTT) > 0
 }
 
-// withDefaults returns the configuration with every unset field replaced by
-// its documented default.
-func (c Config) withDefaults() Config {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 15 * simclock.Second
-	}
-	// 0 is "unset" for the thresholds; the explicit-zero semantics ("never
-	// drain on capacity", "zero error tolerance") are spelled
-	// DisabledThreshold and map to an effective 0 here.
-	switch c.CapacityThreshold {
-	case DisabledThreshold:
-		c.CapacityThreshold = 0
-	case 0:
-		c.CapacityThreshold = 0.5
-	}
-	switch c.ErrorThreshold {
-	case DisabledThreshold:
-		c.ErrorThreshold = 0
-	case 0:
-		c.ErrorThreshold = 0.5
-	}
-	if c.UnhealthyAfter <= 0 {
-		c.UnhealthyAfter = 2
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = 4
-	}
-	if c.LatencyExponent == 0 {
-		c.LatencyExponent = 1
-	}
-	if c.LatencyAlpha == 0 {
-		c.LatencyAlpha = 0.3
-	}
+// WithDefaults fills each zero with the default its field's comment states;
+// a DisabledThreshold stays -1.  NewDirector applies it too, a no-op on a
+// built scenario's config.
+func (c Config) WithDefaults() Config {
+	c.ProbeInterval = cmp.Or(c.ProbeInterval, 15*simclock.Second)
+	c.CapacityThreshold = cmp.Or(c.CapacityThreshold, 0.5)
+	c.ErrorThreshold = cmp.Or(c.ErrorThreshold, 0.5)
+	c.UnhealthyAfter = cmp.Or(c.UnhealthyAfter, 2)
+	c.HealthyAfter = cmp.Or(c.HealthyAfter, 4)
+	c.LatencyExponent = cmp.Or(c.LatencyExponent, 1)
+	c.LatencyAlpha = cmp.Or(c.LatencyAlpha, 0.3)
 	return c
 }
 
@@ -253,7 +232,7 @@ type regionHealth struct {
 
 // probe advances the state machine with one telemetry sample and returns the
 // states before and after (equal when nothing changed).  cfg must have
-// defaults applied (withDefaults).  The capacity fraction is measured against
+// defaults applied (WithDefaults).  The capacity fraction is measured against
 // the region's initial active pool, served/dropped are cumulative counters
 // diffed against the previous probe, and negative deltas (a counter
 // regression through a fault path) clamp to zero rather than underflowing.
@@ -278,7 +257,8 @@ func (h *regionHealth) probe(cfg Config, tel cloudsim.Telemetry) (from, to Healt
 	if total := dServed + dDropped; total > 0 {
 		errRate = float64(dDropped) / float64(total)
 	}
-	bad := capFrac < cfg.CapacityThreshold || errRate > cfg.ErrorThreshold
+	// A DisabledThreshold compares as 0.
+	bad := capFrac < max(cfg.CapacityThreshold, 0) || errRate > max(cfg.ErrorThreshold, 0)
 
 	if bad {
 		h.goodStreak = 0
@@ -363,10 +343,10 @@ func NewDirector(cfg Config, regions, streams []string, sample func(i int) cloud
 	if sample == nil {
 		return nil, fmt.Errorf("gslb: nil telemetry sampler")
 	}
+	cfg = cfg.WithDefaults()
 	if err := validateConfig(cfg, regions, streams); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	if len(streams) == 0 {
 		streams = []string{"default"}
 	}

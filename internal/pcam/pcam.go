@@ -14,6 +14,7 @@
 package pcam
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -136,17 +137,20 @@ func (OraclePredictor) ReadsFeatures() features.Mask {
 // Config tunes a VMC.
 type Config struct {
 	// RTTFThreshold is the predicted-RTTF threshold (seconds) below which the
-	// VMC proactively rejuvenates an ACTIVE VM and activates a STANDBY one.
-	RTTFThreshold float64 `domain:">=0"`
-	// ControlInterval is the period of the VMC's local monitor/analyze step.
-	ControlInterval simclock.Duration `domain:">=0"`
+	// VMC proactively rejuvenates an ACTIVE VM and activates a STANDBY one
+	// (WithDefaults fills 0 with 600 s).
+	RTTFThreshold float64 `domain:">0"`
+	// ControlInterval is the period of the VMC's local monitor/analyze step
+	// (WithDefaults fills 0 with 30 s).
+	ControlInterval simclock.Duration `domain:">0"`
 	// ResponseTimeThreshold is the predicted response-time threshold (seconds)
 	// above which the VMC adds VMs to the active pool (the ADDVMS action of
-	// Algorithm 3).  The paper uses a 1-second SLA.
-	ResponseTimeThreshold float64 `domain:">=0"`
+	// Algorithm 3).  The paper uses a 1-second SLA (WithDefaults fills 0
+	// with 1).
+	ResponseTimeThreshold float64 `domain:">0"`
 	// MinActive is the minimum number of ACTIVE VMs the elasticity controller
-	// keeps.
-	MinActive int `domain:">=0"`
+	// keeps (WithDefaults fills 0 with 1).
+	MinActive int `domain:">0"`
 	// TargetActive is the number of ACTIVE VMs the controller maintains: when
 	// failures or rejuvenations shrink the active pool below the target and
 	// healthy standby VMs are available, the control tick promotes standbys
@@ -163,27 +167,20 @@ type Config struct {
 	// RMTTFBeta is the smoothing factor applied to the locally computed
 	// region RMTTF before it is reported to the leader (the paper smooths at
 	// the leader with equation 1; smoothing locally as well keeps the local
-	// elasticity decisions from reacting to single-sample noise).
-	RMTTFBeta float64 `domain:"[0,1]"`
+	// elasticity decisions from reacting to single-sample noise;
+	// WithDefaults fills 0 with 0.5).
+	RMTTFBeta float64 `domain:"(0,1]"`
 }
 
-// withDefaults fills the zero fields of a validated config.
-func (c Config) withDefaults() Config {
-	if c.RTTFThreshold == 0 {
-		c.RTTFThreshold = 600
-	}
-	if c.ControlInterval == 0 {
-		c.ControlInterval = 30 * simclock.Second
-	}
-	if c.ResponseTimeThreshold == 0 {
-		c.ResponseTimeThreshold = 1.0
-	}
-	if c.MinActive == 0 {
-		c.MinActive = 1
-	}
-	if c.RMTTFBeta == 0 {
-		c.RMTTFBeta = 0.5
-	}
+// WithDefaults fills each zero that a field's comment says selects a
+// default (TargetActive's and ScaleDownRMTTF's 0 mean something).  NewVMC
+// applies it too, a no-op on a built scenario's config.
+func (c Config) WithDefaults() Config {
+	c.RTTFThreshold = cmp.Or(c.RTTFThreshold, 600)
+	c.ControlInterval = cmp.Or(c.ControlInterval, 30*simclock.Second)
+	c.ResponseTimeThreshold = cmp.Or(c.ResponseTimeThreshold, 1.0)
+	c.MinActive = cmp.Or(c.MinActive, 1)
+	c.RMTTFBeta = cmp.Or(c.RMTTFBeta, 0.5)
 	return c
 }
 
@@ -254,10 +251,10 @@ func NewVMC(region *cloudsim.Region, predictor RTTFPredictor, cfg Config) (*VMC,
 	if predictor == nil {
 		return nil, fmt.Errorf("pcam: nil predictor")
 	}
+	cfg = cfg.WithDefaults()
 	if err := validate.Struct("pcam", &cfg); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	target := cfg.TargetActive
 	if target <= 0 {
 		target = region.ActiveCount()

@@ -63,7 +63,7 @@ func TestModelPredictorMeasuresOnlyItsFeatures(t *testing.T) {
 		SampleInterval: 20 * simclock.Second,
 		TargetFailures: 4,
 		MaxHorizon:     12 * simclock.Hour,
-	}, f2pm.Config{PreferredModel: "LinearRegression"})
+	}, f2pm.Config{PreferredModel: "LinearRegression", CVFolds: 5})
 	if err != nil {
 		t.Fatalf("TrainFromProfile: %v", err)
 	}

@@ -17,7 +17,7 @@ func shardedRegion(seed uint64, shards, active, standby int) *cloudsim.Region {
 		InitialActive:  active,
 		InitialStandby: standby,
 		Shards:         shards,
-	}
+	}.WithDefaults()
 	return cloudsim.NewRegion(cfg, simclock.NewRNG(seed))
 }
 

@@ -19,7 +19,7 @@ func testRegion(seed uint64) *cloudsim.Region {
 		Type:           cloudsim.PrivateVM,
 		InitialActive:  4,
 		InitialStandby: 2,
-	}
+	}.WithDefaults()
 	return cloudsim.NewRegion(cfg, simclock.NewRNG(seed))
 }
 
@@ -139,7 +139,7 @@ func TestSubmitWithNoActiveVMsDrops(t *testing.T) {
 	eng := simclock.NewEngine(4)
 	region := cloudsim.NewRegion(cloudsim.RegionConfig{
 		Name: "empty", Type: cloudsim.M3Medium, InitialActive: 0, InitialStandby: 1,
-	}, simclock.NewRNG(4))
+	}.WithDefaults(), simclock.NewRNG(4))
 	vmc := newTestVMC(t, region, OraclePredictor{}, Config{})
 
 	dropped := false
@@ -235,7 +235,7 @@ func TestElasticityAddsVMsUnderOverload(t *testing.T) {
 		Name: "tiny", Type: cloudsim.PrivateVM, InitialActive: 1, InitialStandby: 1, MaxVMs: 8,
 		Anomalies: cloudsim.AnomalyProfile{LeakProbability: 0, LeakSizeMB: 0.001, ThreadProbability: 0, ThreadStackMB: 0.001},
 		Failure:   cloudsim.FailurePoint{MemoryFraction: 0.7, ThreadFraction: 0.8, ResponseTimeSLAMs: 0},
-	}, simclock.NewRNG(7))
+	}.WithDefaults(), simclock.NewRNG(7))
 	cfg := DefaultConfig()
 	cfg.ResponseTimeThreshold = 0.5
 	vmc := newTestVMC(t, region, OraclePredictor{}, cfg)
@@ -310,7 +310,7 @@ func TestControlTickWithNoActiveVMsPromotesStandby(t *testing.T) {
 	eng := simclock.NewEngine(10)
 	region := cloudsim.NewRegion(cloudsim.RegionConfig{
 		Name: "r", Type: cloudsim.M3Medium, InitialActive: 0, InitialStandby: 2,
-	}, simclock.NewRNG(10))
+	}.WithDefaults(), simclock.NewRNG(10))
 	vmc := newTestVMC(t, region, OraclePredictor{}, Config{})
 	vmc.ControlTick(eng)
 	if len(region.ActiveVMs()) != 1 {

@@ -37,21 +37,14 @@ type BrowserConfig struct {
 	Mix Mix
 	// ThinkTimeMean is the mean of the exponentially distributed think time
 	// between receiving a response and issuing the next interaction.  TPC-W
-	// prescribes a mean of 7 seconds for emulated browsers.
+	// prescribes a mean of 7 seconds for emulated browsers, which
+	// acm.Config.WithDefaults fills in; here it must be positive.
 	ThinkTimeMean simclock.Duration
 	// Tracer, when non-nil, samples this browser's requests into the
 	// deployment's span layer.  The stream identity is the browser ID, so the
 	// sampled set is a pure function of (tracer seed, browser ID, request
 	// counter) — independent of event interleavings.
 	Tracer *tracing.Tracer
-}
-
-// withDefaults fills zero fields with the TPC-W defaults.
-func (c BrowserConfig) withDefaults() BrowserConfig {
-	if c.ThinkTimeMean <= 0 {
-		c.ThinkTimeMean = 7 * simclock.Second
-	}
-	return c
 }
 
 // Browser is one emulated web browser running a closed-loop TPC-W session.
@@ -96,7 +89,9 @@ func newBrowserHome(cfg BrowserConfig, target Dispatcher, metrics *Metrics) *bro
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
-	cfg = cfg.withDefaults()
+	if !(cfg.ThinkTimeMean > 0) {
+		panic(fmt.Sprintf("workload: population %s: ThinkTimeMean must be > 0, got %v", cfg.Region, cfg.ThinkTimeMean))
+	}
 	return &browserHome{cfg: cfg, target: target, sink: metrics.sink(cfg.Region), mix: cfg.Mix.Picker()}
 }
 
@@ -188,7 +183,7 @@ type PopulationConfig struct {
 	Clients int
 	// Mix is the interaction mix (BrowsingMix when zero-valued).
 	Mix Mix
-	// ThinkTimeMean overrides the browsers' mean think time (7 s when zero).
+	// ThinkTimeMean is the browsers' mean think time (see BrowserConfig).
 	ThinkTimeMean simclock.Duration
 	// RampUp spreads the browser start times over this window instead of
 	// starting all at once.

@@ -48,15 +48,13 @@ type CohortConfig struct {
 	Clients int
 	// Mix is the interaction mix (BrowsingMix when zero-valued).
 	Mix Mix
-	// ThinkTimeMean is the mean exponential think time (TPC-W default 7 s
-	// when zero).
+	// ThinkTimeMean is the mean exponential think time (see BrowserConfig).
 	ThinkTimeMean simclock.Duration
-	// Tick is the state-split cadence (1 s when zero).  Shorter ticks track
-	// the think-time distribution more finely at proportionally more events.
+	// Tick is the state-split cadence.  Shorter ticks track the think-time
+	// distribution more finely at proportionally more events.
 	Tick simclock.Duration
-	// MaxBatch caps how many interactions one batched request stands for
-	// (64 when zero).  Smaller batches spread load across more VMs at more
-	// events per tick.
+	// MaxBatch caps how many interactions one batched request stands for.
+	// Smaller batches spread load across more VMs at more events per tick.
 	MaxBatch int
 	// TracerFraction, in [0, 1], is the fraction of Clients simulated
 	// individually to feed the response-time series.  Zero means no tracers
@@ -78,26 +76,6 @@ type CohortConfig struct {
 	// the span layer.  Batches use the "<IDPrefix>-batch" stream identity
 	// (unique per shard slice), tracer browsers their own browser IDs.
 	Tracer *tracing.Tracer
-}
-
-// withDefaults fills zero fields.
-func (c CohortConfig) withDefaults() CohortConfig {
-	if c.Mix.Name == "" {
-		c.Mix = BrowsingMix()
-	}
-	if c.ThinkTimeMean <= 0 {
-		c.ThinkTimeMean = 7 * simclock.Second
-	}
-	if c.Tick <= 0 {
-		c.Tick = 1 * simclock.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.IDPrefix == "" {
-		c.IDPrefix = c.Region + "-tracer"
-	}
-	return c
 }
 
 // CohortPopulation is a cohort-compressed closed-loop client population plus
@@ -128,9 +106,25 @@ type CohortPopulation struct {
 
 // NewCohortPopulation builds a cohort population.  All clients share the
 // provided metrics sink; the tracer browsers are constructed immediately so
-// the split between cohort and tracers is fixed at build time.
+// the split between cohort and tracers is fixed at build time.  Its
+// numeric fields are taken as given (acm.Config.WithDefaults fills a
+// deployment's): a ThinkTimeMean, Tick or MaxBatch that is not positive
+// panics, naming the field.
 func NewCohortPopulation(cfg CohortConfig, target Dispatcher, metrics *Metrics) *CohortPopulation {
-	cfg = cfg.withDefaults()
+	switch {
+	case !(cfg.ThinkTimeMean > 0):
+		panic(fmt.Sprintf("workload: cohort %s: ThinkTimeMean must be > 0, got %v", cfg.Region, cfg.ThinkTimeMean))
+	case !(cfg.Tick > 0):
+		panic(fmt.Sprintf("workload: cohort %s: Tick must be > 0, got %v", cfg.Region, cfg.Tick))
+	case cfg.MaxBatch < 1:
+		panic(fmt.Sprintf("workload: cohort %s: MaxBatch must be > 0, got %d", cfg.Region, cfg.MaxBatch))
+	}
+	if cfg.Mix.Name == "" {
+		cfg.Mix = BrowsingMix()
+	}
+	if cfg.IDPrefix == "" {
+		cfg.IDPrefix = cfg.Region + "-tracer"
+	}
 	if metrics == nil {
 		metrics = NewMetrics()
 	}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -49,7 +51,7 @@ func runCohort(t *testing.T, cfg CohortConfig, horizon simclock.Duration) (*Coho
 
 func TestCohortPopulationThroughputAndConservation(t *testing.T) {
 	const clients = 10000
-	cfg := CohortConfig{Region: "r1", Clients: clients, TracerFraction: 0.01, Seed: 7}
+	cfg := tpcw(CohortConfig{Region: "r1", Clients: clients, TracerFraction: 0.01, Seed: 7})
 	c, stub, met := runCohort(t, cfg, 60*simclock.Second)
 
 	if got := c.TracerCount(); got != 100 {
@@ -97,7 +99,7 @@ func TestCohortPopulationThroughputAndConservation(t *testing.T) {
 // moments must replay exactly from the same seed.
 func TestCohortPopulationDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64, int, float64, float64) {
-		cfg := CohortConfig{Region: "r1", Clients: 50000, TracerFraction: 0.002, MaxBatch: 32, Seed: 99}
+		cfg := tpcw(CohortConfig{Region: "r1", Clients: 50000, TracerFraction: 0.002, MaxBatch: 32, Seed: 99})
 		c, stub, met := runCohort(t, cfg, 120*simclock.Second)
 		return met.Issued("r1"), stub.requests, c.thinking, met.MeanResponseTime("r1"), met.read("r1").resp.StdDev()
 	}
@@ -115,7 +117,7 @@ func TestCohortPopulationDeterministicReplay(t *testing.T) {
 // against the TPC-W browsing weights must pass at the 99.9% level (fixed
 // seed, so the statistic is a constant, not a flaky draw).
 func TestCohortSplitChiSquared(t *testing.T) {
-	cfg := CohortConfig{Region: "r1", Clients: 20000, Seed: 3}
+	cfg := tpcw(CohortConfig{Region: "r1", Clients: 20000, Seed: 3})
 	_, stub, _ := runCohort(t, cfg, 300*simclock.Second)
 
 	mix := BrowsingMix()
@@ -160,7 +162,7 @@ func TestCohortSplitChiSquared(t *testing.T) {
 // TestCohortPopulationNoTracers: TracerFraction 0 must run pure-cohort with
 // no latency samples and full client count in the buckets.
 func TestCohortPopulationNoTracers(t *testing.T) {
-	cfg := CohortConfig{Region: "r1", Clients: 1000, Seed: 5}
+	cfg := tpcw(CohortConfig{Region: "r1", Clients: 1000, Seed: 5})
 	c, _, met := runCohort(t, cfg, 30*simclock.Second)
 	if c.TracerCount() != 0 || c.tracers != nil {
 		t.Fatalf("expected no tracers, got %d", c.TracerCount())
@@ -182,7 +184,7 @@ func TestCohortPopulationStop(t *testing.T) {
 	eng := simclock.NewEngine(1)
 	stub := newCohortStub(50 * simclock.Millisecond)
 	met := NewMetrics()
-	c := NewCohortPopulation(CohortConfig{Region: "r1", Clients: 5000, Seed: 11}, stub, met)
+	c := NewCohortPopulation(tpcw(CohortConfig{Region: "r1", Clients: 5000, Seed: 11}), stub, met)
 	c.Start(eng)
 	eng.ScheduleFunc(10*simclock.Second, func(*simclock.Engine) { c.Stop() })
 	if err := eng.Run(20 * simclock.Second); err != nil && err != simclock.ErrHorizonReached {
@@ -196,5 +198,47 @@ func TestCohortPopulationStop(t *testing.T) {
 	}
 	if met.Issued("r1") != met.Completed("r1")+met.Dropped("r1") {
 		t.Fatalf("issued %d != completed %d + dropped %d", met.Issued("r1"), met.Completed("r1"), met.Dropped("r1"))
+	}
+}
+
+// tpcwThink is TPC-W's mean think time, the value deployments run with.
+const tpcwThink = 7 * simclock.Second
+
+// tpcw fills the numeric fields a cohort test leaves at 0 with the values
+// acm.Config.WithDefaults gives a deployment: TPC-W's think time, a 1 s tick
+// and batches of up to 64.
+func tpcw(c CohortConfig) CohortConfig {
+	if c.ThinkTimeMean == 0 {
+		c.ThinkTimeMean = tpcwThink
+	}
+	if c.Tick == 0 {
+		c.Tick = simclock.Second
+	}
+	if c.MaxBatch == 0 {
+		c.MaxBatch = 64
+	}
+	return c
+}
+
+// TestUnfilledCohortIsRejected: a cohort takes its numeric fields as given,
+// so a 0 tick panics by name instead of ticking forever at one instant.
+func TestUnfilledCohortIsRejected(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   CohortConfig
+	}{
+		{"ThinkTimeMean", CohortConfig{Tick: simclock.Second, MaxBatch: 64}},
+		{"Tick", CohortConfig{ThinkTimeMean: tpcwThink, MaxBatch: 64}},
+		{"MaxBatch", CohortConfig{ThinkTimeMean: tpcwThink, Tick: simclock.Second}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.field+" must be > 0") {
+					t.Errorf("%s 0: recovered %v, want a panic naming it", c.field, r)
+				}
+			}()
+			c.cfg.Region, c.cfg.Clients = "r1", 100
+			NewCohortPopulation(c.cfg, DispatcherFunc(func(*simclock.Engine, *cloudsim.Request) {}), NewMetrics())
+		}()
 	}
 }

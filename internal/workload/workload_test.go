@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -265,14 +266,22 @@ func TestPopulationStartStopAndExpectedRate(t *testing.T) {
 	}
 }
 
-func TestPopulationDefaultsToBrowsingMixAndThinkTime(t *testing.T) {
-	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 4}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
-	if think := pop.browsers[0].home.cfg.ThinkTimeMean; think != 7*simclock.Second {
-		t.Fatalf("default think time = %v, want 7 s", think)
-	}
+func TestPopulationDefaultsToBrowsingMix(t *testing.T) {
+	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 4, ThinkTimeMean: tpcwThink}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
 	if pop.browsers[0].home.cfg.Mix.Name != "browsing" {
 		t.Fatalf("default mix should be browsing, got %q", pop.browsers[0].home.cfg.Mix.Name)
 	}
+}
+
+// TestZeroThinkTimeIsRejected: a population takes its think time as given,
+// so a 0 panics by name instead of running on a silent 7 s.
+func TestZeroThinkTimeIsRejected(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "ThinkTimeMean must be > 0") {
+			t.Fatalf("recovered %v, want a panic naming ThinkTimeMean", r)
+		}
+	}()
+	NewPopulation(PopulationConfig{Region: "r", Clients: 4}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
 }
 
 // TestPopulationBrowserNames pins the browser identifiers, the tracer's
@@ -280,18 +289,18 @@ func TestPopulationDefaultsToBrowsingMixAndThinkTime(t *testing.T) {
 // and checks that a population whose tracer samples nothing keeps none.
 func TestPopulationBrowserNames(t *testing.T) {
 	sampling := tracing.NewTracer(1, 0.5)
-	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 1001, IDPrefix: "r-s3", Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+	pop := NewPopulation(PopulationConfig{Region: "r", Clients: 1001, IDPrefix: "r-s3", ThinkTimeMean: tpcwThink, Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
 	for i := range pop.browsers {
 		if got, want := pop.browsers[i].name(), fmt.Sprintf("r-s3-eb%03d", i+1); got != want {
 			t.Fatalf("browser %d: name %q, want %q", i, got, want)
 		}
 	}
-	pop = NewPopulation(PopulationConfig{Region: "region2", Clients: 1, Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+	pop = NewPopulation(PopulationConfig{Region: "region2", Clients: 1, ThinkTimeMean: tpcwThink, Tracer: sampling}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
 	if name := pop.browsers[0].name(); name != "region2-eb001" {
 		t.Fatalf("name without a prefix = %q, want region2-eb001", name)
 	}
 	for _, tr := range []*tracing.Tracer{nil, tracing.NewTracer(1, 0)} {
-		pop = NewPopulation(PopulationConfig{Region: "r", Clients: 3, Tracer: tr}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
+		pop = NewPopulation(PopulationConfig{Region: "r", Clients: 3, ThinkTimeMean: tpcwThink, Tracer: tr}, simclock.NewRNG(1), &immediateDispatcher{}, NewMetrics())
 		if pop.browsers[0].home.names != nil {
 			t.Fatalf("tracer %v: names kept although nothing is sampled", tr)
 		}
@@ -483,5 +492,21 @@ func BenchmarkClosedLoopPopulation(b *testing.B) {
 			simclock.NewRNG(uint64(i)), disp, NewMetrics())
 		pop.Start(eng)
 		_ = eng.Run(1 * simclock.Minute)
+	}
+}
+
+// TestDefaultMixesAreFresh: each mix constructor returns new entries, so a
+// caller that edits a returned mix cannot change the next caller's.
+func TestDefaultMixesAreFresh(t *testing.T) {
+	for _, mk := range []func() Mix{BrowsingMix, ShoppingMix, OrderingMix} {
+		want := mk()
+		got := mk()
+		for i := range got.Entries {
+			got.Entries[i].Weight = -1
+			got.Entries[i].ServiceFactor = 0
+		}
+		if again := mk(); !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: editing a returned mix changed the next call's result", want.Name)
+		}
 	}
 }
