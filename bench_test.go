@@ -191,38 +191,43 @@ func BenchmarkMLTraining_Toolchain(b *testing.B) {
 
 // E5 ablations: design-choice sweeps called out in DESIGN.md.
 
-// BenchmarkAblation_BetaSweep sweeps the smoothing factor β of equation (1)
-// under Policy 2.
-func BenchmarkAblation_BetaSweep(b *testing.B) {
-	sc := experiment.Figure3Scenario(42)
-	sc.Horizon = 45 * simclock.Minute
-	np, _ := experiment.PolicyByKey("policy2")
+// runSweepBench runs an ablation's job list through the sweep pipeline and
+// fails on a missing row or a job error.
+func runSweepBench(b *testing.B, jobs []experiment.Job) {
+	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiment.BetaSweep(sc, np, []float64{0.25, 0.75})
+		rows, err := experiment.RunSweep(context.Background(), jobs, experiment.Options{}, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pts) != 2 {
-			b.Fatalf("expected 2 sweep points, got %d", len(pts))
+		if len(rows) != len(jobs) {
+			b.Fatalf("expected %d sweep rows, got %d", len(jobs), len(rows))
+		}
+		for _, r := range rows {
+			if r.Err != "" {
+				b.Fatalf("%s/%s: %s", r.Scenario, r.Policy, r.Err)
+			}
 		}
 	}
+}
+
+// BenchmarkAblation_BetaSweep sweeps the smoothing factor β of equation (1)
+// under Policy 2.
+func BenchmarkAblation_BetaSweep(b *testing.B) {
+	jobs, err := experiment.Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy2"},
+		Betas: []float64{0.25, 0.75}, BaseSeed: 42, Horizon: 45 * simclock.Minute}.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	runSweepBench(b, jobs)
 }
 
 // BenchmarkAblation_ExplorationK sweeps the scaling factor k of Policy 3.
 func BenchmarkAblation_ExplorationK(b *testing.B) {
 	sc := experiment.Figure3Scenario(42)
 	sc.Horizon = 45 * simclock.Minute
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.ExplorationKSweep(sc, []float64{0.75, 1.25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != 2 {
-			b.Fatalf("expected 2 sweep points, got %d", len(pts))
-		}
-	}
+	runSweepBench(b, experiment.ExplorationKJobs(sc, []float64{0.75, 1.25}))
 }
 
 // BenchmarkAblation_Baselines compares Policy 2 against the uniform and
@@ -230,16 +235,7 @@ func BenchmarkAblation_ExplorationK(b *testing.B) {
 func BenchmarkAblation_Baselines(b *testing.B) {
 	sc := experiment.Figure3Scenario(42)
 	sc.Horizon = 45 * simclock.Minute
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.BaselineComparison(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != 3 {
-			b.Fatalf("expected 3 baseline results, got %d", len(res))
-		}
-	}
+	runSweepBench(b, experiment.BaselineJobs(sc))
 }
 
 // BenchmarkAblation_Homogeneous runs Policy 1 on three identical regions (the
@@ -283,14 +279,5 @@ func BenchmarkAblation_MLPredictor(b *testing.B) {
 	sc := experiment.Figure3Scenario(42)
 	sc.Horizon = 45 * simclock.Minute
 	np, _ := experiment.PolicyByKey("policy2")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.PredictorComparison(sc, np)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != 2 {
-			b.Fatalf("expected oracle and ml results, got %d", len(res))
-		}
-	}
+	runSweepBench(b, experiment.PredictorJobs(sc, np))
 }

@@ -160,8 +160,8 @@ func main() {
 	}
 }
 
-// runMatrix expands and executes a sweep on the shared pipeline
-// (experiment.RunSweep), printing the summary table and optionally writing
+// runMatrix expands a sweep and executes its jobs on the shared pipeline
+// (experiment.RunSweepAndEmit), printing the summary table and optionally writing
 // CSV/JSON rows, with journal-based checkpoint/resume.
 func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[string]bool) error {
 	m, err := sweep.Matrix(seed)
@@ -174,8 +174,12 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 		}
 		m.Horizon = simclock.Duration(hours) * simclock.Hour
 	}
-	fmt.Printf("sweep: %d jobs (%d scenarios x policies x betas x %d reps)\n", m.Size(), len(m.Scenarios), max(*sweep.Reps, 1))
-	return experiment.RunSweepAndEmit(context.Background(), m, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
+	jobs, err := m.Expand()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("sweep: %d jobs (%d scenarios x policies x betas x %d reps)\n", len(jobs), len(m.Scenarios), max(*sweep.Reps, 1))
+	return experiment.RunSweepAndEmit(context.Background(), jobs, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
 func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {

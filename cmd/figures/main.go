@@ -2,7 +2,10 @@
 // time-series figures (Figure 3 with two regions, Figure 4 with three
 // regions), the qualitative-claims summary backing Section VI-B, and the
 // ablations the reproduction adds (β sweep, exploration-factor sweep,
-// baseline policies, homogeneous regions).
+// baseline policies, homogeneous regions, predictor, gossip interval).
+// Every sweep-shaped ablation runs on the -scenarios sweep pipeline and
+// prints its table; beta and homogeneous are matrix sweeps, so their jobs
+// run at the matrix's derived seed, and the others at -seed itself.
 //
 // Usage examples:
 //
@@ -13,7 +16,7 @@
 //	figures -ablation beta                 # β sweep for equation (1)
 //	figures -ablation k                    # k sweep for Policy 3
 //	figures -ablation baseline             # uniform / static baselines
-//	figures -ablation homogeneous          # Policy 1 on homogeneous regions
+//	figures -ablation homogeneous          # every policy on homogeneous regions
 //	figures -ablation predictor            # oracle vs. trained F2PM predictor
 //	figures -ablation elasticity           # ADDVMS under a workload surge
 //	figures -ablation cablecut             # passive latency learning through a cable cut
@@ -26,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,7 +46,7 @@ func main() {
 		figure   = flag.Int("figure", 0, "figure to regenerate: 3 (two regions) or 4 (three regions)")
 		policy   = flag.String("policy", "all", "policy to run: policy1, policy2, policy3 or all")
 		summary  = flag.Bool("summary", false, "run both figures with all policies and print the claims checklist")
-		ablation = flag.String("ablation", "", "ablation to run: beta, k, baseline or homogeneous")
+		ablation = flag.String("ablation", "", "ablation to run: beta, k, baseline, homogeneous, predictor, gossip, elasticity or cablecut")
 		seed     = flag.Uint64("seed", 42, "deterministic simulation seed")
 		horizon  = flag.Float64("horizon", 2, "simulated hours per run")
 		csvDir   = flag.String("csv", "", "directory to write the raw time series as CSV files")
@@ -95,9 +99,9 @@ func main() {
 	}
 }
 
-// runMatrix executes a sweep over registered scenarios on the shared
-// pipeline (experiment.RunSweep), with checkpointed resume and CSV/JSON row
-// output.
+// runMatrix expands a sweep over registered scenarios and runs its jobs on
+// the shared pipeline (experiment.RunSweepAndEmit), with checkpointed
+// resume and CSV/JSON row output.
 func runMatrix(sweep *cli.SweepFlags, seed uint64, horizonHours float64) error {
 	if err := cli.RequirePositive("horizon", horizonHours); err != nil {
 		return err
@@ -107,10 +111,14 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, horizonHours float64) error {
 		return err
 	}
 	m.Horizon = simclock.Duration(horizonHours) * simclock.Hour
+	jobs, err := m.Expand()
+	if err != nil {
+		return err
+	}
 	opt := sweep.Options()
 
-	fmt.Printf("sweep: %d jobs (%d workers)\n", m.Size(), opt.Workers)
-	return experiment.RunSweepAndEmit(context.Background(), m, opt, *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
+	fmt.Printf("sweep: %d jobs (%d workers)\n", len(jobs), opt.Workers)
+	return experiment.RunSweepAndEmit(context.Background(), jobs, opt, *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
 func run(figure int, policy string, summary bool, ablation string, seed uint64, horizonHours float64, csvDir string, cohortClients int, tracerFraction float64, tracerSet bool, workers int) error {
@@ -185,7 +193,7 @@ func run(figure int, policy string, summary bool, ablation string, seed uint64, 
 		return nil
 
 	case ablation != "":
-		return runAblation(ablation, seed, horizon, opt)
+		return runAblation(os.Stdout, ablation, seed, horizon, opt)
 
 	case figure != 0:
 		sc, err := scenarioFor(figure)
@@ -270,104 +278,86 @@ func writeCSVs(dir, scenario, policy string, res *experiment.Result) error {
 	return nil
 }
 
-// runAblation executes one of the ablation studies.
-func runAblation(kind string, seed uint64, horizon simclock.Duration, opt experiment.Options) error {
-	sc, err := experiment.BuildScenario("figure3", seed)
+// runAblation executes one of the ablation studies, writing to out.  Every
+// sweep-shaped ablation is a job list printed by the sweep pipeline's table.
+func runAblation(out io.Writer, kind string, seed uint64, horizon simclock.Duration, opt experiment.Options) error {
+	build := func(name string) (experiment.Scenario, error) {
+		sc, err := experiment.BuildScenario(name, seed)
+		sc.Horizon = horizon
+		return sc, err
+	}
+	sweep := func(title string, jobs []experiment.Job) error {
+		fmt.Fprintln(out, title)
+		return experiment.RunSweepAndEmit(context.Background(), jobs, opt, "", "", "", out)
+	}
+	matrix := func(title string, m experiment.Matrix) error {
+		m.BaseSeed, m.Horizon = seed, horizon
+		jobs, err := m.Expand()
+		if err != nil {
+			return err
+		}
+		return sweep(title, jobs)
+	}
+	fig3, err := build("figure3")
 	if err != nil {
 		return err
 	}
-	sc.Horizon = horizon
+	policy2, _ := experiment.PolicyByKey("policy2")
 	switch kind {
 	case "beta":
-		np, _ := experiment.PolicyByKey("policy2")
-		pts, err := experiment.BetaSweep(sc, np, []float64{0.1, 0.25, 0.5, 0.75, 1.0}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("β sweep (equation 1 smoothing) under Policy 2, Figure 3 scenario:")
-		fmt.Print(experiment.AblationTable(pts))
-	case "k":
-		pts, err := experiment.ExplorationKSweep(sc, []float64{0.5, 0.75, 1.0, 1.25}, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("k sweep (equations 6 and 8) for Policy 3, Figure 3 scenario:")
-		fmt.Print(experiment.AblationTable(pts))
-	case "baseline":
-		res, err := experiment.BaselineComparison(sc, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Policy 2 vs. non-adaptive baselines, Figure 3 scenario:")
-		fmt.Print(experiment.SummaryTable(res))
+		return matrix("β sweep (equation 1 smoothing) under Policy 2, Figure 3 scenario:", experiment.Matrix{
+			Scenarios: []string{"figure3"}, Policies: []string{"policy2"}, Betas: []float64{0.1, 0.25, 0.5, 0.75, 1.0}})
 	case "homogeneous":
-		hom, err := experiment.BuildScenario("homogeneous", seed)
-		if err != nil {
-			return err
-		}
-		hom.Horizon = horizon
-		results, err := experiment.RunPolicies(context.Background(), hom, experiment.Policies(), opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("all policies on three homogeneous regions (Policy 1 is expected to behave well here):")
-		fmt.Print(experiment.SummaryTable(results))
+		return matrix("all policies on three homogeneous regions (Policy 1 is expected to behave well here):",
+			experiment.Matrix{Scenarios: []string{"homogeneous"}})
+	case "k":
+		return sweep("k sweep (equations 6 and 8) for Policy 3, Figure 3 scenario:",
+			experiment.ExplorationKJobs(fig3, []float64{0.5, 0.75, 1.0, 1.25}))
+	case "baseline":
+		return sweep("Policy 2 vs. non-adaptive baselines, Figure 3 scenario:", experiment.BaselineJobs(fig3))
 	case "predictor":
-		np, _ := experiment.PolicyByKey("policy2")
-		res, err := experiment.PredictorComparison(sc, np, opt)
+		return sweep("oracle vs. trained F2PM predictor, Policy 2, Figure 3 scenario:", experiment.PredictorJobs(fig3, policy2))
+	case "gossip":
+		gs, err := build("global-gossip")
 		if err != nil {
 			return err
 		}
-		fmt.Println("oracle vs. trained F2PM predictor, Policy 2, Figure 3 scenario:")
-		fmt.Print(experiment.SummaryTable(res))
+		jobs, err := experiment.GossipIntervalJobs(gs, policy2, []simclock.Duration{
+			5 * simclock.Second, 10 * simclock.Second, 20 * simclock.Second, 40 * simclock.Second,
+		})
+		if err != nil {
+			return err
+		}
+		return sweep("gossip-interval sweep (3 replicas, global-gossip scenario): convergence lag vs message cost:", jobs)
 	case "elasticity":
 		el, err := experiment.BuildScenario("elasticity", seed)
 		if err != nil {
 			return err
 		}
-		np, _ := experiment.PolicyByKey("policy2")
-		res, err := experiment.Run(el, np)
+		res, err := experiment.Run(el, policy2)
 		if err != nil {
 			return err
 		}
-		fmt.Println("ADDVMS elasticity under a mid-run workload surge (Policy 2):")
-		fmt.Print(trace.ASCIIPlot(res.Recorder.Set("active_vms"), trace.PlotOptions{
+		fmt.Fprintln(out, "ADDVMS elasticity under a mid-run workload surge (Policy 2):")
+		fmt.Fprint(out, trace.ASCIIPlot(res.Recorder.Set("active_vms"), trace.PlotOptions{
 			Title: "ACTIVE VMs per region", Height: 10, Width: 72}))
-		fmt.Print(trace.ASCIIPlot(res.Recorder.Set("response_time"), trace.PlotOptions{
+		fmt.Fprint(out, trace.ASCIIPlot(res.Recorder.Set("response_time"), trace.PlotOptions{
 			Title: "client response time (s)", Height: 10, Width: 72}))
-		fmt.Printf("mean response time %.3fs, SLA violations %.2f%%, success ratio %.4f\n",
+		fmt.Fprintf(out, "mean response time %.3fs, SLA violations %.2f%%, success ratio %.4f\n",
 			res.MeanResponseTime, 100*res.SLAViolationRatio, res.SuccessRatio)
-	case "gossip":
-		gs, err := experiment.BuildScenario("global-gossip", seed)
-		if err != nil {
-			return err
-		}
-		gs.Horizon = horizon
-		np, _ := experiment.PolicyByKey("policy2")
-		intervals := []simclock.Duration{
-			5 * simclock.Second, 10 * simclock.Second, 20 * simclock.Second, 40 * simclock.Second,
-		}
-		pts, err := experiment.GossipIntervalSweep(gs, np, intervals, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("gossip-interval sweep (3 replicas, global-gossip scenario): convergence lag vs message cost:")
-		fmt.Print(experiment.GossipSweepTable(pts))
 	case "cablecut":
-		cc, err := experiment.BuildScenario("global-cablecut", seed)
+		cc, err := build("global-cablecut")
 		if err != nil {
 			return err
 		}
-		cc.Horizon = horizon
-		np, _ := experiment.PolicyByKey("policy2")
-		res, err := experiment.Run(cc, np)
+		res, err := experiment.Run(cc, policy2)
 		if err != nil {
 			return err
 		}
-		fmt.Println("passive latency learning through a mid-run cable cut (americas:region1 RTT doubles at minute 12):")
-		fmt.Print(trace.ASCIIPlot(res.Recorder.Set("gslb_rtt"), trace.PlotOptions{
+		fmt.Fprintln(out, "passive latency learning through a mid-run cable cut (americas:region1 RTT doubles at minute 12):")
+		fmt.Fprint(out, trace.ASCIIPlot(res.Recorder.Set("gslb_rtt"), trace.PlotOptions{
 			Title: "learned round trip per stream:region (ms, EWMA)", Height: 10, Width: 72}))
-		fmt.Print(trace.ASCIIPlot(res.Recorder.Set("gslb_routed"), trace.PlotOptions{
+		fmt.Fprint(out, trace.ASCIIPlot(res.Recorder.Set("gslb_routed"), trace.PlotOptions{
 			Title: "cumulative routed requests per region", Height: 10, Width: 72}))
 		regions := make([]string, 0, len(res.GSLBRouted))
 		for region := range res.GSLBRouted {
@@ -375,7 +365,7 @@ func runAblation(kind string, seed uint64, horizon simclock.Duration, opt experi
 		}
 		sort.Strings(regions)
 		for _, region := range regions {
-			fmt.Printf("  %s: routed=%d\n", region, res.GSLBRouted[region])
+			fmt.Fprintf(out, "  %s: routed=%d\n", region, res.GSLBRouted[region])
 		}
 	default:
 		return fmt.Errorf("unknown ablation %q (use beta, k, baseline, homogeneous, predictor, elasticity, cablecut or gossip)", kind)

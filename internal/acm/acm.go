@@ -165,7 +165,8 @@ type Config struct {
 	// (internal/gossip).  With N >= 2 replicated directors exchange health
 	// over simulated gossip, and each request lane routes on its home
 	// replica's eventually-consistent view (lane g reads replica g mod N).
-	// 0 and 1 both select one replica: the central director.  N >= 2
+	// 1 is one replica, the central director; with a GSLB policy set,
+	// WithDefaults fills 0 with 1, and without one it stays 0.  N >= 2
 	// requires GSLB to be enabled and is incompatible with the latency
 	// policy and RTT matrices (their passive estimators learn from every
 	// lane).
@@ -225,6 +226,9 @@ func (c Config) WithDefaults() Config {
 	c.EventEpoch = cmp.Or(c.EventEpoch, simclock.DefaultEpoch)
 	c.CohortTick = cmp.Or(c.CohortTick, simclock.Second)
 	c.CohortMaxBatch = cmp.Or(c.CohortMaxBatch, 64)
+	if c.GSLB.Enabled() {
+		c.GossipReplicas = cmp.Or(c.GossipReplicas, 1)
+	}
 	if c.GossipReplicas >= 2 {
 		c.GossipInterval = cmp.Or(c.GossipInterval, 10*simclock.Second)
 		c.GossipFanout = cmp.Or(c.GossipFanout, 1)

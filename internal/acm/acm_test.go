@@ -538,6 +538,23 @@ func TestUnfilledConfigIsRejected(t *testing.T) {
 			t.Errorf("%s = 0: WithDefaults does not restore the default", c.field)
 		}
 	}
+	// A GSLB config's replica count is a leaf like the others: 0 is
+	// unfilled, and the fill writes the one replica, the central director.
+	// Without a GSLB policy there is no director, and the fill leaves 0.
+	if n := smallConfig(1, core.AvailableResources{}).GossipReplicas; n != 0 {
+		t.Errorf("without GSLB the fill wrote GossipReplicas = %d, want 0", n)
+	}
+	cfg := smallConfig(1, core.AvailableResources{})
+	cfg.GSLB = gslb.Config{Policy: gslb.PolicyLeastLoad}.WithDefaults()
+	if _, err := NewManager(cfg); err == nil || err.Error() != "acm: GossipReplicas must be >= 1 with a GSLB policy configured, got 0" {
+		t.Errorf("GossipReplicas = 0 with GSLB: got error %v, want one naming it", err)
+	}
+	if n := cfg.WithDefaults().GossipReplicas; n != 1 {
+		t.Errorf("with GSLB the fill wrote GossipReplicas = %d, want 1", n)
+	}
+	if _, err := NewManager(cfg.WithDefaults()); err != nil {
+		t.Errorf("filled GSLB config rejected: %v", err)
+	}
 }
 
 // TestWithDefaultsIsAFixedPoint: a second fill changes nothing, keeps the

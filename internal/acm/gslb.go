@@ -104,10 +104,14 @@ func validateMix(field string, mix workload.Mix) error {
 }
 
 // validateGossip rejects health-plane configurations the wiring cannot
-// realise.  One replica (GossipReplicas 0 or 1) is the central director and
-// sends no messages, so every gossip tuning field needs at least two.
+// realise.  One replica is the central director and sends no messages, so
+// every gossip tuning field needs at least two.  A GSLB config with 0
+// replicas is unfilled: WithDefaults writes the one replica.
 func (m *Manager) validateGossip() error {
 	cfg := m.cfg
+	if cfg.GSLB.Enabled() && cfg.GossipReplicas == 0 {
+		return validate.Fieldf("acm", "GossipReplicas", "must be >= 1 with a GSLB policy configured, got 0")
+	}
 	if cfg.GossipReplicas < 2 {
 		for _, f := range []struct {
 			name string
@@ -152,14 +156,14 @@ func (m *Manager) globalStreamNames() []string {
 }
 
 // buildDirector assembles the health plane over the deployment's regions:
-// max(1, GossipReplicas) gslb.Director replicas, each probing its owned
-// regions' live telemetry.  One replica is the central director.
+// GossipReplicas gslb.Director replicas, each probing its owned regions'
+// live telemetry.  One replica is the central director.
 func (m *Manager) buildDirector() error {
 	if !m.cfg.GSLB.Enabled() {
 		return nil
 	}
 	p, err := gossip.New(gossip.Config{
-		Replicas: max(1, m.cfg.GossipReplicas),
+		Replicas: m.cfg.GossipReplicas,
 		Interval: m.cfg.GossipInterval,
 		Fanout:   m.cfg.GossipFanout,
 		Delay:    m.cfg.GossipDelay,

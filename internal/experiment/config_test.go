@@ -20,7 +20,10 @@ import (
 )
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	orig := Figure4Scenario(123)
+	orig, err := BuildScenario("figure4", 123)
+	if err != nil {
+		t.Fatal(err)
+	}
 	orig.VMC.ElasticityEnabled = true
 	orig.Regions[0].SurgeClients = 100
 	orig.Regions[0].SurgeAt = 20 * simclock.Minute

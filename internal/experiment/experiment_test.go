@@ -219,40 +219,82 @@ func TestSummaryAndAblationTables(t *testing.T) {
 	if !strings.Contains(tbl, "policy1") || !strings.Contains(tbl, "never") || !strings.Contains(tbl, "1300s") {
 		t.Fatalf("summary table incomplete:\n%s", tbl)
 	}
-	pts := []AblationPoint{
-		{Parameter: "beta", Value: 0.2, Label: "β=0.20", Converged: true, ConvergenceTime: 900, Spread: 0.1},
-		{Parameter: "beta", Value: 0.8, Converged: false, ConvergenceTime: math.Inf(1), Spread: 0.5},
+	// The ablations print the sweep table: its convergence column tells a
+	// known time, a converged run without one, and a run that never
+	// converged apart, and the dependability and gossip columns carry the
+	// row's values.
+	rows := []SweepRow{
+		{Scenario: "quick-beta0.20", Policy: "policy2", Beta: 0.2, Converged: true, ConvergenceTime: 900, RelativeSpread: 0.1,
+			ProactiveRejuvenations: 17, Crashes: 3, GossipMeanLagSeconds: 13.3, GossipSent: 1077, GossipMaxDivergence: 2},
+		{Scenario: "quick-k1.25", Policy: "policy3-k1.25", Beta: 0.5, Converged: true, ConvergenceTime: -1, RelativeSpread: 0.3},
+		{Scenario: "quick-beta0.80", Policy: "policy2", Beta: 0.8, ConvergenceTime: -1, RelativeSpread: 0.5},
+		{Scenario: "quick-ml", Policy: "policy2", Err: "boom"},
 	}
-	atbl := AblationTable(pts)
-	if !strings.Contains(atbl, "β=0.20") || !strings.Contains(atbl, "beta=0.80") || !strings.Contains(atbl, "never") {
-		t.Fatalf("ablation table incomplete:\n%s", atbl)
+	lines := strings.Split(strings.TrimSpace(SweepTable(rows)), "\n")
+	if len(lines) != 1+len(rows) {
+		t.Fatalf("sweep table has %d lines, want a header and %d rows:\n%s", len(lines), len(rows), strings.Join(lines, "\n"))
+	}
+	for i, want := range [][]string{
+		{"quick-beta0.20", "0.20", "yes", "900s", "17", "3", "13.3", "1077"},
+		{"quick-k1.25", "policy3-k1.25", "yes", "n/a"},
+		{"quick-beta0.80", "no", "never"},
+		{"quick-ml", "ERROR: boom"},
+	} {
+		for _, field := range want {
+			if !strings.Contains(lines[1+i], field) {
+				t.Errorf("sweep table row %d lacks %q: %s", i, field, lines[1+i])
+			}
+		}
 	}
 }
 
+// rowsByPolicy runs the jobs through the sweep pipeline and keys the rows
+// by policy, failing on any job error.
+func rowsByPolicy(t *testing.T, jobs []Job) map[string]SweepRow {
+	t.Helper()
+	rows, err := RunSweep(context.Background(), jobs, Options{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]SweepRow{}
+	for _, r := range rows {
+		if r.Err != "" {
+			t.Fatalf("%s/%s: %s", r.Scenario, r.Policy, r.Err)
+		}
+		out[r.Policy] = r
+	}
+	return out
+}
+
+// TestBetaSweepAndKSweep: the β ablation is a Matrix over β and the k
+// ablation a job list over k; both run through the sweep pipeline and
+// report the swept value in every row.
 func TestBetaSweepAndKSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps run multiple simulations")
 	}
-	sc := quickScenario(5)
-	sc.Horizon = 25 * simclock.Minute
-	pts, err := BetaSweep(sc, NamedPolicy{Key: "policy2", Label: "Policy 2", Policy: core.AvailableResources{}}, []float64{0.2, 0.8})
+	jobs, err := Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy2"}, Betas: []float64{0.2, 0.8},
+		BaseSeed: 5, Horizon: 25 * simclock.Minute}.Expand()
 	if err != nil {
-		t.Fatalf("BetaSweep: %v", err)
+		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Value != 0.2 || pts[1].Value != 0.8 {
-		t.Fatalf("unexpected sweep points: %+v", pts)
+	rows, err := RunSweep(context.Background(), jobs, Options{}, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range pts {
-		if p.MeanResponseTime <= 0 {
-			t.Fatalf("sweep point missing metrics: %+v", p)
+	if len(rows) != 2 || rows[0].Beta != 0.2 || rows[1].Beta != 0.8 {
+		t.Fatalf("unexpected β sweep rows: %+v", rows)
+	}
+	for _, r := range rows {
+		if r.MeanResponseTime <= 0 || r.Err != "" {
+			t.Fatalf("β sweep row missing metrics: %+v", r)
 		}
 	}
-	kpts, err := ExplorationKSweep(sc, []float64{1.0})
-	if err != nil {
-		t.Fatalf("ExplorationKSweep: %v", err)
-	}
-	if len(kpts) != 1 || kpts[0].Parameter != "k" {
-		t.Fatalf("unexpected k sweep points: %+v", kpts)
+	sc := quickScenario(5)
+	sc.Horizon = 25 * simclock.Minute
+	k := rowsByPolicy(t, ExplorationKJobs(sc, []float64{1.0}))
+	if r, ok := k["policy3-k1.00"]; len(k) != 1 || !ok || r.Scenario != "quick-k1.00" || r.MeanResponseTime <= 0 {
+		t.Fatalf("unexpected k sweep rows: %+v", k)
 	}
 }
 
@@ -262,10 +304,7 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	sc := quickScenario(9)
 	sc.Horizon = 25 * simclock.Minute
-	res, err := BaselineComparison(sc)
-	if err != nil {
-		t.Fatalf("BaselineComparison: %v", err)
-	}
+	res := rowsByPolicy(t, BaselineJobs(sc))
 	for _, key := range []string{"policy2", "uniform", "static"} {
 		if _, ok := res[key]; !ok {
 			t.Fatalf("baseline comparison missing %q", key)
@@ -273,9 +312,9 @@ func TestBaselineComparison(t *testing.T) {
 	}
 	// The uniform baseline ignores heterogeneity, so the small region ends up
 	// with a worse (lower) RMTTF spread than under policy 2.
-	if res["uniform"].RMTTFConvergence.RelativeSpread <= res["policy2"].RMTTFConvergence.RelativeSpread {
+	if res["uniform"].RelativeSpread <= res["policy2"].RelativeSpread {
 		t.Fatalf("uniform baseline should show a larger RMTTF spread than policy 2: uniform=%v policy2=%v",
-			res["uniform"].RMTTFConvergence.RelativeSpread, res["policy2"].RMTTFConvergence.RelativeSpread)
+			res["uniform"].RelativeSpread, res["policy2"].RelativeSpread)
 	}
 }
 

@@ -258,11 +258,12 @@ func TestGossipScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestOneReplicaIsCentralDirector: a health plane of one replica is the
-// central director.  Setting GossipReplicas = 1 on central-director
-// scenarios must reproduce their committed goldens byte for byte — no
-// gossip block, no gossip_convergence set inside the series hash, and the
-// same routing and summary floats.  global-latency covers the passive
-// latency learner, whose observations flush into the single replica.
+// central director.  The fill writes GossipReplicas = 1 on every
+// central-director scenario, and the constructor's unfilled 0 run through
+// it must reproduce their committed goldens byte for byte — no gossip
+// block, no gossip_convergence set inside the series hash, and the same
+// routing and summary floats.  global-latency covers the passive latency
+// learner, whose observations flush into the single replica.
 func TestOneReplicaIsCentralDirector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three 30-minute global simulations")
@@ -277,10 +278,10 @@ func TestOneReplicaIsCentralDirector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sc.GossipReplicas != 0 {
-				t.Fatalf("%s already sets GossipReplicas = %d", name, sc.GossipReplicas)
+			if sc.GossipReplicas != 1 {
+				t.Fatalf("%s builds with GossipReplicas = %d, want the fill's 1", name, sc.GossipReplicas)
 			}
-			sc.GossipReplicas = 1
+			sc.GossipReplicas = 0 // the constructor's value; Run fills it
 			sc.Horizon = goldenHorizon
 			res, err := Run(sc, np)
 			if err != nil {
@@ -299,7 +300,9 @@ func TestOneReplicaIsCentralDirector(t *testing.T) {
 }
 
 // TestGossipIntervalSweepNeedsReplicas: the sweep varies the gossip round
-// period, which one replica never uses, so it rejects such a scenario.
+// period, which one replica never uses, so GossipIntervalJobs rejects such
+// a scenario; it also rejects a 0 interval, which the fill would run as
+// 10 s.
 func TestGossipIntervalSweepNeedsReplicas(t *testing.T) {
 	np, err := PolicyByKey("policy2")
 	if err != nil {
@@ -309,9 +312,11 @@ func TestGossipIntervalSweepNeedsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := GossipIntervalJobs(sc, np, []simclock.Duration{0}); err == nil || !strings.Contains(err.Error(), "must be positive") {
+		t.Fatalf("sweep over a 0 interval: got error %v, want one asking for a positive interval", err)
+	}
 	sc.GossipReplicas = 1
-	sc.Horizon = simclock.Minute
-	_, err = GossipIntervalSweep(sc, np, []simclock.Duration{5 * simclock.Second})
+	_, err = GossipIntervalJobs(sc, np, []simclock.Duration{5 * simclock.Second})
 	if err == nil || !strings.Contains(err.Error(), "GossipReplicas >= 2") {
 		t.Fatalf("sweep over a one-replica scenario: got error %v, want one asking for GossipReplicas >= 2", err)
 	}

@@ -9,16 +9,17 @@ import (
 	"sync"
 )
 
-// Checkpoint/resume for long sweeps: RunMatrixWithJournal appends one JSON
-// line per completed job to a journal file, and on a later invocation with
-// the same matrix skips every job the journal already holds.  Per-job seeds
-// are derived from (BaseSeed, replication) at expansion time, so a resumed
-// run is bit-identical to an uninterrupted one — the journal only decides
-// *which* jobs still need running, never what they compute.
+// Checkpoint/resume for long sweeps: runJournaled appends one JSON line per
+// completed job to a journal file, and on a later invocation with the same
+// job list skips every job the journal already holds.  Every job carries its
+// own seed (a Matrix derives it from (BaseSeed, replication) at expansion
+// time), so a resumed run is bit-identical to an uninterrupted one — the
+// journal only decides *which* jobs still need running, never what they
+// compute.  A row recorded before a SweepRow field existed reads 0 there.
 
 // journalEntry is one completed job on disk.  The identity fields are
-// checked against the expanded matrix on resume, so a journal written for a
-// different matrix (or a stale one) fails loudly instead of silently
+// checked against the job list on resume, so a journal written for a
+// different sweep (or a stale one) fails loudly instead of silently
 // skipping the wrong jobs.
 type journalEntry struct {
 	Index    int    `json:"index"`
@@ -26,7 +27,7 @@ type journalEntry struct {
 	Policy   string `json:"policy"`
 	Seed     uint64 `json:"seed"`
 	// HorizonS is the job's simulated horizon in seconds.  Name, policy and
-	// seed alone would accept rows from the same matrix run at a different
+	// seed alone would accept rows from the same sweep run at a different
 	// -hours/-horizon, which simulates a different experiment.
 	HorizonS float64  `json:"horizonS"`
 	Row      SweepRow `json:"row"`
@@ -73,13 +74,13 @@ func loadJournal(path string, jobs []Job) (map[int]SweepRow, int64, error) {
 				return nil, 0, fmt.Errorf("experiment: journal %s line %d is corrupt: %w", path, line, err)
 			}
 			if e.Index < 0 || e.Index >= len(jobs) {
-				return nil, 0, fmt.Errorf("experiment: journal %s entry %d indexes job %d of %d — journal belongs to a different matrix",
+				return nil, 0, fmt.Errorf("experiment: journal %s entry %d indexes job %d of %d — journal belongs to a different sweep",
 					path, line, e.Index, len(jobs))
 			}
 			job := jobs[e.Index]
 			if e.Scenario != job.Scenario.Name || e.Policy != job.Policy.Key || e.Seed != job.Scenario.Seed ||
 				e.HorizonS != job.Scenario.Horizon.Seconds() {
-				return nil, 0, fmt.Errorf("experiment: journal %s entry %d (%s/%s seed %d horizon %gs) does not match job %d (%s/%s seed %d horizon %gs) — journal belongs to a different matrix",
+				return nil, 0, fmt.Errorf("experiment: journal %s entry %d (%s/%s seed %d horizon %gs) does not match job %d (%s/%s seed %d horizon %gs) — journal belongs to a different sweep",
 					path, line, e.Scenario, e.Policy, e.Seed, e.HorizonS,
 					e.Index, job.Scenario.Name, job.Policy.Key, job.Scenario.Seed, job.Scenario.Horizon.Seconds())
 			}
@@ -90,18 +91,14 @@ func loadJournal(path string, jobs []Job) (map[int]SweepRow, int64, error) {
 	return done, validBytes, nil
 }
 
-// RunMatrixWithJournal expands the matrix, skips every job already recorded
-// in the journal at path, runs the remainder on the parallel pool (each
-// completion is appended to the journal as it lands, so a kill at any point
-// loses at most the in-flight jobs) and returns the full set of sweep rows
-// in job order.  A cancelled context returns the rows completed so far along
-// with the context error; re-invoking with the same matrix and journal
-// resumes from the missing jobs only.
-func RunMatrixWithJournal(ctx context.Context, m Matrix, opt Options, path string) ([]SweepRow, error) {
-	jobs, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
+// runJournaled skips every job already recorded in the journal at path,
+// runs the remainder on the parallel pool (each completion is appended to
+// the journal as it lands, so a kill at any point loses at most the
+// in-flight jobs) and returns the full set of sweep rows in job order.  A
+// cancelled context returns the rows completed so far along with the
+// context error; re-invoking with the same jobs and journal resumes from
+// the missing jobs only.
+func runJournaled(ctx context.Context, jobs []Job, opt Options, path string) ([]SweepRow, error) {
 	done, validBytes, err := loadJournal(path, jobs)
 	if err != nil {
 		return nil, err
@@ -115,10 +112,12 @@ func RunMatrixWithJournal(ctx context.Context, m Matrix, opt Options, path strin
 		}
 	}
 
-	pending := make([]Job, 0, len(jobs)-len(done))
-	for _, job := range jobs {
-		if _, ok := done[job.Index]; !ok {
-			pending = append(pending, job)
+	// Entries are keyed by the job's position in the list, so a hand-built
+	// list whose Index fields were left 0 still journals every job.
+	pending := make([]int, 0, len(jobs)-len(done))
+	for i := range jobs {
+		if _, ok := done[i]; !ok {
+			pending = append(pending, i)
 		}
 	}
 
@@ -138,19 +137,20 @@ func RunMatrixWithJournal(ctx context.Context, m Matrix, opt Options, path strin
 		var mu sync.Mutex
 		enc := json.NewEncoder(f)
 
-		runErr := ForEach(ctx, len(pending), opt.Workers, func(i int) error {
-			job := pending[i]
+		runErr := ForEach(ctx, len(pending), opt.Workers, func(p int) error {
+			i := pending[p]
+			job := jobs[i]
 			res, jobErr := Run(job.Scenario, job.Policy)
 			row := RowFromJobResult(JobResult{Job: job, Result: res, Err: jobErr})
 
 			mu.Lock()
 			defer mu.Unlock()
-			rows[job.Index] = row
-			completed[job.Index] = true
+			rows[i] = row
+			completed[i] = true
 			// One JSON object per line, flushed per job: a kill mid-sweep
 			// loses at most the jobs still in flight.
 			return enc.Encode(journalEntry{
-				Index:    job.Index,
+				Index:    i,
 				Scenario: job.Scenario.Name,
 				Policy:   job.Policy.Key,
 				Seed:     job.Scenario.Seed,

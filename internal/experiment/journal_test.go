@@ -14,16 +14,25 @@ import (
 	"repro/internal/simclock"
 )
 
-// journalMatrix is a small but real sweep: 2 scenarios x 2 policies x 2
+// journalJobs is a small but real sweep: 2 scenarios x 2 policies x 2
 // replications = 8 jobs, each a short simulation.
-func journalMatrix() Matrix {
-	return Matrix{
+func journalJobs(t *testing.T) []Job {
+	return expand(t, Matrix{
 		Scenarios:    []string{"figure3", "homogeneous"},
 		Policies:     []string{"policy1", "policy2"},
 		Replications: 2,
 		BaseSeed:     42,
 		Horizon:      2 * simclock.Minute,
+	})
+}
+
+func expand(t *testing.T, m Matrix) []Job {
+	t.Helper()
+	jobs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return jobs
 }
 
 func journalLines(t *testing.T, path string) []journalEntry {
@@ -53,7 +62,7 @@ func TestJournalKillMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 8-job sweep three times")
 	}
-	m := journalMatrix()
+	jobs := journalJobs(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.journal")
 
@@ -68,37 +77,37 @@ func TestJournalKillMidSweep(t *testing.T) {
 	// fed by the file's growth — simplest deterministic-enough trigger is
 	// cancelling from inside the first run via a tiny worker count and a
 	// side effect.  Run with Workers=1 so completions are strictly ordered.
-	rows, err := runJournalCancelling(ctx, cancel, m, path, 2, &completionsSeen)
+	rows, err := runJournalCancelling(ctx, cancel, jobs, path, 2, &completionsSeen)
 	if err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
-	if len(rows) >= m.Size() {
-		t.Fatalf("cancelled sweep returned %d rows, want < %d", len(rows), m.Size())
+	if len(rows) >= len(jobs) {
+		t.Fatalf("cancelled sweep returned %d rows, want < %d", len(rows), len(jobs))
 	}
 	persisted := journalLines(t, path)
-	if len(persisted) == 0 || len(persisted) >= m.Size() {
-		t.Fatalf("journal holds %d entries after the kill, want in (0, %d)", len(persisted), m.Size())
+	if len(persisted) == 0 || len(persisted) >= len(jobs) {
+		t.Fatalf("journal holds %d entries after the kill, want in (0, %d)", len(persisted), len(jobs))
 	}
 
 	// Resume: only the missing jobs run.
-	resumed, err := RunMatrixWithJournal(context.Background(), m, Options{Workers: 2}, path)
+	resumed, err := RunSweep(context.Background(), jobs, Options{Workers: 2}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resumed) != m.Size() {
-		t.Fatalf("resumed sweep returned %d rows, want %d", len(resumed), m.Size())
+	if len(resumed) != len(jobs) {
+		t.Fatalf("resumed sweep returned %d rows, want %d", len(resumed), len(jobs))
 	}
 	after := journalLines(t, path)
-	if len(after) != m.Size() {
-		t.Fatalf("journal holds %d entries after resume, want %d", len(after), m.Size())
+	if len(after) != len(jobs) {
+		t.Fatalf("journal holds %d entries after resume, want %d", len(after), len(jobs))
 	}
 	ranOnResume := len(after) - len(persisted)
-	if ranOnResume != m.Size()-len(persisted) {
-		t.Fatalf("resume ran %d jobs, want exactly the %d missing ones", ranOnResume, m.Size()-len(persisted))
+	if ranOnResume != len(jobs)-len(persisted) {
+		t.Fatalf("resume ran %d jobs, want exactly the %d missing ones", ranOnResume, len(jobs)-len(persisted))
 	}
 
 	// The merged rows must equal an uninterrupted run's, byte for byte.
-	clean, err := RunMatrixWithJournal(context.Background(), m, Options{Workers: 2}, filepath.Join(dir, "clean.journal"))
+	clean, err := RunSweep(context.Background(), jobs, Options{Workers: 2}, filepath.Join(dir, "clean.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +116,11 @@ func TestJournalKillMidSweep(t *testing.T) {
 	}
 }
 
-// runJournalCancelling runs the matrix with Workers=1 and cancels the
+// runJournalCancelling runs the jobs with Workers=1 and cancels the
 // context after killAfter completions by watching the journal file between
 // jobs (Workers=1 serialises completions, so the cancellation lands at a
 // deterministic point).
-func runJournalCancelling(ctx context.Context, cancel context.CancelFunc, m Matrix, path string, killAfter int, seen *int) ([]SweepRow, error) {
+func runJournalCancelling(ctx context.Context, cancel context.CancelFunc, jobs []Job, path string, killAfter int, seen *int) ([]SweepRow, error) {
 	// Run the sweep in a goroutine and watch the journal grow; every
 	// completed line is already durable when we pull the plug.
 	type result struct {
@@ -120,7 +129,7 @@ func runJournalCancelling(ctx context.Context, cancel context.CancelFunc, m Matr
 	}
 	ch := make(chan result, 1)
 	go func() {
-		rows, err := RunMatrixWithJournal(ctx, m, Options{Workers: 1}, path)
+		rows, err := RunSweep(ctx, jobs, Options{Workers: 1}, path)
 		ch <- result{rows, err}
 	}()
 	for {
@@ -146,19 +155,19 @@ func TestJournalRejectsForeignMatrix(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.journal")
 	m := Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy1"}, BaseSeed: 1, Horizon: simclock.Minute}
-	if _, err := RunMatrixWithJournal(context.Background(), m, Options{Workers: 1}, path); err != nil {
+	if _, err := RunSweep(context.Background(), expand(t, m), Options{Workers: 1}, path); err != nil {
 		t.Fatal(err)
 	}
 	other := m
 	other.BaseSeed = 2 // different derived seeds
-	if _, err := RunMatrixWithJournal(context.Background(), other, Options{Workers: 1}, path); err == nil {
+	if _, err := RunSweep(context.Background(), expand(t, other), Options{Workers: 1}, path); err == nil {
 		t.Fatal("journal for a different matrix was accepted")
 	}
 	// Same matrix at a different horizon simulates a different experiment:
 	// name/policy/seed all match, only the horizon identity can catch it.
 	longer := m
 	longer.Horizon = 2 * simclock.Minute
-	if _, err := RunMatrixWithJournal(context.Background(), longer, Options{Workers: 1}, path); err == nil {
+	if _, err := RunSweep(context.Background(), expand(t, longer), Options{Workers: 1}, path); err == nil {
 		t.Fatal("journal recorded at a different horizon was accepted")
 	}
 }
@@ -168,8 +177,8 @@ func TestJournalRejectsForeignMatrix(t *testing.T) {
 func TestJournalToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.journal")
-	m := Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy1", "policy2"}, BaseSeed: 1, Horizon: simclock.Minute}
-	if _, err := RunMatrixWithJournal(context.Background(), m, Options{Workers: 1}, path); err != nil {
+	jobs := expand(t, Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy1", "policy2"}, BaseSeed: 1, Horizon: simclock.Minute})
+	if _, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -184,25 +193,17 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, trimmed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobsNL, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doneNL, validNL, err := loadJournal(path, jobsNL)
+	doneNL, validNL, err := loadJournal(path, jobs)
 	if err != nil {
 		t.Fatalf("newline-less tail rejected: %v", err)
 	}
-	if len(doneNL) != len(jobsNL)-1 || validNL >= int64(len(trimmed)) {
+	if len(doneNL) != len(jobs)-1 || validNL >= int64(len(trimmed)) {
 		t.Fatalf("newline-less tail: loaded %d entries, validBytes %d (file %d)", len(doneNL), validNL, len(trimmed))
 	}
 
 	// Second tear: also lose half the line's bytes.
 	cut := trimmed[:len(trimmed)-10]
 	if err := os.WriteFile(path, cut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := m.Expand()
-	if err != nil {
 		t.Fatal(err)
 	}
 	done, validBytes, err := loadJournal(path, jobs)
@@ -221,7 +222,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	// the re-run entry concatenates onto the torn bytes, the job is re-run
 	// on every resume and the journal eventually hard-errors.)
 	for i := 0; i < 2; i++ {
-		rows, err := RunMatrixWithJournal(context.Background(), m, Options{Workers: 1}, path)
+		rows, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, path)
 		if err != nil {
 			t.Fatalf("resume %d over torn journal: %v", i, err)
 		}
@@ -234,10 +235,88 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalResumesRowsWithoutNewerFields: a journal whose rows predate
+// the dependability and gossip columns still resumes.  Those fields read 0,
+// and no job re-runs.
+func TestJournalResumesRowsWithoutNewerFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	jobs := expand(t, Matrix{Scenarios: []string{"global-gossip"}, Policies: []string{"policy2"}, BaseSeed: 1, Horizon: 2 * simclock.Minute})
+	fresh, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh[0].GossipSent == 0 {
+		t.Fatalf("row carries no gossip counts to drop: %+v", fresh[0])
+	}
+	var old bytes.Buffer
+	for _, e := range journalLines(t, path) {
+		raw, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entry map[string]any
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber() // a seed does not fit a float64
+		if err := dec.Decode(&entry); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"proactiveRejuvenations", "crashes", "gossipMeanLagSeconds", "gossipSent", "gossipMaxDivergence"} {
+			delete(entry["row"].(map[string]any), key)
+		}
+		line, err := json.Marshal(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh[0]
+	want.ProactiveRejuvenations, want.Crashes = 0, 0
+	want.GossipMeanLagSeconds, want.GossipSent, want.GossipMaxDivergence = 0, 0, 0
+	if !reflect.DeepEqual(resumed, []SweepRow{want}) {
+		t.Fatalf("resumed rows = %+v, want %+v", resumed, want)
+	}
+	if n := len(journalLines(t, path)); n != 1 {
+		t.Fatalf("resume appended to the journal (%d entries): the old row was re-run", n)
+	}
+}
+
+// TestJournalKeysJobsByPosition: a hand-built job list need not number its
+// jobs; the journal records and resumes each by its position.
+func TestJournalKeysJobsByPosition(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	jobs := expand(t, Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy1", "policy2"}, BaseSeed: 1, Horizon: simclock.Minute})
+	for i := range jobs {
+		jobs[i].Index = 0
+	}
+	want, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // record, then resume from the journal alone
+		got, err := RunSweep(context.Background(), jobs, Options{Workers: 1}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: journaled rows = %+v, want %+v", i, got, want)
+		}
+		if n := len(journalLines(t, path)); n != len(jobs) {
+			t.Fatalf("pass %d: journal holds %d entries, want %d", i, n, len(jobs))
+		}
+	}
+}
+
 // TestSweepRowsAndWriters covers the flattening and the CSV/JSON emitters.
 func TestSweepRowsAndWriters(t *testing.T) {
 	m := Matrix{Scenarios: []string{"figure3"}, Policies: []string{"policy2"}, Betas: []float64{0.25, 0.75}, BaseSeed: 7, Horizon: 2 * simclock.Minute}
-	results, err := RunMatrix(context.Background(), m, Options{Workers: 2})
+	results, err := RunParallel(context.Background(), expand(t, m), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

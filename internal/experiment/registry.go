@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -56,7 +55,8 @@ func registerScenario(name, description string, ctor Constructor, test bool) {
 	registry[name] = registered{ctor: ctor, desc: description, test: test}
 }
 
-// BuildScenario constructs the named scenario with the given seed.
+// BuildScenario constructs the named scenario with the given seed and fills
+// its defaults; the registered constructors leave the fill to it.
 func BuildScenario(name string, seed uint64) (Scenario, error) {
 	registryMu.RLock()
 	reg, ok := registry[name]
@@ -147,23 +147,6 @@ type Matrix struct {
 	Horizon simclock.Duration
 }
 
-// Size returns the number of jobs Expand will produce.
-func (m Matrix) Size() int {
-	reps := m.Replications
-	if reps <= 0 {
-		reps = 1
-	}
-	betas := len(m.Betas)
-	if betas == 0 {
-		betas = 1
-	}
-	policies := len(m.Policies)
-	if policies == 0 {
-		policies = len(Policies())
-	}
-	return len(m.Scenarios) * betas * policies * reps
-}
-
 // Expand materialises the grid into jobs, ordered scenario-major, then beta,
 // then policy, then replication.  The expansion is a pure function of the
 // matrix: expanding twice yields identical jobs, which together with the
@@ -201,7 +184,7 @@ func (m Matrix) Expand() ([]Job, error) {
 		betas = []float64{0} // placeholder: keep each scenario's own beta
 	}
 
-	jobs := make([]Job, 0, m.Size())
+	var jobs []Job
 	for _, name := range m.Scenarios {
 		for _, beta := range betas {
 			for _, np := range policies {
@@ -227,13 +210,4 @@ func (m Matrix) Expand() ([]Job, error) {
 		}
 	}
 	return jobs, nil
-}
-
-// RunMatrix expands the matrix and executes it on the parallel runner.
-func RunMatrix(ctx context.Context, m Matrix, opt Options) ([]JobResult, error) {
-	jobs, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
-	return RunParallel(ctx, jobs, opt)
 }

@@ -87,11 +87,11 @@ func Run(sc Scenario, np NamedPolicy) (*Result, error) {
 // flight recorder for trace export, the registry for a final scrape) stay
 // reachable through it.
 func RunBackend(sc Scenario, np NamedPolicy) (*Result, backend.Backend, error) {
-	b, err := NewBackend(sc, np)
+	sc = sc.withDefaults()
+	b, err := newSimulated(sc, np)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc = sc.withDefaults()
 	if err := b.Run(sc.Horizon); err != nil {
 		return nil, nil, fmt.Errorf("experiment: running %s/%s: %w", sc.Name, np.Key, err)
 	}
@@ -127,11 +127,7 @@ func EngineFanOut(b backend.Backend) simclock.FanOutStats {
 // per-job error aborts the whole comparison, matching the sequential
 // behaviour callers relied on.
 func RunPolicies(ctx context.Context, sc Scenario, policies []NamedPolicy, opt Options) (map[string]*Result, error) {
-	jobs := make([]Job, len(policies))
-	for i, np := range policies {
-		jobs[i] = Job{Index: i, Scenario: sc, Policy: np}
-	}
-	results, err := RunParallel(ctx, jobs, opt)
+	results, err := RunParallel(ctx, policyJobs(sc, policies), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +139,15 @@ func RunPolicies(ctx context.Context, sc Scenario, policies []NamedPolicy, opt O
 		out[jr.Job.Policy.Key] = jr.Result
 	}
 	return out, nil
+}
+
+// policyJobs returns one job per policy, all on the same scenario.
+func policyJobs(sc Scenario, policies []NamedPolicy) []Job {
+	jobs := make([]Job, len(policies))
+	for i, np := range policies {
+		jobs[i] = Job{Index: i, Scenario: sc, Policy: np}
+	}
+	return jobs
 }
 
 // summarize extracts the summary metrics from a finished run, reading only

@@ -62,8 +62,10 @@ func ValidateBeta(beta float64) error {
 
 // withDefaults fills every default of the scenario once, at the edge: the
 // deployment's through acm.Config.WithDefaults, then the experiment fields;
-// only zero selects a default.  A built or loaded scenario therefore holds
-// every value it runs with, and applying it twice changes nothing.
+// only zero selects a default.  BuildScenario, LoadScenario, SaveScenario,
+// NewBackend and RunBackend apply it; the constructors below leave it to
+// them.  A built or loaded scenario therefore holds every value it runs
+// with, and applying it twice changes nothing.
 func (s Scenario) withDefaults() Scenario {
 	s.Config = s.Config.WithDefaults()
 	s.Horizon = cmp.Or(s.Horizon, 2*simclock.Hour)
@@ -91,15 +93,15 @@ func (s Scenario) checkBackend() error {
 // so any number of them can be built from the same scenario and run
 // concurrently.
 func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
-	sim, err := newSimulated(sc, np)
+	sim, err := newSimulated(sc.withDefaults(), np)
 	if err != nil {
 		return nil, err
 	}
 	return sim, nil
 }
 
+// newSimulated builds the deployment of a filled scenario.
 func newSimulated(sc Scenario, np NamedPolicy) (*backend.Simulated, error) {
-	sc = sc.withDefaults()
 	if err := validate.Struct("experiment", &sc); err != nil {
 		return nil, err
 	}
@@ -159,7 +161,7 @@ func Figure3Scenario(seed uint64) Scenario {
 				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 128, Mix: workload.BrowsingMix()},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // Figure4Scenario reproduces the second experiment of Section VI-B: all three
@@ -176,7 +178,7 @@ func Figure4Scenario(seed uint64) Scenario {
 				{Region: cloudsim.PaperRegionConfig(cloudsim.PaperRegion3), Clients: 256, Mix: workload.BrowsingMix()},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // HomogeneousScenario is the control experiment behind the paper's closing
@@ -198,7 +200,7 @@ func HomogeneousScenario(seed uint64) Scenario {
 				{Region: mkRegion("region3"), Clients: 192, Mix: workload.BrowsingMix()},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // ElasticityScenario exercises the ADDVMS elasticity action of Section V: a
@@ -231,7 +233,7 @@ func ElasticityScenario(seed uint64) Scenario {
 				ResponseTimeThreshold: 1.0,
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // The megaregion scenarios run a single 5x10^3-VM pool: well past the
@@ -276,7 +278,7 @@ func megaregionScenario(name string, seed uint64, shards int) Scenario {
 				ElasticityEnabled: false,
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // MegaregionScenario is the single-shard baseline: one region holding a
@@ -335,7 +337,7 @@ func MegaclientsScenario(seed uint64) Scenario {
 	sc.Regions[0].CohortClients = 1_000_000
 	sc.ThinkTime = 60 * simclock.Second
 	sc.CohortMaxBatch = 128
-	return sc.withDefaults()
+	return sc
 }
 
 // GlobalMegaclientsScenario spreads 1.2x10^6 cohort-compressed clients over
@@ -379,7 +381,7 @@ func GlobalMegaclientsScenario(seed uint64) Scenario {
 				ElasticityEnabled: false,
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // globalRegions is the shared deployment of the global-* scenarios: the
@@ -416,7 +418,7 @@ func GlobalFailoverScenario(seed uint64) Scenario {
 				{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalLeastLoadScenario routes 192 global clients by probed region
@@ -434,7 +436,7 @@ func GlobalLeastLoadScenario(seed uint64) Scenario {
 				Policy: gslb.PolicyLeastLoad,
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalDiurnalScenario models time-varying global traffic: three
@@ -478,7 +480,7 @@ func GlobalDiurnalScenario(seed uint64) Scenario {
 				}},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalLatencyScenario exercises latency-aware geo routing: three globally
@@ -514,7 +516,7 @@ func GlobalLatencyScenario(seed uint64) Scenario {
 				{Name: "asia", Rate: constant(8)},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalCableCutScenario is GlobalLatencyScenario plus a scripted cable cut:
@@ -530,7 +532,7 @@ func GlobalCableCutScenario(seed uint64) Scenario {
 	s.LinkFaults = []acm.LinkFault{
 		{Stream: "americas", Region: "region1", At: 12 * simclock.Minute, Factor: 2},
 	}
-	return s.withDefaults()
+	return s
 }
 
 // GlobalTracedScenario is GlobalLatencyScenario with the observability plane
@@ -548,7 +550,7 @@ func GlobalTracedScenario(seed uint64) Scenario {
 	}
 	s.TraceSampleFraction = 0.02
 	s.FlightRecorder = true
-	return s.withDefaults()
+	return s
 }
 
 // GlobalGossipScenario exercises the replicated health plane under churn:
@@ -575,7 +577,7 @@ func GlobalGossipScenario(seed uint64) Scenario {
 				{Region: "region3", At: 18 * simclock.Minute, Duration: 6 * simclock.Minute, KeepActive: 1},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalPartitionScenario is the split-brain experiment the central director
@@ -608,7 +610,7 @@ func GlobalPartitionScenario(seed uint64) Scenario {
 				{Region: "region1", At: 10 * simclock.Minute, Duration: 10 * simclock.Minute, KeepActive: 0},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // GlobalStaleViewScenario overloads a recovering region with stale healthy
@@ -637,7 +639,7 @@ func GlobalStaleViewScenario(seed uint64) Scenario {
 				{Region: "region1", At: 6 * simclock.Minute, Duration: 8 * simclock.Minute, KeepActive: 1},
 			},
 		},
-	}.withDefaults()
+	}
 }
 
 // Policies returns the three policies of the paper keyed by the short names

@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-// Sweep output: a matrix run produces one flat summary row per job, written
+// Sweep output: a sweep produces one flat summary row per job, written
 // as CSV (for spreadsheets and plotting scripts) or JSON (for downstream
 // tooling).  Rows carry only the summary metrics, not the raw series — a
 // sweep of hundreds of jobs must stay cheap to persist, which is also what
@@ -20,7 +20,7 @@ import (
 
 // SweepRow is the flat summary of one sweep job.
 type SweepRow struct {
-	// Index is the job's position in the expanded matrix.
+	// Index is the job's position in the job list.
 	Index int `json:"index"`
 	// Scenario is the expanded scenario name (beta/rep suffixes included).
 	Scenario string `json:"scenario"`
@@ -45,6 +45,16 @@ type SweepRow struct {
 	SuccessRatio        float64 `json:"successRatio"`
 	ForwardedFraction   float64 `json:"forwardedFraction"`
 	Eras                uint64  `json:"eras"`
+	// ProactiveRejuvenations and Crashes sum the regions' dependability
+	// counters.
+	ProactiveRejuvenations uint64 `json:"proactiveRejuvenations"`
+	Crashes                uint64 `json:"crashes"`
+	// GossipMeanLagSeconds, GossipSent and GossipMaxDivergence are the
+	// gossip plane's convergence lag, messages sent and final version gap
+	// (see gossip.Stats); all three read 0 for a run without one.
+	GossipMeanLagSeconds float64 `json:"gossipMeanLagSeconds"`
+	GossipSent           uint64  `json:"gossipSent"`
+	GossipMaxDivergence  uint64  `json:"gossipMaxDivergence"`
 	// Err is the job's failure message, empty on success.
 	Err string `json:"err,omitempty"`
 }
@@ -76,6 +86,13 @@ func RowFromJobResult(jr JobResult) SweepRow {
 	row.SuccessRatio = r.SuccessRatio
 	row.ForwardedFraction = r.ForwardedFraction
 	row.Eras = r.Eras
+	row.ProactiveRejuvenations = r.ProactiveRejuvenations
+	row.Crashes = r.Crashes
+	if g := r.Gossip; g != nil {
+		row.GossipMeanLagSeconds = g.MeanLagSeconds
+		row.GossipSent = g.Sent
+		row.GossipMaxDivergence = g.MaxDivergence
+	}
 	return row
 }
 
@@ -93,7 +110,8 @@ var sweepHeader = []string{
 	"index", "scenario", "policy", "seed", "beta", "rep",
 	"converged", "relative_spread", "convergence_time_s", "fraction_oscillation",
 	"mean_rt_s", "sla_violation_ratio", "success_ratio", "forwarded_fraction",
-	"eras", "err",
+	"eras", "proactive_rejuvenations", "crashes",
+	"gossip_mean_lag_s", "gossip_sent", "gossip_max_divergence", "err",
 }
 
 // WriteSweepCSV writes the rows as CSV with a header line.
@@ -110,7 +128,9 @@ func WriteSweepCSV(w io.Writer, rows []SweepRow) error {
 			strconv.FormatBool(r.Converged), f(r.RelativeSpread), f(r.ConvergenceTime),
 			f(r.FractionOscillation), f(r.MeanResponseTime), f(r.SLAViolationRatio),
 			f(r.SuccessRatio), f(r.ForwardedFraction),
-			strconv.FormatUint(r.Eras, 10), r.Err,
+			strconv.FormatUint(r.Eras, 10), strconv.FormatUint(r.ProactiveRejuvenations, 10),
+			strconv.FormatUint(r.Crashes, 10), f(r.GossipMeanLagSeconds),
+			strconv.FormatUint(r.GossipSent, 10), strconv.FormatUint(r.GossipMaxDivergence, 10), r.Err,
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -128,33 +148,42 @@ func WriteSweepJSON(w io.Writer, rows []SweepRow) error {
 }
 
 // SweepTable renders the rows as an aligned text table for terminal output.
+// A converged run whose convergence time is unknown (-1) reads "n/a"; a run
+// that never converged reads "never".
 func SweepTable(rows []SweepRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %-10s %6s %4s %9s %9s %10s %10s %8s\n",
-		"scenario", "policy", "beta", "rep", "converged", "spread", "meanRT(s)", "slaViol", "eras")
+	fmt.Fprintf(&b, "%-28s %-13s %5s %3s %4s %7s %8s %8s %9s %7s %7s %7s %5s %5s %7s %6s %6s %6s\n",
+		"scenario", "policy", "beta", "rep", "conv", "spread", "convTime", "fOscill", "meanRT(s)",
+		"slaViol", "success", "forward", "eras", "rejuv", "crashes", "lag(s)", "sent", "diverg")
 	for _, r := range rows {
 		if r.Err != "" {
-			fmt.Fprintf(&b, "%-28s %-10s %6.2f %4d  ERROR: %s\n", r.Scenario, r.Policy, r.Beta, r.Rep, r.Err)
+			fmt.Fprintf(&b, "%-28s %-13s %5.2f %3d  ERROR: %s\n", r.Scenario, r.Policy, r.Beta, r.Rep, r.Err)
 			continue
 		}
-		conv := "no"
+		conv, convTime := "no", "never"
 		if r.Converged {
-			conv = "yes"
+			conv, convTime = "yes", "n/a"
+			if r.ConvergenceTime >= 0 {
+				convTime = fmt.Sprintf("%.0fs", r.ConvergenceTime)
+			}
 		}
-		fmt.Fprintf(&b, "%-28s %-10s %6.2f %4d %9s %9.3f %10.3f %10.4f %8d\n",
-			r.Scenario, r.Policy, r.Beta, r.Rep, conv, r.RelativeSpread, r.MeanResponseTime, r.SLAViolationRatio, r.Eras)
+		fmt.Fprintf(&b, "%-28s %-13s %5.2f %3d %4s %7.3f %8s %8.4f %9.3f %7.4f %7.4f %7.4f %5d %5d %7d %6.1f %6d %6d\n",
+			r.Scenario, r.Policy, r.Beta, r.Rep, conv, r.RelativeSpread, convTime, r.FractionOscillation,
+			r.MeanResponseTime, r.SLAViolationRatio, r.SuccessRatio, r.ForwardedFraction, r.Eras,
+			r.ProactiveRejuvenations, r.Crashes, r.GossipMeanLagSeconds, r.GossipSent, r.GossipMaxDivergence)
 	}
 	return b.String()
 }
 
-// RunSweep is the one sweep pipeline both CLIs drive: expand and execute
-// the matrix — through the checkpoint journal when journalPath is non-empty
-// — and return the summary rows in job order.
-func RunSweep(ctx context.Context, m Matrix, opt Options, journalPath string) ([]SweepRow, error) {
+// RunSweep is the one sweep pipeline: execute the jobs — through the
+// checkpoint journal when journalPath is non-empty — and return the
+// summary rows in job order.  A Matrix's Expand, the ablation builders
+// (ablation.go) and hand-built job lists all feed it.
+func RunSweep(ctx context.Context, jobs []Job, opt Options, journalPath string) ([]SweepRow, error) {
 	if journalPath != "" {
-		return RunMatrixWithJournal(ctx, m, opt, journalPath)
+		return runJournaled(ctx, jobs, opt, journalPath)
 	}
-	results, err := RunMatrix(ctx, m, opt)
+	results, err := RunParallel(ctx, jobs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -178,13 +207,13 @@ func WriteSweepFile(path string, rows []SweepRow, emit func(io.Writer, []SweepRo
 	return f.Close()
 }
 
-// RunSweepAndEmit is the whole sweep-CLI tail shared by cmd/figures and
-// cmd/acmsim: execute the matrix (checkpointed through journalPath when
-// non-empty), print the summary table to out, and write the rows as CSV
-// and/or JSON with a "wrote ..." notice per file.  The CLIs keep only their
-// flag handling.
-func RunSweepAndEmit(ctx context.Context, m Matrix, opt Options, journalPath, csvPath, jsonPath string, out io.Writer) error {
-	rows, err := RunSweep(ctx, m, opt, journalPath)
+// RunSweepAndEmit is the whole sweep-CLI tail shared by cmd/figures (its
+// -scenarios sweeps and its ablations) and cmd/acmsim: execute the jobs
+// (checkpointed through journalPath when non-empty), print the summary
+// table to out, and write the rows as CSV and/or JSON with a "wrote ..."
+// notice per file.  The CLIs keep only their flag handling.
+func RunSweepAndEmit(ctx context.Context, jobs []Job, opt Options, journalPath, csvPath, jsonPath string, out io.Writer) error {
+	rows, err := RunSweep(ctx, jobs, opt, journalPath)
 	if err != nil {
 		return err
 	}
